@@ -13,6 +13,7 @@ import logging
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -111,7 +112,7 @@ class TrainConfig:
             (
                 self.hindsight_action in (HINDSIGHT_RESAMPLE, HINDSIGHT_REPLAY),
                 "hindsight_action",
-                f"must be {HINDSIGHT_RESAMPLE!r} or {HINDSIGHT_REPLAY!r}",
+                f"must be {HINDSIGHT_RESAMPLE} or {HINDSIGHT_REPLAY}",
             ),
             (self.seed >= 0, "seed", "must be >= 0"),
         ]
@@ -167,6 +168,22 @@ def one_hot_weights(reward: str) -> np.ndarray:
 
 def uniform_weights() -> np.ndarray:
     return np.full(4, 0.25)
+
+
+def eval_conditioning(
+    cfg: TrainConfig, weights: Sequence[float] | None = None, gamma: float | None = None
+) -> tuple[np.ndarray, float]:
+    """The weights and gamma a greedy evaluation conditions on.
+
+    An unset weight vector defaults to uniform weights for a multi-reward
+    run and to the one-hot trained reward otherwise; an unset gamma to the
+    midpoint of gamma_range when gamma is an input, else the fixed gamma.
+    """
+    if weights is None:
+        weights = uniform_weights() if cfg.multi_reward else one_hot_weights(cfg.reward)
+    if gamma is None:
+        gamma = 0.5 * (cfg.gamma_range[0] + cfg.gamma_range[1]) if cfg.generalize_gamma else cfg.gamma
+    return validate_weights(weights), gamma
 
 
 def sample_weights(rng: np.random.Generator) -> np.ndarray:
@@ -253,7 +270,7 @@ def train(
     split: DataSplit,
     *,
     out_dir: str | Path | None = None,
-    eval_weights: np.ndarray | None = None,
+    eval_weights: Sequence[float] | None = None,
     eval_gamma: float | None = None,
 ) -> TrainResult:
     """Run the full training loop over cfg.episodes episodes.
@@ -274,11 +291,7 @@ def train(
     buffer = ReplayBuffer(cfg.max_age)
     env = TradingEnv(series, cfg.mode, lookback=cfg.lookback, reward_window=cfg.reward_window, fee=cfg.fee)
 
-    if eval_weights is None:
-        eval_weights = uniform_weights() if cfg.multi_reward else one_hot_weights(cfg.reward)
-    eval_weights = validate_weights(eval_weights)
-    if eval_gamma is None:
-        eval_gamma = cfg.gamma if not include_gamma else 0.5 * (cfg.gamma_range[0] + cfg.gamma_range[1])
+    eval_weights, eval_gamma = eval_conditioning(cfg, eval_weights, eval_gamma)
 
     single_w = None
     if cfg.pin_weights is not None:

@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import agent, config, evaluation
 from .errors import EngineError, InvalidValue, MissingFile
 from .market_data import make_split, walk_forward_folds
@@ -46,29 +44,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _eval_params(cfg: config.RunConfig):
-    train = cfg.train
-    if cfg.eval_weights is not None:
-        weights = np.asarray(cfg.eval_weights, dtype=np.float64)
-    elif train.multi_reward:
-        weights = agent.uniform_weights()
-    else:
-        weights = agent.one_hot_weights(train.reward)
-    if cfg.eval_gamma is not None:
-        gamma = cfg.eval_gamma
-    elif train.generalize_gamma:
-        gamma = 0.5 * (train.gamma_range[0] + train.gamma_range[1])
-    else:
-        gamma = train.gamma
-    return weights, gamma
-
-
 def cmd_train(cfg: config.RunConfig, out: Path) -> None:
     series = config.load_series(cfg)
     split = make_split(series, cfg.fractions)
     config.write_resolved(cfg, out)
-    weights, gamma = _eval_params(cfg)
-    agent.train(cfg.train, series, split, out_dir=out, eval_weights=weights, eval_gamma=gamma)
+    agent.train(cfg.train, series, split, out_dir=out, eval_weights=cfg.eval_weights, eval_gamma=cfg.eval_gamma)
 
 
 def _collect_checkpoints(cfg: config.RunConfig, out: Path) -> list[Path]:
@@ -83,22 +63,38 @@ def _collect_checkpoints(cfg: config.RunConfig, out: Path) -> list[Path]:
     return found
 
 
+def _check_meta(meta: dict, train: agent.TrainConfig, path: Path) -> None:
+    """Reject a checkpoint whose stored training geometry disagrees with the config."""
+    expected = {
+        "mode": train.mode.value,
+        "lookback": train.lookback,
+        "reward_window": train.reward_window,
+        "generalize_gamma": train.generalize_gamma,
+    }
+    for key, value in expected.items():
+        if key in meta and meta[key] != value:
+            raise InvalidValue(
+                key, f"checkpoint {path} was trained with {json.dumps(meta[key])}, config has {json.dumps(value)}"
+            )
+
+
 def cmd_backtest(cfg: config.RunConfig, out: Path) -> None:
     series = config.load_series(cfg)
     split = make_split(series, cfg.fractions)
-    weights, gamma = _eval_params(cfg)
     train = cfg.train
+    weights, gamma = agent.eval_conditioning(train, cfg.eval_weights, cfg.eval_gamma)
 
+    # Selection reads only the eval range, so candidates are evaluated on it alone.
     candidates = []
     for path in _collect_checkpoints(cfg, out):
         net, meta = load_checkpoint(path)
-        reports = evaluation.evaluate_split(
-            net, series, split,
-            weights=weights, gamma=gamma, mode=train.mode, fee=train.fee,
+        _check_meta(meta, train, path)
+        _, _, report = evaluation.vectorized_rollout(
+            net, series, split.eval, weights, gamma, train.mode, train.fee,
             lookback=train.lookback, reward_window=train.reward_window,
-            include_gamma=train.generalize_gamma,
+            include_gamma=train.generalize_gamma, range_id="eval",
         )
-        candidates.append(agent.Checkpoint(episode=int(meta.get("episode", 0)), net=net, reports=reports, path=path))
+        candidates.append(agent.Checkpoint(episode=int(meta.get("episode", 0)), net=net, reports={"eval": report}, path=path))
 
     best = evaluation.select_best_checkpoint(candidates, metric=cfg.report_metric, range_id="eval")
     range_ = split.range_for(cfg.eval_range)
@@ -124,10 +120,9 @@ def cmd_walkforward(cfg: config.RunConfig, out: Path) -> None:
     series = config.load_series(cfg)
     plan = walk_forward_folds(series, cfg.n_folds, cfg.eval_frac, cfg.test_frac)
     config.write_resolved(cfg, out)
-    weights, gamma = _eval_params(cfg)
     results = evaluation.run_walk_forward(
         cfg.train, series, plan,
-        eval_weights=weights, eval_gamma=gamma, metric=cfg.report_metric,
+        eval_weights=cfg.eval_weights, eval_gamma=cfg.eval_gamma, metric=cfg.report_metric,
     )
     payload = {"n_folds": len(results), "metric": cfg.report_metric, "folds": [r.to_dict() for r in results]}
     (out / "report.json").write_text(json.dumps(payload, indent=2) + "\n")

@@ -10,19 +10,16 @@ Unknown keys are rejected; omitted keys take the documented defaults.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .agent import HINDSIGHT_REPLAY, HINDSIGHT_RESAMPLE, TrainConfig, validate_weights
+from .agent import TrainConfig, validate_weights
 from .env import Mode
 from .errors import InvalidValue, MissingFile, UnknownKey
 from .market_data import PriceSeries, load_csv
-from .rewards import REWARD_COMPONENTS
 from .synthetic import KINDS, generate_synthetic
-
-_DEFAULT_GAMMA_RANGE = (0.5, 0.999)
 
 
 @dataclass(frozen=True)
@@ -62,59 +59,37 @@ class RunConfig:
         return (self.train_frac, self.eval_frac, self.test_frac)
 
 
-# Flat config key -> (owner, attribute).  Declaration order is the file order.
-_TRAIN_KEYS = {
-    "mode": "mode",
-    "multi_reward": "multi_reward",
-    "reward": "reward",
-    "generalize_gamma": "generalize_gamma",
-    "gamma": "gamma",
-    "gamma_range": "gamma_range",
-    "alpha": "alpha",
-    "tol": "tol",
-    "batchsize": "batchsize",
-    "k": "k",
-    "episodes": "episodes",
-    "eval_every": "eval_every",
-    "reward_window": "reward_window",
-    "lookback": "lookback",
-    "episode_len": "episode_len",
-    "random_access": "random_access",
-    "fee": "fee",
-    "max_age": "max_age",
-    "hidden": "hidden",
-    "learn_rate": "learn_rate",
-    "momentum": "momentum",
-    "sync_period": "sync_period",
-    "whiten": "whiten",
-    "eigen_floor": "eigen_floor",
-    "hindsight_action": "hindsight_action",
-    "pin_weights": "pin_weights",
-    "seed": "seed",
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _reals(n: int, reason: str):
+    return (lambda v: isinstance(v, list) and len(v) == n and all(map(_is_number, v)),
+            lambda v: tuple(float(x) for x in v), reason)
+
+
+# Field annotation (without "| None") -> (accepts the JSON value, convert, reason).
+# Range and membership rules live in TrainConfig.validate and _validate_run.
+_TYPES = {
+    "bool": (lambda v: isinstance(v, bool), bool, "must be true or false"),
+    "int": (_is_int, int, "must be an integer"),
+    "float": (_is_number, float, "must be a number"),
+    "str": (lambda v: isinstance(v, str), str, "must be a string"),
+    "Mode": (lambda v: v in ("LP", "LSP"), Mode, "must be LP or LSP"),
+    "tuple[int, ...]": (lambda v: isinstance(v, list) and all(map(_is_int, v)), tuple,
+                        "must be a list of positive integers"),
+    "tuple[float, float]": _reals(2, "must be a [low, high] pair"),
+    "tuple[float, float, float, float]": _reals(4, "must be a list of 4 reals"),
 }
-_RUN_KEYS = (
-    "data_csv",
-    "timestamp_column",
-    "close_column",
-    "asset_id",
-    "synthetic_kind",
-    "synthetic_length",
-    "synthetic_base",
-    "synthetic_amplitude",
-    "synthetic_period",
-    "synthetic_drift",
-    "synthetic_seed",
-    "train_frac",
-    "eval_frac",
-    "test_frac",
-    "n_folds",
-    "eval_weights",
-    "eval_gamma",
-    "report_metric",
-    "eval_range",
-    "checkpoint",
-)
-ALL_KEYS = tuple(_TRAIN_KEYS) + _RUN_KEYS
+
+# The config keys, in file order: TrainConfig's fields, then RunConfig's own.
+_TRAIN_FIELDS = {f.name: _TYPES[f.type.removesuffix(" | None")] for f in fields(TrainConfig)}
+_RUN_FIELDS = {f.name: _TYPES[f.type.removesuffix(" | None")] for f in fields(RunConfig) if f.name != "train"}
+ALL_KEYS = (*_TRAIN_FIELDS, *_RUN_FIELDS)
 
 
 def _parse_flat_text(text: str) -> dict:
@@ -135,79 +110,30 @@ def _parse_flat_text(text: str) -> dict:
     return values
 
 
+def _coerce_fields(raw: dict, schema: dict) -> dict:
+    """Type-check and convert the keys of one dataclass; null means unset."""
+    kwargs = {}
+    for key, (accepts, convert, reason) in schema.items():
+        if raw.get(key) is None:
+            continue
+        if not accepts(raw[key]):
+            raise InvalidValue(key, reason)
+        kwargs[key] = convert(raw[key])
+    return kwargs
+
+
 def _coerce(raw: dict) -> RunConfig:
     unknown = [k for k in raw if k not in ALL_KEYS]
     if unknown:
         raise UnknownKey(unknown[0])
 
-    def _check(cond: bool, key: str, reason: str) -> None:
-        if not cond:
-            raise InvalidValue(key, reason)
-
-    train_kwargs = {}
-    for key, attr in _TRAIN_KEYS.items():
-        if key not in raw or raw[key] is None:
-            continue
-        value = raw[key]
-        if key == "mode":
-            _check(value in ("LP", "LSP"), key, "must be LP or LSP")
-            value = Mode(value)
-        elif key == "reward":
-            _check(value in REWARD_COMPONENTS, key, f"must be one of {REWARD_COMPONENTS}")
-        elif key == "hindsight_action":
-            _check(value in (HINDSIGHT_RESAMPLE, HINDSIGHT_REPLAY), key, "must be resample or replay")
-        elif key in ("multi_reward", "generalize_gamma", "random_access", "whiten"):
-            _check(isinstance(value, bool), key, "must be true or false")
-        elif key in ("batchsize", "k", "episodes", "eval_every", "reward_window",
-                     "lookback", "episode_len", "max_age", "sync_period", "seed"):
-            _check(isinstance(value, int) and not isinstance(value, bool), key, "must be an integer")
-        elif key == "hidden":
-            _check(
-                isinstance(value, list) and all(isinstance(v, int) and v >= 1 for v in value),
-                key, "must be a list of positive integers",
-            )
-            value = tuple(value)
-        elif key == "gamma_range":
-            _check(
-                isinstance(value, list) and len(value) == 2 and all(isinstance(v, (int, float)) for v in value),
-                key, "must be a [low, high] pair",
-            )
-            value = (float(value[0]), float(value[1]))
-        elif key == "pin_weights":
-            _check(isinstance(value, list) and len(value) == 4, key, "must be a list of 4 reals")
-            value = tuple(float(v) for v in value)
-        else:
-            _check(isinstance(value, (int, float)) and not isinstance(value, bool), key, "must be a number")
-            value = float(value)
-        train_kwargs[attr] = value
-
+    train_kwargs = _coerce_fields(raw, _TRAIN_FIELDS)
     if "gamma_range" in train_kwargs and not train_kwargs.get("generalize_gamma", False):
         raise InvalidValue("gamma_range", "only valid with generalize_gamma = true")
-    if not train_kwargs.get("generalize_gamma", False):
-        train_kwargs.pop("gamma_range", None)
-
     train = TrainConfig(**train_kwargs)
     train.validate()
 
-    run_kwargs = {}
-    for key in _RUN_KEYS:
-        if key not in raw or raw[key] is None:
-            continue
-        value = raw[key]
-        if key in ("data_csv", "timestamp_column", "close_column", "asset_id", "checkpoint",
-                   "synthetic_kind", "report_metric", "eval_range"):
-            _check(isinstance(value, str), key, "must be a string")
-        elif key in ("synthetic_length", "synthetic_seed", "n_folds"):
-            _check(isinstance(value, int) and not isinstance(value, bool), key, "must be an integer")
-        elif key == "eval_weights":
-            _check(isinstance(value, list) and len(value) == 4, key, "must be a list of 4 reals")
-            value = tuple(float(v) for v in value)
-        else:
-            _check(isinstance(value, (int, float)) and not isinstance(value, bool), key, "must be a number")
-            value = float(value)
-        run_kwargs[key] = value
-
-    cfg = RunConfig(train=train, **run_kwargs)
+    cfg = RunConfig(train=train, **_coerce_fields(raw, _RUN_FIELDS))
     _validate_run(cfg)
     return cfg
 
@@ -239,29 +165,24 @@ def _validate_run(cfg: RunConfig) -> None:
         _check(0.0 < cfg.eval_gamma < 1.0, "eval_gamma", "must be in (0, 1)")
 
 
+def _to_json(value):
+    if isinstance(value, Mode):
+        return value.value
+    if isinstance(value, tuple):
+        return list(value)
+    return value
+
+
 def to_flat_dict(cfg: RunConfig) -> dict:
     """All effective values, defaults included, in declaration order.
 
     gamma_range is emitted only in generalize_gamma mode (it has no effect
     otherwise, and emitting it would make the file invalid to re-parse).
     """
-    out = {}
-    for key, attr in _TRAIN_KEYS.items():
-        value = getattr(cfg.train, attr)
-        if key == "mode":
-            value = value.value
-        elif key == "gamma_range":
-            value = list(value) if cfg.train.generalize_gamma else None
-        elif key == "hidden":
-            value = list(value)
-        elif key == "pin_weights" and value is not None:
-            value = list(value)
-        out[key] = value
-    for key in _RUN_KEYS:
-        value = getattr(cfg, key)
-        if key == "eval_weights" and value is not None:
-            value = list(value)
-        out[key] = value
+    out = {key: _to_json(getattr(cfg.train, key)) for key in _TRAIN_FIELDS}
+    if not cfg.train.generalize_gamma:
+        out["gamma_range"] = None
+    out.update((key, _to_json(getattr(cfg, key))) for key in _RUN_FIELDS)
     return out
 
 
@@ -330,11 +251,7 @@ def apply_overrides(
         validate_weights(np.asarray(weights))
         cfg = replace(cfg, eval_weights=tuple(float(w) for w in weights))
     if metric is not None:
-        if metric not in ("sharpe", "profit"):
-            raise InvalidValue("metric", "must be sharpe or profit")
         cfg = replace(cfg, report_metric=metric)
     if range_ is not None:
-        if range_ not in ("train", "eval", "test"):
-            raise InvalidValue("range", "must be train, eval or test")
         cfg = replace(cfg, eval_range=range_)
     return cfg

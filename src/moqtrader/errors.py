@@ -73,6 +73,10 @@ class ShapeMismatch(EngineError):
     code = "ShapeMismatch"
 
 
+class Diverged(EngineError):
+    code = "Diverged"
+
+
 class EmptyCheckpointList(EngineError):
     code = "EmptyCheckpointList"
 

@@ -1,9 +1,11 @@
 """Greedy-policy rollouts, metrics, benchmarks and the walk-forward driver.
 
-Two independent rollout routes exist on purpose: `run_policy` steps the
-environment one action at a time, while `vectorized_rollout` batch-evaluates
+`vectorized_rollout` is the route every evaluation takes: it batch-evaluates
 the network per trading position over the whole range and then walks the
-resulting Q-table.  They must agree action-for-action.
+resulting Q-table.  `run_policy` steps the environment one action at a time
+and is kept as the scalar reference; the two must agree action-for-action.
+Buy-and-hold has one closed form, `_buy_and_hold_benchmark`, which equals
+the always-long environment rollout bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .env import EnvState, Mode, Position, TradingEnv, position_transition
-from .errors import EmptyCheckpointList, RangeTooShort
+from .errors import Diverged, EmptyCheckpointList, RangeTooShort
 from .market_data import DataSplit, FoldPlan, IndexRange, PriceSeries
 from .qnet import QNetwork, build_input
 from .rewards import STD_FLOOR
@@ -110,11 +112,14 @@ def _rollout(
 
 def _report_from_trace(
     trace: PositionTrace,
+    series: PriceSeries,
+    range_: IndexRange,
+    fee: float,
+    lookback: int,
     weights: np.ndarray,
     range_id: str,
-    range_: IndexRange,
-    benchmark: tuple[float, float],
 ) -> EvaluationReport:
+    benchmark = _buy_and_hold_benchmark(series, range_, fee, lookback)
     scalars = trace.reward_vectors @ weights
     lr = trace.portfolio_log_returns
     trades = _count_trades(trace.positions)
@@ -146,17 +151,12 @@ def _greedy_policy(net: QNetwork, weights: np.ndarray, gamma: float, include_gam
     return policy
 
 
-def _buy_and_hold_benchmark(series, range_, mode, fee, weights, lookback, reward_window) -> tuple[float, float]:
-    trace = _rollout(
-        series, range_, mode, fee, lambda feats, state: 0,
-        lookback=lookback, reward_window=reward_window,
-    )
-    lr = trace.portfolio_log_returns
-    return float(np.exp(lr.sum()) - 1.0), _sharpe(lr)
+def _buy_and_hold_benchmark(series: PriceSeries, range_: IndexRange, fee: float, lookback: int) -> tuple[float, float]:
+    """Profit and Sharpe of the always-long policy, in closed form.
 
-
-def _buy_and_hold_benchmark_fast(series, range_, fee, lookback) -> tuple[float, float]:
-    """Closed form of the always-long trace; agrees with the env rollout."""
+    The log-returns are built element for element as the environment
+    builds them, so the result equals an always-long rollout exactly.
+    """
     lo, hi = range_
     lr = 1.0 * series.log_returns[lo + lookback : hi - 1]
     lr[0] += math.log1p(-fee)  # the opening buy is the only trade leg
@@ -182,8 +182,7 @@ def run_policy(
         series, range_, mode, fee, _greedy_policy(net, weights, gamma, include_gamma),
         lookback=lookback, reward_window=reward_window,
     )
-    benchmark = _buy_and_hold_benchmark(series, range_, mode, fee, weights, lookback, reward_window)
-    return trace, _report_from_trace(trace, weights, range_id, range_, benchmark)
+    return trace, _report_from_trace(trace, series, range_, fee, lookback, weights, range_id)
 
 
 def buy_and_hold(
@@ -204,9 +203,7 @@ def buy_and_hold(
         series, range_, mode, fee, lambda feats, state: 0,
         lookback=lookback, reward_window=reward_window,
     )
-    lr = trace.portfolio_log_returns
-    benchmark = (float(np.exp(lr.sum()) - 1.0), _sharpe(lr))
-    return _report_from_trace(trace, weights, range_id, range_, benchmark)
+    return _report_from_trace(trace, series, range_, fee, lookback, weights, range_id)
 
 
 def vectorized_rollout(
@@ -249,29 +246,32 @@ def vectorized_rollout(
     for j, pos in enumerate(positions):
         inputs[:, lookback] = float(pos.value)
         q_table[:, j, :] = net.forward(inputs)
-    greedy = q_table.argmax(axis=2)
+    if not np.isfinite(q_table).all():
+        raise Diverged(f"non-finite Q-values on {range_id} range {list(range_)}")
+    greedy = q_table.argmax(axis=2).tolist()
 
-    pos_index = {pos: j for j, pos in enumerate(positions)}
-    target_by_action = [position_transition(Position.NEUTRAL, a, mode) for a in range(mode.n_actions)]
+    # The walk runs on plain ints: column j of the Q-table is positions[j].
+    sign = [pos.value for pos in positions]
+    column_after = [positions.index(position_transition(Position.NEUTRAL, a, mode)) for a in range(mode.n_actions)]
     fee_log = math.log1p(-fee)
 
-    pos = Position.NEUTRAL
+    j = positions.index(Position.NEUTRAL)
     anchor = -1
     actions = np.empty(n, dtype=np.int8)
     pos_arr = np.empty(n, dtype=np.int8)
     legs = np.zeros(n, dtype=np.int8)
     closes: list[tuple[int, int, int, int]] = []  # (step, sign, anchor_idx, close_idx)
-    for t in range(n):
-        a = int(greedy[t, pos_index[pos]])
-        new_pos = target_by_action[a]
-        if new_pos is not pos:
-            legs[t] = 2 if pos.value * new_pos.value == -1 else 1
-            if pos is not Position.NEUTRAL:
-                closes.append((t, pos.value, anchor, lo + lookback + t))
+    for t, row in enumerate(greedy):
+        a = row[j]
+        k = column_after[a]
+        if k != j:
+            legs[t] = 2 if sign[j] * sign[k] == -1 else 1
+            if sign[j] != 0:
+                closes.append((t, sign[j], anchor, lo + lookback + t))
             anchor = lo + lookback + t
         actions[t] = a
-        pos_arr[t] = new_pos.value
-        pos = new_pos
+        pos_arr[t] = sign[k]
+        j = k
 
     step_returns = log_returns[lo + lookback : hi - 1]
     lr = pos_arr.astype(np.float64) * step_returns
@@ -295,8 +295,7 @@ def vectorized_rollout(
         portfolio_log_returns=lr,
         reward_vectors=vectors,
     )
-    benchmark = _buy_and_hold_benchmark_fast(series, range_, fee, lookback)
-    report = _report_from_trace(trace, weights, range_id, range_, benchmark)
+    report = _report_from_trace(trace, series, range_, fee, lookback, weights, range_id)
     return q_table, trace, report
 
 
@@ -311,11 +310,9 @@ def evaluate_split(
     fee: float,
     lookback: int,
     reward_window: int,
-    include_gamma: bool | None = None,
+    include_gamma: bool,
 ) -> dict[str, EvaluationReport]:
-    """Reports for the train/eval/test ranges of one split (fast path)."""
-    if include_gamma is None:
-        include_gamma = net.input_width == lookback + 1 + 5
+    """Reports for the train/eval/test ranges of one split."""
     reports = {}
     for name, range_ in split.as_dict().items():
         _, _, report = vectorized_rollout(

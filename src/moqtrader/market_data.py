@@ -184,13 +184,6 @@ def make_split(series: PriceSeries, fractions: tuple[float, float, float] = (0.6
     return DataSplit((0, b1), (b1, b2), (b2, n))
 
 
-def log_return_series(series: PriceSeries) -> np.ndarray:
-    """Per-step log returns of the close prices; length N - 1."""
-    if len(series) < 2:
-        raise SeriesTooShort("need at least 2 prices for a return")
-    return series.log_returns
-
-
 def walk_forward_folds(series: PriceSeries, n_folds: int, eval_frac: float, test_frac: float) -> FoldPlan:
     """Plan anchored walk-forward folds.
 

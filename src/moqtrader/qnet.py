@@ -62,10 +62,15 @@ class QNetwork:
             x = x[None, :]
         if x.ndim != 2 or x.shape[1] != self.input_width:
             raise ShapeMismatch(f"input shape {x.shape} vs expected (*, {self.input_width})")
+        # In-place bias and rectifier: the same arithmetic as h @ w + b, with
+        # one temporary per layer instead of three.
         h = x
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(h @ w + b, 0.0)
-        out = h @ self.weights[-1] + self.biases[-1]
+            h = h @ w
+            h += b
+            np.maximum(h, 0.0, out=h)
+        out = h @ self.weights[-1]
+        out += self.biases[-1]
         return out[0] if single else out
 
     def _forward_cached(self, x: np.ndarray) -> list[np.ndarray]:
@@ -135,10 +140,6 @@ class QNetwork:
         return self.widths == other.widths and all(
             np.array_equal(a, b) for a, b in zip(self.weights + self.biases, other.weights + other.biases)
         )
-
-
-def init_network(widths: Sequence[int], seed: int | np.random.Generator = 0, momentum: float = 0.0) -> QNetwork:
-    return QNetwork(widths, seed=seed, momentum=momentum)
 
 
 @dataclass

@@ -17,7 +17,7 @@ from moqtrader import agent, cli, evaluation
 from moqtrader.agent import TrainConfig, one_hot_weights, train
 from moqtrader.env import Mode, TradingEnv
 from moqtrader.market_data import make_split
-from moqtrader.qnet import TargetNetwork, bellman_targets, build_input, init_network, sync_target
+from moqtrader.qnet import QNetwork, TargetNetwork, bellman_targets, build_input, sync_target
 from moqtrader.replay import Experience, ReplayBuffer, compute_whitening
 from moqtrader.rewards import RewardVector
 from moqtrader.synthetic import generate_synthetic
@@ -67,7 +67,7 @@ def test_criterion_02_gradient_check():
     worst = 0.0
     for trial in range(10):
         widths = [int(rng.integers(2, 6)), int(rng.integers(2, 7)), int(rng.integers(1, 4))]
-        net = init_network(widths, seed=2000 + trial)
+        net = QNetwork(widths, seed=2000 + trial)
         inputs = rng.normal(size=(5, widths[0]))
         targets = rng.normal(size=(5, widths[-1]))
         _, grads_w, grads_b = net.gradients(inputs, targets)
@@ -114,7 +114,7 @@ def test_criterion_03_toy_mdp_oracle():
         for s in (0, 1)
         for a in (0, 1)
     ]
-    net = init_network([6, 2], seed=3)
+    net = QNetwork([6, 2], seed=3)
     target = TargetNetwork(net.clone())
     for _ in range(3000):
         inputs, targets = bellman_targets(batch, net, target, alpha=1.0, include_gamma=False)
@@ -186,7 +186,7 @@ def test_criterion_05_one_hot_reduction():
     assert stream_single == stream_pinned
 
     # identical Bellman targets with whitening disabled
-    net = init_network(cfg(False, 0, False).widths, seed=21)
+    net = QNetwork(cfg(False, 0, False).widths, seed=21)
     target = TargetNetwork(net.clone())
     batch_single = list(single.replay)[:8]
     batch_pinned = list(pinned.replay)[::4][:8]
@@ -207,7 +207,7 @@ def test_criterion_06_vectorized_equivalence_and_speedup():
     lookback, window = 6, 4
     for trial in range(100):
         mode = Mode.LSP if trial % 2 == 0 else Mode.LP
-        net = init_network([lookback + 5, 8, mode.n_actions], seed=int(rng.integers(1 << 30)))
+        net = QNetwork([lookback + 5, 8, mode.n_actions], seed=int(rng.integers(1 << 30)))
         w = agent.sample_weights(rng)
         gamma = float(rng.uniform(0.5, 0.99))
         fee = float(rng.choice([0.0, 0.0005]))
@@ -227,7 +227,7 @@ def test_criterion_06_vectorized_equivalence_and_speedup():
 
     # wall-time comparison on 10^4 steps
     big = generate_synthetic("random-walk", 10_200, amplitude=0.01, seed=78)
-    net = init_network([30 + 5, 64, 64, 3], seed=79)
+    net = QNetwork([30 + 5, 64, 64, 3], seed=79)
     w = agent.uniform_weights()
     range_ = (0, 10_000 + 30 + 2)
     started = time.perf_counter()

@@ -17,7 +17,7 @@ from moqtrader.agent import (
 from moqtrader.env import Mode
 from moqtrader.errors import InvalidValue
 from moqtrader.market_data import make_split
-from moqtrader.qnet import QNetwork, TargetNetwork, bellman_targets, init_network
+from moqtrader.qnet import QNetwork, TargetNetwork, bellman_targets
 from moqtrader.synthetic import generate_synthetic
 
 
@@ -81,7 +81,7 @@ class TestSampling:
 
 class TestActEpsilonGreedy:
     def constant_net(self, q_values):
-        net = init_network([11, len(q_values)], seed=0)
+        net = QNetwork([11, len(q_values)], seed=0)
         net.weights[0][...] = 0.0
         net.biases[0][...] = q_values
         return net
@@ -252,7 +252,7 @@ class TestTrainLoop:
         env = TradingEnv(series, Mode.LSP, lookback=6, reward_window=4)
         state = env.reset((0, 200))
         feats = env.state_features(state)
-        net = init_network([11, 3], seed=0)
+        net = QNetwork([11, 3], seed=0)
         cfg = small_cfg(k=1, hindsight_action="replay", pin_weights=(1.0, 0.0, 0.0, 0.0))
         real = env.transition(state, 0)
         extras = agent.augment_experiences(env, state, feats, 0, net, cfg, np.random.default_rng(0))
@@ -269,7 +269,7 @@ class TestTrainLoop:
         series = sine_series()
         env = TradingEnv(series, Mode.LSP, lookback=6, reward_window=4)
         state = env.reset((0, 200))
-        net = init_network([11, 3], seed=0)
+        net = QNetwork([11, 3], seed=0)
         extras = agent.augment_experiences(env, state, env.state_features(state), 0, net, small_cfg(k=0),
                                            np.random.default_rng(0))
         assert extras == []

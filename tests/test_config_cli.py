@@ -106,6 +106,99 @@ class TestParseConfig:
         assert reparsed == original
 
 
+# (config text, payload key, reason): one bad value per config key, then the
+# cross-key rules.  Lines without a data source get `synthetic_kind = sine`.
+BAD_VALUES = [
+    ('mode = "XX"', "mode", "must be LP or LSP"),
+    ("multi_reward = 1", "multi_reward", "must be true or false"),
+    ('reward = "xx"', "reward", "must be one of ('lr', 'alr', 'sr', 'powc')"),
+    ('generalize_gamma = "yes"', "generalize_gamma", "must be true or false"),
+    ("gamma = high", "gamma", "must be a number"),
+    ("generalize_gamma = true\ngamma_range = [0.5]", "gamma_range", "must be a [low, high] pair"),
+    ("alpha = 0", "alpha", "must be in (0, 1]"),
+    ("tol = true", "tol", "must be a number"),
+    ("batchsize = 0", "batchsize", "must be >= 1"),
+    ("k = 1.5", "k", "must be an integer"),
+    ("episodes = 0", "episodes", "must be >= 1"),
+    ('eval_every = "2"', "eval_every", "must be an integer"),
+    ("reward_window = 0", "reward_window", "must be >= 1"),
+    ("lookback = true", "lookback", "must be an integer"),
+    ("episode_len = 0", "episode_len", "must be >= 1"),
+    ('random_access = "true"', "random_access", "must be true or false"),
+    ("fee = -0.1", "fee", "must be in [0, 1)"),
+    ("max_age = -1", "max_age", "must be >= 0"),
+    ("hidden = [8, 2.5]", "hidden", "must be a list of positive integers"),
+    ("learn_rate = 0", "learn_rate", "must be > 0"),
+    ("momentum = fast", "momentum", "must be a number"),
+    ("sync_period = 0", "sync_period", "must be >= 1"),
+    ("whiten = 0", "whiten", "must be true or false"),
+    ("eigen_floor = 0", "eigen_floor", "must be > 0"),
+    ('hindsight_action = "both"', "hindsight_action", "must be resample or replay"),
+    ("pin_weights = [1, 0, 0]", "pin_weights", "must be a list of 4 reals"),
+    ("seed = -1", "seed", "must be >= 0"),
+    ("data_csv = 5", "data_csv", "must be a string"),
+    ("timestamp_column = 3", "timestamp_column", "must be a string"),
+    ("close_column = []", "close_column", "must be a string"),
+    ("asset_id = 7", "asset_id", "must be a string"),
+    ('synthetic_kind = "square"', "synthetic_kind", "must be one of ('sine', 'trend', 'random-walk')"),
+    ("synthetic_length = 10.5", "synthetic_length", "must be an integer"),
+    ("synthetic_base = x", "synthetic_base", "must be a number"),
+    ("synthetic_amplitude = true", "synthetic_amplitude", "must be a number"),
+    ("synthetic_period = [50]", "synthetic_period", "must be a number"),
+    ("synthetic_drift = up", "synthetic_drift", "must be a number"),
+    ("synthetic_seed = 1.0", "synthetic_seed", "must be an integer"),
+    ("train_frac = 0", "train_frac", "must be > 0"),
+    ("eval_frac = x", "eval_frac", "must be a number"),
+    ("test_frac = -0.2", "test_frac", "must be > 0"),
+    ("n_folds = 0", "n_folds", "must be >= 1"),
+    ("eval_weights = [0.5, 0.5, 0.5, 0.5]", "eval_weights", "must lie on the unit 4-simplex"),
+    ("eval_gamma = 1.0", "eval_gamma", "must be in (0, 1)"),
+    ('report_metric = "median"', "report_metric", "must be sharpe or profit"),
+    ('eval_range = "all"', "eval_range", "must be train, eval or test"),
+    ("checkpoint = 4", "checkpoint", "must be a string"),
+    ("data_csv = null", "data_csv", "exactly one of data_csv or synthetic_kind must be set"),
+    ("data_csv = x.csv\nsynthetic_kind = sine", "data_csv", "exactly one of data_csv or synthetic_kind must be set"),
+    ("gamma_range = [0.6, 0.9]", "gamma_range", "only valid with generalize_gamma = true"),
+    ("synthetic_length = 20", "synthetic_length", "must be >= lookback + 2"),
+    ("train_frac = 0.5", "train_frac", "fractions must sum to 1"),
+    # rejected by the field's element type rather than crashing or coercing
+    ('pin_weights = ["a", 0, 0, 0]', "pin_weights", "must be a list of 4 reals"),
+    ('eval_weights = ["a", 0, 0, 0]', "eval_weights", "must be a list of 4 reals"),
+    ("hidden = [true, 2]", "hidden", "must be a list of positive integers"),
+]
+
+
+class TestErrorPayloads:
+    """The exact one-line JSON the CLI prints for a rejected config."""
+
+    def run_backtest(self, tmp_path, capsys, text):
+        if "data_csv" not in text and "synthetic_kind" not in text:
+            text = "synthetic_kind = sine\n" + text
+        out = tmp_path / "empty"
+        out.mkdir()
+        status = cli.main(["backtest", "--config", str(write(tmp_path, text + "\n")), "--out", str(out)])
+        return status, capsys.readouterr().out
+
+    @pytest.mark.parametrize("text,key,reason", BAD_VALUES, ids=[row[0].split("\n")[-1] for row in BAD_VALUES])
+    def test_invalid_value(self, tmp_path, capsys, text, key, reason):
+        status, out = self.run_backtest(tmp_path, capsys, text)
+        expected = {"error": "InvalidValue", "detail": f"invalid value for {key}: {reason}",
+                    "context": {"key": key, "reason": reason}}
+        assert out == json.dumps(expected) + "\n"
+        assert status == 1
+
+    def test_every_key_is_covered(self):
+        covered = {line.partition("=")[0].strip() for text, _, _ in BAD_VALUES for line in text.splitlines()}
+        assert set(config.ALL_KEYS) <= covered
+        assert len(config.ALL_KEYS) == 47
+
+    def test_unknown_key(self, tmp_path, capsys):
+        status, out = self.run_backtest(tmp_path, capsys, "lr = 3")
+        expected = {"error": "UnknownKey", "detail": "unknown config key: lr", "context": {"key": "lr"}}
+        assert out == json.dumps(expected) + "\n"
+        assert status == 1
+
+
 class TestCli:
     def run_cli(self, *args):
         return cli.main([str(a) for a in args])
@@ -172,6 +265,37 @@ class TestCli:
         report = json.loads((out / "report.json").read_text())
         assert report["episode"] == 2
         assert report["checkpoint"].endswith("checkpoint_2.bin")
+
+    @pytest.mark.parametrize("trained,backtested,key", [
+        ("mode = LP", "mode = LSP", "mode"),
+        ("reward_window = 4", "reward_window = 5", "reward_window"),
+    ])
+    def test_backtest_rejects_checkpoint_config_mismatch(self, tmp_path, capsys, trained, backtested, key):
+        out = tmp_path / "run"
+        text = FAST_TRAIN.replace("mode = LSP", "").replace("reward_window = 4", "")
+        assert self.run_cli("train", "--config", write(tmp_path, text + trained + "\n"), "--out", out) == 0
+        capsys.readouterr()
+        other = write(tmp_path, text + backtested + "\n", name="other.cfg")
+        assert self.run_cli("backtest", "--config", other, "--out", out) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "InvalidValue"
+        assert payload["context"]["key"] == key
+        assert not (out / "report.json").exists()
+
+    def test_backtest_of_diverged_network_fails(self, tmp_path, capsys):
+        from moqtrader.qnet import load_checkpoint, save_checkpoint
+
+        cfg_path = write(tmp_path, FAST_TRAIN)
+        out = tmp_path / "run"
+        assert self.run_cli("train", "--config", cfg_path, "--out", out) == 0
+        capsys.readouterr()
+        net, meta = load_checkpoint(out / "checkpoint_2.bin")
+        net.weights[0][0, 0] = float("nan")
+        save_checkpoint(out / "checkpoint_2.bin", net, meta)
+        assert self.run_cli("backtest", "--config", cfg_path, "--out", out) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "Diverged"
+        assert not (out / "report.json").exists()
 
     def test_seed_override_lands_in_resolved_config(self, tmp_path, capsys):
         cfg_path = write(tmp_path, FAST_TRAIN)

@@ -4,7 +4,7 @@ import pytest
 from moqtrader import agent
 from moqtrader.agent import TrainConfig, uniform_weights
 from moqtrader.env import Mode
-from moqtrader.errors import EmptyCheckpointList
+from moqtrader.errors import Diverged, EmptyCheckpointList
 from moqtrader.evaluation import (
     EvaluationReport,
     buy_and_hold,
@@ -14,7 +14,7 @@ from moqtrader.evaluation import (
     vectorized_rollout,
 )
 from moqtrader.market_data import PriceSeries, walk_forward_folds
-from moqtrader.qnet import init_network
+from moqtrader.qnet import QNetwork
 from moqtrader.synthetic import generate_synthetic
 
 
@@ -24,7 +24,7 @@ def series_of(closes):
 
 
 def constant_policy_net(bias, n_inputs=11):
-    net = init_network([n_inputs, len(bias)], seed=0)
+    net = QNetwork([n_inputs, len(bias)], seed=0)
     net.weights[0][...] = 0.0
     net.biases[0][...] = bias
     return net
@@ -69,57 +69,81 @@ class TestRunPolicy:
 
     def test_profit_consistency_with_simple_returns(self):
         series = generate_synthetic("random-walk", 300, amplitude=0.01, seed=3)
-        net = init_network([11, 3], seed=4)
+        net = QNetwork([11, 3], seed=4)
         trace, report = run_policy(net, series, (0, 300), uniform_weights(), 0.95, Mode.LSP,
                                    lookback=6, reward_window=4)
         product = np.prod(1.0 + (np.exp(trace.portfolio_log_returns) - 1.0))
         assert report.total_profit == pytest.approx(product - 1.0, abs=1e-9)
 
 
+MODES_AND_FEES = [(Mode.LSP, 0.0), (Mode.LSP, 0.0004), (Mode.LP, 0.0), (Mode.LP, 0.001)]
+
+
 class TestBuyAndHold:
+    """The closed-form benchmark equals the always-long env rollout bit for bit."""
+
     def test_matches_price_ratio(self):
         series = linear_100_to_150(lookback=5)
-        report = buy_and_hold(series, (0, len(series)), lookback=5, reward_window=4)
-        assert report.total_profit == pytest.approx(0.5, abs=1e-9)
-        assert report.buy_and_hold_profit == report.total_profit
+        for mode, fee in MODES_AND_FEES:
+            report = buy_and_hold(series, (0, len(series)), fee, lookback=5, reward_window=4, mode=mode)
+            assert report.total_profit == pytest.approx(1.5 * (1.0 - fee) - 1.0, abs=1e-9)
+            assert report.buy_and_hold_profit == report.total_profit
+            assert report.buy_and_hold_sharpe == report.sharpe
 
     def test_constant_prices(self):
         series = series_of([42.0] * 50)
-        report = buy_and_hold(series, (0, 50), lookback=5, reward_window=4)
-        assert report.total_profit == 0.0
-        assert report.sharpe == 0.0
+        for mode in (Mode.LSP, Mode.LP):
+            report = buy_and_hold(series, (0, 50), lookback=5, reward_window=4, mode=mode)
+            assert report.total_profit == 0.0
+            assert report.sharpe == 0.0
+            assert report.buy_and_hold_profit == report.total_profit
+            assert report.buy_and_hold_sharpe == report.sharpe
 
     def test_equals_forced_long_run_policy_exactly(self):
         series = generate_synthetic("random-walk", 250, amplitude=0.02, seed=9)
-        net = constant_policy_net([1.0, 0.0, 0.0], n_inputs=12)
-        _, forced = run_policy(net, series, (10, 240), uniform_weights(), 0.95, Mode.LSP,
-                               lookback=7, reward_window=5, fee=0.0004)
-        bnh = buy_and_hold(series, (10, 240), fee=0.0004, lookback=7, reward_window=5,
-                           weights=uniform_weights())
-        assert bnh.total_profit == forced.total_profit
-        assert bnh.sharpe == forced.sharpe
-        assert bnh.total_reward == forced.total_reward
-        assert bnh.trades == forced.trades == 1
+        rng = np.random.default_rng(29)
+        for mode, fee in MODES_AND_FEES:
+            net = constant_policy_net([1.0] + [0.0] * (mode.n_actions - 1), n_inputs=12)
+            starts = rng.integers(0, 120, size=9)
+            ranges = [(10, 240)] + [(int(lo), int(rng.integers(lo + 7 + 2, 251))) for lo in starts]
+            for lo, hi in ranges:
+                _, forced = run_policy(net, series, (lo, hi), uniform_weights(), 0.95, mode, fee,
+                                       lookback=7, reward_window=5)
+                bnh = buy_and_hold(series, (lo, hi), fee, lookback=7, reward_window=5, mode=mode,
+                                   weights=uniform_weights())
+                assert bnh.to_dict() == forced.to_dict()
+                assert bnh.trades == 1
+                assert bnh.buy_and_hold_profit == bnh.total_profit
+                assert bnh.buy_and_hold_sharpe == bnh.sharpe
 
 
 class TestVectorizedRollout:
     def test_q_table_slices_match_mode(self):
         series = generate_synthetic("sine", 120, amplitude=0.05, period=30.0)
-        lp_net = init_network([11, 2], seed=1)
+        lp_net = QNetwork([11, 2], seed=1)
         q, _, _ = vectorized_rollout(lp_net, series, (0, 120), uniform_weights(), 0.95, Mode.LP,
                                      lookback=6, reward_window=4)
         assert q.shape[1:] == (2, 2)
-        lsp_net = init_network([11, 3], seed=1)
+        lsp_net = QNetwork([11, 3], seed=1)
         q, _, _ = vectorized_rollout(lsp_net, series, (0, 120), uniform_weights(), 0.95, Mode.LSP,
                                      lookback=6, reward_window=4)
         assert q.shape[1:] == (3, 3)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_q_values_raise(self, bad):
+        series = generate_synthetic("sine", 120, amplitude=0.05, period=30.0)
+        net = QNetwork([11, 8, 3], seed=1)
+        net.weights[0][0, 0] = bad
+        with pytest.raises(Diverged), np.errstate(invalid="ignore"):
+            vectorized_rollout(net, series, (0, 120), uniform_weights(), 0.95, Mode.LSP,
+                               lookback=6, reward_window=4)
 
     @pytest.mark.parametrize("mode,fee", [(Mode.LSP, 0.0), (Mode.LSP, 0.0005), (Mode.LP, 0.0)])
     def test_equals_naive_on_random_nets(self, mode, fee):
         rng = np.random.default_rng(17)
         series = generate_synthetic("random-walk", 400, amplitude=0.015, seed=23)
         for trial in range(20):
-            net = init_network([11, 8, mode.n_actions], seed=int(rng.integers(1 << 30)))
+            net = QNetwork([11, 8, mode.n_actions], seed=int(rng.integers(1 << 30)))
             w = agent.sample_weights(rng)
             lo = int(rng.integers(0, 100))
             hi = int(rng.integers(lo + 20, 400))

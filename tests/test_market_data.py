@@ -13,7 +13,6 @@ from moqtrader.errors import (
 from moqtrader.market_data import (
     PriceSeries,
     load_csv,
-    log_return_series,
     make_split,
     walk_forward_folds,
 )
@@ -123,15 +122,15 @@ class TestMakeSplit:
 
 class TestLogReturns:
     def test_frozen_value(self):
-        out = log_return_series(series_of([100.0, 110.0]))
+        out = series_of([100.0, 110.0]).log_returns
         assert out.shape == (1,)
         assert abs(out[0] - LN_1_1) < 1e-12
 
     def test_constant_prices(self):
-        np.testing.assert_array_equal(log_return_series(series_of([50.0, 50.0, 50.0])), [0.0, 0.0])
+        np.testing.assert_array_equal(series_of([50.0, 50.0, 50.0]).log_returns, [0.0, 0.0])
 
     def test_sign_symmetry(self):
-        out = log_return_series(series_of([100.0, 110.0, 100.0]))
+        out = series_of([100.0, 110.0, 100.0]).log_returns
         assert abs(out[0] + out[1]) < 1e-15
 
     def test_roundtrip_through_exp_cumsum(self):
@@ -139,7 +138,7 @@ class TestLogReturns:
         for _ in range(20):
             returns = rng.normal(0, 0.05, size=rng.integers(2, 200))
             prices = 100.0 * np.exp(np.concatenate(([0.0], np.cumsum(returns))))
-            recovered = log_return_series(series_of(prices))
+            recovered = series_of(prices).log_returns
             np.testing.assert_allclose(recovered, returns, atol=1e-12, rtol=0)
 
 

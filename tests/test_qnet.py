@@ -7,7 +7,6 @@ from moqtrader.qnet import (
     TargetNetwork,
     bellman_targets,
     build_input,
-    init_network,
     load_checkpoint,
     save_checkpoint,
     sync_target,
@@ -51,25 +50,25 @@ def make_experience(state, gamma, weights, scalar, action, next_state, terminal=
 
 class TestInitAndForward:
     def test_seed_determinism(self):
-        a = init_network([5, 8, 3], seed=4)
-        b = init_network([5, 8, 3], seed=4)
+        a = QNetwork([5, 8, 3], seed=4)
+        b = QNetwork([5, 8, 3], seed=4)
         assert a.params_equal(b)
-        c = init_network([5, 8, 3], seed=5)
+        c = QNetwork([5, 8, 3], seed=5)
         assert not a.params_equal(c)
 
     def test_zero_hidden_is_affine(self):
-        net = init_network([4, 2], seed=0)
+        net = QNetwork([4, 2], seed=0)
         assert len(net.weights) == 1
         out = net.forward(np.zeros(4))
         np.testing.assert_allclose(out, net.biases[0])
 
     def test_init_bound(self):
-        net = init_network([16, 8, 2], seed=1)
+        net = QNetwork([16, 8, 2], seed=1)
         for w, fan_in in zip(net.weights, (16, 8)):
             assert np.max(np.abs(w)) <= 1.0 / np.sqrt(fan_in)
 
     def test_zero_params_give_zero_output(self):
-        net = init_network([3, 4, 2], seed=0)
+        net = QNetwork([3, 4, 2], seed=0)
         for w in net.weights:
             w[...] = 0.0
         for b in net.biases:
@@ -77,14 +76,14 @@ class TestInitAndForward:
         np.testing.assert_array_equal(net.forward(np.ones(3)), [0.0, 0.0])
 
     def test_batch_equals_singles(self):
-        net = init_network([6, 7, 4], seed=2)
+        net = QNetwork([6, 7, 4], seed=2)
         xs = np.random.default_rng(3).normal(size=(11, 6))
         batch = net.forward(xs)
         for i, x in enumerate(xs):
             np.testing.assert_allclose(batch[i], net.forward(x), atol=1e-12, rtol=0)
 
     def test_hand_set_single_hidden_unit(self):
-        net = init_network([1, 1, 1], seed=0)
+        net = QNetwork([1, 1, 1], seed=0)
         net.weights[0][...] = [[2.0]]
         net.biases[0][...] = [-1.0]
         net.weights[1][...] = [[3.0]]
@@ -94,7 +93,7 @@ class TestInitAndForward:
         assert net.forward(np.array([0.0]))[0] == pytest.approx(0.5)
 
     def test_shape_mismatch(self):
-        net = init_network([4, 2], seed=0)
+        net = QNetwork([4, 2], seed=0)
         with pytest.raises(ShapeMismatch):
             net.forward(np.zeros(5))
         with pytest.raises(ShapeMismatch):
@@ -106,7 +105,7 @@ class TestGradients:
         rng = np.random.default_rng(9)
         for trial in range(5):
             widths = [int(rng.integers(2, 5)), int(rng.integers(2, 6)), int(rng.integers(1, 4))]
-            net = init_network(widths, seed=trial)
+            net = QNetwork(widths, seed=trial)
             inputs = rng.normal(size=(4, widths[0]))
             targets = rng.normal(size=(4, widths[-1]))
             _, grads_w, grads_b = net.gradients(inputs, targets)
@@ -115,7 +114,7 @@ class TestGradients:
                 np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-8)
 
     def test_zero_gradient_leaves_params(self):
-        net = init_network([3, 5, 2], seed=1)
+        net = QNetwork([3, 5, 2], seed=1)
         inputs = np.random.default_rng(2).normal(size=(6, 3))
         targets = net.forward(inputs)
         before = net.clone()
@@ -124,7 +123,7 @@ class TestGradients:
         assert net.params_equal(before)
 
     def test_descent_on_convex_problem(self):
-        net = init_network([2, 1], seed=3)
+        net = QNetwork([2, 1], seed=3)
         rng = np.random.default_rng(4)
         inputs = rng.normal(size=(16, 2))
         targets = (inputs @ np.array([[1.5], [-0.5]])) + 0.25
@@ -134,7 +133,7 @@ class TestGradients:
 
     def test_training_determinism(self):
         def run():
-            net = init_network([4, 6, 2], seed=11)
+            net = QNetwork([4, 6, 2], seed=11)
             rng = np.random.default_rng(12)
             for _ in range(20):
                 x = rng.normal(size=(8, 4))
@@ -158,14 +157,14 @@ class TestGradients:
 
 class TestBellmanTargets:
     def test_alpha_one(self):
-        net = init_network([2, 2], seed=0)
+        net = QNetwork([2, 2], seed=0)
         target_net = TargetNetwork(net.clone())
         # force target net output to (2, 0) regardless of input
         target_net.net.weights[0][...] = 0.0
         target_net.net.biases[0][...] = [2.0, 0.0]
         exp = make_experience([0.0, 0.0], 0.9, [1, 0, 0, 0], 1.0, 0, [0.0, 0.0])
         # state features (2) + weights (4) = 6 inputs
-        net6 = init_network([6, 2], seed=0)
+        net6 = QNetwork([6, 2], seed=0)
         t6 = TargetNetwork(net6.clone())
         t6.net.weights[0][...] = 0.0
         t6.net.biases[0][...] = [2.0, 0.0]
@@ -175,7 +174,7 @@ class TestBellmanTargets:
         assert targets[0, 1] == pytest.approx(net6.forward(inputs[0])[1], abs=1e-15)
 
     def test_alpha_blend(self):
-        net = init_network([6, 2], seed=0)
+        net = QNetwork([6, 2], seed=0)
         for w in net.weights:
             w[...] = 0.0
         for b in net.biases:
@@ -187,7 +186,7 @@ class TestBellmanTargets:
         assert targets[0, 0] == pytest.approx(0.5 * 0.0 + 0.5 * 2.8, abs=1e-12)  # 1.4
 
     def test_terminal_drops_bootstrap(self):
-        net = init_network([6, 2], seed=0)
+        net = QNetwork([6, 2], seed=0)
         target_net = TargetNetwork(net.clone())
         target_net.net.biases[-1][...] = [100.0, 100.0]
         exp = make_experience([0.0, 0.0], 0.9, [1, 0, 0, 0], 0.3, 0, [0.0, 0.0], terminal=True)
@@ -202,7 +201,7 @@ class TestBellmanTargets:
 
 class TestTargetSync:
     def test_period_one_always_synced(self):
-        net = init_network([3, 2], seed=7)
+        net = QNetwork([3, 2], seed=7)
         target = TargetNetwork(net.clone())
         net.fit_batch(np.ones((1, 3)), np.ones((1, 2)), 0.1)
         target.note_update()
@@ -211,7 +210,7 @@ class TestTargetSync:
         assert target.staleness == 0
 
     def test_below_period_no_copy(self):
-        net = init_network([3, 2], seed=7)
+        net = QNetwork([3, 2], seed=7)
         target = TargetNetwork(net.clone())
         stale = target.net.clone()
         net.fit_batch(np.ones((1, 3)), np.ones((1, 2)), 0.1)
@@ -221,7 +220,7 @@ class TestTargetSync:
         assert target.staleness == 1
 
     def test_staleness_bounded_over_run(self):
-        net = init_network([3, 2], seed=7)
+        net = QNetwork([3, 2], seed=7)
         target = TargetNetwork(net.clone())
         rng = np.random.default_rng(8)
         for _ in range(57):
@@ -231,7 +230,7 @@ class TestTargetSync:
             assert target.staleness <= 10
 
     def test_forward_equal_after_copy(self):
-        net = init_network([3, 2], seed=7)
+        net = QNetwork([3, 2], seed=7)
         target = TargetNetwork(net.clone())
         net.fit_batch(np.ones((1, 3)), np.ones((1, 2)), 0.1)
         target.staleness = 3
@@ -242,7 +241,7 @@ class TestTargetSync:
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
-        net = init_network([5, 4, 3], seed=13, momentum=0.5)
+        net = QNetwork([5, 4, 3], seed=13, momentum=0.5)
         net.fit_batch(np.random.default_rng(1).normal(size=(4, 5)), np.zeros((4, 3)), 0.01)
         path = tmp_path / "checkpoint_7.bin"
         save_checkpoint(path, net, meta={"episode": 7, "mode": "LSP"})
@@ -282,7 +281,7 @@ class TestToyMdpOracle:
         q_star = self.value_iteration()
         np.testing.assert_allclose(q_star, [[10.0, 9.9], [11.0, 8.9]], atol=1e-9)
 
-        net = init_network([6, 2], seed=3)  # linear in (one-hot state, weights)
+        net = QNetwork([6, 2], seed=3)  # linear in (one-hot state, weights)
         target = TargetNetwork(net.clone())
         batch = self.experiences()
         for _ in range(3000):

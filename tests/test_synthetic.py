@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from moqtrader.errors import InvalidValue
-from moqtrader.market_data import log_return_series
 from moqtrader.synthetic import generate_synthetic
 
 
@@ -31,7 +30,7 @@ class TestSine:
 class TestTrend:
     def test_exponential_drift(self):
         series = generate_synthetic("trend", 50, base=100.0, drift=0.01)
-        returns = log_return_series(series)
+        returns = series.log_returns
         np.testing.assert_allclose(returns, 0.01, atol=1e-12)
 
 
@@ -40,7 +39,7 @@ class TestRandomWalk:
         n = 20_000
         sigma = 0.01
         series = generate_synthetic("random-walk", n, amplitude=sigma, drift=0.0, seed=11)
-        returns = log_return_series(series)
+        returns = series.log_returns
         assert abs(float(returns.mean())) <= 3 * sigma / math.sqrt(n - 1)
 
     def test_deterministic_under_seed(self):
