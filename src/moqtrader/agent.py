@@ -21,16 +21,9 @@ from . import evaluation
 from .env import Mode, TradingEnv
 from .errors import InvalidValue
 from .market_data import DataSplit, PriceSeries
-from .qnet import (
-    QNetwork,
-    TargetNetwork,
-    bellman_targets,
-    build_input,
-    save_checkpoint,
-    sync_target,
-)
-from .replay import Experience, ReplayBuffer, compute_whitening, whiten_batch
-from .rewards import REWARD_COMPONENTS, REWARD_INDEX, RewardVector
+from .qnet import QNetwork, bellman_targets, build_input, save_checkpoint
+from .replay import ReplayBuffer, compute_whitening, whiten_batch
+from .rewards import REWARD_COMPONENTS, REWARD_INDEX
 
 log = logging.getLogger(__name__)
 
@@ -120,7 +113,7 @@ class TrainConfig:
             if not ok:
                 raise InvalidValue(key, reason)
         if self.pin_weights is not None:
-            validate_weights(np.asarray(self.pin_weights, dtype=np.float64))
+            validate_weights(self.pin_weights, key="pin_weights")
 
 
 @dataclass
@@ -136,6 +129,7 @@ class Checkpoint:
 @dataclass
 class TrainResult:
     net: QNetwork
+    target: QNetwork
     checkpoints: list[Checkpoint]
     replay: ReplayBuffer
     env_steps: int
@@ -153,10 +147,11 @@ def fold_seed(master_seed: int, fold_index: int) -> int:
     return int(np.random.SeedSequence([master_seed, fold_index]).generate_state(1, dtype=np.uint64)[0])
 
 
-def validate_weights(w: np.ndarray) -> np.ndarray:
+def validate_weights(w: Sequence[float], key: str = "weights") -> np.ndarray:
+    """w as a float64 array; InvalidValue(key) unless it lies on the unit 4-simplex."""
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (4,) or np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-9:
-        raise InvalidValue("weights", f"{w!r} is not on the unit 4-simplex")
+        raise InvalidValue(key, "must lie on the unit 4-simplex")
     return w
 
 
@@ -217,10 +212,6 @@ def act_epsilon_greedy(
     return int(np.argmax(q))
 
 
-def _scalar(weights: np.ndarray, vec: RewardVector) -> float:
-    return float(weights[0] * vec.lr + weights[1] * vec.alr + weights[2] * vec.sr + weights[3] * vec.powc)
-
-
 def augment_experiences(
     env: TradingEnv,
     state,
@@ -229,15 +220,15 @@ def augment_experiences(
     net: QNetwork,
     cfg: TrainConfig,
     rng: np.random.Generator,
-) -> list[Experience]:
-    """k counterfactual experiences from the same pre-step state.
+    buffer: ReplayBuffer,
+) -> None:
+    """Push k counterfactual experiences from the same pre-step state.
 
     Each draws fresh (w', gamma'), picks an action (re-sampled epsilon-greedy
     under the new conditioning, or the real action when configured to
     replay), and evaluates the deterministic one-step outcome without
     advancing the real environment.
     """
-    extras = []
     for _ in range(cfg.k):
         w = np.asarray(cfg.pin_weights, dtype=np.float64) if cfg.pin_weights is not None else sample_weights(rng)
         gamma = sample_gamma(rng, cfg.gamma_range) if cfg.generalize_gamma else cfg.gamma
@@ -249,19 +240,7 @@ def augment_experiences(
         else:
             action = real_action
         outcome = env.transition(state, action)
-        extras.append(
-            Experience(
-                state=state_features,
-                gamma=gamma,
-                weights=w,
-                raw_reward=outcome.reward,
-                scalar_reward=_scalar(w, outcome.reward),
-                action=action,
-                next_state=env.state_features(outcome.next_state),
-                terminal=outcome.done,
-            )
-        )
-    return extras
+        buffer.push(state.cursor, state.position, action, gamma, w, outcome.reward, outcome.done)
 
 
 def train(
@@ -287,9 +266,9 @@ def train(
     include_gamma = cfg.generalize_gamma
 
     net = QNetwork(cfg.widths, seed=streams["init"], momentum=cfg.momentum)
-    target = TargetNetwork(net.clone())
-    buffer = ReplayBuffer(cfg.max_age)
+    target = net.clone()
     env = TradingEnv(series, cfg.mode, lookback=cfg.lookback, reward_window=cfg.reward_window, fee=cfg.fee)
+    buffer = ReplayBuffer(cfg.max_age, env)
 
     eval_weights, eval_gamma = eval_conditioning(cfg, eval_weights, eval_gamma)
 
@@ -334,36 +313,23 @@ def train(
                 )
                 outcome = env.step(action)
                 env_steps += 1
-                buffer.push(
-                    Experience(
-                        state=feats,
-                        gamma=gamma,
-                        weights=w,
-                        raw_reward=outcome.reward,
-                        scalar_reward=_scalar(w, outcome.reward),
-                        action=action,
-                        next_state=env.state_features(outcome.next_state),
-                        terminal=outcome.done,
-                    )
-                )
+                buffer.push(state.cursor, state.position, action, gamma, w, outcome.reward, outcome.done)
                 if cfg.multi_reward and cfg.k > 0:
-                    for extra in augment_experiences(env, state, feats, action, net, cfg, streams["augment"]):
-                        buffer.push(extra)
+                    augment_experiences(env, state, feats, action, net, cfg, streams["augment"], buffer)
 
                 if fitting and len(buffer) >= min_fit_len:
                     batch = buffer.sample_batch(cfg.batchsize, streams["batch"])
                     if cfg.whiten:
-                        stats = compute_whitening(buffer, cfg.eigen_floor)
-                        batch = whiten_batch(batch, stats)
+                        batch = whiten_batch(batch, compute_whitening(buffer, cfg.eigen_floor))
                         if log.isEnabledFor(logging.DEBUG):
-                            scalars = [exp.scalar_reward for exp in batch]
-                            log.debug("minibatch whitened scalar variance: %.6f", float(np.var(scalars, ddof=1)))
+                            variance = float(np.var(batch.scalar_reward, ddof=1))
+                            log.debug("minibatch whitened scalar variance: %.6f", variance)
                     inputs, targets = bellman_targets(batch, net, target, cfg.alpha, include_gamma=include_gamma)
                     net.fit_batch(inputs, targets, cfg.learn_rate)
                     updates += 1
                     buffer.advance_updates(1)
-                    target.note_update()
-                    sync_target(net, target, cfg.sync_period)
+                    if updates % cfg.sync_period == 0:
+                        target.copy_params_from(net)
 
                 state = outcome.next_state
                 if outcome.done:
@@ -396,8 +362,11 @@ def train(
                         "updates": updates,
                         **{name: report.to_dict() for name, report in reports.items()},
                     }
+                    # Flushed per line: a later crash keeps every evaluated episode.
                     metrics_fh.write(json.dumps(line) + "\n")
+                    metrics_fh.flush()
                     timing_fh.write(f"episode {episode}: {time.perf_counter() - started:.3f}s elapsed\n")
+                    timing_fh.flush()
                 checkpoints.append(ck)
     finally:
         if metrics_fh is not None:
@@ -405,4 +374,6 @@ def train(
         if timing_fh is not None:
             timing_fh.close()
 
-    return TrainResult(net=net, checkpoints=checkpoints, replay=buffer, env_steps=env_steps, updates=updates)
+    return TrainResult(
+        net=net, target=target, checkpoints=checkpoints, replay=buffer, env_steps=env_steps, updates=updates
+    )

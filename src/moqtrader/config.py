@@ -13,8 +13,6 @@ import json
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from .agent import TrainConfig, validate_weights
 from .env import Mode
 from .errors import InvalidValue, MissingFile, UnknownKey
@@ -157,10 +155,7 @@ def _validate_run(cfg: RunConfig) -> None:
     _check(cfg.report_metric in ("sharpe", "profit"), "report_metric", "must be sharpe or profit")
     _check(cfg.eval_range in ("train", "eval", "test"), "eval_range", "must be train, eval or test")
     if cfg.eval_weights is not None:
-        try:
-            validate_weights(np.asarray(cfg.eval_weights))
-        except InvalidValue:
-            raise InvalidValue("eval_weights", "must lie on the unit 4-simplex") from None
+        validate_weights(cfg.eval_weights, key="eval_weights")
     if cfg.eval_gamma is not None:
         _check(0.0 < cfg.eval_gamma < 1.0, "eval_gamma", "must be in (0, 1)")
 
@@ -248,7 +243,7 @@ def apply_overrides(
     if seed is not None:
         cfg = replace(cfg, train=replace(cfg.train, seed=seed))
     if weights is not None:
-        validate_weights(np.asarray(weights))
+        validate_weights(weights)
         cfg = replace(cfg, eval_weights=tuple(float(w) for w in weights))
     if metric is not None:
         cfg = replace(cfg, report_metric=metric)

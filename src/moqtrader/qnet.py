@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass
+import os
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ShapeMismatch
-from .replay import Experience
+from .replay import Transitions
 
 CHECKPOINT_VERSION = 1
 
@@ -142,27 +142,6 @@ class QNetwork:
         )
 
 
-@dataclass
-class TargetNetwork:
-    """Lag-synchronized parameter snapshot of the online network."""
-
-    net: QNetwork
-    staleness: int = 0
-
-    def note_update(self) -> None:
-        self.staleness += 1
-
-
-def sync_target(net: QNetwork, target: TargetNetwork, period: int) -> TargetNetwork:
-    """Hard-copy the online parameters once staleness reaches the period."""
-    if period < 1:
-        raise ValueError("sync period must be >= 1")
-    if target.staleness >= period:
-        target.net.copy_params_from(net)
-        target.staleness = 0
-    return target
-
-
 def build_input(state: np.ndarray, weights: np.ndarray, gamma: float, include_gamma: bool) -> np.ndarray:
     """Assemble one network input row: features, weight vector, optional gamma."""
     if include_gamma:
@@ -170,18 +149,10 @@ def build_input(state: np.ndarray, weights: np.ndarray, gamma: float, include_ga
     return np.concatenate((state, weights))
 
 
-def build_batch_inputs(batch: Sequence[Experience], include_gamma: bool, next_state: bool = False) -> np.ndarray:
-    rows = [
-        build_input(exp.next_state if next_state else exp.state, exp.weights, exp.gamma, include_gamma)
-        for exp in batch
-    ]
-    return np.stack(rows)
-
-
 def bellman_targets(
-    batch: Sequence[Experience],
+    batch: Transitions,
     net: QNetwork,
-    target: TargetNetwork,
+    target: QNetwork,
     alpha: float,
     *,
     include_gamma: bool,
@@ -195,23 +166,25 @@ def bellman_targets(
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
-    inputs = build_batch_inputs(batch, include_gamma)
-    next_inputs = build_batch_inputs(batch, include_gamma, next_state=True)
+    conditioning = (batch.weights, batch.gamma[:, None]) if include_gamma else (batch.weights,)
+    inputs = np.hstack((batch.state, *conditioning))
     q_now = net.forward(inputs)
-    q_next = target.net.forward(next_inputs).max(axis=1)
+    q_next = target.forward(np.hstack((batch.next_state, *conditioning))).max(axis=1)
     targets = q_now.copy()
     rows = np.arange(len(batch))
-    actions = np.array([exp.action for exp in batch])
-    rewards = np.array([exp.scalar_reward for exp in batch])
-    gammas = np.array([exp.gamma for exp in batch])
-    live = np.array([0.0 if exp.terminal else 1.0 for exp in batch])
-    returns = rewards + live * gammas * q_next
+    actions = batch.action
+    live = np.where(batch.terminal, 0.0, 1.0)
+    returns = batch.scalar_reward + live * batch.gamma * q_next
     targets[rows, actions] = (1.0 - alpha) * q_now[rows, actions] + alpha * returns
     return inputs, targets
 
 
 def save_checkpoint(path: str | Path, net: QNetwork, meta: dict | None = None) -> None:
-    """Write a versioned binary checkpoint; float64 params round-trip exactly."""
+    """Write a versioned binary checkpoint; float64 params round-trip exactly.
+
+    The bytes go to a temporary file beside the target, which is then
+    renamed over it, so a crash never leaves a truncated checkpoint.
+    """
     payload = {
         "version": CHECKPOINT_VERSION,
         "widths": net.widths,
@@ -222,7 +195,13 @@ def save_checkpoint(path: str | Path, net: QNetwork, meta: dict | None = None) -
     arrays.update({f"b{i}": b for i, b in enumerate(net.biases)})
     buf = io.BytesIO()
     np.savez(buf, header=np.array(json.dumps(payload)), **arrays)
-    Path(path).write_bytes(buf.getvalue())
+    path = Path(path)
+    partial = path.with_name(path.name + ".tmp")
+    try:
+        partial.write_bytes(buf.getvalue())
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path) -> tuple[QNetwork, dict]:

@@ -1,41 +1,59 @@
 """Age-bounded experience replay with covariance whitening at sampling time.
 
-Raw reward vectors are stored alongside the scalar so the whitening
-transform can be applied when a minibatch is drawn; the stored originals
-are never modified.  Element age is measured in network updates since
-insertion, and the same bound applies to single- and multi-reward runs
-(multi-reward replays are simply longer).
+The replay is a structure of arrays with one row per experience: the
+pre-step cursor and position code, action, gamma, weight vector, raw reward
+vector, terminal flag and the update count at insertion.  States are not
+stored: `rows` rebuilds the state and next-state features from the series'
+log-returns, exactly as `TradingEnv.state_features` would.  The stored raw
+rewards are never modified; whitening is applied to sampled copies.  Element
+age is measured in network updates since insertion, and the same bound
+applies to single- and multi-reward runs (multi-reward replays are simply
+longer).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
+from .env import Position, TradingEnv, position_transition
 from .errors import BufferTooSmall
-from .rewards import RewardVector
 
 DEFAULT_EIGEN_FLOOR = 1e-8
 
-_COMPACT_MIN = 4096
+# Column name -> (dtype, shape of one row).
+_COLUMNS = {
+    "_cursor": (np.int64, ()),
+    "_position": (np.int8, ()),
+    "_action": (np.int8, ()),
+    "_gamma": (np.float64, ()),
+    "_weights": (np.float64, (4,)),
+    "_reward": (np.float64, (4,)),
+    "_terminal": (np.bool_, ()),
+    "_birth": (np.int64, ()),
+}
+_MIN_ROOM = 1024
 
 
-@dataclass(slots=True)
-class Experience:
-    """One replay unit: (s, gamma, w, r, w.r, a, s_new) plus an age stamp."""
+@dataclass(frozen=True)
+class Transitions:
+    """Replay rows gathered into arrays, one row per experience."""
 
-    state: np.ndarray
-    gamma: float
-    weights: np.ndarray
-    raw_reward: RewardVector
-    scalar_reward: float
-    action: int
+    state: np.ndarray  # (n, lookback + 1): lookback log-returns, then position code
+    gamma: np.ndarray
+    weights: np.ndarray  # (n, 4)
+    raw_reward: np.ndarray  # (n, 4)
+    scalar_reward: np.ndarray
+    action: np.ndarray
     next_state: np.ndarray
-    terminal: bool
-    birth_update: int = 0
+    terminal: np.ndarray
+    birth_update: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.gamma)
 
 
 @dataclass(frozen=True)
@@ -48,87 +66,120 @@ class WhiteningStats:
 
 
 class ReplayBuffer:
-    """Insertion-ordered store whose elements never outlive max_age updates."""
+    """Insertion-ordered store whose elements never outlive max_age updates.
 
-    def __init__(self, max_age: int):
+    Live rows are [lo, hi) of the column arrays.  Eviction advances lo; a
+    push into full columns compacts the live rows to the front of fresh
+    columns with a third of their length as free room.
+    """
+
+    def __init__(self, max_age: int, env: TradingEnv):
         if max_age < 0:
             raise ValueError("max_age must be >= 0")
         self.max_age = max_age
         self.update_counter = 0
-        self._items: list[Experience] = []
-        self._rewards = np.empty((1024, 4))
-        self._lo = 0
+        self.lookback = env.lookback
+        # Row t - lookback is log_returns[t - lookback : t + 1]: the returns of
+        # the state at cursor t, then of the state at t + 1, share all but one.
+        # A series too short for one state keeps no rows (env.reset rejects it).
+        returns = env.log_returns if len(env.log_returns) > env.lookback else np.zeros(env.lookback + 1)
+        self._spans = np.lib.stride_tricks.sliding_window_view(returns, env.lookback + 1)
+        # Target-position semantics: an action fixes the next position.
+        self._next_position = np.array(
+            [position_transition(Position.NEUTRAL, a, env.mode).value for a in range(env.mode.n_actions)],
+            dtype=np.int8,
+        )
+        for name, (dtype, shape) in _COLUMNS.items():
+            setattr(self, name, np.empty((_MIN_ROOM, *shape), dtype))
+        self._lo = self._hi = 0
 
     def __len__(self) -> int:
-        return len(self._items) - self._lo
-
-    def __iter__(self):
-        return iter(self._items[self._lo :])
-
-    def __getitem__(self, i: int) -> Experience:
-        n = len(self)
-        if not -n <= i < n:
-            raise IndexError(i)
-        return self._items[self._lo + (i % n)]
+        return self._hi - self._lo
 
     @property
-    def reward_matrix(self) -> np.ndarray:
-        """View of all live raw reward vectors, insertion order, shape (n, 4)."""
-        return self._rewards[self._lo : len(self._items)]
+    def nbytes(self) -> int:
+        """Bytes held by the column arrays, free room included."""
+        return sum(getattr(self, name).nbytes for name in _COLUMNS)
 
-    def push(self, experience: Experience) -> None:
-        experience.birth_update = self.update_counter
-        hi = len(self._items)
-        if hi == len(self._rewards):
-            grown = np.empty((max(2 * hi, 1024), 4))
-            grown[:hi] = self._rewards
-            self._rewards = grown
-        self._rewards[hi] = experience.raw_reward
-        self._items.append(experience)
-        self._evict()
+    def push(
+        self, cursor: int, position: int, action: int, gamma: float, weights: np.ndarray, reward, terminal: bool
+    ) -> None:
+        """Append one experience taken from the state at (cursor, position)."""
+        i = self._hi
+        if i == len(self._gamma):
+            self._compact()
+            i = self._hi
+        self._cursor[i] = cursor
+        self._position[i] = position
+        self._action[i] = action
+        self._gamma[i] = gamma
+        self._weights[i] = weights
+        self._reward[i] = reward
+        self._terminal[i] = terminal
+        self._birth[i] = self.update_counter
+        self._hi = i + 1
 
     def advance_updates(self, n: int) -> None:
         if n < 0:
             raise ValueError("n must be >= 0")
         self.update_counter += n
-        self._evict()
+        # Births never decrease, so the over-age rows are a prefix.
+        lo, hi = self._lo, self._hi
+        self._lo = lo + int(np.searchsorted(self._birth[lo:hi], self.update_counter - self.max_age))
 
-    def _evict(self) -> None:
-        items, counter, max_age = self._items, self.update_counter, self.max_age
-        lo, hi = self._lo, len(items)
-        while lo < hi and counter - items[lo].birth_update > max_age:
-            lo += 1
-        self._lo = lo
-        if lo > _COMPACT_MIN and lo * 2 > hi:
-            self._items = items[lo:]
-            self._rewards = self._rewards[lo:hi].copy()
-            self._lo = 0
+    def _compact(self) -> None:
+        lo, hi = self._lo, self._hi
+        live = hi - lo
+        capacity = live + max(live // 3, _MIN_ROOM)
+        for name in _COLUMNS:
+            old = getattr(self, name)
+            new = np.empty((capacity, *old.shape[1:]), old.dtype)
+            new[:live] = old[lo:hi]
+            setattr(self, name, new)
+        self._lo, self._hi = 0, live
 
-    def sample_batch(self, batchsize: int, rng: np.random.Generator) -> list[Experience]:
+    def rewards(self) -> np.ndarray:
+        """View of the live raw reward vectors, insertion order, shape (n, 4)."""
+        return self._reward[self._lo : self._hi]
+
+    def rows(self, idx: np.ndarray | None = None) -> Transitions:
+        """Live rows at positions idx (0 = oldest), or all of them in order."""
+        rows = np.arange(self._lo, self._hi) if idx is None else np.asarray(idx) + self._lo
+        lookback = self.lookback
+        action = self._action[rows].astype(np.int64)
+        spans = self._spans[self._cursor[rows] - lookback]
+        state = np.empty((len(rows), lookback + 1))
+        state[:, :lookback] = spans[:, :-1]
+        state[:, lookback] = self._position[rows]
+        next_state = np.empty_like(state)
+        next_state[:, :lookback] = spans[:, 1:]
+        next_state[:, lookback] = self._next_position[action]
+        w, r = self._weights.take(rows, axis=0), self._reward.take(rows, axis=0)
+        terms = w * r  # summed in component order: w0*r0 + w1*r1 + w2*r2 + w3*r3
+        return Transitions(
+            state=state,
+            gamma=self._gamma[rows],
+            weights=w,
+            raw_reward=r,
+            scalar_reward=terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3],
+            action=action,
+            next_state=next_state,
+            terminal=self._terminal[rows],
+            birth_update=self._birth[rows],
+        )
+
+    def sample_batch(self, batchsize: int, rng: np.random.Generator) -> Transitions:
         """Uniform sample without replacement; deterministic under the rng."""
         n = len(self)
         if batchsize < 1 or batchsize > n:
             raise BufferTooSmall(f"batchsize {batchsize} vs buffer length {n}")
-        idx = rng.choice(n, size=batchsize, replace=False)
-        lo = self._lo
-        return [self._items[lo + int(i)] for i in idx]
+        return self.rows(rng.choice(n, size=batchsize, replace=False))
 
     def dump(self, path: str | Path) -> None:
         """Debug dump: JSON array of experience records in insertion order."""
-        records = [
-            {
-                "state": exp.state.tolist(),
-                "gamma": exp.gamma,
-                "weights": exp.weights.tolist(),
-                "raw_reward": list(exp.raw_reward),
-                "scalar_reward": exp.scalar_reward,
-                "action": exp.action,
-                "next_state": exp.next_state.tolist(),
-                "terminal": exp.terminal,
-                "birth_update": exp.birth_update,
-            }
-            for exp in self
-        ]
+        t = self.rows()
+        columns = {f.name: getattr(t, f.name).tolist() for f in fields(Transitions)}
+        records = [dict(zip(columns, values)) for values in zip(*columns.values())]
         Path(path).write_text(json.dumps(records))
 
 
@@ -139,7 +190,7 @@ def compute_whitening(buffer: ReplayBuffer, eigen_floor: float = DEFAULT_EIGEN_F
     bounds the amplification of near-degenerate components (POWC is sparse
     and regularly makes the covariance near-singular).
     """
-    rewards = buffer.reward_matrix
+    rewards = buffer.rewards()
     if len(rewards) < 2:
         raise BufferTooSmall("need at least 2 experiences to estimate covariance")
     mean = rewards.mean(axis=0)
@@ -151,19 +202,12 @@ def compute_whitening(buffer: ReplayBuffer, eigen_floor: float = DEFAULT_EIGEN_F
     return WhiteningStats(mean=mean, covariance=cov, inv_sqrt=inv_sqrt)
 
 
-def whiten_batch(batch: list[Experience], stats: WhiteningStats) -> list[Experience]:
+def whiten_batch(batch: Transitions, stats: WhiteningStats) -> Transitions:
     """Rescale a sampled batch: r~ = Sigma^(-1/2) r / ||w||, scalar = w . r~.
 
-    Returns fresh experiences; the buffer's stored originals are untouched.
+    Returns fresh arrays; the buffer's stored originals are untouched.
     """
-    if not batch:
-        return []
-    raw = np.array([exp.raw_reward for exp in batch])
-    weights = np.stack([exp.weights for exp in batch])
-    norms = np.linalg.norm(weights, axis=1)
-    rescaled = (raw @ stats.inv_sqrt) / norms[:, None]
-    scalars = np.einsum("ij,ij->i", weights, rescaled)
-    return [
-        replace(exp, raw_reward=RewardVector(*rescaled[i]), scalar_reward=float(scalars[i]))
-        for i, exp in enumerate(batch)
-    ]
+    norms = np.linalg.norm(batch.weights, axis=1)
+    rescaled = (batch.raw_reward @ stats.inv_sqrt) / norms[:, None]
+    scalars = np.einsum("ij,ij->i", batch.weights, rescaled)
+    return replace(batch, raw_reward=rescaled, scalar_reward=scalars)

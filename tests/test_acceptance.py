@@ -17,9 +17,8 @@ from moqtrader import agent, cli, evaluation
 from moqtrader.agent import TrainConfig, one_hot_weights, train
 from moqtrader.env import Mode, TradingEnv
 from moqtrader.market_data import make_split
-from moqtrader.qnet import QNetwork, TargetNetwork, bellman_targets, build_input, sync_target
-from moqtrader.replay import Experience, ReplayBuffer, compute_whitening
-from moqtrader.rewards import RewardVector
+from moqtrader.qnet import QNetwork, bellman_targets, build_input
+from moqtrader.replay import ReplayBuffer, Transitions, compute_whitening
 from moqtrader.synthetic import generate_synthetic
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -35,19 +34,15 @@ def test_criterion_01_whitening_invariant():
     mix = rng.normal(size=(4, 4)) + 2.0 * np.eye(4)
     rewards = rng.normal(size=(10_000, 4)) @ mix + rng.normal(size=4)
 
-    buffer = ReplayBuffer(max_age=1_000_000)
+    env = TradingEnv(generate_synthetic("sine", 10, amplitude=0.08, period=4.0), Mode.LSP, lookback=2, reward_window=2)
+    buffer = ReplayBuffer(max_age=1_000_000, env=env)
+    w = np.array([1.0, 0, 0, 0])
     for row in rewards:
-        buffer.push(
-            Experience(
-                state=np.zeros(2), gamma=0.9, weights=np.array([1.0, 0, 0, 0]),
-                raw_reward=RewardVector(*row), scalar_reward=float(row[0]),
-                action=0, next_state=np.zeros(2), terminal=False,
-            )
-        )
+        buffer.push(2, 0, 0, 0.9, w, row, False)
     stats = compute_whitening(buffer, eigen_floor=1e-8)
     assert np.linalg.eigvalsh(stats.covariance).min() > 100 * 1e-8  # well-conditioned
 
-    stored = buffer.reward_matrix
+    stored = buffer.rows().raw_reward
     worst = 0.0
     for _ in range(20):
         unit = rng.normal(size=4)
@@ -105,22 +100,20 @@ def test_criterion_03_toy_mdp_oracle():
 
     one_hot = {0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])}
     w = np.array([1.0, 0.0, 0.0, 0.0])
-    batch = [
-        Experience(
-            state=one_hot[s], gamma=gamma, weights=w,
-            raw_reward=RewardVector(rewards[(s, a)], 0, 0, 0), scalar_reward=rewards[(s, a)],
-            action=a, next_state=one_hot[a], terminal=False,
-        )
-        for s in (0, 1)
-        for a in (0, 1)
-    ]
+    pairs = [(s, a) for s in (0, 1) for a in (0, 1)]
+    batch = Transitions(
+        state=np.array([one_hot[s] for s, _ in pairs]), gamma=np.full(4, gamma), weights=np.tile(w, (4, 1)),
+        raw_reward=np.array([[rewards[p], 0, 0, 0] for p in pairs]), scalar_reward=np.array([rewards[p] for p in pairs]),
+        action=np.array([a for _, a in pairs]), next_state=np.array([one_hot[a] for _, a in pairs]),
+        terminal=np.zeros(4, dtype=bool), birth_update=np.zeros(4, dtype=np.int64),
+    )
     net = QNetwork([6, 2], seed=3)
-    target = TargetNetwork(net.clone())
-    for _ in range(3000):
+    target = net.clone()
+    for update in range(1, 3001):
         inputs, targets = bellman_targets(batch, net, target, alpha=1.0, include_gamma=False)
         net.fit_batch(inputs, targets, learn_rate=0.2)
-        target.note_update()
-        sync_target(net, target, period=20)
+        if update % 20 == 0:  # train's target sync rule, sync_period = 20
+            target.copy_params_from(net)
 
     learned = np.vstack([
         net.forward(build_input(one_hot[s], w, gamma, False)) for s in (0, 1)
@@ -181,15 +174,15 @@ def test_criterion_05_one_hot_reduction():
     # scalar reward stream equality, hindsight augmentation active (k = 3)
     single = train(cfg(multi=False, k=3, whiten=True), series, split)
     pinned = train(cfg(multi=True, k=3, whiten=True), series, split)
-    stream_single = [exp.scalar_reward for exp in single.replay]
-    stream_pinned = [exp.scalar_reward for exp in pinned.replay][::4]  # real experiences
+    stream_single = single.replay.rows().scalar_reward.tolist()
+    stream_pinned = pinned.replay.rows().scalar_reward.tolist()[::4]  # real experiences
     assert stream_single == stream_pinned
 
     # identical Bellman targets with whitening disabled
     net = QNetwork(cfg(False, 0, False).widths, seed=21)
-    target = TargetNetwork(net.clone())
-    batch_single = list(single.replay)[:8]
-    batch_pinned = list(pinned.replay)[::4][:8]
+    target = net.clone()
+    batch_single = single.replay.rows(np.arange(8))
+    batch_pinned = pinned.replay.rows(np.arange(0, 32, 4))
     _, t_single = bellman_targets(batch_single, net, target, alpha=0.7, include_gamma=False)
     _, t_pinned = bellman_targets(batch_pinned, net, target, alpha=0.7, include_gamma=False)
     np.testing.assert_allclose(t_single, t_pinned, atol=1e-12, rtol=0)
@@ -261,7 +254,7 @@ def test_criterion_07_same_age_replay():
     single, multi = run(False), run(True)
     for result in (single, multi):
         buf = result.replay
-        assert all(buf.update_counter - exp.birth_update <= max_age for exp in buf)
+        assert np.all(buf.update_counter - buf.rows().birth_update <= max_age)
     assert single.env_steps == multi.env_steps
     assert len(multi.replay) == (k + 1) * len(single.replay)
     announce(7, f"age bound holds; multi replay is exactly (k+1)x longer "

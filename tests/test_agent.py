@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,9 +16,11 @@ from moqtrader.agent import (
     uniform_weights,
 )
 from moqtrader.env import Mode
-from moqtrader.errors import InvalidValue
+from moqtrader.env import TradingEnv
+from moqtrader.errors import Diverged, InvalidValue, RangeTooShort
 from moqtrader.market_data import make_split
-from moqtrader.qnet import QNetwork, TargetNetwork, bellman_targets
+from moqtrader.qnet import QNetwork, bellman_targets, load_checkpoint
+from moqtrader.replay import ReplayBuffer
 from moqtrader.synthetic import generate_synthetic
 
 
@@ -182,13 +185,12 @@ class TestTrainLoop:
             k: train(small_cfg(episodes=1, eval_every=2, k=k), series, split)
             for k in (0, 3)
         }
-        real0 = [exp for exp in runs[0].replay]
-        real3 = [exp for exp in runs[3].replay][:: 3 + 1]
+        real0 = runs[0].replay.rows()
+        real3 = runs[3].replay.rows(np.arange(0, len(runs[3].replay), 3 + 1))
         assert len(real0) == len(real3)
-        for a, b in zip(real0, real3):
-            np.testing.assert_array_equal(a.state, b.state)
-            assert a.action == b.action
-            assert a.scalar_reward == b.scalar_reward
+        np.testing.assert_array_equal(real0.state, real3.state)
+        np.testing.assert_array_equal(real0.action, real3.action)
+        np.testing.assert_array_equal(real0.scalar_reward, real3.scalar_reward)
 
     def test_one_hot_reduction_scalar_stream(self):
         series = sine_series()
@@ -198,12 +200,11 @@ class TestTrainLoop:
             small_cfg(multi_reward=True, pin_weights=(1.0, 0.0, 0.0, 0.0), episodes=1, eval_every=2, k=3),
             series, split,
         )
-        stream_single = [exp.scalar_reward for exp in single.replay]
-        stream_multi = [exp.scalar_reward for exp in pinned.replay][::4]
-        assert stream_single == stream_multi
-        for a, b in zip(single.replay, list(pinned.replay)[::4]):
-            assert a.raw_reward == b.raw_reward
-            assert a.action == b.action
+        rows_single = single.replay.rows()
+        rows_multi = pinned.replay.rows(np.arange(0, len(pinned.replay), 4))
+        assert rows_single.scalar_reward.tolist() == rows_multi.scalar_reward.tolist()
+        assert rows_single.raw_reward.tolist() == rows_multi.raw_reward.tolist()
+        assert rows_single.action.tolist() == rows_multi.action.tolist()
 
     def test_one_hot_reduction_identical_training(self):
         # with k=0 and whitening off, pinned multi-reward is the single-reward
@@ -231,9 +232,9 @@ class TestTrainLoop:
             series, split,
         )
         net = QNetwork(small_cfg().widths, seed=1)
-        target = TargetNetwork(net.clone())
-        batch_single = list(single.replay)[:16]
-        batch_multi = list(pinned.replay)[::4][:16]
+        target = net.clone()
+        batch_single = single.replay.rows(np.arange(16))
+        batch_multi = pinned.replay.rows(np.arange(0, 64, 4))
         _, t_single = bellman_targets(batch_single, net, target, alpha=0.7, include_gamma=False)
         _, t_multi = bellman_targets(batch_multi, net, target, alpha=0.7, include_gamma=False)
         np.testing.assert_allclose(t_single, t_multi, atol=1e-12, rtol=0)
@@ -243,11 +244,9 @@ class TestTrainLoop:
         split = make_split(series)
         result = train(small_cfg(episodes=3, max_age=20), series, split)
         buf = result.replay
-        assert all(buf.update_counter - exp.birth_update <= buf.max_age for exp in buf)
+        assert np.all(buf.update_counter - buf.rows().birth_update <= buf.max_age)
 
     def test_augment_counterfactual_matches_real_when_forced(self):
-        from moqtrader.env import TradingEnv
-
         series = sine_series()
         env = TradingEnv(series, Mode.LSP, lookback=6, reward_window=4)
         state = env.reset((0, 200))
@@ -255,24 +254,25 @@ class TestTrainLoop:
         net = QNetwork([11, 3], seed=0)
         cfg = small_cfg(k=1, hindsight_action="replay", pin_weights=(1.0, 0.0, 0.0, 0.0))
         real = env.transition(state, 0)
-        extras = agent.augment_experiences(env, state, feats, 0, net, cfg, np.random.default_rng(0))
-        assert len(extras) == 1
-        assert extras[0].action == 0
-        assert extras[0].raw_reward == real.reward
-        np.testing.assert_array_equal(extras[0].next_state[:6], env.state_features(real.next_state)[:6])
+        buffer = ReplayBuffer(cfg.max_age, env)
+        agent.augment_experiences(env, state, feats, 0, net, cfg, np.random.default_rng(0), buffer)
+        assert len(buffer) == 1
+        extras = buffer.rows()
+        assert extras.action[0] == 0
+        assert tuple(extras.raw_reward[0]) == real.reward
+        np.testing.assert_array_equal(extras.next_state[0][:6], env.state_features(real.next_state)[:6])
         # the real environment did not advance
         assert env.state.cursor == state.cursor
 
     def test_augment_k_zero(self):
-        from moqtrader.env import TradingEnv
-
         series = sine_series()
         env = TradingEnv(series, Mode.LSP, lookback=6, reward_window=4)
         state = env.reset((0, 200))
         net = QNetwork([11, 3], seed=0)
-        extras = agent.augment_experiences(env, state, env.state_features(state), 0, net, small_cfg(k=0),
-                                           np.random.default_rng(0))
-        assert extras == []
+        buffer = ReplayBuffer(50, env)
+        agent.augment_experiences(env, state, env.state_features(state), 0, net, small_cfg(k=0),
+                                  np.random.default_rng(0), buffer)
+        assert len(buffer) == 0
 
     def test_generalized_gamma_training(self):
         series = sine_series()
@@ -283,7 +283,7 @@ class TestTrainLoop:
         b = train(cfg, series, split)
         assert a.net.params_equal(b.net)
         assert a.net.input_width == cfg.input_width
-        gammas = {exp.gamma for exp in a.replay}
+        gammas = set(a.replay.rows().gamma.tolist())
         assert len(gammas) > 1
         assert all(0.6 <= g < 0.99 for g in gammas)
         # evaluation defaults to the range midpoint
@@ -294,19 +294,19 @@ class TestTrainLoop:
         split = make_split(series)
         result = train(small_cfg(mode=Mode.LP), series, split)
         assert result.net.output_width == 2
-        assert all(exp.action in (0, 1) for exp in result.replay)
+        rows = result.replay.rows()
+        assert set(rows.action.tolist()) <= {0, 1}
         # LP can never hold a short: next-state position feature is 0 or +1
-        assert all(exp.next_state[-1] in (0.0, 1.0) for exp in result.replay)
+        assert set(rows.next_state[:, -1].tolist()) <= {0.0, 1.0}
 
     def test_hindsight_replay_action_mode(self):
         series = sine_series()
         split = make_split(series)
         result = train(small_cfg(hindsight_action="replay", episodes=1, eval_every=2, k=2), series, split)
-        items = list(result.replay)
-        for i in range(0, len(items), 3):  # real experience then k=2 extras
-            real, extras = items[i], items[i + 1 : i + 3]
-            assert all(extra.action == real.action for extra in extras)
-            np.testing.assert_array_equal(extras[0].state, real.state)
+        rows = result.replay.rows()
+        for i in range(0, len(rows), 3):  # real experience then k=2 extras
+            assert all(rows.action[i + 1 : i + 3] == rows.action[i])
+            np.testing.assert_array_equal(rows.state[i + 1], rows.state[i])
 
     def test_metrics_and_checkpoint_files(self, tmp_path):
         series = sine_series()
@@ -315,10 +315,91 @@ class TestTrainLoop:
         assert sorted(p.name for p in tmp_path.glob("checkpoint_*.bin")) == ["checkpoint_2.bin", "checkpoint_4.bin"]
         lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
         assert len(lines) == 2
-        import json
-
         first = json.loads(lines[0])
         assert first["episode"] == 2
         assert set(first) == {"episode", "env_steps", "updates", "train", "eval", "test"}
         assert (tmp_path / "timing.log").exists()
         assert result.checkpoints[0].path == tmp_path / "checkpoint_2.bin"
+
+    def test_series_shorter_than_lookback(self):
+        series = sine_series(20)
+        with pytest.raises(RangeTooShort):
+            train(small_cfg(lookback=30), series, make_split(series))
+
+
+class TestTargetSync:
+    """train copies the online parameters into the target every sync_period updates."""
+
+    EPISODE_LEN = 30
+
+    def run(self, episodes, sync_period):
+        # batchsize <= k + 1 lets every step of every episode fit, so each
+        # episode makes exactly EPISODE_LEN updates and a sync period that is
+        # a multiple of it syncs at episode ends, where checkpoints are taken.
+        cfg = small_cfg(episodes=episodes, eval_every=1, batchsize=3, k=2,
+                        episode_len=self.EPISODE_LEN, sync_period=sync_period)
+        result = train(cfg, sine_series(), make_split(sine_series()))
+        assert result.updates == episodes * self.EPISODE_LEN
+        return cfg, result
+
+    def test_period_one_always_synced(self):
+        _, result = self.run(episodes=2, sync_period=1)
+        assert result.target.params_equal(result.net)
+        assert result.updates % 1 == 0  # staleness 0
+
+    def test_below_period_no_copy(self):
+        cfg, result = self.run(episodes=1, sync_period=self.EPISODE_LEN + 1)
+        initial = QNetwork(cfg.widths, seed=rng_streams(cfg.seed)["init"], momentum=cfg.momentum)
+        assert result.target.params_equal(initial)
+        assert not result.target.params_equal(result.net)
+        assert result.updates % cfg.sync_period == self.EPISODE_LEN  # staleness
+
+    def test_staleness_bounded_over_run(self):
+        period = 2 * self.EPISODE_LEN
+        for episodes in range(1, 6):
+            cfg, result = self.run(episodes=episodes, sync_period=period)
+            synced_at = result.updates // period * period
+            assert result.updates - synced_at <= period
+            if synced_at == 0:
+                expected = QNetwork(cfg.widths, seed=rng_streams(cfg.seed)["init"], momentum=cfg.momentum)
+            else:
+                expected = result.checkpoints[synced_at // self.EPISODE_LEN - 1].net
+            assert result.target.params_equal(expected)
+
+    def test_forward_equal_after_copy(self):
+        _, result = self.run(episodes=3, sync_period=self.EPISODE_LEN)
+        x = np.random.default_rng(9).normal(size=result.net.input_width)
+        np.testing.assert_array_equal(result.net.forward(x), result.target.forward(x))
+        # bellman_targets bootstraps from that target
+        batch = result.replay.rows(np.arange(8))
+        _, with_target = bellman_targets(batch, result.net, result.target, alpha=1.0, include_gamma=False)
+        _, with_online = bellman_targets(batch, result.net, result.net, alpha=1.0, include_gamma=False)
+        np.testing.assert_array_equal(with_target, with_online)
+
+
+def test_crash_partway_keeps_complete_artifacts(tmp_path, monkeypatch):
+    """A run that diverges after its first evaluation keeps that episode's line and checkpoint."""
+    series = sine_series()
+    cfg = small_cfg(episodes=4, eval_every=2)
+    fit_batch = QNetwork.fit_batch
+    on_disk = {}
+
+    def poisoned_fit(net, inputs, targets, learn_rate):
+        # the first update after episode 2's checkpoint poisons the network
+        if (tmp_path / "checkpoint_2.bin").exists() and not on_disk:
+            on_disk["metrics"] = (tmp_path / "metrics.jsonl").read_text()
+            net.weights[0][0, 0] = float("nan")
+        return fit_batch(net, inputs, targets, learn_rate)
+
+    monkeypatch.setattr(QNetwork, "fit_batch", poisoned_fit)
+    with pytest.raises(Diverged):
+        train(cfg, series, make_split(series), out_dir=tmp_path)
+
+    # the line was on disk while the run was still going, not only after close
+    assert on_disk["metrics"].endswith("\n")
+    lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
+    assert on_disk["metrics"].splitlines() == lines
+    assert [json.loads(line)["episode"] for line in lines] == [2]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint_2.bin", "metrics.jsonl", "timing.log"]
+    net, meta = load_checkpoint(tmp_path / "checkpoint_2.bin")
+    assert meta["episode"] == 2 and np.isfinite(net.weights[0]).all()

@@ -135,6 +135,7 @@ BAD_VALUES = [
     ("eigen_floor = 0", "eigen_floor", "must be > 0"),
     ('hindsight_action = "both"', "hindsight_action", "must be resample or replay"),
     ("pin_weights = [1, 0, 0]", "pin_weights", "must be a list of 4 reals"),
+    ("pin_weights = [0.5, 0.5, 0.5, 0.5]", "pin_weights", "must lie on the unit 4-simplex"),
     ("seed = -1", "seed", "must be >= 0"),
     ("data_csv = 5", "data_csv", "must be a string"),
     ("timestamp_column = 3", "timestamp_column", "must be a string"),
@@ -191,6 +192,17 @@ class TestErrorPayloads:
         covered = {line.partition("=")[0].strip() for text, _, _ in BAD_VALUES for line in text.splitlines()}
         assert set(config.ALL_KEYS) <= covered
         assert len(config.ALL_KEYS) == 47
+
+    def test_weights_flag_off_simplex(self, tmp_path, capsys):
+        out = tmp_path / "empty"
+        out.mkdir()
+        status = cli.main(["backtest", "--config", str(write(tmp_path, "synthetic_kind = sine\n")), "--out", str(out),
+                           "--weights", "0.5,0.5,0.5,0.5"])
+        reason = "must lie on the unit 4-simplex"
+        expected = {"error": "InvalidValue", "detail": f"invalid value for weights: {reason}",
+                    "context": {"key": "weights", "reason": reason}}
+        assert capsys.readouterr().out == json.dumps(expected) + "\n"
+        assert status == 1
 
     def test_unknown_key(self, tmp_path, capsys):
         status, out = self.run_backtest(tmp_path, capsys, "lr = 3")

@@ -2,17 +2,8 @@ import numpy as np
 import pytest
 
 from moqtrader.errors import ShapeMismatch
-from moqtrader.qnet import (
-    QNetwork,
-    TargetNetwork,
-    bellman_targets,
-    build_input,
-    load_checkpoint,
-    save_checkpoint,
-    sync_target,
-)
-from moqtrader.replay import Experience
-from moqtrader.rewards import RewardVector
+from moqtrader.qnet import QNetwork, bellman_targets, build_input, load_checkpoint, save_checkpoint
+from moqtrader.replay import Transitions
 
 
 def finite_difference_grads(net, inputs, targets, step=1e-5):
@@ -36,16 +27,22 @@ def finite_difference_grads(net, inputs, targets, step=1e-5):
 
 
 def make_experience(state, gamma, weights, scalar, action, next_state, terminal=False):
-    return Experience(
+    """One replay row as a field dict; batch_of stacks rows into Transitions."""
+    return dict(
         state=np.asarray(state, dtype=np.float64),
         gamma=gamma,
         weights=np.asarray(weights, dtype=np.float64),
-        raw_reward=RewardVector(scalar, 0.0, 0.0, 0.0),
+        raw_reward=np.array([scalar, 0.0, 0.0, 0.0]),
         scalar_reward=scalar,
         action=action,
         next_state=np.asarray(next_state, dtype=np.float64),
         terminal=terminal,
+        birth_update=0,
     )
+
+
+def batch_of(*experiences):
+    return Transitions(**{name: np.array([exp[name] for exp in experiences]) for name in experiences[0]})
 
 
 class TestInitAndForward:
@@ -158,17 +155,17 @@ class TestGradients:
 class TestBellmanTargets:
     def test_alpha_one(self):
         net = QNetwork([2, 2], seed=0)
-        target_net = TargetNetwork(net.clone())
+        target_net = net.clone()
         # force target net output to (2, 0) regardless of input
-        target_net.net.weights[0][...] = 0.0
-        target_net.net.biases[0][...] = [2.0, 0.0]
+        target_net.weights[0][...] = 0.0
+        target_net.biases[0][...] = [2.0, 0.0]
         exp = make_experience([0.0, 0.0], 0.9, [1, 0, 0, 0], 1.0, 0, [0.0, 0.0])
         # state features (2) + weights (4) = 6 inputs
         net6 = QNetwork([6, 2], seed=0)
-        t6 = TargetNetwork(net6.clone())
-        t6.net.weights[0][...] = 0.0
-        t6.net.biases[0][...] = [2.0, 0.0]
-        inputs, targets = bellman_targets([exp], net6, t6, alpha=1.0, include_gamma=False)
+        t6 = net6.clone()
+        t6.weights[0][...] = 0.0
+        t6.biases[0][...] = [2.0, 0.0]
+        inputs, targets = bellman_targets(batch_of(exp), net6, t6, alpha=1.0, include_gamma=False)
         assert targets[0, 0] == pytest.approx(1.0 + 0.9 * 2.0, abs=1e-12)  # 2.8
         # non-taken action keeps the current output
         assert targets[0, 1] == pytest.approx(net6.forward(inputs[0])[1], abs=1e-15)
@@ -179,64 +176,29 @@ class TestBellmanTargets:
             w[...] = 0.0
         for b in net.biases:
             b[...] = 0.0
-        target_net = TargetNetwork(net.clone())
-        target_net.net.biases[0][...] = [2.0, 0.0]
+        target_net = net.clone()
+        target_net.biases[0][...] = [2.0, 0.0]
         exp = make_experience([0.0, 0.0], 0.9, [1, 0, 0, 0], 1.0, 0, [0.0, 0.0])
-        _, targets = bellman_targets([exp], net, target_net, alpha=0.5, include_gamma=False)
+        _, targets = bellman_targets(batch_of(exp), net, target_net, alpha=0.5, include_gamma=False)
         assert targets[0, 0] == pytest.approx(0.5 * 0.0 + 0.5 * 2.8, abs=1e-12)  # 1.4
 
     def test_terminal_drops_bootstrap(self):
         net = QNetwork([6, 2], seed=0)
-        target_net = TargetNetwork(net.clone())
-        target_net.net.biases[-1][...] = [100.0, 100.0]
+        target_net = net.clone()
+        target_net.biases[-1][...] = [100.0, 100.0]
         exp = make_experience([0.0, 0.0], 0.9, [1, 0, 0, 0], 0.3, 0, [0.0, 0.0], terminal=True)
-        _, targets = bellman_targets([exp], net, target_net, alpha=1.0, include_gamma=False)
+        _, targets = bellman_targets(batch_of(exp), net, target_net, alpha=1.0, include_gamma=False)
         assert targets[0, 0] == pytest.approx(0.3, abs=1e-12)
 
     def test_gamma_included_in_input_when_generalized(self):
         exp = make_experience([0.5], 0.7, [0.25, 0.25, 0.25, 0.25], 0.0, 0, [0.5])
-        assert build_input(exp.state, exp.weights, exp.gamma, include_gamma=True).shape == (6,)
-        assert build_input(exp.state, exp.weights, exp.gamma, include_gamma=False).shape == (5,)
-
-
-class TestTargetSync:
-    def test_period_one_always_synced(self):
-        net = QNetwork([3, 2], seed=7)
-        target = TargetNetwork(net.clone())
-        net.fit_batch(np.ones((1, 3)), np.ones((1, 2)), 0.1)
-        target.note_update()
-        sync_target(net, target, period=1)
-        assert target.net.params_equal(net)
-        assert target.staleness == 0
-
-    def test_below_period_no_copy(self):
-        net = QNetwork([3, 2], seed=7)
-        target = TargetNetwork(net.clone())
-        stale = target.net.clone()
-        net.fit_batch(np.ones((1, 3)), np.ones((1, 2)), 0.1)
-        target.note_update()
-        sync_target(net, target, period=5)
-        assert target.net.params_equal(stale)
-        assert target.staleness == 1
-
-    def test_staleness_bounded_over_run(self):
-        net = QNetwork([3, 2], seed=7)
-        target = TargetNetwork(net.clone())
-        rng = np.random.default_rng(8)
-        for _ in range(57):
-            net.fit_batch(rng.normal(size=(2, 3)), rng.normal(size=(2, 2)), 0.01)
-            target.note_update()
-            sync_target(net, target, period=10)
-            assert target.staleness <= 10
-
-    def test_forward_equal_after_copy(self):
-        net = QNetwork([3, 2], seed=7)
-        target = TargetNetwork(net.clone())
-        net.fit_batch(np.ones((1, 3)), np.ones((1, 2)), 0.1)
-        target.staleness = 3
-        sync_target(net, target, period=3)
-        x = np.random.default_rng(9).normal(size=3)
-        np.testing.assert_array_equal(net.forward(x), target.net.forward(x))
+        assert build_input(exp["state"], exp["weights"], exp["gamma"], include_gamma=True).shape == (6,)
+        assert build_input(exp["state"], exp["weights"], exp["gamma"], include_gamma=False).shape == (5,)
+        # the batched inputs of bellman_targets are the same rows
+        net = QNetwork([6, 2], seed=0)
+        inputs, _ = bellman_targets(batch_of(exp, exp), net, net, alpha=1.0, include_gamma=True)
+        row = build_input(exp["state"], exp["weights"], exp["gamma"], include_gamma=True)
+        np.testing.assert_array_equal(inputs, [row, row])
 
 
 class TestCheckpoint:
@@ -251,6 +213,23 @@ class TestCheckpoint:
         assert loaded.params_equal(net)
         for a, b in zip(loaded.weights, net.weights):
             assert a.dtype == b.dtype == np.float64
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        import os
+
+        path = tmp_path / "checkpoint_7.bin"
+        old = QNetwork([5, 4, 3], seed=13)
+        save_checkpoint(path, old, meta={"episode": 7})
+
+        def crash(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(OSError):
+            save_checkpoint(path, QNetwork([5, 4, 3], seed=14), meta={"episode": 7})
+        loaded, _ = load_checkpoint(path)
+        assert loaded.params_equal(old)
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint_7.bin"]
 
 
 class TestToyMdpOracle:
@@ -282,13 +261,16 @@ class TestToyMdpOracle:
         np.testing.assert_allclose(q_star, [[10.0, 9.9], [11.0, 8.9]], atol=1e-9)
 
         net = QNetwork([6, 2], seed=3)  # linear in (one-hot state, weights)
-        target = TargetNetwork(net.clone())
-        batch = self.experiences()
-        for _ in range(3000):
+        target = net.clone()
+        experiences = self.experiences()
+        batch = batch_of(*experiences)
+        for update in range(1, 3001):
             inputs, targets = bellman_targets(batch, net, target, alpha=1.0, include_gamma=False)
             net.fit_batch(inputs, targets, learn_rate=0.2)
-            target.note_update()
-            sync_target(net, target, period=20)
+            if update % 20 == 0:  # train's target sync rule, sync_period = 20
+                target.copy_params_from(net)
 
-        learned = np.vstack([net.forward(build_input(exp.state, exp.weights, exp.gamma, False)) for exp in batch[::2]])
+        learned = np.vstack([
+            net.forward(build_input(exp["state"], exp["weights"], exp["gamma"], False)) for exp in experiences[::2]
+        ])
         np.testing.assert_allclose(learned, q_star, atol=1e-3)

@@ -4,49 +4,48 @@ import math
 import numpy as np
 import pytest
 
+from moqtrader import agent
+from moqtrader.agent import TrainConfig
+from moqtrader.env import Mode, TradingEnv
 from moqtrader.errors import BufferTooSmall
-from moqtrader.replay import (
-    Experience,
-    ReplayBuffer,
-    compute_whitening,
-    whiten_batch,
-)
-from moqtrader.rewards import RewardVector
+from moqtrader.qnet import QNetwork
+from moqtrader.replay import ReplayBuffer, WhiteningStats, compute_whitening, whiten_batch
+from moqtrader.synthetic import generate_synthetic
+
+SERIES = generate_synthetic("random-walk", 60, amplitude=0.02, seed=3)
+LOOKBACK = 3
 
 
-def make_exp(reward=(0.0, 0.0, 0.0, 0.0), weights=(1.0, 0.0, 0.0, 0.0), action=0, gamma=0.9):
-    w = np.asarray(weights, dtype=np.float64)
-    vec = RewardVector(*reward)
-    return Experience(
-        state=np.zeros(3),
-        gamma=gamma,
-        weights=w,
-        raw_reward=vec,
-        scalar_reward=float(np.dot(w, reward)),
-        action=action,
-        next_state=np.zeros(3),
-        terminal=False,
-    )
+def make_buffer(max_age):
+    return ReplayBuffer(max_age, TradingEnv(SERIES, Mode.LSP, lookback=LOOKBACK, reward_window=2))
+
+
+def push(buffer, reward=(0.0, 0.0, 0.0, 0.0), weights=(1.0, 0.0, 0.0, 0.0), action=0, gamma=0.9):
+    buffer.push(LOOKBACK, 0, action, gamma, np.asarray(weights, dtype=np.float64), tuple(reward), False)
 
 
 def fill(buffer, rewards, weights=(1.0, 0.0, 0.0, 0.0)):
     for r in rewards:
-        buffer.push(make_exp(tuple(r), weights))
+        push(buffer, r, weights)
     return buffer
+
+
+def lr_column(buffer):
+    return buffer.rows().raw_reward[:, 0].tolist()
 
 
 class TestBuffer:
     def test_push_and_order(self):
-        buf = ReplayBuffer(max_age=10)
-        buf.push(make_exp((1, 0, 0, 0)))
+        buf = make_buffer(max_age=10)
+        push(buf, (1, 0, 0, 0))
         assert len(buf) == 1
-        buf.push(make_exp((2, 0, 0, 0)))
-        assert [exp.raw_reward.lr for exp in buf] == [1.0, 2.0]
-        np.testing.assert_array_equal(buf.reward_matrix[:, 0], [1.0, 2.0])
+        push(buf, (2, 0, 0, 0))
+        assert lr_column(buf) == [1.0, 2.0]
+        np.testing.assert_array_equal(buf.rows().raw_reward[:, 0], [1.0, 2.0])
 
     def test_age_boundary(self):
-        buf = ReplayBuffer(max_age=5)
-        buf.push(make_exp())
+        buf = make_buffer(max_age=5)
+        push(buf)
         buf.advance_updates(5)
         assert len(buf) == 1  # age == max_age is retained
         buf.advance_updates(1)
@@ -55,61 +54,61 @@ class TestBuffer:
     def test_mixed_ages_evict_exact_prefix(self):
         # births 0..4, counter ends at 6: ages are 6,5,4,3,2 and exactly the
         # three over-age elements (> max_age 3) leave, oldest first
-        buf = ReplayBuffer(max_age=3)
+        buf = make_buffer(max_age=3)
         for i in range(5):
-            buf.push(make_exp((float(i), 0, 0, 0)))
+            push(buf, (float(i), 0, 0, 0))
             buf.advance_updates(1)
         buf.advance_updates(1)
-        assert [exp.raw_reward.lr for exp in buf] == [3.0, 4.0]
-        assert all(buf.update_counter - exp.birth_update <= 3 for exp in buf)
+        assert lr_column(buf) == [3.0, 4.0]
+        assert np.all(buf.update_counter - buf.rows().birth_update <= 3)
 
     def test_advance_zero_is_identity(self):
-        buf = fill(ReplayBuffer(max_age=2), np.zeros((4, 4)))
+        buf = fill(make_buffer(max_age=2), np.zeros((4, 4)))
         buf.advance_updates(0)
         assert len(buf) == 4
 
     def test_sample_whole_buffer(self):
-        buf = fill(ReplayBuffer(max_age=10), [[i, 0, 0, 0] for i in range(6)])
+        buf = fill(make_buffer(max_age=10), [[i, 0, 0, 0] for i in range(6)])
         batch = buf.sample_batch(6, np.random.default_rng(1))
-        assert sorted(exp.raw_reward.lr for exp in batch) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        assert sorted(batch.raw_reward[:, 0]) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_sample_deterministic_under_seed(self):
-        buf = fill(ReplayBuffer(max_age=10), [[i, 0, 0, 0] for i in range(20)])
+        buf = fill(make_buffer(max_age=10), [[i, 0, 0, 0] for i in range(20)])
         a = buf.sample_batch(5, np.random.default_rng(7))
         b = buf.sample_batch(5, np.random.default_rng(7))
-        assert [e.raw_reward.lr for e in a] == [e.raw_reward.lr for e in b]
+        assert a.raw_reward[:, 0].tolist() == b.raw_reward[:, 0].tolist()
 
     def test_sample_too_small(self):
-        buf = fill(ReplayBuffer(max_age=10), np.zeros((3, 4)))
+        buf = fill(make_buffer(max_age=10), np.zeros((3, 4)))
         with pytest.raises(BufferTooSmall):
             buf.sample_batch(4, np.random.default_rng(0))
 
     def test_sampling_marginals_uniform(self):
-        buf = fill(ReplayBuffer(max_age=10), [[i, 0, 0, 0] for i in range(10)])
+        buf = fill(make_buffer(max_age=10), [[i, 0, 0, 0] for i in range(10)])
         rng = np.random.default_rng(123)
         draws, batchsize = 100_000, 3
         counts = np.zeros(10)
         for _ in range(draws):
-            for exp in buf.sample_batch(batchsize, rng):
-                counts[int(exp.raw_reward.lr)] += 1
+            np.add.at(counts, buf.sample_batch(batchsize, rng).raw_reward[:, 0].astype(int), 1)
         p = batchsize / 10
         sigma = math.sqrt(p * (1 - p) / draws)
         np.testing.assert_allclose(counts / draws, p, atol=3 * sigma)
 
     def test_eviction_survives_compaction(self):
         # with max_age 0 each advance clears everything older than the step,
-        # exercising the list/reward-matrix compaction over 20k pushes
-        buf = ReplayBuffer(max_age=0)
+        # exercising the column compaction over 20k pushes
+        buf = make_buffer(max_age=0)
         for i in range(20000):
-            buf.push(make_exp((float(i), 0, 0, 0)))
+            push(buf, (float(i), 0, 0, 0))
             buf.advance_updates(1)
-            buf.push(make_exp((float(i), 1, 0, 0)))
+            push(buf, (float(i), 1, 0, 0))
         assert len(buf) == 1
-        assert [(e.raw_reward.lr, e.raw_reward.alr) for e in buf] == [(19999.0, 1.0)]
-        np.testing.assert_array_equal(buf.reward_matrix, [[19999.0, 1.0, 0.0, 0.0]])
+        rows = buf.rows()
+        assert [(r[0], r[1]) for r in rows.raw_reward.tolist()] == [(19999.0, 1.0)]
+        np.testing.assert_array_equal(rows.raw_reward, [[19999.0, 1.0, 0.0, 0.0]])
 
     def test_dump_schema(self, tmp_path):
-        buf = fill(ReplayBuffer(max_age=10), [[1, 2, 3, 4]])
+        buf = fill(make_buffer(max_age=10), [[1, 2, 3, 4]], weights=(0.1, 0.2, 0.3, 0.4))
         path = tmp_path / "replay.json"
         buf.dump(path)
         records = json.loads(path.read_text())
@@ -119,6 +118,84 @@ class TestBuffer:
             "state", "gamma", "weights", "raw_reward", "scalar_reward",
             "action", "next_state", "terminal", "birth_update",
         }
+        record = records[0]
+        assert record["state"] == SERIES.log_returns[:LOOKBACK].tolist() + [0.0]
+        assert record["next_state"] == SERIES.log_returns[1 : LOOKBACK + 1].tolist() + [1.0]  # Buy -> Long
+        assert record["scalar_reward"] == 0.1 * 1 + 0.2 * 2 + 0.3 * 3 + 0.4 * 4
+        assert (record["gamma"], record["action"], record["terminal"], record["birth_update"]) == (0.9, 0, False, 0)
+        assert record["weights"] == [0.1, 0.2, 0.3, 0.4]
+
+    def test_bytes_per_live_entry(self):
+        # An Experience object per entry cost ~965 B.  Once the replay
+        # outgrows its minimum free room, the columns hold at most 128 B
+        # per live entry, while growing and at a steady age-bounded length.
+        buf = make_buffer(max_age=1000)
+        rng = np.random.default_rng(5)
+        ratios = []
+        for i, reward in enumerate(rng.normal(size=(40_000, 4))):
+            push(buf, reward)
+            if i % 4 == 3:
+                buf.advance_updates(1)
+            if len(buf) >= 3 * 1024:
+                ratios.append(buf.nbytes / len(buf))
+        assert len(buf) == 4 * 1000
+        assert len(ratios) > 30_000
+        assert max(ratios) <= 128
+
+
+def record_episode(mode: Mode, k: int, hindsight_action: str):
+    """Run one episode that pushes real and counterfactual experiences.
+
+    Returns the buffer and, per pushed row, the env's own features of the
+    pre-step state and of the state that row's action leads to.
+    """
+    series = generate_synthetic("sine", 120, amplitude=0.08, period=17.0)
+    env = TradingEnv(series, mode, lookback=5, reward_window=4)
+    cfg = TrainConfig(mode=mode, k=k, lookback=5, reward_window=4, hindsight_action=hindsight_action, tol=0.5)
+    net = QNetwork(cfg.widths, seed=4)
+    buffer = ReplayBuffer(10_000, env)
+    rng = np.random.default_rng(8)
+    state = env.reset((0, 120))
+    expected = []
+    while True:
+        feats = env.state_features(state)
+        action = int(rng.integers(mode.n_actions))
+        outcome = env.step(action)
+        buffer.push(state.cursor, state.position, action, 0.9, agent.uniform_weights(), outcome.reward, outcome.done)
+        agent.augment_experiences(env, state, feats, action, net, cfg, rng, buffer)
+        for a in buffer.rows().action[len(expected):]:
+            expected.append((feats, env.state_features(env.transition(state, int(a)).next_state)))
+        state = outcome.next_state
+        if outcome.done:
+            return buffer, expected
+
+
+class TestRebuiltStates:
+    @pytest.mark.parametrize("mode", [Mode.LP, Mode.LSP])
+    @pytest.mark.parametrize("hindsight_action", ["resample", "replay"])
+    def test_states_equal_env_features(self, mode, hindsight_action):
+        buffer, expected = record_episode(mode, k=3, hindsight_action=hindsight_action)
+        rows = buffer.rows()
+        assert len(rows) == len(expected) == 4 * 114
+        for i, (state, next_state) in enumerate(expected):
+            assert rows.state[i].tobytes() == state.tobytes()
+            assert rows.next_state[i].tobytes() == next_state.tobytes()
+        assert rows.terminal.tolist() == [False] * (len(rows) - 4) + [True] * 4
+        # sampled rows rebuild the same features as the full view
+        idx = np.random.default_rng(2).choice(len(buffer), size=32, replace=False)
+        sampled = buffer.rows(idx)
+        np.testing.assert_array_equal(sampled.state, rows.state[idx])
+        np.testing.assert_array_equal(sampled.next_state, rows.next_state[idx])
+
+    def test_scalar_reward_is_weighted_sum_in_component_order(self):
+        rng = np.random.default_rng(6)
+        buf = make_buffer(max_age=10)
+        weights = [agent.sample_weights(rng) for _ in range(50)]
+        rewards = rng.normal(size=(50, 4))
+        for w, r in zip(weights, rewards):
+            push(buf, r, weights=w)
+        expected = [float(w[0] * r[0] + w[1] * r[1] + w[2] * r[2] + w[3] * r[3]) for w, r in zip(weights, rewards)]
+        assert buf.rows().scalar_reward.tolist() == expected
 
 
 class TestWhitening:
@@ -131,63 +208,58 @@ class TestWhitening:
                 row = [0.0] * 4
                 row[i] = sign
                 rewards.append(row)
-        stats = compute_whitening(fill(ReplayBuffer(10), rewards))
+        stats = compute_whitening(fill(make_buffer(10), rewards))
         np.testing.assert_allclose(stats.covariance, np.eye(4), atol=1e-12)
         np.testing.assert_allclose(stats.inv_sqrt, np.eye(4), atol=1e-9)
 
     def test_one_dimensional_variance_four_halves(self):
         # lr values (-2, 0, 2): sample variance 4, others degenerate at the floor
-        buf = fill(ReplayBuffer(10), [[-2, 0, 0, 0], [0, 0, 0, 0], [2, 0, 0, 0]])
+        buf = fill(make_buffer(10), [[-2, 0, 0, 0], [0, 0, 0, 0], [2, 0, 0, 0]])
         stats = compute_whitening(buf, eigen_floor=1e-8)
         assert stats.inv_sqrt[0, 0] == pytest.approx(0.5, abs=1e-9)
-        batch = whiten_batch([make_exp((2.0, 0, 0, 0), weights=(1, 0, 0, 0))], stats)
-        assert batch[0].scalar_reward == pytest.approx(1.0, abs=1e-9)
+        batch = whiten_batch(fill(make_buffer(10), [[2.0, 0, 0, 0]]).rows(), stats)
+        assert batch.scalar_reward[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_degenerate_clamp(self):
         floor = 1e-8
-        buf = fill(ReplayBuffer(10), [[0.3, 0.1, -0.2, 0.0]] * 5)
+        buf = fill(make_buffer(10), [[0.3, 0.1, -0.2, 0.0]] * 5)
         stats = compute_whitening(buf, eigen_floor=floor)
         np.testing.assert_allclose(stats.inv_sqrt, np.eye(4) / math.sqrt(floor), rtol=1e-9)
 
     def test_too_small(self):
         with pytest.raises(BufferTooSmall):
-            compute_whitening(fill(ReplayBuffer(10), [[1, 0, 0, 0]]))
+            compute_whitening(fill(make_buffer(10), [[1, 0, 0, 0]]))
 
     def test_whiten_batch_identity_stats_is_noop(self):
-        from moqtrader.replay import WhiteningStats
-
         stats = WhiteningStats(np.zeros(4), np.eye(4), np.eye(4))
-        exp = make_exp((0.1, 0.2, -0.3, 0.4), weights=(1, 0, 0, 0))
-        out = whiten_batch([exp], stats)[0]
-        np.testing.assert_allclose(out.raw_reward, exp.raw_reward, atol=1e-15)
-        assert out.scalar_reward == pytest.approx(exp.scalar_reward, abs=1e-15)
-        # original untouched
-        assert exp.raw_reward == RewardVector(0.1, 0.2, -0.3, 0.4)
+        buf = fill(make_buffer(10), [[0.1, 0.2, -0.3, 0.4]])
+        batch = buf.rows()
+        out = whiten_batch(batch, stats)
+        np.testing.assert_allclose(out.raw_reward, batch.raw_reward, atol=1e-15)
+        assert out.scalar_reward[0] == pytest.approx(batch.scalar_reward[0], abs=1e-15)
+        # stored originals untouched
+        assert buf.rows().raw_reward.tolist() == [[0.1, 0.2, -0.3, 0.4]]
 
     def test_weight_direction_determines_output(self):
         rng = np.random.default_rng(21)
-        buf = fill(ReplayBuffer(100), rng.normal(size=(50, 4)))
+        buf = fill(make_buffer(100), rng.normal(size=(50, 4)))
         stats = compute_whitening(buf)
         w = np.array([0.1, 0.2, 0.3, 0.4])
         reward = (0.3, -0.2, 0.5, 0.1)
         for scale in (1.0, 3.7, 0.01):
-            exp = Experience(
-                state=np.zeros(3), gamma=0.9, weights=scale * w, raw_reward=RewardVector(*reward),
-                scalar_reward=0.0, action=0, next_state=np.zeros(3), terminal=False,
-            )
-            out = whiten_batch([exp], stats)[0]
+            out = whiten_batch(fill(make_buffer(10), [reward], weights=scale * w).rows(), stats)
             if scale == 1.0:
-                base = out.scalar_reward
+                base = out.scalar_reward[0]
             else:
-                assert out.scalar_reward == pytest.approx(base, rel=1e-12)
+                assert out.scalar_reward[0] == pytest.approx(base, rel=1e-12)
 
     def test_unit_variance_projection(self):
         rng = np.random.default_rng(31)
         mix = rng.normal(size=(4, 4)) + 2.0 * np.eye(4)
-        buf = fill(ReplayBuffer(100_000), rng.normal(size=(5000, 4)) @ mix + rng.normal(size=4))
+        buf = fill(make_buffer(100_000), rng.normal(size=(5000, 4)) @ mix + rng.normal(size=4))
         stats = compute_whitening(buf, eigen_floor=1e-8)
         assert np.linalg.eigvalsh(stats.covariance).min() > 100 * 1e-8
-        rewards = buf.reward_matrix
+        rewards = buf.rows().raw_reward
         for _ in range(10):
             w = rng.normal(size=4)
             w /= np.linalg.norm(w)
@@ -198,12 +270,10 @@ class TestWhitening:
         rng = np.random.default_rng(41)
         mix = rng.normal(size=(4, 4)) + 2.0 * np.eye(4)
         raw = rng.normal(size=(2000, 4)) @ mix
-        buf = fill(ReplayBuffer(100_000), raw)
+        buf = fill(make_buffer(100_000), raw)
         stats = compute_whitening(buf)
-        whitened = whiten_batch(list(buf), stats)  # unit-norm one-hot weights
-        buf2 = ReplayBuffer(100_000)
-        for exp in whitened:
-            buf2.push(exp)
+        whitened = whiten_batch(buf.rows(), stats)  # unit-norm one-hot weights
+        buf2 = fill(make_buffer(100_000), whitened.raw_reward)
         stats2 = compute_whitening(buf2)
         np.testing.assert_allclose(stats2.covariance, np.eye(4), atol=1e-9)
         np.testing.assert_allclose(stats2.inv_sqrt, np.eye(4), atol=1e-6)
