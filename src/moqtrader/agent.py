@@ -8,6 +8,7 @@ stream's draws: the visited trajectory is invariant to k.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import time
@@ -240,7 +241,7 @@ def augment_experiences(
         else:
             action = real_action
         outcome = env.transition(state, action)
-        buffer.push(state.cursor, state.position, action, gamma, w, outcome.reward, outcome.done)
+        buffer.push(state, action, gamma, w, outcome)
 
 
 def train(
@@ -279,19 +280,18 @@ def train(
         single_w = one_hot_weights(cfg.reward)
 
     out_path = Path(out_dir) if out_dir is not None else None
-    metrics_fh = timing_fh = None
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
-        metrics_fh = open(out_path / "metrics.jsonl", "w")
-        timing_fh = open(out_path / "timing.log", "w")
-
     eval_set = set(cfg.eval_episode_set())
     checkpoints: list[Checkpoint] = []
     env_steps = updates = 0
     min_fit_len = max(cfg.batchsize, 2) if cfg.whiten else cfg.batchsize
     started = time.perf_counter()
 
-    try:
+    with contextlib.ExitStack() as files:
+        if out_path is not None:
+            out_path.mkdir(parents=True, exist_ok=True)
+            # Line-buffered: each line is flushed, so a crash keeps every evaluated episode.
+            metrics_fh = files.enter_context(open(out_path / "metrics.jsonl", "w", buffering=1))
+            timing_fh = files.enter_context(open(out_path / "timing.log", "w", buffering=1))
         for episode in range(1, cfg.episodes + 1):
             state = env.reset(
                 split.train,
@@ -313,7 +313,7 @@ def train(
                 )
                 outcome = env.step(action)
                 env_steps += 1
-                buffer.push(state.cursor, state.position, action, gamma, w, outcome.reward, outcome.done)
+                buffer.push(state, action, gamma, w, outcome)
                 if cfg.multi_reward and cfg.k > 0:
                     augment_experiences(env, state, feats, action, net, cfg, streams["augment"], buffer)
 
@@ -362,18 +362,8 @@ def train(
                         "updates": updates,
                         **{name: report.to_dict() for name, report in reports.items()},
                     }
-                    # Flushed per line: a later crash keeps every evaluated episode.
                     metrics_fh.write(json.dumps(line) + "\n")
-                    metrics_fh.flush()
                     timing_fh.write(f"episode {episode}: {time.perf_counter() - started:.3f}s elapsed\n")
-                    timing_fh.flush()
                 checkpoints.append(ck)
-    finally:
-        if metrics_fh is not None:
-            metrics_fh.close()
-        if timing_fh is not None:
-            timing_fh.close()
 
-    return TrainResult(
-        net=net, target=target, checkpoints=checkpoints, replay=buffer, env_steps=env_steps, updates=updates
-    )
+    return TrainResult(net, target, checkpoints, buffer, env_steps, updates)

@@ -248,7 +248,8 @@ def vectorized_rollout(
         q_table[:, j, :] = net.forward(inputs)
     if not np.isfinite(q_table).all():
         raise Diverged(f"non-finite Q-values on {range_id} range {list(range_)}")
-    greedy = q_table.argmax(axis=2).tolist()
+    greedy = q_table.argmax(axis=2).ravel().tolist()  # flat (no per-step lists): entry t * width + j
+    width = len(positions)
 
     # The walk runs on plain ints: column j of the Q-table is positions[j].
     sign = [pos.value for pos in positions]
@@ -261,8 +262,8 @@ def vectorized_rollout(
     pos_arr = np.empty(n, dtype=np.int8)
     legs = np.zeros(n, dtype=np.int8)
     closes: list[tuple[int, int, int, int]] = []  # (step, sign, anchor_idx, close_idx)
-    for t, row in enumerate(greedy):
-        a = row[j]
+    for t in range(n):
+        a = greedy[t * width + j]
         k = column_after[a]
         if k != j:
             legs[t] = 2 if sign[j] * sign[k] == -1 else 1

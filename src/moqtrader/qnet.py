@@ -172,10 +172,9 @@ def bellman_targets(
     q_next = target.forward(np.hstack((batch.next_state, *conditioning))).max(axis=1)
     targets = q_now.copy()
     rows = np.arange(len(batch))
-    actions = batch.action
     live = np.where(batch.terminal, 0.0, 1.0)
     returns = batch.scalar_reward + live * batch.gamma * q_next
-    targets[rows, actions] = (1.0 - alpha) * q_now[rows, actions] + alpha * returns
+    targets[rows, batch.action] = (1.0 - alpha) * q_now[rows, batch.action] + alpha * returns
     return inputs, targets
 
 

@@ -1,14 +1,12 @@
 """Age-bounded experience replay with covariance whitening at sampling time.
 
-The replay is a structure of arrays with one row per experience: the
-pre-step cursor and position code, action, gamma, weight vector, raw reward
-vector, terminal flag and the update count at insertion.  States are not
-stored: `rows` rebuilds the state and next-state features from the series'
-log-returns, exactly as `TradingEnv.state_features` would.  The stored raw
-rewards are never modified; whitening is applied to sampled copies.  Element
-age is measured in network updates since insertion, and the same bound
-applies to single- and multi-reward runs (multi-reward replays are simply
-longer).
+Experiences are stored as columns of indices and conditioning, not
+features: `rows` rebuilds the state and next-state features from the
+series' log-returns, exactly as `TradingEnv.state_features` would.  The
+stored raw rewards are never modified; whitening is applied to sampled
+copies.  Element age is measured in network updates since insertion, and
+the same bound applies to single- and multi-reward runs (multi-reward
+replays are simply longer).
 """
 
 from __future__ import annotations
@@ -19,15 +17,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .env import Position, TradingEnv, position_transition
+from .env import EnvState, StepOutcome, TradingEnv
 from .errors import BufferTooSmall
 
 DEFAULT_EIGEN_FLOOR = 1e-8
 
 # Column name -> (dtype, shape of one row).
 _COLUMNS = {
-    "_cursor": (np.int64, ()),
+    "_cursor": (np.int32, ()),
     "_position": (np.int8, ()),
+    "_next_position": (np.int8, ()),
     "_action": (np.int8, ()),
     "_gamma": (np.float64, ()),
     "_weights": (np.float64, (4,)),
@@ -68,9 +67,17 @@ class WhiteningStats:
 class ReplayBuffer:
     """Insertion-ordered store whose elements never outlive max_age updates.
 
-    Live rows are [lo, hi) of the column arrays.  Eviction advances lo; a
-    push into full columns compacts the live rows to the front of fresh
-    columns with a third of their length as free room.
+    A row holds the pre-step cursor and position code, the next position
+    code, action, gamma, weights, raw reward, terminal flag and insertion
+    update: 88 bytes.  Live rows are [lo, hi) of the columns; eviction
+    advances lo, and a push into full columns compacts the live rows into
+    fresh columns with a third of their length free.
+
+    Reward moments are shifted sums S1 = sum(r - c), S2 = sum((r - c)(r - c)^T)
+    (Chan, Golub & LeVeque 1979), c being the live mean at the last exact
+    recomputation.  Rows pushed or evicted since the last query are folded
+    in as blocks; each compaction recomputes the sums exactly from the live
+    rows, which bounds the rounding drift.
     """
 
     def __init__(self, max_age: int, env: TradingEnv):
@@ -84,38 +91,27 @@ class ReplayBuffer:
         # A series too short for one state keeps no rows (env.reset rejects it).
         returns = env.log_returns if len(env.log_returns) > env.lookback else np.zeros(env.lookback + 1)
         self._spans = np.lib.stride_tricks.sliding_window_view(returns, env.lookback + 1)
-        # Target-position semantics: an action fixes the next position.
-        self._next_position = np.array(
-            [position_transition(Position.NEUTRAL, a, env.mode).value for a in range(env.mode.n_actions)],
-            dtype=np.int8,
-        )
         for name, (dtype, shape) in _COLUMNS.items():
             setattr(self, name, np.empty((_MIN_ROOM, *shape), dtype))
         self._lo = self._hi = 0
+        self._recompute_moments()
 
     def __len__(self) -> int:
         return self._hi - self._lo
 
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the column arrays, free room included."""
-        return sum(getattr(self, name).nbytes for name in _COLUMNS)
-
-    def push(
-        self, cursor: int, position: int, action: int, gamma: float, weights: np.ndarray, reward, terminal: bool
-    ) -> None:
-        """Append one experience taken from the state at (cursor, position)."""
-        i = self._hi
-        if i == len(self._gamma):
+    def push(self, state: EnvState, action: int, gamma: float, weights: np.ndarray, outcome: StepOutcome) -> None:
+        """Append the experience of taking action from state under (weights, gamma)."""
+        if self._hi == len(self._gamma):
             self._compact()
-            i = self._hi
-        self._cursor[i] = cursor
-        self._position[i] = position
+        i = self._hi
+        self._cursor[i] = state.cursor
+        self._position[i] = state.position
+        self._next_position[i] = outcome.next_state.position
         self._action[i] = action
         self._gamma[i] = gamma
         self._weights[i] = weights
-        self._reward[i] = reward
-        self._terminal[i] = terminal
+        self._reward[i] = outcome.reward
+        self._terminal[i] = outcome.done
         self._birth[i] = self.update_counter
         self._hi = i + 1
 
@@ -124,36 +120,63 @@ class ReplayBuffer:
             raise ValueError("n must be >= 0")
         self.update_counter += n
         # Births never decrease, so the over-age rows are a prefix.
-        lo, hi = self._lo, self._hi
-        self._lo = lo + int(np.searchsorted(self._birth[lo:hi], self.update_counter - self.max_age))
+        self._lo += int(np.searchsorted(self._birth[self._lo : self._hi], self.update_counter - self.max_age))
 
     def _compact(self) -> None:
-        lo, hi = self._lo, self._hi
-        live = hi - lo
+        live = len(self)
         capacity = live + max(live // 3, _MIN_ROOM)
         for name in _COLUMNS:
             old = getattr(self, name)
             new = np.empty((capacity, *old.shape[1:]), old.dtype)
-            new[:live] = old[lo:hi]
+            new[:live] = old[self._lo : self._hi]
             setattr(self, name, new)
         self._lo, self._hi = 0, live
+        self._recompute_moments()
 
-    def rewards(self) -> np.ndarray:
-        """View of the live raw reward vectors, insertion order, shape (n, 4)."""
-        return self._reward[self._lo : self._hi]
+    def _recompute_moments(self) -> None:
+        live = self._reward[self._lo : self._hi]
+        self._shift = live.mean(axis=0) if len(live) else np.zeros(4)
+        deviations = live - self._shift
+        self._sum = deviations.sum(axis=0)
+        self._sum_sq = deviations.T @ deviations
+        self._summed_lo, self._summed_hi = self._lo, self._hi
+
+    def reward_moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and sample covariance (ddof 1) of the live raw reward vectors.
+
+        Costs O(rows pushed or evicted since the last call), not O(len).
+        """
+        lo, hi = self._lo, self._hi
+        if hi - lo < 2:
+            raise BufferTooSmall("need at least 2 experiences to estimate covariance")
+        if self._summed_hi <= lo:  # every summed row has left
+            self._recompute_moments()
+        else:
+            if hi > self._summed_hi:
+                added = self._reward[self._summed_hi : hi] - self._shift
+                self._sum += added.sum(axis=0)
+                self._sum_sq += added.T @ added
+            if lo > self._summed_lo:
+                evicted = self._reward[self._summed_lo : lo] - self._shift
+                self._sum -= evicted.sum(axis=0)
+                self._sum_sq -= evicted.T @ evicted
+            self._summed_lo, self._summed_hi = lo, hi
+        n = hi - lo
+        offset = self._sum / n
+        covariance = (self._sum_sq - n * np.outer(offset, offset)) / (n - 1)
+        return self._shift + offset, covariance
 
     def rows(self, idx: np.ndarray | None = None) -> Transitions:
         """Live rows at positions idx (0 = oldest), or all of them in order."""
         rows = np.arange(self._lo, self._hi) if idx is None else np.asarray(idx) + self._lo
         lookback = self.lookback
-        action = self._action[rows].astype(np.int64)
         spans = self._spans[self._cursor[rows] - lookback]
         state = np.empty((len(rows), lookback + 1))
         state[:, :lookback] = spans[:, :-1]
         state[:, lookback] = self._position[rows]
         next_state = np.empty_like(state)
         next_state[:, :lookback] = spans[:, 1:]
-        next_state[:, lookback] = self._next_position[action]
+        next_state[:, lookback] = self._next_position[rows]
         w, r = self._weights.take(rows, axis=0), self._reward.take(rows, axis=0)
         terms = w * r  # summed in component order: w0*r0 + w1*r1 + w2*r2 + w3*r3
         return Transitions(
@@ -162,7 +185,7 @@ class ReplayBuffer:
             weights=w,
             raw_reward=r,
             scalar_reward=terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3],
-            action=action,
+            action=self._action[rows],
             next_state=next_state,
             terminal=self._terminal[rows],
             birth_update=self._birth[rows],
@@ -190,11 +213,7 @@ def compute_whitening(buffer: ReplayBuffer, eigen_floor: float = DEFAULT_EIGEN_F
     bounds the amplification of near-degenerate components (POWC is sparse
     and regularly makes the covariance near-singular).
     """
-    rewards = buffer.rewards()
-    if len(rewards) < 2:
-        raise BufferTooSmall("need at least 2 experiences to estimate covariance")
-    mean = rewards.mean(axis=0)
-    cov = np.cov(rewards, rowvar=False)
+    mean, cov = buffer.reward_moments()
     eigvals, eigvecs = np.linalg.eigh(cov)
     eigvals = np.maximum(eigvals, eigen_floor)
     inv_sqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T

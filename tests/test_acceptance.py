@@ -15,10 +15,11 @@ import numpy as np
 
 from moqtrader import agent, cli, evaluation
 from moqtrader.agent import TrainConfig, one_hot_weights, train
-from moqtrader.env import Mode, TradingEnv
+from moqtrader.env import Mode, StepOutcome, TradingEnv
 from moqtrader.market_data import make_split
 from moqtrader.qnet import QNetwork, bellman_targets, build_input
 from moqtrader.replay import ReplayBuffer, Transitions, compute_whitening
+from moqtrader.rewards import RewardVector
 from moqtrader.synthetic import generate_synthetic
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -36,9 +37,11 @@ def test_criterion_01_whitening_invariant():
 
     env = TradingEnv(generate_synthetic("sine", 10, amplitude=0.08, period=4.0), Mode.LSP, lookback=2, reward_window=2)
     buffer = ReplayBuffer(max_age=1_000_000, env=env)
+    state = env.reset((0, 10))
+    next_state = env.transition(state, 0).next_state
     w = np.array([1.0, 0, 0, 0])
     for row in rewards:
-        buffer.push(2, 0, 0, 0.9, w, row, False)
+        buffer.push(state, 0, 0.9, w, StepOutcome(next_state, RewardVector(*row), False, True))
     stats = compute_whitening(buffer, eigen_floor=1e-8)
     assert np.linalg.eigvalsh(stats.covariance).min() > 100 * 1e-8  # well-conditioned
 

@@ -1,19 +1,24 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from moqtrader import agent
 from moqtrader.agent import TrainConfig
-from moqtrader.env import Mode, TradingEnv
+from moqtrader.env import EnvState, Mode, Position, StepOutcome, TradingEnv
 from moqtrader.errors import BufferTooSmall
 from moqtrader.qnet import QNetwork
 from moqtrader.replay import ReplayBuffer, WhiteningStats, compute_whitening, whiten_batch
+from moqtrader.rewards import RewardVector
 from moqtrader.synthetic import generate_synthetic
 
 SERIES = generate_synthetic("random-walk", 60, amplitude=0.02, seed=3)
 LOOKBACK = 3
+# Every pushed row is a Buy from the first state of the series: neutral, then long.
+STATE = EnvState(cursor=LOOKBACK, position=Position.NEUTRAL, trade_anchor=None, ret_window=(0.0,))
+NEXT = EnvState(cursor=LOOKBACK + 1, position=Position.LONG, trade_anchor=LOOKBACK, ret_window=(0.0,))
 
 
 def make_buffer(max_age):
@@ -21,7 +26,8 @@ def make_buffer(max_age):
 
 
 def push(buffer, reward=(0.0, 0.0, 0.0, 0.0), weights=(1.0, 0.0, 0.0, 0.0), action=0, gamma=0.9):
-    buffer.push(LOOKBACK, 0, action, gamma, np.asarray(weights, dtype=np.float64), tuple(reward), False)
+    outcome = StepOutcome(NEXT, RewardVector(*reward), False, True)
+    buffer.push(STATE, action, gamma, np.asarray(weights, dtype=np.float64), outcome)
 
 
 def fill(buffer, rewards, weights=(1.0, 0.0, 0.0, 0.0)):
@@ -127,20 +133,23 @@ class TestBuffer:
 
     def test_bytes_per_live_entry(self):
         # An Experience object per entry cost ~965 B.  Once the replay
-        # outgrows its minimum free room, the columns hold at most 128 B
-        # per live entry, while growing and at a steady age-bounded length.
-        buf = make_buffer(max_age=1000)
-        rng = np.random.default_rng(5)
-        ratios = []
-        for i, reward in enumerate(rng.normal(size=(40_000, 4))):
-            push(buf, reward)
-            if i % 4 == 3:
-                buf.advance_updates(1)
-            if len(buf) >= 3 * 1024:
-                ratios.append(buf.nbytes / len(buf))
+        # outgrows its minimum free room, it holds at most 128 B per live
+        # entry, while growing and at a steady age-bounded length.
+        rewards = np.random.default_rng(5).normal(size=(40_000, 4))
+        worst = 0.0
+        tracemalloc.start()
+        try:
+            buf = make_buffer(max_age=1000)
+            for i, reward in enumerate(rewards):
+                push(buf, reward)
+                if i % 4 == 3:
+                    buf.advance_updates(1)
+                if len(buf) >= 3 * 1024:
+                    worst = max(worst, tracemalloc.get_traced_memory()[0] / len(buf))
+        finally:
+            tracemalloc.stop()
         assert len(buf) == 4 * 1000
-        assert len(ratios) > 30_000
-        assert max(ratios) <= 128
+        assert 90 < worst <= 128
 
 
 def record_episode(mode: Mode, k: int, hindsight_action: str):
@@ -161,7 +170,7 @@ def record_episode(mode: Mode, k: int, hindsight_action: str):
         feats = env.state_features(state)
         action = int(rng.integers(mode.n_actions))
         outcome = env.step(action)
-        buffer.push(state.cursor, state.position, action, 0.9, agent.uniform_weights(), outcome.reward, outcome.done)
+        buffer.push(state, action, 0.9, agent.uniform_weights(), outcome)
         agent.augment_experiences(env, state, feats, action, net, cfg, rng, buffer)
         for a in buffer.rows().action[len(expected):]:
             expected.append((feats, env.state_features(env.transition(state, int(a)).next_state)))
@@ -196,6 +205,53 @@ class TestRebuiltStates:
             push(buf, r, weights=w)
         expected = [float(w[0] * r[0] + w[1] * r[1] + w[2] * r[2] + w[3] * r[3]) for w, r in zip(weights, rewards)]
         assert buf.rows().scalar_reward.tolist() == expected
+
+
+class TestRunningMoments:
+    def test_match_np_cov_through_pushes_evictions_and_compactions(self, monkeypatch):
+        # criterion 1's data (non-zero mean), with the last column made
+        # sparse like POWC: non-zero on about one row in twenty
+        rng = np.random.default_rng(1001)
+        mix = rng.normal(size=(4, 4)) + 2.0 * np.eye(4)
+        rewards = rng.normal(size=(10_000, 4)) @ mix + rng.normal(size=4)
+        rewards[:, 3] *= rng.uniform(size=10_000) < 0.05
+
+        compactions = []
+        compact = ReplayBuffer._compact
+        monkeypatch.setattr(ReplayBuffer, "_compact", lambda buf: (compactions.append(len(buf)), compact(buf)))
+        buf = make_buffer(max_age=300)
+        worst_cov = worst_var = worst_mean = 0.0
+        for i, row in enumerate(rewards):
+            push(buf, row)
+            if i % 4 == 3:
+                buf.advance_updates(1)  # evicts four rows per update once past max_age
+            if i % 37 == 36 or i > 9_900:
+                stats = compute_whitening(buf)
+                live = buf.rows().raw_reward
+                ref_cov, ref_mean = np.cov(live, rowvar=False), live.mean(axis=0)
+                worst_cov = max(worst_cov, np.abs(stats.covariance - ref_cov).max() / np.abs(ref_cov).max())
+                worst_mean = max(worst_mean, np.abs(stats.mean - ref_mean).max() / np.abs(ref_mean).max())
+                # each variance on its own scale, once the sparse column has a non-zero
+                variances, ref_variances = np.diag(stats.covariance), np.diag(ref_cov)
+                spread = ref_variances > 0
+                worst_var = max(worst_var, np.abs(variances[spread] / ref_variances[spread] - 1.0).max())
+        assert len(buf) == 4 * 300 and buf.update_counter == 2500
+        assert len(compactions) >= 3
+        print(f"worst relative error: covariance {worst_cov:.1e}, variances {worst_var:.1e}, mean {worst_mean:.1e}")
+        assert worst_cov <= 1e-10 and worst_var <= 1e-10 and worst_mean <= 1e-10
+
+    def test_emptied_replay_restarts_the_sums(self):
+        # sums shifted by the mean of rows near 1e6 would lose the variance
+        # of the small rows that replace them to cancellation
+        rng = np.random.default_rng(3)
+        buf = fill(make_buffer(max_age=0), 1e6 + rng.normal(size=(50, 4)))
+        compute_whitening(buf)
+        buf.advance_updates(1)  # everything summed so far leaves
+        fill(buf, rng.normal(size=(50, 4)))
+        stats = compute_whitening(buf)
+        live = buf.rows().raw_reward
+        np.testing.assert_allclose(stats.covariance, np.cov(live, rowvar=False), rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(stats.mean, live.mean(axis=0), rtol=1e-12, atol=1e-15)
 
 
 class TestWhitening:
