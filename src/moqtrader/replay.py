@@ -85,7 +85,6 @@ class ReplayBuffer:
             raise ValueError("max_age must be >= 0")
         self.max_age = max_age
         self.update_counter = 0
-        self.lookback = env.lookback
         # Row t - lookback is log_returns[t - lookback : t + 1]: the returns of
         # the state at cursor t, then of the state at t + 1, share all but one.
         # A series too short for one state keeps no rows (env.reset rejects it).
@@ -167,9 +166,19 @@ class ReplayBuffer:
         return self._shift + offset, covariance
 
     def rows(self, idx: np.ndarray | None = None) -> Transitions:
-        """Live rows at positions idx (0 = oldest), or all of them in order."""
-        rows = np.arange(self._lo, self._hi) if idx is None else np.asarray(idx) + self._lo
-        lookback = self.lookback
+        """Live rows at positions idx (0 = oldest, -1 = newest), or all of them in order."""
+        live = np.arange(self._lo, self._hi)
+        return self._gather(live if idx is None else live[idx])
+
+    def sample_batch(self, batchsize: int, rng: np.random.Generator) -> Transitions:
+        """Uniform sample without replacement; deterministic under the rng."""
+        n = len(self)
+        if batchsize < 1 or batchsize > n:
+            raise BufferTooSmall(f"batchsize {batchsize} vs buffer length {n}")
+        return self._gather(self._lo + rng.choice(n, size=batchsize, replace=False))
+
+    def _gather(self, rows: np.ndarray) -> Transitions:
+        lookback = self._spans.shape[1] - 1
         spans = self._spans[self._cursor[rows] - lookback]
         state = np.empty((len(rows), lookback + 1))
         state[:, :lookback] = spans[:, :-1]
@@ -190,13 +199,6 @@ class ReplayBuffer:
             terminal=self._terminal[rows],
             birth_update=self._birth[rows],
         )
-
-    def sample_batch(self, batchsize: int, rng: np.random.Generator) -> Transitions:
-        """Uniform sample without replacement; deterministic under the rng."""
-        n = len(self)
-        if batchsize < 1 or batchsize > n:
-            raise BufferTooSmall(f"batchsize {batchsize} vs buffer length {n}")
-        return self.rows(rng.choice(n, size=batchsize, replace=False))
 
     def dump(self, path: str | Path) -> None:
         """Debug dump: JSON array of experience records in insertion order."""

@@ -15,8 +15,7 @@ from moqtrader.agent import (
     train,
     uniform_weights,
 )
-from moqtrader.env import Mode
-from moqtrader.env import TradingEnv
+from moqtrader.env import Mode, TradingEnv
 from moqtrader.errors import Diverged, InvalidValue, RangeTooShort
 from moqtrader.market_data import make_split
 from moqtrader.qnet import QNetwork, bellman_targets, load_checkpoint

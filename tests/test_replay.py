@@ -84,6 +84,14 @@ class TestBuffer:
         b = buf.sample_batch(5, np.random.default_rng(7))
         assert a.raw_reward[:, 0].tolist() == b.raw_reward[:, 0].tolist()
 
+    def test_rows_by_position(self):
+        buf = fill(make_buffer(max_age=1), [[i, 0, 0, 0] for i in range(6)])
+        buf.advance_updates(2)
+        fill(buf, [[6, 0, 0, 0], [7, 0, 0, 0]])  # the first six rows are over age
+        assert buf.rows([0, -1]).raw_reward[:, 0].tolist() == [6.0, 7.0]
+        with pytest.raises(IndexError):
+            buf.rows([2])  # evicted and unwritten rows are out of reach
+
     def test_sample_too_small(self):
         buf = fill(make_buffer(max_age=10), np.zeros((3, 4)))
         with pytest.raises(BufferTooSmall):
