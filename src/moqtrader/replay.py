@@ -71,7 +71,7 @@ class ReplayBuffer:
     code, action, gamma, weights, raw reward, terminal flag and insertion
     update: 88 bytes.  Live rows are [lo, hi) of the columns; eviction
     advances lo, and a push into full columns compacts the live rows into
-    fresh columns with a third of their length free.
+    fresh columns with room for a third more (at least 1,024) rows.
 
     Reward moments are shifted sums S1 = sum(r - c), S2 = sum((r - c)(r - c)^T)
     (Chan, Golub & LeVeque 1979), c being the live mean at the last exact
