@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EpisodeExhausted, InvalidActionForMode, RangeTooShort
 from .market_data import IndexRange, PriceSeries
-from .rewards import CloseEvent, ReturnTrace, RewardVector, reward_vector
+from .rewards import CloseEvent, ReturnTrace, RewardVector, reward_matrix, reward_vector
 
 
 class Position(IntEnum):
@@ -62,6 +62,34 @@ def position_transition(current: Position, action_id: int, mode: Mode) -> Positi
     if not 0 <= action_id < mode.n_actions:
         raise InvalidActionForMode(f"action id {action_id} invalid for mode {mode.value}")
     return _TARGET[mode.actions[action_id]]
+
+
+def walk(mode: Mode, greedy: list[int], forced: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A trajectory from neutral over a table of greedy actions.
+
+    Step t takes forced[t] or, where that is negative, greedy[t * width + j],
+    j being the current position's index in mode.positions (width of them).
+    Returns per step the action, the position sign before it and the step
+    at which that position was entered (-1 while neutral since the start).
+    """
+    positions = mode.positions
+    width = len(positions)
+    sign = [pos.value for pos in positions]
+    column_after = [positions.index(position_transition(Position.NEUTRAL, a, mode)) for a in range(mode.n_actions)]
+    j = positions.index(Position.NEUTRAL)
+    entered = -1
+    actions, before, anchors = [], [], []
+    for t, a in enumerate(forced):
+        if a < 0:
+            a = greedy[t * width + j]
+        actions.append(a)
+        before.append(sign[j])
+        anchors.append(entered)
+        k = column_after[a]
+        if k != j:
+            entered = t
+        j = k
+    return np.array(actions, dtype=np.int8), np.array(before, dtype=np.int8), np.array(anchors)
 
 
 @dataclass(frozen=True)
@@ -115,6 +143,7 @@ class TradingEnv:
         self.reward_window = reward_window
         self.fee = fee
         self._fee_log = math.log1p(-fee)
+        self.target_signs = np.array([position_transition(Position.NEUTRAL, a, mode).value for a in range(mode.n_actions)])
         self.log_close = series.log_close
         self.log_returns = series.log_returns
         self._episode: IndexRange | None = None
@@ -187,8 +216,8 @@ class TradingEnv:
             if state.position is not Position.NEUTRAL:
                 close_event = CloseEvent(
                     position_sign=state.position.value,
-                    open_price=float(self.series.close[state.trade_anchor]),
-                    close_price=float(self.series.close[t]),
+                    open_log_price=float(self.log_close[state.trade_anchor]),
+                    close_log_price=float(self.log_close[t]),
                 )
 
         window = state.ret_window + (lr,)
@@ -201,6 +230,30 @@ class TradingEnv:
         )
         done = t + 1 == hi - 1
         return StepOutcome(next_state, reward, done, trade)
+
+    def outcomes(
+        self, cursor: int, actions: np.ndarray, before: np.ndarray, entered: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every action's reward vector at every step of a trajectory, in arrays.
+
+        The trajectory starts at cursor with reset's zero-padded return
+        window; step t takes actions[t] from position sign before[t], entered
+        at step entered[t] (see `walk`).  Returns the trajectory's portfolio
+        log-returns (n,) and the reward vectors (n, n_actions, 4), each equal
+        bit for bit to what `transition` gives for that action.
+        """
+        n = len(actions)
+        after, before = self.target_signs[None, :], before[:, None]
+        lr = after * self.log_returns[cursor : cursor + n, None]
+        trade = after != before
+        lr[trade] += (np.where(before * after == -1, 2, 1) * self._fee_log)[trade]
+        taken = lr[np.arange(n), actions]
+        padded = np.concatenate((np.zeros(self.reward_window - 1), taken[:-1]))
+        history = np.lib.stride_tricks.sliding_window_view(padded, self.reward_window - 1)
+        powc = np.zeros_like(lr)
+        t, a = np.nonzero(trade & (before != 0))
+        powc[t, a] = before[t, 0] * (self.log_close[cursor + t] - self.log_close[cursor + entered[t]])
+        return taken, reward_matrix(history, lr, powc)
 
     def step(self, action_id: int) -> StepOutcome:
         """Advance the live episode by one step."""

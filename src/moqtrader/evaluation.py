@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .env import EnvState, Mode, Position, TradingEnv, position_transition
+from .env import EnvState, Mode, Position, TradingEnv, walk
 from .errors import Diverged, EmptyCheckpointList, RangeTooShort
 from .market_data import DataSplit, FoldPlan, IndexRange, PriceSeries
 from .qnet import QNetwork, build_input
@@ -231,70 +231,24 @@ def vectorized_rollout(
     n = hi - lo - lookback - 1
     if n < 1:
         raise RangeTooShort(f"range length {hi - lo} < lookback + 2 = {lookback + 2}")
-    log_returns = series.log_returns
-    log_close = series.log_close
-
-    lb = np.lib.stride_tricks.sliding_window_view(log_returns, lookback)[lo : lo + n]
+    env = TradingEnv(series, mode, lookback=lookback, reward_window=reward_window, fee=fee)
+    inputs = np.tile(build_input(np.zeros(lookback + 1), weights, gamma, include_gamma), (n, 1))
+    inputs[:, :lookback] = np.lib.stride_tricks.sliding_window_view(series.log_returns, lookback)[lo : lo + n]
     positions = mode.positions
-    extra = 5 if include_gamma else 4
-    inputs = np.empty((n, lookback + 1 + extra))
-    inputs[:, :lookback] = lb
-    inputs[:, lookback + 1 : lookback + 5] = weights
-    if include_gamma:
-        inputs[:, lookback + 5] = gamma
     q_table = np.empty((n, len(positions), mode.n_actions))
     for j, pos in enumerate(positions):
         inputs[:, lookback] = float(pos.value)
         q_table[:, j, :] = net.forward(inputs)
     if not np.isfinite(q_table).all():
         raise Diverged(f"non-finite Q-values on {range_id} range {list(range_)}")
-    greedy = q_table.argmax(axis=2).ravel().tolist()  # flat (no per-step lists): entry t * width + j
-    width = len(positions)
-
-    # The walk runs on plain ints: column j of the Q-table is positions[j].
-    sign = [pos.value for pos in positions]
-    column_after = [positions.index(position_transition(Position.NEUTRAL, a, mode)) for a in range(mode.n_actions)]
-    fee_log = math.log1p(-fee)
-
-    j = positions.index(Position.NEUTRAL)
-    anchor = -1
-    actions = np.empty(n, dtype=np.int8)
-    pos_arr = np.empty(n, dtype=np.int8)
-    legs = np.zeros(n, dtype=np.int8)
-    closes: list[tuple[int, int, int, int]] = []  # (step, sign, anchor_idx, close_idx)
-    for t in range(n):
-        a = greedy[t * width + j]
-        k = column_after[a]
-        if k != j:
-            legs[t] = 2 if sign[j] * sign[k] == -1 else 1
-            if sign[j] != 0:
-                closes.append((t, sign[j], anchor, lo + lookback + t))
-            anchor = lo + lookback + t
-        actions[t] = a
-        pos_arr[t] = sign[k]
-        j = k
-
-    step_returns = log_returns[lo + lookback : hi - 1]
-    lr = pos_arr.astype(np.float64) * step_returns
-    if fee != 0.0:
-        lr = lr + legs.astype(np.float64) * fee_log
-    powc = np.zeros(n)
-    for t, sign, open_idx, close_idx in closes:
-        powc[t] = sign * (log_close[close_idx] - log_close[open_idx])
-
-    padded = np.concatenate((np.zeros(reward_window - 1), lr))
-    windows = np.lib.stride_tricks.sliding_window_view(padded, reward_window)
-    means = windows.mean(axis=1)
-    stds = windows.std(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sr = np.where(stds < STD_FLOOR, 0.0, means / np.where(stds < STD_FLOOR, 1.0, stds))
-    vectors = np.column_stack((lr, means, sr, powc))
-
+    # A flat list (no per-step lists): entry t * len(positions) + j.
+    actions, before, entered = walk(mode, q_table.argmax(axis=2).ravel().tolist(), [-1] * n)
+    lr, rewards = env.outcomes(lo + lookback, actions, before, entered)
     trace = PositionTrace(
-        positions=pos_arr,
+        positions=env.target_signs[actions].astype(np.int8),
         actions=actions,
         portfolio_log_returns=lr,
-        reward_vectors=vectors,
+        reward_vectors=rewards[np.arange(n), actions],
     )
     report = _report_from_trace(trace, series, range_, fee, lookback, weights, range_id)
     return q_table, trace, report

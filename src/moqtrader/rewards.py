@@ -1,13 +1,19 @@
 """The four per-step reward components and their fixed-order vector.
 
 Component order (lr, alr, sr, powc) is a public contract shared by weight
-vectors, replay storage, reports and the CLI.
+vectors, replay storage, reports and the CLI.  The scalar functions are the
+reference; `reward_matrix` computes many steps at once with the same
+operations in the same order, so its rows equal `reward_vector` bit for bit.
+Window sums run left to right from 0.0 (not `sum()`, which compensates its
+rounding from Python 3.12 on).
 """
 
 from __future__ import annotations
 
 import math
 from typing import NamedTuple, Optional
+
+import numpy as np
 
 REWARD_COMPONENTS = ("lr", "alr", "sr", "powc")
 REWARD_INDEX = {name: i for i, name in enumerate(REWARD_COMPONENTS)}
@@ -34,11 +40,11 @@ class ReturnTrace(NamedTuple):
 
 
 class CloseEvent(NamedTuple):
-    """A position closed on this step: its sign and the two execution prices."""
+    """A position closed on this step: its sign and the log of the two execution prices."""
 
     position_sign: int  # +1 closed a long, -1 closed a short
-    open_price: float
-    close_price: float
+    open_log_price: float
+    close_log_price: float
 
 
 def reward_lr(trace: ReturnTrace) -> float:
@@ -48,8 +54,10 @@ def reward_lr(trace: ReturnTrace) -> float:
 
 def reward_alr(trace: ReturnTrace, window: int) -> float:
     """Arithmetic mean of the last `window` portfolio log-returns."""
-    tail = trace.returns[-window:]
-    return sum(tail) / window
+    total = 0.0
+    for x in trace.returns[-window:]:
+        total += x
+    return total / window
 
 
 def reward_sr(trace: ReturnTrace, window: int) -> float:
@@ -59,9 +67,12 @@ def reward_sr(trace: ReturnTrace, window: int) -> float:
     below STD_FLOOR (all-zero neutral stretches, constant windows, L=1).
     """
     tail = trace.returns[-window:]
-    mean = sum(tail) / window
-    var = sum((x - mean) ** 2 for x in tail) / window
-    std = math.sqrt(var)
+    mean = reward_alr(trace, window)
+    squares = 0.0
+    for x in tail:
+        d = x - mean
+        squares += d * d
+    std = math.sqrt(squares / window)
     if std < STD_FLOOR:
         return 0.0
     return mean / std
@@ -75,8 +86,7 @@ def reward_powc(close_event: Optional[CloseEvent]) -> float:
     """
     if close_event is None:
         return 0.0
-    diff = math.log(close_event.close_price) - math.log(close_event.open_price)
-    return close_event.position_sign * diff
+    return close_event.position_sign * (close_event.close_log_price - close_event.open_log_price)
 
 
 def reward_vector(trace: ReturnTrace, close_event: Optional[CloseEvent], window: int) -> RewardVector:
@@ -87,3 +97,29 @@ def reward_vector(trace: ReturnTrace, close_event: Optional[CloseEvent], window:
         sr=reward_sr(trace, window),
         powc=reward_powc(close_event),
     )
+
+
+def reward_matrix(history: np.ndarray, last: np.ndarray, powc: np.ndarray) -> np.ndarray:
+    """Reward vectors of m candidate last returns after each of n windows, shape (n, m, 4).
+
+    history (n, window - 1) holds each window's earlier returns, oldest
+    first; last (n, m) the candidates for its final return and powc (n, m)
+    their POWC.  Sums run column by column in the scalar order.
+    """
+    window = history.shape[1] + 1
+    total = np.zeros(len(history))
+    for column in history.T:
+        total += column
+    total = total[:, None] + last
+    mean = total / window
+    squares = np.zeros_like(mean)
+    for column in (*history.T[:, :, None], last):
+        d = column - mean
+        squares += d * d
+    std = np.sqrt(squares / window)
+    out = np.empty((*last.shape, 4))
+    out[..., 0] = last
+    out[..., 1] = mean
+    out[..., 2] = np.divide(mean, std, out=np.zeros_like(mean), where=~(std < STD_FLOOR))
+    out[..., 3] = powc
+    return out

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from moqtrader.env import Action, Mode, Position, TradingEnv, position_transition
+from moqtrader.env import Action, Mode, Position, TradingEnv, position_transition, walk
 from moqtrader.errors import EpisodeExhausted, InvalidActionForMode, RangeTooShort
 from moqtrader.market_data import PriceSeries
 from moqtrader.synthetic import generate_synthetic
@@ -230,3 +230,33 @@ class TestTrajectoryProperties:
                 pos = new_pos
                 cursor += 1
             assert abs(oracle - total_powc) < 1e-9
+
+
+class TestOutcomes:
+    """The array kernel gives every action's outcome bit for bit as transition does."""
+
+    @pytest.mark.parametrize("kind", ["sine", "random-walk"])
+    @pytest.mark.parametrize("window", [1, 5, 20])
+    @pytest.mark.parametrize("fee", [0.0, 3e-4])
+    @pytest.mark.parametrize("mode", [Mode.LP, Mode.LSP])
+    def test_every_action_equals_transition(self, mode, fee, window, kind):
+        series = generate_synthetic(kind, 300, amplitude=0.05, period=30.0, seed=6)
+        env = TradingEnv(series, mode, lookback=4, reward_window=window, fee=fee)
+        rng = np.random.default_rng(window)
+        lo, hi = 20, 280
+        state = env.reset((lo, hi))
+        n = env.steps_in((lo, hi))
+        # runs of one action, so positions are held and closed at varied ages
+        actions = np.repeat(rng.integers(0, mode.n_actions, size=n), rng.integers(1, 6, size=n))[:n].tolist()
+        taken, before, entered = walk(mode, [], actions)
+        lr, table = env.outcomes(lo + 4, taken, before, entered)
+        assert taken.tolist() == actions and table.shape == (n, mode.n_actions, 4)
+        for t, action in enumerate(actions):
+            assert before[t] == state.position.value
+            for a in range(mode.n_actions):
+                expected = np.array(env.transition(state, a).reward)
+                assert np.array_equal(table[t, a], expected) and table[t, a].tobytes() == expected.tobytes()
+            out = env.step(action)
+            assert lr[t] == out.reward.lr
+            state = out.next_state
+        assert out.done
