@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import evaluation
-from .env import Mode, TradingEnv
+from .env import EnvState, Mode, Position, TradingEnv, walk
 from .errors import InvalidValue
 from .market_data import DataSplit, PriceSeries
 from .qnet import QNetwork, bellman_targets, build_input, save_checkpoint
@@ -32,6 +32,8 @@ STREAM_NAMES = ("init", "env", "explore", "weights", "gamma", "batch", "augment"
 
 HINDSIGHT_RESAMPLE = "resample"
 HINDSIGHT_REPLAY = "replay"
+# Exploration entries of a frozen episode besides a random action: act greedily, replay the real action.
+GREEDY, REPLAYED = -1, -2
 
 
 @dataclass(frozen=True)
@@ -182,17 +184,34 @@ def eval_conditioning(
     return validate_weights(weights), gamma
 
 
-def sample_weights(rng: np.random.Generator) -> np.ndarray:
-    """Uniform draw on the 4-simplex via normalized exponential variates."""
-    draws = rng.exponential(1.0, size=4)
-    return draws / draws.sum()
+def training_weights(cfg: TrainConfig) -> np.ndarray | None:
+    """The fixed weights of a pinned or single-reward run; None when each step draws its own."""
+    if cfg.pin_weights is not None:
+        return np.asarray(cfg.pin_weights, dtype=np.float64)
+    return None if cfg.multi_reward else one_hot_weights(cfg.reward)
 
 
-def sample_gamma(rng: np.random.Generator, gamma_range: tuple[float, float]) -> float:
+def sample_weights(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
+    """Uniform draw on the 4-simplex via normalized exponential variates (n rows of them when given)."""
+    draws = rng.exponential(1.0, size=4 if n is None else (n, 4))
+    return draws / draws.sum(axis=-1, keepdims=True)
+
+
+def sample_gamma(rng: np.random.Generator, gamma_range: tuple[float, float], n: int | None = None):
+    """One discount uniform on gamma_range, or n of them; a one-point range draws nothing.
+
+    lo + (hi - lo) * u is what rng.uniform(lo, hi) computes, spelled out so
+    that one draw and n draws round alike on any numpy build.
+    """
     lo, hi = gamma_range
     if lo == hi:
-        return lo
-    return float(rng.uniform(lo, hi))
+        return lo if n is None else np.full(n, lo)
+    return lo + (hi - lo) * (rng.random() if n is None else rng.random(n))
+
+
+def explore_action(rng: np.random.Generator, tol: float, n_actions: int) -> int:
+    """The random action taken with probability tol, else -1 (act greedily)."""
+    return int(rng.integers(n_actions)) if rng.random() < tol else -1
 
 
 def act_epsilon_greedy(
@@ -207,8 +226,9 @@ def act_epsilon_greedy(
     include_gamma: bool,
 ) -> int:
     """Random action with probability tol, otherwise greedy (ties -> lowest id)."""
-    if rng.uniform() < tol:
-        return int(rng.integers(n_actions))
+    action = explore_action(rng, tol, n_actions)
+    if action >= 0:
+        return action
     q = net.forward(build_input(state_features, weights, gamma, include_gamma))
     return int(np.argmax(q))
 
@@ -244,126 +264,199 @@ def augment_experiences(
         buffer.push(state, action, gamma, w, outcome)
 
 
+def draw_conditioning(cfg: TrainConfig, streams: dict, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights (n, m, 4), gammas (n, m) and exploration entries (n, m) of n steps' m experiences.
+
+    Slot 0 is the real experience, slots 1..k its counterfactuals.  These are
+    the step loop's draws in its order per stream: one call each for weights
+    and gamma, step by step for explore and augment, whose draws interleave.
+    """
+    m, n_actions, fixed = 1 + (cfg.k if cfg.multi_reward else 0), cfg.n_actions, training_weights(cfg)
+    weights, gamma, explore = np.empty((n, m, 4)), np.full((n, m), cfg.gamma), np.full((n, m), REPLAYED)
+    weights[:, 0] = fixed if fixed is not None else sample_weights(streams["weights"], n)
+    if cfg.generalize_gamma:
+        gamma[:, 0] = sample_gamma(streams["gamma"], cfg.gamma_range, n)
+    explore[:, 0] = [explore_action(streams["explore"], cfg.tol, n_actions) for _ in range(n)]
+    rng, draws = streams["augment"], []
+    for t in range(n):
+        for i in range(1, m):
+            if cfg.pin_weights is None:
+                draws.append(rng.exponential(1.0, size=4))  # sample_weights' draw, normalized below
+            if cfg.generalize_gamma:
+                gamma[t, i] = sample_gamma(rng, cfg.gamma_range)
+            if cfg.hindsight_action == HINDSIGHT_RESAMPLE:
+                explore[t, i] = explore_action(rng, cfg.tol, n_actions)
+    cf = None if cfg.pin_weights is not None else np.reshape(draws, (n, m - 1, 4))
+    weights[:, 1:] = cfg.pin_weights if cf is None else cf / cf.sum(axis=-1, keepdims=True)
+    return weights, gamma, explore
+
+
+@dataclass
+class _Learner:
+    """What the episode runners share and advance."""
+
+    cfg: TrainConfig
+    streams: dict[str, np.random.Generator]
+    net: QNetwork
+    target: QNetwork
+    env: TradingEnv
+    buffer: ReplayBuffer
+    env_steps: int = 0
+    updates: int = 0
+
+
+def _fit_episode(run: _Learner, state: EnvState) -> None:
+    """Step one action at a time from state, updating the network after every step."""
+    cfg, env, buffer, net, streams = run.cfg, run.env, run.buffer, run.net, run.streams
+    include_gamma, fixed = cfg.generalize_gamma, training_weights(cfg)
+    min_fit_len = max(cfg.batchsize, 2) if cfg.whiten else cfg.batchsize
+    while True:
+        w = fixed if fixed is not None else sample_weights(streams["weights"])
+        gamma = sample_gamma(streams["gamma"], cfg.gamma_range) if include_gamma else cfg.gamma
+        feats = env.state_features(state)
+        action = act_epsilon_greedy(
+            net, feats, w, gamma, cfg.tol, streams["explore"],
+            n_actions=cfg.n_actions, include_gamma=include_gamma,
+        )
+        outcome = env.step(action)
+        run.env_steps += 1
+        buffer.push(state, action, gamma, w, outcome)
+        if cfg.multi_reward and cfg.k > 0:
+            augment_experiences(env, state, feats, action, net, cfg, streams["augment"], buffer)
+
+        if len(buffer) >= min_fit_len:
+            batch = buffer.sample_batch(cfg.batchsize, streams["batch"])
+            if cfg.whiten:
+                batch = whiten_batch(batch, compute_whitening(buffer, cfg.eigen_floor))
+                if log.isEnabledFor(logging.DEBUG):
+                    variance = float(np.var(batch.scalar_reward, ddof=1))
+                    log.debug("minibatch whitened scalar variance: %.6f", variance)
+            inputs, targets = bellman_targets(batch, net, run.target, cfg.alpha, include_gamma=include_gamma)
+            net.fit_batch(inputs, targets, cfg.learn_rate)
+            run.updates += 1
+            buffer.advance_updates(1)
+            if run.updates % cfg.sync_period == 0:
+                run.target.copy_params_from(net)
+
+        state = outcome.next_state
+        if outcome.done:
+            return
+
+
+def _frozen_episode(run: _Learner) -> None:
+    """The just-reset episode of a frozen network, in arrays: the step loop's replay rows bit for bit.
+
+    No draw depends on Q-values, so the conditioning comes first; then batched
+    forwards over every (step, position) for the real trajectory's walk and
+    over the greedy counterfactuals, and `TradingEnv.outcomes` for the rewards.
+    """
+    cfg, env, net, lookback = run.cfg, run.env, run.net, run.cfg.lookback
+    lo, hi = env.episode_range
+    cursor, n = lo + lookback, hi - lo - lookback - 1
+    weights, gamma, explore = draw_conditioning(cfg, run.streams, n)
+    returns = np.lib.stride_tricks.sliding_window_view(env.log_returns, lookback)[lo : lo + n]
+    conditioning = np.concatenate((weights, gamma[..., None]), axis=2) if cfg.generalize_gamma else weights
+
+    def q_values(t: np.ndarray, codes, slots) -> np.ndarray:
+        rows = np.empty((len(t), cfg.input_width))
+        rows[:, :lookback], rows[:, lookback], rows[:, lookback + 1 :] = returns[t], codes, conditioning[t, slots]
+        return net.forward(rows)
+
+    # One forward per position and per counterfactual slot keeps the activations small.
+    steps, positions, m = np.arange(n), cfg.mode.positions, explore.shape[1]
+    greedy = np.column_stack([q_values(steps, pos.value, 0).argmax(axis=1) for pos in positions])
+    actions = walk(cfg.mode, greedy.ravel().tolist(), explore[:, 0].tolist())
+    held = env.target_signs[actions]
+    before = np.concatenate(([0], held[:-1]))  # position sign before each step
+    taken = np.where(explore == REPLAYED, actions[:, None], explore)
+    taken[:, 0] = actions
+    for i in range(1, m):
+        t = np.flatnonzero(taken[:, i] == GREEDY)
+        taken[t, i] = q_values(t, before[t], i).argmax(axis=1)
+    lr, rewards = env.outcomes(cursor, taken)
+
+    run.buffer.push_block({
+        "cursor": np.repeat(cursor + steps, m),
+        "position": np.repeat(before, m),
+        "next_position": env.target_signs[taken].ravel(),
+        "action": taken.ravel(),
+        "gamma": gamma.ravel(),
+        "weights": weights.reshape(-1, 4),
+        "reward": rewards.reshape(-1, 4),
+        "terminal": np.repeat(steps == n - 1, m),
+    })
+    run.env_steps += n
+    # Leave the environment where stepping would have: at the episode end.
+    window, trades = np.concatenate((np.zeros(cfg.reward_window - 1), lr))[n:], np.flatnonzero(held != before)
+    anchor = cursor + int(trades[-1]) if len(trades) else None
+    env.state = EnvState(hi - 1, Position(int(held[-1])), anchor, tuple(window.tolist()))
+
+
+class _RunWriter:
+    """A run's checkpoints, metrics.jsonl and timing.log (none without an out_dir).
+
+    Line-buffered logs keep every evaluated episode through a crash; wall-clock
+    times stay out of metrics.jsonl, so reruns reproduce it.
+    """
+
+    def __init__(self, out_dir: str | Path | None, cfg: TrainConfig, files: contextlib.ExitStack):
+        self.path, self.started = (None if out_dir is None else Path(out_dir)), time.perf_counter()
+        self.meta = {"mode": cfg.mode.value, "generalize_gamma": cfg.generalize_gamma,
+                     "lookback": cfg.lookback, "reward_window": cfg.reward_window}
+        if self.path is not None:
+            self.path.mkdir(parents=True, exist_ok=True)
+            self.metrics = files.enter_context(open(self.path / "metrics.jsonl", "w", buffering=1))
+            self.timing = files.enter_context(open(self.path / "timing.log", "w", buffering=1))
+
+    def write(self, ck: Checkpoint, env_steps: int, updates: int) -> None:
+        if self.path is None:
+            return
+        ck.path = self.path / f"checkpoint_{ck.episode}.bin"
+        save_checkpoint(ck.path, ck.net, meta={"episode": ck.episode, **self.meta})
+        reports = {name: report.to_dict() for name, report in ck.reports.items()}
+        self.metrics.write(json.dumps({"episode": ck.episode, "env_steps": env_steps, "updates": updates, **reports}) + "\n")
+        self.timing.write(f"episode {ck.episode}: {time.perf_counter() - self.started:.3f}s elapsed\n")
+
+
 def train(
-    cfg: TrainConfig,
-    series: PriceSeries,
-    split: DataSplit,
-    *,
-    out_dir: str | Path | None = None,
-    eval_weights: Sequence[float] | None = None,
-    eval_gamma: float | None = None,
+    cfg: TrainConfig, series: PriceSeries, split: DataSplit, *, out_dir: str | Path | None = None,
+    eval_weights: Sequence[float] | None = None, eval_gamma: float | None = None,
 ) -> TrainResult:
     """Run the full training loop over cfg.episodes episodes.
 
     Episodes in the evaluation set S (see eval_episode_set) perform one
     network update per step and produce a checkpoint with train/eval/test
-    metrics; other episodes only collect experience.  When out_dir is given,
+    metrics; other episodes only collect experience, with the network
+    frozen, so they run as batched rollouts.  When out_dir is given,
     checkpoints and a metrics.jsonl line per evaluated episode are written
-    as the run progresses (plus wall-clock timings in timing.log, which is
-    kept out of metrics.jsonl so reruns reproduce it bit-exactly).
+    as the run progresses (plus wall-clock timings in timing.log).
     """
     cfg.validate()
     streams = rng_streams(cfg.seed)
-    include_gamma = cfg.generalize_gamma
-
     net = QNetwork(cfg.widths, seed=streams["init"], momentum=cfg.momentum)
-    target = net.clone()
     env = TradingEnv(series, cfg.mode, lookback=cfg.lookback, reward_window=cfg.reward_window, fee=cfg.fee)
-    buffer = ReplayBuffer(cfg.max_age, env)
-
+    run = _Learner(cfg, streams, net, net.clone(), env, ReplayBuffer(cfg.max_age, env))
     eval_weights, eval_gamma = eval_conditioning(cfg, eval_weights, eval_gamma)
-
-    single_w = None
-    if cfg.pin_weights is not None:
-        single_w = np.asarray(cfg.pin_weights, dtype=np.float64)
-    elif not cfg.multi_reward:
-        single_w = one_hot_weights(cfg.reward)
-
-    out_path = Path(out_dir) if out_dir is not None else None
     eval_set = set(cfg.eval_episode_set())
     checkpoints: list[Checkpoint] = []
-    env_steps = updates = 0
-    min_fit_len = max(cfg.batchsize, 2) if cfg.whiten else cfg.batchsize
-    started = time.perf_counter()
 
     with contextlib.ExitStack() as files:
-        if out_path is not None:
-            out_path.mkdir(parents=True, exist_ok=True)
-            # Line-buffered: each line is flushed, so a crash keeps every evaluated episode.
-            metrics_fh = files.enter_context(open(out_path / "metrics.jsonl", "w", buffering=1))
-            timing_fh = files.enter_context(open(out_path / "timing.log", "w", buffering=1))
+        writer = _RunWriter(out_dir, cfg, files)
         for episode in range(1, cfg.episodes + 1):
-            state = env.reset(
-                split.train,
-                random_access=cfg.random_access,
-                episode_len=cfg.episode_len if cfg.random_access else None,
-                rng=streams["env"],
+            episode_len = cfg.episode_len if cfg.random_access else None
+            state = env.reset(split.train, random_access=cfg.random_access, episode_len=episode_len, rng=streams["env"])
+            if episode not in eval_set:
+                _frozen_episode(run)
+                continue
+            _fit_episode(run, state)
+            reports = evaluation.evaluate_split(
+                net, series, split,
+                weights=eval_weights, gamma=eval_gamma, mode=cfg.mode, fee=cfg.fee,
+                lookback=cfg.lookback, reward_window=cfg.reward_window,
+                include_gamma=cfg.generalize_gamma,
             )
-            fitting = episode in eval_set
-            while True:
-                if single_w is not None:
-                    w = single_w
-                else:
-                    w = sample_weights(streams["weights"])
-                gamma = sample_gamma(streams["gamma"], cfg.gamma_range) if include_gamma else cfg.gamma
-                feats = env.state_features(state)
-                action = act_epsilon_greedy(
-                    net, feats, w, gamma, cfg.tol, streams["explore"],
-                    n_actions=cfg.n_actions, include_gamma=include_gamma,
-                )
-                outcome = env.step(action)
-                env_steps += 1
-                buffer.push(state, action, gamma, w, outcome)
-                if cfg.multi_reward and cfg.k > 0:
-                    augment_experiences(env, state, feats, action, net, cfg, streams["augment"], buffer)
+            ck = Checkpoint(episode=episode, net=net.clone(), reports=reports)
+            writer.write(ck, run.env_steps, run.updates)
+            checkpoints.append(ck)
 
-                if fitting and len(buffer) >= min_fit_len:
-                    batch = buffer.sample_batch(cfg.batchsize, streams["batch"])
-                    if cfg.whiten:
-                        batch = whiten_batch(batch, compute_whitening(buffer, cfg.eigen_floor))
-                        if log.isEnabledFor(logging.DEBUG):
-                            variance = float(np.var(batch.scalar_reward, ddof=1))
-                            log.debug("minibatch whitened scalar variance: %.6f", variance)
-                    inputs, targets = bellman_targets(batch, net, target, cfg.alpha, include_gamma=include_gamma)
-                    net.fit_batch(inputs, targets, cfg.learn_rate)
-                    updates += 1
-                    buffer.advance_updates(1)
-                    if updates % cfg.sync_period == 0:
-                        target.copy_params_from(net)
-
-                state = outcome.next_state
-                if outcome.done:
-                    break
-
-            if fitting:
-                reports = evaluation.evaluate_split(
-                    net, series, split,
-                    weights=eval_weights, gamma=eval_gamma, mode=cfg.mode, fee=cfg.fee,
-                    lookback=cfg.lookback, reward_window=cfg.reward_window,
-                    include_gamma=include_gamma,
-                )
-                ck = Checkpoint(episode=episode, net=net.clone(), reports=reports)
-                if out_path is not None:
-                    ck.path = out_path / f"checkpoint_{episode}.bin"
-                    save_checkpoint(
-                        ck.path,
-                        ck.net,
-                        meta={
-                            "episode": episode,
-                            "mode": cfg.mode.value,
-                            "generalize_gamma": include_gamma,
-                            "lookback": cfg.lookback,
-                            "reward_window": cfg.reward_window,
-                        },
-                    )
-                    line = {
-                        "episode": episode,
-                        "env_steps": env_steps,
-                        "updates": updates,
-                        **{name: report.to_dict() for name, report in reports.items()},
-                    }
-                    metrics_fh.write(json.dumps(line) + "\n")
-                    timing_fh.write(f"episode {episode}: {time.perf_counter() - started:.3f}s elapsed\n")
-                checkpoints.append(ck)
-
-    return TrainResult(net, target, checkpoints, buffer, env_steps, updates)
+    return TrainResult(net, run.target, checkpoints, run.buffer, run.env_steps, run.updates)

@@ -98,7 +98,7 @@ def cmd_backtest(cfg: config.RunConfig, out: Path) -> None:
 
     best = evaluation.select_best_checkpoint(candidates, metric=cfg.report_metric, range_id="eval")
     range_ = split.range_for(cfg.eval_range)
-    _, report = evaluation.run_policy(
+    _, _, report = evaluation.vectorized_rollout(
         best.net, series, range_, weights, gamma, train.mode, train.fee,
         lookback=train.lookback, reward_window=train.reward_window,
         include_gamma=train.generalize_gamma, range_id=cfg.eval_range,

@@ -64,32 +64,22 @@ def position_transition(current: Position, action_id: int, mode: Mode) -> Positi
     return _TARGET[mode.actions[action_id]]
 
 
-def walk(mode: Mode, greedy: list[int], forced: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A trajectory from neutral over a table of greedy actions.
+def walk(mode: Mode, greedy: list[int], forced: list[int]) -> np.ndarray:
+    """The actions of a trajectory from neutral.
 
-    Step t takes forced[t] or, where that is negative, greedy[t * width + j],
-    j being the current position's index in mode.positions (width of them).
-    Returns per step the action, the position sign before it and the step
-    at which that position was entered (-1 while neutral since the start).
+    Step t takes forced[t] or, where that is negative, greedy[t * width + j]:
+    j indexes the current position in mode.positions, width of them.
     """
     positions = mode.positions
-    width = len(positions)
-    sign = [pos.value for pos in positions]
-    column_after = [positions.index(position_transition(Position.NEUTRAL, a, mode)) for a in range(mode.n_actions)]
-    j = positions.index(Position.NEUTRAL)
-    entered = -1
-    actions, before, anchors = [], [], []
+    width, j = len(positions), positions.index(Position.NEUTRAL)
+    after = [positions.index(position_transition(Position.NEUTRAL, a, mode)) for a in range(mode.n_actions)]
+    actions = []
     for t, a in enumerate(forced):
         if a < 0:
             a = greedy[t * width + j]
         actions.append(a)
-        before.append(sign[j])
-        anchors.append(entered)
-        k = column_after[a]
-        if k != j:
-            entered = t
-        j = k
-    return np.array(actions, dtype=np.int8), np.array(before, dtype=np.int8), np.array(anchors)
+        j = after[a]
+    return np.array(actions, dtype=np.int8)
 
 
 @dataclass(frozen=True)
@@ -231,29 +221,25 @@ class TradingEnv:
         done = t + 1 == hi - 1
         return StepOutcome(next_state, reward, done, trade)
 
-    def outcomes(
-        self, cursor: int, actions: np.ndarray, before: np.ndarray, entered: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Every action's reward vector at every step of a trajectory, in arrays.
+    def outcomes(self, cursor: int, candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Reward vectors (n, m, 4) of candidate actions (n, m) along a trajectory, in arrays.
 
-        The trajectory starts at cursor with reset's zero-padded return
-        window; step t takes actions[t] from position sign before[t], entered
-        at step entered[t] (see `walk`).  Returns the trajectory's portfolio
-        log-returns (n,) and the reward vectors (n, n_actions, 4), each equal
-        bit for bit to what `transition` gives for that action.
+        The trajectory starts at cursor as `reset` leaves it and takes candidates[t, 0]
+        at step t; its portfolio log-returns come first.  Each vector is `transition`'s, bit for bit.
         """
-        n = len(actions)
-        after, before = self.target_signs[None, :], before[:, None]
+        n, held = len(candidates), self.target_signs[candidates[:, 0]]
+        before = np.concatenate(([0], held[:-1]))[:, None]  # position sign before each step
+        entered = np.maximum.accumulate(np.where(held != before[:, 0], np.arange(n), -1))  # last change up to t
+        after = self.target_signs[candidates]
         lr = after * self.log_returns[cursor : cursor + n, None]
         trade = after != before
         lr[trade] += (np.where(before * after == -1, 2, 1) * self._fee_log)[trade]
-        taken = lr[np.arange(n), actions]
-        padded = np.concatenate((np.zeros(self.reward_window - 1), taken[:-1]))
+        padded = np.concatenate((np.zeros(self.reward_window - 1), lr[:-1, 0]))
         history = np.lib.stride_tricks.sliding_window_view(padded, self.reward_window - 1)
         powc = np.zeros_like(lr)
-        t, a = np.nonzero(trade & (before != 0))
-        powc[t, a] = before[t, 0] * (self.log_close[cursor + t] - self.log_close[cursor + entered[t]])
-        return taken, reward_matrix(history, lr, powc)
+        t, a = np.nonzero(trade & (before != 0))  # closes: position at t was entered at entered[t - 1]
+        powc[t, a] = before[t, 0] * (self.log_close[cursor + t] - self.log_close[cursor + entered[t - 1]])
+        return lr[:, 0], reward_matrix(history, lr, powc)
 
     def step(self, action_id: int) -> StepOutcome:
         """Advance the live episode by one step."""

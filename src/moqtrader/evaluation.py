@@ -1,37 +1,26 @@
 """Greedy-policy rollouts, metrics, benchmarks and the walk-forward driver.
 
 `vectorized_rollout` is the route every evaluation takes: it batch-evaluates
-the network per trading position over the whole range and then walks the
-resulting Q-table.  `run_policy` steps the environment one action at a time
-and is kept as the scalar reference; the two must agree action-for-action.
-Buy-and-hold has one closed form, `_buy_and_hold_benchmark`, which equals
-the always-long environment rollout bit for bit.
+the network per trading position over the whole range, walks the Q-table and
+takes the rewards from the environment's array kernel, so its trace equals
+the greedy step loop's (tests/scalar_reference.py) bit for bit.  Buy-and-hold
+has one closed form, `_buy_and_hold_benchmark`, equal to the always-long
+environment rollout bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass, fields, replace
+from typing import Sequence
 
 import numpy as np
 
-from .env import EnvState, Mode, Position, TradingEnv, walk
+from .env import Mode, Position, TradingEnv, walk
 from .errors import Diverged, EmptyCheckpointList, RangeTooShort
 from .market_data import DataSplit, FoldPlan, IndexRange, PriceSeries
 from .qnet import QNetwork, build_input
 from .rewards import STD_FLOOR
-
-METRIC_FIELDS = (
-    "total_reward",
-    "total_profit",
-    "sharpe",
-    "long_exposure",
-    "trades",
-    "buy_and_hold_profit",
-    "buy_and_hold_sharpe",
-)
-
 
 @dataclass(frozen=True)
 class EvaluationReport:
@@ -48,17 +37,11 @@ class EvaluationReport:
     buy_and_hold_sharpe: float
 
     def to_dict(self) -> dict:
-        return {
-            "range_id": self.range_id,
-            "range": [self.range[0], self.range[1]],
-            "total_reward": self.total_reward,
-            "total_profit": self.total_profit,
-            "sharpe": self.sharpe,
-            "long_exposure": self.long_exposure,
-            "trades": self.trades,
-            "buy_and_hold_profit": self.buy_and_hold_profit,
-            "buy_and_hold_sharpe": self.buy_and_hold_sharpe,
-        }
+        return {**asdict(self), "range": list(self.range)}
+
+
+# The metric fields, in report order (every field after range_id and range).
+METRIC_FIELDS = tuple(f.name for f in fields(EvaluationReport))[2:]
 
 
 @dataclass(frozen=True)
@@ -78,38 +61,6 @@ def _sharpe(log_returns: np.ndarray) -> float:
     return float(np.mean(log_returns)) / std
 
 
-def _rollout(
-    series: PriceSeries,
-    range_: IndexRange,
-    mode: Mode,
-    fee: float,
-    policy: Callable[[np.ndarray, EnvState], int],
-    *,
-    lookback: int,
-    reward_window: int,
-) -> PositionTrace:
-    env = TradingEnv(series, mode, lookback=lookback, reward_window=reward_window, fee=fee)
-    state = env.reset(range_)
-    positions, actions, log_rets, vectors = [], [], [], []
-    while True:
-        feats = env.state_features(state)
-        action = policy(feats, state)
-        outcome = env.step(action)
-        positions.append(int(outcome.next_state.position.value))
-        actions.append(action)
-        log_rets.append(outcome.reward.lr)
-        vectors.append(outcome.reward)
-        state = outcome.next_state
-        if outcome.done:
-            break
-    return PositionTrace(
-        positions=np.array(positions, dtype=np.int8),
-        actions=np.array(actions, dtype=np.int8),
-        portfolio_log_returns=np.array(log_rets),
-        reward_vectors=np.array(vectors),
-    )
-
-
 def _report_from_trace(
     trace: PositionTrace,
     series: PriceSeries,
@@ -122,7 +73,6 @@ def _report_from_trace(
     benchmark = _buy_and_hold_benchmark(series, range_, fee, lookback)
     scalars = trace.reward_vectors @ weights
     lr = trace.portfolio_log_returns
-    trades = _count_trades(trace.positions)
     return EvaluationReport(
         range_id=range_id,
         range=range_,
@@ -130,25 +80,10 @@ def _report_from_trace(
         total_profit=float(np.exp(lr.sum()) - 1.0),
         sharpe=_sharpe(lr),
         long_exposure=float(np.mean(trace.positions == Position.LONG.value)),
-        trades=trades,
+        trades=int(np.count_nonzero(np.diff(trace.positions, prepend=0))),
         buy_and_hold_profit=benchmark[0],
         buy_and_hold_sharpe=benchmark[1],
     )
-
-
-def _count_trades(positions: np.ndarray) -> int:
-    if len(positions) == 0:
-        return 0
-    prev = np.concatenate(([0], positions[:-1]))
-    return int(np.count_nonzero(positions != prev))
-
-
-def _greedy_policy(net: QNetwork, weights: np.ndarray, gamma: float, include_gamma: bool):
-    def policy(feats: np.ndarray, state: EnvState) -> int:
-        q = net.forward(build_input(feats, weights, gamma, include_gamma))
-        return int(np.argmax(q))
-
-    return policy
 
 
 def _buy_and_hold_benchmark(series: PriceSeries, range_: IndexRange, fee: float, lookback: int) -> tuple[float, float]:
@@ -161,49 +96,6 @@ def _buy_and_hold_benchmark(series: PriceSeries, range_: IndexRange, fee: float,
     lr = 1.0 * series.log_returns[lo + lookback : hi - 1]
     lr[0] += math.log1p(-fee)  # the opening buy is the only trade leg
     return float(np.exp(lr.sum()) - 1.0), _sharpe(lr)
-
-
-def run_policy(
-    net: QNetwork,
-    series: PriceSeries,
-    range_: IndexRange,
-    weights: np.ndarray,
-    gamma: float,
-    mode: Mode,
-    fee: float = 0.0,
-    *,
-    lookback: int,
-    reward_window: int,
-    include_gamma: bool = False,
-    range_id: str = "range",
-) -> tuple[PositionTrace, EvaluationReport]:
-    """Deterministic greedy rollout of the network over one index range."""
-    trace = _rollout(
-        series, range_, mode, fee, _greedy_policy(net, weights, gamma, include_gamma),
-        lookback=lookback, reward_window=reward_window,
-    )
-    return trace, _report_from_trace(trace, series, range_, fee, lookback, weights, range_id)
-
-
-def buy_and_hold(
-    series: PriceSeries,
-    range_: IndexRange,
-    fee: float = 0.0,
-    *,
-    lookback: int,
-    reward_window: int,
-    mode: Mode = Mode.LSP,
-    weights: np.ndarray | None = None,
-    range_id: str = "range",
-) -> EvaluationReport:
-    """Metrics of the always-long policy entering at the range start."""
-    if weights is None:
-        weights = np.array([1.0, 0.0, 0.0, 0.0])
-    trace = _rollout(
-        series, range_, mode, fee, lambda feats, state: 0,
-        lookback=lookback, reward_window=reward_window,
-    )
-    return _report_from_trace(trace, series, range_, fee, lookback, weights, range_id)
 
 
 def vectorized_rollout(
@@ -225,7 +117,7 @@ def vectorized_rollout(
     The lookback evolution over a fixed price range is fully predictable, so
     Q-values for every (step, position) pair are computed up front; the
     greedy trajectory is then reconstructed by walking that table.  The
-    resulting trace matches `run_policy` exactly.
+    resulting trace matches the environment's step loop exactly.
     """
     lo, hi = range_
     n = hi - lo - lookback - 1
@@ -242,13 +134,13 @@ def vectorized_rollout(
     if not np.isfinite(q_table).all():
         raise Diverged(f"non-finite Q-values on {range_id} range {list(range_)}")
     # A flat list (no per-step lists): entry t * len(positions) + j.
-    actions, before, entered = walk(mode, q_table.argmax(axis=2).ravel().tolist(), [-1] * n)
-    lr, rewards = env.outcomes(lo + lookback, actions, before, entered)
+    actions = walk(mode, q_table.argmax(axis=2).ravel().tolist(), [-1] * n)
+    lr, rewards = env.outcomes(lo + lookback, actions[:, None])
     trace = PositionTrace(
         positions=env.target_signs[actions].astype(np.int8),
         actions=actions,
         portfolio_log_returns=lr,
-        reward_vectors=rewards[np.arange(n), actions],
+        reward_vectors=rewards[:, 0],
     )
     report = _report_from_trace(trace, series, range_, fee, lookback, weights, range_id)
     return q_table, trace, report
@@ -304,12 +196,7 @@ class FoldResult:
     reports: dict[str, EvaluationReport]
 
     def to_dict(self) -> dict:
-        return {
-            "fold": self.fold,
-            "seed": self.seed,
-            "best_episode": self.best_episode,
-            "reports": {name: r.to_dict() for name, r in self.reports.items()},
-        }
+        return {**asdict(self), "reports": {name: r.to_dict() for name, r in self.reports.items()}}
 
 
 def run_walk_forward(
@@ -327,14 +214,12 @@ def run_walk_forward(
     fold index, selects its best checkpoint on the fold's eval range, and
     reports that network on all three ranges.
     """
-    from dataclasses import replace as dc_replace
-
     from . import agent
 
     results = []
     for index, split in enumerate(plan.folds):
         seed = agent.fold_seed(cfg.seed, index)
-        fold_cfg = dc_replace(cfg, seed=seed)
+        fold_cfg = replace(cfg, seed=seed)
         outcome = agent.train(fold_cfg, series, split, eval_weights=eval_weights, eval_gamma=eval_gamma)
         best = select_best_checkpoint(outcome.checkpoints, metric=metric, range_id="eval")
         results.append(FoldResult(fold=index, seed=seed, best_episode=best.episode, reports=best.reports))

@@ -73,15 +73,6 @@ class QNetwork:
         out += self.biases[-1]
         return out[0] if single else out
 
-    def _forward_cached(self, x: np.ndarray) -> list[np.ndarray]:
-        acts = [x]
-        h = x
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(h @ w + b, 0.0)
-            acts.append(h)
-        acts.append(h @ self.weights[-1] + self.biases[-1])
-        return acts
-
     def loss(self, inputs: np.ndarray, targets: np.ndarray) -> float:
         """Mean-squared error over all batch entries and actions."""
         pred = self.forward(inputs)
@@ -95,8 +86,10 @@ class QNetwork:
             raise ShapeMismatch(f"input shape {x.shape} vs expected (*, {self.input_width})")
         if t.shape != (x.shape[0], self.output_width):
             raise ShapeMismatch(f"target shape {t.shape} vs expected ({x.shape[0]}, {self.output_width})")
-        acts = self._forward_cached(x)
-        pred = acts[-1]
+        acts = [x]  # each layer's input
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+        pred = acts[-1] @ self.weights[-1] + self.biases[-1]
         loss = float(np.mean((pred - t) ** 2))
         delta = 2.0 * (pred - t) / pred.size
         grads_w: list[np.ndarray] = [None] * len(self.weights)  # type: ignore[list-item]

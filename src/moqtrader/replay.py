@@ -11,9 +11,7 @@ replays are simply longer).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, fields, replace
-from pathlib import Path
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -114,6 +112,24 @@ class ReplayBuffer:
         self._birth[i] = self.update_counter
         self._hi = i + 1
 
+    def push_block(self, columns: dict[str, np.ndarray]) -> None:
+        """Append rows born now, given as columns keyed by `_COLUMNS` name without the underscore.
+
+        Slices split where the columns fill up, so compactions (and with them
+        the reward moments) fall on the same rows as with one push per row.
+        """
+        if set(columns) != {name[1:] for name in _COLUMNS} - {"birth"}:
+            raise ValueError(f"push_block needs the columns {sorted(name[1:] for name in _COLUMNS)} but birth")
+        done, total = 0, len(columns["gamma"])
+        while done < total:
+            if self._hi == len(self._gamma):
+                self._compact()
+            size = min(len(self._gamma) - self._hi, total - done)
+            for name, values in columns.items():
+                getattr(self, "_" + name)[self._hi : self._hi + size] = values[done : done + size]
+            self._birth[self._hi : self._hi + size] = self.update_counter
+            self._hi, done = self._hi + size, done + size
+
     def advance_updates(self, n: int) -> None:
         if n < 0:
             raise ValueError("n must be >= 0")
@@ -199,13 +215,6 @@ class ReplayBuffer:
             terminal=self._terminal[rows],
             birth_update=self._birth[rows],
         )
-
-    def dump(self, path: str | Path) -> None:
-        """Debug dump: JSON array of experience records in insertion order."""
-        t = self.rows()
-        columns = {f.name: getattr(t, f.name).tolist() for f in fields(Transitions)}
-        records = [dict(zip(columns, values)) for values in zip(*columns.values())]
-        Path(path).write_text(json.dumps(records))
 
 
 def compute_whitening(buffer: ReplayBuffer, eigen_floor: float = DEFAULT_EIGEN_FLOOR) -> WhiteningStats:

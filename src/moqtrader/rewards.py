@@ -1,11 +1,10 @@
 """The four per-step reward components and their fixed-order vector.
 
 Component order (lr, alr, sr, powc) is a public contract shared by weight
-vectors, replay storage, reports and the CLI.  The scalar functions are the
-reference; `reward_matrix` computes many steps at once with the same
-operations in the same order, so its rows equal `reward_vector` bit for bit.
-Window sums run left to right from 0.0 (not `sum()`, which compensates its
-rounding from Python 3.12 on).
+vectors, replay storage, reports and the CLI.  `reward_matrix` computes many
+steps with the scalar functions' operations in their order, so its rows equal
+`reward_vector` bit for bit.  Window sums run left to right from 0.0: `sum()`
+compensates its rounding from Python 3.12 on.
 """
 
 from __future__ import annotations
@@ -100,26 +99,18 @@ def reward_vector(trace: ReturnTrace, close_event: Optional[CloseEvent], window:
 
 
 def reward_matrix(history: np.ndarray, last: np.ndarray, powc: np.ndarray) -> np.ndarray:
-    """Reward vectors of m candidate last returns after each of n windows, shape (n, m, 4).
-
-    history (n, window - 1) holds each window's earlier returns, oldest
-    first; last (n, m) the candidates for its final return and powc (n, m)
-    their POWC.  Sums run column by column in the scalar order.
-    """
+    """Reward vectors (n, m, 4) of m candidate final returns `last` (n, m), with POWC `powc`
+    (n, m), after each of n windows whose earlier returns are `history` (n, window - 1),
+    oldest first.  Sums run column by column, in the scalar functions' order."""
     window = history.shape[1] + 1
     total = np.zeros(len(history))
     for column in history.T:
         total += column
-    total = total[:, None] + last
-    mean = total / window
+    mean = (total[:, None] + last) / window
     squares = np.zeros_like(mean)
     for column in (*history.T[:, :, None], last):
         d = column - mean
         squares += d * d
     std = np.sqrt(squares / window)
-    out = np.empty((*last.shape, 4))
-    out[..., 0] = last
-    out[..., 1] = mean
-    out[..., 2] = np.divide(mean, std, out=np.zeros_like(mean), where=~(std < STD_FLOOR))
-    out[..., 3] = powc
-    return out
+    sr = np.divide(mean, std, out=np.zeros_like(mean), where=~(std < STD_FLOOR))
+    return np.stack((last, mean, sr, powc), axis=-1)

@@ -12,6 +12,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scalar_reference
 
 from moqtrader import agent, cli, evaluation
 from moqtrader.agent import TrainConfig, one_hot_weights, train
@@ -209,13 +210,13 @@ def test_criterion_06_vectorized_equivalence_and_speedup():
         fee = float(rng.choice([0.0, 0.0005]))
         lo = int(rng.integers(0, 200))
         hi = int(rng.integers(lo + lookback + 10, 500))
-        trace_a, rep_a = evaluation.run_policy(
+        trace_a, rep_a = scalar_reference.run_policy(
             net, series, (lo, hi), w, gamma, mode, fee, lookback=lookback, reward_window=window)
         _, trace_b, rep_b = evaluation.vectorized_rollout(
             net, series, (lo, hi), w, gamma, mode, fee, lookback=lookback, reward_window=window)
         np.testing.assert_array_equal(trace_a.actions, trace_b.actions)
         np.testing.assert_array_equal(trace_a.positions, trace_b.positions)
-        np.testing.assert_allclose(trace_a.reward_vectors, trace_b.reward_vectors, atol=1e-12, rtol=0)
+        np.testing.assert_array_equal(trace_a.reward_vectors, trace_b.reward_vectors)
         for field in ("total_reward", "total_profit", "sharpe", "long_exposure",
                       "buy_and_hold_profit", "buy_and_hold_sharpe"):
             assert abs(getattr(rep_a, field) - getattr(rep_b, field)) <= 1e-12
@@ -227,7 +228,7 @@ def test_criterion_06_vectorized_equivalence_and_speedup():
     w = agent.uniform_weights()
     range_ = (0, 10_000 + 30 + 2)
     started = time.perf_counter()
-    trace_a, _ = evaluation.run_policy(net, big, range_, w, 0.95, Mode.LSP, lookback=30, reward_window=20)
+    trace_a, _ = scalar_reference.run_policy(net, big, range_, w, 0.95, Mode.LSP, lookback=30, reward_window=20)
     naive = time.perf_counter() - started
     started = time.perf_counter()
     _, trace_b, _ = evaluation.vectorized_rollout(net, big, range_, w, 0.95, Mode.LSP, lookback=30, reward_window=20)
@@ -268,7 +269,7 @@ def test_criterion_08_learning_sanity():
     started = time.perf_counter()
     series = generate_synthetic("sine", 5000, amplitude=0.1, period=50.0)
     split = make_split(series)
-    benchmark = evaluation.buy_and_hold(series, split.train, lookback=30, reward_window=20).total_profit
+    benchmark = scalar_reference.buy_and_hold(series, split.train, lookback=30, reward_window=20).total_profit
 
     wins = 0
     margins = []

@@ -19,7 +19,7 @@ from moqtrader.env import Mode, TradingEnv
 from moqtrader.errors import Diverged, InvalidValue, RangeTooShort
 from moqtrader.market_data import make_split
 from moqtrader.qnet import QNetwork, bellman_targets, load_checkpoint
-from moqtrader.replay import ReplayBuffer
+from moqtrader.replay import _COLUMNS, ReplayBuffer
 from moqtrader.synthetic import generate_synthetic
 
 
@@ -402,3 +402,107 @@ def test_crash_partway_keeps_complete_artifacts(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint_2.bin", "metrics.jsonl", "timing.log"]
     net, meta = load_checkpoint(tmp_path / "checkpoint_2.bin")
     assert meta["episode"] == 2 and np.isfinite(net.weights[0]).all()
+
+
+class Recorder:
+    """A stand-in network: every greedy action is 0, and each forward's input is kept."""
+
+    def __init__(self, n_actions):
+        self.n_actions = n_actions
+        self.inputs = []
+
+    def forward(self, x):
+        self.inputs.append(np.array(x))
+        return np.zeros(self.n_actions)
+
+
+def learner(cfg, series, net=None):
+    streams = rng_streams(cfg.seed)
+    initial = QNetwork(cfg.widths, seed=streams["init"])  # draws from the init stream either way
+    net = net if net is not None else initial
+    env = TradingEnv(series, cfg.mode, lookback=cfg.lookback, reward_window=cfg.reward_window, fee=cfg.fee)
+    return agent._Learner(cfg, streams, net, net, env, ReplayBuffer(cfg.max_age, env))
+
+
+def next_draws(streams):
+    return {name: rng.random() for name, rng in streams.items()}
+
+
+CONDITIONING_CASES = {
+    "drawn weights and gamma, resample": dict(generalize_gamma=True),
+    "pinned weights": dict(pin_weights=(0.1, 0.2, 0.3, 0.4), generalize_gamma=True),
+    "one-point gamma range": dict(generalize_gamma=True, gamma_range=(0.9, 0.9)),
+    "replayed counterfactual actions": dict(hindsight_action="replay", generalize_gamma=True),
+    "no counterfactuals": dict(k=0),
+    "single reward": dict(multi_reward=False, reward="sr"),
+}
+
+
+class TestFrozenEpisode:
+    """A frozen episode's pre-drawn conditioning and replay rows equal the step loop's."""
+
+    @pytest.mark.parametrize("case", CONDITIONING_CASES)
+    def test_conditioning_equals_step_loop_draws(self, case):
+        import scalar_reference
+
+        cfg = small_cfg(**{"k": 3, "tol": 0.4, **CONDITIONING_CASES[case]})
+        series = sine_series()
+        loop, drawn = learner(cfg, series, Recorder(cfg.n_actions)), learner(cfg, series)
+        state = loop.env.reset((0, 200))
+        scalar_reference.frozen_episode(loop, state)
+        n = loop.env_steps
+        weights, gamma, explore = agent.draw_conditioning(cfg, drawn.streams, n)
+        assert next_draws(loop.streams) == next_draws(drawn.streams)
+
+        rows = loop.buffer.rows()
+        assert weights.shape == (n, len(rows) // n, 4)
+        assert rows.weights.tobytes() == weights.reshape(-1, 4).tobytes()
+        assert rows.gamma.tobytes() == gamma.tobytes()
+        # the stand-in's greedy action is 0, and each greedy choice made one forward
+        expected_actions, expected_inputs = [], []
+        for t in range(n):
+            real = max(explore[t, 0], 0)
+            for i, draw in enumerate(explore[t]):
+                expected_actions.append(real if draw == agent.REPLAYED else max(draw, 0))
+                if draw == agent.GREEDY:
+                    expected_inputs.append(np.append(weights[t, i], gamma[t, i])[: 4 + cfg.generalize_gamma])
+        assert rows.action.tolist() == expected_actions
+        recorded = [x[cfg.lookback + 1 :].tobytes() for x in loop.net.inputs]
+        assert recorded == [x.tobytes() for x in expected_inputs]
+
+    @pytest.mark.parametrize("case", [
+        dict(generalize_gamma=True),
+        dict(mode=Mode.LP, generalize_gamma=True, gamma_range=(0.9, 0.9)),
+        dict(fee=3e-4, hindsight_action="replay"),
+        dict(mode=Mode.LP, fee=3e-4, pin_weights=(0.25, 0.25, 0.25, 0.25), reward_window=1),
+        dict(k=0, reward_window=12),
+        dict(multi_reward=False, reward="powc", random_access=False),
+    ])
+    def test_replay_rows_and_end_state_equal_step_loop(self, case):
+        import scalar_reference
+
+        cfg = small_cfg(**{"episodes": 6, "episode_len": 60, "k": 3, "tol": 0.3, **case})
+        series = generate_synthetic("random-walk", 400, amplitude=0.02, seed=9)
+        net = QNetwork(cfg.widths, seed=4)
+        net.weights[0][: cfg.lookback] *= 50.0  # return inputs at unit scale, so that greedy actions vary
+        loop, batched = learner(cfg, series, net), learner(cfg, series, net)
+        split = make_split(series)
+        for episode in range(cfg.episodes):
+            states = [
+                run.env.reset(split.train, random_access=cfg.random_access, episode_len=cfg.episode_len,
+                              rng=run.streams["env"])
+                for run in (loop, batched)
+            ]
+            scalar_reference.frozen_episode(loop, states[0])
+            agent._frozen_episode(batched)
+            assert batched.env.state == loop.env.state
+            assert batched.env_steps == loop.env_steps
+            for buf in (loop.buffer, batched.buffer):
+                buf.advance_updates(1)  # ages the replay between episodes, as fitting would
+            for name in _COLUMNS:
+                live = [getattr(b, name)[b._lo : b._hi].tobytes() for b in (loop.buffer, batched.buffer)]
+                assert live[0] == live[1], name
+            moments = [b"".join(m.tobytes() for m in b.reward_moments()) for b in (loop.buffer, batched.buffer)]
+            assert moments[0] == moments[1]
+        assert len(set(loop.buffer.rows().action.tolist())) == cfg.n_actions
+        assert next_draws(loop.streams) == next_draws(batched.streams)

@@ -244,6 +244,42 @@ class TestCli:
         assert report["report"]["range_id"] == "test"
         assert report["episode"] in (2, 4)
 
+    @pytest.mark.parametrize("mode,extra,range_", [
+        ("LSP", "", "test"),
+        ("LP", "fee = 0.0003\ngeneralize_gamma = true\n", "eval"),
+        ("LSP", "fee = 0.0005\nreward_window = 1\n", "train"),
+    ])
+    def test_backtest_report_equals_scalar_route(self, tmp_path, capsys, mode, extra, range_):
+        from scalar_reference import run_policy
+
+        from moqtrader.market_data import make_split
+        from moqtrader.qnet import QNetwork, save_checkpoint
+
+        text = FAST_TRAIN.replace("mode = LSP", f"mode = {mode}") + extra
+        if "reward_window = 1" in extra:
+            text = text.replace("reward_window = 4\n", "")
+        cfg = config.parse_config(write(tmp_path, text))
+        train = cfg.train
+        # A random network whose return inputs are scaled up to unit size, so that it trades.
+        net = QNetwork(train.widths, seed=1)
+        net.weights[0][: train.lookback] *= 100.0
+        path = tmp_path / "checkpoint_3.bin"
+        save_checkpoint(path, net, meta={"episode": 3, "mode": mode, "lookback": train.lookback,
+                                         "reward_window": train.reward_window,
+                                         "generalize_gamma": train.generalize_gamma})
+        cfg_path = write(tmp_path, text + f"checkpoint = {json.dumps(str(path))}\n")
+        assert self.run_cli("backtest", "--config", cfg_path, "--out", tmp_path, "--range", range_,
+                            "--weights", "0.1,0.2,0.3,0.4") == 0
+        payload = json.loads((tmp_path / "report.json").read_text())
+        series = config.load_series(cfg)
+        _, expected = run_policy(
+            net, series, make_split(series, cfg.fractions).range_for(range_), payload["weights"], payload["gamma"],
+            train.mode, train.fee, lookback=train.lookback, reward_window=train.reward_window,
+            include_gamma=train.generalize_gamma, range_id=range_,
+        )
+        assert expected.trades >= 2
+        assert payload["report"] == json.loads(json.dumps(expected.to_dict()))
+
     def test_backtest_seed_and_weights_overrides(self, tmp_path, capsys):
         cfg_path = write(tmp_path, FAST_TRAIN)
         out = tmp_path / "run"

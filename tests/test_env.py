@@ -248,14 +248,15 @@ class TestOutcomes:
         n = env.steps_in((lo, hi))
         # runs of one action, so positions are held and closed at varied ages
         actions = np.repeat(rng.integers(0, mode.n_actions, size=n), rng.integers(1, 6, size=n))[:n].tolist()
-        taken, before, entered = walk(mode, [], actions)
-        lr, table = env.outcomes(lo + 4, taken, before, entered)
-        assert taken.tolist() == actions and table.shape == (n, mode.n_actions, 4)
+        taken = walk(mode, [], actions)
+        every = np.broadcast_to(np.arange(mode.n_actions), (n, mode.n_actions))
+        lr, table = env.outcomes(lo + 4, np.column_stack((taken, every)))
+        assert taken.tolist() == actions and table.shape == (n, 1 + mode.n_actions, 4)
         for t, action in enumerate(actions):
-            assert before[t] == state.position.value
             for a in range(mode.n_actions):
                 expected = np.array(env.transition(state, a).reward)
-                assert np.array_equal(table[t, a], expected) and table[t, a].tobytes() == expected.tobytes()
+                assert np.array_equal(table[t, 1 + a], expected) and table[t, 1 + a].tobytes() == expected.tobytes()
+            assert table[t, 0].tobytes() == table[t, 1 + action].tobytes()
             out = env.step(action)
             assert lr[t] == out.reward.lr
             state = out.next_state

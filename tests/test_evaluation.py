@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scalar_reference import buy_and_hold, run_policy
 
 from moqtrader import agent
 from moqtrader.agent import TrainConfig, uniform_weights
@@ -7,8 +8,6 @@ from moqtrader.env import Mode
 from moqtrader.errors import Diverged, EmptyCheckpointList
 from moqtrader.evaluation import (
     EvaluationReport,
-    buy_and_hold,
-    run_policy,
     run_walk_forward,
     select_best_checkpoint,
     vectorized_rollout,
@@ -153,12 +152,9 @@ class TestVectorizedRollout:
                                                    lookback=6, reward_window=4)
             np.testing.assert_array_equal(trace_a.actions, trace_b.actions)
             np.testing.assert_array_equal(trace_a.positions, trace_b.positions)
-            np.testing.assert_allclose(trace_a.portfolio_log_returns, trace_b.portfolio_log_returns,
-                                       atol=1e-12, rtol=0)
-            np.testing.assert_allclose(trace_a.reward_vectors, trace_b.reward_vectors, atol=1e-12, rtol=0)
-            for field in ("total_reward", "total_profit", "sharpe", "long_exposure"):
-                assert abs(getattr(rep_a, field) - getattr(rep_b, field)) < 1e-12
-            assert rep_a.trades == rep_b.trades
+            np.testing.assert_array_equal(trace_a.portfolio_log_returns, trace_b.portfolio_log_returns)
+            np.testing.assert_array_equal(trace_a.reward_vectors, trace_b.reward_vectors)
+            assert rep_a.to_dict() == rep_b.to_dict()
 
 
 def make_checkpoint(episode, sharpe, profit=0.0):

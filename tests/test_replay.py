@@ -1,4 +1,3 @@
-import json
 import math
 import tracemalloc
 
@@ -10,7 +9,7 @@ from moqtrader.agent import TrainConfig
 from moqtrader.env import EnvState, Mode, Position, StepOutcome, TradingEnv
 from moqtrader.errors import BufferTooSmall
 from moqtrader.qnet import QNetwork
-from moqtrader.replay import ReplayBuffer, WhiteningStats, compute_whitening, whiten_batch
+from moqtrader.replay import _COLUMNS, ReplayBuffer, WhiteningStats, compute_whitening, whiten_batch
 from moqtrader.rewards import RewardVector
 from moqtrader.synthetic import generate_synthetic
 
@@ -121,24 +120,6 @@ class TestBuffer:
         assert [(r[0], r[1]) for r in rows.raw_reward.tolist()] == [(19999.0, 1.0)]
         np.testing.assert_array_equal(rows.raw_reward, [[19999.0, 1.0, 0.0, 0.0]])
 
-    def test_dump_schema(self, tmp_path):
-        buf = fill(make_buffer(max_age=10), [[1, 2, 3, 4]], weights=(0.1, 0.2, 0.3, 0.4))
-        path = tmp_path / "replay.json"
-        buf.dump(path)
-        records = json.loads(path.read_text())
-        assert len(records) == 1
-        assert records[0]["raw_reward"] == [1.0, 2.0, 3.0, 4.0]
-        assert set(records[0]) == {
-            "state", "gamma", "weights", "raw_reward", "scalar_reward",
-            "action", "next_state", "terminal", "birth_update",
-        }
-        record = records[0]
-        assert record["state"] == SERIES.log_returns[:LOOKBACK].tolist() + [0.0]
-        assert record["next_state"] == SERIES.log_returns[1 : LOOKBACK + 1].tolist() + [1.0]  # Buy -> Long
-        assert record["scalar_reward"] == 0.1 * 1 + 0.2 * 2 + 0.3 * 3 + 0.4 * 4
-        assert (record["gamma"], record["action"], record["terminal"], record["birth_update"]) == (0.9, 0, False, 0)
-        assert record["weights"] == [0.1, 0.2, 0.3, 0.4]
-
     def test_bytes_per_live_entry(self):
         # An Experience object per entry cost ~965 B.  Once the replay
         # outgrows its minimum free room, it holds at most 128 B per live
@@ -158,6 +139,60 @@ class TestBuffer:
             tracemalloc.stop()
         assert len(buf) == 4 * 1000
         assert 90 < worst <= 128
+
+
+def random_columns(rng, n):
+    """n replay rows as columns: states of SERIES, any actions, rewards with a sparse last component."""
+    reward = rng.normal(size=(n, 4))
+    reward[:, 3] *= rng.uniform(size=n) < 0.05
+    return {
+        "cursor": rng.integers(LOOKBACK, len(SERIES) - 1, size=n),
+        "position": rng.integers(-1, 2, size=n),
+        "next_position": rng.integers(-1, 2, size=n),
+        "action": rng.integers(0, 3, size=n),
+        "gamma": rng.uniform(0.5, 0.999, size=n),
+        "weights": agent.sample_weights(rng, n),
+        "reward": reward,
+        "terminal": rng.uniform(size=n) < 0.01,
+    }
+
+
+def push_rows(buffer, columns):
+    """The same rows through push, one at a time."""
+    for i in range(len(columns["gamma"])):
+        state = EnvState(int(columns["cursor"][i]), Position(int(columns["position"][i])), None, ())
+        after = EnvState(int(columns["cursor"][i]) + 1, Position(int(columns["next_position"][i])), None, ())
+        outcome = StepOutcome(after, RewardVector(*columns["reward"][i].tolist()), bool(columns["terminal"][i]), True)
+        buffer.push(state, int(columns["action"][i]), float(columns["gamma"][i]), columns["weights"][i], outcome)
+
+
+class TestPushBlock:
+    @pytest.mark.parametrize("blocks", [
+        [7, 1, 300],  # within the first columns
+        [1000, 24, 1],  # exactly filling the columns, then one more row
+        [1000, 3000, 5000, 2000],  # blocks crossing one and several compactions, after evictions too
+    ])
+    def test_equals_repeated_push(self, blocks):
+        rng = np.random.default_rng(sum(blocks))
+        one, many = make_buffer(max_age=2), make_buffer(max_age=2)
+        for size in blocks:
+            columns = random_columns(rng, size)
+            push_rows(one, columns)
+            many.push_block(columns)
+            for buf in (one, many):
+                buf.advance_updates(1)  # evicts the block before last
+            mean_one, cov_one = one.reward_moments()
+            mean_many, cov_many = many.reward_moments()
+            assert mean_one.tobytes() == mean_many.tobytes() and cov_one.tobytes() == cov_many.tobytes()
+            assert (one._lo, one._hi, len(one._gamma)) == (many._lo, many._hi, len(many._gamma))
+            for name in _COLUMNS:
+                assert getattr(one, name)[one._lo : one._hi].tobytes() == getattr(many, name)[many._lo : many._hi].tobytes()
+
+    def test_needs_every_column_but_birth(self):
+        columns = random_columns(np.random.default_rng(0), 3)
+        del columns["gamma"]
+        with pytest.raises(ValueError):
+            make_buffer(max_age=2).push_block(columns)
 
 
 def record_episode(mode: Mode, k: int, hindsight_action: str):

@@ -1,0 +1,53 @@
+"""Smoke runs of the paper's two experiment scripts at a tiny size.
+
+The scripts train real agents, so these runs catch a broken import or a
+changed API that `ast.parse` (criteria 9 and 10) cannot.  They check the
+shape of the output and that the exit status agrees with the RESULT line,
+not the statistical claim, which a few episodes cannot settle.
+"""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+NUMBER = r"[+-]\d+(\.\d+)?(e[+-]\d+)?"
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.stderr == ""
+    return done.returncode, done.stdout.splitlines()
+
+
+def test_sparse_reward_advantage_runs():
+    status, lines = run_script("sparse_reward_advantage.py", "--seeds", "1", "--episodes", "4")
+    assert len(lines) == 6
+    assert re.fullmatch(rf"seed 0 single: best eval POWC total reward {NUMBER}  \[\d+s elapsed\]", lines[0])
+    assert re.fullmatch(rf"seed 0 multi : best eval POWC total reward {NUMBER}  \[\d+s elapsed\]", lines[1])
+    assert lines[2] == ""
+    assert re.fullmatch(rf"median best-eval POWC total reward, single-reward agent: {NUMBER}", lines[3])
+    assert re.fullmatch(rf"median best-eval POWC total reward, multi-reward agent:  {NUMBER}", lines[4])
+    held = "RESULT: multi-reward median >= single-reward median (sparse-reward advantage holds)"
+    not_held = "RESULT: multi-reward median < single-reward median (advantage NOT observed on this draw)"
+    assert (status, lines[5]) in ((0, held), (1, not_held))
+
+
+def test_fee_degradation_runs():
+    status, lines = run_script("fee_degradation.py", "--episodes", "6")
+    assert len(lines) == 3
+    for line, fee in zip(lines, ("0.0000%", "0.0300%")):
+        assert re.fullmatch(rf"fee {re.escape(fee)}: train total profit {NUMBER} over \d+ trades", line)
+    # Exit 1 with "policy never traded?" is the script's own not-held signal.
+    if status == 0:
+        assert re.fullmatch(rf"RESULT: a 0\.03% per-trade fee strictly reduces total profit \({NUMBER} -> {NUMBER}\)",
+                            lines[2])
+    else:
+        assert (status, lines[2]) == (1, "RESULT: fee did not reduce profit (policy never traded?)")
