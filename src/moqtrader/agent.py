@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import json
-import logging
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,20 +19,19 @@ from typing import Sequence
 import numpy as np
 
 from . import evaluation
-from .env import EnvState, Mode, Position, TradingEnv, walk
-from .errors import InvalidValue
+from .env import EnvState, Mode, TradingEnv, walk
+from .errors import Diverged, InvalidValue
 from .market_data import DataSplit, PriceSeries
-from .qnet import QNetwork, bellman_targets, build_input, save_checkpoint
+# build_input is unused here; it stays importable because bench/test_bench.py looks it up in this module.
+from .qnet import QNetwork, bellman_targets, build_input, save_checkpoint  # noqa: F401
 from .replay import ReplayBuffer, compute_whitening, whiten_batch
 from .rewards import REWARD_COMPONENTS, REWARD_INDEX
-
-log = logging.getLogger(__name__)
 
 STREAM_NAMES = ("init", "env", "explore", "weights", "gamma", "batch", "augment")
 
 HINDSIGHT_RESAMPLE = "resample"
 HINDSIGHT_REPLAY = "replay"
-# Exploration entries of a frozen episode besides a random action: act greedily, replay the real action.
+# Exploration entries of an experience besides a random action: act greedily, replay the real action.
 GREEDY, REPLAYED = -1, -2
 
 
@@ -214,61 +213,11 @@ def explore_action(rng: np.random.Generator, tol: float, n_actions: int) -> int:
     return int(rng.integers(n_actions)) if rng.random() < tol else -1
 
 
-def act_epsilon_greedy(
-    net: QNetwork,
-    state_features: np.ndarray,
-    weights: np.ndarray,
-    gamma: float,
-    tol: float,
-    rng: np.random.Generator,
-    *,
-    n_actions: int,
-    include_gamma: bool,
-) -> int:
-    """Random action with probability tol, otherwise greedy (ties -> lowest id)."""
-    action = explore_action(rng, tol, n_actions)
-    if action >= 0:
-        return action
-    q = net.forward(build_input(state_features, weights, gamma, include_gamma))
-    return int(np.argmax(q))
-
-
-def augment_experiences(
-    env: TradingEnv,
-    state,
-    state_features: np.ndarray,
-    real_action: int,
-    net: QNetwork,
-    cfg: TrainConfig,
-    rng: np.random.Generator,
-    buffer: ReplayBuffer,
-) -> None:
-    """Push k counterfactual experiences from the same pre-step state.
-
-    Each draws fresh (w', gamma'), picks an action (re-sampled epsilon-greedy
-    under the new conditioning, or the real action when configured to
-    replay), and evaluates the deterministic one-step outcome without
-    advancing the real environment.
-    """
-    for _ in range(cfg.k):
-        w = np.asarray(cfg.pin_weights, dtype=np.float64) if cfg.pin_weights is not None else sample_weights(rng)
-        gamma = sample_gamma(rng, cfg.gamma_range) if cfg.generalize_gamma else cfg.gamma
-        if cfg.hindsight_action == HINDSIGHT_RESAMPLE:
-            action = act_epsilon_greedy(
-                net, state_features, w, gamma, cfg.tol, rng,
-                n_actions=cfg.n_actions, include_gamma=cfg.generalize_gamma,
-            )
-        else:
-            action = real_action
-        outcome = env.transition(state, action)
-        buffer.push(state, action, gamma, w, outcome)
-
-
 def draw_conditioning(cfg: TrainConfig, streams: dict, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weights (n, m, 4), gammas (n, m) and exploration entries (n, m) of n steps' m experiences.
 
     Slot 0 is the real experience, slots 1..k its counterfactuals.  These are
-    the step loop's draws in its order per stream: one call each for weights
+    a step-by-step run's draws in its order per stream: one call each for weights
     and gamma, step by step for explore and augment, whose draws interleave.
     """
     m, n_actions, fixed = 1 + (cfg.k if cfg.multi_reward else 0), cfg.n_actions, training_weights(cfg)
@@ -303,44 +252,59 @@ class _Learner:
     buffer: ReplayBuffer
     env_steps: int = 0
     updates: int = 0
+    episode: int = 0
+
+
+def _episode_draws(run: _Learner):
+    """The just-reset episode's step count, its `draw_conditioning` and a Q-value function of input rows.
+
+    q_values(t, codes, slots) runs the network on the returns before steps t, position codes and slots' conditioning.
+    """
+    cfg, lookback, lo = run.cfg, run.cfg.lookback, run.env.episode_range[0]
+    n = run.env.steps_in(run.env.episode_range)
+    weights, gamma, explore = draw_conditioning(cfg, run.streams, n)
+    returns = np.lib.stride_tricks.sliding_window_view(run.env.log_returns, lookback)[lo : lo + n]
+    conditioning = np.concatenate((weights, gamma[..., None]), axis=2) if cfg.generalize_gamma else weights
+
+    def q_values(t, codes, slots) -> np.ndarray:
+        cond = conditioning[t, slots]
+        rows = np.empty((len(cond), cfg.input_width))
+        rows[:, :lookback], rows[:, lookback], rows[:, lookback + 1 :] = returns[t], codes, cond
+        return run.net.forward(rows)
+
+    return n, weights, gamma, explore, q_values
 
 
 def _fit_episode(run: _Learner, state: EnvState) -> None:
-    """Step one action at a time from state, updating the network after every step."""
-    cfg, env, buffer, net, streams = run.cfg, run.env, run.buffer, run.net, run.streams
-    include_gamma, fixed = cfg.generalize_gamma, training_weights(cfg)
-    min_fit_len = max(cfg.batchsize, 2) if cfg.whiten else cfg.batchsize
-    while True:
-        w = fixed if fixed is not None else sample_weights(streams["weights"])
-        gamma = sample_gamma(streams["gamma"], cfg.gamma_range) if include_gamma else cfg.gamma
-        feats = env.state_features(state)
-        action = act_epsilon_greedy(
-            net, feats, w, gamma, cfg.tol, streams["explore"],
-            n_actions=cfg.n_actions, include_gamma=include_gamma,
-        )
-        outcome = env.step(action)
-        run.env_steps += 1
-        buffer.push(state, action, gamma, w, outcome)
-        if cfg.multi_reward and cfg.k > 0:
-            augment_experiences(env, state, feats, action, net, cfg, streams["augment"], buffer)
+    """The just-reset episode from its start state, one step at a time, fitting the network after every step.
 
+    One forward over a step's m rows gives the greedy choices of its real
+    and counterfactual experiences, made only when one of them acts greedily.
+    """
+    cfg, env, buffer, net = run.cfg, run.env, run.buffer, run.net
+    _, weights, gamma, explore, q_values = _episode_draws(run)
+    min_fit_len = max(cfg.batchsize, 2) if cfg.whiten else cfg.batchsize
+    for t, codes in enumerate(explore.tolist()):
+        if GREEDY in codes:
+            greedy = q_values(t, state.position.value, slice(None)).argmax(axis=1).tolist()
+            codes = [a if code == GREEDY else code for code, a in zip(codes, greedy)]
+        actions = [codes[0] if code == REPLAYED else code for code in codes]
+        outcomes = {a: env.transition(state, a) for a in set(actions)}
+        for i, a in enumerate(actions):
+            buffer.push(state, a, gamma[t, i], weights[t, i], outcomes[a])
+        run.env_steps += 1
         if len(buffer) >= min_fit_len:
-            batch = buffer.sample_batch(cfg.batchsize, streams["batch"])
+            batch = buffer.sample_batch(cfg.batchsize, run.streams["batch"])
             if cfg.whiten:
                 batch = whiten_batch(batch, compute_whitening(buffer, cfg.eigen_floor))
-                if log.isEnabledFor(logging.DEBUG):
-                    variance = float(np.var(batch.scalar_reward, ddof=1))
-                    log.debug("minibatch whitened scalar variance: %.6f", variance)
-            inputs, targets = bellman_targets(batch, net, run.target, cfg.alpha, include_gamma=include_gamma)
-            net.fit_batch(inputs, targets, cfg.learn_rate)
+            inputs, targets = bellman_targets(batch, net, run.target, cfg.alpha, include_gamma=cfg.generalize_gamma)
+            if not math.isfinite(net.fit_batch(inputs, targets, cfg.learn_rate)):
+                raise Diverged(f"non-finite loss at update {run.updates + 1}, in episode {run.episode}")
             run.updates += 1
             buffer.advance_updates(1)
             if run.updates % cfg.sync_period == 0:
                 run.target.copy_params_from(net)
-
-        state = outcome.next_state
-        if outcome.done:
-            return
+        state = outcomes[actions[0]].next_state
 
 
 def _frozen_episode(run: _Learner) -> None:
@@ -350,30 +314,19 @@ def _frozen_episode(run: _Learner) -> None:
     forwards over every (step, position) for the real trajectory's walk and
     over the greedy counterfactuals, and `TradingEnv.outcomes` for the rewards.
     """
-    cfg, env, net, lookback = run.cfg, run.env, run.net, run.cfg.lookback
-    lo, hi = env.episode_range
-    cursor, n = lo + lookback, hi - lo - lookback - 1
-    weights, gamma, explore = draw_conditioning(cfg, run.streams, n)
-    returns = np.lib.stride_tricks.sliding_window_view(env.log_returns, lookback)[lo : lo + n]
-    conditioning = np.concatenate((weights, gamma[..., None]), axis=2) if cfg.generalize_gamma else weights
-
-    def q_values(t: np.ndarray, codes, slots) -> np.ndarray:
-        rows = np.empty((len(t), cfg.input_width))
-        rows[:, :lookback], rows[:, lookback], rows[:, lookback + 1 :] = returns[t], codes, conditioning[t, slots]
-        return net.forward(rows)
-
+    cfg, env = run.cfg, run.env
+    n, weights, gamma, explore, q_values = _episode_draws(run)
+    cursor, steps, m = env.episode_range[0] + cfg.lookback, np.arange(n), explore.shape[1]
     # One forward per position and per counterfactual slot keeps the activations small.
-    steps, positions, m = np.arange(n), cfg.mode.positions, explore.shape[1]
-    greedy = np.column_stack([q_values(steps, pos.value, 0).argmax(axis=1) for pos in positions])
+    greedy = np.column_stack([q_values(steps, pos.value, 0).argmax(axis=1) for pos in cfg.mode.positions])
     actions = walk(cfg.mode, greedy.ravel().tolist(), explore[:, 0].tolist())
-    held = env.target_signs[actions]
-    before = np.concatenate(([0], held[:-1]))  # position sign before each step
+    before = np.concatenate(([0], env.target_signs[actions[:-1]]))  # position sign before each step
     taken = np.where(explore == REPLAYED, actions[:, None], explore)
     taken[:, 0] = actions
     for i in range(1, m):
         t = np.flatnonzero(taken[:, i] == GREEDY)
         taken[t, i] = q_values(t, before[t], i).argmax(axis=1)
-    lr, rewards = env.outcomes(cursor, taken)
+    _, rewards = env.outcomes(cursor, taken)
 
     run.buffer.push_block({
         "cursor": np.repeat(cursor + steps, m),
@@ -386,10 +339,6 @@ def _frozen_episode(run: _Learner) -> None:
         "terminal": np.repeat(steps == n - 1, m),
     })
     run.env_steps += n
-    # Leave the environment where stepping would have: at the episode end.
-    window, trades = np.concatenate((np.zeros(cfg.reward_window - 1), lr))[n:], np.flatnonzero(held != before)
-    anchor = cursor + int(trades[-1]) if len(trades) else None
-    env.state = EnvState(hi - 1, Position(int(held[-1])), anchor, tuple(window.tolist()))
 
 
 class _RunWriter:
@@ -443,6 +392,7 @@ def train(
     with contextlib.ExitStack() as files:
         writer = _RunWriter(out_dir, cfg, files)
         for episode in range(1, cfg.episodes + 1):
+            run.episode = episode
             episode_len = cfg.episode_len if cfg.random_access else None
             state = env.reset(split.train, random_access=cfg.random_access, episode_len=episode_len, rng=streams["env"])
             if episode not in eval_set:

@@ -108,8 +108,9 @@ class StepOutcome:
 class TradingEnv:
     """Replayable environment over an immutable PriceSeries.
 
-    `transition` is pure in the state argument, which is what makes
-    counterfactual (hindsight) steps free: they never advance the episode.
+    It holds the episode range, not a live state: `transition` is pure in the
+    state argument, so a runner threads the state from step to step and a
+    counterfactual (hindsight) step never advances the episode.
     """
 
     def __init__(
@@ -137,7 +138,6 @@ class TradingEnv:
         self.log_close = series.log_close
         self.log_returns = series.log_returns
         self._episode: IndexRange | None = None
-        self.state: EnvState | None = None
 
     @property
     def episode_range(self) -> IndexRange:
@@ -153,7 +153,7 @@ class TradingEnv:
         episode_len: int | None = None,
         rng: np.random.Generator | None = None,
     ) -> EnvState:
-        """Start an episode over `range_`, optionally on a random sub-range.
+        """Start an episode over `range_`, optionally on a random sub-range; returns its start state.
 
         With random_access, the sub-range start is drawn uniformly from all
         starts that fit lookback + episode_len steps + 1 terminal price.
@@ -172,14 +172,7 @@ class TradingEnv:
             self._episode = (start, start + need)
         else:
             self._episode = (lo, hi)
-        elo, _ = self._episode
-        self.state = EnvState(
-            cursor=elo + self.lookback,
-            position=Position.NEUTRAL,
-            trade_anchor=None,
-            ret_window=(0.0,) * (self.reward_window - 1),
-        )
-        return self.state
+        return EnvState(self._episode[0] + self.lookback, Position.NEUTRAL, None, (0.0,) * (self.reward_window - 1))
 
     def state_features(self, state: EnvState) -> np.ndarray:
         """Network-facing features: lookback log-returns then position code."""
@@ -190,7 +183,7 @@ class TradingEnv:
         return feats
 
     def transition(self, state: EnvState, action_id: int) -> StepOutcome:
-        """One step from `state` without touching the environment's own state."""
+        """One step from `state`."""
         lo, hi = self.episode_range
         t = state.cursor
         if t + 1 >= hi:
@@ -240,14 +233,6 @@ class TradingEnv:
         t, a = np.nonzero(trade & (before != 0))  # closes: position at t was entered at entered[t - 1]
         powc[t, a] = before[t, 0] * (self.log_close[cursor + t] - self.log_close[cursor + entered[t - 1]])
         return lr[:, 0], reward_matrix(history, lr, powc)
-
-    def step(self, action_id: int) -> StepOutcome:
-        """Advance the live episode by one step."""
-        if self.state is None:
-            raise RuntimeError("environment not reset")
-        outcome = self.transition(self.state, action_id)
-        self.state = outcome.next_state
-        return outcome
 
     def steps_in(self, range_: IndexRange) -> int:
         """Number of steps a full pass over `range_` yields."""

@@ -120,10 +120,10 @@ def vectorized_rollout(
     resulting trace matches the environment's step loop exactly.
     """
     lo, hi = range_
-    n = hi - lo - lookback - 1
+    env = TradingEnv(series, mode, lookback=lookback, reward_window=reward_window, fee=fee)
+    n = env.steps_in(range_)
     if n < 1:
         raise RangeTooShort(f"range length {hi - lo} < lookback + 2 = {lookback + 2}")
-    env = TradingEnv(series, mode, lookback=lookback, reward_window=reward_window, fee=fee)
     inputs = np.tile(build_input(np.zeros(lookback + 1), weights, gamma, include_gamma), (n, 1))
     inputs[:, :lookback] = np.lib.stride_tricks.sliding_window_view(series.log_returns, lookback)[lo : lo + n]
     positions = mode.positions

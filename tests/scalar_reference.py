@@ -1,9 +1,10 @@
 """Scalar reference routes: the environment stepped one action at a time.
 
 The engine computes greedy evaluations and frozen-network training
-episodes in arrays.  These step loops compute the same things with
-`TradingEnv.step`/`transition` and one-row forwards, and the tests hold the
-array routes to them bit for bit.
+episodes in arrays, and draws a fitting episode's conditioning before its
+first step.  These step loops compute the same things with
+`TradingEnv.transition`, per-step draws and one-row forwards, and the tests
+hold the engine's runners to them bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from moqtrader import agent
 from moqtrader.env import EnvState, Mode, TradingEnv
 from moqtrader.evaluation import EvaluationReport, PositionTrace, _report_from_trace
 from moqtrader.market_data import IndexRange, PriceSeries
-from moqtrader.qnet import QNetwork, build_input
+from moqtrader.qnet import QNetwork, bellman_targets, build_input
+from moqtrader.replay import ReplayBuffer, compute_whitening, whiten_batch
 
 
 def rollout(
@@ -36,7 +38,7 @@ def rollout(
     while True:
         feats = env.state_features(state)
         action = policy(feats, state)
-        outcome = env.step(action)
+        outcome = env.transition(state, action)
         positions.append(int(outcome.next_state.position.value))
         actions.append(action)
         log_rets.append(outcome.reward.lr)
@@ -100,27 +102,101 @@ def buy_and_hold(
     return _report_from_trace(trace, series, range_, fee, lookback, weights, range_id)
 
 
-def frozen_episode(run: "agent._Learner", state: EnvState) -> None:
-    """The step loop a frozen-network training episode ran before it was batched.
+def act_epsilon_greedy(
+    net: QNetwork,
+    state_features: np.ndarray,
+    weights: np.ndarray,
+    gamma: float,
+    tol: float,
+    rng: np.random.Generator,
+    *,
+    n_actions: int,
+    include_gamma: bool,
+) -> int:
+    """Random action with probability tol, otherwise greedy (ties -> lowest id)."""
+    action = agent.explore_action(rng, tol, n_actions)
+    if action >= 0:
+        return action
+    q = net.forward(build_input(state_features, weights, gamma, include_gamma))
+    return int(np.argmax(q))
+
+
+def augment_experiences(
+    env: TradingEnv,
+    state: EnvState,
+    state_features: np.ndarray,
+    real_action: int,
+    net: QNetwork,
+    cfg: "agent.TrainConfig",
+    rng: np.random.Generator,
+    buffer: ReplayBuffer,
+) -> None:
+    """Push k counterfactual experiences from the same pre-step state.
+
+    Each draws fresh (w', gamma'), picks an action (re-sampled epsilon-greedy
+    under the new conditioning, or the real action when configured to
+    replay), and evaluates the deterministic one-step outcome without
+    advancing the real episode.
+    """
+    for _ in range(cfg.k):
+        w = np.asarray(cfg.pin_weights, dtype=np.float64) if cfg.pin_weights is not None else agent.sample_weights(rng)
+        gamma = agent.sample_gamma(rng, cfg.gamma_range) if cfg.generalize_gamma else cfg.gamma
+        if cfg.hindsight_action == agent.HINDSIGHT_RESAMPLE:
+            action = act_epsilon_greedy(
+                net, state_features, w, gamma, cfg.tol, rng,
+                n_actions=cfg.n_actions, include_gamma=cfg.generalize_gamma,
+            )
+        else:
+            action = real_action
+        outcome = env.transition(state, action)
+        buffer.push(state, action, gamma, w, outcome)
+
+
+def step_loop(run: "agent._Learner", state: EnvState, fit: bool) -> None:
+    """A training episode from state, one step at a time, with per-step draws and one-row forwards.
 
     Per step: draw the weights and gamma, act epsilon-greedily, step the
-    environment, push the experience and its k counterfactuals.
+    environment, push the experience and its k counterfactuals, then, with
+    fit, update the network once the replay holds a batch.
     """
-    cfg, env, streams = run.cfg, run.env, run.streams
-    fixed = agent.training_weights(cfg)
+    cfg, env, buffer, net, streams = run.cfg, run.env, run.buffer, run.net, run.streams
+    include_gamma, fixed = cfg.generalize_gamma, agent.training_weights(cfg)
+    min_fit_len = max(cfg.batchsize, 2) if cfg.whiten else cfg.batchsize
     while True:
         w = fixed if fixed is not None else agent.sample_weights(streams["weights"])
-        gamma = agent.sample_gamma(streams["gamma"], cfg.gamma_range) if cfg.generalize_gamma else cfg.gamma
+        gamma = agent.sample_gamma(streams["gamma"], cfg.gamma_range) if include_gamma else cfg.gamma
         feats = env.state_features(state)
-        action = agent.act_epsilon_greedy(
-            run.net, feats, w, gamma, cfg.tol, streams["explore"],
-            n_actions=cfg.n_actions, include_gamma=cfg.generalize_gamma,
+        action = act_epsilon_greedy(
+            net, feats, w, gamma, cfg.tol, streams["explore"],
+            n_actions=cfg.n_actions, include_gamma=include_gamma,
         )
-        outcome = env.step(action)
+        outcome = env.transition(state, action)
         run.env_steps += 1
-        run.buffer.push(state, action, gamma, w, outcome)
+        buffer.push(state, action, gamma, w, outcome)
         if cfg.multi_reward and cfg.k > 0:
-            agent.augment_experiences(env, state, feats, action, run.net, cfg, streams["augment"], run.buffer)
+            augment_experiences(env, state, feats, action, net, cfg, streams["augment"], buffer)
+
+        if fit and len(buffer) >= min_fit_len:
+            batch = buffer.sample_batch(cfg.batchsize, streams["batch"])
+            if cfg.whiten:
+                batch = whiten_batch(batch, compute_whitening(buffer, cfg.eigen_floor))
+            inputs, targets = bellman_targets(batch, net, run.target, cfg.alpha, include_gamma=include_gamma)
+            net.fit_batch(inputs, targets, cfg.learn_rate)
+            run.updates += 1
+            buffer.advance_updates(1)
+            if run.updates % cfg.sync_period == 0:
+                run.target.copy_params_from(net)
+
         state = outcome.next_state
         if outcome.done:
             return
+
+
+def frozen_episode(run: "agent._Learner", state: EnvState) -> None:
+    """The step loop of a frozen-network training episode (`agent._frozen_episode`)."""
+    step_loop(run, state, fit=False)
+
+
+def fit_episode(run: "agent._Learner", state: EnvState) -> None:
+    """The step loop of a fitting training episode (`agent._fit_episode`)."""
+    step_loop(run, state, fit=True)

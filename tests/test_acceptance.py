@@ -135,7 +135,7 @@ def test_criterion_04_telescoping_powc():
     for trial in range(100):
         series = generate_synthetic("random-walk", 120, amplitude=0.02, seed=5000 + trial)
         env = TradingEnv(series, Mode.LSP, lookback=6, reward_window=5)
-        env.reset((0, 120))
+        state = env.reset((0, 120))
         n_steps = env.steps_in((0, 120))
         actions = [int(a) for a in rng.integers(0, 3, size=n_steps - 1)] + [2]  # final Hold closes
 
@@ -143,7 +143,8 @@ def test_criterion_04_telescoping_powc():
         log_close = series.log_close
         cursor, pos, anchor, oracle = 6, 0, None, 0.0
         for action in actions:
-            out = env.step(action)
+            out = env.transition(state, action)
+            state = out.next_state
             total_lr += out.reward.lr
             total_powc += out.reward.powc
             new_pos = (1, -1, 0)[action]

@@ -4,16 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from moqtrader import agent
+import scalar_reference
+from moqtrader import agent, evaluation
 from moqtrader.agent import (
     TrainConfig,
-    act_epsilon_greedy,
+    explore_action,
     one_hot_weights,
     rng_streams,
     sample_gamma,
     sample_weights,
     train,
-    uniform_weights,
 )
 from moqtrader.env import Mode, TradingEnv
 from moqtrader.errors import Diverged, InvalidValue, RangeTooShort
@@ -82,35 +82,33 @@ class TestSampling:
 
 
 class TestActEpsilonGreedy:
-    def constant_net(self, q_values):
-        net = QNetwork([11, len(q_values)], seed=0)
-        net.weights[0][...] = 0.0
-        net.biases[0][...] = q_values
-        return net
+    """Epsilon-greedy acting: explore_action draws the random actions, and greedy slots take the argmax."""
 
     def test_pure_exploration_uniform(self):
-        net = self.constant_net([0.0, 0.0, 0.0])
         rng = np.random.default_rng(5)
-        feats, w = np.zeros(6), uniform_weights()
         draws = 100_000
-        counts = np.bincount(
-            [act_epsilon_greedy(net, feats, w, 0.9, 1.0 - 1e-12, rng, n_actions=3, include_gamma=True) for _ in range(draws)],
-            minlength=3,
-        )
+        counts = np.bincount([explore_action(rng, 1.0 - 1e-12, 3) for _ in range(draws)], minlength=3)
         sigma = math.sqrt((1 / 3) * (2 / 3) / draws)
         np.testing.assert_allclose(counts / draws, 1 / 3, atol=3 * sigma)
 
+    def greedy_actions(self, q_values):
+        """The actions of every greedy slot, real or counterfactual, in a fitting episode of a constant-Q network."""
+        cfg = small_cfg(k=3, tol=0.4, batchsize=10_000)  # never a full batch, so the network stays constant
+        run = learner(cfg, sine_series())
+        run.net.weights[-1][...] = 0.0
+        run.net.biases[-1][...] = q_values
+        agent._fit_episode(run, run.env.reset((0, 200)))
+        assert run.updates == 0
+        _, _, explore = agent.draw_conditioning(cfg, rng_streams(cfg.seed), run.env_steps)
+        actions = run.buffer.rows().action.reshape(explore.shape)
+        assert np.count_nonzero(explore[:, 0] == agent.GREEDY) and np.count_nonzero(explore[:, 1:] == agent.GREEDY)
+        return actions[explore == agent.GREEDY]
+
     def test_greedy_argmax(self):
-        net = self.constant_net([1.0, 3.0, 2.0])
-        a = act_epsilon_greedy(net, np.zeros(6), uniform_weights(), 0.9, 0.0,
-                               np.random.default_rng(1), n_actions=3, include_gamma=True)
-        assert a == 1  # Sell in LSP ordering
+        assert set(self.greedy_actions([1.0, 3.0, 2.0]).tolist()) == {1}  # Sell in LSP ordering
 
     def test_tie_breaks_to_lowest_id(self):
-        net = self.constant_net([2.0, 2.0, 0.0])
-        a = act_epsilon_greedy(net, np.zeros(6), uniform_weights(), 0.9, 0.0,
-                               np.random.default_rng(1), n_actions=3, include_gamma=True)
-        assert a == 0
+        assert set(self.greedy_actions([2.0, 2.0, 0.0]).tolist()) == {0}
 
 
 class TestConfig:
@@ -246,32 +244,23 @@ class TestTrainLoop:
         assert np.all(buf.update_counter - buf.rows().birth_update <= buf.max_age)
 
     def test_augment_counterfactual_matches_real_when_forced(self):
+        # a replayed counterfactual repeats its real row under its own conditioning
         series = sine_series()
-        env = TradingEnv(series, Mode.LSP, lookback=6, reward_window=4)
-        state = env.reset((0, 200))
-        feats = env.state_features(state)
-        net = QNetwork([11, 3], seed=0)
-        cfg = small_cfg(k=1, hindsight_action="replay", pin_weights=(1.0, 0.0, 0.0, 0.0))
-        real = env.transition(state, 0)
-        buffer = ReplayBuffer(cfg.max_age, env)
-        agent.augment_experiences(env, state, feats, 0, net, cfg, np.random.default_rng(0), buffer)
-        assert len(buffer) == 1
-        extras = buffer.rows()
-        assert extras.action[0] == 0
-        assert tuple(extras.raw_reward[0]) == real.reward
-        np.testing.assert_array_equal(extras.next_state[0][:6], env.state_features(real.next_state)[:6])
-        # the real environment did not advance
-        assert env.state.cursor == state.cursor
+        cfg = small_cfg(k=1, hindsight_action="replay", episodes=2, eval_every=2, max_age=10_000)
+        result = train(cfg, series, make_split(series))  # one frozen, one fitting episode
+        rows = result.replay.rows()
+        real, replayed = slice(0, None, 2), slice(1, None, 2)
+        assert result.updates > 0 and len(rows) == 2 * result.env_steps
+        assert rows.action[replayed].tolist() == rows.action[real].tolist()
+        assert rows.raw_reward[replayed].tobytes() == rows.raw_reward[real].tobytes()
+        assert rows.state[replayed].tobytes() == rows.state[real].tobytes()
+        assert rows.next_state[replayed].tobytes() == rows.next_state[real].tobytes()
 
     def test_augment_k_zero(self):
         series = sine_series()
-        env = TradingEnv(series, Mode.LSP, lookback=6, reward_window=4)
-        state = env.reset((0, 200))
-        net = QNetwork([11, 3], seed=0)
-        buffer = ReplayBuffer(50, env)
-        agent.augment_experiences(env, state, env.state_features(state), 0, net, small_cfg(k=0),
-                                  np.random.default_rng(0), buffer)
-        assert len(buffer) == 0
+        result = train(small_cfg(k=0, episodes=2, eval_every=2, max_age=10_000), series, make_split(series))
+        assert result.updates > 0
+        assert len(result.replay) == result.env_steps  # one row per step
 
     def test_generalized_gamma_training(self):
         series = sine_series()
@@ -418,10 +407,11 @@ class Recorder:
 
 def learner(cfg, series, net=None):
     streams = rng_streams(cfg.seed)
-    initial = QNetwork(cfg.widths, seed=streams["init"])  # draws from the init stream either way
+    initial = QNetwork(cfg.widths, seed=streams["init"], momentum=cfg.momentum)  # draws from the init stream either way
     net = net if net is not None else initial
+    target = net.clone() if isinstance(net, QNetwork) else net
     env = TradingEnv(series, cfg.mode, lookback=cfg.lookback, reward_window=cfg.reward_window, fee=cfg.fee)
-    return agent._Learner(cfg, streams, net, net, env, ReplayBuffer(cfg.max_age, env))
+    return agent._Learner(cfg, streams, net, target, env, ReplayBuffer(cfg.max_age, env))
 
 
 def next_draws(streams):
@@ -438,13 +428,33 @@ CONDITIONING_CASES = {
 }
 
 
+REPLAY_CASES = [
+    dict(generalize_gamma=True),
+    dict(mode=Mode.LP, generalize_gamma=True, gamma_range=(0.9, 0.9)),
+    dict(fee=3e-4, hindsight_action="replay"),
+    dict(mode=Mode.LP, fee=3e-4, pin_weights=(0.25, 0.25, 0.25, 0.25), reward_window=1),
+    dict(k=0, reward_window=12),
+    dict(multi_reward=False, reward="powc", random_access=False),
+]
+
+
+def live_columns(buffer):
+    return {name: getattr(buffer, name)[buffer._lo : buffer._hi].tobytes() for name in _COLUMNS}
+
+
+def moments(buffer):
+    return b"".join(m.tobytes() for m in buffer.reward_moments())
+
+
+def params(net):
+    return [p.tobytes() for p in net.weights + net.biases]
+
+
 class TestFrozenEpisode:
     """A frozen episode's pre-drawn conditioning and replay rows equal the step loop's."""
 
     @pytest.mark.parametrize("case", CONDITIONING_CASES)
     def test_conditioning_equals_step_loop_draws(self, case):
-        import scalar_reference
-
         cfg = small_cfg(**{"k": 3, "tol": 0.4, **CONDITIONING_CASES[case]})
         series = sine_series()
         loop, drawn = learner(cfg, series, Recorder(cfg.n_actions)), learner(cfg, series)
@@ -470,17 +480,8 @@ class TestFrozenEpisode:
         recorded = [x[cfg.lookback + 1 :].tobytes() for x in loop.net.inputs]
         assert recorded == [x.tobytes() for x in expected_inputs]
 
-    @pytest.mark.parametrize("case", [
-        dict(generalize_gamma=True),
-        dict(mode=Mode.LP, generalize_gamma=True, gamma_range=(0.9, 0.9)),
-        dict(fee=3e-4, hindsight_action="replay"),
-        dict(mode=Mode.LP, fee=3e-4, pin_weights=(0.25, 0.25, 0.25, 0.25), reward_window=1),
-        dict(k=0, reward_window=12),
-        dict(multi_reward=False, reward="powc", random_access=False),
-    ])
+    @pytest.mark.parametrize("case", REPLAY_CASES)
     def test_replay_rows_and_end_state_equal_step_loop(self, case):
-        import scalar_reference
-
         cfg = small_cfg(**{"episodes": 6, "episode_len": 60, "k": 3, "tol": 0.3, **case})
         series = generate_synthetic("random-walk", 400, amplitude=0.02, seed=9)
         net = QNetwork(cfg.widths, seed=4)
@@ -495,14 +496,88 @@ class TestFrozenEpisode:
             ]
             scalar_reference.frozen_episode(loop, states[0])
             agent._frozen_episode(batched)
-            assert batched.env.state == loop.env.state
             assert batched.env_steps == loop.env_steps
             for buf in (loop.buffer, batched.buffer):
                 buf.advance_updates(1)  # ages the replay between episodes, as fitting would
-            for name in _COLUMNS:
-                live = [getattr(b, name)[b._lo : b._hi].tobytes() for b in (loop.buffer, batched.buffer)]
-                assert live[0] == live[1], name
-            moments = [b"".join(m.tobytes() for m in b.reward_moments()) for b in (loop.buffer, batched.buffer)]
-            assert moments[0] == moments[1]
+            assert live_columns(batched.buffer) == live_columns(loop.buffer)
+            assert moments(batched.buffer) == moments(loop.buffer)
         assert len(set(loop.buffer.rows().action.tolist())) == cfg.n_actions
         assert next_draws(loop.streams) == next_draws(batched.streams)
+
+
+class TestFitEpisode:
+    """A fitting episode's replay rows, network and stream states equal the step loop's."""
+
+    @pytest.mark.parametrize("case", [*REPLAY_CASES, dict(whiten=False), dict(sync_period=7, momentum=0.5)])
+    def test_equals_step_loop(self, case):
+        cfg = small_cfg(**{"episodes": 3, "episode_len": 60, "k": 3, "tol": 0.3, "batchsize": 16,
+                           "sync_period": 25, **case})
+        series = generate_synthetic("random-walk", 400, amplitude=0.02, seed=9)
+        net = QNetwork(cfg.widths, seed=4, momentum=cfg.momentum)
+        net.weights[0][: cfg.lookback] *= 50.0  # return inputs at unit scale, so that greedy actions vary
+        loop, fitted = learner(cfg, series, net.clone()), learner(cfg, series, net.clone())
+        split = make_split(series)
+        for episode in range(cfg.episodes):
+            states = [
+                run.env.reset(split.train, random_access=cfg.random_access, episode_len=cfg.episode_len,
+                              rng=run.streams["env"])
+                for run in (loop, fitted)
+            ]
+            scalar_reference.fit_episode(loop, states[0])
+            agent._fit_episode(fitted, states[1])
+            assert (fitted.env_steps, fitted.updates) == (loop.env_steps, loop.updates)
+            assert live_columns(fitted.buffer) == live_columns(loop.buffer)
+            assert moments(fitted.buffer) == moments(loop.buffer)
+            assert params(fitted.net) == params(loop.net)
+            assert params(fitted.target) == params(loop.target)
+        assert loop.updates > 0 and params(loop.net) != params(net)
+        assert len(set(loop.buffer.rows().action.tolist())) == cfg.n_actions
+        assert next_draws(loop.streams) == next_draws(fitted.streams)
+
+
+TRAIN_CASES = {
+    "multi-reward LSP, drawn gamma": dict(generalize_gamma=True),
+    "LP, fee, replayed counterfactuals": dict(mode=Mode.LP, fee=3e-4, hindsight_action="replay"),
+    "single-reward POWC": dict(multi_reward=False, reward="powc"),
+}
+
+
+@pytest.mark.parametrize("case", TRAIN_CASES)
+def test_train_artifacts_equal_step_loop_runs(case, tmp_path, monkeypatch):
+    """train writes the same metrics.jsonl and checkpoints, byte for byte, with both runners as step loops."""
+    cfg = small_cfg(**{"episodes": 6, "eval_every": 3, "episode_len": 60, "k": 3, "tol": 0.3, **TRAIN_CASES[case]})
+    series = generate_synthetic("random-walk", 400, amplitude=0.02, seed=9)
+    train(cfg, series, make_split(series), out_dir=tmp_path / "engine")
+    monkeypatch.setattr(agent, "_fit_episode", scalar_reference.fit_episode)
+    # reset over the episode's own range draws nothing and returns its start state
+    monkeypatch.setattr(agent, "_frozen_episode",
+                        lambda run: scalar_reference.frozen_episode(run, run.env.reset(run.env.episode_range)))
+    train(cfg, series, make_split(series), out_dir=tmp_path / "reference")
+    names = sorted(p.name for p in (tmp_path / "engine").iterdir() if p.name != "timing.log")
+    assert names == ["checkpoint_3.bin", "checkpoint_6.bin", "metrics.jsonl"]
+    for name in names:
+        assert (tmp_path / "engine" / name).read_bytes() == (tmp_path / "reference" / name).read_bytes(), name
+
+
+def test_diverged_at_the_poisoned_update(monkeypatch):
+    """A non-finite loss raises Diverged at its update, naming it and the episode, before any evaluation."""
+    series = sine_series()
+    fit_batch, evaluate_split = QNetwork.fit_batch, evaluation.evaluate_split
+    updates, evaluated = [], []
+
+    def poisoned_fit(net, inputs, targets, learn_rate):
+        updates.append(len(updates) + 1)
+        if len(updates) == 40:  # episode 1 makes 28 updates, so this is episode 2's 12th
+            net.weights[0][0, 0] = float("nan")
+        return fit_batch(net, inputs, targets, learn_rate)
+
+    def recorded_evaluation(net, *args, **kwargs):
+        evaluated.append(np.isfinite(net.weights[0]).all())
+        return evaluate_split(net, *args, **kwargs)
+
+    monkeypatch.setattr(QNetwork, "fit_batch", poisoned_fit)
+    monkeypatch.setattr(evaluation, "evaluate_split", recorded_evaluation)
+    with pytest.raises(Diverged, match=r"^non-finite loss at update 40, in episode 2$"):
+        train(small_cfg(episodes=3, eval_every=1), series, make_split(series))
+    assert updates[-1] == 40
+    assert evaluated == [True]  # episode 1's evaluation only

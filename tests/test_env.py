@@ -75,64 +75,67 @@ class TestReset:
             env.reset((0, 20), random_access=True, episode_len=50, rng=np.random.default_rng(0))
 
 
+def run_actions(env, state, actions):
+    """The outcomes of taking actions in turn from state, threading each next state."""
+    outcomes = []
+    for action in actions:
+        outcomes.append(env.transition(state, action))
+        state = outcomes[-1].next_state
+    return outcomes
+
+
 class TestStep:
     def test_long_log_return(self):
         series = flat_then([100.0, 110.0], lookback=3)
         env = TradingEnv(series, Mode.LSP, lookback=3, reward_window=4)
-        env.reset((0, len(series)))
-        out = env.step(BUY)
+        out = env.transition(env.reset((0, len(series))), BUY)
         assert out.trade_occurred
         assert abs(out.reward.lr - LN_1_1) < 1e-12
 
     def test_neutral_gets_zero(self):
         series = flat_then([100.0, 110.0], lookback=3)
         env = TradingEnv(series, Mode.LSP, lookback=3, reward_window=4)
-        env.reset((0, len(series)))
-        out = env.step(HOLD)
+        out = env.transition(env.reset((0, len(series))), HOLD)
         assert out.reward.lr == 0.0
         assert not out.trade_occurred
 
     def test_fee_added_to_log_return(self):
         series = flat_then([100.0, 110.0], lookback=3)
         env = TradingEnv(series, Mode.LSP, lookback=3, reward_window=4, fee=0.0003)
-        env.reset((0, len(series)))
-        out = env.step(BUY)
+        out = env.transition(env.reset((0, len(series))), BUY)
         assert abs(out.reward.lr - (LN_1_1 + FEE_LOG)) < 1e-12
 
     def test_long_short_flip_pays_two_legs(self):
         series = flat_then([100.0, 110.0, 120.0, 125.0], lookback=3)
         env = TradingEnv(series, Mode.LSP, lookback=3, reward_window=4, fee=0.001)
-        env.reset((0, len(series)))
-        env.step(BUY)
-        out = env.step(SELL)
+        _, out = run_actions(env, env.reset((0, len(series))), [BUY, SELL])
         expected = -math.log(120.0 / 110.0) + 2 * math.log1p(-0.001)
         assert abs(out.reward.lr - expected) < 1e-12
 
     def test_powc_emitted_on_close_only(self):
         series = flat_then([100.0, 110.0, 120.0, 125.0], lookback=3)
         env = TradingEnv(series, Mode.LSP, lookback=3, reward_window=4)
-        env.reset((0, len(series)))
-        assert env.step(BUY).reward.powc == 0.0       # open long at 100
-        assert env.step(BUY).reward.powc == 0.0       # keep holding
-        out = env.step(HOLD)                          # close long at 120
-        assert abs(out.reward.powc - (math.log(120.0) - math.log(100.0))) < 1e-12
+        opened, held, out = run_actions(env, env.reset((0, len(series))), [BUY, BUY, HOLD])
+        assert opened.reward.powc == 0.0  # open long at 100
+        assert held.reward.powc == 0.0    # keep holding
+        assert abs(out.reward.powc - (math.log(120.0) - math.log(100.0))) < 1e-12  # close long at 120
 
     def test_done_at_final_index_and_exhaustion(self):
         series = series_of(np.linspace(100, 110, 8))
         env = TradingEnv(series, Mode.LSP, lookback=3, reward_window=2)
-        env.reset((0, 8))
-        outcomes = [env.step(HOLD) for _ in range(4)]
+        outcomes = run_actions(env, env.reset((0, 8)), [HOLD] * 4)
         assert [o.done for o in outcomes] == [False, False, False, True]
         with pytest.raises(EpisodeExhausted):
-            env.step(HOLD)
+            env.transition(outcomes[-1].next_state, HOLD)
 
     def test_episode_step_count_matches_contract(self):
         series = series_of(np.linspace(100, 110, 60))
         env = TradingEnv(series, Mode.LSP, lookback=7, reward_window=3)
-        env.reset((10, 50))
+        state = env.reset((10, 50))
         steps = 0
         while True:
-            out = env.step(HOLD)
+            out = env.transition(state, HOLD)
+            state = out.next_state
             steps += 1
             if out.done:
                 break
@@ -148,7 +151,8 @@ class TestTrajectoryProperties:
         state = env.reset(range_ or (0, len(env.series)))
         rows = []
         for a in actions:
-            out = env.step(a)
+            out = env.transition(state, a)
+            state = out.next_state
             rows.append((out.next_state.position.value, out.reward, out.trade_occurred, out.done))
             if out.done:
                 break
@@ -173,7 +177,7 @@ class TestTrajectoryProperties:
             recomputed = [math.log(close[t - env.lookback + 1 + j]) - math.log(close[t - env.lookback + j]) for j in range(env.lookback)]
             np.testing.assert_allclose(feats[: env.lookback], recomputed, atol=1e-12, rtol=0)
             assert feats[env.lookback] == float(state.position.value)
-            out = env.step(int(rng.integers(0, 3)))
+            out = env.transition(state, int(rng.integers(0, 3)))
             state = out.next_state
             if out.done:
                 break
@@ -257,7 +261,7 @@ class TestOutcomes:
                 expected = np.array(env.transition(state, a).reward)
                 assert np.array_equal(table[t, 1 + a], expected) and table[t, 1 + a].tobytes() == expected.tobytes()
             assert table[t, 0].tobytes() == table[t, 1 + action].tobytes()
-            out = env.step(action)
+            out = env.transition(state, action)
             assert lr[t] == out.reward.lr
             state = out.next_state
         assert out.done

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import scalar_reference
 from moqtrader import agent
 from moqtrader.agent import TrainConfig
 from moqtrader.env import EnvState, Mode, Position, StepOutcome, TradingEnv
@@ -212,9 +213,9 @@ def record_episode(mode: Mode, k: int, hindsight_action: str):
     while True:
         feats = env.state_features(state)
         action = int(rng.integers(mode.n_actions))
-        outcome = env.step(action)
+        outcome = env.transition(state, action)
         buffer.push(state, action, 0.9, agent.uniform_weights(), outcome)
-        agent.augment_experiences(env, state, feats, action, net, cfg, rng, buffer)
+        scalar_reference.augment_experiences(env, state, feats, action, net, cfg, rng, buffer)
         for a in buffer.rows().action[len(expected):]:
             expected.append((feats, env.state_features(env.transition(state, int(a)).next_state)))
         state = outcome.next_state
