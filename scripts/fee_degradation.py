@@ -12,7 +12,7 @@ import argparse
 
 from moqtrader import evaluation
 from moqtrader.agent import TrainConfig, one_hot_weights, train
-from moqtrader.env import Mode
+from moqtrader.env import Mode, TradingEnv
 from moqtrader.market_data import make_split
 from moqtrader.synthetic import generate_synthetic
 
@@ -40,10 +40,8 @@ def main() -> int:
 
     reports = {}
     for fee in (0.0, FEE):
-        _, _, report = evaluation.vectorized_rollout(
-            best.net, series, split.train, weights, cfg.gamma, cfg.mode, fee,
-            lookback=cfg.lookback, reward_window=cfg.reward_window, range_id="train",
-        )
+        env = TradingEnv(series, cfg.mode, lookback=cfg.lookback, reward_window=cfg.reward_window, fee=fee)
+        _, _, report = evaluation.vectorized_rollout(best.net, env, split.train, weights, cfg.gamma, range_id="train")
         reports[fee] = report
         print(f"fee {fee:.4%}: train total profit {report.total_profit:+.6g} over {report.trades} trades")
 

@@ -18,7 +18,7 @@ import time
 
 from moqtrader import evaluation
 from moqtrader.agent import TrainConfig, one_hot_weights, train
-from moqtrader.env import Mode
+from moqtrader.env import Mode, TradingEnv
 from moqtrader.market_data import make_split
 from moqtrader.synthetic import generate_synthetic
 
@@ -46,15 +46,12 @@ def base_config(seed: int, episodes: int, multi_reward: bool) -> TrainConfig:
     )
 
 
-def best_eval_powc_reward(result, series, split) -> float:
+def best_eval_powc_reward(result, env, split) -> float:
     """Best total POWC reward on the eval range over all checkpoints."""
     powc = one_hot_weights("powc")
     best = float("-inf")
     for ck in result.checkpoints:
-        _, _, report = evaluation.vectorized_rollout(
-            ck.net, series, split.eval, powc, 0.95, Mode.LP,
-            lookback=30, reward_window=20, range_id="eval",
-        )
+        _, _, report = evaluation.vectorized_rollout(ck.net, env, split.eval, powc, 0.95, range_id="eval")
         best = max(best, report.total_reward)
     return best
 
@@ -67,13 +64,14 @@ def main() -> int:
 
     series = generate_synthetic("sine", 5000, amplitude=0.1, period=50.0)
     split = make_split(series)
+    env = TradingEnv(series, Mode.LP, lookback=30, reward_window=20)
 
     scores = {"single": [], "multi": []}
     started = time.perf_counter()
     for seed in range(args.seeds):
         for name, multi in (("single", False), ("multi", True)):
             result = train(base_config(seed, args.episodes, multi), series, split)
-            score = best_eval_powc_reward(result, series, split)
+            score = best_eval_powc_reward(result, env, split)
             scores[name].append(score)
             print(f"seed {seed} {name:6s}: best eval POWC total reward {score:+.4f}"
                   f"  [{time.perf_counter() - started:.0f}s elapsed]")

@@ -1,5 +1,6 @@
 """Training loop: epsilon-greedy interaction, random weight/discount sampling,
-hindsight augmentation with counterfactual experiences, and checkpointing.
+hindsight augmentation with counterfactual experiences, checkpointing, and
+the walk-forward driver that trains once per fold.
 
 All randomness flows through named streams split from one master seed, so
 toggling one feature (say, hindsight augmentation) cannot perturb another
@@ -12,16 +13,16 @@ import contextlib
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import evaluation
-from .env import EnvState, Mode, TradingEnv, walk
+from .env import EnvState, Mode, TradingEnv
 from .errors import Diverged, InvalidValue
-from .market_data import DataSplit, PriceSeries
+from .market_data import DataSplit, FoldPlan, PriceSeries
 # build_input is unused here; it stays importable because bench/test_bench.py looks it up in this module.
 from .qnet import QNetwork, bellman_targets, build_input, save_checkpoint  # noqa: F401
 from .replay import ReplayBuffer, compute_whitening, whiten_batch
@@ -78,6 +79,12 @@ class TrainConfig:
     @property
     def widths(self) -> tuple[int, ...]:
         return (self.input_width, *self.hidden, self.n_actions)
+
+    @property
+    def checkpoint_meta(self) -> dict:
+        """The training geometry a checkpoint records and `backtest` checks, in the checkpoint's key order."""
+        return {"mode": self.mode.value, "generalize_gamma": self.generalize_gamma,
+                "lookback": self.lookback, "reward_window": self.reward_window}
 
     def eval_episode_set(self) -> tuple[int, ...]:
         """Evenly spaced episodes that train the network and get checkpoints."""
@@ -152,7 +159,7 @@ def fold_seed(master_seed: int, fold_index: int) -> int:
 def validate_weights(w: Sequence[float], key: str = "weights") -> np.ndarray:
     """w as a float64 array; InvalidValue(key) unless it lies on the unit 4-simplex."""
     w = np.asarray(w, dtype=np.float64)
-    if w.shape != (4,) or np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-9:
+    if not (w.shape == (4,) and np.all(w >= 0) and abs(float(w.sum()) - 1.0) <= 1e-9):
         raise InvalidValue(key, "must lie on the unit 4-simplex")
     return w
 
@@ -263,7 +270,7 @@ def _episode_draws(run: _Learner):
     cfg, lookback, lo = run.cfg, run.cfg.lookback, run.env.episode_range[0]
     n = run.env.steps_in(run.env.episode_range)
     weights, gamma, explore = draw_conditioning(cfg, run.streams, n)
-    returns = np.lib.stride_tricks.sliding_window_view(run.env.log_returns, lookback)[lo : lo + n]
+    returns = run.env.windows[lo : lo + n]
     conditioning = np.concatenate((weights, gamma[..., None]), axis=2) if cfg.generalize_gamma else weights
 
     def q_values(t, codes, slots) -> np.ndarray:
@@ -318,8 +325,7 @@ def _frozen_episode(run: _Learner) -> None:
     n, weights, gamma, explore, q_values = _episode_draws(run)
     cursor, steps, m = env.episode_range[0] + cfg.lookback, np.arange(n), explore.shape[1]
     # One forward per position and per counterfactual slot keeps the activations small.
-    greedy = np.column_stack([q_values(steps, pos.value, 0).argmax(axis=1) for pos in cfg.mode.positions])
-    actions = walk(cfg.mode, greedy.ravel().tolist(), explore[:, 0].tolist())
+    _, actions = env.greedy_walk(lambda code: q_values(steps, code, 0), explore[:, 0].tolist())
     before = np.concatenate(([0], env.target_signs[actions[:-1]]))  # position sign before each step
     taken = np.where(explore == REPLAYED, actions[:, None], explore)
     taken[:, 0] = actions
@@ -350,8 +356,7 @@ class _RunWriter:
 
     def __init__(self, out_dir: str | Path | None, cfg: TrainConfig, files: contextlib.ExitStack):
         self.path, self.started = (None if out_dir is None else Path(out_dir)), time.perf_counter()
-        self.meta = {"mode": cfg.mode.value, "generalize_gamma": cfg.generalize_gamma,
-                     "lookback": cfg.lookback, "reward_window": cfg.reward_window}
+        self.meta = cfg.checkpoint_meta
         if self.path is not None:
             self.path.mkdir(parents=True, exist_ok=True)
             self.metrics = files.enter_context(open(self.path / "metrics.jsonl", "w", buffering=1))
@@ -400,13 +405,40 @@ def train(
                 continue
             _fit_episode(run, state)
             reports = evaluation.evaluate_split(
-                net, series, split,
-                weights=eval_weights, gamma=eval_gamma, mode=cfg.mode, fee=cfg.fee,
-                lookback=cfg.lookback, reward_window=cfg.reward_window,
-                include_gamma=cfg.generalize_gamma,
+                net, env, split, weights=eval_weights, gamma=eval_gamma, include_gamma=cfg.generalize_gamma
             )
             ck = Checkpoint(episode=episode, net=net.clone(), reports=reports)
             writer.write(ck, run.env_steps, run.updates)
             checkpoints.append(ck)
 
     return TrainResult(net, run.target, checkpoints, run.buffer, run.env_steps, run.updates)
+
+
+@dataclass(frozen=True)
+class FoldResult:
+    fold: int
+    seed: int
+    best_episode: int
+    reports: dict[str, "evaluation.EvaluationReport"]
+
+    def to_dict(self) -> dict:
+        return {**asdict(self), "reports": {name: r.to_dict() for name, r in self.reports.items()}}
+
+
+def run_walk_forward(
+    cfg: TrainConfig, series: PriceSeries, plan: FoldPlan, *,
+    eval_weights: Sequence[float] | None = None, eval_gamma: float | None = None, metric: str = "sharpe",
+) -> list[FoldResult]:
+    """Train independently per fold and report the best checkpoint's metrics.
+
+    Fold k trains with a fresh seed derived from the master seed and the
+    fold index, selects its best checkpoint on the fold's eval range, and
+    reports that network on all three ranges.
+    """
+    results = []
+    for index, split in enumerate(plan.folds):
+        seed = fold_seed(cfg.seed, index)
+        outcome = train(replace(cfg, seed=seed), series, split, eval_weights=eval_weights, eval_gamma=eval_gamma)
+        best = evaluation.select_best_checkpoint(outcome.checkpoints, metric=metric, range_id="eval")
+        results.append(FoldResult(fold=index, seed=seed, best_episode=best.episode, reports=best.reports))
+    return results

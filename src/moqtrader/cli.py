@@ -9,10 +9,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from pathlib import Path
 
 from . import agent, config, evaluation
+from .env import TradingEnv
 from .errors import EngineError, InvalidValue, MissingFile
 from .market_data import make_split, walk_forward_folds
 from .qnet import load_checkpoint
@@ -57,7 +59,9 @@ def _collect_checkpoints(cfg: config.RunConfig, out: Path) -> list[Path]:
         if not path.exists():
             raise MissingFile(str(path))
         return [path]
-    found = sorted(out.glob("checkpoint_*.bin"), key=lambda p: int(p.stem.split("_")[1]))
+    # Only checkpoint_<episode>.bin files: a stray checkpoint_best.bin is not one of the run's.
+    numbered = (p for p in out.glob("checkpoint_*.bin") if re.fullmatch(r"checkpoint_[0-9]+\.bin", p.name))
+    found = sorted(numbered, key=lambda p: int(p.stem.split("_")[1]))
     if not found:
         raise MissingFile(f"no checkpoint_<episode>.bin files in {out}")
     return found
@@ -65,13 +69,7 @@ def _collect_checkpoints(cfg: config.RunConfig, out: Path) -> list[Path]:
 
 def _check_meta(meta: dict, train: agent.TrainConfig, path: Path) -> None:
     """Reject a checkpoint whose stored training geometry disagrees with the config."""
-    expected = {
-        "mode": train.mode.value,
-        "lookback": train.lookback,
-        "reward_window": train.reward_window,
-        "generalize_gamma": train.generalize_gamma,
-    }
-    for key, value in expected.items():
+    for key, value in train.checkpoint_meta.items():
         if key in meta and meta[key] != value:
             raise InvalidValue(
                 key, f"checkpoint {path} was trained with {json.dumps(meta[key])}, config has {json.dumps(value)}"
@@ -83,6 +81,7 @@ def cmd_backtest(cfg: config.RunConfig, out: Path) -> None:
     split = make_split(series, cfg.fractions)
     train = cfg.train
     weights, gamma = agent.eval_conditioning(train, cfg.eval_weights, cfg.eval_gamma)
+    env = TradingEnv(series, train.mode, lookback=train.lookback, reward_window=train.reward_window, fee=train.fee)
 
     # Selection reads only the eval range, so candidates are evaluated on it alone.
     candidates = []
@@ -90,18 +89,14 @@ def cmd_backtest(cfg: config.RunConfig, out: Path) -> None:
         net, meta = load_checkpoint(path)
         _check_meta(meta, train, path)
         _, _, report = evaluation.vectorized_rollout(
-            net, series, split.eval, weights, gamma, train.mode, train.fee,
-            lookback=train.lookback, reward_window=train.reward_window,
-            include_gamma=train.generalize_gamma, range_id="eval",
+            net, env, split.eval, weights, gamma, include_gamma=train.generalize_gamma, range_id="eval"
         )
         candidates.append(agent.Checkpoint(episode=int(meta.get("episode", 0)), net=net, reports={"eval": report}, path=path))
 
     best = evaluation.select_best_checkpoint(candidates, metric=cfg.report_metric, range_id="eval")
     range_ = split.range_for(cfg.eval_range)
     _, _, report = evaluation.vectorized_rollout(
-        best.net, series, range_, weights, gamma, train.mode, train.fee,
-        lookback=train.lookback, reward_window=train.reward_window,
-        include_gamma=train.generalize_gamma, range_id=cfg.eval_range,
+        best.net, env, range_, weights, gamma, include_gamma=train.generalize_gamma, range_id=cfg.eval_range
     )
     payload = {
         "checkpoint": str(best.path),
@@ -120,7 +115,7 @@ def cmd_walkforward(cfg: config.RunConfig, out: Path) -> None:
     series = config.load_series(cfg)
     plan = walk_forward_folds(series, cfg.n_folds, cfg.eval_frac, cfg.test_frac)
     config.write_resolved(cfg, out)
-    results = evaluation.run_walk_forward(
+    results = agent.run_walk_forward(
         cfg.train, series, plan,
         eval_weights=cfg.eval_weights, eval_gamma=cfg.eval_gamma, metric=cfg.report_metric,
     )

@@ -1,9 +1,10 @@
 """Deterministic single-asset trading environment.
 
 Actions name the position to hold next (target-position semantics):
-Buy -> Long, Sell -> Short, Hold -> Neutral.  A trade occurs exactly when
-the target differs from the current position.  Position changes execute at
-the current close price; the new position is held over (t, t+1].
+`Mode.targets` maps action ids to positions, Buy -> Long, Sell -> Short and
+Hold -> Neutral.  A trade occurs exactly when the target differs from the
+current position.  Position changes execute at the current close price; the
+new position is held over (t, t+1].
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -25,60 +28,48 @@ class Position(IntEnum):
     NEUTRAL = 0
 
 
-class Action(IntEnum):
-    BUY = 0
-    SELL = 1
-    HOLD = 2
-
-
-_TARGET = {Action.BUY: Position.LONG, Action.SELL: Position.SHORT, Action.HOLD: Position.NEUTRAL}
-
-
 class Mode(Enum):
-    """Action-space mode: long-only (LP) or long-and-short (LSP)."""
+    """Action-space mode: long-only (LP) or long-and-short (LSP).
+
+    `targets` is the one action -> position table: action id a leads to
+    targets[a] from any position, so position index j in it is also the id
+    of the action that leads there.
+    """
 
     LP = "LP"
     LSP = "LSP"
 
     @property
-    def actions(self) -> tuple[Action, ...]:
-        if self is Mode.LP:
-            return (Action.BUY, Action.HOLD)
-        return (Action.BUY, Action.SELL, Action.HOLD)
-
-    @property
-    def n_actions(self) -> int:
-        return len(self.actions)
-
-    @property
-    def positions(self) -> tuple[Position, ...]:
+    def targets(self) -> tuple[Position, ...]:
         if self is Mode.LP:
             return (Position.LONG, Position.NEUTRAL)
         return (Position.LONG, Position.SHORT, Position.NEUTRAL)
 
+    @property
+    def n_actions(self) -> int:
+        return len(self.targets)
+
 
 def position_transition(current: Position, action_id: int, mode: Mode) -> Position:
-    """Map an action id (index into mode.actions) to the next position."""
+    """Map an action id (index into mode.targets) to the next position."""
     if not 0 <= action_id < mode.n_actions:
         raise InvalidActionForMode(f"action id {action_id} invalid for mode {mode.value}")
-    return _TARGET[mode.actions[action_id]]
+    return mode.targets[action_id]
 
 
 def walk(mode: Mode, greedy: list[int], forced: list[int]) -> np.ndarray:
     """The actions of a trajectory from neutral.
 
     Step t takes forced[t] or, where that is negative, greedy[t * width + j]:
-    j indexes the current position in mode.positions, width of them.
+    j indexes the current position in mode.targets, width of them; after action a, j is a.
     """
-    positions = mode.positions
-    width, j = len(positions), positions.index(Position.NEUTRAL)
-    after = [positions.index(position_transition(Position.NEUTRAL, a, mode)) for a in range(mode.n_actions)]
+    width, j = mode.n_actions, mode.targets.index(Position.NEUTRAL)
     actions = []
     for t, a in enumerate(forced):
         if a < 0:
             a = greedy[t * width + j]
         actions.append(a)
-        j = after[a]
+        j = a
     return np.array(actions, dtype=np.int8)
 
 
@@ -134,7 +125,7 @@ class TradingEnv:
         self.reward_window = reward_window
         self.fee = fee
         self._fee_log = math.log1p(-fee)
-        self.target_signs = np.array([position_transition(Position.NEUTRAL, a, mode).value for a in range(mode.n_actions)])
+        self.target_signs = np.array([position.value for position in mode.targets])
         self.log_close = series.log_close
         self.log_returns = series.log_returns
         self._episode: IndexRange | None = None
@@ -174,13 +165,10 @@ class TradingEnv:
             self._episode = (lo, hi)
         return EnvState(self._episode[0] + self.lookback, Position.NEUTRAL, None, (0.0,) * (self.reward_window - 1))
 
-    def state_features(self, state: EnvState) -> np.ndarray:
-        """Network-facing features: lookback log-returns then position code."""
-        t = state.cursor
-        feats = np.empty(self.lookback + 1)
-        feats[: self.lookback] = self.log_returns[t - self.lookback : t]
-        feats[self.lookback] = float(state.position.value)
-        return feats
+    @cached_property
+    def windows(self) -> np.ndarray:
+        """The lookback log-returns a network sees at each cursor: row t - lookback for cursor t (a view)."""
+        return np.lib.stride_tricks.sliding_window_view(self.log_returns, self.lookback)
 
     def transition(self, state: EnvState, action_id: int) -> StepOutcome:
         """One step from `state`."""
@@ -233,6 +221,16 @@ class TradingEnv:
         t, a = np.nonzero(trade & (before != 0))  # closes: position at t was entered at entered[t - 1]
         powc[t, a] = before[t, 0] * (self.log_close[cursor + t] - self.log_close[cursor + entered[t - 1]])
         return lr[:, 0], reward_matrix(history, lr, powc)
+
+    def greedy_walk(self, q_values: Callable[[int], np.ndarray], forced: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The Q-table (n, positions, actions) of q_values(code) per position code, and the actions of its walk.
+
+        Step t takes forced[t] or, where that is negative, the greedy action
+        of step t's row for the position held; ties go to the lowest id.
+        """
+        q_table = np.stack([q_values(position.value) for position in self.mode.targets], axis=1)
+        # A flat list (no per-step lists): entry t * positions + j.
+        return q_table, walk(self.mode, q_table.argmax(axis=2).ravel().tolist(), forced)
 
     def steps_in(self, range_: IndexRange) -> int:
         """Number of steps a full pass over `range_` yields."""

@@ -1,8 +1,9 @@
-"""Greedy-policy rollouts, metrics, benchmarks and the walk-forward driver.
+"""Greedy-policy rollouts, metrics, benchmarks and checkpoint selection.
 
-`vectorized_rollout` is the route every evaluation takes: it batch-evaluates
-the network per trading position over the whole range, walks the Q-table and
-takes the rewards from the environment's array kernel, so its trace equals
+`vectorized_rollout` is the route every evaluation takes, on the caller's
+`TradingEnv`: it batch-evaluates the network per trading position over the
+whole range, walks the Q-table (`TradingEnv.greedy_walk`) and takes the
+rewards from the environment's array kernel, so its trace equals
 the greedy step loop's (tests/scalar_reference.py) bit for bit.  Buy-and-hold
 has one closed form, `_buy_and_hold_benchmark`, equal to the always-long
 environment rollout bit for bit.
@@ -11,14 +12,14 @@ environment rollout bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .env import Mode, Position, TradingEnv, walk
+from .env import Position, TradingEnv
 from .errors import Diverged, EmptyCheckpointList, RangeTooShort
-from .market_data import DataSplit, FoldPlan, IndexRange, PriceSeries
+from .market_data import DataSplit, IndexRange
 from .qnet import QNetwork, build_input
 from .rewards import STD_FLOOR
 
@@ -62,15 +63,9 @@ def _sharpe(log_returns: np.ndarray) -> float:
 
 
 def _report_from_trace(
-    trace: PositionTrace,
-    series: PriceSeries,
-    range_: IndexRange,
-    fee: float,
-    lookback: int,
-    weights: np.ndarray,
-    range_id: str,
+    trace: PositionTrace, env: TradingEnv, range_: IndexRange, weights: np.ndarray, range_id: str
 ) -> EvaluationReport:
-    benchmark = _buy_and_hold_benchmark(series, range_, fee, lookback)
+    benchmark = _buy_and_hold_benchmark(env, range_)
     scalars = trace.reward_vectors @ weights
     lr = trace.portfolio_log_returns
     return EvaluationReport(
@@ -86,33 +81,23 @@ def _report_from_trace(
     )
 
 
-def _buy_and_hold_benchmark(series: PriceSeries, range_: IndexRange, fee: float, lookback: int) -> tuple[float, float]:
+def _buy_and_hold_benchmark(env: TradingEnv, range_: IndexRange) -> tuple[float, float]:
     """Profit and Sharpe of the always-long policy, in closed form.
 
     The log-returns are built element for element as the environment
     builds them, so the result equals an always-long rollout exactly.
     """
     lo, hi = range_
-    lr = 1.0 * series.log_returns[lo + lookback : hi - 1]
-    lr[0] += math.log1p(-fee)  # the opening buy is the only trade leg
+    lr = 1.0 * env.log_returns[lo + env.lookback : hi - 1]
+    lr[0] += math.log1p(-env.fee)  # the opening buy is the only trade leg
     return float(np.exp(lr.sum()) - 1.0), _sharpe(lr)
 
 
 def vectorized_rollout(
-    net: QNetwork,
-    series: PriceSeries,
-    range_: IndexRange,
-    weights: np.ndarray,
-    gamma: float,
-    mode: Mode,
-    fee: float = 0.0,
-    *,
-    lookback: int,
-    reward_window: int,
-    include_gamma: bool = False,
-    range_id: str = "range",
+    net: QNetwork, env: TradingEnv, range_: IndexRange, weights: np.ndarray, gamma: float, *,
+    include_gamma: bool = False, range_id: str = "range",
 ) -> tuple[np.ndarray, PositionTrace, EvaluationReport]:
-    """Fast greedy rollout: one batched network evaluation per trading position.
+    """Fast greedy rollout over range_ of env's series: one batched network evaluation per trading position.
 
     The lookback evolution over a fixed price range is fully predictable, so
     Q-values for every (step, position) pair are computed up front; the
@@ -120,21 +105,19 @@ def vectorized_rollout(
     resulting trace matches the environment's step loop exactly.
     """
     lo, hi = range_
-    env = TradingEnv(series, mode, lookback=lookback, reward_window=reward_window, fee=fee)
-    n = env.steps_in(range_)
+    lookback, n = env.lookback, env.steps_in(range_)
     if n < 1:
         raise RangeTooShort(f"range length {hi - lo} < lookback + 2 = {lookback + 2}")
     inputs = np.tile(build_input(np.zeros(lookback + 1), weights, gamma, include_gamma), (n, 1))
-    inputs[:, :lookback] = np.lib.stride_tricks.sliding_window_view(series.log_returns, lookback)[lo : lo + n]
-    positions = mode.positions
-    q_table = np.empty((n, len(positions), mode.n_actions))
-    for j, pos in enumerate(positions):
-        inputs[:, lookback] = float(pos.value)
-        q_table[:, j, :] = net.forward(inputs)
+    inputs[:, :lookback] = env.windows[lo : lo + n]
+
+    def q_values(code: int) -> np.ndarray:
+        inputs[:, lookback] = code
+        return net.forward(inputs)
+
+    q_table, actions = env.greedy_walk(q_values, [-1] * n)
     if not np.isfinite(q_table).all():
         raise Diverged(f"non-finite Q-values on {range_id} range {list(range_)}")
-    # A flat list (no per-step lists): entry t * len(positions) + j.
-    actions = walk(mode, q_table.argmax(axis=2).ravel().tolist(), [-1] * n)
     lr, rewards = env.outcomes(lo + lookback, actions[:, None])
     trace = PositionTrace(
         positions=env.target_signs[actions].astype(np.int8),
@@ -142,36 +125,20 @@ def vectorized_rollout(
         portfolio_log_returns=lr,
         reward_vectors=rewards[:, 0],
     )
-    report = _report_from_trace(trace, series, range_, fee, lookback, weights, range_id)
-    return q_table, trace, report
+    return q_table, trace, _report_from_trace(trace, env, range_, weights, range_id)
 
 
 def evaluate_split(
-    net: QNetwork,
-    series: PriceSeries,
-    split: DataSplit,
-    *,
-    weights: np.ndarray,
-    gamma: float,
-    mode: Mode,
-    fee: float,
-    lookback: int,
-    reward_window: int,
-    include_gamma: bool,
+    net: QNetwork, env: TradingEnv, split: DataSplit, *, weights: np.ndarray, gamma: float, include_gamma: bool
 ) -> dict[str, EvaluationReport]:
-    """Reports for the train/eval/test ranges of one split."""
-    reports = {}
-    for name, range_ in split.as_dict().items():
-        _, _, report = vectorized_rollout(
-            net, series, range_, weights, gamma, mode, fee,
-            lookback=lookback, reward_window=reward_window,
-            include_gamma=include_gamma, range_id=name,
-        )
-        reports[name] = report
-    return reports
+    """Reports for the train/eval/test ranges of one split of env's series."""
+    return {
+        name: vectorized_rollout(net, env, range_, weights, gamma, include_gamma=include_gamma, range_id=name)[2]
+        for name, range_ in split.as_dict().items()
+    }
 
 
-_METRIC_ATTR = {"sharpe": "sharpe", "profit": "total_profit", "total_profit": "total_profit"}
+_METRIC_ATTR = {"sharpe": "sharpe", "profit": "total_profit"}
 
 
 def select_best_checkpoint(checkpoints: Sequence, metric: str = "sharpe", range_id: str = "eval"):
@@ -186,41 +153,3 @@ def select_best_checkpoint(checkpoints: Sequence, metric: str = "sharpe", range_
         if value > best_value:
             best, best_value = ck, value
     return best
-
-
-@dataclass(frozen=True)
-class FoldResult:
-    fold: int
-    seed: int
-    best_episode: int
-    reports: dict[str, EvaluationReport]
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "reports": {name: r.to_dict() for name, r in self.reports.items()}}
-
-
-def run_walk_forward(
-    cfg,
-    series: PriceSeries,
-    plan: FoldPlan,
-    *,
-    eval_weights: np.ndarray | None = None,
-    eval_gamma: float | None = None,
-    metric: str = "sharpe",
-) -> list[FoldResult]:
-    """Train independently per fold and report the best checkpoint's metrics.
-
-    Fold k trains with a fresh seed derived from the master seed and the
-    fold index, selects its best checkpoint on the fold's eval range, and
-    reports that network on all three ranges.
-    """
-    from . import agent
-
-    results = []
-    for index, split in enumerate(plan.folds):
-        seed = agent.fold_seed(cfg.seed, index)
-        fold_cfg = replace(cfg, seed=seed)
-        outcome = agent.train(fold_cfg, series, split, eval_weights=eval_weights, eval_gamma=eval_gamma)
-        best = select_best_checkpoint(outcome.checkpoints, metric=metric, range_id="eval")
-        results.append(FoldResult(fold=index, seed=seed, best_episode=best.episode, reports=best.reports))
-    return results

@@ -50,8 +50,8 @@ class PriceSeries:
             raise SeriesTooShort(f"need at least 2 rows, got {len(close)}")
         if np.any(np.diff(ts) <= 0):
             raise NonMonotonicTimestamp(int(np.argmax(np.diff(ts) <= 0)) + 2)
-        if np.any(close <= 0):
-            raise NonPositivePrice(int(np.argmax(close <= 0)) + 1)
+        if not np.all(close > 0):  # a NaN close fails too
+            raise NonPositivePrice(int(np.argmin(close > 0)) + 1)
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "close", close)
 

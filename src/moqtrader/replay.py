@@ -1,8 +1,8 @@
 """Age-bounded experience replay with covariance whitening at sampling time.
 
 Experiences are stored as columns of indices and conditioning, not
-features: `rows` rebuilds the state and next-state features from the
-series' log-returns, exactly as `TradingEnv.state_features` would.  The
+features: `rows` rebuilds the state and next-state features (the lookback
+log-returns before the cursor, then the position code) from the series.  The
 stored raw rewards are never modified; whitening is applied to sampled
 copies.  Element age is measured in network updates since insertion, and
 the same bound applies to single- and multi-reward runs (multi-reward

@@ -32,20 +32,20 @@ def generate_synthetic(
         raise InvalidValue("synthetic_kind", f"{kind!r} not one of {KINDS}")
     if length < 2:
         raise InvalidValue("synthetic_length", "must be >= 2")
-    if base <= 0:
+    if not base > 0:
         raise InvalidValue("synthetic_base", "must be > 0")
 
     t = np.arange(length, dtype=np.float64)
     if kind == "sine":
         if not (0.0 <= amplitude < 1.0):
             raise InvalidValue("synthetic_amplitude", "sine amplitude must be in [0, 1)")
-        if period <= 0:
+        if not period > 0:
             raise InvalidValue("synthetic_period", "must be > 0")
         close = base * (1.0 + amplitude * np.sin(2.0 * np.pi * t / period))
     elif kind == "trend":
         close = base * np.exp(drift * t)
     else:
-        if amplitude < 0:
+        if not amplitude >= 0:
             raise InvalidValue("synthetic_amplitude", "random-walk step std must be >= 0")
         rng = np.random.default_rng(seed)
         steps = drift + amplitude * rng.standard_normal(length - 1)

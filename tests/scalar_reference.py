@@ -3,8 +3,8 @@
 The engine computes greedy evaluations and frozen-network training
 episodes in arrays, and draws a fitting episode's conditioning before its
 first step.  These step loops compute the same things with
-`TradingEnv.transition`, per-step draws and one-row forwards, and the tests
-hold the engine's runners to them bit for bit.
+`TradingEnv.transition`, per-step draws and one-row forwards of
+`state_features`, and the tests hold the engine's runners to them bit for bit.
 """
 
 from __future__ import annotations
@@ -14,29 +14,28 @@ from typing import Callable
 import numpy as np
 
 from moqtrader import agent
-from moqtrader.env import EnvState, Mode, TradingEnv
+from moqtrader.env import EnvState, TradingEnv
 from moqtrader.evaluation import EvaluationReport, PositionTrace, _report_from_trace
-from moqtrader.market_data import IndexRange, PriceSeries
+from moqtrader.market_data import IndexRange
 from moqtrader.qnet import QNetwork, bellman_targets, build_input
 from moqtrader.replay import ReplayBuffer, compute_whitening, whiten_batch
 
 
-def rollout(
-    series: PriceSeries,
-    range_: IndexRange,
-    mode: Mode,
-    fee: float,
-    policy: Callable[[np.ndarray, EnvState], int],
-    *,
-    lookback: int,
-    reward_window: int,
-) -> PositionTrace:
+def state_features(env: TradingEnv, state: EnvState) -> np.ndarray:
+    """Network-facing features: lookback log-returns then position code."""
+    t = state.cursor
+    feats = np.empty(env.lookback + 1)
+    feats[: env.lookback] = env.log_returns[t - env.lookback : t]
+    feats[env.lookback] = float(state.position.value)
+    return feats
+
+
+def rollout(env: TradingEnv, range_: IndexRange, policy: Callable[[np.ndarray, EnvState], int]) -> PositionTrace:
     """Step the environment over range_ with the policy's action at each state."""
-    env = TradingEnv(series, mode, lookback=lookback, reward_window=reward_window, fee=fee)
     state = env.reset(range_)
     positions, actions, log_rets, vectors = [], [], [], []
     while True:
-        feats = env.state_features(state)
+        feats = state_features(env, state)
         action = policy(feats, state)
         outcome = env.transition(state, action)
         positions.append(int(outcome.next_state.position.value))
@@ -64,47 +63,32 @@ def greedy_policy(net: QNetwork, weights: np.ndarray, gamma: float, include_gamm
 
 def run_policy(
     net: QNetwork,
-    series: PriceSeries,
+    env: TradingEnv,
     range_: IndexRange,
     weights: np.ndarray,
     gamma: float,
-    mode: Mode,
-    fee: float = 0.0,
     *,
-    lookback: int,
-    reward_window: int,
     include_gamma: bool = False,
     range_id: str = "range",
 ) -> tuple[PositionTrace, EvaluationReport]:
     """Greedy rollout of the network over one range, one one-row forward per step."""
-    trace = rollout(
-        series, range_, mode, fee, greedy_policy(net, weights, gamma, include_gamma),
-        lookback=lookback, reward_window=reward_window,
-    )
-    return trace, _report_from_trace(trace, series, range_, fee, lookback, weights, range_id)
+    trace = rollout(env, range_, greedy_policy(net, weights, gamma, include_gamma))
+    return trace, _report_from_trace(trace, env, range_, weights, range_id)
 
 
 def buy_and_hold(
-    series: PriceSeries,
-    range_: IndexRange,
-    fee: float = 0.0,
-    *,
-    lookback: int,
-    reward_window: int,
-    mode: Mode = Mode.LSP,
-    weights: np.ndarray | None = None,
-    range_id: str = "range",
+    env: TradingEnv, range_: IndexRange, *, weights: np.ndarray | None = None, range_id: str = "range"
 ) -> EvaluationReport:
     """Metrics of the always-long policy entering at the range start, by environment rollout."""
     if weights is None:
         weights = np.array([1.0, 0.0, 0.0, 0.0])
-    trace = rollout(series, range_, mode, fee, lambda feats, state: 0, lookback=lookback, reward_window=reward_window)
-    return _report_from_trace(trace, series, range_, fee, lookback, weights, range_id)
+    trace = rollout(env, range_, lambda feats, state: 0)
+    return _report_from_trace(trace, env, range_, weights, range_id)
 
 
 def act_epsilon_greedy(
     net: QNetwork,
-    state_features: np.ndarray,
+    feats: np.ndarray,
     weights: np.ndarray,
     gamma: float,
     tol: float,
@@ -117,14 +101,14 @@ def act_epsilon_greedy(
     action = agent.explore_action(rng, tol, n_actions)
     if action >= 0:
         return action
-    q = net.forward(build_input(state_features, weights, gamma, include_gamma))
+    q = net.forward(build_input(feats, weights, gamma, include_gamma))
     return int(np.argmax(q))
 
 
 def augment_experiences(
     env: TradingEnv,
     state: EnvState,
-    state_features: np.ndarray,
+    feats: np.ndarray,
     real_action: int,
     net: QNetwork,
     cfg: "agent.TrainConfig",
@@ -143,7 +127,7 @@ def augment_experiences(
         gamma = agent.sample_gamma(rng, cfg.gamma_range) if cfg.generalize_gamma else cfg.gamma
         if cfg.hindsight_action == agent.HINDSIGHT_RESAMPLE:
             action = act_epsilon_greedy(
-                net, state_features, w, gamma, cfg.tol, rng,
+                net, feats, w, gamma, cfg.tol, rng,
                 n_actions=cfg.n_actions, include_gamma=cfg.generalize_gamma,
             )
         else:
@@ -165,7 +149,7 @@ def step_loop(run: "agent._Learner", state: EnvState, fit: bool) -> None:
     while True:
         w = fixed if fixed is not None else agent.sample_weights(streams["weights"])
         gamma = agent.sample_gamma(streams["gamma"], cfg.gamma_range) if include_gamma else cfg.gamma
-        feats = env.state_features(state)
+        feats = state_features(env, state)
         action = act_epsilon_greedy(
             net, feats, w, gamma, cfg.tol, streams["explore"],
             n_actions=cfg.n_actions, include_gamma=include_gamma,

@@ -211,10 +211,9 @@ def test_criterion_06_vectorized_equivalence_and_speedup():
         fee = float(rng.choice([0.0, 0.0005]))
         lo = int(rng.integers(0, 200))
         hi = int(rng.integers(lo + lookback + 10, 500))
-        trace_a, rep_a = scalar_reference.run_policy(
-            net, series, (lo, hi), w, gamma, mode, fee, lookback=lookback, reward_window=window)
-        _, trace_b, rep_b = evaluation.vectorized_rollout(
-            net, series, (lo, hi), w, gamma, mode, fee, lookback=lookback, reward_window=window)
+        env = TradingEnv(series, mode, lookback=lookback, reward_window=window, fee=fee)
+        trace_a, rep_a = scalar_reference.run_policy(net, env, (lo, hi), w, gamma)
+        _, trace_b, rep_b = evaluation.vectorized_rollout(net, env, (lo, hi), w, gamma)
         np.testing.assert_array_equal(trace_a.actions, trace_b.actions)
         np.testing.assert_array_equal(trace_a.positions, trace_b.positions)
         np.testing.assert_array_equal(trace_a.reward_vectors, trace_b.reward_vectors)
@@ -228,11 +227,12 @@ def test_criterion_06_vectorized_equivalence_and_speedup():
     net = QNetwork([30 + 5, 64, 64, 3], seed=79)
     w = agent.uniform_weights()
     range_ = (0, 10_000 + 30 + 2)
+    env = TradingEnv(big, Mode.LSP, lookback=30, reward_window=20)
     started = time.perf_counter()
-    trace_a, _ = scalar_reference.run_policy(net, big, range_, w, 0.95, Mode.LSP, lookback=30, reward_window=20)
+    trace_a, _ = scalar_reference.run_policy(net, env, range_, w, 0.95)
     naive = time.perf_counter() - started
     started = time.perf_counter()
-    _, trace_b, _ = evaluation.vectorized_rollout(net, big, range_, w, 0.95, Mode.LSP, lookback=30, reward_window=20)
+    _, trace_b, _ = evaluation.vectorized_rollout(net, env, range_, w, 0.95)
     fast = time.perf_counter() - started
     np.testing.assert_array_equal(trace_a.actions, trace_b.actions)
     assert len(trace_a.actions) > 10_000 - 1
@@ -270,7 +270,8 @@ def test_criterion_08_learning_sanity():
     started = time.perf_counter()
     series = generate_synthetic("sine", 5000, amplitude=0.1, period=50.0)
     split = make_split(series)
-    benchmark = scalar_reference.buy_and_hold(series, split.train, lookback=30, reward_window=20).total_profit
+    env = TradingEnv(series, Mode.LSP, lookback=30, reward_window=20)
+    benchmark = scalar_reference.buy_and_hold(env, split.train).total_profit
 
     wins = 0
     margins = []

@@ -166,6 +166,14 @@ BAD_VALUES = [
     ('pin_weights = ["a", 0, 0, 0]', "pin_weights", "must be a list of 4 reals"),
     ('eval_weights = ["a", 0, 0, 0]', "eval_weights", "must be a list of 4 reals"),
     ("hidden = [true, 2]", "hidden", "must be a list of positive integers"),
+    # NaN fails every check, as each is written as the condition that must hold
+    ("pin_weights = [NaN, 0, 0, 1]", "pin_weights", "must lie on the unit 4-simplex"),
+    ("eval_weights = [NaN, 0, 0, 1]", "eval_weights", "must lie on the unit 4-simplex"),
+    ("synthetic_base = NaN", "synthetic_base", "must be > 0"),
+    ("synthetic_period = NaN", "synthetic_period", "must be > 0"),
+    ("synthetic_amplitude = NaN", "synthetic_amplitude", "sine amplitude must be in [0, 1)"),
+    ('synthetic_kind = "random-walk"\nsynthetic_amplitude = NaN', "synthetic_amplitude",
+     "random-walk step std must be >= 0"),
 ]
 
 
@@ -202,6 +210,23 @@ class TestErrorPayloads:
         expected = {"error": "InvalidValue", "detail": f"invalid value for weights: {reason}",
                     "context": {"key": "weights", "reason": reason}}
         assert capsys.readouterr().out == json.dumps(expected) + "\n"
+        assert status == 1
+
+    def test_weights_flag_nan(self, tmp_path, capsys):
+        out = tmp_path / "empty"
+        out.mkdir()
+        status = cli.main(["backtest", "--config", str(write(tmp_path, "synthetic_kind = sine\n")), "--out", str(out),
+                           "--weights", "nan,0,0,1"])
+        reason = "must lie on the unit 4-simplex"
+        expected = {"error": "InvalidValue", "detail": f"invalid value for weights: {reason}",
+                    "context": {"key": "weights", "reason": reason}}
+        assert capsys.readouterr().out == json.dumps(expected) + "\n"
+        assert status == 1
+
+    def test_nan_close(self, tmp_path, capsys):
+        status, out = self.run_backtest(tmp_path, capsys, 'synthetic_kind = "trend"\nsynthetic_drift = NaN')
+        expected = {"error": "NonPositivePrice", "detail": "NonPositivePrice at row 1", "context": {"row": 1}}
+        assert out == json.dumps(expected) + "\n"
         assert status == 1
 
     def test_unknown_key(self, tmp_path, capsys):
@@ -252,6 +277,7 @@ class TestCli:
     def test_backtest_report_equals_scalar_route(self, tmp_path, capsys, mode, extra, range_):
         from scalar_reference import run_policy
 
+        from moqtrader.env import TradingEnv
         from moqtrader.market_data import make_split
         from moqtrader.qnet import QNetwork, save_checkpoint
 
@@ -272,9 +298,9 @@ class TestCli:
                             "--weights", "0.1,0.2,0.3,0.4") == 0
         payload = json.loads((tmp_path / "report.json").read_text())
         series = config.load_series(cfg)
+        env = TradingEnv(series, train.mode, lookback=train.lookback, reward_window=train.reward_window, fee=train.fee)
         _, expected = run_policy(
-            net, series, make_split(series, cfg.fractions).range_for(range_), payload["weights"], payload["gamma"],
-            train.mode, train.fee, lookback=train.lookback, reward_window=train.reward_window,
+            net, env, make_split(series, cfg.fractions).range_for(range_), payload["weights"], payload["gamma"],
             include_gamma=train.generalize_gamma, range_id=range_,
         )
         assert expected.trades >= 2
@@ -329,6 +355,30 @@ class TestCli:
         assert payload["error"] == "InvalidValue"
         assert payload["context"]["key"] == key
         assert not (out / "report.json").exists()
+
+    def test_backtest_names_the_first_disagreeing_key_in_checkpoint_order(self, tmp_path, capsys):
+        from moqtrader.qnet import load_checkpoint, save_checkpoint
+
+        cfg_path = write(tmp_path, FAST_TRAIN)
+        out = tmp_path / "run"
+        assert self.run_cli("train", "--config", cfg_path, "--out", out) == 0
+        capsys.readouterr()
+        net, meta = load_checkpoint(out / "checkpoint_2.bin")
+        assert list(meta) == ["episode", "mode", "generalize_gamma", "lookback", "reward_window"]
+        save_checkpoint(out / "checkpoint_2.bin", net, {**meta, "lookback": 7, "generalize_gamma": True})
+        assert self.run_cli("backtest", "--config", cfg_path, "--out", out) == 1
+        assert json.loads(capsys.readouterr().out)["context"]["key"] == "generalize_gamma"
+
+    def test_backtest_ignores_stray_checkpoint_file(self, tmp_path, capsys):
+        cfg_path = write(tmp_path, FAST_TRAIN)
+        out = tmp_path / "run"
+        assert self.run_cli("train", "--config", cfg_path, "--out", out) == 0
+        assert self.run_cli("backtest", "--config", cfg_path, "--out", out) == 0
+        clean = (out / "report.json").read_bytes()
+        (out / "report.json").unlink()
+        (out / "checkpoint_best.bin").write_bytes(b"not a checkpoint")
+        assert self.run_cli("backtest", "--config", cfg_path, "--out", out) == 0
+        assert (out / "report.json").read_bytes() == clean
 
     def test_backtest_of_diverged_network_fails(self, tmp_path, capsys):
         from moqtrader.qnet import load_checkpoint, save_checkpoint

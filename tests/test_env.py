@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scalar_reference import state_features
 
-from moqtrader.env import Action, Mode, Position, TradingEnv, position_transition, walk
+from moqtrader.env import Mode, Position, TradingEnv, position_transition, walk
 from moqtrader.errors import EpisodeExhausted, InvalidActionForMode, RangeTooShort
 from moqtrader.market_data import PriceSeries
 from moqtrader.synthetic import generate_synthetic
@@ -37,8 +38,14 @@ class TestPositionTransition:
             position_transition(Position.LONG, 2, Mode.LP)
 
     def test_action_order(self):
-        assert Mode.LP.actions == (Action.BUY, Action.HOLD)
-        assert Mode.LSP.actions == (Action.BUY, Action.SELL, Action.HOLD)
+        # Buy -> Long, Sell -> Short, Hold -> Neutral; LP has no Sell
+        assert Mode.LP.targets == (Position.LONG, Position.NEUTRAL)
+        assert Mode.LSP.targets == (Position.LONG, Position.SHORT, Position.NEUTRAL)
+        for mode, signs in ((Mode.LP, [1, 0]), (Mode.LSP, [1, -1, 0])):
+            env = TradingEnv(series_of([100.0, 101.0, 102.0]), mode, lookback=1, reward_window=1)
+            assert env.target_signs.tolist() == signs == [target.value for target in mode.targets]
+            for current in Position:
+                assert [position_transition(current, a, mode) for a in range(mode.n_actions)] == list(mode.targets)
 
 
 class TestReset:
@@ -172,7 +179,7 @@ class TestTrajectoryProperties:
         rng = np.random.default_rng(8)
         close = env.series.close
         while True:
-            feats = env.state_features(state)
+            feats = state_features(env, state)
             t = state.cursor
             recomputed = [math.log(close[t - env.lookback + 1 + j]) - math.log(close[t - env.lookback + j]) for j in range(env.lookback)]
             np.testing.assert_allclose(feats[: env.lookback], recomputed, atol=1e-12, rtol=0)

@@ -3,15 +3,10 @@ import pytest
 from scalar_reference import buy_and_hold, run_policy
 
 from moqtrader import agent
-from moqtrader.agent import TrainConfig, uniform_weights
-from moqtrader.env import Mode
-from moqtrader.errors import Diverged, EmptyCheckpointList
-from moqtrader.evaluation import (
-    EvaluationReport,
-    run_walk_forward,
-    select_best_checkpoint,
-    vectorized_rollout,
-)
+from moqtrader.agent import TrainConfig, run_walk_forward, uniform_weights
+from moqtrader.env import Mode, TradingEnv
+from moqtrader.errors import Diverged, EmptyCheckpointList, RangeTooShort
+from moqtrader.evaluation import EvaluationReport, select_best_checkpoint, vectorized_rollout
 from moqtrader.market_data import PriceSeries, walk_forward_folds
 from moqtrader.qnet import QNetwork
 from moqtrader.synthetic import generate_synthetic
@@ -20,6 +15,10 @@ from moqtrader.synthetic import generate_synthetic
 def series_of(closes):
     closes = np.asarray(closes, dtype=np.float64)
     return PriceSeries("test", np.arange(len(closes), dtype=np.int64), closes)
+
+
+def env_of(series, mode=Mode.LSP, fee=0.0, *, lookback, reward_window):
+    return TradingEnv(series, mode, lookback=lookback, reward_window=reward_window, fee=fee)
 
 
 def constant_policy_net(bias, n_inputs=11):
@@ -39,8 +38,8 @@ class TestRunPolicy:
     def test_permanent_neutral(self):
         series = generate_synthetic("sine", 200, amplitude=0.05, period=25.0)
         net = constant_policy_net([0.0, 0.0, 1.0])  # argmax -> Hold
-        trace, report = run_policy(net, series, (0, 200), uniform_weights(), 0.95, Mode.LSP,
-                                   lookback=6, reward_window=4)
+        env = env_of(series, lookback=6, reward_window=4)
+        trace, report = run_policy(net, env, (0, 200), uniform_weights(), 0.95)
         assert report.total_profit == 0.0
         assert report.sharpe == 0.0
         assert report.long_exposure == 0.0
@@ -50,8 +49,8 @@ class TestRunPolicy:
     def test_permanent_long_profit(self):
         series = linear_100_to_150(lookback=5)
         net = constant_policy_net([1.0, 0.0, 0.0], n_inputs=10)  # argmax -> Buy
-        _, report = run_policy(net, series, (0, len(series)), uniform_weights(), 0.95, Mode.LSP,
-                               lookback=5, reward_window=4)
+        _, report = run_policy(net, env_of(series, lookback=5, reward_window=4), (0, len(series)),
+                               uniform_weights(), 0.95)
         assert report.total_profit == pytest.approx(0.5, abs=1e-9)
         assert report.long_exposure == 1.0
         assert report.trades == 1
@@ -59,18 +58,18 @@ class TestRunPolicy:
     def test_fee_reduces_profit_per_leg(self):
         series = linear_100_to_150(lookback=5)
         net = constant_policy_net([1.0, 0.0, 0.0], n_inputs=10)
-        _, free = run_policy(net, series, (0, len(series)), uniform_weights(), 0.95, Mode.LSP,
-                             lookback=5, reward_window=4, fee=0.0)
-        _, paid = run_policy(net, series, (0, len(series)), uniform_weights(), 0.95, Mode.LSP,
-                             lookback=5, reward_window=4, fee=0.001)
+        _, free = run_policy(net, env_of(series, fee=0.0, lookback=5, reward_window=4), (0, len(series)),
+                             uniform_weights(), 0.95)
+        _, paid = run_policy(net, env_of(series, fee=0.001, lookback=5, reward_window=4), (0, len(series)),
+                             uniform_weights(), 0.95)
         assert paid.trades == free.trades == 1
         assert 1.0 + paid.total_profit == pytest.approx((1.0 + free.total_profit) * (1 - 0.001), rel=1e-12)
 
     def test_profit_consistency_with_simple_returns(self):
         series = generate_synthetic("random-walk", 300, amplitude=0.01, seed=3)
         net = QNetwork([11, 3], seed=4)
-        trace, report = run_policy(net, series, (0, 300), uniform_weights(), 0.95, Mode.LSP,
-                                   lookback=6, reward_window=4)
+        env = env_of(series, lookback=6, reward_window=4)
+        trace, report = run_policy(net, env, (0, 300), uniform_weights(), 0.95)
         product = np.prod(1.0 + (np.exp(trace.portfolio_log_returns) - 1.0))
         assert report.total_profit == pytest.approx(product - 1.0, abs=1e-9)
 
@@ -84,7 +83,7 @@ class TestBuyAndHold:
     def test_matches_price_ratio(self):
         series = linear_100_to_150(lookback=5)
         for mode, fee in MODES_AND_FEES:
-            report = buy_and_hold(series, (0, len(series)), fee, lookback=5, reward_window=4, mode=mode)
+            report = buy_and_hold(env_of(series, mode, fee, lookback=5, reward_window=4), (0, len(series)))
             assert report.total_profit == pytest.approx(1.5 * (1.0 - fee) - 1.0, abs=1e-9)
             assert report.buy_and_hold_profit == report.total_profit
             assert report.buy_and_hold_sharpe == report.sharpe
@@ -92,7 +91,7 @@ class TestBuyAndHold:
     def test_constant_prices(self):
         series = series_of([42.0] * 50)
         for mode in (Mode.LSP, Mode.LP):
-            report = buy_and_hold(series, (0, 50), lookback=5, reward_window=4, mode=mode)
+            report = buy_and_hold(env_of(series, mode, lookback=5, reward_window=4), (0, 50))
             assert report.total_profit == 0.0
             assert report.sharpe == 0.0
             assert report.buy_and_hold_profit == report.total_profit
@@ -103,13 +102,12 @@ class TestBuyAndHold:
         rng = np.random.default_rng(29)
         for mode, fee in MODES_AND_FEES:
             net = constant_policy_net([1.0] + [0.0] * (mode.n_actions - 1), n_inputs=12)
+            env = env_of(series, mode, fee, lookback=7, reward_window=5)
             starts = rng.integers(0, 120, size=9)
             ranges = [(10, 240)] + [(int(lo), int(rng.integers(lo + 7 + 2, 251))) for lo in starts]
             for lo, hi in ranges:
-                _, forced = run_policy(net, series, (lo, hi), uniform_weights(), 0.95, mode, fee,
-                                       lookback=7, reward_window=5)
-                bnh = buy_and_hold(series, (lo, hi), fee, lookback=7, reward_window=5, mode=mode,
-                                   weights=uniform_weights())
+                _, forced = run_policy(net, env, (lo, hi), uniform_weights(), 0.95)
+                bnh = buy_and_hold(env, (lo, hi), weights=uniform_weights())
                 assert bnh.to_dict() == forced.to_dict()
                 assert bnh.trades == 1
                 assert bnh.buy_and_hold_profit == bnh.total_profit
@@ -120,12 +118,12 @@ class TestVectorizedRollout:
     def test_q_table_slices_match_mode(self):
         series = generate_synthetic("sine", 120, amplitude=0.05, period=30.0)
         lp_net = QNetwork([11, 2], seed=1)
-        q, _, _ = vectorized_rollout(lp_net, series, (0, 120), uniform_weights(), 0.95, Mode.LP,
-                                     lookback=6, reward_window=4)
+        q, _, _ = vectorized_rollout(lp_net, env_of(series, Mode.LP, lookback=6, reward_window=4), (0, 120),
+                                     uniform_weights(), 0.95)
         assert q.shape[1:] == (2, 2)
         lsp_net = QNetwork([11, 3], seed=1)
-        q, _, _ = vectorized_rollout(lsp_net, series, (0, 120), uniform_weights(), 0.95, Mode.LSP,
-                                     lookback=6, reward_window=4)
+        q, _, _ = vectorized_rollout(lsp_net, env_of(series, Mode.LSP, lookback=6, reward_window=4), (0, 120),
+                                     uniform_weights(), 0.95)
         assert q.shape[1:] == (3, 3)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -134,22 +132,39 @@ class TestVectorizedRollout:
         net = QNetwork([11, 8, 3], seed=1)
         net.weights[0][0, 0] = bad
         with pytest.raises(Diverged), np.errstate(invalid="ignore"):
-            vectorized_rollout(net, series, (0, 120), uniform_weights(), 0.95, Mode.LSP,
-                               lookback=6, reward_window=4)
+            vectorized_rollout(net, env_of(series, lookback=6, reward_window=4), (0, 120), uniform_weights(), 0.95)
+
+    def test_series_shorter_than_lookback(self):
+        env = env_of(series_of([100.0, 101.0, 102.0, 101.0]), lookback=6, reward_window=4)
+        with pytest.raises(RangeTooShort):
+            vectorized_rollout(QNetwork([11, 3], seed=1), env, (0, 4), uniform_weights(), 0.95)
+
+    def test_leaves_the_episode_range_alone(self):
+        series = generate_synthetic("sine", 120, amplitude=0.05, period=30.0)
+        net = QNetwork([11, 3], seed=1)
+        fresh, episode = env_of(series, lookback=6, reward_window=4), env_of(series, lookback=6, reward_window=4)
+        episode.reset((10, 60))
+        for range_ in [(0, 120), (30, 90)]:
+            _, trace_a, rep_a = vectorized_rollout(net, fresh, range_, uniform_weights(), 0.95)
+            _, trace_b, rep_b = vectorized_rollout(net, episode, range_, uniform_weights(), 0.95)
+            np.testing.assert_array_equal(trace_a.actions, trace_b.actions)
+            assert rep_a.to_dict() == rep_b.to_dict()
+        assert episode.episode_range == (10, 60)
+        with pytest.raises(RuntimeError):
+            fresh.episode_range
 
     @pytest.mark.parametrize("mode,fee", [(Mode.LSP, 0.0), (Mode.LSP, 0.0005), (Mode.LP, 0.0)])
     def test_equals_naive_on_random_nets(self, mode, fee):
         rng = np.random.default_rng(17)
         series = generate_synthetic("random-walk", 400, amplitude=0.015, seed=23)
+        env = env_of(series, mode, fee, lookback=6, reward_window=4)
         for trial in range(20):
             net = QNetwork([11, 8, mode.n_actions], seed=int(rng.integers(1 << 30)))
             w = agent.sample_weights(rng)
             lo = int(rng.integers(0, 100))
             hi = int(rng.integers(lo + 20, 400))
-            trace_a, rep_a = run_policy(net, series, (lo, hi), w, 0.9, mode, fee,
-                                        lookback=6, reward_window=4)
-            _, trace_b, rep_b = vectorized_rollout(net, series, (lo, hi), w, 0.9, mode, fee,
-                                                   lookback=6, reward_window=4)
+            trace_a, rep_a = run_policy(net, env, (lo, hi), w, 0.9)
+            _, trace_b, rep_b = vectorized_rollout(net, env, (lo, hi), w, 0.9)
             np.testing.assert_array_equal(trace_a.actions, trace_b.actions)
             np.testing.assert_array_equal(trace_a.positions, trace_b.positions)
             np.testing.assert_array_equal(trace_a.portfolio_log_returns, trace_b.portfolio_log_returns)

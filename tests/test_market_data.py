@@ -120,6 +120,14 @@ class TestMakeSplit:
             assert split.train[1] == split.eval[0] and split.eval[1] == split.test[0]
 
 
+class TestPriceSeries:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    def test_non_positive_close_row_number(self, bad):
+        with pytest.raises(NonPositivePrice) as err:
+            series_of([100.0, 101.0, bad, 102.0])
+        assert err.value.row == 3
+
+
 class TestLogReturns:
     def test_frozen_value(self):
         out = series_of([100.0, 110.0]).log_returns

@@ -211,13 +211,13 @@ def record_episode(mode: Mode, k: int, hindsight_action: str):
     state = env.reset((0, 120))
     expected = []
     while True:
-        feats = env.state_features(state)
+        feats = scalar_reference.state_features(env, state)
         action = int(rng.integers(mode.n_actions))
         outcome = env.transition(state, action)
         buffer.push(state, action, 0.9, agent.uniform_weights(), outcome)
         scalar_reference.augment_experiences(env, state, feats, action, net, cfg, rng, buffer)
         for a in buffer.rows().action[len(expected):]:
-            expected.append((feats, env.state_features(env.transition(state, int(a)).next_state)))
+            expected.append((feats, scalar_reference.state_features(env, env.transition(state, int(a)).next_state)))
         state = outcome.next_state
         if outcome.done:
             return buffer, expected
