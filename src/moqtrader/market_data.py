@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from .errors import (
 )
 
 IndexRange = tuple[int, int]
+_CHUNK_ROWS = 2048  # rows load_csv parses per batch
 
 
 @dataclass(frozen=True)
@@ -34,7 +36,7 @@ class PriceSeries:
     """Timestamped close prices of a single asset.
 
     ``timestamps`` are epoch seconds (int64, strictly increasing) and
-    ``close`` strictly positive float64 prices.
+    ``close`` finite, strictly positive float64 prices.
     """
 
     asset_id: str
@@ -48,10 +50,11 @@ class PriceSeries:
             raise ValueError("timestamps and close must be 1-D arrays of equal length")
         if len(close) < 2:
             raise SeriesTooShort(f"need at least 2 rows, got {len(close)}")
-        if np.any(np.diff(ts) <= 0):
-            raise NonMonotonicTimestamp(int(np.argmax(np.diff(ts) <= 0)) + 2)
-        if not np.all(close > 0):  # a NaN close fails too
-            raise NonPositivePrice(int(np.argmin(close > 0)) + 1)
+        if np.any(ts[1:] <= ts[:-1]):
+            raise NonMonotonicTimestamp(int(np.argmax(ts[1:] <= ts[:-1])) + 2)
+        priced = np.isfinite(close) & (close > 0)
+        if not np.all(priced):
+            raise NonPositivePrice(int(np.argmin(priced)) + 1)
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "close", close)
 
@@ -110,59 +113,94 @@ class FoldPlan:
         return len(self.folds)
 
 
-def _parse_timestamp(text: str) -> int:
+def _parse_timestamp(text: str | None) -> int:
     """Accepts integer epoch seconds or ISO-8601; naive datetimes are UTC."""
+    if text is None:
+        raise ValueError("no timestamp field")
     t = text.strip()
     try:
-        return int(t)
+        value = int(t)
     except ValueError:
-        pass
-    dt = datetime.fromisoformat(t)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
+        dt = datetime.fromisoformat(t)
+        value = int((dt.replace(tzinfo=timezone.utc) if dt.tzinfo is None else dt).timestamp())
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"timestamp {t!r} is outside the int64 range")
+    return value
+
+
+def _parse_chunk(ts_text: list, close_text: list, parts: list) -> tuple[np.ndarray, np.ndarray]:
+    """Parse and check the data rows that follow the chunks already in ``parts``.
+
+    Raises the first bad row's error, checking each row in the row loop's
+    order: timestamp parse, close parse, non-finite close, non-positive
+    close, then a timestamp not above the previous row's.
+    """
+    row_no = sum(len(ts) for ts, _ in parts)
+    try:
+        try:
+            ts = np.array(list(map(int, ts_text)), dtype=np.int64)
+        except (ValueError, TypeError, OverflowError):  # ISO-8601 rows, or whitespace only strip() removes
+            ts = np.array(list(map(_parse_timestamp, ts_text)), dtype=np.int64)
+        close = np.array(list(map(float, close_text)))
+    except (ValueError, TypeError):
+        for k, (t, c) in enumerate(zip(ts_text, close_text)):
+            try:
+                _parse_timestamp(t)
+                float(c)
+            except (ValueError, TypeError) as exc:
+                _parse_chunk(ts_text[:k], close_text[:k], parts)  # an earlier row's error wins
+                raise UnparsableRow(row_no + k + 1, f"row {row_no + k + 1}: {exc}") from exc
+    bad = ~(np.isfinite(close) & (close > 0))
+    bad[:1] |= ts[:1] <= (parts[-1][0][-1] if parts else -math.inf)
+    bad[1:] |= ts[1:] <= ts[:-1]
+    if bad.any():
+        i = int(np.argmax(bad))
+        row = row_no + i + 1
+        if not math.isfinite(close[i]):
+            raise UnparsableRow(row, f"row {row}: non-finite close")
+        raise NonPositivePrice(row) if close[i] <= 0 else NonMonotonicTimestamp(row)
+    return ts, close
 
 
 def load_csv(path: str | Path, column_map: dict[str, str] | None = None, asset_id: str | None = None) -> PriceSeries:
     """Load a close-price CSV with one header row.
 
     ``column_map`` maps the canonical names ``timestamp``/``close`` to the
-    actual column headers; extra columns are ignored.  Row numbers in errors
-    are 1-based data rows (header excluded).
+    actual column headers.  Errors name the first bad row in file order as a
+    1-based data row (header and blank lines excluded).  README.md states
+    the full contract; rows are parsed _CHUNK_ROWS at a time.
     """
     path = Path(path)
     if not path.exists():
         raise MissingFile(str(path))
-    mapping = {"timestamp": "timestamp", "close": "close"}
-    mapping.update(column_map or {})
-
+    mapping = {"timestamp": "timestamp", "close": "close", **(column_map or {})}
+    parts: list[tuple[np.ndarray, np.ndarray]] = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
+        reader = csv.reader(fh)
+        fields = next(reader, None) or []
+        column = {name: i for i, name in enumerate(fields)}  # the last of a duplicated name wins
         for canonical in ("timestamp", "close"):
-            if mapping[canonical] not in fields:
+            if mapping[canonical] not in column:
                 raise MissingColumn(f"column {mapping[canonical]!r} not in header {fields}")
-        ts_key, close_key = mapping["timestamp"], mapping["close"]
-        timestamps: list[int] = []
-        closes: list[float] = []
-        for row_no, row in enumerate(reader, start=1):
+        ts_col, close_col = column[mapping["timestamp"]], column[mapping["close"]]
+        rows = filter(None, reader)  # csv.reader yields [] for a blank line
+        while True:
+            chunk = []
             try:
-                ts = _parse_timestamp(row[ts_key])
-                price = float(row[close_key])
-            except (ValueError, TypeError) as exc:
-                raise UnparsableRow(row_no, f"row {row_no}: {exc}") from exc
-            if not math.isfinite(price):
-                raise UnparsableRow(row_no, f"row {row_no}: non-finite close")
-            if price <= 0:
-                raise NonPositivePrice(row_no)
-            if timestamps and ts <= timestamps[-1]:
-                raise NonMonotonicTimestamp(row_no)
-            timestamps.append(ts)
-            closes.append(price)
+                chunk.extend(islice(rows, _CHUNK_ROWS))
+            finally:  # after a read error, the rows read before it are still checked, and their error wins
+                if chunk:
+                    if min(map(len, chunk)) <= max(ts_col, close_col):  # a short row reads missing fields as None
+                        chunk = [row + [None] * len(fields) for row in chunk]
+                    parts.append(_parse_chunk([r[ts_col] for r in chunk], [r[close_col] for r in chunk], parts))
+            if len(chunk) < _CHUNK_ROWS:
+                break
 
-    if len(closes) < 2:
-        raise SeriesTooShort(f"{path} has {len(closes)} data rows, need at least 2")
-    return PriceSeries(asset_id or path.stem, np.array(timestamps, dtype=np.int64), np.array(closes))
+    n_rows = sum(len(ts) for ts, _ in parts)
+    if n_rows < 2:
+        raise SeriesTooShort(f"{path} has {n_rows} data rows, need at least 2")
+    ts, close = map(np.concatenate, zip(*parts))
+    return PriceSeries(asset_id or path.stem, ts, close)
 
 
 def make_split(series: PriceSeries, fractions: tuple[float, float, float] = (0.64, 0.16, 0.20)) -> DataSplit:

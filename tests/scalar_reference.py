@@ -5,18 +5,31 @@ episodes in arrays, and draws a fitting episode's conditioning before its
 first step.  These step loops compute the same things with
 `TradingEnv.transition`, per-step draws and one-row forwards of
 `state_features`, and the tests hold the engine's runners to them bit for bit.
+`load_csv_rows` is the row-by-row CSV loader that `load_csv`'s column
+parse is held to, in its result and in its errors.
 """
 
 from __future__ import annotations
 
+import csv
+import math
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from moqtrader import agent
 from moqtrader.env import EnvState, TradingEnv
+from moqtrader.errors import (
+    MissingColumn,
+    MissingFile,
+    NonMonotonicTimestamp,
+    NonPositivePrice,
+    SeriesTooShort,
+    UnparsableRow,
+)
 from moqtrader.evaluation import EvaluationReport, PositionTrace, _report_from_trace
-from moqtrader.market_data import IndexRange
+from moqtrader.market_data import IndexRange, PriceSeries, _parse_timestamp
 from moqtrader.qnet import QNetwork, bellman_targets, build_input
 from moqtrader.replay import ReplayBuffer, compute_whitening, whiten_batch
 
@@ -184,3 +197,40 @@ def frozen_episode(run: "agent._Learner", state: EnvState) -> None:
 def fit_episode(run: "agent._Learner", state: EnvState) -> None:
     """The step loop of a fitting training episode (`agent._fit_episode`)."""
     step_loop(run, state, fit=True)
+
+
+def load_csv_rows(path: str | Path, column_map: dict[str, str] | None = None, asset_id: str | None = None) -> PriceSeries:
+    """`load_csv` as a `csv.DictReader` loop that checks each row as it reads it."""
+    path = Path(path)
+    if not path.exists():
+        raise MissingFile(str(path))
+    mapping = {"timestamp": "timestamp", "close": "close"}
+    mapping.update(column_map or {})
+
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        fields = reader.fieldnames or []
+        for canonical in ("timestamp", "close"):
+            if mapping[canonical] not in fields:
+                raise MissingColumn(f"column {mapping[canonical]!r} not in header {fields}")
+        ts_key, close_key = mapping["timestamp"], mapping["close"]
+        timestamps: list[int] = []
+        closes: list[float] = []
+        for row_no, row in enumerate(reader, start=1):
+            try:
+                ts = _parse_timestamp(row[ts_key])
+                price = float(row[close_key])
+            except (ValueError, TypeError) as exc:
+                raise UnparsableRow(row_no, f"row {row_no}: {exc}") from exc
+            if not math.isfinite(price):
+                raise UnparsableRow(row_no, f"row {row_no}: non-finite close")
+            if price <= 0:
+                raise NonPositivePrice(row_no)
+            if timestamps and ts <= timestamps[-1]:
+                raise NonMonotonicTimestamp(row_no)
+            timestamps.append(ts)
+            closes.append(price)
+
+    if len(closes) < 2:
+        raise SeriesTooShort(f"{path} has {len(closes)} data rows, need at least 2")
+    return PriceSeries(asset_id or path.stem, np.array(timestamps, dtype=np.int64), np.array(closes))

@@ -229,6 +229,25 @@ class TestErrorPayloads:
         assert out == json.dumps(expected) + "\n"
         assert status == 1
 
+    def test_overflowing_trend_close(self, tmp_path, capsys):
+        text = 'synthetic_kind = "trend"\nsynthetic_drift = 1.0\nsynthetic_length = 1000'
+        status, out = self.run_backtest(tmp_path, capsys, text)  # 100 * exp(706) is the first inf close
+        expected = {"error": "NonPositivePrice", "detail": "NonPositivePrice at row 707", "context": {"row": 707}}
+        assert out == json.dumps(expected) + "\n"
+        assert status == 1
+
+    @pytest.mark.parametrize("header,row,detail", [
+        ("close,timestamp", "101", "row 1: no timestamp field"),
+        ("timestamp,close", "5", "row 1: float() argument must be a string or a real number, not 'NoneType'"),
+    ])
+    def test_csv_row_missing_a_field(self, tmp_path, capsys, header, row, detail):
+        path = tmp_path / "prices.csv"
+        path.write_text(f"{header}\n{row}\n")
+        status, out = self.run_backtest(tmp_path, capsys, f"data_csv = {json.dumps(str(path))}")
+        expected = {"error": "UnparsableRow", "detail": detail, "context": {"row": 1}}
+        assert out == json.dumps(expected) + "\n"
+        assert status == 1
+
     def test_unknown_key(self, tmp_path, capsys):
         status, out = self.run_backtest(tmp_path, capsys, "lr = 3")
         expected = {"error": "UnknownKey", "detail": "unknown config key: lr", "context": {"key": "lr"}}
@@ -328,6 +347,22 @@ class TestCli:
         out = tmp_path / "csvrun"
         assert self.run_cli("train", "--config", cfg_path, "--out", out) == 0
         assert (out / "metrics.jsonl").exists()
+
+    def test_backtest_from_csv_matches_its_synthetic_source(self, tmp_path, capsys):
+        cfg_path = write(tmp_path, FAST_TRAIN)
+        out = tmp_path / "run"
+        assert self.run_cli("train", "--config", cfg_path, "--out", out) == 0
+        series = config.load_series(config.parse_config(cfg_path))
+        csv_path = tmp_path / "prices.csv"
+        with open(csv_path, "w") as fh:
+            fh.write("timestamp,close\n")
+            fh.writelines(f"{t},{c!r}\n" for t, c in zip(series.timestamps.tolist(), series.close.tolist()))
+        text = "\n".join(line for line in FAST_TRAIN.splitlines() if not line.startswith("synthetic_"))
+        csv_cfg = write(tmp_path, text + f"\ndata_csv = {json.dumps(str(csv_path))}\n", name="csv.cfg")
+        assert self.run_cli("backtest", "--config", cfg_path, "--out", out) == 0
+        synthetic_report = (out / "report.json").read_bytes()
+        assert self.run_cli("backtest", "--config", csv_cfg, "--out", out) == 0
+        assert (out / "report.json").read_bytes() == synthetic_report
 
     def test_backtest_explicit_checkpoint_path(self, tmp_path, capsys):
         cfg_path = write(tmp_path, FAST_TRAIN)

@@ -1,7 +1,13 @@
+import csv
+import tracemalloc
+from datetime import datetime, timezone
+
 import numpy as np
 import pytest
+from scalar_reference import load_csv_rows
 
 from moqtrader.errors import (
+    EngineError,
     InfeasibleFoldPlan,
     MissingColumn,
     MissingFile,
@@ -85,6 +91,209 @@ class TestLoadCsv:
         assert make_split(a) == make_split(b)
 
 
+N_ROWS = 5000
+CHUNK_EDGE = (2048, 2049)  # the last row of the loader's first chunk and the first of its second
+
+
+def price_rows(n=N_ROWS, seed=0, ts="epoch", close="repr"):
+    """Rows of field strings keyed by column: hourly bars over a random walk."""
+    rng = np.random.default_rng(seed)
+    closes = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.01, size=n)))
+    epochs = 1_600_000_000 + 3600 * np.arange(n)
+    iso = rng.random(n) < 0.5 if ts == "mixed" else np.full(n, ts == "iso")
+    rows = []
+    for t, c, as_iso in zip(epochs.tolist(), closes.tolist(), iso):
+        stamp = datetime.fromtimestamp(t, timezone.utc).isoformat() if as_iso else str(t)
+        price = {"repr": repr(c), "6g": f"{c:.6g}", "int": str(round(c * 100))}[close]
+        rows.append({"timestamp": stamp, "close": price})
+    return rows
+
+
+def write_rows(tmp_path, rows, header=("timestamp", "close"), name="prices.csv"):
+    """Write rows under header; a key a row lacks ends it early, so it reads as missing."""
+    path = tmp_path / name
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(header)
+        for row in rows:
+            fields = [row.get(column) for column in header]
+            out.writerow(fields[: fields.index(None)] if None in fields else fields)
+    return path
+
+
+def outcome(load, path, **kwargs):
+    """What a loader returns, or the type and payload of what it raises."""
+    try:
+        series = load(path, **kwargs)
+    except Exception as exc:  # every failure, typed or not, must match the row loop's
+        return type(exc).__name__, exc.to_payload() if isinstance(exc, EngineError) else str(exc)
+    return series.asset_id, series.timestamps.dtype, series.timestamps.tobytes(), series.close.dtype, series.close.tobytes()
+
+
+def assert_matches_row_loop(path, **kwargs):
+    got = outcome(load_csv, path, **kwargs)
+    assert got == outcome(load_csv_rows, path, **kwargs)
+    return got
+
+
+def error_row(got):
+    return got[0], got[1]["context"]["row"]
+
+
+def spoil(rows, kind, row):
+    """Make 1-based data row `row` fail in the given way."""
+    fields = rows[row - 1]
+    if kind == "timestamp":
+        fields["timestamp"] = "soon"
+    elif kind == "close":
+        fields["close"] = "1.5.2"
+    elif kind == "no timestamp":
+        del fields["timestamp"]
+    elif kind == "no close":
+        del fields["close"]
+    elif kind in ("inf", "-inf", "nan", "0", "-2.5"):
+        fields["close"] = kind
+    elif kind == "repeat":
+        fields["timestamp"] = rows[row - 2]["timestamp"]
+    elif kind == "earlier":
+        fields["timestamp"] = str(int(rows[row - 2]["timestamp"]) - 1)
+    return rows
+
+
+KIND_CODES = {
+    "timestamp": "UnparsableRow", "close": "UnparsableRow", "no timestamp": "UnparsableRow",
+    "no close": "UnparsableRow", "inf": "UnparsableRow", "-inf": "UnparsableRow", "nan": "UnparsableRow",
+    "0": "NonPositivePrice", "-2.5": "NonPositivePrice",
+    "repeat": "NonMonotonicTimestamp", "earlier": "NonMonotonicTimestamp",
+}
+HEADER_FOR = {"no timestamp": ("close", "timestamp")}  # a short row can only lack its last field
+
+
+class TestLoadCsvMatchesRowLoop:
+    """The column loader returns the row loop's series bit for bit and raises its first error."""
+
+    @pytest.mark.parametrize("ts,close", [("epoch", "repr"), ("iso", "6g"), ("mixed", "int"), ("epoch", "6g")])
+    def test_timestamp_and_close_formats(self, tmp_path, ts, close):
+        got = assert_matches_row_loop(write_rows(tmp_path, price_rows(ts=ts, close=close)))
+        assert len(got[2]) == 8 * N_ROWS
+
+    def test_iso_rows_across_the_chunk_boundary(self, tmp_path):
+        epoch_rows, iso_rows = price_rows(), price_rows(ts="iso")
+        rows = epoch_rows[:2040] + iso_rows[2040:2060] + epoch_rows[2060:]
+        got = assert_matches_row_loop(write_rows(tmp_path, rows))
+        assert got == outcome(load_csv, write_rows(tmp_path, epoch_rows, name="epoch.csv"), asset_id="prices")
+
+    def test_quoting_blank_lines_whitespace_and_extra_columns(self, tmp_path):
+        rows = price_rows(seed=1)
+        lines = ["volume,timestamp,close,note"]
+        for i, row in enumerate(rows):
+            ts, close = row["timestamp"], row["close"]
+            lines.append([f"{i},{ts},{close},x", f'"{i}"," {ts} ","{close}\t",""', f"{i}, {ts}, {close} ,a,b,c"][i % 3])
+            if i % 500 == 7:
+                lines.append("")
+        path = tmp_path / "messy.csv"
+        path.write_text("\n".join(lines) + "\n")
+        got = assert_matches_row_loop(path)
+        assert len(got[2]) == 8 * N_ROWS
+
+    def test_duplicated_header_reads_its_last_column(self, tmp_path):
+        rows = [{"timestamp": r["timestamp"], "close": r["close"], "bad": "-1"} for r in price_rows()]
+        path = write_rows(tmp_path, rows, header=("close", "timestamp", "bad"))
+        path.write_text(path.read_text().replace("close,timestamp,bad", "close,timestamp,close", 1))
+        got = assert_matches_row_loop(path)
+        assert error_row(got) == ("NonPositivePrice", 1)
+        got = assert_matches_row_loop(path, column_map={"close": "timestamp"})  # one column read as both
+        np.testing.assert_array_equal(np.frombuffer(got[4]), np.frombuffer(got[2], dtype=np.int64))
+
+    def test_short_rows_missing_an_unused_column(self, tmp_path):
+        rows = price_rows()
+        for i in range(0, N_ROWS, 3):
+            rows[i]["volume"] = "7"
+        got = assert_matches_row_loop(write_rows(tmp_path, rows, header=("timestamp", "close", "volume")))
+        assert len(got[4]) == 8 * N_ROWS
+
+    @pytest.mark.parametrize("kind,row", [
+        (kind, row) for kind in KIND_CODES for row in (1, *CHUNK_EDGE, N_ROWS)
+        if row > 1 or kind not in ("repeat", "earlier")  # row 1 has no previous timestamp
+    ])
+    def test_each_error_kind_at_the_edges(self, tmp_path, kind, row):
+        rows = spoil(price_rows(), kind, row)
+        got = assert_matches_row_loop(write_rows(tmp_path, rows, header=HEADER_FOR.get(kind, ("timestamp", "close"))))
+        assert error_row(got) == (KIND_CODES[kind], row)
+
+    @pytest.mark.parametrize("first,second", [
+        (("0", 100), ("timestamp", 101)),
+        (("repeat", 100), ("close", 2000)),
+        (("inf", 2048), ("timestamp", 2049)),
+        (("earlier", 2049), ("0", 2050)),
+        (("close", 2047), ("0", 2048)),
+        (("no close", 30), ("repeat", 3000)),
+        (("earlier", 4000), ("nan", 4999)),
+    ])
+    def test_the_earlier_of_two_errors_wins(self, tmp_path, first, second):
+        (kind_a, row_a), (kind_b, row_b) = first, second
+        rows = spoil(spoil(price_rows(), kind_b, row_b), kind_a, row_a)
+        got = assert_matches_row_loop(write_rows(tmp_path, rows))
+        assert error_row(got) == (KIND_CODES[kind_a], row_a)
+
+    @pytest.mark.parametrize("kinds,code", [
+        (("timestamp", "close"), "UnparsableRow"),
+        (("close", "repeat"), "UnparsableRow"),
+        (("inf", "repeat"), "UnparsableRow"),
+        (("-2.5", "earlier"), "NonPositivePrice"),
+        (("no close", "timestamp"), "UnparsableRow"),
+    ])
+    def test_order_of_checks_within_a_row(self, tmp_path, kinds, code):
+        rows = price_rows()
+        for kind in reversed(kinds):
+            spoil(rows, kind, 2049)
+        got = assert_matches_row_loop(write_rows(tmp_path, rows))
+        assert error_row(got) == (code, 2049)
+
+    def test_timestamp_outside_int64(self, tmp_path):
+        rows = price_rows()
+        rows[-1]["timestamp"] = str(2**63)
+        got = assert_matches_row_loop(write_rows(tmp_path, rows))
+        assert got[1]["detail"] == f"row {N_ROWS}: timestamp '{2**63}' is outside the int64 range"
+
+    @pytest.mark.parametrize("spoiled", [None, 2100])
+    @pytest.mark.parametrize("damage,error", [("long field", "Error"), ("bad byte", "UnicodeDecodeError")])
+    def test_read_error_after_the_rows_before_it(self, tmp_path, spoiled, damage, error):
+        rows = price_rows()
+        if spoiled:
+            spoil(rows, "0", spoiled)
+        if damage == "long field":
+            rows[2999]["close"] = "9" * (csv.field_size_limit() + 1)
+        path = write_rows(tmp_path, rows)
+        if damage == "bad byte":
+            data = path.read_bytes()
+            path.write_bytes(data.replace(rows[2999]["close"].encode(), b"\xff", 1))
+        got = assert_matches_row_loop(path)
+        assert got[0] == ("NonPositivePrice" if spoiled else error)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_short_files(self, tmp_path, n):
+        assert_matches_row_loop(write_rows(tmp_path, price_rows()[:n]))
+
+    def test_missing_column(self, tmp_path):
+        got = assert_matches_row_loop(write_rows(tmp_path, price_rows(), header=("timestamp", "open")))
+        assert got[0] == "MissingColumn"
+        (tmp_path / "empty.csv").write_text("")
+        assert assert_matches_row_loop(tmp_path / "empty.csv")[0] == "MissingColumn"
+
+    def test_peak_memory_below_the_row_loop(self, tmp_path):
+        path = write_rows(tmp_path, price_rows(n=25_000))
+        peaks = []
+        for load in (load_csv, load_csv_rows):
+            tracemalloc.start()
+            try:
+                load(path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < peaks[1]
+
+
 class TestMakeSplit:
     def test_default_fractions(self):
         split = make_split(series_of(np.linspace(1, 2, 1000)), (0.64, 0.16, 0.20))
@@ -121,7 +330,7 @@ class TestMakeSplit:
 
 
 class TestPriceSeries:
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_non_positive_close_row_number(self, bad):
         with pytest.raises(NonPositivePrice) as err:
             series_of([100.0, 101.0, bad, 102.0])
