@@ -24,8 +24,8 @@ from .env import EnvState, Mode, TradingEnv
 from .errors import Diverged, InvalidValue
 from .market_data import DataSplit, FoldPlan, PriceSeries
 # build_input is unused here; it stays importable because bench/test_bench.py looks it up in this module.
-from .qnet import QNetwork, bellman_targets, build_input, save_checkpoint  # noqa: F401
-from .replay import ReplayBuffer, compute_whitening, whiten_batch
+from .qnet import QNetwork, build_input, save_checkpoint  # noqa: F401
+from .replay import ReplayBuffer, compute_whitening, whiten_rewards
 from .rewards import REWARD_COMPONENTS, REWARD_INDEX
 
 STREAM_NAMES = ("init", "env", "explore", "weights", "gamma", "batch", "augment")
@@ -302,10 +302,10 @@ def _fit_episode(run: _Learner, state: EnvState) -> None:
         run.env_steps += 1
         if len(buffer) >= min_fit_len:
             batch = buffer.sample_batch(cfg.batchsize, run.streams["batch"])
-            if cfg.whiten:
-                batch = whiten_batch(batch, compute_whitening(buffer, cfg.eigen_floor))
-            inputs, targets = bellman_targets(batch, net, run.target, cfg.alpha, include_gamma=cfg.generalize_gamma)
-            if not math.isfinite(net.fit_batch(inputs, targets, cfg.learn_rate)):
+            rewards = whiten_rewards(batch, compute_whitening(buffer, cfg.eigen_floor)) if cfg.whiten else batch.scalar_reward
+            loss = net.td_update(run.target, batch, rewards, alpha=cfg.alpha, learn_rate=cfg.learn_rate,
+                                 include_gamma=cfg.generalize_gamma)
+            if not math.isfinite(loss):
                 raise Diverged(f"non-finite loss at update {run.updates + 1}, in episode {run.episode}")
             run.updates += 1
             buffer.advance_updates(1)

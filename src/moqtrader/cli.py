@@ -155,14 +155,7 @@ def dispatch(command: str, cfg: config.RunConfig | None, out: Path) -> None:
         return
     if cfg is None:
         raise MissingFile("--config is required for this command")
-    if command == "train":
-        cmd_train(cfg, out)
-    elif command == "backtest":
-        cmd_backtest(cfg, out)
-    elif command == "walkforward":
-        cmd_walkforward(cfg, out)
-    else:
-        raise ValueError(f"unknown command {command}")
+    {"train": cmd_train, "backtest": cmd_backtest, "walkforward": cmd_walkforward}[command](cfg, out)
 
 
 def main(argv: list[str] | None = None) -> int:

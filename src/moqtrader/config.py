@@ -181,12 +181,6 @@ def to_flat_dict(cfg: RunConfig) -> dict:
     return out
 
 
-def format_config(cfg: RunConfig) -> str:
-    """Render a RunConfig in the flat dialect; parse_config inverts this."""
-    lines = [f"{key} = {json.dumps(value)}" for key, value in to_flat_dict(cfg).items()]
-    return "\n".join(lines) + "\n"
-
-
 def parse_config(path: str | Path) -> RunConfig:
     """Load and fully validate a config file (flat dialect or JSON object)."""
     path = Path(path)

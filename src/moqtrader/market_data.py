@@ -175,26 +175,34 @@ def load_csv(path: str | Path, column_map: dict[str, str] | None = None, asset_i
         raise MissingFile(str(path))
     mapping = {"timestamp": "timestamp", "close": "close", **(column_map or {})}
     parts: list[tuple[np.ndarray, np.ndarray]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        fields = next(reader, None) or []
-        column = {name: i for i, name in enumerate(fields)}  # the last of a duplicated name wins
-        for canonical in ("timestamp", "close"):
-            if mapping[canonical] not in column:
-                raise MissingColumn(f"column {mapping[canonical]!r} not in header {fields}")
-        ts_col, close_col = column[mapping["timestamp"]], column[mapping["close"]]
-        rows = filter(None, reader)  # csv.reader yields [] for a blank line
-        while True:
-            chunk = []
-            try:
-                chunk.extend(islice(rows, _CHUNK_ROWS))
-            finally:  # after a read error, the rows read before it are still checked, and their error wins
-                if chunk:
-                    if min(map(len, chunk)) <= max(ts_col, close_col):  # a short row reads missing fields as None
-                        chunk = [row + [None] * len(fields) for row in chunk]
-                    parts.append(_parse_chunk([r[ts_col] for r in chunk], [r[close_col] for r in chunk], parts))
-            if len(chunk) < _CHUNK_ROWS:
-                break
+    fields = None
+    try:
+        # An undecodable byte reads as a lone surrogate: it fails a mapped field's parse at its row.
+        with open(path, newline="", errors="surrogateescape") as fh:
+            reader = csv.reader(fh)
+            fields = next(reader, None) or []
+            column = {name: i for i, name in enumerate(fields)}  # the last of a duplicated name wins
+            for canonical in ("timestamp", "close"):
+                if mapping[canonical] not in column:
+                    raise MissingColumn(f"column {mapping[canonical]!r} not in header {fields}")
+            ts_col, close_col = column[mapping["timestamp"]], column[mapping["close"]]
+            rows = filter(None, reader)  # csv.reader yields [] for a blank line
+            while True:
+                chunk = []
+                try:
+                    chunk.extend(islice(rows, _CHUNK_ROWS))
+                finally:  # the rows read before a read error are still checked, and their error wins
+                    if chunk:
+                        if min(map(len, chunk)) <= max(ts_col, close_col):  # short rows read missing fields as None
+                            chunk = [row + [None] * len(fields) for row in chunk]
+                        parts.append(_parse_chunk([r[ts_col] for r in chunk], [r[close_col] for r in chunk], parts))
+                if len(chunk) < _CHUNK_ROWS:
+                    break
+    except csv.Error as exc:  # a line the reader cannot take, such as a field over csv.field_size_limit()
+        if fields is None:
+            raise MissingColumn(f"unreadable header: {exc}") from exc
+        row = sum(len(ts) for ts, _ in parts) + 1
+        raise UnparsableRow(row, f"row {row}: {exc}") from exc
 
     n_rows = sum(len(ts) for ts, _ in parts)
     if n_rows < 2:

@@ -10,12 +10,13 @@ from __future__ import annotations
 import io
 import json
 import os
+import zipfile
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import InvalidValue, ShapeMismatch
 from .replay import Transitions
 
 CHECKPOINT_VERSION = 1
@@ -50,65 +51,56 @@ class QNetwork:
     def input_width(self) -> int:
         return self.widths[0]
 
-    @property
-    def output_width(self) -> int:
-        return self.widths[-1]
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Action values for one input vector or a batch of them."""
         x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
+        for out in self._layers(x[None, :] if x.ndim == 1 else x):
+            pass  # each layer's output is released once the next one is computed
+        return out[0] if x.ndim == 1 else out
+
+    def _layers(self, x: np.ndarray) -> Iterator[np.ndarray]:
+        """Yields each layer's output for a batch of input rows, the network's output last.
+
+        The bias and rectifier apply in place: the arithmetic of h @ w + b with
+        one temporary per layer instead of three.
+        """
         if x.ndim != 2 or x.shape[1] != self.input_width:
             raise ShapeMismatch(f"input shape {x.shape} vs expected (*, {self.input_width})")
-        # In-place bias and rectifier: the same arithmetic as h @ w + b, with
-        # one temporary per layer instead of three.
-        h = x
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = h @ w
-            h += b
-            np.maximum(h, 0.0, out=h)
-        out = h @ self.weights[-1]
-        out += self.biases[-1]
-        return out[0] if single else out
+        for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
+            x = x @ w
+            x += b
+            if layer < len(self.weights) - 1:
+                np.maximum(x, 0.0, out=x)
+            yield x
 
-    def loss(self, inputs: np.ndarray, targets: np.ndarray) -> float:
-        """Mean-squared error over all batch entries and actions."""
-        pred = self.forward(inputs)
-        return float(np.mean((pred - targets) ** 2))
+    def td_update(self, target: "QNetwork", batch: Transitions, rewards: np.ndarray, *,
+                  alpha: float, learn_rate: float, include_gamma: bool) -> float:
+        """One SGD (or momentum) step on a replay minibatch; returns the pre-step loss.
 
-    def gradients(self, inputs: np.ndarray, targets: np.ndarray) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-        """Backprop: returns (loss, dL/dW per layer, dL/db per layer)."""
-        x = np.asarray(inputs, dtype=np.float64)
-        t = np.asarray(targets, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.input_width:
-            raise ShapeMismatch(f"input shape {x.shape} vs expected (*, {self.input_width})")
-        if t.shape != (x.shape[0], self.output_width):
-            raise ShapeMismatch(f"target shape {t.shape} vs expected ({x.shape[0]}, {self.output_width})")
-        acts = [x]  # each layer's input
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            acts.append(np.maximum(acts[-1] @ w + b, 0.0))
-        pred = acts[-1] @ self.weights[-1] + self.biases[-1]
-        loss = float(np.mean((pred - t) ** 2))
-        delta = 2.0 * (pred - t) / pred.size
-        grads_w: list[np.ndarray] = [None] * len(self.weights)  # type: ignore[list-item]
-        grads_b: list[np.ndarray] = [None] * len(self.biases)  # type: ignore[list-item]
+        The loss is the mean-squared error over every row and action against
+        the Bellman targets.  The taken action's target is
+        (1-alpha)*Q(s)[a] + alpha*(r + gamma*max Q_target(s')), without the
+        bootstrap term on terminal rows; the other actions' residuals are exactly 0.
+        """
+        conditioning = (batch.weights, batch.gamma[:, None]) if include_gamma else (batch.weights,)
+        inputs = np.hstack((batch.state, *conditioning))
+        *acts, q_now = inputs, *self._layers(inputs)  # each layer's input, then the output
+        q_next = target.forward(np.hstack((batch.next_state, *conditioning))).max(axis=1)
+        rows = np.arange(len(batch))
+        returns = rewards + np.where(batch.terminal, 0.0, 1.0) * batch.gamma * q_next
+        targets = q_now.copy()
+        targets[rows, batch.action] = (1.0 - alpha) * q_now[rows, batch.action] + alpha * returns
+        residuals = q_now - targets
+        loss = float(np.mean(residuals ** 2))
+        delta = 2.0 * residuals / residuals.size
         for layer in range(len(self.weights) - 1, -1, -1):
-            grads_w[layer] = acts[layer].T @ delta
-            grads_b[layer] = delta.sum(axis=0)
-            if layer > 0:
+            grad_w, grad_b = acts[layer].T @ delta, delta.sum(axis=0)
+            if layer > 0:  # the layer's weights before this step
                 delta = (delta @ self.weights[layer].T) * (acts[layer] > 0.0)
-        return loss, grads_w, grads_b
-
-    def fit_batch(self, inputs: np.ndarray, targets: np.ndarray, learn_rate: float) -> float:
-        """One SGD step on the batch; returns the pre-step loss."""
-        loss, grads_w, grads_b = self.gradients(inputs, targets)
-        for i in range(len(self.weights)):
-            self._vel_w[i] = self.momentum * self._vel_w[i] - learn_rate * grads_w[i]
-            self._vel_b[i] = self.momentum * self._vel_b[i] - learn_rate * grads_b[i]
-            self.weights[i] += self._vel_w[i]
-            self.biases[i] += self._vel_b[i]
+            self._vel_w[layer] = self.momentum * self._vel_w[layer] - learn_rate * grad_w
+            self._vel_b[layer] = self.momentum * self._vel_b[layer] - learn_rate * grad_b
+            self.weights[layer] += self._vel_w[layer]
+            self.biases[layer] += self._vel_b[layer]
         return loss
 
     def clone(self) -> "QNetwork":
@@ -129,46 +121,12 @@ class QNetwork:
         for mine, theirs in zip(self.biases, other.biases):
             mine[...] = theirs
 
-    def params_equal(self, other: "QNetwork") -> bool:
-        return self.widths == other.widths and all(
-            np.array_equal(a, b) for a, b in zip(self.weights + self.biases, other.weights + other.biases)
-        )
-
 
 def build_input(state: np.ndarray, weights: np.ndarray, gamma: float, include_gamma: bool) -> np.ndarray:
     """Assemble one network input row: features, weight vector, optional gamma."""
     if include_gamma:
         return np.concatenate((state, weights, (gamma,)))
     return np.concatenate((state, weights))
-
-
-def bellman_targets(
-    batch: Transitions,
-    net: QNetwork,
-    target: QNetwork,
-    alpha: float,
-    *,
-    include_gamma: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-example regression targets for one update.
-
-    For the taken action the target blends the current estimate with the
-    one-step return, (1-alpha)*Q(s)[a] + alpha*(r + gamma*max Q_target(s'));
-    terminal transitions drop the bootstrap term.  Non-taken actions keep
-    the current outputs so they receive no gradient pressure.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must be in (0, 1]")
-    conditioning = (batch.weights, batch.gamma[:, None]) if include_gamma else (batch.weights,)
-    inputs = np.hstack((batch.state, *conditioning))
-    q_now = net.forward(inputs)
-    q_next = target.forward(np.hstack((batch.next_state, *conditioning))).max(axis=1)
-    targets = q_now.copy()
-    rows = np.arange(len(batch))
-    live = np.where(batch.terminal, 0.0, 1.0)
-    returns = batch.scalar_reward + live * batch.gamma * q_next
-    targets[rows, batch.action] = (1.0 - alpha) * q_now[rows, batch.action] + alpha * returns
-    return inputs, targets
 
 
 def save_checkpoint(path: str | Path, net: QNetwork, meta: dict | None = None) -> None:
@@ -197,13 +155,23 @@ def save_checkpoint(path: str | Path, net: QNetwork, meta: dict | None = None) -
 
 
 def load_checkpoint(path: str | Path) -> tuple[QNetwork, dict]:
-    """Read a checkpoint back; returns the network and its stored meta dict."""
-    with np.load(Path(path), allow_pickle=False) as data:
-        payload = json.loads(str(data["header"]))
+    """Read a checkpoint back; returns the network and its stored meta dict.
+
+    A file that is not a readable checkpoint of this version, or whose
+    arrays do not fit its widths, raises InvalidValue("checkpoint") naming it.
+    """
+    try:
+        with np.load(Path(path), allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files}
+        payload = json.loads(str(arrays.get("header", "")))
         if payload.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
         net = QNetwork(payload["widths"], seed=0, momentum=payload["momentum"])
-        for i in range(len(net.weights)):
-            net.weights[i] = data[f"w{i}"]
-            net.biases[i] = data[f"b{i}"]
-    return net, payload["meta"]
+        for kind, params in (("w", net.weights), ("b", net.biases)):
+            for i, init in enumerate(params):
+                params[i] = arrays.get(f"{kind}{i}", np.empty(0))
+                if params[i].shape != init.shape:
+                    raise ValueError(f"array {kind}{i} is missing or not of shape {init.shape}")
+        return net, payload["meta"]
+    except (OSError, EOFError, ValueError, KeyError, TypeError, AttributeError, zipfile.BadZipFile) as exc:
+        raise InvalidValue("checkpoint", f"{path}: {exc}") from exc

@@ -3,15 +3,15 @@
 Experiences are stored as columns of indices and conditioning, not
 features: `rows` rebuilds the state and next-state features (the lookback
 log-returns before the cursor, then the position code) from the series.  The
-stored raw rewards are never modified; whitening is applied to sampled
-copies.  Element age is measured in network updates since insertion, and
-the same bound applies to single- and multi-reward runs (multi-reward
-replays are simply longer).
+stored raw rewards are never modified; whitening rescales a sampled
+batch's scalar rewards.  Element age is measured in network updates since
+insertion, and the same bound applies to single- and multi-reward runs
+(multi-reward replays are simply longer).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,15 +51,6 @@ class Transitions:
 
     def __len__(self) -> int:
         return len(self.gamma)
-
-
-@dataclass(frozen=True)
-class WhiteningStats:
-    """Sample mean/covariance of the replay's raw rewards and Sigma^(-1/2)."""
-
-    mean: np.ndarray
-    covariance: np.ndarray
-    inv_sqrt: np.ndarray
 
 
 class ReplayBuffer:
@@ -217,27 +208,24 @@ class ReplayBuffer:
         )
 
 
-def compute_whitening(buffer: ReplayBuffer, eigen_floor: float = DEFAULT_EIGEN_FLOOR) -> WhiteningStats:
-    """Covariance over all raw rewards in the replay and its inverse square root.
+def compute_whitening(buffer: ReplayBuffer, eigen_floor: float = DEFAULT_EIGEN_FLOOR) -> np.ndarray:
+    """Sigma^(-1/2) of the covariance over all raw rewards in the replay.
 
     Eigenvalues are clamped to at least eigen_floor before inversion, which
     bounds the amplification of near-degenerate components (POWC is sparse
     and regularly makes the covariance near-singular).
     """
-    mean, cov = buffer.reward_moments()
+    _, cov = buffer.reward_moments()
     eigvals, eigvecs = np.linalg.eigh(cov)
     eigvals = np.maximum(eigvals, eigen_floor)
     inv_sqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
-    inv_sqrt = 0.5 * (inv_sqrt + inv_sqrt.T)
-    return WhiteningStats(mean=mean, covariance=cov, inv_sqrt=inv_sqrt)
+    return 0.5 * (inv_sqrt + inv_sqrt.T)
 
 
-def whiten_batch(batch: Transitions, stats: WhiteningStats) -> Transitions:
-    """Rescale a sampled batch: r~ = Sigma^(-1/2) r / ||w||, scalar = w . r~.
+def whiten_rewards(batch: Transitions, inv_sqrt: np.ndarray) -> np.ndarray:
+    """Whitened scalar rewards of a sampled batch: w . r~, with r~ = Sigma^(-1/2) r / ||w||.
 
-    Returns fresh arrays; the buffer's stored originals are untouched.
+    The batch and the buffer's stored raw rewards are left untouched.
     """
     norms = np.linalg.norm(batch.weights, axis=1)
-    rescaled = (batch.raw_reward @ stats.inv_sqrt) / norms[:, None]
-    scalars = np.einsum("ij,ij->i", batch.weights, rescaled)
-    return replace(batch, raw_reward=rescaled, scalar_reward=scalars)
+    return np.einsum("ij,ij->i", batch.weights, (batch.raw_reward @ inv_sqrt) / norms[:, None])

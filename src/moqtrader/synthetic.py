@@ -36,20 +36,21 @@ def generate_synthetic(
         raise InvalidValue("synthetic_base", "must be > 0")
 
     t = np.arange(length, dtype=np.float64)
-    if kind == "sine":
-        if not (0.0 <= amplitude < 1.0):
-            raise InvalidValue("synthetic_amplitude", "sine amplitude must be in [0, 1)")
-        if not period > 0:
-            raise InvalidValue("synthetic_period", "must be > 0")
-        close = base * (1.0 + amplitude * np.sin(2.0 * np.pi * t / period))
-    elif kind == "trend":
-        close = base * np.exp(drift * t)
-    else:
-        if not amplitude >= 0:
-            raise InvalidValue("synthetic_amplitude", "random-walk step std must be >= 0")
-        rng = np.random.default_rng(seed)
-        steps = drift + amplitude * rng.standard_normal(length - 1)
-        close = base * np.exp(np.concatenate(([0.0], np.cumsum(steps))))
+    with np.errstate(over="ignore"):  # an overflowing close is inf, which PriceSeries rejects at its row
+        if kind == "sine":
+            if not (0.0 <= amplitude < 1.0):
+                raise InvalidValue("synthetic_amplitude", "sine amplitude must be in [0, 1)")
+            if not period > 0:
+                raise InvalidValue("synthetic_period", "must be > 0")
+            close = base * (1.0 + amplitude * np.sin(2.0 * np.pi * t / period))
+        elif kind == "trend":
+            close = base * np.exp(drift * t)
+        else:
+            if not amplitude >= 0:
+                raise InvalidValue("synthetic_amplitude", "random-walk step std must be >= 0")
+            rng = np.random.default_rng(seed)
+            steps = drift + amplitude * rng.standard_normal(length - 1)
+            close = base * np.exp(np.concatenate(([0.0], np.cumsum(steps))))
 
     timestamps = np.arange(length, dtype=np.int64) * _BAR_SECONDS
     return PriceSeries(asset_id or f"synthetic-{kind}", timestamps, close)

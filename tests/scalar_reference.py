@@ -7,18 +7,26 @@ first step.  These step loops compute the same things with
 `state_features`, and the tests hold the engine's runners to them bit for bit.
 `load_csv_rows` is the row-by-row CSV loader that `load_csv`'s column
 parse is held to, in its result and in its errors.
+
+The step loop fits the network through the update path that
+`QNetwork.td_update` replaced: `whiten_batch`, `bellman_targets`, then
+`fit_batch`, which runs the online forward a second time in `gradients`.
+`params_equal` and `format_config` are test helpers that nothing in the
+engine calls.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from moqtrader import agent
+from moqtrader import agent, config
 from moqtrader.env import EnvState, TradingEnv
 from moqtrader.errors import (
     MissingColumn,
@@ -30,8 +38,8 @@ from moqtrader.errors import (
 )
 from moqtrader.evaluation import EvaluationReport, PositionTrace, _report_from_trace
 from moqtrader.market_data import IndexRange, PriceSeries, _parse_timestamp
-from moqtrader.qnet import QNetwork, bellman_targets, build_input
-from moqtrader.replay import ReplayBuffer, compute_whitening, whiten_batch
+from moqtrader.qnet import QNetwork, build_input
+from moqtrader.replay import ReplayBuffer, Transitions, compute_whitening
 
 
 def state_features(env: TradingEnv, state: EnvState) -> np.ndarray:
@@ -149,6 +157,80 @@ def augment_experiences(
         buffer.push(state, action, gamma, w, outcome)
 
 
+def params_equal(a: QNetwork, b: QNetwork) -> bool:
+    return a.widths == b.widths and all(
+        np.array_equal(x, y) for x, y in zip(a.weights + a.biases, b.weights + b.biases)
+    )
+
+
+def format_config(cfg: "config.RunConfig") -> str:
+    """Render a RunConfig in the flat dialect; config.parse_config inverts this."""
+    lines = [f"{key} = {json.dumps(value)}" for key, value in config.to_flat_dict(cfg).items()]
+    return "\n".join(lines) + "\n"
+
+
+def whiten_batch(batch: Transitions, inv_sqrt: np.ndarray) -> Transitions:
+    """Rescale a sampled batch: r~ = Sigma^(-1/2) r / ||w||, scalar = w . r~, in fresh arrays."""
+    norms = np.linalg.norm(batch.weights, axis=1)
+    rescaled = (batch.raw_reward @ inv_sqrt) / norms[:, None]
+    scalars = np.einsum("ij,ij->i", batch.weights, rescaled)
+    return replace(batch, raw_reward=rescaled, scalar_reward=scalars)
+
+
+def bellman_targets(
+    batch: Transitions, net: QNetwork, target: QNetwork, alpha: float, *, include_gamma: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The batch's input rows and per-example regression targets for one update.
+
+    For the taken action the target blends the current estimate with the
+    one-step return, (1-alpha)*Q(s)[a] + alpha*(r + gamma*max Q_target(s'));
+    terminal transitions drop the bootstrap term.  Non-taken actions keep
+    the current outputs so they receive no gradient pressure.
+    """
+    conditioning = (batch.weights, batch.gamma[:, None]) if include_gamma else (batch.weights,)
+    inputs = np.hstack((batch.state, *conditioning))
+    q_now = net.forward(inputs)
+    q_next = target.forward(np.hstack((batch.next_state, *conditioning))).max(axis=1)
+    targets = q_now.copy()
+    rows = np.arange(len(batch))
+    live = np.where(batch.terminal, 0.0, 1.0)
+    returns = batch.scalar_reward + live * batch.gamma * q_next
+    targets[rows, batch.action] = (1.0 - alpha) * q_now[rows, batch.action] + alpha * returns
+    return inputs, targets
+
+
+def loss(net: QNetwork, inputs: np.ndarray, targets: np.ndarray) -> float:
+    """Mean-squared error over all batch entries and actions."""
+    return float(np.mean((net.forward(inputs) - targets) ** 2))
+
+
+def gradients(net: QNetwork, inputs: np.ndarray, targets: np.ndarray) -> tuple[float, list, list]:
+    """Backprop from a fresh forward: (loss, dL/dW per layer, dL/db per layer)."""
+    acts = [inputs]  # each layer's input
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+    pred = acts[-1] @ net.weights[-1] + net.biases[-1]
+    delta = 2.0 * (pred - targets) / pred.size
+    grads_w, grads_b = [None] * len(net.weights), [None] * len(net.biases)
+    for layer in range(len(net.weights) - 1, -1, -1):
+        grads_w[layer] = acts[layer].T @ delta
+        grads_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ net.weights[layer].T) * (acts[layer] > 0.0)
+    return float(np.mean((pred - targets) ** 2)), grads_w, grads_b
+
+
+def fit_batch(net: QNetwork, inputs: np.ndarray, targets: np.ndarray, learn_rate: float) -> float:
+    """One SGD (or momentum) step on the batch; returns the pre-step loss."""
+    loss_, grads_w, grads_b = gradients(net, inputs, targets)
+    for i in range(len(net.weights)):
+        net._vel_w[i] = net.momentum * net._vel_w[i] - learn_rate * grads_w[i]
+        net._vel_b[i] = net.momentum * net._vel_b[i] - learn_rate * grads_b[i]
+        net.weights[i] += net._vel_w[i]
+        net.biases[i] += net._vel_b[i]
+    return loss_
+
+
 def step_loop(run: "agent._Learner", state: EnvState, fit: bool) -> None:
     """A training episode from state, one step at a time, with per-step draws and one-row forwards.
 
@@ -178,7 +260,7 @@ def step_loop(run: "agent._Learner", state: EnvState, fit: bool) -> None:
             if cfg.whiten:
                 batch = whiten_batch(batch, compute_whitening(buffer, cfg.eigen_floor))
             inputs, targets = bellman_targets(batch, net, run.target, cfg.alpha, include_gamma=include_gamma)
-            net.fit_batch(inputs, targets, cfg.learn_rate)
+            fit_batch(net, inputs, targets, cfg.learn_rate)
             run.updates += 1
             buffer.advance_updates(1)
             if run.updates % cfg.sync_period == 0:
@@ -200,36 +282,46 @@ def fit_episode(run: "agent._Learner", state: EnvState) -> None:
 
 
 def load_csv_rows(path: str | Path, column_map: dict[str, str] | None = None, asset_id: str | None = None) -> PriceSeries:
-    """`load_csv` as a `csv.DictReader` loop that checks each row as it reads it."""
+    """`load_csv` as a `csv.DictReader` loop that checks each row as it reads it.
+
+    Undecodable bytes read as lone surrogates, and a line the reader cannot
+    take fails as `UnparsableRow` at its row, as in `load_csv`.
+    """
     path = Path(path)
     if not path.exists():
         raise MissingFile(str(path))
     mapping = {"timestamp": "timestamp", "close": "close"}
     mapping.update(column_map or {})
 
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        for canonical in ("timestamp", "close"):
-            if mapping[canonical] not in fields:
-                raise MissingColumn(f"column {mapping[canonical]!r} not in header {fields}")
-        ts_key, close_key = mapping["timestamp"], mapping["close"]
-        timestamps: list[int] = []
-        closes: list[float] = []
-        for row_no, row in enumerate(reader, start=1):
-            try:
-                ts = _parse_timestamp(row[ts_key])
-                price = float(row[close_key])
-            except (ValueError, TypeError) as exc:
-                raise UnparsableRow(row_no, f"row {row_no}: {exc}") from exc
-            if not math.isfinite(price):
-                raise UnparsableRow(row_no, f"row {row_no}: non-finite close")
-            if price <= 0:
-                raise NonPositivePrice(row_no)
-            if timestamps and ts <= timestamps[-1]:
-                raise NonMonotonicTimestamp(row_no)
-            timestamps.append(ts)
-            closes.append(price)
+    timestamps: list[int] = []
+    closes: list[float] = []
+    fields = None
+    try:
+        with open(path, newline="", errors="surrogateescape") as fh:
+            reader = csv.DictReader(fh)
+            fields = reader.fieldnames or []
+            for canonical in ("timestamp", "close"):
+                if mapping[canonical] not in fields:
+                    raise MissingColumn(f"column {mapping[canonical]!r} not in header {fields}")
+            ts_key, close_key = mapping["timestamp"], mapping["close"]
+            for row_no, row in enumerate(reader, start=1):
+                try:
+                    ts = _parse_timestamp(row[ts_key])
+                    price = float(row[close_key])
+                except (ValueError, TypeError) as exc:
+                    raise UnparsableRow(row_no, f"row {row_no}: {exc}") from exc
+                if not math.isfinite(price):
+                    raise UnparsableRow(row_no, f"row {row_no}: non-finite close")
+                if price <= 0:
+                    raise NonPositivePrice(row_no)
+                if timestamps and ts <= timestamps[-1]:
+                    raise NonMonotonicTimestamp(row_no)
+                timestamps.append(ts)
+                closes.append(price)
+    except csv.Error as exc:
+        if fields is None:
+            raise MissingColumn(f"unreadable header: {exc}") from exc
+        raise UnparsableRow(len(closes) + 1, f"row {len(closes) + 1}: {exc}") from exc
 
     if len(closes) < 2:
         raise SeriesTooShort(f"{path} has {len(closes)} data rows, need at least 2")

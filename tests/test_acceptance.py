@@ -18,7 +18,7 @@ from moqtrader import agent, cli, evaluation
 from moqtrader.agent import TrainConfig, one_hot_weights, train
 from moqtrader.env import Mode, StepOutcome, TradingEnv
 from moqtrader.market_data import make_split
-from moqtrader.qnet import QNetwork, bellman_targets, build_input
+from moqtrader.qnet import QNetwork, build_input
 from moqtrader.replay import ReplayBuffer, Transitions, compute_whitening
 from moqtrader.rewards import RewardVector
 from moqtrader.synthetic import generate_synthetic
@@ -43,15 +43,15 @@ def test_criterion_01_whitening_invariant():
     w = np.array([1.0, 0, 0, 0])
     for row in rewards:
         buffer.push(state, 0, 0.9, w, StepOutcome(next_state, RewardVector(*row), False, True))
-    stats = compute_whitening(buffer, eigen_floor=1e-8)
-    assert np.linalg.eigvalsh(stats.covariance).min() > 100 * 1e-8  # well-conditioned
+    inv_sqrt = compute_whitening(buffer, eigen_floor=1e-8)
+    assert np.linalg.eigvalsh(buffer.reward_moments()[1]).min() > 100 * 1e-8  # well-conditioned
 
     stored = buffer.rows().raw_reward
     worst = 0.0
     for _ in range(20):
         unit = rng.normal(size=4)
         unit /= np.linalg.norm(unit)
-        variance = float(np.var(stored @ stats.inv_sqrt @ unit, ddof=1))
+        variance = float(np.var(stored @ inv_sqrt @ unit, ddof=1))
         worst = max(worst, abs(variance - 1.0))
         assert abs(variance - 1.0) <= 1e-6
     elapsed = time.perf_counter() - started
@@ -60,26 +60,40 @@ def test_criterion_01_whitening_invariant():
 
 
 def test_criterion_02_gradient_check():
+    """With momentum 0 a TD update moves the parameters by -learn_rate times the loss gradient."""
     started = time.perf_counter()
     rng = np.random.default_rng(1002)
-    step = 1e-5
+    step, learn_rate = 1e-5, 1e-2
     worst = 0.0
     for trial in range(10):
-        widths = [int(rng.integers(2, 6)), int(rng.integers(2, 7)), int(rng.integers(1, 4))]
-        net = QNetwork(widths, seed=2000 + trial)
-        inputs = rng.normal(size=(5, widths[0]))
-        targets = rng.normal(size=(5, widths[-1]))
-        _, grads_w, grads_b = net.gradients(inputs, targets)
-        for arr_list, grads in ((net.weights, grads_w), (net.biases, grads_b)):
-            for arr, grad in zip(arr_list, grads):
+        include_gamma = trial % 2 == 1
+        widths = [int(rng.integers(6, 10)), int(rng.integers(2, 7)), int(rng.integers(1, 4))]
+        net, target = QNetwork(widths, seed=2000 + trial), QNetwork(widths, seed=3000 + trial)
+        n, state_width = 5, widths[0] - 4 - include_gamma
+        weights = rng.exponential(size=(n, 4))
+        batch = Transitions(
+            state=rng.normal(size=(n, state_width)), gamma=rng.uniform(0.5, 0.99, size=n),
+            weights=weights / weights.sum(axis=1, keepdims=True), raw_reward=rng.normal(size=(n, 4)),
+            scalar_reward=rng.normal(size=n), action=rng.integers(widths[-1], size=n),
+            next_state=rng.normal(size=(n, state_width)), terminal=rng.random(n) < 0.3,
+            birth_update=np.zeros(n, dtype=np.int64),
+        )
+        # the targets the update regresses on, held fixed while the loss is differentiated
+        inputs, targets = scalar_reference.bellman_targets(batch, net, target, 0.7, include_gamma=include_gamma)
+        updated = net.clone()
+        updated.td_update(target, batch, batch.scalar_reward, alpha=0.7, learn_rate=learn_rate,
+                          include_gamma=include_gamma)
+        for arr_list, new_list in ((net.weights, updated.weights), (net.biases, updated.biases)):
+            for arr, new in zip(arr_list, new_list):
+                grad = (arr - new) / learn_rate
                 it = np.nditer(arr, flags=["multi_index"])
                 for _ in it:
                     idx = it.multi_index
                     orig = arr[idx]
                     arr[idx] = orig + step
-                    up = net.loss(inputs, targets)
+                    up = scalar_reference.loss(net, inputs, targets)
                     arr[idx] = orig - step
-                    down = net.loss(inputs, targets)
+                    down = scalar_reference.loss(net, inputs, targets)
                     arr[idx] = orig
                     fd = (up - down) / (2 * step)
                     denom = max(abs(fd), 1e-3)
@@ -88,7 +102,7 @@ def test_criterion_02_gradient_check():
                     assert rel <= 1e-5
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
-    announce(2, f"analytic grads match central differences on 10 nets, worst rel err {worst:.2e} ({elapsed:.2f}s)")
+    announce(2, f"TD steps match central-difference gradients on 10 nets, worst rel err {worst:.2e} ({elapsed:.2f}s)")
 
 
 def test_criterion_03_toy_mdp_oracle():
@@ -114,8 +128,7 @@ def test_criterion_03_toy_mdp_oracle():
     net = QNetwork([6, 2], seed=3)
     target = net.clone()
     for update in range(1, 3001):
-        inputs, targets = bellman_targets(batch, net, target, alpha=1.0, include_gamma=False)
-        net.fit_batch(inputs, targets, learn_rate=0.2)
+        net.td_update(target, batch, batch.scalar_reward, alpha=1.0, learn_rate=0.2, include_gamma=False)
         if update % 20 == 0:  # train's target sync rule, sync_period = 20
             target.copy_params_from(net)
 
@@ -188,14 +201,14 @@ def test_criterion_05_one_hot_reduction():
     target = net.clone()
     batch_single = single.replay.rows(np.arange(8))
     batch_pinned = pinned.replay.rows(np.arange(0, 32, 4))
-    _, t_single = bellman_targets(batch_single, net, target, alpha=0.7, include_gamma=False)
-    _, t_pinned = bellman_targets(batch_pinned, net, target, alpha=0.7, include_gamma=False)
+    _, t_single = scalar_reference.bellman_targets(batch_single, net, target, alpha=0.7, include_gamma=False)
+    _, t_pinned = scalar_reference.bellman_targets(batch_pinned, net, target, alpha=0.7, include_gamma=False)
     np.testing.assert_allclose(t_single, t_pinned, atol=1e-12, rtol=0)
 
     # end to end: with k = 0 and whitening off the two pipelines coincide
     single = train(cfg(multi=False, k=0, whiten=False), series, split, eval_weights=one_hot_weights("lr"))
     pinned = train(cfg(multi=True, k=0, whiten=False), series, split, eval_weights=one_hot_weights("lr"))
-    assert single.net.params_equal(pinned.net)
+    assert scalar_reference.params_equal(single.net, pinned.net)
     announce(5, "pinned one-hot multi-reward reproduces the single-reward stream and targets exactly")
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import scalar_reference
+from scalar_reference import bellman_targets, params_equal
 from moqtrader import agent, evaluation
 from moqtrader.agent import (
     TrainConfig,
@@ -18,8 +19,8 @@ from moqtrader.agent import (
 from moqtrader.env import Mode, TradingEnv
 from moqtrader.errors import Diverged, InvalidValue, RangeTooShort
 from moqtrader.market_data import make_split
-from moqtrader.qnet import QNetwork, bellman_targets, load_checkpoint
-from moqtrader.replay import _COLUMNS, ReplayBuffer
+from moqtrader.qnet import QNetwork, load_checkpoint
+from moqtrader.replay import _COLUMNS, ReplayBuffer, compute_whitening, whiten_rewards
 from moqtrader.synthetic import generate_synthetic
 
 
@@ -146,7 +147,7 @@ class TestTrainLoop:
         cfg = small_cfg(episodes=1, eval_every=2)  # S is empty
         result = train(cfg, series, split)
         expected = QNetwork(cfg.widths, seed=rng_streams(cfg.seed)["init"], momentum=cfg.momentum)
-        assert result.net.params_equal(expected)
+        assert params_equal(result.net, expected)
         assert result.updates == 0
         assert result.checkpoints == []
 
@@ -161,7 +162,7 @@ class TestTrainLoop:
         split = make_split(series)
         a = train(small_cfg(), series, split)
         b = train(small_cfg(), series, split)
-        assert a.net.params_equal(b.net)
+        assert params_equal(a.net, b.net)
         assert [ck.reports["eval"].to_dict() for ck in a.checkpoints] == [
             ck.reports["eval"].to_dict() for ck in b.checkpoints
         ]
@@ -215,7 +216,7 @@ class TestTrainLoop:
             small_cfg(multi_reward=True, pin_weights=(1.0, 0.0, 0.0, 0.0), whiten=False, k=0),
             series, split, eval_weights=w_eval,
         )
-        assert single.net.params_equal(pinned.net)
+        assert params_equal(single.net, pinned.net)
         assert [ck.reports["train"].to_dict() for ck in single.checkpoints] == [
             ck.reports["train"].to_dict() for ck in pinned.checkpoints
         ]
@@ -269,7 +270,7 @@ class TestTrainLoop:
         assert cfg.input_width == 6 + 1 + 4 + 1
         a = train(cfg, series, split)
         b = train(cfg, series, split)
-        assert a.net.params_equal(b.net)
+        assert params_equal(a.net, b.net)
         assert a.net.input_width == cfg.input_width
         gammas = set(a.replay.rows().gamma.tolist())
         assert len(gammas) > 1
@@ -281,7 +282,7 @@ class TestTrainLoop:
         series = sine_series()
         split = make_split(series)
         result = train(small_cfg(mode=Mode.LP), series, split)
-        assert result.net.output_width == 2
+        assert result.net.widths[-1] == 2
         rows = result.replay.rows()
         assert set(rows.action.tolist()) <= {0, 1}
         # LP can never hold a short: next-state position feature is 0 or +1
@@ -332,14 +333,14 @@ class TestTargetSync:
 
     def test_period_one_always_synced(self):
         _, result = self.run(episodes=2, sync_period=1)
-        assert result.target.params_equal(result.net)
+        assert params_equal(result.target, result.net)
         assert result.updates % 1 == 0  # staleness 0
 
     def test_below_period_no_copy(self):
         cfg, result = self.run(episodes=1, sync_period=self.EPISODE_LEN + 1)
         initial = QNetwork(cfg.widths, seed=rng_streams(cfg.seed)["init"], momentum=cfg.momentum)
-        assert result.target.params_equal(initial)
-        assert not result.target.params_equal(result.net)
+        assert params_equal(result.target, initial)
+        assert not params_equal(result.target, result.net)
         assert result.updates % cfg.sync_period == self.EPISODE_LEN  # staleness
 
     def test_staleness_bounded_over_run(self):
@@ -352,34 +353,37 @@ class TestTargetSync:
                 expected = QNetwork(cfg.widths, seed=rng_streams(cfg.seed)["init"], momentum=cfg.momentum)
             else:
                 expected = result.checkpoints[synced_at // self.EPISODE_LEN - 1].net
-            assert result.target.params_equal(expected)
+            assert params_equal(result.target, expected)
 
     def test_forward_equal_after_copy(self):
         _, result = self.run(episodes=3, sync_period=self.EPISODE_LEN)
         x = np.random.default_rng(9).normal(size=result.net.input_width)
         np.testing.assert_array_equal(result.net.forward(x), result.target.forward(x))
-        # bellman_targets bootstraps from that target
+        # a TD update bootstraps from that target: the same step as from the online network
         batch = result.replay.rows(np.arange(8))
-        _, with_target = bellman_targets(batch, result.net, result.target, alpha=1.0, include_gamma=False)
-        _, with_online = bellman_targets(batch, result.net, result.net, alpha=1.0, include_gamma=False)
-        np.testing.assert_array_equal(with_target, with_online)
+        stepped = []
+        for target in (result.target, result.net):
+            net = result.net.clone()
+            net.td_update(target, batch, batch.scalar_reward, alpha=1.0, learn_rate=0.1, include_gamma=False)
+            stepped.append(params(net))
+        assert stepped[0] == stepped[1] and stepped[0] != params(result.net)
 
 
 def test_crash_partway_keeps_complete_artifacts(tmp_path, monkeypatch):
     """A run that diverges after its first evaluation keeps that episode's line and checkpoint."""
     series = sine_series()
     cfg = small_cfg(episodes=4, eval_every=2)
-    fit_batch = QNetwork.fit_batch
+    td_update = QNetwork.td_update
     on_disk = {}
 
-    def poisoned_fit(net, inputs, targets, learn_rate):
+    def poisoned_update(net, *args, **kwargs):
         # the first update after episode 2's checkpoint poisons the network
         if (tmp_path / "checkpoint_2.bin").exists() and not on_disk:
             on_disk["metrics"] = (tmp_path / "metrics.jsonl").read_text()
             net.weights[0][0, 0] = float("nan")
-        return fit_batch(net, inputs, targets, learn_rate)
+        return td_update(net, *args, **kwargs)
 
-    monkeypatch.setattr(QNetwork, "fit_batch", poisoned_fit)
+    monkeypatch.setattr(QNetwork, "td_update", poisoned_update)
     with pytest.raises(Diverged):
         train(cfg, series, make_split(series), out_dir=tmp_path)
 
@@ -535,6 +539,68 @@ class TestFitEpisode:
         assert next_draws(loop.streams) == next_draws(fitted.streams)
 
 
+TD_CASES = {
+    "LSP, momentum 0, alpha 1, whitened": dict(),
+    "LP, momentum 0.5, alpha 0.7, gamma input, whitened": dict(mode=Mode.LP, momentum=0.5, alpha=0.7,
+                                                              generalize_gamma=True),
+    "LSP, momentum 0.5, alpha 0.7, gamma input, raw rewards": dict(momentum=0.5, alpha=0.7, generalize_gamma=True,
+                                                                  whiten=False),
+    "LP, momentum 0, alpha 1, raw rewards, two hidden layers": dict(mode=Mode.LP, whiten=False, hidden=(8, 6)),
+    "single reward, whitened": dict(multi_reward=False, reward="sr", alpha=0.7, episode_len=30),
+}
+
+
+def velocities(net):
+    return [v.tobytes() for v in net._vel_w + net._vel_b]
+
+
+class TestTdUpdate:
+    """td_update steps exactly as the update path it replaced: whiten_batch, bellman_targets, fit_batch."""
+
+    @pytest.mark.parametrize("case", TD_CASES)
+    def test_equals_old_update_path(self, case):
+        cfg = small_cfg(**{"episode_len": 10, "k": 3, "tol": 0.3, "batchsize": 16, "sync_period": 20,
+                           "max_age": 30, "learn_rate": 0.01, **TD_CASES[case]})
+        series = generate_synthetic("random-walk", 400, amplitude=0.02, seed=9)
+        net = QNetwork(cfg.widths, seed=4, momentum=cfg.momentum)
+        new, old = learner(cfg, series, net.clone()), learner(cfg, series, net.clone())
+        split = make_split(series)
+        batches_with_terminal_rows = 0
+        for update in range(1, 61):
+            if update % 10 == 1:  # a frozen episode every 10 updates; max_age 30 evicts the older ones
+                for run in (new, old):
+                    run.env.reset(split.train, random_access=True, episode_len=cfg.episode_len, rng=run.streams["env"])
+                    agent._frozen_episode(run)
+
+            batch = new.buffer.sample_batch(cfg.batchsize, new.streams["batch"])
+            rewards = batch.scalar_reward
+            if cfg.whiten:
+                rewards = whiten_rewards(batch, compute_whitening(new.buffer, cfg.eigen_floor))
+            loss = new.net.td_update(new.target, batch, rewards, alpha=cfg.alpha, learn_rate=cfg.learn_rate,
+                                     include_gamma=cfg.generalize_gamma)
+
+            old_batch = old.buffer.sample_batch(cfg.batchsize, old.streams["batch"])
+            if cfg.whiten:
+                old_batch = scalar_reference.whiten_batch(old_batch, compute_whitening(old.buffer, cfg.eigen_floor))
+            inputs, targets = bellman_targets(old_batch, old.net, old.target, cfg.alpha,
+                                              include_gamma=cfg.generalize_gamma)
+            old_loss = scalar_reference.fit_batch(old.net, inputs, targets, cfg.learn_rate)
+
+            batches_with_terminal_rows += bool(batch.terminal.any())
+            for run in (new, old):
+                run.buffer.advance_updates(1)
+                if update % cfg.sync_period == 0:
+                    run.target.copy_params_from(run.net)
+            assert loss.hex() == old_loss.hex()
+            assert params(new.net) == params(old.net)
+            assert velocities(new.net) == velocities(old.net)
+            assert params(new.target) == params(old.target)
+            assert live_columns(new.buffer) == live_columns(old.buffer)
+            assert moments(new.buffer) == moments(old.buffer)
+        assert batches_with_terminal_rows > 0 and params(new.net) != params(net)
+        assert next_draws(new.streams) == next_draws(old.streams)
+
+
 TRAIN_CASES = {
     "multi-reward LSP, drawn gamma": dict(generalize_gamma=True),
     "LP, fee, replayed counterfactuals": dict(mode=Mode.LP, fee=3e-4, hindsight_action="replay"),
@@ -562,20 +628,20 @@ def test_train_artifacts_equal_step_loop_runs(case, tmp_path, monkeypatch):
 def test_diverged_at_the_poisoned_update(monkeypatch):
     """A non-finite loss raises Diverged at its update, naming it and the episode, before any evaluation."""
     series = sine_series()
-    fit_batch, evaluate_split = QNetwork.fit_batch, evaluation.evaluate_split
+    td_update, evaluate_split = QNetwork.td_update, evaluation.evaluate_split
     updates, evaluated = [], []
 
-    def poisoned_fit(net, inputs, targets, learn_rate):
+    def poisoned_update(net, *args, **kwargs):
         updates.append(len(updates) + 1)
         if len(updates) == 40:  # episode 1 makes 28 updates, so this is episode 2's 12th
             net.weights[0][0, 0] = float("nan")
-        return fit_batch(net, inputs, targets, learn_rate)
+        return td_update(net, *args, **kwargs)
 
     def recorded_evaluation(net, *args, **kwargs):
         evaluated.append(np.isfinite(net.weights[0]).all())
         return evaluate_split(net, *args, **kwargs)
 
-    monkeypatch.setattr(QNetwork, "fit_batch", poisoned_fit)
+    monkeypatch.setattr(QNetwork, "td_update", poisoned_update)
     monkeypatch.setattr(evaluation, "evaluate_split", recorded_evaluation)
     with pytest.raises(Diverged, match=r"^non-finite loss at update 40, in episode 2$"):
         train(small_cfg(episodes=3, eval_every=1), series, make_split(series))

@@ -1,11 +1,15 @@
 import csv
+import io
 import json
 
+import numpy as np
 import pytest
+from scalar_reference import format_config
 
 from moqtrader import cli, config
 from moqtrader.env import Mode
 from moqtrader.errors import InvalidValue, MissingFile, UnknownKey
+from moqtrader.qnet import QNetwork, save_checkpoint
 
 FAST_TRAIN = """
 synthetic_kind = sine
@@ -90,7 +94,7 @@ class TestParseConfig:
 
     def test_round_trip_flat_dialect(self, tmp_path):
         original = config.parse_config(write(tmp_path, FAST_TRAIN))
-        reparsed = config.parse_config(write(tmp_path, config.format_config(original), name="copy.cfg"))
+        reparsed = config.parse_config(write(tmp_path, format_config(original), name="copy.cfg"))
         assert reparsed == original
 
     def test_round_trip_resolved_json(self, tmp_path):
@@ -102,7 +106,7 @@ class TestParseConfig:
     def test_round_trip_with_optionals(self, tmp_path):
         text = FAST_TRAIN + "generalize_gamma = true\ngamma_range = [0.6, 0.9]\npin_weights = [1, 0, 0, 0]\neval_weights = [0.25, 0.25, 0.25, 0.25]\n"
         original = config.parse_config(write(tmp_path, text))
-        reparsed = config.parse_config(write(tmp_path, config.format_config(original), name="copy.cfg"))
+        reparsed = config.parse_config(write(tmp_path, format_config(original), name="copy.cfg"))
         assert reparsed == original
 
 
@@ -236,6 +240,15 @@ class TestErrorPayloads:
         assert out == json.dumps(expected) + "\n"
         assert status == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind,row", [("trend", 707), ("random-walk", 708)])
+    def test_overflowing_closes_warn_nothing(self, tmp_path, capsys, kind, row):
+        text = f'synthetic_kind = "{kind}"\nsynthetic_drift = 1.0\nsynthetic_length = 1000'
+        status, out = self.run_backtest(tmp_path, capsys, text)
+        expected = {"error": "NonPositivePrice", "detail": f"NonPositivePrice at row {row}", "context": {"row": row}}
+        assert out == json.dumps(expected) + "\n"
+        assert status == 1
+
     @pytest.mark.parametrize("header,row,detail", [
         ("close,timestamp", "101", "row 1: no timestamp field"),
         ("timestamp,close", "5", "row 1: float() argument must be a string or a real number, not 'NoneType'"),
@@ -253,6 +266,44 @@ class TestErrorPayloads:
         expected = {"error": "UnknownKey", "detail": "unknown config key: lr", "context": {"key": "lr"}}
         assert out == json.dumps(expected) + "\n"
         assert status == 1
+
+
+def spoil_checkpoint(path, damage):
+    """Overwrite the checkpoint at path in one of BAD_CHECKPOINTS' ways."""
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    if damage == "random bytes":
+        path.write_bytes(np.random.default_rng(0).bytes(4000))
+    elif damage == "cut in half":
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    elif damage == "empty":
+        path.write_bytes(b"")
+    elif damage == "object-array npy":
+        buf = io.BytesIO()
+        np.save(buf, np.array([1, "a"], dtype=object), allow_pickle=True)
+        path.write_bytes(buf.getvalue())
+    else:
+        if damage == "version 2":
+            arrays["header"] = np.array(json.dumps({**json.loads(str(arrays["header"])), "version": 2}))
+        elif damage == "no w1":
+            del arrays["w1"]
+        elif damage == "w0 transposed":
+            arrays["w0"] = arrays["w0"].T
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+
+
+# damage -> the reason load_checkpoint gives after the file name
+BAD_CHECKPOINTS = {
+    "random bytes": "This file contains pickled (object) data. If you trust the file you can load it unsafely "
+                    "using the `allow_pickle=` keyword argument or `pickle.load()`.",
+    "cut in half": "File is not a zip file",
+    "empty": "No data left in file",
+    "object-array npy": "Object arrays cannot be loaded when allow_pickle=False",
+    "version 2": "unsupported checkpoint version 2",
+    "no w1": "array w1 is missing or not of shape (8, 3)",
+    "w0 transposed": "array w0 is missing or not of shape (11, 8)",
+}
 
 
 class TestCli:
@@ -428,6 +479,20 @@ class TestCli:
         assert self.run_cli("backtest", "--config", cfg_path, "--out", out) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"] == "Diverged"
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("damage", BAD_CHECKPOINTS)
+    def test_backtest_of_a_bad_checkpoint_file(self, tmp_path, capsys, damage):
+        out = tmp_path / "run"
+        out.mkdir()
+        path = out / "checkpoint_1.bin"
+        save_checkpoint(path, QNetwork([6 + 1 + 4, 8, 3], seed=0), {"episode": 1})  # FAST_TRAIN's widths
+        spoil_checkpoint(path, damage)
+        assert self.run_cli("backtest", "--config", write(tmp_path, FAST_TRAIN), "--out", out) == 1
+        reason = f"{path}: {BAD_CHECKPOINTS[damage]}"
+        expected = {"error": "InvalidValue", "detail": f"invalid value for checkpoint: {reason}",
+                    "context": {"key": "checkpoint", "reason": reason}}
+        assert capsys.readouterr().out == json.dumps(expected) + "\n"
         assert not (out / "report.json").exists()
 
     def test_seed_override_lands_in_resolved_config(self, tmp_path, capsys):

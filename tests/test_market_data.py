@@ -110,9 +110,12 @@ def price_rows(n=N_ROWS, seed=0, ts="epoch", close="repr"):
 
 
 def write_rows(tmp_path, rows, header=("timestamp", "close"), name="prices.csv"):
-    """Write rows under header; a key a row lacks ends it early, so it reads as missing."""
+    """Write rows under header; a key a row lacks ends it early, so it reads as missing.
+
+    A lone surrogate such as "\udcff" is written as the byte it escapes, which is not UTF-8.
+    """
     path = tmp_path / name
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", errors="surrogateescape") as fh:
         out = csv.writer(fh)
         out.writerow(header)
         for row in rows:
@@ -157,6 +160,10 @@ def spoil(rows, kind, row):
         fields["timestamp"] = rows[row - 2]["timestamp"]
     elif kind == "earlier":
         fields["timestamp"] = str(int(rows[row - 2]["timestamp"]) - 1)
+    elif kind == "long field":
+        fields["close"] = "9" * (csv.field_size_limit() + 1)
+    elif kind == "bad byte":
+        fields["close"] = fields["close"][:2] + "\udcff" + fields["close"][2:]
     return rows
 
 
@@ -165,6 +172,7 @@ KIND_CODES = {
     "no close": "UnparsableRow", "inf": "UnparsableRow", "-inf": "UnparsableRow", "nan": "UnparsableRow",
     "0": "NonPositivePrice", "-2.5": "NonPositivePrice",
     "repeat": "NonMonotonicTimestamp", "earlier": "NonMonotonicTimestamp",
+    "long field": "UnparsableRow", "bad byte": "UnparsableRow",
 }
 HEADER_FOR = {"no timestamp": ("close", "timestamp")}  # a short row can only lack its last field
 
@@ -257,8 +265,8 @@ class TestLoadCsvMatchesRowLoop:
         assert got[1]["detail"] == f"row {N_ROWS}: timestamp '{2**63}' is outside the int64 range"
 
     @pytest.mark.parametrize("spoiled", [None, 2100])
-    @pytest.mark.parametrize("damage,error", [("long field", "Error"), ("bad byte", "UnicodeDecodeError")])
-    def test_read_error_after_the_rows_before_it(self, tmp_path, spoiled, damage, error):
+    @pytest.mark.parametrize("damage", ["long field", "bad byte"])
+    def test_read_error_after_the_rows_before_it(self, tmp_path, spoiled, damage):
         rows = price_rows()
         if spoiled:
             spoil(rows, "0", spoiled)
@@ -269,7 +277,25 @@ class TestLoadCsvMatchesRowLoop:
             data = path.read_bytes()
             path.write_bytes(data.replace(rows[2999]["close"].encode(), b"\xff", 1))
         got = assert_matches_row_loop(path)
-        assert got[0] == ("NonPositivePrice" if spoiled else error)
+        assert error_row(got) == (("NonPositivePrice", 2100) if spoiled else ("UnparsableRow", 3000))
+
+    def test_read_error_details(self, tmp_path):
+        rows = spoil(spoil(price_rows(), "bad byte", 7), "long field", 3)
+        got = assert_matches_row_loop(write_rows(tmp_path, rows))
+        limit = csv.field_size_limit()
+        assert got[1]["detail"] == f"row 3: field larger than field limit ({limit})"
+        got = assert_matches_row_loop(write_rows(tmp_path, spoil(price_rows(), "bad byte", 7)))
+        assert got[1]["detail"] == f"row 7: could not convert string to float: {rows[6]['close']!r}"
+
+    def test_undecodable_bytes_outside_the_mapped_columns(self, tmp_path):
+        rows = price_rows()
+        for i in range(0, N_ROWS, 7):
+            rows[i]["note"] = "caf\udce9"
+        header = ("timestamp", "close", "note")
+        got = assert_matches_row_loop(write_rows(tmp_path, rows, header=header))
+        assert got == outcome(load_csv, write_rows(tmp_path, price_rows(), name="clean.csv"), asset_id="prices")
+        path = write_rows(tmp_path, rows, header=("timestamp", "close", "n\udcffte"), name="header.csv")
+        assert assert_matches_row_loop(path, asset_id="prices") == got
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_short_files(self, tmp_path, n):
@@ -280,6 +306,11 @@ class TestLoadCsvMatchesRowLoop:
         assert got[0] == "MissingColumn"
         (tmp_path / "empty.csv").write_text("")
         assert assert_matches_row_loop(tmp_path / "empty.csv")[0] == "MissingColumn"
+
+    def test_unreadable_header(self, tmp_path):
+        path = write_rows(tmp_path, price_rows(), header=("timestamp", "close", "x" * (csv.field_size_limit() + 1)))
+        detail = f"unreadable header: field larger than field limit ({csv.field_size_limit()})"
+        assert assert_matches_row_loop(path) == ("MissingColumn", {"error": "MissingColumn", "detail": detail})
 
     def test_peak_memory_below_the_row_loop(self, tmp_path):
         path = write_rows(tmp_path, price_rows(n=25_000))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scalar_reference import bellman_targets, loss, params_equal
 
 from moqtrader.errors import ShapeMismatch
-from moqtrader.qnet import QNetwork, bellman_targets, build_input, load_checkpoint, save_checkpoint
+from moqtrader.qnet import QNetwork, build_input, load_checkpoint, save_checkpoint
 from moqtrader.replay import Transitions
 
 
@@ -17,9 +18,9 @@ def finite_difference_grads(net, inputs, targets, step=1e-5):
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + step
-                up = net.loss(inputs, targets)
+                up = loss(net, inputs, targets)
                 arr[idx] = orig - step
-                down = net.loss(inputs, targets)
+                down = loss(net, inputs, targets)
                 arr[idx] = orig
                 grad[idx] = (up - down) / (2 * step)
             grads.append(grad)
@@ -45,13 +46,39 @@ def batch_of(*experiences):
     return Transitions(**{name: np.array([exp[name] for exp in experiences]) for name in experiences[0]})
 
 
+def random_batch(rng, n, state_width, n_actions):
+    """n replay rows with random states, simplex weights, gammas, actions and terminal flags."""
+    weights = rng.exponential(size=(n, 4))
+    return batch_of(*[
+        make_experience(rng.normal(size=state_width), rng.uniform(0.5, 0.99), w / w.sum(), rng.normal(),
+                        int(rng.integers(n_actions)), rng.normal(size=state_width), terminal=rng.random() < 0.3)
+        for w in weights
+    ])
+
+
+def step(net, target, batch, *, alpha=1.0, learn_rate=0.01, include_gamma=False):
+    return net.td_update(target, batch, batch.scalar_reward, alpha=alpha, learn_rate=learn_rate,
+                         include_gamma=include_gamma)
+
+
+def one_row_targets(net, target, batch, *, alpha):
+    """A one-row batch's targets, read off a unit-rate step of a linear two-action clone.
+
+    With one row and two actions the output bias moves by target - Q(s).
+    """
+    clone = net.clone()
+    step(clone, target, batch, alpha=alpha, learn_rate=1.0)
+    q = net.forward(build_input(batch.state[0], batch.weights[0], batch.gamma[0], include_gamma=False))
+    return q + (clone.biases[-1] - net.biases[-1])
+
+
 class TestInitAndForward:
     def test_seed_determinism(self):
         a = QNetwork([5, 8, 3], seed=4)
         b = QNetwork([5, 8, 3], seed=4)
-        assert a.params_equal(b)
+        assert params_equal(a, b)
         c = QNetwork([5, 8, 3], seed=5)
-        assert not a.params_equal(c)
+        assert not params_equal(a, c)
 
     def test_zero_hidden_is_affine(self):
         net = QNetwork([4, 2], seed=0)
@@ -93,82 +120,90 @@ class TestInitAndForward:
         net = QNetwork([4, 2], seed=0)
         with pytest.raises(ShapeMismatch):
             net.forward(np.zeros(5))
-        with pytest.raises(ShapeMismatch):
-            net.fit_batch(np.zeros((3, 4)), np.zeros((3, 3)), 0.01)
+        with pytest.raises(ShapeMismatch):  # 2 state features and 4 weights make 6 inputs, not 4
+            step(net, net, random_batch(np.random.default_rng(0), 3, 2, 2))
 
 
 class TestGradients:
+    """td_update's step is -learn_rate times the loss gradient against its targets held fixed."""
+
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(9)
         for trial in range(5):
-            widths = [int(rng.integers(2, 5)), int(rng.integers(2, 6)), int(rng.integers(1, 4))]
-            net = QNetwork(widths, seed=trial)
-            inputs = rng.normal(size=(4, widths[0]))
-            targets = rng.normal(size=(4, widths[-1]))
-            _, grads_w, grads_b = net.gradients(inputs, targets)
+            widths = [int(rng.integers(5, 8)), int(rng.integers(2, 6)), int(rng.integers(1, 4))]
+            net, target = QNetwork(widths, seed=trial), QNetwork(widths, seed=100 + trial)
+            batch = random_batch(rng, 4, widths[0] - 4, widths[-1])
+            inputs, targets = bellman_targets(batch, net, target, 0.7, include_gamma=False)
             fd_w, fd_b = finite_difference_grads(net, inputs, targets)
-            for got, want in zip(grads_w + grads_b, fd_w + fd_b):
-                np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-8)
+            before = net.clone()
+            step(net, target, batch, alpha=0.7, learn_rate=0.01)
+            for got, old, want in zip(net.weights + net.biases, before.weights + before.biases, fd_w + fd_b):
+                np.testing.assert_allclose((old - got) / 0.01, want, rtol=1e-5, atol=1e-8)
 
     def test_zero_gradient_leaves_params(self):
-        net = QNetwork([3, 5, 2], seed=1)
-        inputs = np.random.default_rng(2).normal(size=(6, 3))
-        targets = net.forward(inputs)
+        net = QNetwork([7, 5, 2], seed=1)
+        batch = random_batch(np.random.default_rng(2), 6, 3, 2)
+        q_taken = net.forward(np.hstack((batch.state, batch.weights)))[np.arange(6), batch.action]
+        # terminal rows whose reward is the current estimate: every target is the current output
+        batch = Transitions(**{**vars(batch), "terminal": np.ones(6, dtype=bool), "scalar_reward": q_taken})
         before = net.clone()
-        loss = net.fit_batch(inputs, targets, learn_rate=0.1)
+        loss = step(net, net.clone(), batch, learn_rate=0.1)
         assert loss == 0.0
-        assert net.params_equal(before)
+        assert params_equal(net, before)
 
     def test_descent_on_convex_problem(self):
-        net = QNetwork([2, 1], seed=3)
+        net = QNetwork([6, 1], seed=3)
         rng = np.random.default_rng(4)
-        inputs = rng.normal(size=(16, 2))
-        targets = (inputs @ np.array([[1.5], [-0.5]])) + 0.25
-        losses = [net.fit_batch(inputs, targets, learn_rate=0.05) for _ in range(400)]
+        states = rng.normal(size=(16, 2))
+        # terminal one-action rows at alpha 1: the targets are the rewards, a linear function of the state
+        rewards = (states @ np.array([1.5, -0.5])) + 0.25
+        batch = batch_of(*[
+            make_experience(x, 0.9, [1, 0, 0, 0], r, 0, x, terminal=True) for x, r in zip(states, rewards)
+        ])
+        losses = [step(net, net, batch, learn_rate=0.05) for _ in range(400)]
         assert all(b < a + 1e-15 for a, b in zip(losses, losses[1:]))
         assert losses[-1] < 1e-3
 
     def test_training_determinism(self):
         def run():
-            net = QNetwork([4, 6, 2], seed=11)
+            net = QNetwork([8, 6, 2], seed=11)
+            target = net.clone()
             rng = np.random.default_rng(12)
             for _ in range(20):
-                x = rng.normal(size=(8, 4))
-                t = rng.normal(size=(8, 2))
-                net.fit_batch(x, t, 0.01)
+                step(net, target, random_batch(rng, 8, 3, 2), include_gamma=True)
             return net
 
-        assert run().params_equal(run())
+        assert params_equal(run(), run())
 
     def test_momentum_changes_trajectory_but_stays_deterministic(self):
         def run(momentum):
-            net = QNetwork([3, 4, 2], seed=5, momentum=momentum)
+            net = QNetwork([7, 4, 2], seed=5, momentum=momentum)
+            target = net.clone()
             rng = np.random.default_rng(6)
             for _ in range(10):
-                net.fit_batch(rng.normal(size=(4, 3)), rng.normal(size=(4, 2)), 0.01)
+                step(net, target, random_batch(rng, 4, 3, 2))
             return net
 
-        assert run(0.9).params_equal(run(0.9))
-        assert not run(0.9).params_equal(run(0.0))
+        assert params_equal(run(0.9), run(0.9))
+        assert not params_equal(run(0.9), run(0.0))
 
 
 class TestBellmanTargets:
     def test_alpha_one(self):
-        net = QNetwork([2, 2], seed=0)
-        target_net = net.clone()
-        # force target net output to (2, 0) regardless of input
-        target_net.weights[0][...] = 0.0
-        target_net.biases[0][...] = [2.0, 0.0]
         exp = make_experience([0.0, 0.0], 0.9, [1, 0, 0, 0], 1.0, 0, [0.0, 0.0])
         # state features (2) + weights (4) = 6 inputs
         net6 = QNetwork([6, 2], seed=0)
         t6 = net6.clone()
+        # force target net output to (2, 0) regardless of input
         t6.weights[0][...] = 0.0
         t6.biases[0][...] = [2.0, 0.0]
-        inputs, targets = bellman_targets(batch_of(exp), net6, t6, alpha=1.0, include_gamma=False)
-        assert targets[0, 0] == pytest.approx(1.0 + 0.9 * 2.0, abs=1e-12)  # 2.8
-        # non-taken action keeps the current output
-        assert targets[0, 1] == pytest.approx(net6.forward(inputs[0])[1], abs=1e-15)
+        targets = one_row_targets(net6, t6, batch_of(exp), alpha=1.0)
+        assert targets[0] == pytest.approx(1.0 + 0.9 * 2.0, abs=1e-12)  # 2.8
+        # non-taken action keeps the current output: its residual is exactly 0
+        clone = net6.clone()
+        step(clone, t6, batch_of(exp), learn_rate=1.0)
+        assert clone.biases[0][1] == net6.biases[0][1]
+        assert clone.weights[0][:, 1].tobytes() == net6.weights[0][:, 1].tobytes()
 
     def test_alpha_blend(self):
         net = QNetwork([6, 2], seed=0)
@@ -179,38 +214,43 @@ class TestBellmanTargets:
         target_net = net.clone()
         target_net.biases[0][...] = [2.0, 0.0]
         exp = make_experience([0.0, 0.0], 0.9, [1, 0, 0, 0], 1.0, 0, [0.0, 0.0])
-        _, targets = bellman_targets(batch_of(exp), net, target_net, alpha=0.5, include_gamma=False)
-        assert targets[0, 0] == pytest.approx(0.5 * 0.0 + 0.5 * 2.8, abs=1e-12)  # 1.4
+        targets = one_row_targets(net, target_net, batch_of(exp), alpha=0.5)
+        assert targets[0] == pytest.approx(0.5 * 0.0 + 0.5 * 2.8, abs=1e-12)  # 1.4
 
     def test_terminal_drops_bootstrap(self):
         net = QNetwork([6, 2], seed=0)
         target_net = net.clone()
         target_net.biases[-1][...] = [100.0, 100.0]
         exp = make_experience([0.0, 0.0], 0.9, [1, 0, 0, 0], 0.3, 0, [0.0, 0.0], terminal=True)
-        _, targets = bellman_targets(batch_of(exp), net, target_net, alpha=1.0, include_gamma=False)
-        assert targets[0, 0] == pytest.approx(0.3, abs=1e-12)
+        targets = one_row_targets(net, target_net, batch_of(exp), alpha=1.0)
+        assert targets[0] == pytest.approx(0.3, abs=1e-12)
 
-    def test_gamma_included_in_input_when_generalized(self):
+    def test_gamma_included_in_input_when_generalized(self, monkeypatch):
         exp = make_experience([0.5], 0.7, [0.25, 0.25, 0.25, 0.25], 0.0, 0, [0.5])
         assert build_input(exp["state"], exp["weights"], exp["gamma"], include_gamma=True).shape == (6,)
         assert build_input(exp["state"], exp["weights"], exp["gamma"], include_gamma=False).shape == (5,)
-        # the batched inputs of bellman_targets are the same rows
-        net = QNetwork([6, 2], seed=0)
-        inputs, _ = bellman_targets(batch_of(exp, exp), net, net, alpha=1.0, include_gamma=True)
+        # the batched input rows of td_update are the same rows
+        net, seen = QNetwork([6, 2], seed=0), []
+        layers = QNetwork._layers
+        monkeypatch.setattr(QNetwork, "_layers", lambda self, x: (seen.append(x.copy()), layers(self, x))[1])
+        step(net, net.clone(), batch_of(exp, exp), include_gamma=True)
         row = build_input(exp["state"], exp["weights"], exp["gamma"], include_gamma=True)
-        np.testing.assert_array_equal(inputs, [row, row])
+        next_row = build_input(exp["next_state"], exp["weights"], exp["gamma"], include_gamma=True)
+        assert len(seen) == 2  # the online forward once, then the target's
+        np.testing.assert_array_equal(seen[0], [row, row])
+        np.testing.assert_array_equal(seen[1], [next_row, next_row])
 
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         net = QNetwork([5, 4, 3], seed=13, momentum=0.5)
-        net.fit_batch(np.random.default_rng(1).normal(size=(4, 5)), np.zeros((4, 3)), 0.01)
+        step(net, net.clone(), random_batch(np.random.default_rng(1), 4, 1, 3))
         path = tmp_path / "checkpoint_7.bin"
         save_checkpoint(path, net, meta={"episode": 7, "mode": "LSP"})
         loaded, meta = load_checkpoint(path)
         assert meta == {"episode": 7, "mode": "LSP"}
         assert loaded.widths == net.widths
-        assert loaded.params_equal(net)
+        assert params_equal(loaded, net)
         for a, b in zip(loaded.weights, net.weights):
             assert a.dtype == b.dtype == np.float64
 
@@ -228,7 +268,7 @@ class TestCheckpoint:
         with pytest.raises(OSError):
             save_checkpoint(path, QNetwork([5, 4, 3], seed=14), meta={"episode": 7})
         loaded, _ = load_checkpoint(path)
-        assert loaded.params_equal(old)
+        assert params_equal(loaded, old)
         assert [p.name for p in tmp_path.iterdir()] == ["checkpoint_7.bin"]
 
 
@@ -265,8 +305,7 @@ class TestToyMdpOracle:
         experiences = self.experiences()
         batch = batch_of(*experiences)
         for update in range(1, 3001):
-            inputs, targets = bellman_targets(batch, net, target, alpha=1.0, include_gamma=False)
-            net.fit_batch(inputs, targets, learn_rate=0.2)
+            step(net, target, batch, learn_rate=0.2)
             if update % 20 == 0:  # train's target sync rule, sync_period = 20
                 target.copy_params_from(net)
 

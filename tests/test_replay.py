@@ -10,7 +10,7 @@ from moqtrader.agent import TrainConfig
 from moqtrader.env import EnvState, Mode, Position, StepOutcome, TradingEnv
 from moqtrader.errors import BufferTooSmall
 from moqtrader.qnet import QNetwork
-from moqtrader.replay import _COLUMNS, ReplayBuffer, WhiteningStats, compute_whitening, whiten_batch
+from moqtrader.replay import _COLUMNS, ReplayBuffer, compute_whitening, whiten_rewards
 from moqtrader.rewards import RewardVector
 from moqtrader.synthetic import generate_synthetic
 
@@ -270,13 +270,13 @@ class TestRunningMoments:
             if i % 4 == 3:
                 buf.advance_updates(1)  # evicts four rows per update once past max_age
             if i % 37 == 36 or i > 9_900:
-                stats = compute_whitening(buf)
+                mean, cov = buf.reward_moments()
                 live = buf.rows().raw_reward
                 ref_cov, ref_mean = np.cov(live, rowvar=False), live.mean(axis=0)
-                worst_cov = max(worst_cov, np.abs(stats.covariance - ref_cov).max() / np.abs(ref_cov).max())
-                worst_mean = max(worst_mean, np.abs(stats.mean - ref_mean).max() / np.abs(ref_mean).max())
+                worst_cov = max(worst_cov, np.abs(cov - ref_cov).max() / np.abs(ref_cov).max())
+                worst_mean = max(worst_mean, np.abs(mean - ref_mean).max() / np.abs(ref_mean).max())
                 # each variance on its own scale, once the sparse column has a non-zero
-                variances, ref_variances = np.diag(stats.covariance), np.diag(ref_cov)
+                variances, ref_variances = np.diag(cov), np.diag(ref_cov)
                 spread = ref_variances > 0
                 worst_var = max(worst_var, np.abs(variances[spread] / ref_variances[spread] - 1.0).max())
         assert len(buf) == 4 * 300 and buf.update_counter == 2500
@@ -292,10 +292,10 @@ class TestRunningMoments:
         compute_whitening(buf)
         buf.advance_updates(1)  # everything summed so far leaves
         fill(buf, rng.normal(size=(50, 4)))
-        stats = compute_whitening(buf)
+        mean, cov = buf.reward_moments()
         live = buf.rows().raw_reward
-        np.testing.assert_allclose(stats.covariance, np.cov(live, rowvar=False), rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(stats.mean, live.mean(axis=0), rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(cov, np.cov(live, rowvar=False), rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(mean, live.mean(axis=0), rtol=1e-12, atol=1e-15)
 
 
 class TestWhitening:
@@ -308,62 +308,64 @@ class TestWhitening:
                 row = [0.0] * 4
                 row[i] = sign
                 rewards.append(row)
-        stats = compute_whitening(fill(make_buffer(10), rewards))
-        np.testing.assert_allclose(stats.covariance, np.eye(4), atol=1e-12)
-        np.testing.assert_allclose(stats.inv_sqrt, np.eye(4), atol=1e-9)
+        buf = fill(make_buffer(10), rewards)
+        inv_sqrt = compute_whitening(buf)
+        np.testing.assert_allclose(buf.reward_moments()[1], np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(inv_sqrt, np.eye(4), atol=1e-9)
 
     def test_one_dimensional_variance_four_halves(self):
         # lr values (-2, 0, 2): sample variance 4, others degenerate at the floor
         buf = fill(make_buffer(10), [[-2, 0, 0, 0], [0, 0, 0, 0], [2, 0, 0, 0]])
-        stats = compute_whitening(buf, eigen_floor=1e-8)
-        assert stats.inv_sqrt[0, 0] == pytest.approx(0.5, abs=1e-9)
-        batch = whiten_batch(fill(make_buffer(10), [[2.0, 0, 0, 0]]).rows(), stats)
-        assert batch.scalar_reward[0] == pytest.approx(1.0, abs=1e-9)
+        inv_sqrt = compute_whitening(buf, eigen_floor=1e-8)
+        assert inv_sqrt[0, 0] == pytest.approx(0.5, abs=1e-9)
+        rewards = whiten_rewards(fill(make_buffer(10), [[2.0, 0, 0, 0]]).rows(), inv_sqrt)
+        assert rewards[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_degenerate_clamp(self):
         floor = 1e-8
         buf = fill(make_buffer(10), [[0.3, 0.1, -0.2, 0.0]] * 5)
-        stats = compute_whitening(buf, eigen_floor=floor)
-        np.testing.assert_allclose(stats.inv_sqrt, np.eye(4) / math.sqrt(floor), rtol=1e-9)
+        inv_sqrt = compute_whitening(buf, eigen_floor=floor)
+        np.testing.assert_allclose(inv_sqrt, np.eye(4) / math.sqrt(floor), rtol=1e-9)
 
     def test_too_small(self):
         with pytest.raises(BufferTooSmall):
             compute_whitening(fill(make_buffer(10), [[1, 0, 0, 0]]))
 
     def test_whiten_batch_identity_stats_is_noop(self):
-        stats = WhiteningStats(np.zeros(4), np.eye(4), np.eye(4))
         buf = fill(make_buffer(10), [[0.1, 0.2, -0.3, 0.4]])
         batch = buf.rows()
-        out = whiten_batch(batch, stats)
+        out = scalar_reference.whiten_batch(batch, np.eye(4))
         np.testing.assert_allclose(out.raw_reward, batch.raw_reward, atol=1e-15)
         assert out.scalar_reward[0] == pytest.approx(batch.scalar_reward[0], abs=1e-15)
-        # stored originals untouched
-        assert buf.rows().raw_reward.tolist() == [[0.1, 0.2, -0.3, 0.4]]
+        rewards = whiten_rewards(batch, np.eye(4))
+        assert rewards.tobytes() == out.scalar_reward.tobytes()
+        # the batch and the stored originals untouched
+        assert batch.raw_reward.tolist() == buf.rows().raw_reward.tolist() == [[0.1, 0.2, -0.3, 0.4]]
 
     def test_weight_direction_determines_output(self):
         rng = np.random.default_rng(21)
         buf = fill(make_buffer(100), rng.normal(size=(50, 4)))
-        stats = compute_whitening(buf)
+        inv_sqrt = compute_whitening(buf)
         w = np.array([0.1, 0.2, 0.3, 0.4])
         reward = (0.3, -0.2, 0.5, 0.1)
         for scale in (1.0, 3.7, 0.01):
-            out = whiten_batch(fill(make_buffer(10), [reward], weights=scale * w).rows(), stats)
+            out = whiten_rewards(fill(make_buffer(10), [reward], weights=scale * w).rows(), inv_sqrt)
             if scale == 1.0:
-                base = out.scalar_reward[0]
+                base = out[0]
             else:
-                assert out.scalar_reward[0] == pytest.approx(base, rel=1e-12)
+                assert out[0] == pytest.approx(base, rel=1e-12)
 
     def test_unit_variance_projection(self):
         rng = np.random.default_rng(31)
         mix = rng.normal(size=(4, 4)) + 2.0 * np.eye(4)
         buf = fill(make_buffer(100_000), rng.normal(size=(5000, 4)) @ mix + rng.normal(size=4))
-        stats = compute_whitening(buf, eigen_floor=1e-8)
-        assert np.linalg.eigvalsh(stats.covariance).min() > 100 * 1e-8
+        inv_sqrt = compute_whitening(buf, eigen_floor=1e-8)
+        assert np.linalg.eigvalsh(buf.reward_moments()[1]).min() > 100 * 1e-8
         rewards = buf.rows().raw_reward
         for _ in range(10):
             w = rng.normal(size=4)
             w /= np.linalg.norm(w)
-            projected = rewards @ stats.inv_sqrt @ w
+            projected = rewards @ inv_sqrt @ w
             assert np.var(projected, ddof=1) == pytest.approx(1.0, abs=1e-6)
 
     def test_idempotent_on_whitened_replay(self):
@@ -371,9 +373,8 @@ class TestWhitening:
         mix = rng.normal(size=(4, 4)) + 2.0 * np.eye(4)
         raw = rng.normal(size=(2000, 4)) @ mix
         buf = fill(make_buffer(100_000), raw)
-        stats = compute_whitening(buf)
-        whitened = whiten_batch(buf.rows(), stats)  # unit-norm one-hot weights
+        whitened = scalar_reference.whiten_batch(buf.rows(), compute_whitening(buf))  # unit-norm one-hot weights
         buf2 = fill(make_buffer(100_000), whitened.raw_reward)
-        stats2 = compute_whitening(buf2)
-        np.testing.assert_allclose(stats2.covariance, np.eye(4), atol=1e-9)
-        np.testing.assert_allclose(stats2.inv_sqrt, np.eye(4), atol=1e-6)
+        inv_sqrt2 = compute_whitening(buf2)
+        np.testing.assert_allclose(buf2.reward_moments()[1], np.eye(4), atol=1e-9)
+        np.testing.assert_allclose(inv_sqrt2, np.eye(4), atol=1e-6)
