@@ -28,7 +28,8 @@ from .qnet import QNetwork, build_input, save_checkpoint  # noqa: F401
 from .replay import ReplayBuffer, compute_whitening, whiten_rewards
 from .rewards import REWARD_COMPONENTS, REWARD_INDEX
 
-STREAM_NAMES = ("init", "env", "explore", "weights", "gamma", "batch", "augment")
+STREAM_NAMES = ("init", "env", "explore", "weights", "gamma", "batch",
+                "augment", "augment_gamma", "augment_explore", "augment_action")  # the counterfactuals' draws, by kind
 
 HINDSIGHT_RESAMPLE = "resample"
 HINDSIGHT_REPLAY = "replay"
@@ -197,14 +198,14 @@ def training_weights(cfg: TrainConfig) -> np.ndarray | None:
     return None if cfg.multi_reward else one_hot_weights(cfg.reward)
 
 
-def sample_weights(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-    """Uniform draw on the 4-simplex via normalized exponential variates (n rows of them when given)."""
-    draws = rng.exponential(1.0, size=4 if n is None else (n, 4))
+def sample_weights(rng: np.random.Generator, n: int | tuple[int, ...] | None = None) -> np.ndarray:
+    """Uniform draw on the 4-simplex via normalized exponential variates (an array of shape n of them when given)."""
+    draws = rng.exponential(1.0, size=4 if n is None else (*np.atleast_1d(n), 4))
     return draws / draws.sum(axis=-1, keepdims=True)
 
 
-def sample_gamma(rng: np.random.Generator, gamma_range: tuple[float, float], n: int | None = None):
-    """One discount uniform on gamma_range, or n of them; a one-point range draws nothing.
+def sample_gamma(rng: np.random.Generator, gamma_range: tuple[float, float], n: int | tuple[int, ...] | None = None):
+    """One discount uniform on gamma_range, or an array of shape n of them; a one-point range draws nothing.
 
     lo + (hi - lo) * u is what rng.uniform(lo, hi) computes, spelled out so
     that one draw and n draws round alike on any numpy build.
@@ -223,9 +224,9 @@ def explore_action(rng: np.random.Generator, tol: float, n_actions: int) -> int:
 def draw_conditioning(cfg: TrainConfig, streams: dict, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weights (n, m, 4), gammas (n, m) and exploration entries (n, m) of n steps' m experiences.
 
-    Slot 0 is the real experience, slots 1..k its counterfactuals.  These are
-    a step-by-step run's draws in its order per stream: one call each for weights
-    and gamma, step by step for explore and augment, whose draws interleave.
+    Slot 0 is the real experience: one call each for weights and gamma, step by
+    step for explore, whose decisions and random actions interleave.  Slots 1..k,
+    its counterfactuals, take one array call per draw kind, each on its own stream.
     """
     m, n_actions, fixed = 1 + (cfg.k if cfg.multi_reward else 0), cfg.n_actions, training_weights(cfg)
     weights, gamma, explore = np.empty((n, m, 4)), np.full((n, m), cfg.gamma), np.full((n, m), REPLAYED)
@@ -233,17 +234,14 @@ def draw_conditioning(cfg: TrainConfig, streams: dict, n: int) -> tuple[np.ndarr
     if cfg.generalize_gamma:
         gamma[:, 0] = sample_gamma(streams["gamma"], cfg.gamma_range, n)
     explore[:, 0] = [explore_action(streams["explore"], cfg.tol, n_actions) for _ in range(n)]
-    rng, draws = streams["augment"], []
-    for t in range(n):
-        for i in range(1, m):
-            if cfg.pin_weights is None:
-                draws.append(rng.exponential(1.0, size=4))  # sample_weights' draw, normalized below
-            if cfg.generalize_gamma:
-                gamma[t, i] = sample_gamma(rng, cfg.gamma_range)
-            if cfg.hindsight_action == HINDSIGHT_RESAMPLE:
-                explore[t, i] = explore_action(rng, cfg.tol, n_actions)
-    cf = None if cfg.pin_weights is not None else np.reshape(draws, (n, m - 1, 4))
-    weights[:, 1:] = cfg.pin_weights if cf is None else cf / cf.sum(axis=-1, keepdims=True)
+    if m > 1:  # single-reward and k = 0 runs call nothing on the augment streams
+        cf = (n, m - 1)
+        weights[:, 1:] = cfg.pin_weights if cfg.pin_weights is not None else sample_weights(streams["augment"], cf)
+        if cfg.generalize_gamma:
+            gamma[:, 1:] = sample_gamma(streams["augment_gamma"], cfg.gamma_range, cf)
+        if cfg.hindsight_action == HINDSIGHT_RESAMPLE:
+            explored = streams["augment_explore"].random(cf) < cfg.tol
+            explore[:, 1:] = np.where(explored, streams["augment_action"].integers(n_actions, size=cf), GREEDY)
     return weights, gamma, explore
 
 

@@ -68,7 +68,9 @@ def _collect_checkpoints(cfg: config.RunConfig, out: Path) -> list[Path]:
 
 
 def _check_meta(meta: dict, train: agent.TrainConfig, path: Path) -> None:
-    """Reject a checkpoint whose stored training geometry disagrees with the config."""
+    """Reject a checkpoint whose meta is not an object with an integer episode, or whose geometry the config contradicts."""
+    if not isinstance(meta, dict) or type(meta.get("episode", 0)) is not int:
+        raise InvalidValue("checkpoint", f"{path}: meta {json.dumps(meta)} is not an object with an integer episode")
     for key, value in train.checkpoint_meta.items():
         if key in meta and meta[key] != value:
             raise InvalidValue(
@@ -91,7 +93,7 @@ def cmd_backtest(cfg: config.RunConfig, out: Path) -> None:
         _, _, report = evaluation.vectorized_rollout(
             net, env, split.eval, weights, gamma, include_gamma=train.generalize_gamma, range_id="eval"
         )
-        candidates.append(agent.Checkpoint(episode=int(meta.get("episode", 0)), net=net, reports={"eval": report}, path=path))
+        candidates.append(agent.Checkpoint(episode=meta.get("episode", 0), net=net, reports={"eval": report}, path=path))
 
     best = evaluation.select_best_checkpoint(candidates, metric=cfg.report_metric, range_id="eval")
     range_ = split.range_for(cfg.eval_range)

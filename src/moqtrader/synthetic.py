@@ -36,7 +36,7 @@ def generate_synthetic(
         raise InvalidValue("synthetic_base", "must be > 0")
 
     t = np.arange(length, dtype=np.float64)
-    with np.errstate(over="ignore"):  # an overflowing close is inf, which PriceSeries rejects at its row
+    with np.errstate(over="ignore", invalid="ignore"):  # inf closes, or nan where +inf meets -inf, fail at their row
         if kind == "sine":
             if not (0.0 <= amplitude < 1.0):
                 raise InvalidValue("synthetic_amplitude", "sine amplitude must be in [0, 1)")

@@ -133,7 +133,7 @@ def augment_experiences(
     real_action: int,
     net: QNetwork,
     cfg: "agent.TrainConfig",
-    rng: np.random.Generator,
+    streams: dict[str, np.random.Generator],
     buffer: ReplayBuffer,
 ) -> None:
     """Push k counterfactual experiences from the same pre-step state.
@@ -141,18 +141,21 @@ def augment_experiences(
     Each draws fresh (w', gamma'), picks an action (re-sampled epsilon-greedy
     under the new conditioning, or the real action when configured to
     replay), and evaluates the deterministic one-step outcome without
-    advancing the real episode.
+    advancing the real episode.  Every draw is one scalar call on its own
+    stream: `augment` for w', `augment_gamma` for gamma', and for a resampled
+    action `augment_explore` for the explore decision and `augment_action`
+    for the random action, which is drawn whether or not the slot explores.
     """
+    fixed = agent.training_weights(cfg)
     for _ in range(cfg.k):
-        w = np.asarray(cfg.pin_weights, dtype=np.float64) if cfg.pin_weights is not None else agent.sample_weights(rng)
-        gamma = agent.sample_gamma(rng, cfg.gamma_range) if cfg.generalize_gamma else cfg.gamma
+        w = fixed if fixed is not None else agent.sample_weights(streams["augment"])
+        gamma = agent.sample_gamma(streams["augment_gamma"], cfg.gamma_range) if cfg.generalize_gamma else cfg.gamma
+        action = real_action
         if cfg.hindsight_action == agent.HINDSIGHT_RESAMPLE:
-            action = act_epsilon_greedy(
-                net, feats, w, gamma, cfg.tol, rng,
-                n_actions=cfg.n_actions, include_gamma=cfg.generalize_gamma,
-            )
-        else:
-            action = real_action
+            explored = streams["augment_explore"].random() < cfg.tol
+            action = int(streams["augment_action"].integers(cfg.n_actions))
+            if not explored:
+                action = int(np.argmax(net.forward(build_input(feats, w, gamma, cfg.generalize_gamma))))
         outcome = env.transition(state, action)
         buffer.push(state, action, gamma, w, outcome)
 
@@ -253,7 +256,7 @@ def step_loop(run: "agent._Learner", state: EnvState, fit: bool) -> None:
         run.env_steps += 1
         buffer.push(state, action, gamma, w, outcome)
         if cfg.multi_reward and cfg.k > 0:
-            augment_experiences(env, state, feats, action, net, cfg, streams["augment"], buffer)
+            augment_experiences(env, state, feats, action, net, cfg, streams, buffer)
 
         if fit and len(buffer) >= min_fit_len:
             batch = buffer.sample_batch(cfg.batchsize, streams["batch"])

@@ -92,6 +92,19 @@ class TestActEpsilonGreedy:
         sigma = math.sqrt((1 / 3) * (2 / 3) / draws)
         np.testing.assert_allclose(counts / draws, 1 / 3, atol=3 * sigma)
 
+    @pytest.mark.parametrize("mode", [Mode.LSP, Mode.LP])
+    def test_counterfactual_exploration_rate_and_uniform_actions(self, mode):
+        cfg = small_cfg(mode=mode, k=3, tol=0.3)
+        _, _, explore = agent.draw_conditioning(cfg, rng_streams(cfg.seed), 40_000)
+        slots = explore[:, 1:].ravel()
+        explored = slots[slots != agent.GREEDY]
+        rate_sigma = math.sqrt(cfg.tol * (1 - cfg.tol) / len(slots))
+        assert abs(len(explored) / len(slots) - cfg.tol) < 3 * rate_sigma
+        p = 1 / cfg.n_actions
+        counts = np.bincount(explored, minlength=cfg.n_actions)
+        assert len(counts) == cfg.n_actions
+        np.testing.assert_allclose(counts / len(explored), p, atol=3 * math.sqrt(p * (1 - p) / len(explored)))
+
     def greedy_actions(self, q_values):
         """The actions of every greedy slot, real or counterfactual, in a fitting episode of a constant-Q network."""
         cfg = small_cfg(k=3, tol=0.4, batchsize=10_000)  # never a full batch, so the network stays constant
@@ -130,6 +143,29 @@ class TestConfig:
     def test_input_width(self):
         assert small_cfg(lookback=30).input_width == 35
         assert small_cfg(lookback=30, generalize_gamma=True).input_width == 36
+
+    def test_stream_layout(self):
+        """The first seven streams keep their names and spawn indices; the counterfactual streams follow."""
+        assert agent.STREAM_NAMES[:7] == ("init", "env", "explore", "weights", "gamma", "batch", "augment")
+        assert agent.STREAM_NAMES[7:] == ("augment_gamma", "augment_explore", "augment_action")
+        streams = rng_streams(7)
+        for index, child in enumerate(np.random.SeedSequence(7).spawn(7)):
+            name = agent.STREAM_NAMES[index]
+            assert streams[name].bit_generator.state == np.random.default_rng(child).bit_generator.state, name
+
+    def test_array_draws_equal_single_calls(self):
+        """One array call of each counterfactual draw equals as many single calls, end state included."""
+        draws = {
+            "exponential": (lambda rng: rng.exponential(1.0, size=(7, 3, 4)), lambda rng: rng.exponential(1.0, size=4)),
+            "random": (lambda rng: rng.random((7, 3)), lambda rng: rng.random()),
+            "integers": (lambda rng: rng.integers(3, size=(7, 3)), lambda rng: rng.integers(3)),
+        }
+        for name, (array_call, single_call) in draws.items():
+            whole, single = np.random.default_rng(11), np.random.default_rng(11)
+            expected = array_call(whole)
+            got = np.array([single_call(single) for _ in range(7 * 3)]).reshape(expected.shape)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+            assert single.bit_generator.state == whole.bit_generator.state, name
 
     def test_stream_independence(self):
         streams = rng_streams(7)
@@ -175,6 +211,28 @@ class TestTrainLoop:
         multi = train(small_cfg(multi_reward=True, episodes=1, eval_every=2, k=3), series, split)
         assert len(multi.replay) == 4 * len(single.replay)
         assert single.env_steps == multi.env_steps == len(single.replay)
+
+    @pytest.mark.parametrize("case", [
+        dict(k=0, generalize_gamma=True),
+        dict(multi_reward=False, k=3, generalize_gamma=True),
+        dict(k=3, pin_weights=(0.1, 0.2, 0.3, 0.4), hindsight_action="replay"),
+    ])
+    def test_counterfactual_streams_untouched_without_counterfactual_draws(self, case, monkeypatch):
+        series = sine_series()
+        used = []
+
+        def recorded_streams(seed):
+            used.append(rng_streams(seed))
+            return used[-1]
+
+        monkeypatch.setattr(agent, "rng_streams", recorded_streams)
+        for cfg in (small_cfg(episodes=3, **case), small_cfg(episodes=3, k=3, generalize_gamma=True)):
+            train(cfg, series, make_split(series))
+        fresh = rng_streams(small_cfg().seed)
+        counterfactual = ("augment", "augment_gamma", "augment_explore", "augment_action")
+        untouched = [used[0][name].bit_generator.state == fresh[name].bit_generator.state for name in counterfactual]
+        drawn = [used[1][name].bit_generator.state == fresh[name].bit_generator.state for name in counterfactual]
+        assert untouched == [True] * 4 and drawn == [False] * 4
 
     def test_real_trajectory_invariant_to_k(self):
         series = sine_series()

@@ -249,6 +249,29 @@ class TestErrorPayloads:
         assert out == json.dumps(expected) + "\n"
         assert status == 1
 
+    @pytest.mark.filterwarnings("error")
+    def test_walk_of_cancelling_infinite_steps_warns_nothing(self, tmp_path, capsys):
+        # steps of +-inf: the first close is inf, and np.cumsum later meets inf + -inf
+        text = 'synthetic_kind = "random-walk"\nsynthetic_amplitude = 1e308\nsynthetic_length = 1000'
+        status, out = self.run_backtest(tmp_path, capsys, text)
+        expected = {"error": "NonPositivePrice", "detail": "NonPositivePrice at row 2", "context": {"row": 2}}
+        assert out == json.dumps(expected) + "\n"
+        assert status == 1
+
+    @pytest.mark.parametrize("meta", [[1, 2], 5, {"episode": "x"}], ids=["list", "number", "text episode"])
+    def test_malformed_checkpoint_meta(self, tmp_path, capsys, meta):
+        out = tmp_path / "run"
+        out.mkdir()
+        path = out / "checkpoint_1.bin"
+        save_checkpoint(path, QNetwork([6 + 1 + 4, 8, 3], seed=0), meta)  # FAST_TRAIN's widths
+        status = cli.main(["backtest", "--config", str(write(tmp_path, FAST_TRAIN)), "--out", str(out)])
+        reason = f"{path}: meta {json.dumps(meta)} is not an object with an integer episode"
+        expected = {"error": "InvalidValue", "detail": f"invalid value for checkpoint: {reason}",
+                    "context": {"key": "checkpoint", "reason": reason}}
+        assert capsys.readouterr().out == json.dumps(expected) + "\n"
+        assert status == 1
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("header,row,detail", [
         ("close,timestamp", "101", "row 1: no timestamp field"),
         ("timestamp,close", "5", "row 1: float() argument must be a string or a real number, not 'NoneType'"),

@@ -207,7 +207,7 @@ def record_episode(mode: Mode, k: int, hindsight_action: str):
     cfg = TrainConfig(mode=mode, k=k, lookback=5, reward_window=4, hindsight_action=hindsight_action, tol=0.5)
     net = QNetwork(cfg.widths, seed=4)
     buffer = ReplayBuffer(10_000, env)
-    rng = np.random.default_rng(8)
+    rng, streams = np.random.default_rng(8), agent.rng_streams(8)
     state = env.reset((0, 120))
     expected = []
     while True:
@@ -215,7 +215,7 @@ def record_episode(mode: Mode, k: int, hindsight_action: str):
         action = int(rng.integers(mode.n_actions))
         outcome = env.transition(state, action)
         buffer.push(state, action, 0.9, agent.uniform_weights(), outcome)
-        scalar_reference.augment_experiences(env, state, feats, action, net, cfg, rng, buffer)
+        scalar_reference.augment_experiences(env, state, feats, action, net, cfg, streams, buffer)
         for a in buffer.rows().action[len(expected):]:
             expected.append((feats, scalar_reference.state_features(env, env.transition(state, int(a)).next_state)))
         state = outcome.next_state
