@@ -25,7 +25,7 @@ from .errors import Diverged, InvalidValue
 from .market_data import DataSplit, FoldPlan, PriceSeries
 # build_input is unused here; it stays importable because bench/test_bench.py looks it up in this module.
 from .qnet import QNetwork, build_input, save_checkpoint  # noqa: F401
-from .replay import ReplayBuffer, compute_whitening, whiten_rewards
+from .replay import ReplayBuffer, compute_whitening, scalar_rewards, whiten_rewards
 from .rewards import REWARD_COMPONENTS, REWARD_INDEX
 
 STREAM_NAMES = ("init", "env", "explore", "weights", "gamma", "batch",
@@ -261,48 +261,46 @@ class _Learner:
 
 
 def _episode_draws(run: _Learner):
-    """The just-reset episode's step count, its `draw_conditioning` and a Q-value function of input rows.
+    """The just-reset episode's step count, its `draw_conditioning` and its input rows (n, m, input width).
 
-    q_values(t, codes, slots) runs the network on the returns before steps t, position codes and slots' conditioning.
+    Row [t, i] holds the returns before step t and slot i's conditioning; callers write the position code.
     """
     cfg, lookback, lo = run.cfg, run.cfg.lookback, run.env.episode_range[0]
     n = run.env.steps_in(run.env.episode_range)
     weights, gamma, explore = draw_conditioning(cfg, run.streams, n)
-    returns = run.env.windows[lo : lo + n]
-    conditioning = np.concatenate((weights, gamma[..., None]), axis=2) if cfg.generalize_gamma else weights
-
-    def q_values(t, codes, slots) -> np.ndarray:
-        cond = conditioning[t, slots]
-        rows = np.empty((len(cond), cfg.input_width))
-        rows[:, :lookback], rows[:, lookback], rows[:, lookback + 1 :] = returns[t], codes, cond
-        return run.net.forward(rows)
-
-    return n, weights, gamma, explore, q_values
+    rows = np.empty((*explore.shape, cfg.input_width))
+    rows[:, :, :lookback] = run.env.windows[lo : lo + n, None]
+    rows[:, :, lookback + 1 : lookback + 5] = weights
+    if cfg.generalize_gamma:
+        rows[:, :, -1] = gamma
+    return n, weights, gamma, explore, rows
 
 
 def _fit_episode(run: _Learner, state: EnvState) -> None:
     """The just-reset episode from its start state, one step at a time, fitting the network after every step.
 
-    One forward over a step's m rows gives the greedy choices of its real
-    and counterfactual experiences, made only when one of them acts greedily.
+    One forward over a step's m rows, with the position code written in,
+    gives the greedy choices of its real and counterfactual experiences, made
+    only when one of them acts greedily.
     """
     cfg, env, buffer, net = run.cfg, run.env, run.buffer, run.net
-    _, weights, gamma, explore, q_values = _episode_draws(run)
+    _, weights, gamma, explore, rows = _episode_draws(run)
     min_fit_len = max(cfg.batchsize, 2) if cfg.whiten else cfg.batchsize
     for t, codes in enumerate(explore.tolist()):
         if GREEDY in codes:
-            greedy = q_values(t, state.position.value, slice(None)).argmax(axis=1).tolist()
+            rows[t, :, cfg.lookback] = state.position.value
+            greedy = net.forward(rows[t]).argmax(axis=1).tolist()
             codes = [a if code == GREEDY else code for code, a in zip(codes, greedy)]
         actions = [codes[0] if code == REPLAYED else code for code in codes]
         outcomes = {a: env.transition(state, a) for a in set(actions)}
-        for i, a in enumerate(actions):
-            buffer.push(state, a, gamma[t, i], weights[t, i], outcomes[a])
+        buffer.push({"cursor": state.cursor, "position": state.position, "next_position": env.target_signs[actions],
+                     "action": actions, "gamma": gamma[t], "weights": weights[t],
+                     "reward": [outcomes[a].reward for a in actions], "terminal": outcomes[actions[0]].done})
         run.env_steps += 1
         if len(buffer) >= min_fit_len:
-            batch = buffer.sample_batch(cfg.batchsize, run.streams["batch"])
-            rewards = whiten_rewards(batch, compute_whitening(buffer, cfg.eigen_floor)) if cfg.whiten else batch.scalar_reward
-            loss = net.td_update(run.target, batch, rewards, alpha=cfg.alpha, learn_rate=cfg.learn_rate,
-                                 include_gamma=cfg.generalize_gamma)
+            batch = buffer.sample_batch(cfg.batchsize, run.streams["batch"], cfg.generalize_gamma)
+            rewards = whiten_rewards(batch, compute_whitening(buffer, cfg.eigen_floor)) if cfg.whiten else scalar_rewards(batch)
+            loss = net.td_update(run.target, batch, rewards, alpha=cfg.alpha, learn_rate=cfg.learn_rate)
             if not math.isfinite(loss):
                 raise Diverged(f"non-finite loss at update {run.updates + 1}, in episode {run.episode}")
             run.updates += 1
@@ -320,8 +318,13 @@ def _frozen_episode(run: _Learner) -> None:
     over the greedy counterfactuals, and `TradingEnv.outcomes` for the rewards.
     """
     cfg, env = run.cfg, run.env
-    n, weights, gamma, explore, q_values = _episode_draws(run)
+    n, weights, gamma, explore, rows = _episode_draws(run)
     cursor, steps, m = env.episode_range[0] + cfg.lookback, np.arange(n), explore.shape[1]
+
+    def q_values(t, codes, slot) -> np.ndarray:  # the network on steps t's rows of one slot at position codes
+        rows[t, slot, cfg.lookback] = codes
+        return run.net.forward(rows[t, slot])
+
     # One forward per position and per counterfactual slot keeps the activations small.
     _, actions = env.greedy_walk(lambda code: q_values(steps, code, 0), explore[:, 0].tolist())
     before = np.concatenate(([0], env.target_signs[actions[:-1]]))  # position sign before each step
@@ -331,8 +334,9 @@ def _frozen_episode(run: _Learner) -> None:
         t = np.flatnonzero(taken[:, i] == GREEDY)
         taken[t, i] = q_values(t, before[t], i).argmax(axis=1)
     _, rewards = env.outcomes(cursor, taken)
+    del rows  # before the push, which may reallocate the replay
 
-    run.buffer.push_block({
+    run.buffer.push({
         "cursor": np.repeat(cursor + steps, m),
         "position": np.repeat(before, m),
         "next_position": env.target_signs[taken].ravel(),

@@ -7,6 +7,7 @@ deterministic under the seeds it is given.
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import os
@@ -17,7 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import InvalidValue, ShapeMismatch
-from .replay import Transitions
+from .replay import Batch
 
 CHECKPOINT_VERSION = 1
 
@@ -26,10 +27,12 @@ class QNetwork:
     """MLP mapping an input vector to one value per action.
 
     Hidden layers use max(0, .) activations; the output layer is affine.
-    Parameters are initialized uniformly in [-1/sqrt(fan_in), +1/sqrt(fan_in)].
+    Parameters are initialized uniformly in [-1/sqrt(fan_in), +1/sqrt(fan_in)],
+    or all 0 with seed None.  `weights` and `biases` are views of one flat
+    array (w0, b0, w1, b1, ...), so one array operation steps every layer.
     """
 
-    def __init__(self, widths: Sequence[int], seed: int | np.random.Generator = 0, momentum: float = 0.0):
+    def __init__(self, widths: Sequence[int], seed: int | np.random.Generator | None = 0, momentum: float = 0.0):
         widths = [int(w) for w in widths]
         if len(widths) < 2 or any(w < 1 for w in widths):
             raise ValueError(f"bad layer widths {widths}")
@@ -37,15 +40,23 @@ class QNetwork:
             raise ValueError("momentum must be in [0, 1)")
         self.widths = widths
         self.momentum = momentum
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
+        rng = seed if seed is None or isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        draws = []
         for fan_in, fan_out in zip(widths, widths[1:]):
             bound = 1.0 / np.sqrt(fan_in)
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            self.biases.append(rng.uniform(-bound, bound, size=fan_out))
-        self._vel_w = [np.zeros_like(w) for w in self.weights]
-        self._vel_b = [np.zeros_like(b) for b in self.biases]
+            for n in (fan_in * fan_out, fan_out):
+                draws.append(np.zeros(n) if rng is None else rng.uniform(-bound, bound, size=n))
+        self._adopt(np.concatenate(draws))
+
+    def _adopt(self, params: np.ndarray, velocity: np.ndarray | None = None) -> None:
+        """Hold flat params and velocity (0 by default), each with per-layer views; td_update adds a gradient array."""
+        self._params, self._grad = params, None
+        self._velocity = np.zeros_like(params) if velocity is None else velocity
+        (self.weights, self.biases), (self._vel_w, self._vel_b) = map(self._layer_views, (params, self._velocity))
+
+    def _layer_views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        parts = np.split(flat, np.cumsum([n for a, b in zip(self.widths, self.widths[1:]) for n in (a * b, b)])[:-1])
+        return [w.reshape(fan_in, -1) for w, fan_in in zip(parts[0::2], self.widths)], parts[1::2]
 
     @property
     def input_width(self) -> int:
@@ -73,53 +84,55 @@ class QNetwork:
                 np.maximum(x, 0.0, out=x)
             yield x
 
-    def td_update(self, target: "QNetwork", batch: Transitions, rewards: np.ndarray, *,
-                  alpha: float, learn_rate: float, include_gamma: bool) -> float:
+    def td_update(self, target: "QNetwork", batch: Batch, rewards: np.ndarray, *, alpha: float,
+                  learn_rate: float) -> float:
         """One SGD (or momentum) step on a replay minibatch; returns the pre-step loss.
 
         The loss is the mean-squared error over every row and action against
         the Bellman targets.  The taken action's target is
         (1-alpha)*Q(s)[a] + alpha*(r + gamma*max Q_target(s')), without the
         bootstrap term on terminal rows; the other actions' residuals are exactly 0.
+        In-place steps and bare ufunc reductions do the plain expressions' arithmetic.
         """
-        conditioning = (batch.weights, batch.gamma[:, None]) if include_gamma else (batch.weights,)
-        inputs = np.hstack((batch.state, *conditioning))
-        *acts, q_now = inputs, *self._layers(inputs)  # each layer's input, then the output
-        q_next = target.forward(np.hstack((batch.next_state, *conditioning))).max(axis=1)
-        rows = np.arange(len(batch))
-        returns = rewards + np.where(batch.terminal, 0.0, 1.0) * batch.gamma * q_next
-        targets = q_now.copy()
-        targets[rows, batch.action] = (1.0 - alpha) * q_now[rows, batch.action] + alpha * returns
-        residuals = q_now - targets
-        loss = float(np.mean(residuals ** 2))
-        delta = 2.0 * residuals / residuals.size
+        if self._grad is None:  # only a trained network holds a gradient array
+            self._grad = np.empty_like(self._params)
+            self._grad_w, self._grad_b = self._layer_views(self._grad)
+        now, after = batch.inputs
+        *acts, q_now = now, *self._layers(now)  # each layer's input, then the output
+        returns = np.where(batch.terminal, 0.0, batch.gamma)
+        returns *= np.maximum.reduce(target.forward(after), axis=1)
+        returns += rewards
+        returns *= alpha
+        rows = np.arange(len(returns))
+        taken = q_now[rows, batch.action]
+        blend = taken * (1.0 - alpha)
+        blend += returns
+        delta = q_now - q_now  # 0 off the taken actions (NaN where Q is not finite)
+        delta[rows, batch.action] = taken - blend
+        loss = float(np.add.reduce(np.square(delta), axis=None)) / delta.size
+        delta *= 2.0
+        delta /= delta.size
         for layer in range(len(self.weights) - 1, -1, -1):
-            grad_w, grad_b = acts[layer].T @ delta, delta.sum(axis=0)
+            np.matmul(acts[layer].T, delta, out=self._grad_w[layer])
+            np.add.reduce(delta, axis=0, out=self._grad_b[layer])
             if layer > 0:  # the layer's weights before this step
-                delta = (delta @ self.weights[layer].T) * (acts[layer] > 0.0)
-            self._vel_w[layer] = self.momentum * self._vel_w[layer] - learn_rate * grad_w
-            self._vel_b[layer] = self.momentum * self._vel_b[layer] - learn_rate * grad_b
-            self.weights[layer] += self._vel_w[layer]
-            self.biases[layer] += self._vel_b[layer]
+                delta = delta @ self.weights[layer].T
+                delta *= acts[layer] > 0.0
+        self._velocity *= self.momentum
+        self._grad *= learn_rate
+        self._velocity -= self._grad
+        self._params += self._velocity
         return loss
 
     def clone(self) -> "QNetwork":
-        other = QNetwork.__new__(QNetwork)
-        other.widths = list(self.widths)
-        other.momentum = self.momentum
-        other.weights = [w.copy() for w in self.weights]
-        other.biases = [b.copy() for b in self.biases]
-        other._vel_w = [v.copy() for v in self._vel_w]
-        other._vel_b = [v.copy() for v in self._vel_b]
+        other = copy.copy(self)  # widths and momentum
+        other._adopt(self._params.copy(), self._velocity.copy())
         return other
 
     def copy_params_from(self, other: "QNetwork") -> None:
         if other.widths != self.widths:
             raise ShapeMismatch(f"widths {other.widths} vs {self.widths}")
-        for mine, theirs in zip(self.weights, other.weights):
-            mine[...] = theirs
-        for mine, theirs in zip(self.biases, other.biases):
-            mine[...] = theirs
+        self._params[...] = other._params
 
 
 def build_input(state: np.ndarray, weights: np.ndarray, gamma: float, include_gamma: bool) -> np.ndarray:
@@ -166,12 +179,13 @@ def load_checkpoint(path: str | Path) -> tuple[QNetwork, dict]:
         payload = json.loads(str(arrays.get("header", "")))
         if payload.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
-        net = QNetwork(payload["widths"], seed=0, momentum=payload["momentum"])
+        net = QNetwork(payload["widths"], seed=None, momentum=payload["momentum"])
         for kind, params in (("w", net.weights), ("b", net.biases)):
-            for i, init in enumerate(params):
-                params[i] = arrays.get(f"{kind}{i}", np.empty(0))
-                if params[i].shape != init.shape:
-                    raise ValueError(f"array {kind}{i} is missing or not of shape {init.shape}")
+            for i, param in enumerate(params):
+                loaded = arrays.get(f"{kind}{i}", np.empty(0))
+                if loaded.shape != param.shape:
+                    raise ValueError(f"array {kind}{i} is missing or not of shape {param.shape}")
+                param[...] = loaded
         return net, payload["meta"]
     except (OSError, EOFError, ValueError, KeyError, TypeError, AttributeError, zipfile.BadZipFile) as exc:
         raise InvalidValue("checkpoint", f"{path}: {exc}") from exc

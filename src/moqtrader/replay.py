@@ -1,12 +1,13 @@
 """Age-bounded experience replay with covariance whitening at sampling time.
 
 Experiences are stored as columns of indices and conditioning, not
-features: `rows` rebuilds the state and next-state features (the lookback
-log-returns before the cursor, then the position code) from the series.  The
-stored raw rewards are never modified; whitening rescales a sampled
-batch's scalar rewards.  Element age is measured in network updates since
-insertion, and the same bound applies to single- and multi-reward runs
-(multi-reward replays are simply longer).
+features: a gathered `Batch` rebuilds each row's state and next-state
+network inputs (the lookback log-returns before the cursor, the position
+code, then the conditioning) from the series.  The stored raw rewards are
+never modified; whitening rescales a sampled batch's scalar rewards.
+Element age is measured in network updates since insertion, and the same
+bound applies to single- and multi-reward runs (multi-reward replays are
+simply longer).
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-from .env import EnvState, StepOutcome, TradingEnv
+from .env import TradingEnv
 from .errors import BufferTooSmall
 
 DEFAULT_EIGEN_FLOOR = 1e-8
@@ -32,25 +34,20 @@ _COLUMNS = {
     "_terminal": (np.bool_, ()),
     "_birth": (np.int64, ()),
 }
+_PUSHED = {name[1:] for name in _COLUMNS} - {"birth"}  # the columns a push gives
 _MIN_ROOM = 1024
 
 
-@dataclass(frozen=True)
-class Transitions:
-    """Replay rows gathered into arrays, one row per experience."""
+@dataclass(slots=True)
+class Batch:
+    """Replay rows gathered as the TD update reads them, one row per experience."""
 
-    state: np.ndarray  # (n, lookback + 1): lookback log-returns, then position code
+    inputs: np.ndarray  # (2, n, input width): network inputs of the states, then of the next states
     gamma: np.ndarray
     weights: np.ndarray  # (n, 4)
-    raw_reward: np.ndarray  # (n, 4)
-    scalar_reward: np.ndarray
+    reward: np.ndarray  # (n, 4) raw reward vectors
     action: np.ndarray
-    next_state: np.ndarray
     terminal: np.ndarray
-    birth_update: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.gamma)
 
 
 class ReplayBuffer:
@@ -87,37 +84,23 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._hi - self._lo
 
-    def push(self, state: EnvState, action: int, gamma: float, weights: np.ndarray, outcome: StepOutcome) -> None:
-        """Append the experience of taking action from state under (weights, gamma)."""
-        if self._hi == len(self._gamma):
-            self._compact()
-        i = self._hi
-        self._cursor[i] = state.cursor
-        self._position[i] = state.position
-        self._next_position[i] = outcome.next_state.position
-        self._action[i] = action
-        self._gamma[i] = gamma
-        self._weights[i] = weights
-        self._reward[i] = outcome.reward
-        self._terminal[i] = outcome.done
-        self._birth[i] = self.update_counter
-        self._hi = i + 1
+    def push(self, columns: dict) -> None:
+        """Append rows born now, as columns keyed by `_COLUMNS` name without the underscore.
 
-    def push_block(self, columns: dict[str, np.ndarray]) -> None:
-        """Append rows born now, given as columns keyed by `_COLUMNS` name without the underscore.
-
-        Slices split where the columns fill up, so compactions (and with them
-        the reward moments) fall on the same rows as with one push per row.
+        `action` holds one entry per row; any other column may be a scalar that stands for every row.
+        Slices split where the columns fill up, so compactions (and the reward moments) fall as with one push per row.
         """
-        if set(columns) != {name[1:] for name in _COLUMNS} - {"birth"}:
-            raise ValueError(f"push_block needs the columns {sorted(name[1:] for name in _COLUMNS)} but birth")
-        done, total = 0, len(columns["gamma"])
+        if columns.keys() != _PUSHED:
+            raise ValueError(f"push needs the columns {sorted(_PUSHED)}")
+        done, total = 0, len(columns["action"])
         while done < total:
             if self._hi == len(self._gamma):
                 self._compact()
             size = min(len(self._gamma) - self._hi, total - done)
             for name, values in columns.items():
-                getattr(self, "_" + name)[self._hi : self._hi + size] = values[done : done + size]
+                if size < total and hasattr(values, "__len__"):  # a split block's part of a column
+                    values = values[done : done + size]
+                getattr(self, "_" + name)[self._hi : self._hi + size] = values
             self._birth[self._hi : self._hi + size] = self.update_counter
             self._hi, done = self._hi + size, done + size
 
@@ -125,8 +108,9 @@ class ReplayBuffer:
         if n < 0:
             raise ValueError("n must be >= 0")
         self.update_counter += n
-        # Births never decrease, so the over-age rows are a prefix.
-        self._lo += int(np.searchsorted(self._birth[self._lo : self._hi], self.update_counter - self.max_age))
+        # Births never decrease, so the over-age rows are a prefix: none while the oldest row is young enough.
+        if self._lo < self._hi and self._birth[self._lo] < self.update_counter - self.max_age:
+            self._lo += int(np.searchsorted(self._birth[self._lo : self._hi], self.update_counter - self.max_age))
 
     def _compact(self) -> None:
         live = len(self)
@@ -160,52 +144,51 @@ class ReplayBuffer:
         else:
             if hi > self._summed_hi:
                 added = self._reward[self._summed_hi : hi] - self._shift
-                self._sum += added.sum(axis=0)
+                self._sum += np.add.reduce(added, axis=0)
                 self._sum_sq += added.T @ added
             if lo > self._summed_lo:
                 evicted = self._reward[self._summed_lo : lo] - self._shift
-                self._sum -= evicted.sum(axis=0)
+                self._sum -= np.add.reduce(evicted, axis=0)
                 self._sum_sq -= evicted.T @ evicted
             self._summed_lo, self._summed_hi = lo, hi
         n = hi - lo
         offset = self._sum / n
-        covariance = (self._sum_sq - n * np.outer(offset, offset)) / (n - 1)
-        return self._shift + offset, covariance
+        return self._shift + offset, (self._sum_sq - n * np.multiply.outer(offset, offset)) / (n - 1)
 
-    def rows(self, idx: np.ndarray | None = None) -> Transitions:
+    def rows(self, idx: np.ndarray | None = None, include_gamma: bool = False) -> Batch:
         """Live rows at positions idx (0 = oldest, -1 = newest), or all of them in order."""
         live = np.arange(self._lo, self._hi)
-        return self._gather(live if idx is None else live[idx])
+        return self._gather(live if idx is None else live[idx], include_gamma)
 
-    def sample_batch(self, batchsize: int, rng: np.random.Generator) -> Transitions:
-        """Uniform sample without replacement; deterministic under the rng."""
+    def sample_rows(self, batchsize: int, rng: np.random.Generator) -> np.ndarray:
+        """Positions (0 = oldest) of a uniform sample without replacement; deterministic under the rng."""
         n = len(self)
         if batchsize < 1 or batchsize > n:
             raise BufferTooSmall(f"batchsize {batchsize} vs buffer length {n}")
-        return self._gather(self._lo + rng.choice(n, size=batchsize, replace=False))
+        return rng.choice(n, batchsize, False)  # size, replace: positional, which numpy parses faster
 
-    def _gather(self, rows: np.ndarray) -> Transitions:
+    def sample_batch(self, batchsize: int, rng: np.random.Generator, include_gamma: bool = False) -> Batch:
+        """The live rows at sample_rows(batchsize, rng), gathered with gamma as an input or not."""
+        return self._gather(self._lo + self.sample_rows(batchsize, rng), include_gamma)
+
+    def _gather(self, rows: np.ndarray, include_gamma: bool) -> Batch:
+        """Each row's network inputs written into one array: returns, position code, weights, gamma."""
         lookback = self._spans.shape[1] - 1
-        spans = self._spans[self._cursor[rows] - lookback]
-        state = np.empty((len(rows), lookback + 1))
-        state[:, :lookback] = spans[:, :-1]
-        state[:, lookback] = self._position[rows]
-        next_state = np.empty_like(state)
-        next_state[:, :lookback] = spans[:, 1:]
-        next_state[:, lookback] = self._next_position[rows]
-        w, r = self._weights.take(rows, axis=0), self._reward.take(rows, axis=0)
-        terms = w * r  # summed in component order: w0*r0 + w1*r1 + w2*r2 + w3*r3
-        return Transitions(
-            state=state,
-            gamma=self._gamma[rows],
-            weights=w,
-            raw_reward=r,
-            scalar_reward=terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3],
-            action=self._action[rows],
-            next_state=next_state,
-            terminal=self._terminal[rows],
-            birth_update=self._birth[rows],
-        )
+        spans = self._spans[self._cursor[rows] - lookback]  # the state's returns, then the next state's
+        weights, gamma = self._weights[rows], self._gamma[rows]
+        inputs = np.empty((2, len(rows), lookback + 5 + include_gamma))
+        inputs[0, :, :lookback], inputs[1, :, :lookback] = spans[:, :-1], spans[:, 1:]
+        inputs[0, :, lookback], inputs[1, :, lookback] = self._position[rows], self._next_position[rows]
+        inputs[:, :, lookback + 1 : lookback + 5] = weights
+        if include_gamma:
+            inputs[:, :, -1] = gamma
+        return Batch(inputs, gamma, weights, self._reward[rows], self._action[rows], self._terminal[rows])
+
+
+def scalar_rewards(batch: Batch) -> np.ndarray:
+    """The batch's unwhitened scalar rewards w . r, summed in component order: w0*r0 + w1*r1 + w2*r2 + w3*r3."""
+    terms = batch.weights * batch.reward
+    return terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
 
 
 def compute_whitening(buffer: ReplayBuffer, eigen_floor: float = DEFAULT_EIGEN_FLOOR) -> np.ndarray:
@@ -213,19 +196,18 @@ def compute_whitening(buffer: ReplayBuffer, eigen_floor: float = DEFAULT_EIGEN_F
 
     Eigenvalues are clamped to at least eigen_floor before inversion, which
     bounds the amplification of near-degenerate components (POWC is sparse
-    and regularly makes the covariance near-singular).
+    and regularly makes the covariance near-singular).  `eigh_lo` is np.linalg.eigh's gufunc.
     """
     _, cov = buffer.reward_moments()
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    eigvals = np.maximum(eigvals, eigen_floor)
-    inv_sqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
+    eigvals, eigvecs = _umath_linalg.eigh_lo(cov)
+    inv_sqrt = (eigvecs / np.sqrt(np.maximum(eigvals, eigen_floor))) @ eigvecs.T
     return 0.5 * (inv_sqrt + inv_sqrt.T)
 
 
-def whiten_rewards(batch: Transitions, inv_sqrt: np.ndarray) -> np.ndarray:
+def whiten_rewards(batch: Batch, inv_sqrt: np.ndarray) -> np.ndarray:
     """Whitened scalar rewards of a sampled batch: w . r~, with r~ = Sigma^(-1/2) r / ||w||.
 
-    The batch and the buffer's stored raw rewards are left untouched.
+    ||w|| sums squares as np.linalg.norm does; the batch and the stored raw rewards are left untouched.
     """
-    norms = np.linalg.norm(batch.weights, axis=1)
-    return np.einsum("ij,ij->i", batch.weights, (batch.raw_reward @ inv_sqrt) / norms[:, None])
+    norms = np.sqrt(np.add.reduce(np.square(batch.weights), axis=1, keepdims=True))
+    return np.einsum("ij,ij->i", batch.weights, (batch.reward @ inv_sqrt) / norms)

@@ -11,6 +11,8 @@ parse is held to, in its result and in its errors.
 The step loop fits the network through the update path that
 `QNetwork.td_update` replaced: `whiten_batch`, `bellman_targets`, then
 `fit_batch`, which runs the online forward a second time in `gradients`.
+`batch_of` builds a `replay.Batch` from state rows with `np.hstack`, as that
+path did.
 `params_equal` and `format_config` are test helpers that nothing in the
 engine calls.
 """
@@ -20,7 +22,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
@@ -39,7 +40,7 @@ from moqtrader.errors import (
 from moqtrader.evaluation import EvaluationReport, PositionTrace, _report_from_trace
 from moqtrader.market_data import IndexRange, PriceSeries, _parse_timestamp
 from moqtrader.qnet import QNetwork, build_input
-from moqtrader.replay import ReplayBuffer, Transitions, compute_whitening
+from moqtrader.replay import Batch, ReplayBuffer, compute_whitening, scalar_rewards
 
 
 def state_features(env: TradingEnv, state: EnvState) -> np.ndarray:
@@ -157,7 +158,14 @@ def augment_experiences(
             if not explored:
                 action = int(np.argmax(net.forward(build_input(feats, w, gamma, cfg.generalize_gamma))))
         outcome = env.transition(state, action)
-        buffer.push(state, action, gamma, w, outcome)
+        push_experience(buffer, state, action, gamma, w, outcome)
+
+
+def push_experience(buffer: ReplayBuffer, state: EnvState, action: int, gamma: float, weights, outcome) -> None:
+    """One experience of taking action from state under (weights, gamma), as a one-row push."""
+    buffer.push({"cursor": state.cursor, "position": state.position, "next_position": outcome.next_state.position,
+                 "action": [action], "gamma": gamma, "weights": [weights], "reward": [outcome.reward],
+                 "terminal": outcome.done})
 
 
 def params_equal(a: QNetwork, b: QNetwork) -> bool:
@@ -172,16 +180,23 @@ def format_config(cfg: "config.RunConfig") -> str:
     return "\n".join(lines) + "\n"
 
 
-def whiten_batch(batch: Transitions, inv_sqrt: np.ndarray) -> Transitions:
-    """Rescale a sampled batch: r~ = Sigma^(-1/2) r / ||w||, scalar = w . r~, in fresh arrays."""
+def batch_of(state, next_state, gamma, weights, reward, action, terminal, include_gamma: bool = False) -> Batch:
+    """A minibatch of the given rows; network inputs are state, weights and (with include_gamma) gamma."""
+    gamma, weights = np.asarray(gamma, dtype=np.float64), np.asarray(weights, dtype=np.float64)
+    conditioning = (weights, gamma[:, None]) if include_gamma else (weights,)
+    inputs = np.stack((np.hstack((state, *conditioning)), np.hstack((next_state, *conditioning))))
+    return Batch(inputs, gamma, weights, np.asarray(reward, dtype=np.float64), np.asarray(action), np.asarray(terminal))
+
+
+def whiten_batch(batch: Batch, inv_sqrt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rescaled rewards r~ = Sigma^(-1/2) r / ||w|| and scalar rewards w . r~, in fresh arrays."""
     norms = np.linalg.norm(batch.weights, axis=1)
-    rescaled = (batch.raw_reward @ inv_sqrt) / norms[:, None]
-    scalars = np.einsum("ij,ij->i", batch.weights, rescaled)
-    return replace(batch, raw_reward=rescaled, scalar_reward=scalars)
+    rescaled = (batch.reward @ inv_sqrt) / norms[:, None]
+    return rescaled, np.einsum("ij,ij->i", batch.weights, rescaled)
 
 
 def bellman_targets(
-    batch: Transitions, net: QNetwork, target: QNetwork, alpha: float, *, include_gamma: bool
+    batch: Batch, rewards: np.ndarray, net: QNetwork, target: QNetwork, alpha: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The batch's input rows and per-example regression targets for one update.
 
@@ -190,14 +205,13 @@ def bellman_targets(
     terminal transitions drop the bootstrap term.  Non-taken actions keep
     the current outputs so they receive no gradient pressure.
     """
-    conditioning = (batch.weights, batch.gamma[:, None]) if include_gamma else (batch.weights,)
-    inputs = np.hstack((batch.state, *conditioning))
+    inputs = batch.inputs[0]
     q_now = net.forward(inputs)
-    q_next = target.forward(np.hstack((batch.next_state, *conditioning))).max(axis=1)
+    q_next = target.forward(batch.inputs[1]).max(axis=1)
     targets = q_now.copy()
-    rows = np.arange(len(batch))
+    rows = np.arange(len(inputs))
     live = np.where(batch.terminal, 0.0, 1.0)
-    returns = batch.scalar_reward + live * batch.gamma * q_next
+    returns = rewards + live * batch.gamma * q_next
     targets[rows, batch.action] = (1.0 - alpha) * q_now[rows, batch.action] + alpha * returns
     return inputs, targets
 
@@ -227,8 +241,8 @@ def fit_batch(net: QNetwork, inputs: np.ndarray, targets: np.ndarray, learn_rate
     """One SGD (or momentum) step on the batch; returns the pre-step loss."""
     loss_, grads_w, grads_b = gradients(net, inputs, targets)
     for i in range(len(net.weights)):
-        net._vel_w[i] = net.momentum * net._vel_w[i] - learn_rate * grads_w[i]
-        net._vel_b[i] = net.momentum * net._vel_b[i] - learn_rate * grads_b[i]
+        net._vel_w[i][...] = net.momentum * net._vel_w[i] - learn_rate * grads_w[i]
+        net._vel_b[i][...] = net.momentum * net._vel_b[i] - learn_rate * grads_b[i]
         net.weights[i] += net._vel_w[i]
         net.biases[i] += net._vel_b[i]
     return loss_
@@ -254,15 +268,17 @@ def step_loop(run: "agent._Learner", state: EnvState, fit: bool) -> None:
         )
         outcome = env.transition(state, action)
         run.env_steps += 1
-        buffer.push(state, action, gamma, w, outcome)
+        push_experience(buffer, state, action, gamma, w, outcome)
         if cfg.multi_reward and cfg.k > 0:
             augment_experiences(env, state, feats, action, net, cfg, streams, buffer)
 
         if fit and len(buffer) >= min_fit_len:
-            batch = buffer.sample_batch(cfg.batchsize, streams["batch"])
+            batch = buffer.sample_batch(cfg.batchsize, streams["batch"], include_gamma)
             if cfg.whiten:
-                batch = whiten_batch(batch, compute_whitening(buffer, cfg.eigen_floor))
-            inputs, targets = bellman_targets(batch, net, run.target, cfg.alpha, include_gamma=include_gamma)
+                _, rewards = whiten_batch(batch, compute_whitening(buffer, cfg.eigen_floor))
+            else:
+                rewards = scalar_rewards(batch)
+            inputs, targets = bellman_targets(batch, rewards, net, run.target, cfg.alpha)
             fit_batch(net, inputs, targets, cfg.learn_rate)
             run.updates += 1
             buffer.advance_updates(1)

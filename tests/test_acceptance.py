@@ -19,7 +19,7 @@ from moqtrader.agent import TrainConfig, one_hot_weights, train
 from moqtrader.env import Mode, StepOutcome, TradingEnv
 from moqtrader.market_data import make_split
 from moqtrader.qnet import QNetwork, build_input
-from moqtrader.replay import ReplayBuffer, Transitions, compute_whitening
+from moqtrader.replay import ReplayBuffer, compute_whitening, scalar_rewards
 from moqtrader.rewards import RewardVector
 from moqtrader.synthetic import generate_synthetic
 
@@ -42,11 +42,11 @@ def test_criterion_01_whitening_invariant():
     next_state = env.transition(state, 0).next_state
     w = np.array([1.0, 0, 0, 0])
     for row in rewards:
-        buffer.push(state, 0, 0.9, w, StepOutcome(next_state, RewardVector(*row), False, True))
+        scalar_reference.push_experience(buffer, state, 0, 0.9, w, StepOutcome(next_state, RewardVector(*row), False, True))
     inv_sqrt = compute_whitening(buffer, eigen_floor=1e-8)
     assert np.linalg.eigvalsh(buffer.reward_moments()[1]).min() > 100 * 1e-8  # well-conditioned
 
-    stored = buffer.rows().raw_reward
+    stored = buffer.rows().reward
     worst = 0.0
     for _ in range(20):
         unit = rng.normal(size=4)
@@ -71,18 +71,17 @@ def test_criterion_02_gradient_check():
         net, target = QNetwork(widths, seed=2000 + trial), QNetwork(widths, seed=3000 + trial)
         n, state_width = 5, widths[0] - 4 - include_gamma
         weights = rng.exponential(size=(n, 4))
-        batch = Transitions(
-            state=rng.normal(size=(n, state_width)), gamma=rng.uniform(0.5, 0.99, size=n),
-            weights=weights / weights.sum(axis=1, keepdims=True), raw_reward=rng.normal(size=(n, 4)),
-            scalar_reward=rng.normal(size=n), action=rng.integers(widths[-1], size=n),
-            next_state=rng.normal(size=(n, state_width)), terminal=rng.random(n) < 0.3,
-            birth_update=np.zeros(n, dtype=np.int64),
+        state, gamma, reward = rng.normal(size=(n, state_width)), rng.uniform(0.5, 0.99, size=n), rng.normal(size=(n, 4))
+        rewards, action = rng.normal(size=n), rng.integers(widths[-1], size=n)
+        batch = scalar_reference.batch_of(
+            state=state, gamma=gamma, weights=weights / weights.sum(axis=1, keepdims=True), reward=reward,
+            action=action, next_state=rng.normal(size=(n, state_width)), terminal=rng.random(n) < 0.3,
+            include_gamma=include_gamma,
         )
         # the targets the update regresses on, held fixed while the loss is differentiated
-        inputs, targets = scalar_reference.bellman_targets(batch, net, target, 0.7, include_gamma=include_gamma)
+        inputs, targets = scalar_reference.bellman_targets(batch, rewards, net, target, 0.7)
         updated = net.clone()
-        updated.td_update(target, batch, batch.scalar_reward, alpha=0.7, learn_rate=learn_rate,
-                          include_gamma=include_gamma)
+        updated.td_update(target, batch, rewards, alpha=0.7, learn_rate=learn_rate)
         for arr_list, new_list in ((net.weights, updated.weights), (net.biases, updated.biases)):
             for arr, new in zip(arr_list, new_list):
                 grad = (arr - new) / learn_rate
@@ -119,16 +118,16 @@ def test_criterion_03_toy_mdp_oracle():
     one_hot = {0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])}
     w = np.array([1.0, 0.0, 0.0, 0.0])
     pairs = [(s, a) for s in (0, 1) for a in (0, 1)]
-    batch = Transitions(
-        state=np.array([one_hot[s] for s, _ in pairs]), gamma=np.full(4, gamma), weights=np.tile(w, (4, 1)),
-        raw_reward=np.array([[rewards[p], 0, 0, 0] for p in pairs]), scalar_reward=np.array([rewards[p] for p in pairs]),
-        action=np.array([a for _, a in pairs]), next_state=np.array([one_hot[a] for _, a in pairs]),
-        terminal=np.zeros(4, dtype=bool), birth_update=np.zeros(4, dtype=np.int64),
+    batch = scalar_reference.batch_of(
+        state=np.array([one_hot[s] for s, _ in pairs]), next_state=np.array([one_hot[a] for _, a in pairs]),
+        gamma=np.full(4, gamma), weights=np.tile(w, (4, 1)), reward=np.array([[rewards[p], 0, 0, 0] for p in pairs]),
+        action=np.array([a for _, a in pairs]), terminal=np.zeros(4, dtype=bool),
     )
+    scalars = scalar_rewards(batch)
     net = QNetwork([6, 2], seed=3)
     target = net.clone()
     for update in range(1, 3001):
-        net.td_update(target, batch, batch.scalar_reward, alpha=1.0, learn_rate=0.2, include_gamma=False)
+        net.td_update(target, batch, scalars, alpha=1.0, learn_rate=0.2)
         if update % 20 == 0:  # train's target sync rule, sync_period = 20
             target.copy_params_from(net)
 
@@ -192,8 +191,8 @@ def test_criterion_05_one_hot_reduction():
     # scalar reward stream equality, hindsight augmentation active (k = 3)
     single = train(cfg(multi=False, k=3, whiten=True), series, split)
     pinned = train(cfg(multi=True, k=3, whiten=True), series, split)
-    stream_single = single.replay.rows().scalar_reward.tolist()
-    stream_pinned = pinned.replay.rows().scalar_reward.tolist()[::4]  # real experiences
+    stream_single = scalar_rewards(single.replay.rows()).tolist()
+    stream_pinned = scalar_rewards(pinned.replay.rows()).tolist()[::4]  # real experiences
     assert stream_single == stream_pinned
 
     # identical Bellman targets with whitening disabled
@@ -201,8 +200,8 @@ def test_criterion_05_one_hot_reduction():
     target = net.clone()
     batch_single = single.replay.rows(np.arange(8))
     batch_pinned = pinned.replay.rows(np.arange(0, 32, 4))
-    _, t_single = scalar_reference.bellman_targets(batch_single, net, target, alpha=0.7, include_gamma=False)
-    _, t_pinned = scalar_reference.bellman_targets(batch_pinned, net, target, alpha=0.7, include_gamma=False)
+    _, t_single = scalar_reference.bellman_targets(batch_single, scalar_rewards(batch_single), net, target, alpha=0.7)
+    _, t_pinned = scalar_reference.bellman_targets(batch_pinned, scalar_rewards(batch_pinned), net, target, alpha=0.7)
     np.testing.assert_allclose(t_single, t_pinned, atol=1e-12, rtol=0)
 
     # end to end: with k = 0 and whitening off the two pipelines coincide
@@ -272,7 +271,7 @@ def test_criterion_07_same_age_replay():
     single, multi = run(False), run(True)
     for result in (single, multi):
         buf = result.replay
-        assert np.all(buf.update_counter - buf.rows().birth_update <= max_age)
+        assert np.all(buf.update_counter - buf._birth[buf._lo : buf._hi] <= max_age)
     assert single.env_steps == multi.env_steps
     assert len(multi.replay) == (k + 1) * len(single.replay)
     announce(7, f"age bound holds; multi replay is exactly (k+1)x longer "

@@ -20,7 +20,7 @@ from moqtrader.env import Mode, TradingEnv
 from moqtrader.errors import Diverged, InvalidValue, RangeTooShort
 from moqtrader.market_data import make_split
 from moqtrader.qnet import QNetwork, load_checkpoint
-from moqtrader.replay import _COLUMNS, ReplayBuffer, compute_whitening, whiten_rewards
+from moqtrader.replay import _COLUMNS, ReplayBuffer, compute_whitening, scalar_rewards, whiten_rewards
 from moqtrader.synthetic import generate_synthetic
 
 
@@ -243,10 +243,10 @@ class TestTrainLoop:
         }
         real0 = runs[0].replay.rows()
         real3 = runs[3].replay.rows(np.arange(0, len(runs[3].replay), 3 + 1))
-        assert len(real0) == len(real3)
-        np.testing.assert_array_equal(real0.state, real3.state)
+        assert len(real0.action) == len(real3.action)
+        np.testing.assert_array_equal(real0.inputs[0, :, :7], real3.inputs[0, :, :7])  # the states
         np.testing.assert_array_equal(real0.action, real3.action)
-        np.testing.assert_array_equal(real0.scalar_reward, real3.scalar_reward)
+        np.testing.assert_array_equal(scalar_rewards(real0), scalar_rewards(real3))
 
     def test_one_hot_reduction_scalar_stream(self):
         series = sine_series()
@@ -258,8 +258,8 @@ class TestTrainLoop:
         )
         rows_single = single.replay.rows()
         rows_multi = pinned.replay.rows(np.arange(0, len(pinned.replay), 4))
-        assert rows_single.scalar_reward.tolist() == rows_multi.scalar_reward.tolist()
-        assert rows_single.raw_reward.tolist() == rows_multi.raw_reward.tolist()
+        assert scalar_rewards(rows_single).tolist() == scalar_rewards(rows_multi).tolist()
+        assert rows_single.reward.tolist() == rows_multi.reward.tolist()
         assert rows_single.action.tolist() == rows_multi.action.tolist()
 
     def test_one_hot_reduction_identical_training(self):
@@ -291,8 +291,8 @@ class TestTrainLoop:
         target = net.clone()
         batch_single = single.replay.rows(np.arange(16))
         batch_multi = pinned.replay.rows(np.arange(0, 64, 4))
-        _, t_single = bellman_targets(batch_single, net, target, alpha=0.7, include_gamma=False)
-        _, t_multi = bellman_targets(batch_multi, net, target, alpha=0.7, include_gamma=False)
+        _, t_single = bellman_targets(batch_single, scalar_rewards(batch_single), net, target, alpha=0.7)
+        _, t_multi = bellman_targets(batch_multi, scalar_rewards(batch_multi), net, target, alpha=0.7)
         np.testing.assert_allclose(t_single, t_multi, atol=1e-12, rtol=0)
 
     def test_age_bound_after_training(self):
@@ -300,7 +300,7 @@ class TestTrainLoop:
         split = make_split(series)
         result = train(small_cfg(episodes=3, max_age=20), series, split)
         buf = result.replay
-        assert np.all(buf.update_counter - buf.rows().birth_update <= buf.max_age)
+        assert np.all(buf.update_counter - buf._birth[buf._lo : buf._hi] <= buf.max_age)
 
     def test_augment_counterfactual_matches_real_when_forced(self):
         # a replayed counterfactual repeats its real row under its own conditioning
@@ -309,11 +309,11 @@ class TestTrainLoop:
         result = train(cfg, series, make_split(series))  # one frozen, one fitting episode
         rows = result.replay.rows()
         real, replayed = slice(0, None, 2), slice(1, None, 2)
-        assert result.updates > 0 and len(rows) == 2 * result.env_steps
+        assert result.updates > 0 and len(rows.action) == 2 * result.env_steps
         assert rows.action[replayed].tolist() == rows.action[real].tolist()
-        assert rows.raw_reward[replayed].tobytes() == rows.raw_reward[real].tobytes()
-        assert rows.state[replayed].tobytes() == rows.state[real].tobytes()
-        assert rows.next_state[replayed].tobytes() == rows.next_state[real].tobytes()
+        assert rows.reward[replayed].tobytes() == rows.reward[real].tobytes()
+        states = rows.inputs[:, :, :7]  # each row's state, then its next state
+        assert states[:, replayed].tobytes() == states[:, real].tobytes()
 
     def test_augment_k_zero(self):
         series = sine_series()
@@ -344,16 +344,16 @@ class TestTrainLoop:
         rows = result.replay.rows()
         assert set(rows.action.tolist()) <= {0, 1}
         # LP can never hold a short: next-state position feature is 0 or +1
-        assert set(rows.next_state[:, -1].tolist()) <= {0.0, 1.0}
+        assert set(rows.inputs[1, :, 6].tolist()) <= {0.0, 1.0}
 
     def test_hindsight_replay_action_mode(self):
         series = sine_series()
         split = make_split(series)
         result = train(small_cfg(hindsight_action="replay", episodes=1, eval_every=2, k=2), series, split)
         rows = result.replay.rows()
-        for i in range(0, len(rows), 3):  # real experience then k=2 extras
+        for i in range(0, len(rows.action), 3):  # real experience then k=2 extras
             assert all(rows.action[i + 1 : i + 3] == rows.action[i])
-            np.testing.assert_array_equal(rows.state[i + 1], rows.state[i])
+            np.testing.assert_array_equal(rows.inputs[0, i + 1, :7], rows.inputs[0, i, :7])
 
     def test_metrics_and_checkpoint_files(self, tmp_path):
         series = sine_series()
@@ -422,7 +422,7 @@ class TestTargetSync:
         stepped = []
         for target in (result.target, result.net):
             net = result.net.clone()
-            net.td_update(target, batch, batch.scalar_reward, alpha=1.0, learn_rate=0.1, include_gamma=False)
+            net.td_update(target, batch, scalar_rewards(batch), alpha=1.0, learn_rate=0.1)
             stepped.append(params(net))
         assert stepped[0] == stepped[1] and stepped[0] != params(result.net)
 
@@ -527,7 +527,7 @@ class TestFrozenEpisode:
         assert next_draws(loop.streams) == next_draws(drawn.streams)
 
         rows = loop.buffer.rows()
-        assert weights.shape == (n, len(rows) // n, 4)
+        assert weights.shape == (n, len(rows.action) // n, 4)
         assert rows.weights.tobytes() == weights.reshape(-1, 4).tobytes()
         assert rows.gamma.tobytes() == gamma.tobytes()
         # the stand-in's greedy action is 0, and each greedy choice made one forward
@@ -605,6 +605,9 @@ TD_CASES = {
                                                                   whiten=False),
     "LP, momentum 0, alpha 1, raw rewards, two hidden layers": dict(mode=Mode.LP, whiten=False, hidden=(8, 6)),
     "single reward, whitened": dict(multi_reward=False, reward="sr", alpha=0.7, episode_len=30),
+    "benchmark geometry: LP, hidden (128, 64), gamma input, whitened": dict(
+        mode=Mode.LP, generalize_gamma=True, hidden=(128, 64), lookback=30, reward_window=20, batchsize=64,
+        learn_rate=0.1, episode_len=20),
 }
 
 
@@ -630,18 +633,17 @@ class TestTdUpdate:
                     run.env.reset(split.train, random_access=True, episode_len=cfg.episode_len, rng=run.streams["env"])
                     agent._frozen_episode(run)
 
-            batch = new.buffer.sample_batch(cfg.batchsize, new.streams["batch"])
-            rewards = batch.scalar_reward
+            batch = new.buffer.sample_batch(cfg.batchsize, new.streams["batch"], cfg.generalize_gamma)
+            rewards = scalar_rewards(batch)
             if cfg.whiten:
                 rewards = whiten_rewards(batch, compute_whitening(new.buffer, cfg.eigen_floor))
-            loss = new.net.td_update(new.target, batch, rewards, alpha=cfg.alpha, learn_rate=cfg.learn_rate,
-                                     include_gamma=cfg.generalize_gamma)
+            loss = new.net.td_update(new.target, batch, rewards, alpha=cfg.alpha, learn_rate=cfg.learn_rate)
 
-            old_batch = old.buffer.sample_batch(cfg.batchsize, old.streams["batch"])
+            old_batch = old.buffer.sample_batch(cfg.batchsize, old.streams["batch"], cfg.generalize_gamma)
+            old_rewards = scalar_rewards(old_batch)
             if cfg.whiten:
-                old_batch = scalar_reference.whiten_batch(old_batch, compute_whitening(old.buffer, cfg.eigen_floor))
-            inputs, targets = bellman_targets(old_batch, old.net, old.target, cfg.alpha,
-                                              include_gamma=cfg.generalize_gamma)
+                _, old_rewards = scalar_reference.whiten_batch(old_batch, compute_whitening(old.buffer, cfg.eigen_floor))
+            inputs, targets = bellman_targets(old_batch, old_rewards, old.net, old.target, cfg.alpha)
             old_loss = scalar_reference.fit_batch(old.net, inputs, targets, cfg.learn_rate)
 
             batches_with_terminal_rows += bool(batch.terminal.any())
@@ -663,6 +665,9 @@ TRAIN_CASES = {
     "multi-reward LSP, drawn gamma": dict(generalize_gamma=True),
     "LP, fee, replayed counterfactuals": dict(mode=Mode.LP, fee=3e-4, hindsight_action="replay"),
     "single-reward POWC": dict(multi_reward=False, reward="powc"),
+    "benchmark geometry: LP, hidden (128, 64), gamma input, whitened": dict(
+        mode=Mode.LP, generalize_gamma=True, hidden=(128, 64), lookback=30, reward_window=20, batchsize=64,
+        learn_rate=0.1, episode_len=40),
 }
 
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+import scalar_reference
 from scalar_reference import bellman_targets, loss, params_equal
 
 from moqtrader.errors import ShapeMismatch
 from moqtrader.qnet import QNetwork, build_input, load_checkpoint, save_checkpoint
-from moqtrader.replay import Transitions
 
 
 def finite_difference_grads(net, inputs, targets, step=1e-5):
@@ -28,37 +28,37 @@ def finite_difference_grads(net, inputs, targets, step=1e-5):
 
 
 def make_experience(state, gamma, weights, scalar, action, next_state, terminal=False):
-    """One replay row as a field dict; batch_of stacks rows into Transitions."""
+    """One replay row as a field dict, its scalar reward in the LR component; batch_of stacks rows into a Batch."""
     return dict(
         state=np.asarray(state, dtype=np.float64),
+        next_state=np.asarray(next_state, dtype=np.float64),
         gamma=gamma,
         weights=np.asarray(weights, dtype=np.float64),
-        raw_reward=np.array([scalar, 0.0, 0.0, 0.0]),
-        scalar_reward=scalar,
+        reward=np.array([scalar, 0.0, 0.0, 0.0]),
         action=action,
-        next_state=np.asarray(next_state, dtype=np.float64),
         terminal=terminal,
-        birth_update=0,
     )
 
 
-def batch_of(*experiences):
-    return Transitions(**{name: np.array([exp[name] for exp in experiences]) for name in experiences[0]})
+def batch_of(*experiences, include_gamma=False):
+    fields = {name: np.array([exp[name] for exp in experiences]) for name in experiences[0]}
+    return scalar_reference.batch_of(**fields, include_gamma=include_gamma)
 
 
-def random_batch(rng, n, state_width, n_actions):
+def random_batch(rng, n, state_width, n_actions, include_gamma=False):
     """n replay rows with random states, simplex weights, gammas, actions and terminal flags."""
     weights = rng.exponential(size=(n, 4))
     return batch_of(*[
         make_experience(rng.normal(size=state_width), rng.uniform(0.5, 0.99), w / w.sum(), rng.normal(),
                         int(rng.integers(n_actions)), rng.normal(size=state_width), terminal=rng.random() < 0.3)
         for w in weights
-    ])
+    ], include_gamma=include_gamma)
 
 
-def step(net, target, batch, *, alpha=1.0, learn_rate=0.01, include_gamma=False):
-    return net.td_update(target, batch, batch.scalar_reward, alpha=alpha, learn_rate=learn_rate,
-                         include_gamma=include_gamma)
+def step(net, target, batch, *, alpha=1.0, learn_rate=0.01, rewards=None):
+    """A TD update on the batch, by default against the scalar rewards make_experience was given."""
+    rewards = batch.reward[:, 0].copy() if rewards is None else rewards
+    return net.td_update(target, batch, rewards, alpha=alpha, learn_rate=learn_rate)
 
 
 def one_row_targets(net, target, batch, *, alpha):
@@ -68,7 +68,7 @@ def one_row_targets(net, target, batch, *, alpha):
     """
     clone = net.clone()
     step(clone, target, batch, alpha=alpha, learn_rate=1.0)
-    q = net.forward(build_input(batch.state[0], batch.weights[0], batch.gamma[0], include_gamma=False))
+    q = net.forward(batch.inputs[0, 0])
     return q + (clone.biases[-1] - net.biases[-1])
 
 
@@ -133,7 +133,7 @@ class TestGradients:
             widths = [int(rng.integers(5, 8)), int(rng.integers(2, 6)), int(rng.integers(1, 4))]
             net, target = QNetwork(widths, seed=trial), QNetwork(widths, seed=100 + trial)
             batch = random_batch(rng, 4, widths[0] - 4, widths[-1])
-            inputs, targets = bellman_targets(batch, net, target, 0.7, include_gamma=False)
+            inputs, targets = bellman_targets(batch, batch.reward[:, 0], net, target, 0.7)
             fd_w, fd_b = finite_difference_grads(net, inputs, targets)
             before = net.clone()
             step(net, target, batch, alpha=0.7, learn_rate=0.01)
@@ -143,11 +143,11 @@ class TestGradients:
     def test_zero_gradient_leaves_params(self):
         net = QNetwork([7, 5, 2], seed=1)
         batch = random_batch(np.random.default_rng(2), 6, 3, 2)
-        q_taken = net.forward(np.hstack((batch.state, batch.weights)))[np.arange(6), batch.action]
+        q_taken = net.forward(batch.inputs[0])[np.arange(6), batch.action]
         # terminal rows whose reward is the current estimate: every target is the current output
-        batch = Transitions(**{**vars(batch), "terminal": np.ones(6, dtype=bool), "scalar_reward": q_taken})
+        batch.terminal = np.ones(6, dtype=bool)
         before = net.clone()
-        loss = step(net, net.clone(), batch, learn_rate=0.1)
+        loss = step(net, net.clone(), batch, learn_rate=0.1, rewards=q_taken)
         assert loss == 0.0
         assert params_equal(net, before)
 
@@ -170,7 +170,7 @@ class TestGradients:
             target = net.clone()
             rng = np.random.default_rng(12)
             for _ in range(20):
-                step(net, target, random_batch(rng, 8, 3, 2), include_gamma=True)
+                step(net, target, random_batch(rng, 8, 3, 2, include_gamma=True))
             return net
 
         assert params_equal(run(), run())
@@ -233,7 +233,7 @@ class TestBellmanTargets:
         net, seen = QNetwork([6, 2], seed=0), []
         layers = QNetwork._layers
         monkeypatch.setattr(QNetwork, "_layers", lambda self, x: (seen.append(x.copy()), layers(self, x))[1])
-        step(net, net.clone(), batch_of(exp, exp), include_gamma=True)
+        step(net, net.clone(), batch_of(exp, exp, include_gamma=True))
         row = build_input(exp["state"], exp["weights"], exp["gamma"], include_gamma=True)
         next_row = build_input(exp["next_state"], exp["weights"], exp["gamma"], include_gamma=True)
         assert len(seen) == 2  # the online forward once, then the target's
@@ -253,6 +253,14 @@ class TestCheckpoint:
         assert params_equal(loaded, net)
         for a, b in zip(loaded.weights, net.weights):
             assert a.dtype == b.dtype == np.float64
+
+    def test_load_draws_no_initialization(self, tmp_path, monkeypatch):
+        net = QNetwork([5, 4, 3], seed=13)
+        save_checkpoint(tmp_path / "checkpoint_7.bin", net)
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: pytest.fail("load_checkpoint drew parameters"))
+        loaded, _ = load_checkpoint(tmp_path / "checkpoint_7.bin")
+        assert params_equal(loaded, net)
+        assert not QNetwork([5, 4, 3], seed=None)._params.any()  # seed None: nothing drawn, every parameter 0
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         import os

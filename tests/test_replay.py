@@ -10,7 +10,7 @@ from moqtrader.agent import TrainConfig
 from moqtrader.env import EnvState, Mode, Position, StepOutcome, TradingEnv
 from moqtrader.errors import BufferTooSmall
 from moqtrader.qnet import QNetwork
-from moqtrader.replay import _COLUMNS, ReplayBuffer, compute_whitening, whiten_rewards
+from moqtrader.replay import _COLUMNS, ReplayBuffer, compute_whitening, scalar_rewards, whiten_rewards
 from moqtrader.rewards import RewardVector
 from moqtrader.synthetic import generate_synthetic
 
@@ -26,8 +26,8 @@ def make_buffer(max_age):
 
 
 def push(buffer, reward=(0.0, 0.0, 0.0, 0.0), weights=(1.0, 0.0, 0.0, 0.0), action=0, gamma=0.9):
-    outcome = StepOutcome(NEXT, RewardVector(*reward), False, True)
-    buffer.push(STATE, action, gamma, np.asarray(weights, dtype=np.float64), outcome)
+    scalar_reference.push_experience(buffer, STATE, action, gamma, np.asarray(weights, dtype=np.float64),
+                                     StepOutcome(NEXT, RewardVector(*reward), False, True))
 
 
 def fill(buffer, rewards, weights=(1.0, 0.0, 0.0, 0.0)):
@@ -37,7 +37,7 @@ def fill(buffer, rewards, weights=(1.0, 0.0, 0.0, 0.0)):
 
 
 def lr_column(buffer):
-    return buffer.rows().raw_reward[:, 0].tolist()
+    return buffer.rows().reward[:, 0].tolist()
 
 
 class TestBuffer:
@@ -47,7 +47,7 @@ class TestBuffer:
         assert len(buf) == 1
         push(buf, (2, 0, 0, 0))
         assert lr_column(buf) == [1.0, 2.0]
-        np.testing.assert_array_equal(buf.rows().raw_reward[:, 0], [1.0, 2.0])
+        np.testing.assert_array_equal(buf.rows().reward[:, 0], [1.0, 2.0])
 
     def test_age_boundary(self):
         buf = make_buffer(max_age=5)
@@ -66,7 +66,7 @@ class TestBuffer:
             buf.advance_updates(1)
         buf.advance_updates(1)
         assert lr_column(buf) == [3.0, 4.0]
-        assert np.all(buf.update_counter - buf.rows().birth_update <= 3)
+        assert np.all(buf.update_counter - buf._birth[buf._lo : buf._hi] <= 3)
 
     def test_advance_zero_is_identity(self):
         buf = fill(make_buffer(max_age=2), np.zeros((4, 4)))
@@ -76,19 +76,19 @@ class TestBuffer:
     def test_sample_whole_buffer(self):
         buf = fill(make_buffer(max_age=10), [[i, 0, 0, 0] for i in range(6)])
         batch = buf.sample_batch(6, np.random.default_rng(1))
-        assert sorted(batch.raw_reward[:, 0]) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        assert sorted(batch.reward[:, 0]) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_sample_deterministic_under_seed(self):
         buf = fill(make_buffer(max_age=10), [[i, 0, 0, 0] for i in range(20)])
         a = buf.sample_batch(5, np.random.default_rng(7))
         b = buf.sample_batch(5, np.random.default_rng(7))
-        assert a.raw_reward[:, 0].tolist() == b.raw_reward[:, 0].tolist()
+        assert a.reward[:, 0].tolist() == b.reward[:, 0].tolist()
 
     def test_rows_by_position(self):
         buf = fill(make_buffer(max_age=1), [[i, 0, 0, 0] for i in range(6)])
         buf.advance_updates(2)
         fill(buf, [[6, 0, 0, 0], [7, 0, 0, 0]])  # the first six rows are over age
-        assert buf.rows([0, -1]).raw_reward[:, 0].tolist() == [6.0, 7.0]
+        assert buf.rows([0, -1]).reward[:, 0].tolist() == [6.0, 7.0]
         with pytest.raises(IndexError):
             buf.rows([2])  # evicted and unwritten rows are out of reach
 
@@ -101,9 +101,10 @@ class TestBuffer:
         buf = fill(make_buffer(max_age=10), [[i, 0, 0, 0] for i in range(10)])
         rng = np.random.default_rng(123)
         draws, batchsize = 100_000, 3
-        counts = np.zeros(10)
-        for _ in range(draws):
-            np.add.at(counts, buf.sample_batch(batchsize, rng).raw_reward[:, 0].astype(int), 1)
+        # each row's reward is its position: a batch gathers the rows that the index draw picks
+        batch = buf.sample_batch(batchsize, np.random.default_rng(5))
+        assert batch.reward[:, 0].tolist() == buf.sample_rows(batchsize, np.random.default_rng(5)).tolist()
+        counts = np.bincount(np.concatenate([buf.sample_rows(batchsize, rng) for _ in range(draws)]), minlength=10)
         p = batchsize / 10
         sigma = math.sqrt(p * (1 - p) / draws)
         np.testing.assert_allclose(counts / draws, p, atol=3 * sigma)
@@ -118,8 +119,8 @@ class TestBuffer:
             push(buf, (float(i), 1, 0, 0))
         assert len(buf) == 1
         rows = buf.rows()
-        assert [(r[0], r[1]) for r in rows.raw_reward.tolist()] == [(19999.0, 1.0)]
-        np.testing.assert_array_equal(rows.raw_reward, [[19999.0, 1.0, 0.0, 0.0]])
+        assert [(r[0], r[1]) for r in rows.reward.tolist()] == [(19999.0, 1.0)]
+        np.testing.assert_array_equal(rows.reward, [[19999.0, 1.0, 0.0, 0.0]])
 
     def test_bytes_per_live_entry(self):
         # An Experience object per entry cost ~965 B.  Once the replay
@@ -130,10 +131,11 @@ class TestBuffer:
         tracemalloc.start()
         try:
             buf = make_buffer(max_age=1000)
-            for i, reward in enumerate(rewards):
-                push(buf, reward)
-                if i % 4 == 3:
-                    buf.advance_updates(1)
+            step = {"cursor": LOOKBACK, "position": 0, "next_position": 1, "action": [0] * 4, "gamma": 0.9,
+                    "weights": np.tile([1.0, 0.0, 0.0, 0.0], (4, 1)), "terminal": False}
+            for reward in rewards.reshape(-1, 4, 4):  # four experiences a push, as a k = 3 fitting step makes
+                buf.push({**step, "reward": reward})
+                buf.advance_updates(1)
                 if len(buf) >= 3 * 1024:
                     worst = max(worst, tracemalloc.get_traced_memory()[0] / len(buf))
         finally:
@@ -159,12 +161,13 @@ def random_columns(rng, n):
 
 
 def push_rows(buffer, columns):
-    """The same rows through push, one at a time."""
+    """The same rows through push, one experience at a time."""
     for i in range(len(columns["gamma"])):
         state = EnvState(int(columns["cursor"][i]), Position(int(columns["position"][i])), None, ())
         after = EnvState(int(columns["cursor"][i]) + 1, Position(int(columns["next_position"][i])), None, ())
         outcome = StepOutcome(after, RewardVector(*columns["reward"][i].tolist()), bool(columns["terminal"][i]), True)
-        buffer.push(state, int(columns["action"][i]), float(columns["gamma"][i]), columns["weights"][i], outcome)
+        scalar_reference.push_experience(buffer, state, int(columns["action"][i]), float(columns["gamma"][i]),
+                                         columns["weights"][i], outcome)
 
 
 class TestPushBlock:
@@ -179,7 +182,7 @@ class TestPushBlock:
         for size in blocks:
             columns = random_columns(rng, size)
             push_rows(one, columns)
-            many.push_block(columns)
+            many.push(columns)
             for buf in (one, many):
                 buf.advance_updates(1)  # evicts the block before last
             mean_one, cov_one = one.reward_moments()
@@ -189,11 +192,27 @@ class TestPushBlock:
             for name in _COLUMNS:
                 assert getattr(one, name)[one._lo : one._hi].tobytes() == getattr(many, name)[many._lo : many._hi].tobytes()
 
+    def test_scalar_columns_apply_to_every_row(self):
+        # one step's rows, its per-step values given once, straddling the first columns' end
+        rng = np.random.default_rng(8)
+        one, many = make_buffer(max_age=2), make_buffer(max_age=2)
+        first = random_columns(rng, 1022)
+        push_rows(one, first)
+        many.push(first)
+        scalars = {"cursor": LOOKBACK + 2, "position": -1, "terminal": True}
+        step = {**random_columns(rng, 4), **scalars}
+        push_rows(one, {**step, **{name: np.full(4, value) for name, value in scalars.items()}})
+        many.push(step)
+        assert (one._lo, one._hi, len(one._gamma)) == (many._lo, many._hi, len(many._gamma)) == (0, 1026, 2048)
+        assert [m.tobytes() for m in one.reward_moments()] == [m.tobytes() for m in many.reward_moments()]
+        for name in _COLUMNS:
+            assert getattr(one, name)[: one._hi].tobytes() == getattr(many, name)[: many._hi].tobytes()
+
     def test_needs_every_column_but_birth(self):
         columns = random_columns(np.random.default_rng(0), 3)
         del columns["gamma"]
         with pytest.raises(ValueError):
-            make_buffer(max_age=2).push_block(columns)
+            make_buffer(max_age=2).push(columns)
 
 
 def record_episode(mode: Mode, k: int, hindsight_action: str):
@@ -214,7 +233,7 @@ def record_episode(mode: Mode, k: int, hindsight_action: str):
         feats = scalar_reference.state_features(env, state)
         action = int(rng.integers(mode.n_actions))
         outcome = env.transition(state, action)
-        buffer.push(state, action, 0.9, agent.uniform_weights(), outcome)
+        scalar_reference.push_experience(buffer, state, action, 0.9, agent.uniform_weights(), outcome)
         scalar_reference.augment_experiences(env, state, feats, action, net, cfg, streams, buffer)
         for a in buffer.rows().action[len(expected):]:
             expected.append((feats, scalar_reference.state_features(env, env.transition(state, int(a)).next_state)))
@@ -229,16 +248,19 @@ class TestRebuiltStates:
     def test_states_equal_env_features(self, mode, hindsight_action):
         buffer, expected = record_episode(mode, k=3, hindsight_action=hindsight_action)
         rows = buffer.rows()
-        assert len(rows) == len(expected) == 4 * 114
+        assert len(rows.action) == len(expected) == 4 * 114
         for i, (state, next_state) in enumerate(expected):
-            assert rows.state[i].tobytes() == state.tobytes()
-            assert rows.next_state[i].tobytes() == next_state.tobytes()
-        assert rows.terminal.tolist() == [False] * (len(rows) - 4) + [True] * 4
+            assert rows.inputs[0, i, :6].tobytes() == state.tobytes()
+            assert rows.inputs[1, i, :6].tobytes() == next_state.tobytes()
+        assert rows.inputs[:, :, 6:].tobytes() == np.stack((rows.weights, rows.weights)).tobytes()
+        assert rows.terminal.tolist() == [False] * (len(rows.action) - 4) + [True] * 4
         # sampled rows rebuild the same features as the full view
         idx = np.random.default_rng(2).choice(len(buffer), size=32, replace=False)
         sampled = buffer.rows(idx)
-        np.testing.assert_array_equal(sampled.state, rows.state[idx])
-        np.testing.assert_array_equal(sampled.next_state, rows.next_state[idx])
+        np.testing.assert_array_equal(sampled.inputs, rows.inputs[:, idx])
+        with_gamma = buffer.rows(idx, include_gamma=True)
+        np.testing.assert_array_equal(with_gamma.inputs[:, :, :-1], sampled.inputs)
+        np.testing.assert_array_equal(with_gamma.inputs[:, :, -1], np.stack((sampled.gamma, sampled.gamma)))
 
     def test_scalar_reward_is_weighted_sum_in_component_order(self):
         rng = np.random.default_rng(6)
@@ -248,7 +270,7 @@ class TestRebuiltStates:
         for w, r in zip(weights, rewards):
             push(buf, r, weights=w)
         expected = [float(w[0] * r[0] + w[1] * r[1] + w[2] * r[2] + w[3] * r[3]) for w, r in zip(weights, rewards)]
-        assert buf.rows().scalar_reward.tolist() == expected
+        assert scalar_rewards(buf.rows()).tolist() == expected
 
 
 class TestRunningMoments:
@@ -271,7 +293,7 @@ class TestRunningMoments:
                 buf.advance_updates(1)  # evicts four rows per update once past max_age
             if i % 37 == 36 or i > 9_900:
                 mean, cov = buf.reward_moments()
-                live = buf.rows().raw_reward
+                live = buf.rows().reward
                 ref_cov, ref_mean = np.cov(live, rowvar=False), live.mean(axis=0)
                 worst_cov = max(worst_cov, np.abs(cov - ref_cov).max() / np.abs(ref_cov).max())
                 worst_mean = max(worst_mean, np.abs(mean - ref_mean).max() / np.abs(ref_mean).max())
@@ -293,7 +315,7 @@ class TestRunningMoments:
         buf.advance_updates(1)  # everything summed so far leaves
         fill(buf, rng.normal(size=(50, 4)))
         mean, cov = buf.reward_moments()
-        live = buf.rows().raw_reward
+        live = buf.rows().reward
         np.testing.assert_allclose(cov, np.cov(live, rowvar=False), rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(mean, live.mean(axis=0), rtol=1e-12, atol=1e-15)
 
@@ -334,13 +356,13 @@ class TestWhitening:
     def test_whiten_batch_identity_stats_is_noop(self):
         buf = fill(make_buffer(10), [[0.1, 0.2, -0.3, 0.4]])
         batch = buf.rows()
-        out = scalar_reference.whiten_batch(batch, np.eye(4))
-        np.testing.assert_allclose(out.raw_reward, batch.raw_reward, atol=1e-15)
-        assert out.scalar_reward[0] == pytest.approx(batch.scalar_reward[0], abs=1e-15)
+        rescaled, scalars = scalar_reference.whiten_batch(batch, np.eye(4))
+        np.testing.assert_allclose(rescaled, batch.reward, atol=1e-15)
+        assert scalars[0] == pytest.approx(scalar_rewards(batch)[0], abs=1e-15)
         rewards = whiten_rewards(batch, np.eye(4))
-        assert rewards.tobytes() == out.scalar_reward.tobytes()
+        assert rewards.tobytes() == scalars.tobytes()
         # the batch and the stored originals untouched
-        assert batch.raw_reward.tolist() == buf.rows().raw_reward.tolist() == [[0.1, 0.2, -0.3, 0.4]]
+        assert batch.reward.tolist() == buf.rows().reward.tolist() == [[0.1, 0.2, -0.3, 0.4]]
 
     def test_weight_direction_determines_output(self):
         rng = np.random.default_rng(21)
@@ -361,7 +383,7 @@ class TestWhitening:
         buf = fill(make_buffer(100_000), rng.normal(size=(5000, 4)) @ mix + rng.normal(size=4))
         inv_sqrt = compute_whitening(buf, eigen_floor=1e-8)
         assert np.linalg.eigvalsh(buf.reward_moments()[1]).min() > 100 * 1e-8
-        rewards = buf.rows().raw_reward
+        rewards = buf.rows().reward
         for _ in range(10):
             w = rng.normal(size=4)
             w /= np.linalg.norm(w)
@@ -373,8 +395,8 @@ class TestWhitening:
         mix = rng.normal(size=(4, 4)) + 2.0 * np.eye(4)
         raw = rng.normal(size=(2000, 4)) @ mix
         buf = fill(make_buffer(100_000), raw)
-        whitened = scalar_reference.whiten_batch(buf.rows(), compute_whitening(buf))  # unit-norm one-hot weights
-        buf2 = fill(make_buffer(100_000), whitened.raw_reward)
+        whitened, _ = scalar_reference.whiten_batch(buf.rows(), compute_whitening(buf))  # unit-norm one-hot weights
+        buf2 = fill(make_buffer(100_000), whitened)
         inv_sqrt2 = compute_whitening(buf2)
         np.testing.assert_allclose(buf2.reward_moments()[1], np.eye(4), atol=1e-9)
         np.testing.assert_allclose(inv_sqrt2, np.eye(4), atol=1e-6)
