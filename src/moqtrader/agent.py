@@ -20,9 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from . import evaluation
-from .env import EnvState, Mode, TradingEnv
+from .env import EnvState, Mode, Position, TradingEnv
 from .errors import Diverged, InvalidValue
-from .market_data import DataSplit, FoldPlan, PriceSeries
+from .market_data import DataSplit, FoldPlan, IndexRange, PriceSeries
 # build_input is unused here; it stays importable because bench/test_bench.py looks it up in this module.
 from .qnet import QNetwork, build_input, save_checkpoint  # noqa: F401
 from .replay import ReplayBuffer, compute_whitening, scalar_rewards, whiten_rewards
@@ -260,20 +260,22 @@ class _Learner:
     episode: int = 0
 
 
-def _episode_draws(run: _Learner):
-    """The just-reset episode's step count, its `draw_conditioning` and its input rows (n, m, input width).
-
-    Row [t, i] holds the returns before step t and slot i's conditioning; callers write the position code.
-    """
-    cfg, lookback, lo = run.cfg, run.cfg.lookback, run.env.episode_range[0]
-    n = run.env.steps_in(run.env.episode_range)
-    weights, gamma, explore = draw_conditioning(cfg, run.streams, n)
-    rows = np.empty((*explore.shape, cfg.input_width))
-    rows[:, :, :lookback] = run.env.windows[lo : lo + n, None]
+def _input_rows(run: _Learner, windows: np.ndarray, weights: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Input rows (n, m, input width): [t, i] holds env.windows[windows[t]], then callers' position code, then slot i's
+    conditioning."""
+    cfg, lookback = run.cfg, run.cfg.lookback
+    rows = np.empty((*gamma.shape, cfg.input_width))
+    rows[:, :, :lookback] = run.env.windows[windows, None]
     rows[:, :, lookback + 1 : lookback + 5] = weights
     if cfg.generalize_gamma:
         rows[:, :, -1] = gamma
-    return n, weights, gamma, explore, rows
+    return rows
+
+
+def _reset(run: _Learner, range_: IndexRange) -> EnvState:
+    """The next training episode over range_, reset on the env stream."""
+    episode_len = run.cfg.episode_len if run.cfg.random_access else None
+    return run.env.reset(range_, random_access=run.cfg.random_access, episode_len=episode_len, rng=run.streams["env"])
 
 
 def _fit_episode(run: _Learner, state: EnvState) -> None:
@@ -284,7 +286,9 @@ def _fit_episode(run: _Learner, state: EnvState) -> None:
     only when one of them acts greedily.
     """
     cfg, env, buffer, net = run.cfg, run.env, run.buffer, run.net
-    _, weights, gamma, explore, rows = _episode_draws(run)
+    lo, n = env.episode_range[0], env.steps_in(env.episode_range)
+    weights, gamma, explore = draw_conditioning(cfg, run.streams, n)
+    rows = _input_rows(run, lo + np.arange(n), weights, gamma)
     min_fit_len = max(cfg.batchsize, 2) if cfg.whiten else cfg.batchsize
     for t, codes in enumerate(explore.tolist()):
         if GREEDY in codes:
@@ -310,43 +314,59 @@ def _fit_episode(run: _Learner, state: EnvState) -> None:
         state = outcomes[actions[0]].next_state
 
 
-def _frozen_episode(run: _Learner) -> None:
-    """The just-reset episode of a frozen network, in arrays: the step loop's replay rows bit for bit.
+def _frozen_stretch(run: _Learner, range_: IndexRange, episodes: int) -> None:
+    """`episodes` consecutive episodes of the frozen network over range_ in arrays, with the step loop's replay rows.
 
-    No draw depends on Q-values, so the conditioning comes first; then batched
-    forwards over every (step, position) for the real trajectory's walk and
-    over the greedy counterfactuals, and `TradingEnv.outcomes` for the rewards.
+    Chunks of them (at least one episode, at most env.steps_in(range_) rows of
+    steps x m) take one `draw_conditioning`, since each draw kind has its own
+    stream, forwards per position and counterfactual slot, one `outcomes` call
+    and one push.  Under fixed conditioning (pinned or single-reward weights,
+    one gamma) a row depends only on (cursor, position): one Q-table over
+    range_, built for the first chunk, serves every chunk.
     """
-    cfg, env = run.cfg, run.env
-    n, weights, gamma, explore, rows = _episode_draws(run)
-    cursor, steps, m = env.episode_range[0] + cfg.lookback, np.arange(n), explore.shape[1]
+    cfg, env, lookback = run.cfg, run.env, run.cfg.lookback
+    fixed = training_weights(cfg) is not None and (not cfg.generalize_gamma or cfg.gamma_range[0] == cfg.gamma_range[1])
+    n = cfg.episode_len if cfg.random_access else env.steps_in(range_)  # steps per episode
+    m, table = 1 + (cfg.k if cfg.multi_reward else 0), None
+    per_chunk = max(1, env.steps_in(range_) // max(n * m, 1))  # a range of no step fails at its reset
+    for done in range(0, episodes, per_chunk):
+        cursors = np.array([_reset(run, range_).cursor for _ in range(min(per_chunk, episodes - done))])
+        windows = np.add.outer(cursors - lookback, np.arange(n)).ravel()  # each step's row of env.windows
+        weights, gamma, explore = draw_conditioning(cfg, run.streams, len(windows))
+        if fixed and table is None:
+            table = evaluation.q_table(run.net, env, range_, weights[0, 0], gamma[0, 0],
+                                       cfg.generalize_gamma).argmax(axis=2)
+        rows = None if fixed else _input_rows(run, windows, weights, gamma)
 
-    def q_values(t, codes, slot) -> np.ndarray:  # the network on steps t's rows of one slot at position codes
-        rows[t, slot, cfg.lookback] = codes
-        return run.net.forward(rows[t, slot])
+        def greedy(t, j, slot):  # the greedy actions of steps t at position indices j under slot's conditioning
+            if table is not None:
+                return table[windows[t] - range_[0], j]
+            rows[t, slot, lookback] = env.target_signs[j]
+            return run.net.forward(rows[t, slot]).argmax(axis=1)
 
-    # One forward per position and per counterfactual slot keeps the activations small.
-    _, actions = env.greedy_walk(lambda code: q_values(steps, code, 0), explore[:, 0].tolist())
-    before = np.concatenate(([0], env.target_signs[actions[:-1]]))  # position sign before each step
-    taken = np.where(explore == REPLAYED, actions[:, None], explore)
-    taken[:, 0] = actions
-    for i in range(1, m):
-        t = np.flatnonzero(taken[:, i] == GREEDY)
-        taken[t, i] = q_values(t, before[t], i).argmax(axis=1)
-    _, rewards = env.outcomes(cursor, taken)
-    del rows  # before the push, which may reallocate the replay
-
-    run.buffer.push({
-        "cursor": np.repeat(cursor + steps, m),
-        "position": np.repeat(before, m),
-        "next_position": env.target_signs[taken].ravel(),
-        "action": taken.ravel(),
-        "gamma": gamma.ravel(),
-        "weights": weights.reshape(-1, 4),
-        "reward": rewards.reshape(-1, 4),
-        "terminal": np.repeat(steps == n - 1, m),
-    })
-    run.env_steps += n
+        steps = np.arange(len(windows))
+        actions = env.greedy_walk(np.stack([greedy(steps, j, 0) for j in range(env.mode.n_actions)], axis=1),
+                                  explore[:, 0].tolist(), n)
+        before = np.roll(actions, 1)  # position index before each step: each episode starts neutral
+        before[::n] = env.mode.targets.index(Position.NEUTRAL)
+        taken = np.where(explore == REPLAYED, actions[:, None], explore)
+        taken[:, 0] = actions
+        for i in range(1, m):
+            t = np.flatnonzero(taken[:, i] == GREEDY)
+            taken[t, i] = greedy(t, before[t], i)
+        rows = None  # before the kernel and the push, which may reallocate the replay
+        _, rewards = env.outcomes(cursors, taken.reshape(len(cursors), n, m))
+        run.buffer.push({
+            "cursor": np.repeat(windows + lookback, m),
+            "position": np.repeat(env.target_signs[before], m),
+            "next_position": env.target_signs[taken].ravel(),
+            "action": taken.ravel(),
+            "gamma": gamma.ravel(),
+            "weights": weights.reshape(-1, 4),
+            "reward": rewards.reshape(-1, 4),
+            "terminal": np.repeat(steps % n == n - 1, m),
+        })
+        run.env_steps += len(steps)
 
 
 class _RunWriter:
@@ -393,22 +413,19 @@ def train(
     env = TradingEnv(series, cfg.mode, lookback=cfg.lookback, reward_window=cfg.reward_window, fee=cfg.fee)
     run = _Learner(cfg, streams, net, net.clone(), env, ReplayBuffer(cfg.max_age, env))
     eval_weights, eval_gamma = eval_conditioning(cfg, eval_weights, eval_gamma)
-    eval_set = set(cfg.eval_episode_set())
     checkpoints: list[Checkpoint] = []
 
     with contextlib.ExitStack() as files:
         writer = _RunWriter(out_dir, cfg, files)
-        for episode in range(1, cfg.episodes + 1):
+        fitted = cfg.eval_episode_set()
+        for last, episode in zip((0, *fitted), (*fitted, cfg.episodes + 1)):
+            _frozen_stretch(run, split.train, episode - last - 1)
+            if episode > cfg.episodes:
+                break
             run.episode = episode
-            episode_len = cfg.episode_len if cfg.random_access else None
-            state = env.reset(split.train, random_access=cfg.random_access, episode_len=episode_len, rng=streams["env"])
-            if episode not in eval_set:
-                _frozen_episode(run)
-                continue
-            _fit_episode(run, state)
-            reports = evaluation.evaluate_split(
-                net, env, split, weights=eval_weights, gamma=eval_gamma, include_gamma=cfg.generalize_gamma
-            )
+            _fit_episode(run, _reset(run, split.train))
+            reports = evaluation.evaluate_split(net, env, split, weights=eval_weights, gamma=eval_gamma,
+                                                include_gamma=cfg.generalize_gamma)
             ck = Checkpoint(episode=episode, net=net.clone(), reports=reports)
             writer.write(ck, run.env_steps, run.updates)
             checkpoints.append(ck)

@@ -130,24 +130,26 @@ def cmd_report(out: Path) -> None:
     metrics_path = out / "metrics.jsonl"
     if not metrics_path.exists():
         raise MissingFile(str(metrics_path))
-    lines = [json.loads(line) for line in metrics_path.read_text().splitlines() if line.strip()]
+    lines, rows = [], []  # each line's parsed object and curve rows
+    for number, text in enumerate(metrics_path.read_text().splitlines(), start=1):
+        if not text.strip():
+            continue
+        try:
+            lines.append(json.loads(text))  # below, unary + rejects a metric that is not a number
+            rows += [[lines[-1]["episode"], range_id, metric, +lines[-1][range_id][metric]]
+                     for range_id in REPORT_RANGES for metric in evaluation.METRIC_FIELDS]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise InvalidValue("metrics", f"{metrics_path} line {number}: {type(exc).__name__}: {exc}") from exc
     if not lines:
         raise MissingFile(f"{metrics_path} is empty")
 
     curves_path = out / "curves.csv"
     with open(curves_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["episode", "range", "metric", "value"])
-        for line in lines:
-            for range_id in REPORT_RANGES:
-                for metric in evaluation.METRIC_FIELDS:
-                    writer.writerow([line["episode"], range_id, metric, line[range_id][metric]])
+        csv.writer(fh).writerows([["episode", "range", "metric", "value"], *rows])
 
-    last = lines[-1]
     print(f"{'range':<8}" + "".join(f"{m:>20}" for m in evaluation.METRIC_FIELDS))
     for range_id in REPORT_RANGES:
-        row = last[range_id]
-        print(f"{range_id:<8}" + "".join(f"{row[m]:>20.6g}" for m in evaluation.METRIC_FIELDS))
+        print(f"{range_id:<8}" + "".join(f"{lines[-1][range_id][m]:>20.6g}" for m in evaluation.METRIC_FIELDS))
     print(f"episodes evaluated: {len(lines)}; curves written to {curves_path}")
 
 

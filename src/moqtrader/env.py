@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -57,22 +56,6 @@ def position_transition(current: Position, action_id: int, mode: Mode) -> Positi
     return mode.targets[action_id]
 
 
-def walk(mode: Mode, greedy: list[int], forced: list[int]) -> np.ndarray:
-    """The actions of a trajectory from neutral.
-
-    Step t takes forced[t] or, where that is negative, greedy[t * width + j]:
-    j indexes the current position in mode.targets, width of them; after action a, j is a.
-    """
-    width, j = mode.n_actions, mode.targets.index(Position.NEUTRAL)
-    actions = []
-    for t, a in enumerate(forced):
-        if a < 0:
-            a = greedy[t * width + j]
-        actions.append(a)
-        j = a
-    return np.array(actions, dtype=np.int8)
-
-
 @dataclass(frozen=True)
 class EnvState:
     """Cursor into the series plus everything the next step depends on.
@@ -104,15 +87,7 @@ class TradingEnv:
     counterfactual (hindsight) step never advances the episode.
     """
 
-    def __init__(
-        self,
-        series: PriceSeries,
-        mode: Mode,
-        *,
-        lookback: int,
-        reward_window: int,
-        fee: float = 0.0,
-    ):
+    def __init__(self, series: PriceSeries, mode: Mode, *, lookback: int, reward_window: int, fee: float = 0.0):
         if lookback < 1:
             raise ValueError("lookback must be >= 1")
         if reward_window < 1:
@@ -136,14 +111,8 @@ class TradingEnv:
             raise RuntimeError("environment not reset")
         return self._episode
 
-    def reset(
-        self,
-        range_: IndexRange,
-        *,
-        random_access: bool = False,
-        episode_len: int | None = None,
-        rng: np.random.Generator | None = None,
-    ) -> EnvState:
+    def reset(self, range_: IndexRange, *, random_access: bool = False, episode_len: int | None = None,
+              rng: np.random.Generator | None = None) -> EnvState:
         """Start an episode over `range_`, optionally on a random sub-range; returns its start state.
 
         With random_access, the sub-range start is drawn uniformly from all
@@ -202,35 +171,40 @@ class TradingEnv:
         done = t + 1 == hi - 1
         return StepOutcome(next_state, reward, done, trade)
 
-    def outcomes(self, cursor: int, candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Reward vectors (n, m, 4) of candidate actions (n, m) along a trajectory, in arrays.
+    def outcomes(self, cursors, candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Reward vectors (E, n, m, 4) of candidate actions (E, n, m) along E trajectories of n steps, in arrays.
 
-        The trajectory starts at cursor as `reset` leaves it and takes candidates[t, 0]
-        at step t; its portfolio log-returns come first.  Each vector is `transition`'s, bit for bit.
+        Trajectory e starts at cursors[e] as `reset` leaves it and takes candidates[e, t, 0] at step t;
+        its portfolio log-returns (E, n) come first.  Each vector is `transition`'s, bit for bit.
         """
-        n, held = len(candidates), self.target_signs[candidates[:, 0]]
-        before = np.concatenate(([0], held[:-1]))[:, None]  # position sign before each step
-        entered = np.maximum.accumulate(np.where(held != before[:, 0], np.arange(n), -1))  # last change up to t
+        n, held = candidates.shape[1], self.target_signs[candidates[:, :, 0]]
+        before = np.concatenate((np.zeros_like(held[:, :1]), held[:, :-1]), axis=1)[:, :, None]  # sign before each step
+        entered = np.maximum.accumulate(np.where(held != before[..., 0], np.arange(n), -1), axis=1)  # last change <= t
+        at = np.add.outer(cursors, np.arange(n))  # each step's cursor
         after = self.target_signs[candidates]
-        lr = after * self.log_returns[cursor : cursor + n, None]
+        lr = after * self.log_returns[at][:, :, None]
         trade = after != before
         lr[trade] += (np.where(before * after == -1, 2, 1) * self._fee_log)[trade]
-        padded = np.concatenate((np.zeros(self.reward_window - 1), lr[:-1, 0]))
-        history = np.lib.stride_tricks.sliding_window_view(padded, self.reward_window - 1)
+        padded = np.concatenate((np.zeros((len(lr), self.reward_window - 1)), lr[:, :-1, 0]), axis=1)
+        history = np.lib.stride_tricks.sliding_window_view(padded, self.reward_window - 1, axis=1)
         powc = np.zeros_like(lr)
-        t, a = np.nonzero(trade & (before != 0))  # closes: position at t was entered at entered[t - 1]
-        powc[t, a] = before[t, 0] * (self.log_close[cursor + t] - self.log_close[cursor + entered[t - 1]])
-        return lr[:, 0], reward_matrix(history, lr, powc)
+        e, t, a = np.nonzero(trade & (before != 0))  # closes: position at t was entered at entered[t - 1]
+        powc[e, t, a] = before[e, t, 0] * (self.log_close[at[e, t]] - self.log_close[at[e, entered[e, t - 1]]])
+        return lr[:, :, 0], reward_matrix(history, lr, powc)
 
-    def greedy_walk(self, q_values: Callable[[int], np.ndarray], forced: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """The Q-table (n, positions, actions) of q_values(code) per position code, and the actions of its walk.
-
-        Step t takes forced[t] or, where that is negative, the greedy action
-        of step t's row for the position held; ties go to the lowest id.
-        """
-        q_table = np.stack([q_values(position.value) for position in self.mode.targets], axis=1)
-        # A flat list (no per-step lists): entry t * positions + j.
-        return q_table, walk(self.mode, q_table.argmax(axis=2).ravel().tolist(), forced)
+    def greedy_walk(self, choices: np.ndarray, forced: list[int], n: int) -> np.ndarray:
+        """The actions of walks of n steps each from neutral, over choices[t, j]: step t's greedy action at position j
+        of mode.targets (an argmax: ties go to the lowest id).  Step t takes forced[t] or, where that is negative,
+        its choice at the position held, which after action a is position a."""
+        greedy, width, actions = choices.ravel().tolist(), self.mode.n_actions, []  # a flat list: t * width + j
+        for start in range(0, len(forced), n):
+            j = self.mode.targets.index(Position.NEUTRAL)
+            for t, a in enumerate(forced[start : start + n], start):
+                if a < 0:
+                    a = greedy[t * width + j]
+                actions.append(a)
+                j = a
+        return np.array(actions, dtype=np.int8)
 
     def steps_in(self, range_: IndexRange) -> int:
         """Number of steps a full pass over `range_` yields."""

@@ -2,7 +2,7 @@
 
 `vectorized_rollout` is the route every evaluation takes, on the caller's
 `TradingEnv`: it batch-evaluates the network per trading position over the
-whole range, walks the Q-table (`TradingEnv.greedy_walk`) and takes the
+whole range (`q_table`), walks it (`TradingEnv.greedy_walk`) and takes the
 rewards from the environment's array kernel, so its trace equals
 the greedy step loop's (tests/scalar_reference.py) bit for bit.  Buy-and-hold
 has one closed form, `_buy_and_hold_benchmark`, equal to the always-long
@@ -93,6 +93,19 @@ def _buy_and_hold_benchmark(env: TradingEnv, range_: IndexRange) -> tuple[float,
     return float(np.exp(lr.sum()) - 1.0), _sharpe(lr)
 
 
+def q_table(net: QNetwork, env: TradingEnv, range_: IndexRange, weights: np.ndarray, gamma: float,
+            include_gamma: bool) -> np.ndarray:
+    """Q-values (steps, positions, actions) of net over range_ on one conditioning: one forward per position."""
+    lo, lookback, n = range_[0], env.lookback, env.steps_in(range_)
+    inputs = np.tile(build_input(np.zeros(lookback + 1), weights, gamma, include_gamma), (n, 1))
+    inputs[:, :lookback] = env.windows[lo : lo + n]
+    tables = []
+    for position in env.mode.targets:
+        inputs[:, lookback] = position.value
+        tables.append(net.forward(inputs))
+    return np.stack(tables, axis=1)
+
+
 def vectorized_rollout(
     net: QNetwork, env: TradingEnv, range_: IndexRange, weights: np.ndarray, gamma: float, *,
     include_gamma: bool = False, range_id: str = "range",
@@ -100,32 +113,26 @@ def vectorized_rollout(
     """Fast greedy rollout over range_ of env's series: one batched network evaluation per trading position.
 
     The lookback evolution over a fixed price range is fully predictable, so
-    Q-values for every (step, position) pair are computed up front; the
-    greedy trajectory is then reconstructed by walking that table.  The
+    Q-values for every (step, position) pair are computed up front (`q_table`);
+    the greedy trajectory is then reconstructed by walking that table.  The
     resulting trace matches the environment's step loop exactly.
     """
     lo, hi = range_
-    lookback, n = env.lookback, env.steps_in(range_)
+    n = env.steps_in(range_)
     if n < 1:
-        raise RangeTooShort(f"range length {hi - lo} < lookback + 2 = {lookback + 2}")
-    inputs = np.tile(build_input(np.zeros(lookback + 1), weights, gamma, include_gamma), (n, 1))
-    inputs[:, :lookback] = env.windows[lo : lo + n]
-
-    def q_values(code: int) -> np.ndarray:
-        inputs[:, lookback] = code
-        return net.forward(inputs)
-
-    q_table, actions = env.greedy_walk(q_values, [-1] * n)
-    if not np.isfinite(q_table).all():
+        raise RangeTooShort(f"range length {hi - lo} < lookback + 2 = {env.lookback + 2}")
+    table = q_table(net, env, range_, weights, gamma, include_gamma)
+    if not np.isfinite(table).all():
         raise Diverged(f"non-finite Q-values on {range_id} range {list(range_)}")
-    lr, rewards = env.outcomes(lo + lookback, actions[:, None])
+    actions = env.greedy_walk(table.argmax(axis=2), [-1] * n, n)
+    lr, rewards = env.outcomes([lo + env.lookback], actions[None, :, None])
     trace = PositionTrace(
         positions=env.target_signs[actions].astype(np.int8),
         actions=actions,
-        portfolio_log_returns=lr,
-        reward_vectors=rewards[:, 0],
+        portfolio_log_returns=lr[0],
+        reward_vectors=rewards[0, :, 0],
     )
-    return q_table, trace, _report_from_trace(trace, env, range_, weights, range_id)
+    return table, trace, _report_from_trace(trace, env, range_, weights, range_id)
 
 
 def evaluate_split(

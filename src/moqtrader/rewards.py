@@ -99,16 +99,16 @@ def reward_vector(trace: ReturnTrace, close_event: Optional[CloseEvent], window:
 
 
 def reward_matrix(history: np.ndarray, last: np.ndarray, powc: np.ndarray) -> np.ndarray:
-    """Reward vectors (n, m, 4) of m candidate final returns `last` (n, m), with POWC `powc`
-    (n, m), after each of n windows whose earlier returns are `history` (n, window - 1),
-    oldest first.  Sums run column by column, in the scalar functions' order."""
-    window = history.shape[1] + 1
-    total = np.zeros(len(history))
-    for column in history.T:
+    """Reward vectors (..., m, 4) of m candidate final returns `last` (..., m), with POWC `powc`
+    (..., m), after windows whose earlier returns are `history` (..., window - 1), oldest first.
+    Sums run column by column, in the scalar functions' order."""
+    window, columns = history.shape[-1] + 1, np.moveaxis(history, -1, 0)
+    total = np.zeros(history.shape[:-1])
+    for column in columns:
         total += column
-    mean = (total[:, None] + last) / window
+    mean = (total[..., None] + last) / window
     squares = np.zeros_like(mean)
-    for column in (*history.T[:, :, None], last):
+    for column in (*columns[..., None], last):
         d = column - mean
         squares += d * d
     std = np.sqrt(squares / window)

@@ -291,8 +291,14 @@ def step_loop(run: "agent._Learner", state: EnvState, fit: bool) -> None:
 
 
 def frozen_episode(run: "agent._Learner", state: EnvState) -> None:
-    """The step loop of a frozen-network training episode (`agent._frozen_episode`)."""
+    """The step loop of one frozen-network training episode."""
     step_loop(run, state, fit=False)
+
+
+def frozen_stretch(run: "agent._Learner", range_: IndexRange, episodes: int) -> None:
+    """`agent._frozen_stretch` as one step-loop episode per episode, each reset as training resets it."""
+    for _ in range(episodes):
+        frozen_episode(run, agent._reset(run, range_))
 
 
 def fit_episode(run: "agent._Learner", state: EnvState) -> None:

@@ -373,6 +373,11 @@ class TestTrainLoop:
         with pytest.raises(RangeTooShort):
             train(small_cfg(lookback=30), series, make_split(series))
 
+    def test_train_range_of_no_step_fails_at_a_frozen_episode(self):
+        series = sine_series(20)  # train range (0, 12): lookback 11 leaves no step
+        with pytest.raises(RangeTooShort, match="range length 12 < lookback"):
+            train(small_cfg(lookback=11, random_access=False, episodes=2, eval_every=2), series, make_split(series))
+
 
 class TestTargetSync:
     """train copies the online parameters into the target every sync_period updates."""
@@ -496,8 +501,20 @@ REPLAY_CASES = [
     dict(fee=3e-4, hindsight_action="replay"),
     dict(mode=Mode.LP, fee=3e-4, pin_weights=(0.25, 0.25, 0.25, 0.25), reward_window=1),
     dict(k=0, reward_window=12),
-    dict(multi_reward=False, reward="powc", random_access=False),
+    dict(multi_reward=False, reward="powc", random_access=False),  # the table is the episode's own forward
+    dict(multi_reward=False, reward="lr"),  # one table, four 60-step episodes a chunk
+    dict(pin_weights=(0.1, 0.2, 0.3, 0.4), generalize_gamma=True, gamma_range=(0.9, 0.9), episode_len=20),  # table, k = 3
+    dict(generalize_gamma=True, episode_len=20),  # three 20-step episodes of 4 rows a step per chunk
 ]
+STRETCHES = (1, 5, 2)  # frozen episodes between two fitting episodes; the train range holds 249 steps
+
+CONCAT_CASES = {
+    "single reward": dict(multi_reward=False, reward="sr"),
+    "k = 3, drawn gamma": dict(generalize_gamma=True),
+    "pinned weights, one-point gamma range": dict(pin_weights=(0.1, 0.2, 0.3, 0.4), generalize_gamma=True,
+                                                  gamma_range=(0.9, 0.9)),
+    "replayed counterfactual actions": dict(hindsight_action="replay", generalize_gamma=True),
+}
 
 
 def live_columns(buffer):
@@ -542,29 +559,72 @@ class TestFrozenEpisode:
         recorded = [x[cfg.lookback + 1 :].tobytes() for x in loop.net.inputs]
         assert recorded == [x.tobytes() for x in expected_inputs]
 
+    @pytest.mark.parametrize("case", CONCAT_CASES)
+    @pytest.mark.parametrize("sizes", [(7, 13), (1, 64), (50, 3)])
+    def test_draws_of_a_concatenation_concatenate(self, case, sizes):
+        """Each draw kind has its own stream, so one call for a + b steps equals the calls for a and b, bit for bit."""
+        cfg = small_cfg(**{"k": 3, "tol": 0.4, **CONCAT_CASES[case]})
+        whole_streams, part_streams = rng_streams(cfg.seed), rng_streams(cfg.seed)
+        whole = agent.draw_conditioning(cfg, whole_streams, sum(sizes))
+        parts = [agent.draw_conditioning(cfg, part_streams, n) for n in sizes]
+        for drawn, *pieces in zip(whole, *parts):
+            assert drawn.tobytes() == np.concatenate(pieces).tobytes()
+        assert next_draws(whole_streams) == next_draws(part_streams)
+
     @pytest.mark.parametrize("case", REPLAY_CASES)
     def test_replay_rows_and_end_state_equal_step_loop(self, case):
-        cfg = small_cfg(**{"episodes": 6, "episode_len": 60, "k": 3, "tol": 0.3, **case})
+        cfg = small_cfg(**{"episode_len": 60, "k": 3, "tol": 0.3, **case})
         series = generate_synthetic("random-walk", 400, amplitude=0.02, seed=9)
         net = QNetwork(cfg.widths, seed=4)
         net.weights[0][: cfg.lookback] *= 50.0  # return inputs at unit scale, so that greedy actions vary
         loop, batched = learner(cfg, series, net), learner(cfg, series, net)
         split = make_split(series)
-        for episode in range(cfg.episodes):
-            states = [
-                run.env.reset(split.train, random_access=cfg.random_access, episode_len=cfg.episode_len,
-                              rng=run.streams["env"])
-                for run in (loop, batched)
-            ]
-            scalar_reference.frozen_episode(loop, states[0])
-            agent._frozen_episode(batched)
+        for episodes in STRETCHES:
+            scalar_reference.frozen_stretch(loop, split.train, episodes)
+            agent._frozen_stretch(batched, split.train, episodes)
             assert batched.env_steps == loop.env_steps
             for buf in (loop.buffer, batched.buffer):
-                buf.advance_updates(1)  # ages the replay between episodes, as fitting would
+                buf.advance_updates(1)  # ages the replay between stretches, as fitting would
             assert live_columns(batched.buffer) == live_columns(loop.buffer)
             assert moments(batched.buffer) == moments(loop.buffer)
         assert len(set(loop.buffer.rows().action.tolist())) == cfg.n_actions
         assert next_draws(loop.streams) == next_draws(batched.streams)
+
+    @pytest.mark.parametrize("case, table, chunks", [
+        (dict(multi_reward=False, reward="lr"), True, [4, 3]),
+        (dict(pin_weights=(0.1, 0.2, 0.3, 0.4), generalize_gamma=True, gamma_range=(0.9, 0.9), episode_len=20),
+         True, [3, 3, 1]),
+        (dict(generalize_gamma=True, episode_len=20), False, [3, 3, 1]),  # 3 x 20 steps x 4 rows <= 249 rows
+        (dict(generalize_gamma=True, episode_len=100), False, [1] * 7),  # 400 rows: a chunk holds one episode
+    ])
+    def test_chunks_hold_the_rows_of_one_train_range_pass(self, case, table, chunks, monkeypatch):
+        """Chunks hold at most steps_in(train) rows but at least one episode; fixed conditioning forwards one table."""
+        cfg = small_cfg(**{"episode_len": 60, "k": 3, "tol": 0.3, **case})
+        series = generate_synthetic("random-walk", 400, amplitude=0.02, seed=9)
+        run, split = learner(cfg, series), make_split(series)
+        forward, outcomes, push = QNetwork.forward, TradingEnv.outcomes, ReplayBuffer.push
+        rows, trajectories, pushes = [], [], []
+        conditioning = set()  # the weights and gamma inputs the forwards saw
+
+        def recorded_forward(net, x):
+            rows.append(len(x))
+            conditioning.update(map(tuple, x[:, cfg.lookback + 1 :].tolist()))
+            return forward(net, x)
+
+        monkeypatch.setattr(QNetwork, "forward", recorded_forward)
+        monkeypatch.setattr(TradingEnv, "outcomes",
+                            lambda env, cursors, taken: trajectories.append(len(cursors)) or outcomes(env, cursors, taken))
+        monkeypatch.setattr(ReplayBuffer, "push", lambda buf, columns: pushes.append(1) or push(buf, columns))
+        agent._frozen_stretch(run, split.train, 7)
+        assert trajectories == chunks and len(pushes) == len(chunks)
+        if table:  # one forward per position over the train range, every row on the fixed conditioning
+            assert rows == [249] * cfg.n_actions
+            fixed = (*agent.training_weights(cfg), cfg.gamma_range[0]) if cfg.generalize_gamma else (1.0, 0.0, 0.0, 0.0)
+            assert conditioning == {fixed}
+        else:  # per chunk, one forward per position over its steps, then one per counterfactual slot
+            assert rows[: cfg.n_actions] == [chunks[0] * cfg.episode_len] * cfg.n_actions
+            assert len(rows) == len(chunks) * (cfg.n_actions + cfg.k)
+        assert run.env_steps == 7 * cfg.episode_len
 
 
 class TestFitEpisode:
@@ -629,9 +689,8 @@ class TestTdUpdate:
         batches_with_terminal_rows = 0
         for update in range(1, 61):
             if update % 10 == 1:  # a frozen episode every 10 updates; max_age 30 evicts the older ones
-                for run in (new, old):
-                    run.env.reset(split.train, random_access=True, episode_len=cfg.episode_len, rng=run.streams["env"])
-                    agent._frozen_episode(run)
+                agent._frozen_stretch(new, split.train, 1)
+                scalar_reference.frozen_stretch(old, split.train, 1)
 
             batch = new.buffer.sample_batch(cfg.batchsize, new.streams["batch"], cfg.generalize_gamma)
             rewards = scalar_rewards(batch)
@@ -668,6 +727,12 @@ TRAIN_CASES = {
     "benchmark geometry: LP, hidden (128, 64), gamma input, whitened": dict(
         mode=Mode.LP, generalize_gamma=True, hidden=(128, 64), lookback=30, reward_window=20, batchsize=64,
         learn_rate=0.1, episode_len=40),
+    "single-reward LSP, one Q-table per frozen network, stretches split 4 + 1": dict(
+        multi_reward=False, reward="lr", episodes=12, eval_every=6),
+    "pinned weights, k = 3, one-point gamma range, stretches split 3 + 2": dict(
+        pin_weights=(0.1, 0.2, 0.3, 0.4), generalize_gamma=True, gamma_range=(0.9, 0.9), episode_len=20, episodes=12,
+        eval_every=6),
+    "single-reward SR over the whole train range": dict(multi_reward=False, reward="sr", random_access=False),
 }
 
 
@@ -678,12 +743,11 @@ def test_train_artifacts_equal_step_loop_runs(case, tmp_path, monkeypatch):
     series = generate_synthetic("random-walk", 400, amplitude=0.02, seed=9)
     train(cfg, series, make_split(series), out_dir=tmp_path / "engine")
     monkeypatch.setattr(agent, "_fit_episode", scalar_reference.fit_episode)
-    # reset over the episode's own range draws nothing and returns its start state
-    monkeypatch.setattr(agent, "_frozen_episode",
-                        lambda run: scalar_reference.frozen_episode(run, run.env.reset(run.env.episode_range)))
+    monkeypatch.setattr(agent, "_frozen_stretch", scalar_reference.frozen_stretch)
     train(cfg, series, make_split(series), out_dir=tmp_path / "reference")
     names = sorted(p.name for p in (tmp_path / "engine").iterdir() if p.name != "timing.log")
-    assert names == ["checkpoint_3.bin", "checkpoint_6.bin", "metrics.jsonl"]
+    assert names == sorted([*(f"checkpoint_{e}.bin" for e in cfg.eval_episode_set()), "metrics.jsonl"])
+    assert len(names) == 3
     for name in names:
         assert (tmp_path / "engine" / name).read_bytes() == (tmp_path / "reference" / name).read_bytes(), name
 

@@ -543,6 +543,25 @@ class TestCli:
         assert self.run_cli("report", "--out", out) != 0
         assert json.loads(capsys.readouterr().out.strip())["error"] == "MissingFile"
 
+    @pytest.mark.parametrize("bad_line, error", [
+        ('{"episode": 2, "env_steps": 60, "tr', "JSONDecodeError"),  # a truncated line
+        ('{"episode": 1}', "KeyError: 'train'"),
+        ("[1, 2]", "TypeError"),
+        ('{"episode": 1, "train": {"total_reward": "x"}}', "TypeError"),  # a metric that is not a number
+    ])
+    def test_report_on_malformed_metrics_is_typed(self, tmp_path, capsys, bad_line, error):
+        cfg_path = write(tmp_path, FAST_TRAIN)
+        out = tmp_path / "run"
+        assert self.run_cli("train", "--config", cfg_path, "--out", out) == 0
+        good = (out / "metrics.jsonl").read_text().splitlines()[0]
+        (out / "metrics.jsonl").write_text(f"{good}\n\n{bad_line}\n")
+        capsys.readouterr()
+        assert self.run_cli("report", "--out", out) != 0
+        payload = json.loads(capsys.readouterr().out.strip())
+        assert payload["error"] == "InvalidValue" and payload["context"]["key"] == "metrics"
+        assert payload["detail"].startswith(f"invalid value for metrics: {out / 'metrics.jsonl'} line 3: {error}")
+        assert not (out / "curves.csv").exists()
+
     def test_walkforward_writes_fold_reports(self, tmp_path, capsys):
         text = FAST_TRAIN + "synthetic_length = 700\neval_frac = 0.1\ntest_frac = 0.1\ntrain_frac = 0.8\nn_folds = 2\nepisodes = 2\neval_every = 1\n"
         cfg_path = write(tmp_path, text)

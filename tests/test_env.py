@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scalar_reference import state_features
 
-from moqtrader.env import Mode, Position, TradingEnv, position_transition, walk
+from moqtrader.env import Mode, Position, TradingEnv, position_transition
 from moqtrader.errors import EpisodeExhausted, InvalidActionForMode, RangeTooShort
 from moqtrader.market_data import PriceSeries
 from moqtrader.synthetic import generate_synthetic
@@ -243,6 +243,19 @@ class TestTrajectoryProperties:
             assert abs(oracle - total_powc) < 1e-9
 
 
+@pytest.mark.parametrize("mode", [Mode.LP, Mode.LSP])
+def test_walks_of_n_steps_each_start_neutral(mode):
+    """greedy_walk over E trajectories of n steps equals E walks, each from neutral."""
+    env = TradingEnv(generate_synthetic("sine", 50), mode, lookback=4, reward_window=3)
+    rng = np.random.default_rng(4)
+    E, n = 4, 7
+    choices = rng.integers(0, mode.n_actions, size=(E * n, mode.n_actions))
+    forced = np.where(rng.random(E * n) < 0.3, rng.integers(0, mode.n_actions, size=E * n), -1).tolist()
+    each = np.concatenate([env.greedy_walk(choices[e * n : (e + 1) * n], forced[e * n : (e + 1) * n], n) for e in range(E)])
+    assert env.greedy_walk(choices, forced, n).tolist() == each.tolist()
+    assert env.greedy_walk(choices, forced, E * n).tolist() != each.tolist()
+
+
 class TestOutcomes:
     """The array kernel gives every action's outcome bit for bit as transition does."""
 
@@ -259,9 +272,10 @@ class TestOutcomes:
         n = env.steps_in((lo, hi))
         # runs of one action, so positions are held and closed at varied ages
         actions = np.repeat(rng.integers(0, mode.n_actions, size=n), rng.integers(1, 6, size=n))[:n].tolist()
-        taken = walk(mode, [], actions)
+        taken = env.greedy_walk(np.empty((0, mode.n_actions), dtype=int), actions, n)
         every = np.broadcast_to(np.arange(mode.n_actions), (n, mode.n_actions))
-        lr, table = env.outcomes(lo + 4, np.column_stack((taken, every)))
+        lr, table = env.outcomes([lo + 4], np.column_stack((taken, every))[None])
+        lr, table = lr[0], table[0]
         assert taken.tolist() == actions and table.shape == (n, 1 + mode.n_actions, 4)
         for t, action in enumerate(actions):
             for a in range(mode.n_actions):
@@ -272,3 +286,25 @@ class TestOutcomes:
             assert lr[t] == out.reward.lr
             state = out.next_state
         assert out.done
+
+    @pytest.mark.parametrize("fee", [0.0, 3e-4])
+    @pytest.mark.parametrize("mode", [Mode.LP, Mode.LSP])
+    def test_trajectories_equal_one_call_each(self, mode, fee):
+        """E equal-length trajectories in one call give each one's own call bit for bit, from its own zero-padded window."""
+        series = generate_synthetic("random-walk", 300, amplitude=0.05, seed=6)
+        window = 6
+        env = TradingEnv(series, mode, lookback=4, reward_window=window, fee=fee)
+        rng = np.random.default_rng(3)
+        n, cursors = 25, np.array([4, 40, 41, 200, 270])
+        candidates = np.empty((len(cursors), n, 1 + mode.n_actions), dtype=np.int64)
+        candidates[:, :, 0] = np.repeat(rng.integers(0, mode.n_actions, size=(len(cursors), n // 3 + 1)), 3, axis=1)[:, :n]
+        candidates[:, :, 1:] = np.arange(mode.n_actions)
+        neutral = mode.targets.index(Position.NEUTRAL)
+        candidates[:, -2:, 0] = (0, neutral)  # every trajectory closes a long on its last step
+        lr, table = env.outcomes(cursors, candidates)
+        assert lr.shape == (len(cursors), n) and table.shape == (len(cursors), n, 1 + mode.n_actions, 4)
+        for e, cursor in enumerate(cursors):
+            one_lr, one_table = env.outcomes([cursor], candidates[e : e + 1])
+            assert lr[e].tobytes() == one_lr[0].tobytes() and table[e].tobytes() == one_table[0].tobytes()
+            assert table[e, 0, :, 1].tolist() == (table[e, 0, :, 0] / window).tolist()  # zeros before the first step
+            assert table[e, -1, 0, 3] != 0.0
