@@ -118,6 +118,7 @@ class TrainConfig:
                 f"must be {HINDSIGHT_RESAMPLE} or {HINDSIGHT_REPLAY}",
             ),
             (self.seed >= 0, "seed", "must be >= 0"),
+            *((math.isfinite(getattr(self, key)), key, "must be finite") for key in ("learn_rate", "eigen_floor")),
         ]
         for ok, key, reason in checks:
             if not ok:
@@ -216,11 +217,6 @@ def sample_gamma(rng: np.random.Generator, gamma_range: tuple[float, float], n: 
     return lo + (hi - lo) * (rng.random() if n is None else rng.random(n))
 
 
-def explore_action(rng: np.random.Generator, tol: float, n_actions: int) -> int:
-    """The random action taken with probability tol, else -1 (act greedily)."""
-    return int(rng.integers(n_actions)) if rng.random() < tol else -1
-
-
 def draw_conditioning(cfg: TrainConfig, streams: dict, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weights (n, m, 4), gammas (n, m) and exploration entries (n, m) of n steps' m experiences.
 
@@ -233,7 +229,8 @@ def draw_conditioning(cfg: TrainConfig, streams: dict, n: int) -> tuple[np.ndarr
     weights[:, 0] = fixed if fixed is not None else sample_weights(streams["weights"], n)
     if cfg.generalize_gamma:
         gamma[:, 0] = sample_gamma(streams["gamma"], cfg.gamma_range, n)
-    explore[:, 0] = [explore_action(streams["explore"], cfg.tol, n_actions) for _ in range(n)]
+    random, integers = streams["explore"].random, streams["explore"].integers  # a random action with probability tol
+    explore[:, 0] = [integers(n_actions) if random() < cfg.tol else GREEDY for _ in range(n)]
     if m > 1:  # single-reward and k = 0 runs call nothing on the augment streams
         cf = (n, m - 1)
         weights[:, 1:] = cfg.pin_weights if cfg.pin_weights is not None else sample_weights(streams["augment"], cf)
@@ -314,20 +311,20 @@ def _fit_episode(run: _Learner, state: EnvState) -> None:
         state = outcomes[actions[0]].next_state
 
 
-def _frozen_stretch(run: _Learner, range_: IndexRange, episodes: int) -> None:
+def _frozen_stretch(run: _Learner, range_: IndexRange, episodes: int, table: np.ndarray | None = None) -> None:
     """`episodes` consecutive episodes of the frozen network over range_ in arrays, with the step loop's replay rows.
 
     Chunks of them (at least one episode, at most env.steps_in(range_) rows of
     steps x m) take one `draw_conditioning`, since each draw kind has its own
     stream, forwards per position and counterfactual slot, one `outcomes` call
     and one push.  Under fixed conditioning (pinned or single-reward weights,
-    one gamma) a row depends only on (cursor, position): one Q-table over
-    range_, built for the first chunk, serves every chunk.
+    one gamma) a row depends only on (cursor, position): one table of greedy
+    actions over range_, given or built for the first chunk, serves every chunk.
     """
     cfg, env, lookback = run.cfg, run.env, run.cfg.lookback
     fixed = training_weights(cfg) is not None and (not cfg.generalize_gamma or cfg.gamma_range[0] == cfg.gamma_range[1])
     n = cfg.episode_len if cfg.random_access else env.steps_in(range_)  # steps per episode
-    m, table = 1 + (cfg.k if cfg.multi_reward else 0), None
+    m = 1 + (cfg.k if cfg.multi_reward else 0)
     per_chunk = max(1, env.steps_in(range_) // max(n * m, 1))  # a range of no step fails at its reset
     for done in range(0, episodes, per_chunk):
         cursors = np.array([_reset(run, range_).cursor for _ in range(min(per_chunk, episodes - done))])
@@ -400,12 +397,11 @@ def train(
 ) -> TrainResult:
     """Run the full training loop over cfg.episodes episodes.
 
-    Episodes in the evaluation set S (see eval_episode_set) perform one
-    network update per step and produce a checkpoint with train/eval/test
-    metrics; other episodes only collect experience, with the network
-    frozen, so they run as batched rollouts.  When out_dir is given,
-    checkpoints and a metrics.jsonl line per evaluated episode are written
-    as the run progresses (plus wall-clock timings in timing.log).
+    Episodes in the evaluation set S (see eval_episode_set) perform one network update per step and produce a
+    checkpoint with train/eval/test metrics; other episodes only collect experience, with the network frozen, so
+    they run as batched rollouts, on the evaluation's train-range Q-table when the training conditioning is fixed
+    and is the evaluation's.  When out_dir is given, checkpoints and a metrics.jsonl line per evaluated episode
+    are written as the run progresses (plus wall-clock timings in timing.log).
     """
     cfg.validate()
     streams = rng_streams(cfg.seed)
@@ -413,19 +409,22 @@ def train(
     env = TradingEnv(series, cfg.mode, lookback=cfg.lookback, reward_window=cfg.reward_window, fee=cfg.fee)
     run = _Learner(cfg, streams, net, net.clone(), env, ReplayBuffer(cfg.max_age, env))
     eval_weights, eval_gamma = eval_conditioning(cfg, eval_weights, eval_gamma)
-    checkpoints: list[Checkpoint] = []
+    checkpoints, table, fixed = [], None, training_weights(cfg)
+    reuse = fixed is not None and np.array_equal(fixed, eval_weights) and (
+        not cfg.generalize_gamma or tuple(cfg.gamma_range) == (eval_gamma, eval_gamma))
 
     with contextlib.ExitStack() as files:
         writer = _RunWriter(out_dir, cfg, files)
         fitted = cfg.eval_episode_set()
         for last, episode in zip((0, *fitted), (*fitted, cfg.episodes + 1)):
-            _frozen_stretch(run, split.train, episode - last - 1)
+            _frozen_stretch(run, split.train, episode - last - 1, table)
             if episode > cfg.episodes:
                 break
             run.episode = episode
             _fit_episode(run, _reset(run, split.train))
-            reports = evaluation.evaluate_split(net, env, split, weights=eval_weights, gamma=eval_gamma,
-                                                include_gamma=cfg.generalize_gamma)
+            reports, train_table = evaluation.evaluate_split(net, env, split, weights=eval_weights, gamma=eval_gamma,
+                                                             include_gamma=cfg.generalize_gamma)
+            table = train_table.argmax(axis=2) if reuse else None
             ck = Checkpoint(episode=episode, net=net.clone(), reports=reports)
             writer.write(ck, run.env_steps, run.updates)
             checkpoints.append(ck)

@@ -148,6 +148,7 @@ def _validate_run(cfg: RunConfig) -> None:
     if cfg.synthetic_kind is not None:
         _check(cfg.synthetic_kind in KINDS, "synthetic_kind", f"must be one of {KINDS}")
         _check(cfg.synthetic_length >= cfg.train.lookback + 2, "synthetic_length", "must be >= lookback + 2")
+        _check(cfg.synthetic_seed >= 0, "synthetic_seed", "must be >= 0")
     for key in ("train_frac", "eval_frac", "test_frac"):
         _check(getattr(cfg, key) > 0, key, "must be > 0")
     _check(abs(sum(cfg.fractions) - 1.0) <= 1e-9, "train_frac", "fractions must sum to 1")

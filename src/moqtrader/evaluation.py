@@ -20,7 +20,7 @@ import numpy as np
 from .env import Position, TradingEnv
 from .errors import Diverged, EmptyCheckpointList, RangeTooShort
 from .market_data import DataSplit, IndexRange
-from .qnet import QNetwork, build_input
+from .qnet import BLOCK_ROWS, QNetwork, build_input, row_blocks
 from .rewards import STD_FLOOR
 
 @dataclass(frozen=True)
@@ -95,15 +95,17 @@ def _buy_and_hold_benchmark(env: TradingEnv, range_: IndexRange) -> tuple[float,
 
 def q_table(net: QNetwork, env: TradingEnv, range_: IndexRange, weights: np.ndarray, gamma: float,
             include_gamma: bool) -> np.ndarray:
-    """Q-values (steps, positions, actions) of net over range_ on one conditioning: one forward per position."""
+    """Q-values (steps, positions, actions) of net over range_ on one conditioning, forwarded per `row_blocks` block."""
     lo, lookback, n = range_[0], env.lookback, env.steps_in(range_)
-    inputs = np.tile(build_input(np.zeros(lookback + 1), weights, gamma, include_gamma), (n, 1))
-    inputs[:, :lookback] = env.windows[lo : lo + n]
-    tables = []
-    for position in env.mode.targets:
-        inputs[:, lookback] = position.value
-        tables.append(net.forward(inputs))
-    return np.stack(tables, axis=1)
+    table = np.empty((n, len(env.mode.targets), net.widths[-1]))
+    inputs = np.tile(build_input(np.zeros(lookback + 1), weights, gamma, include_gamma), (min(n, BLOCK_ROWS + 1), 1))
+    for start, stop in row_blocks(n):
+        rows = inputs[: stop - start]
+        rows[:, :lookback] = env.windows[lo + start : lo + stop]
+        for j, position in enumerate(env.mode.targets):
+            rows[:, lookback] = position.value
+            table[start:stop, j] = net.forward(rows)
+    return table
 
 
 def vectorized_rollout(
@@ -137,26 +139,18 @@ def vectorized_rollout(
 
 def evaluate_split(
     net: QNetwork, env: TradingEnv, split: DataSplit, *, weights: np.ndarray, gamma: float, include_gamma: bool
-) -> dict[str, EvaluationReport]:
-    """Reports for the train/eval/test ranges of one split of env's series."""
-    return {
-        name: vectorized_rollout(net, env, range_, weights, gamma, include_gamma=include_gamma, range_id=name)[2]
-        for name, range_ in split.as_dict().items()
-    }
+) -> tuple[dict[str, EvaluationReport], np.ndarray]:
+    """Reports for the train/eval/test ranges of one split of env's series, and the train range's Q-table."""
+    rollouts = {name: vectorized_rollout(net, env, range_, weights, gamma, include_gamma=include_gamma, range_id=name)
+                for name, range_ in split.as_dict().items()}
+    return {name: rollout[2] for name, rollout in rollouts.items()}, rollouts["train"][0]
 
 
 _METRIC_ATTR = {"sharpe": "sharpe", "profit": "total_profit"}
 
 
 def select_best_checkpoint(checkpoints: Sequence, metric: str = "sharpe", range_id: str = "eval"):
-    """Argmax of the metric on the given range; ties go to the earliest episode."""
+    """Argmax of the metric on the given range; ties go to the earliest episode (max keeps the first of equals)."""
     if not checkpoints:
         raise EmptyCheckpointList("no checkpoints to select from")
-    attr = _METRIC_ATTR[metric]
-    best = checkpoints[0]
-    best_value = getattr(best.reports[range_id], attr)
-    for ck in checkpoints[1:]:
-        value = getattr(ck.reports[range_id], attr)
-        if value > best_value:
-            best, best_value = ck, value
-    return best
+    return max(checkpoints, key=lambda ck: getattr(ck.reports[range_id], _METRIC_ATTR[metric]))

@@ -21,6 +21,14 @@ from .errors import InvalidValue, ShapeMismatch
 from .replay import Batch
 
 CHECKPOINT_VERSION = 1
+BLOCK_ROWS = 1024  # rows per block of a large forward: a multiple of the matrix product's 4-row tile (see row_blocks)
+
+
+def row_blocks(n: int) -> list[tuple[int, int]]:
+    """(start, stop) of BLOCK_ROWS-row blocks over n rows, so that a row's bytes do not depend on its block: all
+    but the last span whole 4-row tiles, and a one-row remainder, which numpy hands to gemv, joins the one before."""
+    stops = [*range(BLOCK_ROWS, n - 1, BLOCK_ROWS), n]
+    return list(zip([0, *stops], stops))
 
 
 class QNetwork:
@@ -63,11 +71,16 @@ class QNetwork:
         return self.widths[0]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Action values for one input vector or a batch of them."""
+        """Action values for one input vector or a batch of them, which runs in `row_blocks` into one output array."""
         x = np.asarray(x, dtype=np.float64)
-        for out in self._layers(x[None, :] if x.ndim == 1 else x):
-            pass  # each layer's output is released once the next one is computed
-        return out[0] if x.ndim == 1 else out
+        if x.ndim != 2 or len(x) <= BLOCK_ROWS + 1:  # one block, up to BLOCK_ROWS + 1 rows
+            for out in self._layers(x[None, :] if x.ndim == 1 else x):
+                pass  # each layer's output is released once the next one is computed
+            return out[0] if x.ndim == 1 else out
+        out = np.empty((len(x), self.widths[-1]))
+        for start, stop in row_blocks(len(x)):  # through _layers, so that a block is no forward call of its own
+            *_, out[start:stop] = self._layers(x[start:stop])
+        return out
 
     def _layers(self, x: np.ndarray) -> Iterator[np.ndarray]:
         """Yields each layer's output for a batch of input rows, the network's output last.

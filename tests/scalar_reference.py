@@ -13,6 +13,8 @@ The step loop fits the network through the update path that
 `fit_batch`, which runs the online forward a second time in `gradients`.
 `batch_of` builds a `replay.Batch` from state rows with `np.hstack`, as that
 path did.
+`unblocked_forward` runs a batch as one matrix product per layer, the
+forward that `QNetwork.forward`'s row blocks are held to.
 `params_equal` and `format_config` are test helpers that nothing in the
 engine calls.
 """
@@ -27,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from moqtrader import agent, config
+from moqtrader import agent, config, evaluation
 from moqtrader.env import EnvState, TradingEnv
 from moqtrader.errors import (
     MissingColumn,
@@ -108,6 +110,11 @@ def buy_and_hold(
     return _report_from_trace(trace, env, range_, weights, range_id)
 
 
+def explore_action(rng: np.random.Generator, tol: float, n_actions: int) -> int:
+    """The random action taken with probability tol, else -1 (act greedily), as `agent.draw_conditioning` draws slot 0."""
+    return int(rng.integers(n_actions)) if rng.random() < tol else -1
+
+
 def act_epsilon_greedy(
     net: QNetwork,
     feats: np.ndarray,
@@ -120,7 +127,7 @@ def act_epsilon_greedy(
     include_gamma: bool,
 ) -> int:
     """Random action with probability tol, otherwise greedy (ties -> lowest id)."""
-    action = agent.explore_action(rng, tol, n_actions)
+    action = explore_action(rng, tol, n_actions)
     if action >= 0:
         return action
     q = net.forward(build_input(feats, weights, gamma, include_gamma))
@@ -216,6 +223,15 @@ def bellman_targets(
     return inputs, targets
 
 
+def unblocked_forward(net: QNetwork, x: np.ndarray) -> np.ndarray:
+    """`QNetwork.forward` of a batch as one matrix product per layer over all its rows."""
+    for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
+        x = x @ w + b
+        if layer < len(net.weights) - 1:
+            x = np.maximum(x, 0.0)
+    return x
+
+
 def loss(net: QNetwork, inputs: np.ndarray, targets: np.ndarray) -> float:
     """Mean-squared error over all batch entries and actions."""
     return float(np.mean((net.forward(inputs) - targets) ** 2))
@@ -295,8 +311,18 @@ def frozen_episode(run: "agent._Learner", state: EnvState) -> None:
     step_loop(run, state, fit=False)
 
 
-def frozen_stretch(run: "agent._Learner", range_: IndexRange, episodes: int) -> None:
-    """`agent._frozen_stretch` as one step-loop episode per episode, each reset as training resets it."""
+def frozen_stretch(run: "agent._Learner", range_: IndexRange, episodes: int, table: np.ndarray | None = None) -> None:
+    """`agent._frozen_stretch` as one step-loop episode per episode, each reset as training resets it.
+
+    The step loop makes every greedy choice with its own forward.  A table of
+    greedy actions handed in must be, bit for bit, the one the stretch would
+    build itself under the training conditioning.
+    """
+    if table is not None:
+        cfg = run.cfg
+        gamma = cfg.gamma_range[0] if cfg.generalize_gamma else cfg.gamma
+        own = evaluation.q_table(run.net, run.env, range_, agent.training_weights(cfg), gamma, cfg.generalize_gamma)
+        assert table.tobytes() == own.argmax(axis=2).tobytes()
     for _ in range(episodes):
         frozen_episode(run, agent._reset(run, range_))
 

@@ -258,6 +258,22 @@ class TestErrorPayloads:
         assert out == json.dumps(expected) + "\n"
         assert status == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["train", "walkforward"])
+    @pytest.mark.parametrize("text,key,reason", [
+        ('synthetic_kind = "random-walk"\nsynthetic_seed = -1', "synthetic_seed", "must be >= 0"),  # over FAST_TRAIN's sine
+        ("learn_rate = Infinity", "learn_rate", "must be finite"),  # trained to Diverged, warning on the way
+        ("eigen_floor = Infinity", "eigen_floor", "must be finite"),  # whitened every reward to 0
+    ], ids=["synthetic_seed", "learn_rate", "eigen_floor"])
+    def test_rejected_before_a_run(self, tmp_path, capsys, command, text, key, reason):
+        out = tmp_path / "run"
+        status = cli.main([command, "--config", str(write(tmp_path, FAST_TRAIN + text + "\n")), "--out", str(out)])
+        expected = {"error": "InvalidValue", "detail": f"invalid value for {key}: {reason}",
+                    "context": {"key": key, "reason": reason}}
+        assert capsys.readouterr().out == json.dumps(expected) + "\n"
+        assert status == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("meta", [[1, 2], 5, {"episode": "x"}], ids=["list", "number", "text episode"])
     def test_malformed_checkpoint_meta(self, tmp_path, capsys, meta):
         out = tmp_path / "run"
@@ -393,7 +409,7 @@ class TestCli:
         series = config.load_series(cfg)
         env = TradingEnv(series, train.mode, lookback=train.lookback, reward_window=train.reward_window, fee=train.fee)
         _, expected = run_policy(
-            net, env, make_split(series, cfg.fractions).range_for(range_), payload["weights"], payload["gamma"],
+            net, env, make_split(series, cfg.fractions).as_dict()[range_], payload["weights"], payload["gamma"],
             include_gamma=train.generalize_gamma, range_id=range_,
         )
         assert expected.trades >= 2

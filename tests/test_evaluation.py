@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scalar_reference import buy_and_hold, run_policy
@@ -6,7 +8,7 @@ from moqtrader import agent
 from moqtrader.agent import TrainConfig, run_walk_forward, uniform_weights
 from moqtrader.env import Mode, TradingEnv
 from moqtrader.errors import Diverged, EmptyCheckpointList, RangeTooShort
-from moqtrader.evaluation import EvaluationReport, select_best_checkpoint, vectorized_rollout
+from moqtrader.evaluation import EvaluationReport, q_table, select_best_checkpoint, vectorized_rollout
 from moqtrader.market_data import PriceSeries, walk_forward_folds
 from moqtrader.qnet import QNetwork
 from moqtrader.synthetic import generate_synthetic
@@ -170,6 +172,22 @@ class TestVectorizedRollout:
             np.testing.assert_array_equal(trace_a.portfolio_log_returns, trace_b.portfolio_log_returns)
             np.testing.assert_array_equal(trace_a.reward_vectors, trace_b.reward_vectors)
             assert rep_a.to_dict() == rep_b.to_dict()
+
+
+def test_q_table_holds_one_block_beside_the_table():
+    """A range's traced peak is its table plus one block's inputs and activations (~1.8 MB here), whatever its length."""
+    series = generate_synthetic("random-walk", 20_100, amplitude=0.01, seed=3)
+    env = env_of(series, lookback=30, reward_window=20)
+    net = QNetwork([36, 128, 64, 3], seed=1)
+    env.windows  # the series' log-returns are computed once, before tracing
+    tracemalloc.start()
+    try:
+        table = q_table(net, env, (0, len(series)), uniform_weights(), 0.9, True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (20_069, 3, 3)
+    assert peak < table.nbytes + 3 * 2**20
 
 
 def make_checkpoint(episode, sharpe, profit=0.0):

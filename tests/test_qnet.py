@@ -4,7 +4,7 @@ import scalar_reference
 from scalar_reference import bellman_targets, loss, params_equal
 
 from moqtrader.errors import ShapeMismatch
-from moqtrader.qnet import QNetwork, build_input, load_checkpoint, save_checkpoint
+from moqtrader.qnet import BLOCK_ROWS, QNetwork, build_input, load_checkpoint, row_blocks, save_checkpoint
 
 
 def finite_difference_grads(net, inputs, targets, step=1e-5):
@@ -122,6 +122,51 @@ class TestInitAndForward:
             net.forward(np.zeros(5))
         with pytest.raises(ShapeMismatch):  # 2 state features and 4 weights make 6 inputs, not 4
             step(net, net, random_batch(np.random.default_rng(0), 3, 2, 2))
+
+
+# The benchmark's network in both modes, with and without gamma as an input.
+BLOCK_WIDTHS = {"LSP": (35, 128, 64, 3), "LSP, gamma input": (36, 128, 64, 3), "LP": (35, 128, 64, 2),
+                "LP, gamma input": (36, 128, 64, 2)}
+
+
+class TestBlockedForward:
+    """Forwards of more than BLOCK_ROWS + 1 rows run in row blocks; a row's bytes do not depend on the row count.
+
+    On the host BLAS a row's rounding depends on its place in the matrix
+    product's 4-row tile and one-row products round apart (gemv), which the
+    blocks respect.  A BLAS that breaks this fails here, not in a silently
+    flipped argmax.
+    """
+
+    @pytest.mark.parametrize("widths", BLOCK_WIDTHS.values(), ids=BLOCK_WIDTHS)
+    def test_equals_one_product_per_layer(self, widths):
+        net = QNetwork(widths, seed=3)
+        rng = np.random.default_rng(4)
+        for n in (2, 1023, 1024, 1025, 1026, 2049, 3169, 5003):
+            x = rng.normal(size=(n, widths[0]))
+            assert net.forward(x).tobytes() == scalar_reference.unblocked_forward(net, x).tobytes(), n
+
+    @pytest.mark.parametrize("widths", BLOCK_WIDTHS.values(), ids=BLOCK_WIDTHS)
+    def test_past_the_output_layers_kernel_switch(self, widths):
+        """From 5,209 rows (LSP) or 7,813 (LP) the output layer's whole-batch product takes another kernel on the
+        host BLAS and rounds apart from the blocks: within 1e-12 of the output's scale, while 64-row chunks (the
+        last taking the one-row remainder) equal the blocks bit for bit."""
+        net = QNetwork(widths, seed=3)
+        rng = np.random.default_rng(5)
+        for n in (6145, 12289):
+            x = rng.normal(size=(n, widths[0]))
+            blocked, unblocked = net.forward(x), scalar_reference.unblocked_forward(net, x)
+            np.testing.assert_allclose(blocked, unblocked, rtol=1e-12, atol=1e-12 * np.abs(unblocked).max())
+            stops = [*range(64, n - 1, 64), n]
+            chunked = np.concatenate([net.forward(x[a:b]) for a, b in zip([0, *stops], stops)])
+            assert chunked.tobytes() == blocked.tobytes(), n
+
+    def test_row_blocks(self):
+        assert BLOCK_ROWS == 1024
+        assert row_blocks(5) == [(0, 5)]
+        assert row_blocks(1025) == [(0, 1025)]  # a one-row remainder joins the block before it
+        assert row_blocks(2049) == [(0, 1024), (1024, 2049)]
+        assert row_blocks(2050) == [(0, 1024), (1024, 2048), (2048, 2050)]
 
 
 class TestGradients:

@@ -1,4 +1,4 @@
-"""Smoke runs of the paper's two experiment scripts at a tiny size.
+"""Smoke runs of the paper's two experiment scripts and of the artifact check at a tiny size.
 
 The scripts train real agents, so these runs catch a broken import or a
 changed API that `ast.parse` (criteria 9 and 10) cannot.  They check the
@@ -6,8 +6,10 @@ shape of the output and that the exit status agrees with the RESULT line,
 not the statistical claim, which a few episodes cannot settle.
 """
 
+import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -51,3 +53,26 @@ def test_fee_degradation_runs():
                             lines[2])
     else:
         assert (status, lines[2]) == (1, "RESULT: fee did not reduce profit (policy never traded?)")
+
+
+def test_artifact_identity_of_the_tree_with_itself():
+    status, lines = run_script("artifact_identity.py", "--baseline-src", str(REPO_ROOT / "src"), "--seeds", "1",
+                               "--episodes", "2")
+    result = json.loads(lines[0])
+    assert len(lines) == 1 and status == 0
+    assert (result["runs"], result["files"], result["differ"], result["failed"]) == (2, 8, [], [])
+    assert result["identical"]
+
+
+def test_artifact_identity_names_the_files_a_change_moved(tmp_path):
+    # Checkpoints written with one more header key: training, selection and reports do not change.
+    shutil.copytree(REPO_ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    qnet = tmp_path / "src" / "moqtrader" / "qnet.py"
+    text = qnet.read_text()
+    qnet.write_text(text.replace('"version": CHECKPOINT_VERSION,', '"version": CHECKPOINT_VERSION, "x": 1,', 1))
+    status, lines = run_script("artifact_identity.py", "--baseline-src", str(tmp_path / "src"), "--seeds", "1",
+                               "--episodes", "2")
+    result = json.loads(lines[0])
+    assert len(lines) == 1 and status == 1
+    assert result["differ"] == ["mo_train_seed1/checkpoint_2.bin", "so_train_seed1/checkpoint_2.bin"]
+    assert (result["files"], result["failed"], result["identical"]) == (8, [], False)
