@@ -5,7 +5,7 @@ A change that claims to be byte-identical to its parent shows it here.  Each
 tree runs the same fixed list of operations, each in its own subprocess with
 one BLAS thread:
 
-- `train` of the benchmark's so_train and mo_train configs (copied from
+- `train` of the benchmark's so_train and mo_train configs (imported from
   bench/workloads.py) at each seed, which writes metrics.jsonl, every
   checkpoint and config.resolved.json;
 - `backtest` of each run's checkpoints on a long random-walk series, whose
@@ -27,33 +27,17 @@ import sys
 import tempfile
 from pathlib import Path
 
-REPO_SRC = Path(__file__).resolve().parent.parent / "src"
+REPO = Path(__file__).resolve().parent.parent
+REPO_SRC = REPO / "src"
+sys.dont_write_bytecode = True  # reading bench/ leaves no file there
+sys.path.insert(0, str(REPO / "bench"))
+from workloads import BACKTEST_ROWS, BACKTEST_STEP_STD, MO_TRAIN, SO_TRAIN, write_config  # noqa: E402
 
-# bench/workloads.py's SO_TRAIN and MO_TRAIN.
-CONFIGS = {
-    "so_train": {
-        "synthetic_kind": "sine", "synthetic_length": 5000, "synthetic_period": 50, "synthetic_amplitude": 0.1,
-        "mode": "LSP", "multi_reward": False, "reward": "lr", "k": 0,
-        "episodes": 100, "eval_every": 50, "episode_len": 200, "random_access": True,
-        "lookback": 30, "reward_window": 20, "batchsize": 64, "max_age": 2000,
-        "hidden": [128, 64], "learn_rate": 0.1, "tol": 0.3, "sync_period": 100, "gamma": 0.95,
-    },
-    "mo_train": {
-        "synthetic_kind": "sine", "synthetic_length": 5000, "synthetic_period": 50, "synthetic_amplitude": 0.1,
-        "mode": "LP", "multi_reward": True, "k": 3, "whiten": True, "generalize_gamma": True,
-        "episodes": 30, "eval_every": 15, "episode_len": 200, "random_access": True,
-        "lookback": 30, "reward_window": 20, "batchsize": 64, "max_age": 2000,
-        "hidden": [128, 64], "learn_rate": 0.1, "tol": 0.3, "sync_period": 100,
-    },
-}
-# The backtest's series: 25,000 closes, so that its test range holds 4,969 steps.
-BACKTEST_SERIES = {"synthetic_kind": "random-walk", "synthetic_length": 25_000, "synthetic_amplitude": 0.01}
+CONFIGS = {"so_train": SO_TRAIN, "mo_train": MO_TRAIN}
+# The backtest's series: as long as the benchmark's backtest CSV, so that its test range holds 4,969 steps.
+BACKTEST_SERIES = {"synthetic_kind": "random-walk", "synthetic_length": BACKTEST_ROWS,
+                   "synthetic_amplitude": BACKTEST_STEP_STD}
 IGNORED = {"timing.log"}
-
-
-def write_config(path: Path, values: dict) -> Path:
-    path.write_text("".join(f"{key} = {json.dumps(value)}\n" for key, value in values.items()))
-    return path
 
 
 def operations(seeds: list[int], episodes: int | None) -> list[tuple[str, dict, dict]]:
@@ -77,10 +61,11 @@ def run_tree(src: Path, root: Path, runs: list[tuple[str, dict, dict]]) -> list[
     for name, train_cfg, backtest_cfg in runs:
         out = root / name
         out.mkdir(parents=True)
+        write_config(root / f"{name}.train.cfg", train_cfg)
+        write_config(root / f"{name}.backtest.cfg", backtest_cfg)
         commands = {
-            "train": ["train", "--config", str(write_config(root / f"{name}.train.cfg", train_cfg)), "--out", "."],
-            "backtest": ["backtest", "--config", str(write_config(root / f"{name}.backtest.cfg", backtest_cfg)),
-                         "--out", ".", "--range", "test"],
+            "train": ["train", "--config", str(root / f"{name}.train.cfg"), "--out", "."],
+            "backtest": ["backtest", "--config", str(root / f"{name}.backtest.cfg"), "--out", ".", "--range", "test"],
         }
         for command, argv in commands.items():
             done = subprocess.run([sys.executable, "-m", "moqtrader.cli", *argv], cwd=out, env=env,

@@ -311,7 +311,8 @@ def _fit_episode(run: _Learner, state: EnvState) -> None:
         state = outcomes[actions[0]].next_state
 
 
-def _frozen_stretch(run: _Learner, range_: IndexRange, episodes: int, table: np.ndarray | None = None) -> None:
+def _frozen_stretch(run: _Learner, range_: IndexRange, episodes: int,
+                    evaluated: tuple[np.ndarray, float, np.ndarray] | None = None) -> None:
     """`episodes` consecutive episodes of the frozen network over range_ in arrays, with the step loop's replay rows.
 
     Chunks of them (at least one episode, at most env.steps_in(range_) rows of
@@ -319,20 +320,24 @@ def _frozen_stretch(run: _Learner, range_: IndexRange, episodes: int, table: np.
     stream, forwards per position and counterfactual slot, one `outcomes` call
     and one push.  Under fixed conditioning (pinned or single-reward weights,
     one gamma) a row depends only on (cursor, position): one table of greedy
-    actions over range_, given or built for the first chunk, serves every chunk.
+    actions over range_, built for the first chunk, serves every chunk.  It is
+    taken from `evaluated`, the (weights, gamma, Q-table) of the run network's
+    evaluation over range_, when that conditioning is the chunk's.
     """
     cfg, env, lookback = run.cfg, run.env, run.cfg.lookback
     fixed = training_weights(cfg) is not None and (not cfg.generalize_gamma or cfg.gamma_range[0] == cfg.gamma_range[1])
     n = cfg.episode_len if cfg.random_access else env.steps_in(range_)  # steps per episode
-    m = 1 + (cfg.k if cfg.multi_reward else 0)
+    m, table = 1 + (cfg.k if cfg.multi_reward else 0), None
     per_chunk = max(1, env.steps_in(range_) // max(n * m, 1))  # a range of no step fails at its reset
     for done in range(0, episodes, per_chunk):
         cursors = np.array([_reset(run, range_).cursor for _ in range(min(per_chunk, episodes - done))])
         windows = np.add.outer(cursors - lookback, np.arange(n)).ravel()  # each step's row of env.windows
         weights, gamma, explore = draw_conditioning(cfg, run.streams, len(windows))
         if fixed and table is None:
-            table = evaluation.q_table(run.net, env, range_, weights[0, 0], gamma[0, 0],
-                                       cfg.generalize_gamma).argmax(axis=2)
+            w, g = weights[0, 0], gamma[0, 0]
+            if evaluated is None or not np.array_equal(w, evaluated[0]) or cfg.generalize_gamma and g != evaluated[1]:
+                evaluated = (w, g, evaluation.q_table(run.net, env, range_, w, g, cfg.generalize_gamma))
+            table = evaluated[2].argmax(axis=2)
         rows = None if fixed else _input_rows(run, windows, weights, gamma)
 
         def greedy(t, j, slot):  # the greedy actions of steps t at position indices j under slot's conditioning
@@ -397,11 +402,12 @@ def train(
 ) -> TrainResult:
     """Run the full training loop over cfg.episodes episodes.
 
-    Episodes in the evaluation set S (see eval_episode_set) perform one network update per step and produce a
-    checkpoint with train/eval/test metrics; other episodes only collect experience, with the network frozen, so
-    they run as batched rollouts, on the evaluation's train-range Q-table when the training conditioning is fixed
-    and is the evaluation's.  When out_dir is given, checkpoints and a metrics.jsonl line per evaluated episode
-    are written as the run progresses (plus wall-clock timings in timing.log).
+    Episodes in the evaluation set S (see eval_episode_set) perform one
+    network update per step and produce a checkpoint with train/eval/test
+    metrics; other episodes only collect experience, with the network
+    frozen, so they run as batched rollouts.  When out_dir is given,
+    checkpoints and a metrics.jsonl line per evaluated episode are written
+    as the run progresses (plus wall-clock timings in timing.log).
     """
     cfg.validate()
     streams = rng_streams(cfg.seed)
@@ -409,22 +415,21 @@ def train(
     env = TradingEnv(series, cfg.mode, lookback=cfg.lookback, reward_window=cfg.reward_window, fee=cfg.fee)
     run = _Learner(cfg, streams, net, net.clone(), env, ReplayBuffer(cfg.max_age, env))
     eval_weights, eval_gamma = eval_conditioning(cfg, eval_weights, eval_gamma)
-    checkpoints, table, fixed = [], None, training_weights(cfg)
-    reuse = fixed is not None and np.array_equal(fixed, eval_weights) and (
-        not cfg.generalize_gamma or tuple(cfg.gamma_range) == (eval_gamma, eval_gamma))
+    checkpoints: list[Checkpoint] = []
+    evaluated = None  # the last evaluation's conditioning and train-range Q-table
 
     with contextlib.ExitStack() as files:
         writer = _RunWriter(out_dir, cfg, files)
         fitted = cfg.eval_episode_set()
         for last, episode in zip((0, *fitted), (*fitted, cfg.episodes + 1)):
-            _frozen_stretch(run, split.train, episode - last - 1, table)
+            _frozen_stretch(run, split.train, episode - last - 1, evaluated)
             if episode > cfg.episodes:
                 break
             run.episode = episode
             _fit_episode(run, _reset(run, split.train))
-            reports, train_table = evaluation.evaluate_split(net, env, split, weights=eval_weights, gamma=eval_gamma,
-                                                             include_gamma=cfg.generalize_gamma)
-            table = train_table.argmax(axis=2) if reuse else None
+            reports, table = evaluation.evaluate_split(net, env, split, weights=eval_weights, gamma=eval_gamma,
+                                                       include_gamma=cfg.generalize_gamma)
+            evaluated = (eval_weights, eval_gamma, table)
             ck = Checkpoint(episode=episode, net=net.clone(), reports=reports)
             writer.write(ck, run.env_steps, run.updates)
             checkpoints.append(ck)

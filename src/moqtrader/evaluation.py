@@ -141,16 +141,26 @@ def evaluate_split(
     net: QNetwork, env: TradingEnv, split: DataSplit, *, weights: np.ndarray, gamma: float, include_gamma: bool
 ) -> tuple[dict[str, EvaluationReport], np.ndarray]:
     """Reports for the train/eval/test ranges of one split of env's series, and the train range's Q-table."""
-    rollouts = {name: vectorized_rollout(net, env, range_, weights, gamma, include_gamma=include_gamma, range_id=name)
-                for name, range_ in split.as_dict().items()}
-    return {name: rollout[2] for name, rollout in rollouts.items()}, rollouts["train"][0]
+    def rollout(name: str) -> tuple[np.ndarray, PositionTrace, EvaluationReport]:
+        return vectorized_rollout(net, env, ranges[name], weights, gamma, include_gamma=include_gamma, range_id=name)
+
+    ranges = split.as_dict()
+    table, train = rollout("train")[::2]  # only the reports and this table outlive their range's rollout
+    return {"train": train, "eval": rollout("eval")[2], "test": rollout("test")[2]}, table
 
 
 _METRIC_ATTR = {"sharpe": "sharpe", "profit": "total_profit"}
 
 
 def select_best_checkpoint(checkpoints: Sequence, metric: str = "sharpe", range_id: str = "eval"):
-    """Argmax of the metric on the given range; ties go to the earliest episode (max keeps the first of equals)."""
+    """Argmax of the metric on the given range; ties go to the earliest episode."""
     if not checkpoints:
         raise EmptyCheckpointList("no checkpoints to select from")
-    return max(checkpoints, key=lambda ck: getattr(ck.reports[range_id], _METRIC_ATTR[metric]))
+    attr = _METRIC_ATTR[metric]
+    best = checkpoints[0]
+    best_value = getattr(best.reports[range_id], attr)
+    for ck in checkpoints[1:]:
+        value = getattr(ck.reports[range_id], attr)
+        if value > best_value:
+            best, best_value = ck, value
+    return best

@@ -89,6 +89,9 @@ class DataSplit:
     def as_dict(self) -> dict[str, IndexRange]:
         return {"train": self.train, "eval": self.eval, "test": self.test}
 
+    def range_for(self, name: str) -> IndexRange:
+        return self.as_dict()[name]
+
 
 @dataclass(frozen=True)
 class FoldPlan:
@@ -105,6 +108,9 @@ class FoldPlan:
             raise InfeasibleFoldPlan("all train ranges must start at 0")
         if any(b <= a for a, b in zip(ends, ends[1:])):
             raise InfeasibleFoldPlan("train ends must strictly increase")
+
+    def __len__(self) -> int:
+        return len(self.folds)
 
 
 def _parse_timestamp(text: str | None) -> int:

@@ -71,16 +71,15 @@ class QNetwork:
         return self.widths[0]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Action values for one input vector or a batch of them, which runs in `row_blocks` into one output array."""
+        """Action values for one input vector or a batch of them, computed per `row_blocks` block into one array."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or len(x) <= BLOCK_ROWS + 1:  # one block, up to BLOCK_ROWS + 1 rows
-            for out in self._layers(x[None, :] if x.ndim == 1 else x):
+        rows = np.atleast_2d(x)
+        out = np.empty((len(rows), self.widths[-1]))
+        for start, stop in row_blocks(len(rows)):  # through _layers, so that a block is no forward call of its own
+            for q in self._layers(rows[start:stop]):
                 pass  # each layer's output is released once the next one is computed
-            return out[0] if x.ndim == 1 else out
-        out = np.empty((len(x), self.widths[-1]))
-        for start, stop in row_blocks(len(x)):  # through _layers, so that a block is no forward call of its own
-            *_, out[start:stop] = self._layers(x[start:stop])
-        return out
+            out[start:stop] = q
+        return out[0] if x.ndim == 1 else out
 
     def _layers(self, x: np.ndarray) -> Iterator[np.ndarray]:
         """Yields each layer's output for a batch of input rows, the network's output last.

@@ -20,6 +20,8 @@ from numpy.linalg import _umath_linalg
 from .env import TradingEnv
 from .errors import BufferTooSmall
 
+DEFAULT_EIGEN_FLOOR = 1e-8
+
 # Column name -> (dtype, shape of one row).
 _COLUMNS = {
     "_cursor": (np.int32, ()),
@@ -189,7 +191,7 @@ def scalar_rewards(batch: Batch) -> np.ndarray:
     return terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
 
 
-def compute_whitening(buffer: ReplayBuffer, eigen_floor: float = 1e-8) -> np.ndarray:
+def compute_whitening(buffer: ReplayBuffer, eigen_floor: float = DEFAULT_EIGEN_FLOOR) -> np.ndarray:
     """Sigma^(-1/2) of the covariance over all raw rewards in the replay.
 
     Eigenvalues are clamped to at least eigen_floor before inversion, which

@@ -311,18 +311,18 @@ def frozen_episode(run: "agent._Learner", state: EnvState) -> None:
     step_loop(run, state, fit=False)
 
 
-def frozen_stretch(run: "agent._Learner", range_: IndexRange, episodes: int, table: np.ndarray | None = None) -> None:
+def frozen_stretch(run: "agent._Learner", range_: IndexRange, episodes: int,
+                   evaluated: tuple[np.ndarray, float, np.ndarray] | None = None) -> None:
     """`agent._frozen_stretch` as one step-loop episode per episode, each reset as training resets it.
 
-    The step loop makes every greedy choice with its own forward.  A table of
-    greedy actions handed in must be, bit for bit, the one the stretch would
-    build itself under the training conditioning.
+    The step loop makes every greedy choice with its own forward.  An
+    evaluation handed in must hold, bit for bit, the Q-table of the run's
+    network over range_ on that evaluation's weights and gamma.
     """
-    if table is not None:
-        cfg = run.cfg
-        gamma = cfg.gamma_range[0] if cfg.generalize_gamma else cfg.gamma
-        own = evaluation.q_table(run.net, run.env, range_, agent.training_weights(cfg), gamma, cfg.generalize_gamma)
-        assert table.tobytes() == own.argmax(axis=2).tobytes()
+    if evaluated is not None:
+        weights, gamma, table = evaluated
+        own = evaluation.q_table(run.net, run.env, range_, weights, gamma, run.cfg.generalize_gamma)
+        assert table.tobytes() == own.tobytes()
     for _ in range(episodes):
         frozen_episode(run, agent._reset(run, range_))
 

@@ -755,6 +755,8 @@ PINNED = dict(pin_weights=(0.1, 0.2, 0.3, 0.4), generalize_gamma=True, gamma_ran
 REUSE_CASES = {  # training config, evaluation weights and gamma, whether a stretch takes the evaluation's table
     "single reward, evaluated on it": (dict(multi_reward=False, reward="lr"), None, None, True),
     "single reward, evaluated on another mix": (dict(multi_reward=False, reward="lr"), (0, 1, 0, 0), None, False),
+    "pinned weights, evaluated on another gamma, which is no input": (
+        dict(pin_weights=(0.1, 0.2, 0.3, 0.4)), (0.1, 0.2, 0.3, 0.4), 0.8, True),
     "pinned weights, one-point gamma range, evaluated on both": (PINNED, (0.1, 0.2, 0.3, 0.4), None, True),
     "pinned weights, evaluated on another gamma": (PINNED, (0.1, 0.2, 0.3, 0.4), 0.8, False),
     "drawn weights": (dict(), (0.1, 0.2, 0.3, 0.4), None, False),
@@ -770,17 +772,17 @@ def test_a_stretch_after_an_evaluation_reuses_its_train_table(case, tmp_path, mo
     series = generate_synthetic("random-walk", 400, amplitude=0.02, seed=9)
     stretch, q_table, given, tables = agent._frozen_stretch, evaluation.q_table, [], []
 
-    def recorded_stretch(run, range_, episodes, table=None):
-        given.append(table is not None)
-        stretch(run, range_, episodes, table)
+    def recorded_stretch(run, range_, episodes, evaluated=None):
+        given.append(evaluated is not None)
+        stretch(run, range_, episodes, evaluated)
 
     monkeypatch.setattr(agent, "_frozen_stretch", recorded_stretch)
     monkeypatch.setattr(evaluation, "q_table", lambda *args: tables.append(args[2]) or q_table(*args))
     train(cfg, series, make_split(series), out_dir=tmp_path / "reused", eval_weights=eval_weights, eval_gamma=eval_gamma)
-    assert given == [False, reused, reused]  # the third stretch has no episode
+    assert given == [False, True, True]  # every stretch after an evaluation is handed it; the third has no episode
     fixed = agent.training_weights(cfg) is not None
     assert len(tables) == 2 * 3 + fixed * (2 - reused)  # two evaluations of three ranges, then the stretches' own
-    monkeypatch.setattr(agent, "_frozen_stretch", lambda run, range_, episodes, table=None: stretch(run, range_, episodes))
+    monkeypatch.setattr(agent, "_frozen_stretch", lambda run, range_, episodes, evaluated: stretch(run, range_, episodes))
     train(cfg, series, make_split(series), out_dir=tmp_path / "own", eval_weights=eval_weights, eval_gamma=eval_gamma)
     for name in ("metrics.jsonl", "checkpoint_6.bin", "checkpoint_12.bin"):
         assert (tmp_path / "reused" / name).read_bytes() == (tmp_path / "own" / name).read_bytes(), name

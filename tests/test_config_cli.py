@@ -409,7 +409,7 @@ class TestCli:
         series = config.load_series(cfg)
         env = TradingEnv(series, train.mode, lookback=train.lookback, reward_window=train.reward_window, fee=train.fee)
         _, expected = run_policy(
-            net, env, make_split(series, cfg.fractions).as_dict()[range_], payload["weights"], payload["gamma"],
+            net, env, make_split(series, cfg.fractions).range_for(range_), payload["weights"], payload["gamma"],
             include_gamma=train.generalize_gamma, range_id=range_,
         )
         assert expected.trades >= 2

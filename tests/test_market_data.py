@@ -393,7 +393,7 @@ class TestLogReturns:
 class TestWalkForward:
     def test_hand_enumerated_two_folds(self):
         plan = walk_forward_folds(series_of(np.linspace(1, 2, 900)), 2, 0.1, 0.1)
-        assert len(plan.folds) == 2
+        assert len(plan) == 2
         f1, f2 = plan.folds
         assert (f1.train, f1.eval, f1.test) == ((0, 300), (300, 390), (390, 480))
         assert (f2.train, f2.eval, f2.test) == ((0, 600), (600, 690), (690, 780))
