@@ -8,6 +8,11 @@ one BLAS thread:
 - `train` of the benchmark's so_train and mo_train configs (imported from
   bench/workloads.py) at each seed, which writes metrics.jsonl, every
   checkpoint and config.resolved.json;
+- `train` of four short variants of them, on paths those two configs leave
+  out: full-range episodes with drawn weights and k = 0; pinned weights in
+  LSP with k = 2 (the frozen runner's table path, and a reused evaluation
+  table); replayed counterfactual actions without whitening, with gamma as
+  an input; and single-reward LP over full-range episodes with POWC;
 - `backtest` of each run's checkpoints on a long random-walk series, whose
   test range is forwarded in several row blocks, which writes report.json
   (its checkpoint path is relative, so its bytes do not name the tree).
@@ -33,7 +38,17 @@ sys.dont_write_bytecode = True  # reading bench/ leaves no file there
 sys.path.insert(0, str(REPO / "bench"))
 from workloads import BACKTEST_ROWS, BACKTEST_STEP_STD, MO_TRAIN, SO_TRAIN, write_config  # noqa: E402
 
-CONFIGS = {"so_train": SO_TRAIN, "mo_train": MO_TRAIN}
+SHORT = {"synthetic_length": 1200, "episodes": 6, "eval_every": 3}  # two fitting episodes, two frozen stretches
+PINNED = [0.4, 0.3, 0.2, 0.1]
+CONFIGS = {
+    "so_train": SO_TRAIN,
+    "mo_train": MO_TRAIN,
+    "full_range_k0": {**MO_TRAIN, **SHORT, "random_access": False, "k": 0},
+    "pinned_lsp_k2": {**MO_TRAIN, **SHORT, "mode": "LSP", "k": 2, "generalize_gamma": False,
+                      "pin_weights": PINNED, "eval_weights": PINNED},
+    "replay_unwhitened": {**MO_TRAIN, **SHORT, "hindsight_action": "replay", "whiten": False},
+    "powc_lp_full_range": {**SO_TRAIN, **SHORT, "mode": "LP", "reward": "powc", "random_access": False},
+}
 # The backtest's series: as long as the benchmark's backtest CSV, so that its test range holds 4,969 steps.
 BACKTEST_SERIES = {"synthetic_kind": "random-walk", "synthetic_length": BACKTEST_ROWS,
                    "synthetic_amplitude": BACKTEST_STEP_STD}

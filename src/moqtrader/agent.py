@@ -23,8 +23,7 @@ from . import evaluation
 from .env import EnvState, Mode, Position, TradingEnv
 from .errors import Diverged, InvalidValue
 from .market_data import DataSplit, FoldPlan, IndexRange, PriceSeries
-# build_input is unused here; it stays importable because bench/test_bench.py looks it up in this module.
-from .qnet import QNetwork, build_input, save_checkpoint  # noqa: F401
+from .qnet import QNetwork, build_input, save_checkpoint
 from .replay import ReplayBuffer, compute_whitening, scalar_rewards, whiten_rewards
 from .rewards import REWARD_COMPONENTS, REWARD_INDEX
 
@@ -257,18 +256,6 @@ class _Learner:
     episode: int = 0
 
 
-def _input_rows(run: _Learner, windows: np.ndarray, weights: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Input rows (n, m, input width): [t, i] holds env.windows[windows[t]], then callers' position code, then slot i's
-    conditioning."""
-    cfg, lookback = run.cfg, run.cfg.lookback
-    rows = np.empty((*gamma.shape, cfg.input_width))
-    rows[:, :, :lookback] = run.env.windows[windows, None]
-    rows[:, :, lookback + 1 : lookback + 5] = weights
-    if cfg.generalize_gamma:
-        rows[:, :, -1] = gamma
-    return rows
-
-
 def _reset(run: _Learner, range_: IndexRange) -> EnvState:
     """The next training episode over range_, reset on the env stream."""
     episode_len = run.cfg.episode_len if run.cfg.random_access else None
@@ -278,19 +265,20 @@ def _reset(run: _Learner, range_: IndexRange) -> EnvState:
 def _fit_episode(run: _Learner, state: EnvState) -> None:
     """The just-reset episode from its start state, one step at a time, fitting the network after every step.
 
-    One forward over a step's m rows, with the position code written in,
-    gives the greedy choices of its real and counterfactual experiences, made
-    only when one of them acts greedily.
+    One forward over a step's m rows, built into one buffer, gives the greedy
+    choices of its real and counterfactual experiences, made only when one of
+    them acts greedily.
     """
     cfg, env, buffer, net = run.cfg, run.env, run.buffer, run.net
     lo, n = env.episode_range[0], env.steps_in(env.episode_range)
     weights, gamma, explore = draw_conditioning(cfg, run.streams, n)
-    rows = _input_rows(run, lo + np.arange(n), weights, gamma)
+    rows = np.empty((weights.shape[1], cfg.input_width))
     min_fit_len = max(cfg.batchsize, 2) if cfg.whiten else cfg.batchsize
     for t, codes in enumerate(explore.tolist()):
         if GREEDY in codes:
-            rows[t, :, cfg.lookback] = state.position.value
-            greedy = net.forward(rows[t]).argmax(axis=1).tolist()
+            build_input(env.windows[lo + t], weights[t], gamma[t], cfg.generalize_gamma, state.position.value,
+                        out=rows)
+            greedy = net.forward(rows).argmax(axis=1).tolist()
             codes = [a if code == GREEDY else code for code, a in zip(codes, greedy)]
         actions = [codes[0] if code == REPLAYED else code for code in codes]
         outcomes = {a: env.transition(state, a) for a in set(actions)}
@@ -338,13 +326,12 @@ def _frozen_stretch(run: _Learner, range_: IndexRange, episodes: int,
             if evaluated is None or not np.array_equal(w, evaluated[0]) or cfg.generalize_gamma and g != evaluated[1]:
                 evaluated = (w, g, evaluation.q_table(run.net, env, range_, w, g, cfg.generalize_gamma))
             table = evaluated[2].argmax(axis=2)
-        rows = None if fixed else _input_rows(run, windows, weights, gamma)
 
         def greedy(t, j, slot):  # the greedy actions of steps t at position indices j under slot's conditioning
             if table is not None:
                 return table[windows[t] - range_[0], j]
-            rows[t, slot, lookback] = env.target_signs[j]
-            return run.net.forward(rows[t, slot]).argmax(axis=1)
+            return run.net.forward(build_input(env.windows[windows[t]], weights[t, slot], gamma[t, slot],
+                                               cfg.generalize_gamma, env.target_signs[j])).argmax(axis=1)
 
         steps = np.arange(len(windows))
         actions = env.greedy_walk(np.stack([greedy(steps, j, 0) for j in range(env.mode.n_actions)], axis=1),
@@ -356,7 +343,6 @@ def _frozen_stretch(run: _Learner, range_: IndexRange, episodes: int,
         for i in range(1, m):
             t = np.flatnonzero(taken[:, i] == GREEDY)
             taken[t, i] = greedy(t, before[t], i)
-        rows = None  # before the kernel and the push, which may reallocate the replay
         _, rewards = env.outcomes(cursors, taken.reshape(len(cursors), n, m))
         run.buffer.push({
             "cursor": np.repeat(windows + lookback, m),

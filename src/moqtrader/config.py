@@ -237,6 +237,7 @@ def apply_overrides(
     """Apply CLI flag overrides on top of a parsed config."""
     if seed is not None:
         cfg = replace(cfg, train=replace(cfg.train, seed=seed))
+        cfg.train.validate()  # before walkforward derives a fold seed from it
     if weights is not None:
         validate_weights(weights)
         cfg = replace(cfg, eval_weights=tuple(float(w) for w in weights))

@@ -96,15 +96,14 @@ def _buy_and_hold_benchmark(env: TradingEnv, range_: IndexRange) -> tuple[float,
 def q_table(net: QNetwork, env: TradingEnv, range_: IndexRange, weights: np.ndarray, gamma: float,
             include_gamma: bool) -> np.ndarray:
     """Q-values (steps, positions, actions) of net over range_ on one conditioning, forwarded per `row_blocks` block."""
-    lo, lookback, n = range_[0], env.lookback, env.steps_in(range_)
+    lo, n = range_[0], env.steps_in(range_)
     table = np.empty((n, len(env.mode.targets), net.widths[-1]))
-    inputs = np.tile(build_input(np.zeros(lookback + 1), weights, gamma, include_gamma), (min(n, BLOCK_ROWS + 1), 1))
+    # One block's buffer, of the builder's width: a net of another width fails its forward.
+    inputs = build_input(env.windows[lo : lo + min(n, BLOCK_ROWS + 1)], weights, gamma, include_gamma)
     for start, stop in row_blocks(n):
-        rows = inputs[: stop - start]
-        rows[:, :lookback] = env.windows[lo + start : lo + stop]
         for j, position in enumerate(env.mode.targets):
-            rows[:, lookback] = position.value
-            table[start:stop, j] = net.forward(rows)
+            table[start:stop, j] = net.forward(build_input(env.windows[lo + start : lo + stop], weights, gamma,
+                                                           include_gamma, position.value, out=inputs[: stop - start]))
     return table
 
 

@@ -12,16 +12,43 @@ import io
 import json
 import os
 import zipfile
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import InvalidValue, ShapeMismatch
-from .replay import Batch
 
 CHECKPOINT_VERSION = 1
 BLOCK_ROWS = 1024  # rows per block of a large forward: a multiple of the matrix product's 4-row tile (see row_blocks)
+
+
+@dataclass(slots=True)
+class Batch:
+    """Replay rows gathered as the TD update reads them, one row per experience."""
+
+    inputs: np.ndarray  # (2, n, input width): network inputs of the states, then of the next states
+    gamma: np.ndarray
+    weights: np.ndarray  # (n, 4)
+    reward: np.ndarray  # (n, 4) raw reward vectors
+    action: np.ndarray
+    terminal: np.ndarray
+
+
+def build_input(returns, weights, gamma, include_gamma: bool, position=0, out: np.ndarray | None = None) -> np.ndarray:
+    """Network input rows: the lookback log-returns, the position code, the 4 reward weights, then gamma when
+    include_gamma.  Broadcasts over the arguments' leading axes; writes into out, and returns it, when given."""
+    lookback = np.shape(returns)[-1]
+    if out is None:
+        rows = np.broadcast_shapes(np.shape(returns)[:-1], np.shape(position), np.shape(weights)[:-1], np.shape(gamma))
+        out = np.empty((*rows, lookback + 5 + include_gamma))
+    out[..., :lookback] = returns
+    out[..., lookback] = position
+    out[..., lookback + 1 : lookback + 5] = weights
+    if include_gamma:
+        out[..., -1] = gamma
+    return out
 
 
 def row_blocks(n: int) -> list[tuple[int, int]]:
@@ -145,13 +172,6 @@ class QNetwork:
         if other.widths != self.widths:
             raise ShapeMismatch(f"widths {other.widths} vs {self.widths}")
         self._params[...] = other._params
-
-
-def build_input(state: np.ndarray, weights: np.ndarray, gamma: float, include_gamma: bool) -> np.ndarray:
-    """Assemble one network input row: features, weight vector, optional gamma."""
-    if include_gamma:
-        return np.concatenate((state, weights, (gamma,)))
-    return np.concatenate((state, weights))
 
 
 def save_checkpoint(path: str | Path, net: QNetwork, meta: dict | None = None) -> None:

@@ -1,9 +1,8 @@
 """Age-bounded experience replay with covariance whitening at sampling time.
 
 Experiences are stored as columns of indices and conditioning, not
-features: a gathered `Batch` rebuilds each row's state and next-state
-network inputs (the lookback log-returns before the cursor, the position
-code, then the conditioning) from the series.  The stored raw rewards are
+features: `qnet.build_input` rebuilds a gathered `qnet.Batch`'s state and
+next-state network inputs from the series.  The stored raw rewards are
 never modified; whitening rescales a sampled batch's scalar rewards.
 Element age is measured in network updates since insertion, and the same
 bound applies to single- and multi-reward runs (multi-reward replays are
@@ -12,15 +11,12 @@ simply longer).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .env import TradingEnv
 from .errors import BufferTooSmall
-
-DEFAULT_EIGEN_FLOOR = 1e-8
+from .qnet import Batch, build_input
 
 # Column name -> (dtype, shape of one row).
 _COLUMNS = {
@@ -36,18 +32,6 @@ _COLUMNS = {
 }
 _PUSHED = {name[1:] for name in _COLUMNS} - {"birth"}  # the columns a push gives
 _MIN_ROOM = 1024
-
-
-@dataclass(slots=True)
-class Batch:
-    """Replay rows gathered as the TD update reads them, one row per experience."""
-
-    inputs: np.ndarray  # (2, n, input width): network inputs of the states, then of the next states
-    gamma: np.ndarray
-    weights: np.ndarray  # (n, 4)
-    reward: np.ndarray  # (n, 4) raw reward vectors
-    action: np.ndarray
-    terminal: np.ndarray
 
 
 class ReplayBuffer:
@@ -172,16 +156,13 @@ class ReplayBuffer:
         return self._gather(self._lo + self.sample_rows(batchsize, rng), include_gamma)
 
     def _gather(self, rows: np.ndarray, include_gamma: bool) -> Batch:
-        """Each row's network inputs written into one array: returns, position code, weights, gamma."""
+        """Each row's state and next-state network inputs, built into one (2, rows, input width) array."""
         lookback = self._spans.shape[1] - 1
         spans = self._spans[self._cursor[rows] - lookback]  # the state's returns, then the next state's
         weights, gamma = self._weights[rows], self._gamma[rows]
         inputs = np.empty((2, len(rows), lookback + 5 + include_gamma))
-        inputs[0, :, :lookback], inputs[1, :, :lookback] = spans[:, :-1], spans[:, 1:]
-        inputs[0, :, lookback], inputs[1, :, lookback] = self._position[rows], self._next_position[rows]
-        inputs[:, :, lookback + 1 : lookback + 5] = weights
-        if include_gamma:
-            inputs[:, :, -1] = gamma
+        build_input(spans[:, :-1], weights, gamma, include_gamma, self._position[rows], out=inputs[0])
+        build_input(spans[:, 1:], weights, gamma, include_gamma, self._next_position[rows], out=inputs[1])
         return Batch(inputs, gamma, weights, self._reward[rows], self._action[rows], self._terminal[rows])
 
 
@@ -191,7 +172,7 @@ def scalar_rewards(batch: Batch) -> np.ndarray:
     return terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
 
 
-def compute_whitening(buffer: ReplayBuffer, eigen_floor: float = DEFAULT_EIGEN_FLOOR) -> np.ndarray:
+def compute_whitening(buffer: ReplayBuffer, eigen_floor: float) -> np.ndarray:
     """Sigma^(-1/2) of the covariance over all raw rewards in the replay.
 
     Eigenvalues are clamped to at least eigen_floor before inversion, which

@@ -11,7 +11,7 @@ parse is held to, in its result and in its errors.
 The step loop fits the network through the update path that
 `QNetwork.td_update` replaced: `whiten_batch`, `bellman_targets`, then
 `fit_batch`, which runs the online forward a second time in `gradients`.
-`batch_of` builds a `replay.Batch` from state rows with `np.hstack`, as that
+`batch_of` builds a `qnet.Batch` from state rows with `np.hstack`, as that
 path did.
 `unblocked_forward` runs a batch as one matrix product per layer, the
 forward that `QNetwork.forward`'s row blocks are held to.
@@ -41,8 +41,8 @@ from moqtrader.errors import (
 )
 from moqtrader.evaluation import EvaluationReport, PositionTrace, _report_from_trace
 from moqtrader.market_data import IndexRange, PriceSeries, _parse_timestamp
-from moqtrader.qnet import QNetwork, build_input
-from moqtrader.replay import Batch, ReplayBuffer, compute_whitening, scalar_rewards
+from moqtrader.qnet import Batch, QNetwork, build_input
+from moqtrader.replay import ReplayBuffer, compute_whitening, scalar_rewards
 
 
 def state_features(env: TradingEnv, state: EnvState) -> np.ndarray:
@@ -79,7 +79,7 @@ def rollout(env: TradingEnv, range_: IndexRange, policy: Callable[[np.ndarray, E
 
 def greedy_policy(net: QNetwork, weights: np.ndarray, gamma: float, include_gamma: bool):
     def policy(feats: np.ndarray, state: EnvState) -> int:
-        q = net.forward(build_input(feats, weights, gamma, include_gamma))
+        q = net.forward(build_input(feats[:-1], weights, gamma, include_gamma, feats[-1]))
         return int(np.argmax(q))
 
     return policy
@@ -130,7 +130,7 @@ def act_epsilon_greedy(
     action = explore_action(rng, tol, n_actions)
     if action >= 0:
         return action
-    q = net.forward(build_input(feats, weights, gamma, include_gamma))
+    q = net.forward(build_input(feats[:-1], weights, gamma, include_gamma, feats[-1]))
     return int(np.argmax(q))
 
 
@@ -163,7 +163,8 @@ def augment_experiences(
             explored = streams["augment_explore"].random() < cfg.tol
             action = int(streams["augment_action"].integers(cfg.n_actions))
             if not explored:
-                action = int(np.argmax(net.forward(build_input(feats, w, gamma, cfg.generalize_gamma))))
+                row = build_input(feats[:-1], w, gamma, cfg.generalize_gamma, feats[-1])
+                action = int(np.argmax(net.forward(row)))
         outcome = env.transition(state, action)
         push_experience(buffer, state, action, gamma, w, outcome)
 

@@ -131,8 +131,8 @@ def test_criterion_03_toy_mdp_oracle():
         if update % 20 == 0:  # train's target sync rule, sync_period = 20
             target.copy_params_from(net)
 
-    learned = np.vstack([
-        net.forward(build_input(one_hot[s], w, gamma, False)) for s in (0, 1)
+    learned = np.vstack([  # the one-hot's first entry is the one return input, its second the position code
+        net.forward(build_input(one_hot[s][:1], w, gamma, False, one_hot[s][1])) for s in (0, 1)
     ])
     error = float(np.abs(learned - q_star).max())
     assert error <= 1e-3

@@ -260,14 +260,16 @@ class TestErrorPayloads:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["train", "walkforward"])
-    @pytest.mark.parametrize("text,key,reason", [
-        ('synthetic_kind = "random-walk"\nsynthetic_seed = -1', "synthetic_seed", "must be >= 0"),  # over FAST_TRAIN's sine
-        ("learn_rate = Infinity", "learn_rate", "must be finite"),  # trained to Diverged, warning on the way
-        ("eigen_floor = Infinity", "eigen_floor", "must be finite"),  # whitened every reward to 0
-    ], ids=["synthetic_seed", "learn_rate", "eigen_floor"])
-    def test_rejected_before_a_run(self, tmp_path, capsys, command, text, key, reason):
+    @pytest.mark.parametrize("text,flags,key,reason", [
+        ('synthetic_kind = "random-walk"\nsynthetic_seed = -1', [], "synthetic_seed", "must be >= 0"),  # over the sine
+        ("learn_rate = Infinity", [], "learn_rate", "must be finite"),  # trained to Diverged, warning on the way
+        ("eigen_floor = Infinity", [], "eigen_floor", "must be finite"),  # whitened every reward to 0
+        ("", ["--seed", "-1"], "seed", "must be >= 0"),  # a raw SeedSequence error when walkforward derived fold seeds
+    ], ids=["synthetic_seed", "learn_rate", "eigen_floor", "seed_override"])
+    def test_rejected_before_a_run(self, tmp_path, capsys, command, text, flags, key, reason):
         out = tmp_path / "run"
-        status = cli.main([command, "--config", str(write(tmp_path, FAST_TRAIN + text + "\n")), "--out", str(out)])
+        config_path = str(write(tmp_path, FAST_TRAIN + text + "\n"))
+        status = cli.main([command, "--config", config_path, "--out", str(out), *flags])
         expected = {"error": "InvalidValue", "detail": f"invalid value for {key}: {reason}",
                     "context": {"key": key, "reason": reason}}
         assert capsys.readouterr().out == json.dumps(expected) + "\n"

@@ -7,7 +7,7 @@ from scalar_reference import buy_and_hold, run_policy
 from moqtrader import agent
 from moqtrader.agent import TrainConfig, run_walk_forward, uniform_weights
 from moqtrader.env import Mode, TradingEnv
-from moqtrader.errors import Diverged, EmptyCheckpointList, RangeTooShort
+from moqtrader.errors import Diverged, EmptyCheckpointList, RangeTooShort, ShapeMismatch
 from moqtrader.evaluation import EvaluationReport, q_table, select_best_checkpoint, vectorized_rollout
 from moqtrader.market_data import PriceSeries, walk_forward_folds
 from moqtrader.qnet import QNetwork
@@ -135,6 +135,13 @@ class TestVectorizedRollout:
         net.weights[0][0, 0] = bad
         with pytest.raises(Diverged), np.errstate(invalid="ignore"):
             vectorized_rollout(net, env_of(series, lookback=6, reward_window=4), (0, 120), uniform_weights(), 0.95)
+
+    @pytest.mark.parametrize("width,include_gamma", [(11, True), (12, False)])
+    def test_net_of_another_input_width_raises(self, width, include_gamma):
+        series = generate_synthetic("sine", 120, amplitude=0.05, period=30.0)
+        with pytest.raises(ShapeMismatch):  # lookback 6, position code and 4 weights make 11 inputs, 12 with gamma
+            vectorized_rollout(QNetwork([width, 3], seed=1), env_of(series, lookback=6, reward_window=4), (0, 120),
+                               uniform_weights(), 0.95, include_gamma=include_gamma)
 
     def test_series_shorter_than_lookback(self):
         env = env_of(series_of([100.0, 101.0, 102.0, 101.0]), lookback=6, reward_window=4)

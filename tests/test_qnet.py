@@ -272,18 +272,48 @@ class TestBellmanTargets:
 
     def test_gamma_included_in_input_when_generalized(self, monkeypatch):
         exp = make_experience([0.5], 0.7, [0.25, 0.25, 0.25, 0.25], 0.0, 0, [0.5])
-        assert build_input(exp["state"], exp["weights"], exp["gamma"], include_gamma=True).shape == (6,)
-        assert build_input(exp["state"], exp["weights"], exp["gamma"], include_gamma=False).shape == (5,)
+        assert build_input(exp["state"][:-1], exp["weights"], exp["gamma"], True, exp["state"][-1]).shape == (6,)
+        assert build_input(exp["state"][:-1], exp["weights"], exp["gamma"], False, exp["state"][-1]).shape == (5,)
         # the batched input rows of td_update are the same rows
         net, seen = QNetwork([6, 2], seed=0), []
         layers = QNetwork._layers
         monkeypatch.setattr(QNetwork, "_layers", lambda self, x: (seen.append(x.copy()), layers(self, x))[1])
         step(net, net.clone(), batch_of(exp, exp, include_gamma=True))
-        row = build_input(exp["state"], exp["weights"], exp["gamma"], include_gamma=True)
-        next_row = build_input(exp["next_state"], exp["weights"], exp["gamma"], include_gamma=True)
+        row = build_input(exp["state"][:-1], exp["weights"], exp["gamma"], True, exp["state"][-1])
+        next_row = build_input(exp["next_state"][:-1], exp["weights"], exp["gamma"], True, exp["next_state"][-1])
         assert len(seen) == 2  # the online forward once, then the target's
         np.testing.assert_array_equal(seen[0], [row, row])
         np.testing.assert_array_equal(seen[1], [next_row, next_row])
+
+
+class TestBuildInput:
+    """The one layout of a network input row: lookback returns, position code, 4 weights, then an optional gamma."""
+
+    @pytest.mark.parametrize("include_gamma", [False, True])
+    def test_broadcasts_over_leading_axes(self, include_gamma):
+        rng = np.random.default_rng(5)
+        n, m, lookback = 3, 4, 6
+        returns, weights, gamma = rng.normal(size=(n, 1, lookback)), rng.random((n, m, 4)), rng.random((n, m))
+        position = rng.integers(-1, 2, size=(n, 1))
+        rows = build_input(returns, weights, gamma, include_gamma, position)
+        assert rows.shape == (n, m, lookback + 5 + include_gamma)
+        for t in range(n):
+            for i in range(m):
+                expected = [*returns[t, 0], position[t, 0], *weights[t, i], *([gamma[t, i]] if include_gamma else [])]
+                assert rows[t, i].tolist() == expected
+
+    @pytest.mark.parametrize("include_gamma", [False, True])
+    def test_writes_every_column_of_out(self, include_gamma):
+        lookback = 5
+        out = np.full((7, lookback + 5 + include_gamma), np.nan)
+        returns = np.arange(7 * lookback, dtype=np.float64).reshape(7, lookback)
+        assert build_input(returns, [0.1, 0.2, 0.3, 0.4], 0.9, include_gamma, -1, out=out) is out
+        assert np.isfinite(out).all()
+        np.testing.assert_array_equal(out, build_input(returns, np.array([0.1, 0.2, 0.3, 0.4]), 0.9, include_gamma, -1))
+
+    def test_one_row_defaults_to_the_neutral_code(self):
+        row = build_input(np.array([0.01, -0.02]), np.full(4, 0.25), 0.9, True)
+        assert row.tolist() == [0.01, -0.02, 0.0, 0.25, 0.25, 0.25, 0.25, 0.9]
 
 
 class TestCheckpoint:
@@ -362,7 +392,8 @@ class TestToyMdpOracle:
             if update % 20 == 0:  # train's target sync rule, sync_period = 20
                 target.copy_params_from(net)
 
-        learned = np.vstack([
-            net.forward(build_input(exp["state"], exp["weights"], exp["gamma"], False)) for exp in experiences[::2]
+        learned = np.vstack([  # the one-hot state's first entry is the one return input, its second the position code
+            net.forward(build_input(exp["state"][:-1], exp["weights"], exp["gamma"], False, exp["state"][-1]))
+            for exp in experiences[::2]
         ])
         np.testing.assert_allclose(learned, q_star, atol=1e-3)

@@ -14,6 +14,8 @@ from moqtrader.replay import _COLUMNS, ReplayBuffer, compute_whitening, scalar_r
 from moqtrader.rewards import RewardVector
 from moqtrader.synthetic import generate_synthetic
 
+EIGEN_FLOOR = TrainConfig().eigen_floor  # the floor every training run passes by default
+
 SERIES = generate_synthetic("random-walk", 60, amplitude=0.02, seed=3)
 LOOKBACK = 3
 # Every pushed row is a Buy from the first state of the series: neutral, then long.
@@ -311,7 +313,7 @@ class TestRunningMoments:
         # of the small rows that replace them to cancellation
         rng = np.random.default_rng(3)
         buf = fill(make_buffer(max_age=0), 1e6 + rng.normal(size=(50, 4)))
-        compute_whitening(buf)
+        compute_whitening(buf, EIGEN_FLOOR)
         buf.advance_updates(1)  # everything summed so far leaves
         fill(buf, rng.normal(size=(50, 4)))
         mean, cov = buf.reward_moments()
@@ -331,7 +333,7 @@ class TestWhitening:
                 row[i] = sign
                 rewards.append(row)
         buf = fill(make_buffer(10), rewards)
-        inv_sqrt = compute_whitening(buf)
+        inv_sqrt = compute_whitening(buf, EIGEN_FLOOR)
         np.testing.assert_allclose(buf.reward_moments()[1], np.eye(4), atol=1e-12)
         np.testing.assert_allclose(inv_sqrt, np.eye(4), atol=1e-9)
 
@@ -351,7 +353,7 @@ class TestWhitening:
 
     def test_too_small(self):
         with pytest.raises(BufferTooSmall):
-            compute_whitening(fill(make_buffer(10), [[1, 0, 0, 0]]))
+            compute_whitening(fill(make_buffer(10), [[1, 0, 0, 0]]), EIGEN_FLOOR)
 
     def test_whiten_batch_identity_stats_is_noop(self):
         buf = fill(make_buffer(10), [[0.1, 0.2, -0.3, 0.4]])
@@ -367,7 +369,7 @@ class TestWhitening:
     def test_weight_direction_determines_output(self):
         rng = np.random.default_rng(21)
         buf = fill(make_buffer(100), rng.normal(size=(50, 4)))
-        inv_sqrt = compute_whitening(buf)
+        inv_sqrt = compute_whitening(buf, EIGEN_FLOOR)
         w = np.array([0.1, 0.2, 0.3, 0.4])
         reward = (0.3, -0.2, 0.5, 0.1)
         for scale in (1.0, 3.7, 0.01):
@@ -395,8 +397,9 @@ class TestWhitening:
         mix = rng.normal(size=(4, 4)) + 2.0 * np.eye(4)
         raw = rng.normal(size=(2000, 4)) @ mix
         buf = fill(make_buffer(100_000), raw)
-        whitened, _ = scalar_reference.whiten_batch(buf.rows(), compute_whitening(buf))  # unit-norm one-hot weights
+        # unit-norm one-hot weights
+        whitened, _ = scalar_reference.whiten_batch(buf.rows(), compute_whitening(buf, EIGEN_FLOOR))
         buf2 = fill(make_buffer(100_000), whitened)
-        inv_sqrt2 = compute_whitening(buf2)
+        inv_sqrt2 = compute_whitening(buf2, EIGEN_FLOOR)
         np.testing.assert_allclose(buf2.reward_moments()[1], np.eye(4), atol=1e-9)
         np.testing.assert_allclose(inv_sqrt2, np.eye(4), atol=1e-6)

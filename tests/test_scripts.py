@@ -60,7 +60,7 @@ def test_artifact_identity_of_the_tree_with_itself():
                                "--episodes", "2")
     result = json.loads(lines[0])
     assert len(lines) == 1 and status == 0
-    assert (result["runs"], result["files"], result["differ"], result["failed"]) == (2, 8, [], [])
+    assert (result["runs"], result["files"], result["differ"], result["failed"]) == (6, 24, [], [])
     assert result["identical"]
 
 
@@ -74,5 +74,6 @@ def test_artifact_identity_names_the_files_a_change_moved(tmp_path):
                                "--episodes", "2")
     result = json.loads(lines[0])
     assert len(lines) == 1 and status == 1
-    assert result["differ"] == ["mo_train_seed1/checkpoint_2.bin", "so_train_seed1/checkpoint_2.bin"]
-    assert (result["files"], result["failed"], result["identical"]) == (8, [], False)
+    runs = ["full_range_k0", "mo_train", "pinned_lsp_k2", "powc_lp_full_range", "replay_unwhitened", "so_train"]
+    assert result["differ"] == [f"{run}_seed1/checkpoint_2.bin" for run in runs]
+    assert (result["files"], result["failed"], result["identical"]) == (24, [], False)
