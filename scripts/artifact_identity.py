@@ -2,8 +2,9 @@
 """Byte-compare the artifacts of a baseline src tree with those of this tree's src.
 
 A change that claims to be byte-identical to its parent shows it here.  Each
-tree runs the same fixed list of operations, each in its own subprocess with
-one BLAS thread:
+tree runs the same fixed list of operations in one subprocess of its own, the
+two side by side, each with one BLAS thread and as one `moqtrader.cli.main`
+call per operation from its run's directory:
 
 - `train` of the benchmark's so_train and mo_train configs (imported from
   bench/workloads.py) at each seed, which writes metrics.jsonl, every
@@ -53,6 +54,30 @@ CONFIGS = {
 BACKTEST_SERIES = {"synthetic_kind": "random-walk", "synthetic_length": BACKTEST_ROWS,
                    "synthetic_amplitude": BACKTEST_STEP_STD}
 IGNORED = {"timing.log"}
+# A tree's runner: reads [run name, [[command, argv], ...]] pairs as JSON from its argument, calls the tree's
+# cli.main on each argv from the run's directory, stops a run at its first failed command and prints the failures.
+RUNNER = """
+import contextlib, io, json, os, sys, traceback
+from moqtrader import cli
+
+failed, root = [], os.getcwd()
+for name, commands in json.loads(sys.argv[1]):
+    os.chdir(os.path.join(root, name))
+    for command, argv in commands:
+        output = io.StringIO()
+        with contextlib.redirect_stdout(output), contextlib.redirect_stderr(output):
+            try:
+                status = cli.main(argv)
+            except SystemExit as exc:
+                status = exc.code
+            except Exception:
+                status = 1
+                traceback.print_exc()
+        if status != 0:
+            failed.append(f"{name} {command}: exit {status}: {output.getvalue().strip()}")
+            break
+print(json.dumps(failed))
+"""
 
 
 def operations(seeds: list[int], episodes: int | None) -> list[tuple[str, dict, dict]]:
@@ -67,28 +92,30 @@ def operations(seeds: list[int], episodes: int | None) -> list[tuple[str, dict, 
     return runs
 
 
-def run_tree(src: Path, root: Path, runs: list[tuple[str, dict, dict]]) -> list[str]:
-    """Every run under src, in root/<run name>; returns the operations that failed."""
+def start_tree(src: Path, root: Path, runs: list[tuple[str, dict, dict]]) -> subprocess.Popen:
+    """Start every run under src, in root/<run name>, in one subprocess."""
     env = {**os.environ, "PYTHONPATH": str(src.resolve())}
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env.setdefault(var, "1")
-    failed = []
+    operations = []
     for name, train_cfg, backtest_cfg in runs:
-        out = root / name
-        out.mkdir(parents=True)
+        (root / name).mkdir(parents=True)
         write_config(root / f"{name}.train.cfg", train_cfg)
         write_config(root / f"{name}.backtest.cfg", backtest_cfg)
-        commands = {
-            "train": ["train", "--config", str(root / f"{name}.train.cfg"), "--out", "."],
-            "backtest": ["backtest", "--config", str(root / f"{name}.backtest.cfg"), "--out", ".", "--range", "test"],
-        }
-        for command, argv in commands.items():
-            done = subprocess.run([sys.executable, "-m", "moqtrader.cli", *argv], cwd=out, env=env,
-                                  capture_output=True, text=True)
-            if done.returncode != 0:
-                failed.append(f"{name} {command}: exit {done.returncode}: {(done.stdout + done.stderr).strip()}")
-                break
-    return failed
+        operations.append((name, [
+            ("train", ["train", "--config", str(root / f"{name}.train.cfg"), "--out", "."]),
+            ("backtest", ["backtest", "--config", str(root / f"{name}.backtest.cfg"), "--out", ".", "--range", "test"]),
+        ]))
+    return subprocess.Popen([sys.executable, "-c", RUNNER, json.dumps(operations)], cwd=root, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def failures(runner: subprocess.Popen) -> list[str]:
+    """The operations a started tree failed, once it has finished."""
+    out, err = runner.communicate()
+    if runner.returncode != 0:
+        return [f"runner: exit {runner.returncode}: {(out + err).strip()}"]
+    return json.loads(out)
 
 
 def artifacts(root: Path) -> dict[str, Path]:
@@ -105,8 +132,9 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         roots = {"baseline": Path(tmp) / "baseline", "change": Path(tmp) / "change"}
-        failed = [f"{tree}: {failure}" for tree, src in (("baseline", args.baseline_src), ("change", REPO_SRC))
-                  for failure in run_tree(src, roots[tree], runs)]
+        runners = {tree: start_tree(src, roots[tree], runs) for tree, src in (("baseline", args.baseline_src),
+                                                                               ("change", REPO_SRC))}
+        failed = [f"{tree}: {failure}" for tree, runner in runners.items() for failure in failures(runner)]
         old, new = artifacts(roots["baseline"]), artifacts(roots["change"])
         differ = sorted(name for name in old.keys() | new.keys()
                         if name not in old or name not in new or old[name].read_bytes() != new[name].read_bytes())

@@ -263,14 +263,14 @@ def _reset(run: _Learner, range_: IndexRange) -> EnvState:
 
 
 def _fit_episode(run: _Learner, state: EnvState) -> None:
-    """The just-reset episode from its start state, one step at a time, fitting the network after every step.
+    """The episode from its start state, one step at a time, fitting the network after every step.
 
     One forward over a step's m rows, built into one buffer, gives the greedy
     choices of its real and counterfactual experiences, made only when one of
     them acts greedily.
     """
     cfg, env, buffer, net = run.cfg, run.env, run.buffer, run.net
-    lo, n = env.episode_range[0], env.steps_in(env.episode_range)
+    lo, n = state.cursor - cfg.lookback, state.end - state.cursor - 1  # its first window row and its steps
     weights, gamma, explore = draw_conditioning(cfg, run.streams, n)
     rows = np.empty((weights.shape[1], cfg.input_width))
     min_fit_len = max(cfg.batchsize, 2) if cfg.whiten else cfg.batchsize

@@ -128,7 +128,7 @@ def cmd_walkforward(cfg: config.RunConfig, out: Path) -> None:
 
 def cmd_report(out: Path) -> None:
     metrics_path = out / "metrics.jsonl"
-    if not metrics_path.exists():
+    if not metrics_path.is_file():
         raise MissingFile(str(metrics_path))
     lines, rows = [], []  # each line's parsed object and curve rows
     for number, text in enumerate(metrics_path.read_text().splitlines(), start=1):
@@ -175,7 +175,11 @@ def main(argv: list[str] | None = None) -> int:
                 metric=args.metric,
                 range_=args.range_,
             )
-        dispatch(args.command, cfg, Path(args.out))
+        out = Path(args.out)
+        nearest = next(p for p in (out, *out.parents) if p.exists())  # out, or the parent its mkdir starts from
+        if not nearest.is_dir():
+            raise InvalidValue("out", f"{nearest} is not a directory")
+        dispatch(args.command, cfg, out)
     except EngineError as exc:
         print(json.dumps(exc.to_payload()))
         return 1

@@ -185,9 +185,12 @@ def to_flat_dict(cfg: RunConfig) -> dict:
 def parse_config(path: str | Path) -> RunConfig:
     """Load and fully validate a config file (flat dialect or JSON object)."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise MissingFile(str(path))
-    text = path.read_text()
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise InvalidValue("config", f"{path}: {exc}") from exc
     if text.lstrip().startswith("{"):
         try:
             raw = json.loads(text)

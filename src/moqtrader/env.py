@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import EpisodeExhausted, InvalidActionForMode, RangeTooShort
 from .market_data import IndexRange, PriceSeries
-from .rewards import CloseEvent, ReturnTrace, RewardVector, reward_matrix, reward_vector
+from .rewards import RewardVector, reward_matrix, reward_vector
 
 
 class Position(IntEnum):
@@ -49,26 +49,21 @@ class Mode(Enum):
         return len(self.targets)
 
 
-def position_transition(current: Position, action_id: int, mode: Mode) -> Position:
-    """Map an action id (index into mode.targets) to the next position."""
-    if not 0 <= action_id < mode.n_actions:
-        raise InvalidActionForMode(f"action id {action_id} invalid for mode {mode.value}")
-    return mode.targets[action_id]
-
-
 @dataclass(frozen=True)
 class EnvState:
     """Cursor into the series plus everything the next step depends on.
 
     ret_window holds the most recent window-1 portfolio log-returns
     (zero-padded at episode start); trade_anchor is the index of the last
-    position change, absent while neutral since the start.
+    position change, absent while neutral since the start; end is the
+    episode's exclusive end index.
     """
 
     cursor: int
     position: Position
     trade_anchor: int | None
     ret_window: tuple[float, ...]
+    end: int
 
 
 @dataclass(frozen=True)
@@ -76,15 +71,15 @@ class StepOutcome:
     next_state: EnvState
     reward: RewardVector
     done: bool
-    trade_occurred: bool
 
 
 class TradingEnv:
     """Replayable environment over an immutable PriceSeries.
 
-    It holds the episode range, not a live state: `transition` is pure in the
-    state argument, so a runner threads the state from step to step and a
-    counterfactual (hindsight) step never advances the episode.
+    It holds no episode: `reset` returns a start state that carries the
+    episode's end, and `transition` is pure in the state argument, so a runner
+    threads the state from step to step and a counterfactual (hindsight) step
+    never advances the episode.
     """
 
     def __init__(self, series: PriceSeries, mode: Mode, *, lookback: int, reward_window: int, fee: float = 0.0):
@@ -103,13 +98,6 @@ class TradingEnv:
         self.target_signs = np.array([position.value for position in mode.targets])
         self.log_close = series.log_close
         self.log_returns = series.log_returns
-        self._episode: IndexRange | None = None
-
-    @property
-    def episode_range(self) -> IndexRange:
-        if self._episode is None:
-            raise RuntimeError("environment not reset")
-        return self._episode
 
     def reset(self, range_: IndexRange, *, random_access: bool = False, episode_len: int | None = None,
               rng: np.random.Generator | None = None) -> EnvState:
@@ -128,11 +116,9 @@ class TradingEnv:
             need = self.lookback + episode_len + 1
             if need > span:
                 raise RangeTooShort(f"episode needs {need} rows, range has {span}")
-            start = lo + int(rng.integers(0, span - need + 1))
-            self._episode = (start, start + need)
-        else:
-            self._episode = (lo, hi)
-        return EnvState(self._episode[0] + self.lookback, Position.NEUTRAL, None, (0.0,) * (self.reward_window - 1))
+            lo += int(rng.integers(0, span - need + 1))
+            hi = lo + need
+        return EnvState(lo + self.lookback, Position.NEUTRAL, None, (0.0,) * (self.reward_window - 1), hi)
 
     @cached_property
     def windows(self) -> np.ndarray:
@@ -141,40 +127,31 @@ class TradingEnv:
 
     def transition(self, state: EnvState, action_id: int) -> StepOutcome:
         """One step from `state`."""
-        lo, hi = self.episode_range
         t = state.cursor
-        if t + 1 >= hi:
+        if t + 1 >= state.end:
             raise EpisodeExhausted(f"cursor {t} is at the episode end")
-        new_pos = position_transition(state.position, action_id, self.mode)
+        if not 0 <= action_id < self.mode.n_actions:
+            raise InvalidActionForMode(f"action id {action_id} invalid for mode {self.mode.value}")
+        new_pos = self.mode.targets[action_id]
         trade = new_pos is not state.position
 
         lr = float(new_pos.value) * float(self.log_returns[t])
-        close_event = None
+        powc = 0.0
         if trade:
             flip = state.position.value * new_pos.value == -1
             lr += (2 if flip else 1) * self._fee_log
-            if state.position is not Position.NEUTRAL:
-                close_event = CloseEvent(
-                    position_sign=state.position.value,
-                    open_log_price=float(self.log_close[state.trade_anchor]),
-                    close_log_price=float(self.log_close[t]),
-                )
+            if state.position is not Position.NEUTRAL:  # a close: the trade's full log-return
+                powc = state.position.value * (float(self.log_close[t]) - float(self.log_close[state.trade_anchor]))
 
         window = state.ret_window + (lr,)
-        reward = reward_vector(ReturnTrace(window), close_event, self.reward_window)
-        next_state = EnvState(
-            cursor=t + 1,
-            position=new_pos,
-            trade_anchor=t if trade else state.trade_anchor,
-            ret_window=window[1:],
-        )
-        done = t + 1 == hi - 1
-        return StepOutcome(next_state, reward, done, trade)
+        reward = reward_vector(window, powc, self.reward_window)
+        next_state = EnvState(t + 1, new_pos, t if trade else state.trade_anchor, window[1:], state.end)
+        return StepOutcome(next_state, reward, t + 1 == state.end - 1)
 
     def outcomes(self, cursors, candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Reward vectors (E, n, m, 4) of candidate actions (E, n, m) along E trajectories of n steps, in arrays.
 
-        Trajectory e starts at cursors[e] as `reset` leaves it and takes candidates[e, t, 0] at step t;
+        Trajectory e starts at cursors[e] as `reset` returns it and takes candidates[e, t, 0] at step t;
         its portfolio log-returns (E, n) come first.  Each vector is `transition`'s, bit for bit.
         """
         n, held = candidates.shape[1], self.target_signs[candidates[:, :, 0]]

@@ -171,7 +171,7 @@ def load_csv(path: str | Path, column_map: dict[str, str] | None = None, asset_i
     the full contract; rows are parsed _CHUNK_ROWS at a time.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise MissingFile(str(path))
     mapping = {"timestamp": "timestamp", "close": "close", **(column_map or {})}
     parts: list[tuple[np.ndarray, np.ndarray]] = []

@@ -10,7 +10,7 @@ compensates its rounding from Python 3.12 on.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,45 +28,22 @@ class RewardVector(NamedTuple):
     powc: float
 
 
-class ReturnTrace(NamedTuple):
-    """Rolling window of the most recent per-step portfolio log-returns.
-
-    Steps before the window has filled are padded with zeros (the
-    neutral-equivalent return), so ALR/SR are defined from step one.
-    """
-
-    returns: tuple[float, ...]
-
-
-class CloseEvent(NamedTuple):
-    """A position closed on this step: its sign and the log of the two execution prices."""
-
-    position_sign: int  # +1 closed a long, -1 closed a short
-    open_log_price: float
-    close_log_price: float
-
-
-def reward_lr(trace: ReturnTrace) -> float:
-    """Last portfolio log-return in the window."""
-    return trace.returns[-1]
-
-
-def reward_alr(trace: ReturnTrace, window: int) -> float:
+def reward_alr(returns: tuple[float, ...], window: int) -> float:
     """Arithmetic mean of the last `window` portfolio log-returns."""
     total = 0.0
-    for x in trace.returns[-window:]:
+    for x in returns[-window:]:
         total += x
     return total / window
 
 
-def reward_sr(trace: ReturnTrace, window: int) -> float:
+def reward_sr(returns: tuple[float, ...], window: int) -> float:
     """Non-annualized Sharpe ratio over the last `window` returns.
 
     Uses the population standard deviation; returns 0 when the std is
     below STD_FLOOR (all-zero neutral stretches, constant windows, L=1).
     """
-    tail = trace.returns[-window:]
-    mean = reward_alr(trace, window)
+    tail = returns[-window:]
+    mean = reward_alr(returns, window)
     squares = 0.0
     for x in tail:
         d = x - mean
@@ -77,25 +54,16 @@ def reward_sr(trace: ReturnTrace, window: int) -> float:
     return mean / std
 
 
-def reward_powc(close_event: Optional[CloseEvent]) -> float:
-    """Profit-only-when-closed: the full log-return of the trade just closed.
+def reward_vector(returns: tuple[float, ...], powc: float, window: int) -> RewardVector:
+    """The four components of a step whose portfolio log-returns, oldest first, end in `returns`.
 
-    Emitted on the step whose action closes the position, valued at the
-    execution close price; 0 on every other step.
+    Steps before the window has filled are padded with zeros (the
+    neutral-equivalent return), so ALR/SR are defined from step one.  LR is
+    the last return.  POWC (profit only when closed) is the full log-return
+    of the trade this step closes, valued at the execution close price, and
+    0 on every other step.
     """
-    if close_event is None:
-        return 0.0
-    return close_event.position_sign * (close_event.close_log_price - close_event.open_log_price)
-
-
-def reward_vector(trace: ReturnTrace, close_event: Optional[CloseEvent], window: int) -> RewardVector:
-    """Assemble the four components in their fixed order."""
-    return RewardVector(
-        lr=reward_lr(trace),
-        alr=reward_alr(trace, window),
-        sr=reward_sr(trace, window),
-        powc=reward_powc(close_event),
-    )
+    return RewardVector(lr=returns[-1], alr=reward_alr(returns, window), sr=reward_sr(returns, window), powc=powc)
 
 
 def reward_matrix(history: np.ndarray, last: np.ndarray, powc: np.ndarray) -> np.ndarray:

@@ -42,7 +42,7 @@ def test_criterion_01_whitening_invariant():
     next_state = env.transition(state, 0).next_state
     w = np.array([1.0, 0, 0, 0])
     for row in rewards:
-        scalar_reference.push_experience(buffer, state, 0, 0.9, w, StepOutcome(next_state, RewardVector(*row), False, True))
+        scalar_reference.push_experience(buffer, state, 0, 0.9, w, StepOutcome(next_state, RewardVector(*row), False))
     inv_sqrt = compute_whitening(buffer, eigen_floor=1e-8)
     assert np.linalg.eigvalsh(buffer.reward_moments()[1]).min() > 100 * 1e-8  # well-conditioned
 

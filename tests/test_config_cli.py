@@ -308,6 +308,51 @@ class TestErrorPayloads:
         assert out == json.dumps(expected) + "\n"
         assert status == 1
 
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        status = cli.main(["train", "--config", str(tmp_path), "--out", str(tmp_path / "run")])
+        assert capsys.readouterr().out == json.dumps({"error": "MissingFile", "detail": str(tmp_path)}) + "\n"
+        assert status == 1
+
+    def test_undecodable_config(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"synthetic_kind = sine\nseed = \xff\n")
+        status = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "run")])
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        assert out == json.dumps(payload) + "\n" and status == 1
+        assert (payload["error"], payload["context"]["key"]) == ("InvalidValue", "config")
+        assert payload["context"]["reason"].startswith(f"{path}: ")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["train", "backtest"])
+    def test_data_csv_is_a_directory(self, tmp_path, capsys, command):
+        data, out = tmp_path / "prices.csv", tmp_path / "run"
+        data.mkdir()
+        out.mkdir()
+        status = cli.main([command, "--config", str(write(tmp_path, f"data_csv = {json.dumps(str(data))}\n")),
+                           "--out", str(out)])
+        assert capsys.readouterr().out == json.dumps({"error": "MissingFile", "detail": str(data)}) + "\n"
+        assert status == 1
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["out", "under out"])
+    def test_out_is_a_file(self, tmp_path, capsys, below):
+        file = tmp_path / "run"
+        file.write_text("")
+        status = cli.main(["train", "--config", str(write(tmp_path, FAST_TRAIN)), "--out", str(file / below)])
+        reason = f"{file} is not a directory"
+        expected = {"error": "InvalidValue", "detail": f"invalid value for out: {reason}",
+                    "context": {"key": "out", "reason": reason}}
+        assert capsys.readouterr().out == json.dumps(expected) + "\n"
+        assert status == 1
+        assert file.read_text() == ""
+
+    def test_metrics_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "metrics.jsonl").mkdir()
+        status = cli.main(["report", "--out", str(tmp_path)])
+        expected = {"error": "MissingFile", "detail": str(tmp_path / "metrics.jsonl")}
+        assert capsys.readouterr().out == json.dumps(expected) + "\n"
+        assert status == 1
+
 
 def spoil_checkpoint(path, damage):
     """Overwrite the checkpoint at path in one of BAD_CHECKPOINTS' ways."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scalar_reference import state_features
 
-from moqtrader.env import Mode, Position, TradingEnv, position_transition
+from moqtrader.env import EnvState, Mode, Position, TradingEnv
 from moqtrader.errors import EpisodeExhausted, InvalidActionForMode, RangeTooShort
 from moqtrader.market_data import PriceSeries
 from moqtrader.synthetic import generate_synthetic
@@ -26,16 +26,26 @@ def flat_then(closes, lookback):
     return series_of([closes[0]] * lookback + list(closes))
 
 
+def next_position(mode, current, action_id):
+    """The position `transition` holds after action_id from `current`, one step into a three-price series."""
+    env = TradingEnv(series_of([100.0, 101.0, 102.0]), mode, lookback=1, reward_window=1)
+    return env.transition(EnvState(1, current, 0, (), 3), action_id).next_state.position
+
+
 class TestPositionTransition:
+    """`transition` moves to the position `Mode.targets` names for the action, from any position."""
+
     def test_target_position_semantics(self):
-        assert position_transition(Position.LONG, LP_HOLD, Mode.LP) is Position.NEUTRAL
-        assert position_transition(Position.NEUTRAL, BUY, Mode.LSP) is Position.LONG
-        assert position_transition(Position.NEUTRAL, SELL, Mode.LSP) is Position.SHORT
-        assert position_transition(Position.SHORT, HOLD, Mode.LSP) is Position.NEUTRAL
+        assert next_position(Mode.LP, Position.LONG, LP_HOLD) is Position.NEUTRAL
+        assert next_position(Mode.LSP, Position.NEUTRAL, BUY) is Position.LONG
+        assert next_position(Mode.LSP, Position.NEUTRAL, SELL) is Position.SHORT
+        assert next_position(Mode.LSP, Position.SHORT, HOLD) is Position.NEUTRAL
 
     def test_sell_invalid_in_lp(self):
         with pytest.raises(InvalidActionForMode):
-            position_transition(Position.LONG, 2, Mode.LP)
+            next_position(Mode.LP, Position.LONG, 2)
+        with pytest.raises(InvalidActionForMode):
+            next_position(Mode.LP, Position.LONG, -1)
 
     def test_action_order(self):
         # Buy -> Long, Sell -> Short, Hold -> Neutral; LP has no Sell
@@ -45,7 +55,7 @@ class TestPositionTransition:
             env = TradingEnv(series_of([100.0, 101.0, 102.0]), mode, lookback=1, reward_window=1)
             assert env.target_signs.tolist() == signs == [target.value for target in mode.targets]
             for current in Position:
-                assert [position_transition(current, a, mode) for a in range(mode.n_actions)] == list(mode.targets)
+                assert [next_position(mode, current, a) for a in range(mode.n_actions)] == list(mode.targets)
 
 
 class TestReset:
@@ -56,15 +66,15 @@ class TestReset:
         assert state.position is Position.NEUTRAL
         assert state.trade_anchor is None
         assert state.ret_window == (0.0,) * 4
+        assert state.end == 100
 
     def test_random_access_deterministic(self):
         series = series_of(np.linspace(100, 200, 100))
         env = TradingEnv(series, Mode.LSP, lookback=10, reward_window=5)
-        cursors = [
-            env.reset((0, 100), random_access=True, episode_len=20, rng=np.random.default_rng(42)).cursor
-            for _ in range(3)
-        ]
-        assert cursors[0] == cursors[1] == cursors[2]
+        states = [env.reset((0, 100), random_access=True, episode_len=20, rng=np.random.default_rng(42))
+                  for _ in range(3)]
+        assert states[0] == states[1] == states[2]
+        assert states[0].end == states[0].cursor + 20 + 1  # episode_len steps and a terminal price
 
     def test_random_access_covers_feasible_starts(self):
         series = series_of(np.linspace(100, 200, 40))
@@ -95,16 +105,18 @@ class TestStep:
     def test_long_log_return(self):
         series = flat_then([100.0, 110.0], lookback=3)
         env = TradingEnv(series, Mode.LSP, lookback=3, reward_window=4)
-        out = env.transition(env.reset((0, len(series))), BUY)
-        assert out.trade_occurred
+        state = env.reset((0, len(series)))
+        out = env.transition(state, BUY)
+        assert out.next_state.position is not state.position
         assert abs(out.reward.lr - LN_1_1) < 1e-12
 
     def test_neutral_gets_zero(self):
         series = flat_then([100.0, 110.0], lookback=3)
         env = TradingEnv(series, Mode.LSP, lookback=3, reward_window=4)
-        out = env.transition(env.reset((0, len(series))), HOLD)
+        state = env.reset((0, len(series)))
+        out = env.transition(state, HOLD)
         assert out.reward.lr == 0.0
-        assert not out.trade_occurred
+        assert out.next_state.position is state.position
 
     def test_fee_added_to_log_return(self):
         series = flat_then([100.0, 110.0], lookback=3)
@@ -126,6 +138,9 @@ class TestStep:
         assert opened.reward.powc == 0.0  # open long at 100
         assert held.reward.powc == 0.0    # keep holding
         assert abs(out.reward.powc - (math.log(120.0) - math.log(100.0))) < 1e-12  # close long at 120
+        opened, out = run_actions(env, env.reset((0, len(series))), [SELL, HOLD])
+        assert opened.reward.powc == 0.0  # open short at 100
+        assert abs(out.reward.powc - (math.log(100.0) - math.log(110.0))) < 1e-12  # close short at 110
 
     def test_done_at_final_index_and_exhaustion(self):
         series = series_of(np.linspace(100, 110, 8))
@@ -148,6 +163,27 @@ class TestStep:
                 break
         assert steps == env.steps_in((10, 50)) == 50 - 10 - 7 - 1
 
+    def test_episodes_of_one_env_step_independently(self):
+        """Two episodes of one env stepped in turn give the outcomes of each alone, and each ends at its own end."""
+        env = TradingEnv(generate_synthetic("random-walk", 200, amplitude=0.02, seed=9), Mode.LSP, lookback=5,
+                         reward_window=4)
+        rng = np.random.default_rng(13)
+        ranges = [(0, 40), (100, 170)]
+        actions = [rng.integers(0, 3, size=env.steps_in(range_)).tolist() for range_ in ranges]
+        alone = [run_actions(env, env.reset(range_), acts) for range_, acts in zip(ranges, actions)]
+        states, together = [env.reset(range_) for range_ in ranges], [[], []]
+        for t in range(max(map(len, actions))):
+            for i in (0, 1):
+                if t < len(actions[i]):
+                    together[i].append(env.transition(states[i], actions[i][t]))
+                    states[i] = together[i][-1].next_state
+        assert together == alone
+        assert [o[-1].done for o in together] == [True, True] and not any(o.done for run in together for o in run[:-1])
+        for state, (lo, hi) in zip(states, ranges):
+            assert state.cursor == hi - 1
+            with pytest.raises(EpisodeExhausted):
+                env.transition(state, HOLD)
+
 
 class TestTrajectoryProperties:
     def make_env(self, seed=0, fee=0.0, n=300):
@@ -159,8 +195,9 @@ class TestTrajectoryProperties:
         rows = []
         for a in actions:
             out = env.transition(state, a)
+            rows.append((out.next_state.position.value, out.reward, out.next_state.position is not state.position,
+                         out.done))
             state = out.next_state
-            rows.append((out.next_state.position.value, out.reward, out.trade_occurred, out.done))
             if out.done:
                 break
         return rows

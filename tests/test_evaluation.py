@@ -149,18 +149,19 @@ class TestVectorizedRollout:
             vectorized_rollout(QNetwork([11, 3], seed=1), env, (0, 4), uniform_weights(), 0.95)
 
     def test_leaves_the_episode_range_alone(self):
+        """An evaluation between two steps of an episode leaves the episode's next outcome unchanged."""
         series = generate_synthetic("sine", 120, amplitude=0.05, period=30.0)
         net = QNetwork([11, 3], seed=1)
-        fresh, episode = env_of(series, lookback=6, reward_window=4), env_of(series, lookback=6, reward_window=4)
-        episode.reset((10, 60))
+        fresh, env = env_of(series, lookback=6, reward_window=4), env_of(series, lookback=6, reward_window=4)
+        state = env.transition(env.reset((10, 60)), 0).next_state
+        expected = fresh.transition(fresh.transition(fresh.reset((10, 60)), 0).next_state, 1)
         for range_ in [(0, 120), (30, 90)]:
             _, trace_a, rep_a = vectorized_rollout(net, fresh, range_, uniform_weights(), 0.95)
-            _, trace_b, rep_b = vectorized_rollout(net, episode, range_, uniform_weights(), 0.95)
+            _, trace_b, rep_b = vectorized_rollout(net, env, range_, uniform_weights(), 0.95)
             np.testing.assert_array_equal(trace_a.actions, trace_b.actions)
             assert rep_a.to_dict() == rep_b.to_dict()
-        assert episode.episode_range == (10, 60)
-        with pytest.raises(RuntimeError):
-            fresh.episode_range
+        assert env.transition(state, 1) == expected
+        assert expected.next_state.end == 60
 
     @pytest.mark.parametrize("mode,fee", [(Mode.LSP, 0.0), (Mode.LSP, 0.0005), (Mode.LP, 0.0)])
     def test_equals_naive_on_random_nets(self, mode, fee):

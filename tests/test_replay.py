@@ -19,8 +19,8 @@ EIGEN_FLOOR = TrainConfig().eigen_floor  # the floor every training run passes b
 SERIES = generate_synthetic("random-walk", 60, amplitude=0.02, seed=3)
 LOOKBACK = 3
 # Every pushed row is a Buy from the first state of the series: neutral, then long.
-STATE = EnvState(cursor=LOOKBACK, position=Position.NEUTRAL, trade_anchor=None, ret_window=(0.0,))
-NEXT = EnvState(cursor=LOOKBACK + 1, position=Position.LONG, trade_anchor=LOOKBACK, ret_window=(0.0,))
+STATE = EnvState(cursor=LOOKBACK, position=Position.NEUTRAL, trade_anchor=None, ret_window=(0.0,), end=len(SERIES))
+NEXT = EnvState(cursor=LOOKBACK + 1, position=Position.LONG, trade_anchor=LOOKBACK, ret_window=(0.0,), end=len(SERIES))
 
 
 def make_buffer(max_age):
@@ -29,7 +29,7 @@ def make_buffer(max_age):
 
 def push(buffer, reward=(0.0, 0.0, 0.0, 0.0), weights=(1.0, 0.0, 0.0, 0.0), action=0, gamma=0.9):
     scalar_reference.push_experience(buffer, STATE, action, gamma, np.asarray(weights, dtype=np.float64),
-                                     StepOutcome(NEXT, RewardVector(*reward), False, True))
+                                     StepOutcome(NEXT, RewardVector(*reward), False))
 
 
 def fill(buffer, rewards, weights=(1.0, 0.0, 0.0, 0.0)):
@@ -165,9 +165,10 @@ def random_columns(rng, n):
 def push_rows(buffer, columns):
     """The same rows through push, one experience at a time."""
     for i in range(len(columns["gamma"])):
-        state = EnvState(int(columns["cursor"][i]), Position(int(columns["position"][i])), None, ())
-        after = EnvState(int(columns["cursor"][i]) + 1, Position(int(columns["next_position"][i])), None, ())
-        outcome = StepOutcome(after, RewardVector(*columns["reward"][i].tolist()), bool(columns["terminal"][i]), True)
+        cursor = int(columns["cursor"][i])
+        state = EnvState(cursor, Position(int(columns["position"][i])), None, (), len(SERIES))
+        after = EnvState(cursor + 1, Position(int(columns["next_position"][i])), None, (), len(SERIES))
+        outcome = StepOutcome(after, RewardVector(*columns["reward"][i].tolist()), bool(columns["terminal"][i]))
         scalar_reference.push_experience(buffer, state, int(columns["action"][i]), float(columns["gamma"][i]),
                                          columns["weights"][i], outcome)
 

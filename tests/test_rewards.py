@@ -3,51 +3,52 @@ import math
 import numpy as np
 import pytest
 
-from moqtrader.rewards import (
-    CloseEvent,
-    ReturnTrace,
-    reward_alr,
-    reward_lr,
-    reward_powc,
-    reward_matrix,
-    reward_sr,
-    reward_vector,
-)
+from moqtrader.env import EnvState, Mode, Position, TradingEnv
+from moqtrader.market_data import PriceSeries
+from moqtrader.rewards import reward_alr, reward_matrix, reward_sr, reward_vector
 from moqtrader.synthetic import generate_synthetic
 
 LN_1_1 = 0.09531017980432493
 LN_1_2 = 0.1823215567939546    # long opened 100, closed 120
 NEG_LN_0_8 = 0.2231435513142106  # short opened 100, closed 80
+HOLD = 2  # the LSP action that leads to neutral
+
+
+def closing_step(open_price, close_price, sign):
+    """The reward vector of the step that closes, at close_price, a position of `sign` opened at open_price."""
+    series = PriceSeries("test", np.arange(3), np.array([open_price, close_price, 1.0]))
+    env = TradingEnv(series, Mode.LSP, lookback=1, reward_window=1)
+    return env.transition(EnvState(1, Position(sign), 0, (), 3), HOLD).reward
 
 
 class TestComponents:
     def test_lr_is_last_window_entry(self):
-        assert reward_lr(ReturnTrace((0.0, 0.01, LN_1_1))) == LN_1_1
-        assert reward_lr(ReturnTrace((0.0,))) == 0.0
-        assert reward_lr(ReturnTrace((-LN_1_1,))) == -LN_1_1
+        assert reward_vector((0.0, 0.01, LN_1_1), 0.0, 3).lr == LN_1_1
+        assert reward_vector((0.0,), 0.0, 1).lr == 0.0
+        assert reward_vector((-LN_1_1,), 0.0, 1).lr == -LN_1_1
 
     def test_alr(self):
-        assert reward_alr(ReturnTrace((0.01, 0.03)), 2) == pytest.approx(0.02, abs=1e-15)
-        assert reward_alr(ReturnTrace((0.0, 0.0, 0.0)), 3) == 0.0
-        assert reward_alr(ReturnTrace((LN_1_1, -LN_1_1)), 2) == pytest.approx(0.0, abs=1e-18)
+        assert reward_alr((0.01, 0.03), 2) == pytest.approx(0.02, abs=1e-15)
+        assert reward_alr((0.0, 0.0, 0.0), 3) == 0.0
+        assert reward_alr((LN_1_1, -LN_1_1), 2) == pytest.approx(0.0, abs=1e-18)
 
     def test_sr(self):
-        assert reward_sr(ReturnTrace((0.02, -0.02)), 2) == 0.0
-        assert reward_sr(ReturnTrace((0.01, 0.03)), 2) == pytest.approx(2.0, abs=1e-12)
-        assert reward_sr(ReturnTrace((0.05, 0.05)), 2) == 0.0  # degenerate std rule
-        assert reward_sr(ReturnTrace((0.05,)), 1) == 0.0
+        assert reward_sr((0.02, -0.02), 2) == 0.0
+        assert reward_sr((0.01, 0.03), 2) == pytest.approx(2.0, abs=1e-12)
+        assert reward_sr((0.05, 0.05), 2) == 0.0  # degenerate std rule
+        assert reward_sr((0.05,), 1) == 0.0
 
     def test_powc(self):
-        assert reward_powc(CloseEvent(1, math.log(100.0), math.log(120.0))) == pytest.approx(LN_1_2, abs=1e-12)
-        assert reward_powc(None) == 0.0
-        assert reward_powc(CloseEvent(-1, math.log(100.0), math.log(80.0))) == pytest.approx(NEG_LN_0_8, abs=1e-12)
+        assert closing_step(100.0, 120.0, 1).powc == pytest.approx(LN_1_2, abs=1e-12)
+        assert reward_vector((0.0,), 0.0, 1).powc == 0.0
+        assert closing_step(100.0, 80.0, -1).powc == pytest.approx(NEG_LN_0_8, abs=1e-12)
 
     def test_vector_order_and_degenerate_sr(self):
-        assert reward_vector(ReturnTrace((0.0, 0.0)), None, 2) == (0.0, 0.0, 0.0, 0.0)
-        vec = reward_vector(ReturnTrace((LN_1_1,)), None, 1)
+        assert reward_vector((0.0, 0.0), 0.0, 2) == (0.0, 0.0, 0.0, 0.0)
+        vec = reward_vector((LN_1_1,), 0.0, 1)
         assert vec.lr == vec.alr == pytest.approx(LN_1_1, abs=1e-15)
         assert vec.sr == 0.0 and vec.powc == 0.0
-        vec = reward_vector(ReturnTrace((LN_1_2,)), CloseEvent(1, math.log(100.0), math.log(120.0)), 1)
+        vec = reward_vector((LN_1_2,), 1 * (math.log(120.0) - math.log(100.0)), 1)
         assert vec.powc == pytest.approx(vec.lr, abs=1e-12)
 
 
@@ -58,8 +59,8 @@ class TestProperties:
         for _ in range(50):
             open_p, close_p = rng.uniform(10, 200, size=2)
             scale = rng.uniform(0.1, 50)
-            base = reward_powc(CloseEvent(1, math.log(open_p), math.log(close_p)))
-            scaled = reward_powc(CloseEvent(1, math.log(scale * open_p), math.log(scale * close_p)))
+            base = closing_step(open_p, close_p, 1).powc
+            scaled = closing_step(scale * open_p, scale * close_p, 1).powc
             assert abs(base - scaled) < 1e-12
 
     def test_sr_invariant_under_positive_rescaling(self):
@@ -67,8 +68,8 @@ class TestProperties:
         for _ in range(50):
             window = tuple(rng.normal(0, 0.02, size=8))
             scale = float(rng.uniform(0.01, 100))
-            before = reward_sr(ReturnTrace(window), 8)
-            after = reward_sr(ReturnTrace(tuple(scale * x for x in window)), 8)
+            before = reward_sr(window, 8)
+            after = reward_sr(tuple(scale * x for x in window), 8)
             if before != 0.0:
                 assert after == pytest.approx(before, rel=1e-9)
 
@@ -82,7 +83,7 @@ def old_reward_sr(returns, window):
 
 
 def old_reward_powc(sign, open_price, close_price):
-    """POWC as computed before the close event carried log prices: math.log of the closes."""
+    """POWC as computed before the closing step read log prices: math.log of the closes."""
     return sign * (math.log(close_price) - math.log(open_price))
 
 
@@ -95,7 +96,7 @@ class TestDeclaredNumericalChange:
         for _ in range(2000):
             window = int(rng.integers(1, 25))
             returns = tuple(float(x) for x in rng.normal(0.0, 0.02, size=window) * rng.uniform(0.01, 10.0))
-            new, old = reward_sr(ReturnTrace(returns), window), old_reward_sr(returns, window)
+            new, old = reward_sr(returns, window), old_reward_sr(returns, window)
             if old == 0.0:
                 assert new == 0.0
             else:
@@ -108,7 +109,7 @@ class TestDeclaredNumericalChange:
         for _ in range(2000):
             i, j = (int(x) for x in rng.integers(0, 5000, size=2))
             sign = int(rng.choice([-1, 1]))
-            new = reward_powc(CloseEvent(sign, float(series.log_close[i]), float(series.log_close[j])))
+            new = closing_step(float(series.close[i]), float(series.close[j]), sign).powc
             old = old_reward_powc(sign, float(series.close[i]), float(series.close[j]))
             # each log may round to the other neighbour, and the difference rounds once more
             assert abs(new - old) <= 4 * np.spacing(max(abs(series.log_close[i]), abs(series.log_close[j])))
@@ -126,7 +127,6 @@ class TestRewardMatrix:
             assert table.shape == (300, 3, 4)
             for t in range(300):
                 for a in range(3):
-                    trace = ReturnTrace(tuple(history[t].tolist()) + (float(last[t, a]),))
-                    close = CloseEvent(1, 0.0, float(powc[t, a])) if powc[t, a] != 0.0 else None
-                    expected = np.array(reward_vector(trace, close, window))
+                    returns = tuple(history[t].tolist()) + (float(last[t, a]),)
+                    expected = np.array(reward_vector(returns, float(powc[t, a]), window))
                     assert table[t, a].tobytes() == expected.tobytes()

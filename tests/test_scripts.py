@@ -77,3 +77,20 @@ def test_artifact_identity_names_the_files_a_change_moved(tmp_path):
     runs = ["full_range_k0", "mo_train", "pinned_lsp_k2", "powc_lp_full_range", "replay_unwhitened", "so_train"]
     assert result["differ"] == [f"{run}_seed1/checkpoint_2.bin" for run in runs]
     assert (result["files"], result["failed"], result["identical"]) == (24, [], False)
+
+
+def test_artifact_identity_names_the_operations_that_failed(tmp_path):
+    # A baseline whose train raises: each of its runs fails at train, skips its backtest and writes nothing.
+    shutil.copytree(REPO_ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "moqtrader" / "cli.py"
+    head = "def cmd_train(cfg: config.RunConfig, out: Path) -> None:\n"
+    cli.write_text(cli.read_text().replace(head, head + '    raise RuntimeError("train is broken")\n', 1))
+    status, lines = run_script("artifact_identity.py", "--baseline-src", str(tmp_path / "src"), "--seeds", "1",
+                               "--episodes", "2")
+    result = json.loads(lines[0])
+    assert len(lines) == 1 and status == 1
+    runs = ["so_train", "mo_train", "full_range_k0", "pinned_lsp_k2", "replay_unwhitened", "powc_lp_full_range"]
+    assert [failure.partition(": Traceback")[0] for failure in result["failed"]] == [
+        f"baseline: {run}_seed1 train: exit 1" for run in runs]
+    assert all(failure.endswith("RuntimeError: train is broken") for failure in result["failed"])
+    assert (result["files"], len(result["differ"]), result["identical"]) == (24, 24, False)
