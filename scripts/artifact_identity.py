@@ -11,9 +11,9 @@ call per operation from its run's directory:
   checkpoint and config.resolved.json;
 - `train` of four short variants of them, on paths those two configs leave
   out: full-range episodes with drawn weights and k = 0; pinned weights in
-  LSP with k = 2 (the frozen runner's table path, and a reused evaluation
-  table); replayed counterfactual actions without whitening, with gamma as
-  an input; and single-reward LP over full-range episodes with POWC;
+  LSP with k = 2 (the frozen runner's table path); replayed counterfactual
+  actions without whitening, with gamma as an input; and single-reward LP
+  over full-range episodes with POWC;
 - `backtest` of each run's checkpoints on a long random-walk series, whose
   test range is forwarded in several row blocks, which writes report.json
   (its checkpoint path is relative, so its bytes do not name the tree).

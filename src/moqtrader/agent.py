@@ -299,18 +299,15 @@ def _fit_episode(run: _Learner, state: EnvState) -> None:
         state = outcomes[actions[0]].next_state
 
 
-def _frozen_stretch(run: _Learner, range_: IndexRange, episodes: int,
-                    evaluated: tuple[np.ndarray, float, np.ndarray] | None = None) -> None:
+def _frozen_stretch(run: _Learner, range_: IndexRange, episodes: int) -> None:
     """`episodes` consecutive episodes of the frozen network over range_ in arrays, with the step loop's replay rows.
 
     Chunks of them (at least one episode, at most env.steps_in(range_) rows of
     steps x m) take one `draw_conditioning`, since each draw kind has its own
     stream, forwards per position and counterfactual slot, one `outcomes` call
     and one push.  Under fixed conditioning (pinned or single-reward weights,
-    one gamma) a row depends only on (cursor, position): one table of greedy
-    actions over range_, built for the first chunk, serves every chunk.  It is
-    taken from `evaluated`, the (weights, gamma, Q-table) of the run network's
-    evaluation over range_, when that conditioning is the chunk's.
+    one gamma) a row depends only on (cursor, position): one greedy table over
+    range_ (`evaluation.q_table`), built for the first chunk, serves them all.
     """
     cfg, env, lookback = run.cfg, run.env, run.cfg.lookback
     fixed = training_weights(cfg) is not None and (not cfg.generalize_gamma or cfg.gamma_range[0] == cfg.gamma_range[1])
@@ -322,10 +319,7 @@ def _frozen_stretch(run: _Learner, range_: IndexRange, episodes: int,
         windows = np.add.outer(cursors - lookback, np.arange(n)).ravel()  # each step's row of env.windows
         weights, gamma, explore = draw_conditioning(cfg, run.streams, len(windows))
         if fixed and table is None:
-            w, g = weights[0, 0], gamma[0, 0]
-            if evaluated is None or not np.array_equal(w, evaluated[0]) or cfg.generalize_gamma and g != evaluated[1]:
-                evaluated = (w, g, evaluation.q_table(run.net, env, range_, w, g, cfg.generalize_gamma))
-            table = evaluated[2].argmax(axis=2)
+            table = evaluation.q_table(run.net, env, range_, weights[0, 0], gamma[0, 0], cfg.generalize_gamma).argmax(2)
 
         def greedy(t, j, slot):  # the greedy actions of steps t at position indices j under slot's conditioning
             if table is not None:
@@ -402,20 +396,18 @@ def train(
     run = _Learner(cfg, streams, net, net.clone(), env, ReplayBuffer(cfg.max_age, env))
     eval_weights, eval_gamma = eval_conditioning(cfg, eval_weights, eval_gamma)
     checkpoints: list[Checkpoint] = []
-    evaluated = None  # the last evaluation's conditioning and train-range Q-table
 
     with contextlib.ExitStack() as files:
         writer = _RunWriter(out_dir, cfg, files)
         fitted = cfg.eval_episode_set()
         for last, episode in zip((0, *fitted), (*fitted, cfg.episodes + 1)):
-            _frozen_stretch(run, split.train, episode - last - 1, evaluated)
+            _frozen_stretch(run, split.train, episode - last - 1)
             if episode > cfg.episodes:
                 break
             run.episode = episode
             _fit_episode(run, _reset(run, split.train))
-            reports, table = evaluation.evaluate_split(net, env, split, weights=eval_weights, gamma=eval_gamma,
-                                                       include_gamma=cfg.generalize_gamma)
-            evaluated = (eval_weights, eval_gamma, table)
+            reports = evaluation.evaluate_split(net, env, split, weights=eval_weights, gamma=eval_gamma,
+                                                include_gamma=cfg.generalize_gamma)
             ck = Checkpoint(episode=episode, net=net.clone(), reports=reports)
             writer.write(ck, run.env_steps, run.updates)
             checkpoints.append(ck)

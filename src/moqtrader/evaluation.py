@@ -1,8 +1,8 @@
 """Greedy-policy rollouts, metrics, benchmarks and checkpoint selection.
 
 `vectorized_rollout` is the route every evaluation takes, on the caller's
-`TradingEnv`: it batch-evaluates the network per trading position over the
-whole range (`q_table`), walks it (`TradingEnv.greedy_walk`) and takes the
+`TradingEnv`: it finds the greedy walk in Jacobi rounds (`walk_rounds`),
+forwarding only the (step, position) rows the walk can visit, and takes the
 rewards from the environment's array kernel, so its trace equals
 the greedy step loop's (tests/scalar_reference.py) bit for bit.  Buy-and-hold
 has one closed form, `_buy_and_hold_benchmark`, equal to the always-long
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -93,59 +93,87 @@ def _buy_and_hold_benchmark(env: TradingEnv, range_: IndexRange) -> tuple[float,
     return float(np.exp(lr.sum()) - 1.0), _sharpe(lr)
 
 
+def _row_forwards(net: QNetwork, env: TradingEnv, lo: int, n: int, conditioning: tuple):
+    """forward(steps, position code) yields (start, stop, Q-values) per `row_blocks` block of those steps' rows from
+    window row lo on conditioning (weights, gamma, include_gamma).  `build_input` writes each block into one buffer
+    of the builder's width, so a net of another input width fails its forward."""
+    inputs = build_input(env.windows[lo : lo + min(n, BLOCK_ROWS + 1)], *conditioning)
+
+    def forward(steps: np.ndarray, position: int) -> Iterator[tuple[int, int, np.ndarray]]:
+        for start, stop in row_blocks(len(steps)) if len(steps) else ():
+            rows = build_input(env.windows[lo + steps[start:stop]], *conditioning, position, out=inputs[: stop - start])
+            yield start, stop, net.forward(rows)
+    return forward
+
+
 def q_table(net: QNetwork, env: TradingEnv, range_: IndexRange, weights: np.ndarray, gamma: float,
             include_gamma: bool) -> np.ndarray:
-    """Q-values (steps, positions, actions) of net over range_ on one conditioning, forwarded per `row_blocks` block."""
-    lo, n = range_[0], env.steps_in(range_)
+    """Q-values (steps, positions, actions) of net over range_ on one conditioning: a frozen stretch's table."""
+    n = env.steps_in(range_)
+    forward = _row_forwards(net, env, range_[0], n, (weights, gamma, include_gamma))
     table = np.empty((n, len(env.mode.targets), net.widths[-1]))
-    # One block's buffer, of the builder's width: a net of another width fails its forward.
-    inputs = build_input(env.windows[lo : lo + min(n, BLOCK_ROWS + 1)], weights, gamma, include_gamma)
-    for start, stop in row_blocks(n):
-        for j, position in enumerate(env.mode.targets):
-            table[start:stop, j] = net.forward(build_input(env.windows[lo + start : lo + stop], weights, gamma,
-                                                           include_gamma, position.value, out=inputs[: stop - start]))
+    for j, position in enumerate(env.mode.targets):
+        for start, stop, q in forward(np.arange(n), position.value):
+            table[start:stop, j] = q
     return table
 
 
-def vectorized_rollout(
-    net: QNetwork, env: TradingEnv, range_: IndexRange, weights: np.ndarray, gamma: float, *,
-    include_gamma: bool = False, range_id: str = "range",
-) -> tuple[np.ndarray, PositionTrace, EvaluationReport]:
-    """Fast greedy rollout over range_ of env's series: one batched network evaluation per trading position.
+def walk_rounds(env: TradingEnv, n: int, choose) -> tuple[np.ndarray, np.ndarray]:
+    """The int8 (steps, positions) choice table, -1 where no row was chosen at, and the actions of the greedy walk of
+    n steps from neutral; choose(steps, positions) gives those rows' greedy actions.  In Jacobi rounds, every step
+    guesses its position (neutral at first), each guess not yet chosen at is, and a step's next guess is its
+    predecessor's choice at its own guess, until all are confirmed.  Rounds go on while each at least halves the wrong
+    guesses, so there are at most ceil(log2 n) + 2; when one falls short, every row left is chosen at and
+    `TradingEnv.greedy_walk` walks the full table."""
+    choices = np.full((n, env.mode.n_actions), -1, dtype=np.int8)
+    guess = np.full(n, env.mode.targets.index(Position.NEUTRAL), dtype=np.int8)
+    taken = np.empty(n, dtype=np.int8)  # each step's choice at its guess
+    moved, wrong = np.arange(n), math.inf  # the steps whose guess changed, and how many were wrong (no bar at first)
+    while True:
+        new = moved[choices[moved, guess[moved]] < 0]
+        choices[new, guess[new]] = choose(new, guess[new])
+        taken[moved] = choices[moved, guess[moved]]
+        before = moved[moved < n - 1]
+        moved = before[taken[before] != guess[before + 1]] + 1
+        if not len(moved):
+            return choices, taken
+        if 2 * len(moved) > wrong:
+            choices[choices < 0] = choose(*np.nonzero(choices < 0))
+            return choices, env.greedy_walk(choices, [-1] * n, n)
+        guess[moved], wrong = taken[moved - 1], len(moved)
 
-    The lookback evolution over a fixed price range is fully predictable, so
-    Q-values for every (step, position) pair are computed up front (`q_table`);
-    the greedy trajectory is then reconstructed by walking that table.  The
-    resulting trace matches the environment's step loop exactly.
-    """
-    lo, hi = range_
-    n = env.steps_in(range_)
+
+def vectorized_rollout(net: QNetwork, env: TradingEnv, range_: IndexRange, weights: np.ndarray, gamma: float, *,
+                       include_gamma: bool = False,
+                       range_id: str = "range") -> tuple[np.ndarray, PositionTrace, EvaluationReport]:
+    """Greedy rollout over range_ of env's series: its choice table, trace and report.  `walk_rounds` forwards only
+    the (step, position) rows its guesses visit, each once; the trace matches the environment's step loop exactly."""
+    (lo, hi), n = range_, env.steps_in(range_)
     if n < 1:
         raise RangeTooShort(f"range length {hi - lo} < lookback + 2 = {env.lookback + 2}")
-    table = q_table(net, env, range_, weights, gamma, include_gamma)
-    if not np.isfinite(table).all():
-        raise Diverged(f"non-finite Q-values on {range_id} range {list(range_)}")
-    actions = env.greedy_walk(table.argmax(axis=2), [-1] * n, n)
+    forward = _row_forwards(net, env, lo, n, (weights, gamma, include_gamma))
+
+    def choose(steps: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        actions = np.empty(len(steps), dtype=np.int8)
+        for j, position in enumerate(env.mode.targets):
+            at = np.flatnonzero(positions == j)
+            for start, stop, q in forward(steps[at], position.value):
+                if not np.isfinite(q).all():
+                    raise Diverged(f"non-finite Q-values on {range_id} range {list(range_)}")
+                actions[at[start:stop]] = q.argmax(axis=1)
+        return actions
+
+    choices, actions = walk_rounds(env, n, choose)
     lr, rewards = env.outcomes([lo + env.lookback], actions[None, :, None])
-    trace = PositionTrace(
-        positions=env.target_signs[actions].astype(np.int8),
-        actions=actions,
-        portfolio_log_returns=lr[0],
-        reward_vectors=rewards[0, :, 0],
-    )
-    return table, trace, _report_from_trace(trace, env, range_, weights, range_id)
+    trace = PositionTrace(env.target_signs[actions].astype(np.int8), actions, lr[0], rewards[0, :, 0])
+    return choices, trace, _report_from_trace(trace, env, range_, weights, range_id)
 
 
-def evaluate_split(
-    net: QNetwork, env: TradingEnv, split: DataSplit, *, weights: np.ndarray, gamma: float, include_gamma: bool
-) -> tuple[dict[str, EvaluationReport], np.ndarray]:
-    """Reports for the train/eval/test ranges of one split of env's series, and the train range's Q-table."""
-    def rollout(name: str) -> tuple[np.ndarray, PositionTrace, EvaluationReport]:
-        return vectorized_rollout(net, env, ranges[name], weights, gamma, include_gamma=include_gamma, range_id=name)
-
-    ranges = split.as_dict()
-    table, train = rollout("train")[::2]  # only the reports and this table outlive their range's rollout
-    return {"train": train, "eval": rollout("eval")[2], "test": rollout("test")[2]}, table
+def evaluate_split(net: QNetwork, env: TradingEnv, split: DataSplit, *, weights: np.ndarray, gamma: float,
+                   include_gamma: bool) -> dict[str, EvaluationReport]:
+    """Reports for the train/eval/test ranges of one split of env's series."""
+    return {name: vectorized_rollout(net, env, range_, weights, gamma, include_gamma=include_gamma, range_id=name)[2]
+            for name, range_ in split.as_dict().items()}
 
 
 _METRIC_ATTR = {"sharpe": "sharpe", "profit": "total_profit"}

@@ -13,6 +13,8 @@ The step loop fits the network through the update path that
 `fit_batch`, which runs the online forward a second time in `gradients`.
 `batch_of` builds a `qnet.Batch` from state rows with `np.hstack`, as that
 path did.
+`table_walk` walks a rollout's full Q-table, the route that
+`evaluation.walk_rounds` is held to.
 `unblocked_forward` runs a batch as one matrix product per layer, the
 forward that `QNetwork.forward`'s row blocks are held to.
 `params_equal` and `format_config` are test helpers that nothing in the
@@ -98,6 +100,15 @@ def run_policy(
     """Greedy rollout of the network over one range, one one-row forward per step."""
     trace = rollout(env, range_, greedy_policy(net, weights, gamma, include_gamma))
     return trace, _report_from_trace(trace, env, range_, weights, range_id)
+
+
+def table_walk(net: QNetwork, env: TradingEnv, range_: IndexRange, weights: np.ndarray, gamma: float,
+               include_gamma: bool = False) -> np.ndarray:
+    """The greedy walk's actions by the full-table route: the argmaxes of the Q-table over range_
+    (`evaluation.q_table`), walked from neutral by `TradingEnv.greedy_walk`."""
+    n = env.steps_in(range_)
+    return env.greedy_walk(evaluation.q_table(net, env, range_, weights, gamma, include_gamma).argmax(axis=2),
+                           [-1] * n, n)
 
 
 def buy_and_hold(
@@ -312,18 +323,11 @@ def frozen_episode(run: "agent._Learner", state: EnvState) -> None:
     step_loop(run, state, fit=False)
 
 
-def frozen_stretch(run: "agent._Learner", range_: IndexRange, episodes: int,
-                   evaluated: tuple[np.ndarray, float, np.ndarray] | None = None) -> None:
+def frozen_stretch(run: "agent._Learner", range_: IndexRange, episodes: int) -> None:
     """`agent._frozen_stretch` as one step-loop episode per episode, each reset as training resets it.
 
-    The step loop makes every greedy choice with its own forward.  An
-    evaluation handed in must hold, bit for bit, the Q-table of the run's
-    network over range_ on that evaluation's weights and gamma.
+    The step loop makes every greedy choice with its own forward.
     """
-    if evaluated is not None:
-        weights, gamma, table = evaluated
-        own = evaluation.q_table(run.net, run.env, range_, weights, gamma, run.cfg.generalize_gamma)
-        assert table.tobytes() == own.tobytes()
     for _ in range(episodes):
         frozen_episode(run, agent._reset(run, range_))
 

@@ -751,41 +751,39 @@ def test_train_artifacts_equal_step_loop_runs(case, tmp_path, monkeypatch):
         assert (tmp_path / "engine" / name).read_bytes() == (tmp_path / "reference" / name).read_bytes(), name
 
 
-PINNED = dict(pin_weights=(0.1, 0.2, 0.3, 0.4), generalize_gamma=True, gamma_range=(0.9, 0.9))
-REUSE_CASES = {  # training config, evaluation weights and gamma, whether a stretch takes the evaluation's table
-    "single reward, evaluated on it": (dict(multi_reward=False, reward="lr"), None, None, True),
-    "single reward, evaluated on another mix": (dict(multi_reward=False, reward="lr"), (0, 1, 0, 0), None, False),
-    "pinned weights, evaluated on another gamma, which is no input": (
-        dict(pin_weights=(0.1, 0.2, 0.3, 0.4)), (0.1, 0.2, 0.3, 0.4), 0.8, True),
-    "pinned weights, one-point gamma range, evaluated on both": (PINNED, (0.1, 0.2, 0.3, 0.4), None, True),
-    "pinned weights, evaluated on another gamma": (PINNED, (0.1, 0.2, 0.3, 0.4), 0.8, False),
-    "drawn weights": (dict(), (0.1, 0.2, 0.3, 0.4), None, False),
+PINNED = (0.1, 0.2, 0.3, 0.4)
+TABLE_CASES = {  # training config, and whether its conditioning is fixed
+    "single reward": (dict(multi_reward=False, reward="lr"), True),
+    "pinned weights": (dict(pin_weights=PINNED), True),
+    "pinned weights, one-point gamma range": (dict(pin_weights=PINNED, generalize_gamma=True, gamma_range=(0.9, 0.9)),
+                                              True),
+    "pinned weights, drawn gamma": (dict(pin_weights=PINNED, generalize_gamma=True), False),
+    "drawn weights": (dict(), False),
 }
 
 
-@pytest.mark.parametrize("case", REUSE_CASES)
-def test_a_stretch_after_an_evaluation_reuses_its_train_table(case, tmp_path, monkeypatch):
-    """Under a fixed training conditioning that is the evaluation's, the stretch after an evaluation takes the
-    evaluation's train-range table instead of building its own, and the artifacts do not change."""
-    overrides, eval_weights, eval_gamma, reused = REUSE_CASES[case]
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_a_fixed_conditioning_stretch_builds_one_table(case, monkeypatch):
+    """Each frozen stretch with episodes under fixed conditioning builds one Q-table, on its own conditioning;
+    drawn conditioning builds none, and an evaluation builds none either."""
+    overrides, fixed = TABLE_CASES[case]
     cfg = small_cfg(**{"episodes": 12, "eval_every": 6, "episode_len": 60, "k": 3, **overrides})  # 5 + 5 frozen
     series = generate_synthetic("random-walk", 400, amplitude=0.02, seed=9)
-    stretch, q_table, given, tables = agent._frozen_stretch, evaluation.q_table, [], []
+    stretch, q_table, stretches, tables = agent._frozen_stretch, evaluation.q_table, [], []
 
-    def recorded_stretch(run, range_, episodes, evaluated=None):
-        given.append(evaluated is not None)
-        stretch(run, range_, episodes, evaluated)
+    def recorded_stretch(run, range_, episodes):
+        built = len(tables)
+        stretch(run, range_, episodes)
+        stretches.append((episodes, len(tables) - built))
 
     monkeypatch.setattr(agent, "_frozen_stretch", recorded_stretch)
-    monkeypatch.setattr(evaluation, "q_table", lambda *args: tables.append(args[2]) or q_table(*args))
-    train(cfg, series, make_split(series), out_dir=tmp_path / "reused", eval_weights=eval_weights, eval_gamma=eval_gamma)
-    assert given == [False, True, True]  # every stretch after an evaluation is handed it; the third has no episode
-    fixed = agent.training_weights(cfg) is not None
-    assert len(tables) == 2 * 3 + fixed * (2 - reused)  # two evaluations of three ranges, then the stretches' own
-    monkeypatch.setattr(agent, "_frozen_stretch", lambda run, range_, episodes, evaluated: stretch(run, range_, episodes))
-    train(cfg, series, make_split(series), out_dir=tmp_path / "own", eval_weights=eval_weights, eval_gamma=eval_gamma)
-    for name in ("metrics.jsonl", "checkpoint_6.bin", "checkpoint_12.bin"):
-        assert (tmp_path / "reused" / name).read_bytes() == (tmp_path / "own" / name).read_bytes(), name
+    monkeypatch.setattr(evaluation, "q_table", lambda *args: tables.append(args[3:5]) or q_table(*args))
+    train(cfg, series, make_split(series), eval_weights=(0.4, 0.3, 0.2, 0.1), eval_gamma=0.8)
+    assert stretches == [(5, fixed), (5, fixed), (0, 0)]  # the third stretch has no episode
+    weights = agent.training_weights(cfg)
+    for w, gamma in tables:
+        np.testing.assert_array_equal(w, weights)
+        assert gamma == (cfg.gamma_range[0] if cfg.generalize_gamma else cfg.gamma)
 
 
 def test_diverged_at_the_poisoned_update(monkeypatch):

@@ -1,14 +1,15 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from scalar_reference import buy_and_hold, run_policy
+from scalar_reference import buy_and_hold, run_policy, table_walk
 
-from moqtrader import agent
+from moqtrader import agent, evaluation
 from moqtrader.agent import TrainConfig, run_walk_forward, uniform_weights
 from moqtrader.env import Mode, TradingEnv
 from moqtrader.errors import Diverged, EmptyCheckpointList, RangeTooShort, ShapeMismatch
-from moqtrader.evaluation import EvaluationReport, q_table, select_best_checkpoint, vectorized_rollout
+from moqtrader.evaluation import EvaluationReport, q_table, select_best_checkpoint, vectorized_rollout, walk_rounds
 from moqtrader.market_data import PriceSeries, walk_forward_folds
 from moqtrader.qnet import QNetwork
 from moqtrader.synthetic import generate_synthetic
@@ -119,14 +120,14 @@ class TestBuyAndHold:
 class TestVectorizedRollout:
     def test_q_table_slices_match_mode(self):
         series = generate_synthetic("sine", 120, amplitude=0.05, period=30.0)
-        lp_net = QNetwork([11, 2], seed=1)
-        q, _, _ = vectorized_rollout(lp_net, env_of(series, Mode.LP, lookback=6, reward_window=4), (0, 120),
-                                     uniform_weights(), 0.95)
-        assert q.shape[1:] == (2, 2)
-        lsp_net = QNetwork([11, 3], seed=1)
-        q, _, _ = vectorized_rollout(lsp_net, env_of(series, Mode.LSP, lookback=6, reward_window=4), (0, 120),
-                                     uniform_weights(), 0.95)
-        assert q.shape[1:] == (3, 3)
+        for mode in (Mode.LP, Mode.LSP):
+            net, env = QNetwork([11, mode.n_actions], seed=1), env_of(series, mode, lookback=6, reward_window=4)
+            q = q_table(net, env, (0, 120), uniform_weights(), 0.95, False)
+            assert q.shape == (env.steps_in((0, 120)), mode.n_actions, mode.n_actions)
+            choices, _, _ = vectorized_rollout(net, env, (0, 120), uniform_weights(), 0.95)
+            assert choices.shape == q.shape[:2] and choices.dtype == np.int8
+            forwarded = choices >= 0
+            np.testing.assert_array_equal(choices[forwarded], q.argmax(axis=2)[forwarded])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_q_values_raise(self, bad):
@@ -180,6 +181,147 @@ class TestVectorizedRollout:
             np.testing.assert_array_equal(trace_a.portfolio_log_returns, trace_b.portfolio_log_returns)
             np.testing.assert_array_equal(trace_a.reward_vectors, trace_b.reward_vectors)
             assert rep_a.to_dict() == rep_b.to_dict()
+
+
+def position_net(slopes, biases):
+    """A linear net over lookback 6 whose action values depend only on the position code p: slopes * p + biases."""
+    net = constant_policy_net(biases)
+    net.weights[0][6] = slopes  # the position code's row follows the lookback returns
+    return net
+
+
+# Crafted policies of LSP (actions Long, Short, Neutral) and LP (Long, Neutral): the walk each makes from neutral,
+# and the rows its rollout forwards and the rounds it takes over n steps.
+CRAFTED = {
+    "LSP constant neutral": (Mode.LSP, position_net([0.0, 0.0, 0.0], [0.0, 0.0, 1.0]), lambda t: 2, lambda n: (n, 1)),
+    "LSP holding": (Mode.LSP, position_net([1.0, -1.0, 0.0], [0.5, 0.0, -1.0]), lambda t: 0,  # buys, then keeps
+                    lambda n: (2 * n - 1, 2)),  # neutral's rows, then long's: no fallback
+    "LSP alternating": (Mode.LSP, position_net([-1.0, 1.0, 0.0], [0.5, 0.0, -1.0]), lambda t: t % 2,
+                        lambda n: (3 * n, 3)),  # the second round falls short: every row
+    "LP alternating": (Mode.LP, position_net([-1.0, 0.0], [0.5, 0.0]), lambda t: t % 2, lambda n: (2 * n, 3)),
+}
+
+
+def varied_net(rng, mode, lookback, include_gamma, step_std):
+    """A random net whose choices hang on the returns (scaled to unit size) and, more or less, on the position."""
+    net = QNetwork([lookback + 5 + include_gamma, *[(8,), (16, 8)][rng.integers(2)], mode.n_actions],
+                   seed=int(rng.integers(1 << 30)))
+    net.weights[0][:lookback] /= step_std
+    net.weights[0][lookback] *= 10.0 ** rng.uniform(-1.0, 1.5)
+    return net
+
+
+def spied_walks(monkeypatch):
+    """Records each walk_rounds call's rounds: the number of rows its choose callback was asked for, per call."""
+    walks, walk = [], evaluation.walk_rounds
+
+    def counted(env, n, choose):
+        walks.append([])
+        return walk(env, n, lambda steps, positions: walks[-1].append(len(steps)) or choose(steps, positions))
+
+    monkeypatch.setattr(evaluation, "walk_rounds", counted)
+    return walks
+
+
+def max_rounds(n):
+    return math.ceil(math.log2(n)) + 2
+
+
+class TestWalkRounds:
+    """The rounds' walk equals the full table's walk (`scalar_reference.table_walk`), within the rounds' bounds."""
+
+    @pytest.mark.parametrize("mode,fee", [(Mode.LSP, 0.0), (Mode.LSP, 0.0005), (Mode.LP, 0.0), (Mode.LP, 0.0005)])
+    def test_equals_the_table_walk_on_random_draws(self, mode, fee, monkeypatch):
+        rng = np.random.default_rng(41)
+        series = generate_synthetic("random-walk", 1500, amplitude=0.015, seed=5)
+        env = env_of(series, mode, fee, lookback=6, reward_window=4)
+        walks, full = spied_walks(monkeypatch), []
+        for _ in range(100):
+            include_gamma = bool(rng.integers(2))
+            net = varied_net(rng, mode, 6, include_gamma, 0.015)
+            lo = int(rng.integers(0, 300))
+            hi = int(rng.integers(lo + 8, 1501))
+            w, gamma = agent.sample_weights(rng), float(rng.uniform(0.5, 1.0))
+            choices, trace, _ = vectorized_rollout(net, env, (lo, hi), w, gamma, include_gamma=include_gamma)
+            np.testing.assert_array_equal(trace.actions, table_walk(net, env, (lo, hi), w, gamma, include_gamma))
+            assert len(walks[-1]) <= max_rounds(env.steps_in((lo, hi)))
+            full.append(np.count_nonzero(choices < 0) == 0)
+        rounds = [len(r) for r in walks]
+        assert min(rounds) == 1 and max(rounds) >= 3  # draws that need one round, and draws that need more
+        assert any(full) and not all(full)  # draws that forward every row, and draws that do not
+
+    @pytest.mark.parametrize("case", CRAFTED)
+    def test_crafted_policies(self, case, monkeypatch):
+        mode, net, action, cost = CRAFTED[case]
+        env = env_of(generate_synthetic("random-walk", 300, amplitude=0.015, seed=5), mode, lookback=6,
+                     reward_window=4)
+        walks = spied_walks(monkeypatch)
+        _, trace, _ = vectorized_rollout(net, env, (0, 300), uniform_weights(), 0.9)
+        n = env.steps_in((0, 300))
+        np.testing.assert_array_equal(trace.actions, [action(t) for t in range(n)])
+        np.testing.assert_array_equal(trace.actions, table_walk(net, env, (0, 300), uniform_weights(), 0.9))
+        assert (sum(walks[0]), len(walks[0])) == cost(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025, 1026, 1027, 2049, 2050])
+    def test_lengths_about_the_block_fold(self, n):
+        """One-step ranges, and ranges whose rows fill a block exactly, fold a one-row remainder or open a block."""
+        rng = np.random.default_rng(n)
+        series = generate_synthetic("random-walk", 2100, amplitude=0.015, seed=7)
+        for mode in (Mode.LSP, Mode.LP):
+            env = env_of(series, mode, lookback=6, reward_window=4)
+            range_ = (3, 3 + n + 7)
+            assert env.steps_in(range_) == n
+            nets = [varied_net(rng, mode, 6, False, 0.015) for _ in range(3)]
+            nets += [net for m, net, *_ in CRAFTED.values() if m is mode]
+            for net in nets:
+                _, trace, _ = vectorized_rollout(net, env, range_, uniform_weights(), 0.9)
+                np.testing.assert_array_equal(trace.actions, table_walk(net, env, range_, uniform_weights(), 0.9))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 1000])
+    def test_bounds_on_synthetic_tables(self, n):
+        """Every row is asked for at most once, P * n rows in all, in at most ceil(log2 n) + 2 rounds."""
+        rng = np.random.default_rng(n)
+        env = env_of(series_of(np.linspace(100.0, 110.0, 20)), lookback=6, reward_window=4)  # only its mode is read
+        # From neutral, buy on even steps and sell on odd ones; hold any other position: a round confirms one step.
+        parity = np.where(np.arange(n)[:, None] % 2, [0, 1, 1], [0, 1, 0])
+        tables = [parity, np.tile([1, 0, 0], (n, 1))]  # and alternating
+        for dependent in (0.0, 0.02, 0.2, 0.5, 1.0):
+            for _ in range(10):
+                table = rng.integers(0, 3, (n, 3))
+                fixed = rng.random(n) >= dependent
+                table[fixed] = table[fixed, :1]  # a choice that does not depend on the position held
+                tables.append(table)
+        for table in tables:
+            asked, rounds = [], []
+
+            def choose(steps, positions):
+                rounds.append(len(steps))
+                asked.extend(zip(steps.tolist(), positions.tolist()))
+                return table[steps, positions].astype(np.int8)
+
+            choices, actions = walk_rounds(env, n, choose)
+            assert len(set(asked)) == len(asked) <= 3 * n
+            assert sorted(asked) == sorted(zip(*map(np.ndarray.tolist, np.nonzero(choices >= 0))))
+            assert len(rounds) <= max_rounds(n)
+            np.testing.assert_array_equal(choices[choices >= 0], table[choices >= 0])
+            np.testing.assert_array_equal(actions, env.greedy_walk(table, [-1] * n, n))
+
+    def test_rollout_forwards_each_row_at_most_once(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        series = generate_synthetic("random-walk", 3000, amplitude=0.015, seed=11)
+        env = env_of(series, lookback=6, reward_window=4)
+        forwarded, forward = [], QNetwork.forward
+        monkeypatch.setattr(QNetwork, "forward", lambda net, x: forwarded.append(np.array(x)) or forward(net, x))
+        walks = spied_walks(monkeypatch)
+        nets = [varied_net(rng, Mode.LSP, 6, True, 0.015) for _ in range(8)]
+        nets += [net for mode, net, *_ in CRAFTED.values() if mode is Mode.LSP]
+        for net in nets:
+            forwarded.clear()
+            choices, _, _ = vectorized_rollout(net, env, (0, 3000), uniform_weights(), 0.9,
+                                               include_gamma=net.input_width == 12)
+            rows = np.concatenate(forwarded)
+            assert len(np.unique(rows, axis=0)) == len(rows) == np.count_nonzero(choices >= 0) <= 3 * len(choices)
+            assert len(walks[-1]) <= max_rounds(len(choices))
 
 
 def test_q_table_holds_one_block_beside_the_table():
