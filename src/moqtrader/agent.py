@@ -22,7 +22,7 @@ import numpy as np
 from . import evaluation
 from .env import EnvState, Mode, Position, TradingEnv
 from .errors import Diverged, InvalidValue
-from .market_data import DataSplit, FoldPlan, IndexRange, PriceSeries
+from .market_data import DataSplit, IndexRange, PriceSeries
 from .qnet import QNetwork, build_input, save_checkpoint
 from .replay import ReplayBuffer, compute_whitening, scalar_rewards, whiten_rewards
 from .rewards import REWARD_COMPONENTS, REWARD_INDEX
@@ -307,7 +307,8 @@ def _frozen_stretch(run: _Learner, range_: IndexRange, episodes: int) -> None:
     stream, forwards per position and counterfactual slot, one `outcomes` call
     and one push.  Under fixed conditioning (pinned or single-reward weights,
     one gamma) a row depends only on (cursor, position): one greedy table over
-    range_ (`evaluation.q_table`), built for the first chunk, serves them all.
+    range_, `evaluation.greedy_chooser`'s choices at its every (step, position
+    index) row, built for the first chunk, serves them all.
     """
     cfg, env, lookback = run.cfg, run.env, run.cfg.lookback
     fixed = training_weights(cfg) is not None and (not cfg.generalize_gamma or cfg.gamma_range[0] == cfg.gamma_range[1])
@@ -319,7 +320,9 @@ def _frozen_stretch(run: _Learner, range_: IndexRange, episodes: int) -> None:
         windows = np.add.outer(cursors - lookback, np.arange(n)).ravel()  # each step's row of env.windows
         weights, gamma, explore = draw_conditioning(cfg, run.streams, len(windows))
         if fixed and table is None:
-            table = evaluation.q_table(run.net, env, range_, weights[0, 0], gamma[0, 0], cfg.generalize_gamma).argmax(2)
+            grid = np.indices((env.steps_in(range_), env.mode.n_actions))
+            table = evaluation.greedy_chooser(run.net, env, range_, weights[0, 0], gamma[0, 0], cfg.generalize_gamma,
+                                              "train")(*grid.reshape(2, -1)).reshape(grid.shape[1:])
 
         def greedy(t, j, slot):  # the greedy actions of steps t at position indices j under slot's conditioning
             if table is not None:
@@ -427,7 +430,7 @@ class FoldResult:
 
 
 def run_walk_forward(
-    cfg: TrainConfig, series: PriceSeries, plan: FoldPlan, *,
+    cfg: TrainConfig, series: PriceSeries, folds: Sequence[DataSplit], *,
     eval_weights: Sequence[float] | None = None, eval_gamma: float | None = None, metric: str = "sharpe",
 ) -> list[FoldResult]:
     """Train independently per fold and report the best checkpoint's metrics.
@@ -437,7 +440,7 @@ def run_walk_forward(
     reports that network on all three ranges.
     """
     results = []
-    for index, split in enumerate(plan.folds):
+    for index, split in enumerate(folds):
         seed = fold_seed(cfg.seed, index)
         outcome = train(replace(cfg, seed=seed), series, split, eval_weights=eval_weights, eval_gamma=eval_gamma)
         best = evaluation.select_best_checkpoint(outcome.checkpoints, metric=metric, range_id="eval")

@@ -115,10 +115,10 @@ def cmd_backtest(cfg: config.RunConfig, out: Path) -> None:
 
 def cmd_walkforward(cfg: config.RunConfig, out: Path) -> None:
     series = config.load_series(cfg)
-    plan = walk_forward_folds(series, cfg.n_folds, cfg.eval_frac, cfg.test_frac)
+    folds = walk_forward_folds(series, cfg.n_folds, cfg.eval_frac, cfg.test_frac)
     config.write_resolved(cfg, out)
     results = agent.run_walk_forward(
-        cfg.train, series, plan,
+        cfg.train, series, folds,
         eval_weights=cfg.eval_weights, eval_gamma=cfg.eval_gamma, metric=cfg.report_metric,
     )
     payload = {"n_folds": len(results), "metric": cfg.report_metric, "folds": [r.to_dict() for r in results]}

@@ -2,7 +2,8 @@
 
 `vectorized_rollout` is the route every evaluation takes, on the caller's
 `TradingEnv`: it finds the greedy walk in Jacobi rounds (`walk_rounds`),
-forwarding only the (step, position) rows the walk can visit, and takes the
+forwarding only the (step, position) rows the walk can visit through
+`greedy_chooser`, which frozen training tables share, and takes the
 rewards from the environment's array kernel, so its trace equals
 the greedy step loop's (tests/scalar_reference.py) bit for bit.  Buy-and-hold
 has one closed form, `_buy_and_hold_benchmark`, equal to the always-long
@@ -13,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .env import Position, TradingEnv
-from .errors import Diverged, EmptyCheckpointList, RangeTooShort
+from .errors import Diverged, EmptyCheckpointList, RangeTooShort, ShapeMismatch
 from .market_data import DataSplit, IndexRange
 from .qnet import BLOCK_ROWS, QNetwork, build_input, row_blocks
 from .rewards import STD_FLOOR
@@ -93,29 +94,32 @@ def _buy_and_hold_benchmark(env: TradingEnv, range_: IndexRange) -> tuple[float,
     return float(np.exp(lr.sum()) - 1.0), _sharpe(lr)
 
 
-def _row_forwards(net: QNetwork, env: TradingEnv, lo: int, n: int, conditioning: tuple):
-    """forward(steps, position code) yields (start, stop, Q-values) per `row_blocks` block of those steps' rows from
-    window row lo on conditioning (weights, gamma, include_gamma).  `build_input` writes each block into one buffer
-    of the builder's width, so a net of another input width fails its forward."""
+def greedy_chooser(net: QNetwork, env: TradingEnv, range_: IndexRange, weights: np.ndarray, gamma: float,
+                   include_gamma: bool, range_id: str):
+    """choose(steps, positions): the int8 greedy actions of net at those (step, position index) rows of range_ on one
+    conditioning, forwarded per position code in `row_blocks` blocks through one block buffer that `build_input`
+    allocates at the builder's width, so a net of another input width fails its forward (ShapeMismatch).  A net
+    without one output per action of env's mode raises ShapeMismatch, and non-finite Q-values raise Diverged."""
+    lo, n = range_[0], env.steps_in(range_)
+    if net.widths[-1] != env.mode.n_actions:
+        raise ShapeMismatch(f"network outputs {net.widths[-1]} Q-values vs {env.mode.n_actions} actions of mode "
+                            f"{env.mode.value}")
+    conditioning = (weights, gamma, include_gamma)
     inputs = build_input(env.windows[lo : lo + min(n, BLOCK_ROWS + 1)], *conditioning)
 
-    def forward(steps: np.ndarray, position: int) -> Iterator[tuple[int, int, np.ndarray]]:
-        for start, stop in row_blocks(len(steps)) if len(steps) else ():
-            rows = build_input(env.windows[lo + steps[start:stop]], *conditioning, position, out=inputs[: stop - start])
-            yield start, stop, net.forward(rows)
-    return forward
-
-
-def q_table(net: QNetwork, env: TradingEnv, range_: IndexRange, weights: np.ndarray, gamma: float,
-            include_gamma: bool) -> np.ndarray:
-    """Q-values (steps, positions, actions) of net over range_ on one conditioning: a frozen stretch's table."""
-    n = env.steps_in(range_)
-    forward = _row_forwards(net, env, range_[0], n, (weights, gamma, include_gamma))
-    table = np.empty((n, len(env.mode.targets), net.widths[-1]))
-    for j, position in enumerate(env.mode.targets):
-        for start, stop, q in forward(np.arange(n), position.value):
-            table[start:stop, j] = q
-    return table
+    def choose(steps: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        actions = np.empty(len(steps), dtype=np.int8)
+        for j, position in enumerate(env.mode.targets):
+            at = np.flatnonzero(positions == j)
+            for start, stop in row_blocks(len(at)) if len(at) else ():
+                rows = build_input(env.windows[lo + steps[at[start:stop]]], *conditioning, position.value,
+                                   out=inputs[: stop - start])
+                q = net.forward(rows)
+                if not np.isfinite(q).all():
+                    raise Diverged(f"non-finite Q-values on {range_id} range {list(range_)}")
+                actions[at[start:stop]] = q.argmax(axis=1)
+        return actions
+    return choose
 
 
 def walk_rounds(env: TradingEnv, n: int, choose) -> tuple[np.ndarray, np.ndarray]:
@@ -151,19 +155,7 @@ def vectorized_rollout(net: QNetwork, env: TradingEnv, range_: IndexRange, weigh
     (lo, hi), n = range_, env.steps_in(range_)
     if n < 1:
         raise RangeTooShort(f"range length {hi - lo} < lookback + 2 = {env.lookback + 2}")
-    forward = _row_forwards(net, env, lo, n, (weights, gamma, include_gamma))
-
-    def choose(steps: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        actions = np.empty(len(steps), dtype=np.int8)
-        for j, position in enumerate(env.mode.targets):
-            at = np.flatnonzero(positions == j)
-            for start, stop, q in forward(steps[at], position.value):
-                if not np.isfinite(q).all():
-                    raise Diverged(f"non-finite Q-values on {range_id} range {list(range_)}")
-                actions[at[start:stop]] = q.argmax(axis=1)
-        return actions
-
-    choices, actions = walk_rounds(env, n, choose)
+    choices, actions = walk_rounds(env, n, greedy_chooser(net, env, range_, weights, gamma, include_gamma, range_id))
     lr, rewards = env.outcomes([lo + env.lookback], actions[None, :, None])
     trace = PositionTrace(env.target_signs[actions].astype(np.int8), actions, lr[0], rewards[0, :, 0])
     return choices, trace, _report_from_trace(trace, env, range_, weights, range_id)
@@ -176,18 +168,9 @@ def evaluate_split(net: QNetwork, env: TradingEnv, split: DataSplit, *, weights:
             for name, range_ in split.as_dict().items()}
 
 
-_METRIC_ATTR = {"sharpe": "sharpe", "profit": "total_profit"}
-
-
 def select_best_checkpoint(checkpoints: Sequence, metric: str = "sharpe", range_id: str = "eval"):
-    """Argmax of the metric on the given range; ties go to the earliest episode."""
+    """Argmax of the metric on the given range; ties go to the earliest episode, as `max` keeps its first maximum."""
     if not checkpoints:
         raise EmptyCheckpointList("no checkpoints to select from")
-    attr = _METRIC_ATTR[metric]
-    best = checkpoints[0]
-    best_value = getattr(best.reports[range_id], attr)
-    for ck in checkpoints[1:]:
-        value = getattr(ck.reports[range_id], attr)
-        if value > best_value:
-            best, best_value = ck, value
-    return best
+    attr = {"sharpe": "sharpe", "profit": "total_profit"}[metric]
+    return max(checkpoints, key=lambda ck: getattr(ck.reports[range_id], attr))

@@ -93,26 +93,6 @@ class DataSplit:
         return self.as_dict()[name]
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    """Anchored walk-forward folds: every train range starts at index 0 and
-    train ends strictly increase."""
-
-    folds: tuple[DataSplit, ...]
-
-    def __post_init__(self):
-        if not self.folds:
-            raise InfeasibleFoldPlan("no folds")
-        ends = [f.train[1] for f in self.folds]
-        if any(f.train[0] != 0 for f in self.folds):
-            raise InfeasibleFoldPlan("all train ranges must start at 0")
-        if any(b <= a for a, b in zip(ends, ends[1:])):
-            raise InfeasibleFoldPlan("train ends must strictly increase")
-
-    def __len__(self) -> int:
-        return len(self.folds)
-
-
 def _parse_timestamp(text: str | None) -> int:
     """Accepts integer epoch seconds or ISO-8601; naive datetimes are UTC."""
     if text is None:
@@ -230,8 +210,8 @@ def make_split(series: PriceSeries, fractions: tuple[float, float, float] = (0.6
     return DataSplit((0, b1), (b1, b2), (b2, n))
 
 
-def walk_forward_folds(series: PriceSeries, n_folds: int, eval_frac: float, test_frac: float) -> FoldPlan:
-    """Plan anchored walk-forward folds.
+def walk_forward_folds(series: PriceSeries, n_folds: int, eval_frac: float, test_frac: float) -> tuple[DataSplit, ...]:
+    """Anchored walk-forward folds: every train range starts at index 0 and train ends strictly increase.
 
     Fold k (1-based) trains on [0, N*k//(n_folds+1)) with eval and test
     windows of floor(eval_frac*N) and floor(test_frac*N) rows immediately
@@ -257,4 +237,4 @@ def walk_forward_folds(series: PriceSeries, n_folds: int, eval_frac: float, test
             raise InfeasibleFoldPlan(f"fold {k} runs past the series end ({test_end} > {n})")
         folds.append(DataSplit((0, train_end), (train_end, eval_end), (eval_end, test_end)))
         prev_end = train_end
-    return FoldPlan(tuple(folds))
+    return tuple(folds)

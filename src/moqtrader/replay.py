@@ -139,11 +139,6 @@ class ReplayBuffer:
         offset = self._sum / n
         return self._shift + offset, (self._sum_sq - n * np.multiply.outer(offset, offset)) / (n - 1)
 
-    def rows(self, idx: np.ndarray | None = None, include_gamma: bool = False) -> Batch:
-        """Live rows at positions idx (0 = oldest, -1 = newest), or all of them in order."""
-        live = np.arange(self._lo, self._hi)
-        return self._gather(live if idx is None else live[idx], include_gamma)
-
     def sample_rows(self, batchsize: int, rng: np.random.Generator) -> np.ndarray:
         """Positions (0 = oldest) of a uniform sample without replacement; deterministic under the rng."""
         n = len(self)

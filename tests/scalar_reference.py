@@ -15,6 +15,8 @@ The step loop fits the network through the update path that
 path did.
 `table_walk` walks a rollout's full Q-table, the route that
 `evaluation.walk_rounds` is held to.
+`replay_rows` gathers a replay's live rows in order, which the tests read
+and the engine, which only samples, does not.
 `unblocked_forward` runs a batch as one matrix product per layer, the
 forward that `QNetwork.forward`'s row blocks are held to.
 `params_equal` and `format_config` are test helpers that nothing in the
@@ -31,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from moqtrader import agent, config, evaluation
+from moqtrader import agent, config
 from moqtrader.env import EnvState, TradingEnv
 from moqtrader.errors import (
     MissingColumn,
@@ -104,11 +106,12 @@ def run_policy(
 
 def table_walk(net: QNetwork, env: TradingEnv, range_: IndexRange, weights: np.ndarray, gamma: float,
                include_gamma: bool = False) -> np.ndarray:
-    """The greedy walk's actions by the full-table route: the argmaxes of the Q-table over range_
-    (`evaluation.q_table`), walked from neutral by `TradingEnv.greedy_walk`."""
-    n = env.steps_in(range_)
-    return env.greedy_walk(evaluation.q_table(net, env, range_, weights, gamma, include_gamma).argmax(axis=2),
-                           [-1] * n, n)
+    """The greedy walk's actions by the full-table route: per position code, one forward of every step's row of
+    range_, then the argmaxes walked from neutral by `TradingEnv.greedy_walk`."""
+    lo, n = range_[0], env.steps_in(range_)
+    table = np.stack([net.forward(build_input(env.windows[lo : lo + n], weights, gamma, include_gamma,
+                                              position.value)).argmax(axis=1) for position in env.mode.targets], axis=1)
+    return env.greedy_walk(table, [-1] * n, n)
 
 
 def buy_and_hold(
@@ -185,6 +188,12 @@ def push_experience(buffer: ReplayBuffer, state: EnvState, action: int, gamma: f
     buffer.push({"cursor": state.cursor, "position": state.position, "next_position": outcome.next_state.position,
                  "action": [action], "gamma": gamma, "weights": [weights], "reward": [outcome.reward],
                  "terminal": outcome.done})
+
+
+def replay_rows(buffer: ReplayBuffer, idx=None, include_gamma: bool = False) -> Batch:
+    """The buffer's live rows at positions idx (0 = oldest, -1 = newest), or all of them in order."""
+    live = np.arange(buffer._lo, buffer._hi)
+    return buffer._gather(live if idx is None else live[idx], include_gamma)
 
 
 def params_equal(a: QNetwork, b: QNetwork) -> bool:

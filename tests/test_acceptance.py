@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import scalar_reference
+from scalar_reference import replay_rows
 
 from moqtrader import agent, cli, evaluation
 from moqtrader.agent import TrainConfig, one_hot_weights, train
@@ -46,7 +47,7 @@ def test_criterion_01_whitening_invariant():
     inv_sqrt = compute_whitening(buffer, eigen_floor=1e-8)
     assert np.linalg.eigvalsh(buffer.reward_moments()[1]).min() > 100 * 1e-8  # well-conditioned
 
-    stored = buffer.rows().reward
+    stored = replay_rows(buffer).reward
     worst = 0.0
     for _ in range(20):
         unit = rng.normal(size=4)
@@ -191,15 +192,15 @@ def test_criterion_05_one_hot_reduction():
     # scalar reward stream equality, hindsight augmentation active (k = 3)
     single = train(cfg(multi=False, k=3, whiten=True), series, split)
     pinned = train(cfg(multi=True, k=3, whiten=True), series, split)
-    stream_single = scalar_rewards(single.replay.rows()).tolist()
-    stream_pinned = scalar_rewards(pinned.replay.rows()).tolist()[::4]  # real experiences
+    stream_single = scalar_rewards(replay_rows(single.replay)).tolist()
+    stream_pinned = scalar_rewards(replay_rows(pinned.replay)).tolist()[::4]  # real experiences
     assert stream_single == stream_pinned
 
     # identical Bellman targets with whitening disabled
     net = QNetwork(cfg(False, 0, False).widths, seed=21)
     target = net.clone()
-    batch_single = single.replay.rows(np.arange(8))
-    batch_pinned = pinned.replay.rows(np.arange(0, 32, 4))
+    batch_single = replay_rows(single.replay, np.arange(8))
+    batch_pinned = replay_rows(pinned.replay, np.arange(0, 32, 4))
     _, t_single = scalar_reference.bellman_targets(batch_single, scalar_rewards(batch_single), net, target, alpha=0.7)
     _, t_pinned = scalar_reference.bellman_targets(batch_pinned, scalar_rewards(batch_pinned), net, target, alpha=0.7)
     np.testing.assert_allclose(t_single, t_pinned, atol=1e-12, rtol=0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import scalar_reference
-from scalar_reference import bellman_targets, explore_action, params_equal
+from scalar_reference import bellman_targets, explore_action, params_equal, replay_rows
 from moqtrader import agent, evaluation
 from moqtrader.agent import (
     TrainConfig,
@@ -113,7 +113,7 @@ class TestActEpsilonGreedy:
         agent._fit_episode(run, run.env.reset((0, 200)))
         assert run.updates == 0
         _, _, explore = agent.draw_conditioning(cfg, rng_streams(cfg.seed), run.env_steps)
-        actions = run.buffer.rows().action.reshape(explore.shape)
+        actions = replay_rows(run.buffer).action.reshape(explore.shape)
         assert np.count_nonzero(explore[:, 0] == agent.GREEDY) and np.count_nonzero(explore[:, 1:] == agent.GREEDY)
         return actions[explore == agent.GREEDY]
 
@@ -240,8 +240,8 @@ class TestTrainLoop:
             k: train(small_cfg(episodes=1, eval_every=2, k=k), series, split)
             for k in (0, 3)
         }
-        real0 = runs[0].replay.rows()
-        real3 = runs[3].replay.rows(np.arange(0, len(runs[3].replay), 3 + 1))
+        real0 = replay_rows(runs[0].replay)
+        real3 = replay_rows(runs[3].replay, np.arange(0, len(runs[3].replay), 3 + 1))
         assert len(real0.action) == len(real3.action)
         np.testing.assert_array_equal(real0.inputs[0, :, :7], real3.inputs[0, :, :7])  # the states
         np.testing.assert_array_equal(real0.action, real3.action)
@@ -255,8 +255,8 @@ class TestTrainLoop:
             small_cfg(multi_reward=True, pin_weights=(1.0, 0.0, 0.0, 0.0), episodes=1, eval_every=2, k=3),
             series, split,
         )
-        rows_single = single.replay.rows()
-        rows_multi = pinned.replay.rows(np.arange(0, len(pinned.replay), 4))
+        rows_single = replay_rows(single.replay)
+        rows_multi = replay_rows(pinned.replay, np.arange(0, len(pinned.replay), 4))
         assert scalar_rewards(rows_single).tolist() == scalar_rewards(rows_multi).tolist()
         assert rows_single.reward.tolist() == rows_multi.reward.tolist()
         assert rows_single.action.tolist() == rows_multi.action.tolist()
@@ -288,8 +288,8 @@ class TestTrainLoop:
         )
         net = QNetwork(small_cfg().widths, seed=1)
         target = net.clone()
-        batch_single = single.replay.rows(np.arange(16))
-        batch_multi = pinned.replay.rows(np.arange(0, 64, 4))
+        batch_single = replay_rows(single.replay, np.arange(16))
+        batch_multi = replay_rows(pinned.replay, np.arange(0, 64, 4))
         _, t_single = bellman_targets(batch_single, scalar_rewards(batch_single), net, target, alpha=0.7)
         _, t_multi = bellman_targets(batch_multi, scalar_rewards(batch_multi), net, target, alpha=0.7)
         np.testing.assert_allclose(t_single, t_multi, atol=1e-12, rtol=0)
@@ -306,7 +306,7 @@ class TestTrainLoop:
         series = sine_series()
         cfg = small_cfg(k=1, hindsight_action="replay", episodes=2, eval_every=2, max_age=10_000)
         result = train(cfg, series, make_split(series))  # one frozen, one fitting episode
-        rows = result.replay.rows()
+        rows = replay_rows(result.replay)
         real, replayed = slice(0, None, 2), slice(1, None, 2)
         assert result.updates > 0 and len(rows.action) == 2 * result.env_steps
         assert rows.action[replayed].tolist() == rows.action[real].tolist()
@@ -329,7 +329,7 @@ class TestTrainLoop:
         b = train(cfg, series, split)
         assert params_equal(a.net, b.net)
         assert a.net.input_width == cfg.input_width
-        gammas = set(a.replay.rows().gamma.tolist())
+        gammas = set(replay_rows(a.replay).gamma.tolist())
         assert len(gammas) > 1
         assert all(0.6 <= g < 0.99 for g in gammas)
         # evaluation defaults to the range midpoint
@@ -340,7 +340,7 @@ class TestTrainLoop:
         split = make_split(series)
         result = train(small_cfg(mode=Mode.LP), series, split)
         assert result.net.widths[-1] == 2
-        rows = result.replay.rows()
+        rows = replay_rows(result.replay)
         assert set(rows.action.tolist()) <= {0, 1}
         # LP can never hold a short: next-state position feature is 0 or +1
         assert set(rows.inputs[1, :, 6].tolist()) <= {0.0, 1.0}
@@ -349,7 +349,7 @@ class TestTrainLoop:
         series = sine_series()
         split = make_split(series)
         result = train(small_cfg(hindsight_action="replay", episodes=1, eval_every=2, k=2), series, split)
-        rows = result.replay.rows()
+        rows = replay_rows(result.replay)
         for i in range(0, len(rows.action), 3):  # real experience then k=2 extras
             assert all(rows.action[i + 1 : i + 3] == rows.action[i])
             np.testing.assert_array_equal(rows.inputs[0, i + 1, :7], rows.inputs[0, i, :7])
@@ -422,7 +422,7 @@ class TestTargetSync:
         x = np.random.default_rng(9).normal(size=result.net.input_width)
         np.testing.assert_array_equal(result.net.forward(x), result.target.forward(x))
         # a TD update bootstraps from that target: the same step as from the online network
-        batch = result.replay.rows(np.arange(8))
+        batch = replay_rows(result.replay, np.arange(8))
         stepped = []
         for target in (result.target, result.net):
             net = result.net.clone()
@@ -542,7 +542,7 @@ class TestFrozenEpisode:
         weights, gamma, explore = agent.draw_conditioning(cfg, drawn.streams, n)
         assert next_draws(loop.streams) == next_draws(drawn.streams)
 
-        rows = loop.buffer.rows()
+        rows = replay_rows(loop.buffer)
         assert weights.shape == (n, len(rows.action) // n, 4)
         assert rows.weights.tobytes() == weights.reshape(-1, 4).tobytes()
         assert rows.gamma.tobytes() == gamma.tobytes()
@@ -586,7 +586,7 @@ class TestFrozenEpisode:
                 buf.advance_updates(1)  # ages the replay between stretches, as fitting would
             assert live_columns(batched.buffer) == live_columns(loop.buffer)
             assert moments(batched.buffer) == moments(loop.buffer)
-        assert len(set(loop.buffer.rows().action.tolist())) == cfg.n_actions
+        assert len(set(replay_rows(loop.buffer).action.tolist())) == cfg.n_actions
         assert next_draws(loop.streams) == next_draws(batched.streams)
 
     @pytest.mark.parametrize("case, table, chunks", [
@@ -652,7 +652,7 @@ class TestFitEpisode:
             assert params(fitted.net) == params(loop.net)
             assert params(fitted.target) == params(loop.target)
         assert loop.updates > 0 and params(loop.net) != params(net)
-        assert len(set(loop.buffer.rows().action.tolist())) == cfg.n_actions
+        assert len(set(replay_rows(loop.buffer).action.tolist())) == cfg.n_actions
         assert next_draws(loop.streams) == next_draws(fitted.streams)
 
 
@@ -764,26 +764,43 @@ TABLE_CASES = {  # training config, and whether its conditioning is fixed
 
 @pytest.mark.parametrize("case", TABLE_CASES)
 def test_a_fixed_conditioning_stretch_builds_one_table(case, monkeypatch):
-    """Each frozen stretch with episodes under fixed conditioning builds one Q-table, on its own conditioning;
-    drawn conditioning builds none, and an evaluation builds none either."""
+    """Each frozen stretch with episodes under fixed conditioning builds one greedy chooser, on its own conditioning,
+    and chooses at every row of the train range once; drawn conditioning builds none."""
     overrides, fixed = TABLE_CASES[case]
     cfg = small_cfg(**{"episodes": 12, "eval_every": 6, "episode_len": 60, "k": 3, **overrides})  # 5 + 5 frozen
     series = generate_synthetic("random-walk", 400, amplitude=0.02, seed=9)
-    stretch, q_table, stretches, tables = agent._frozen_stretch, evaluation.q_table, [], []
+    split = make_split(series)
+    stretch, chooser, stretches, choosers = agent._frozen_stretch, evaluation.greedy_chooser, [], []
 
     def recorded_stretch(run, range_, episodes):
-        built = len(tables)
+        built = len(choosers)
         stretch(run, range_, episodes)
-        stretches.append((episodes, len(tables) - built))
+        stretches.append((episodes, choosers[built:]))
+
+    def recorded_chooser(*args):
+        choose, calls = chooser(*args), []
+        choosers.append((args[3:5], calls))
+        return lambda steps, positions: calls.append(len(steps)) or choose(steps, positions)
 
     monkeypatch.setattr(agent, "_frozen_stretch", recorded_stretch)
-    monkeypatch.setattr(evaluation, "q_table", lambda *args: tables.append(args[3:5]) or q_table(*args))
-    train(cfg, series, make_split(series), eval_weights=(0.4, 0.3, 0.2, 0.1), eval_gamma=0.8)
-    assert stretches == [(5, fixed), (5, fixed), (0, 0)]  # the third stretch has no episode
-    weights = agent.training_weights(cfg)
-    for w, gamma in tables:
+    monkeypatch.setattr(evaluation, "greedy_chooser", recorded_chooser)
+    train(cfg, series, split, eval_weights=(0.4, 0.3, 0.2, 0.1), eval_gamma=0.8)
+    assert [(episodes, len(built)) for episodes, built in stretches] == [(5, fixed), (5, fixed), (0, 0)]
+    weights, rows = agent.training_weights(cfg), (split.train[1] - split.train[0] - cfg.lookback - 1) * cfg.n_actions
+    for (w, gamma), calls in (built for _, stretch_choosers in stretches for built in stretch_choosers):
         np.testing.assert_array_equal(w, weights)
         assert gamma == (cfg.gamma_range[0] if cfg.generalize_gamma else cfg.gamma)
+        assert calls == [rows]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_a_fixed_conditioning_stretch_of_a_non_finite_net_diverges(bad):
+    """A frozen stretch whose one greedy table meets non-finite Q-values raises Diverged instead of argmaxing them."""
+    cfg = small_cfg(multi_reward=False, reward="lr", episode_len=60)
+    run = learner(cfg, generate_synthetic("random-walk", 400, amplitude=0.02, seed=9))
+    run.net.weights[0][0, 0] = bad
+    with pytest.raises(Diverged), np.errstate(invalid="ignore"):
+        agent._frozen_stretch(run, (0, 240), 2)
 
 
 def test_diverged_at_the_poisoned_update(monkeypatch):

@@ -581,6 +581,17 @@ class TestCli:
         assert capsys.readouterr().out == json.dumps(expected) + "\n"
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("outputs", [2, 4])
+    def test_backtest_of_a_checkpoint_with_another_output_width(self, tmp_path, capsys, outputs):
+        """A checkpoint whose meta holds only its episode, with no output per action of the config's LSP mode."""
+        out = tmp_path / "run"
+        out.mkdir()
+        save_checkpoint(out / "checkpoint_1.bin", QNetwork([6 + 1 + 4, 8, outputs], seed=0), {"episode": 1})
+        assert self.run_cli("backtest", "--config", write(tmp_path, FAST_TRAIN), "--out", out) == 1
+        detail = f"network outputs {outputs} Q-values vs 3 actions of mode LSP"
+        assert capsys.readouterr().out == json.dumps({"error": "ShapeMismatch", "detail": detail}) + "\n"
+        assert not (out / "report.json").exists()
+
     def test_seed_override_lands_in_resolved_config(self, tmp_path, capsys):
         cfg_path = write(tmp_path, FAST_TRAIN)
         out = tmp_path / "run"

@@ -9,7 +9,13 @@ from moqtrader import agent, evaluation
 from moqtrader.agent import TrainConfig, run_walk_forward, uniform_weights
 from moqtrader.env import Mode, TradingEnv
 from moqtrader.errors import Diverged, EmptyCheckpointList, RangeTooShort, ShapeMismatch
-from moqtrader.evaluation import EvaluationReport, q_table, select_best_checkpoint, vectorized_rollout, walk_rounds
+from moqtrader.evaluation import (
+    EvaluationReport,
+    greedy_chooser,
+    select_best_checkpoint,
+    vectorized_rollout,
+    walk_rounds,
+)
 from moqtrader.market_data import PriceSeries, walk_forward_folds
 from moqtrader.qnet import QNetwork
 from moqtrader.synthetic import generate_synthetic
@@ -118,16 +124,19 @@ class TestBuyAndHold:
 
 
 class TestVectorizedRollout:
-    def test_q_table_slices_match_mode(self):
+    def test_chooser_actions_match_mode(self):
         series = generate_synthetic("sine", 120, amplitude=0.05, period=30.0)
         for mode in (Mode.LP, Mode.LSP):
             net, env = QNetwork([11, mode.n_actions], seed=1), env_of(series, mode, lookback=6, reward_window=4)
-            q = q_table(net, env, (0, 120), uniform_weights(), 0.95, False)
-            assert q.shape == (env.steps_in((0, 120)), mode.n_actions, mode.n_actions)
+            grid = np.indices((env.steps_in((0, 120)), mode.n_actions))
+            choose = greedy_chooser(net, env, (0, 120), uniform_weights(), 0.95, False, "range")
+            table = choose(*grid.reshape(2, -1)).reshape(grid.shape[1:])
+            assert table.dtype == np.int8
+            assert set(table.ravel().tolist()) <= set(range(mode.n_actions))
             choices, _, _ = vectorized_rollout(net, env, (0, 120), uniform_weights(), 0.95)
-            assert choices.shape == q.shape[:2] and choices.dtype == np.int8
+            assert choices.shape == table.shape and choices.dtype == np.int8
             forwarded = choices >= 0
-            np.testing.assert_array_equal(choices[forwarded], q.argmax(axis=2)[forwarded])
+            np.testing.assert_array_equal(choices[forwarded], table[forwarded])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_q_values_raise(self, bad):
@@ -143,6 +152,15 @@ class TestVectorizedRollout:
         with pytest.raises(ShapeMismatch):  # lookback 6, position code and 4 weights make 11 inputs, 12 with gamma
             vectorized_rollout(QNetwork([width, 3], seed=1), env_of(series, lookback=6, reward_window=4), (0, 120),
                                uniform_weights(), 0.95, include_gamma=include_gamma)
+
+    @pytest.mark.parametrize("outputs", [2, 4])
+    def test_net_of_another_output_width_raises(self, outputs):
+        series = generate_synthetic("sine", 120, amplitude=0.05, period=30.0)
+        env = env_of(series, lookback=6, reward_window=4)  # LSP: 3 actions
+        with pytest.raises(ShapeMismatch):
+            vectorized_rollout(QNetwork([11, outputs], seed=1), env, (0, 120), uniform_weights(), 0.95)
+        with pytest.raises(ShapeMismatch):
+            greedy_chooser(QNetwork([11, outputs], seed=1), env, (0, 120), uniform_weights(), 0.95, False, "range")
 
     def test_series_shorter_than_lookback(self):
         env = env_of(series_of([100.0, 101.0, 102.0, 101.0]), lookback=6, reward_window=4)
@@ -324,20 +342,22 @@ class TestWalkRounds:
             assert len(walks[-1]) <= max_rounds(len(choices))
 
 
-def test_q_table_holds_one_block_beside_the_table():
-    """A range's traced peak is its table plus one block's inputs and activations (~1.8 MB here), whatever its length."""
+def test_chooser_holds_one_block_beside_its_table():
+    """The chooser's traced peak over a range's every row is its int8 table plus one block's inputs and activations
+    and the rows' indices per position (~2.1 MB here), whatever the range's length."""
     series = generate_synthetic("random-walk", 20_100, amplitude=0.01, seed=3)
     env = env_of(series, lookback=30, reward_window=20)
     net = QNetwork([36, 128, 64, 3], seed=1)
     env.windows  # the series' log-returns are computed once, before tracing
+    steps, positions = np.indices((env.steps_in((0, len(series))), 3)).reshape(2, -1)
     tracemalloc.start()
     try:
-        table = q_table(net, env, (0, len(series)), uniform_weights(), 0.9, True)
+        table = greedy_chooser(net, env, (0, len(series)), uniform_weights(), 0.9, True, "range")(steps, positions)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert table.shape == (20_069, 3, 3)
-    assert peak < table.nbytes + 3 * 2**20
+    assert table.shape == (20_069 * 3,) and table.dtype == np.int8
+    assert peak < table.nbytes + 5 * 2**19
 
 
 def make_checkpoint(episode, sharpe, profit=0.0):
@@ -380,12 +400,12 @@ class TestWalkForward:
 
     def test_fold_reports_and_determinism(self):
         series = generate_synthetic("sine", 700, amplitude=0.08, period=35.0)
-        plan = walk_forward_folds(series, 3, 0.1, 0.1)
-        results = run_walk_forward(self.cfg(), series, plan)
-        again = run_walk_forward(self.cfg(), series, plan)
+        folds = walk_forward_folds(series, 3, 0.1, 0.1)
+        results = run_walk_forward(self.cfg(), series, folds)
+        again = run_walk_forward(self.cfg(), series, folds)
         assert len(results) == 3
         assert [r.to_dict() for r in results] == [r.to_dict() for r in again]
-        for index, (result, split) in enumerate(zip(results, plan.folds)):
+        for index, (result, split) in enumerate(zip(results, folds)):
             assert result.fold == index
             assert result.reports["train"].range == split.train
             assert result.reports["eval"].range == split.eval
@@ -393,13 +413,13 @@ class TestWalkForward:
 
     def test_single_fold_matches_manual_run(self):
         series = generate_synthetic("sine", 700, amplitude=0.08, period=35.0)
-        plan = walk_forward_folds(series, 1, 0.1, 0.1)
-        result = run_walk_forward(self.cfg(), series, plan, metric="sharpe")[0]
+        folds = walk_forward_folds(series, 1, 0.1, 0.1)
+        result = run_walk_forward(self.cfg(), series, folds, metric="sharpe")[0]
 
         from dataclasses import replace
 
         seed = agent.fold_seed(self.cfg().seed, 0)
-        manual = agent.train(replace(self.cfg(), seed=seed), series, plan.folds[0])
+        manual = agent.train(replace(self.cfg(), seed=seed), series, folds[0])
         best = select_best_checkpoint(manual.checkpoints, metric="sharpe", range_id="eval")
         assert result.best_episode == best.episode
         assert result.reports["test"].to_dict() == best.reports["test"].to_dict()

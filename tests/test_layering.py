@@ -2,8 +2,9 @@
 
 evaluation, env, replay, qnet, rewards and market_data are what agent, config
 and cli build on; an import the other way, even one inside a function, makes
-a cycle.  The check reads the syntax trees, so it also sees imports that are
-never executed by the tests.
+a cycle.  Every function, class and method the package defines has a caller
+in the package: what only the tests call belongs in the tests.  The checks read
+the syntax trees, so they also see code that the tests never execute.
 """
 
 import ast
@@ -56,3 +57,43 @@ def test_every_module_is_placed():
 ])
 def test_the_check_sees_every_import_form(source):
     assert len(upper_imports(source)) == 1
+
+
+def uncalled(sources: dict[str, str]) -> set[str]:
+    """`module.name` of every function or class that no name or attribute in the sources refers to, and
+    `module.Class.method` of every method other than a dunder that no attribute in the sources names."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    names = attributes | {node.id for node in nodes if isinstance(node, ast.Name)}
+    found = set()
+    for module, tree in trees.items():
+        methods = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                        methods.add(item)
+                        if item.name not in attributes:
+                            found.add(f"{module}.{node.name}.{item.name}")
+        for node in ast.walk(tree):
+            defines = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            if defines and not node.name.startswith("__") and node not in methods and node.name not in names:
+                found.add(f"{module}.{node.name}")
+    return found
+
+
+def test_everything_defined_is_called():
+    assert uncalled({path.stem: path.read_text() for path in SRC.glob("*.py")}) == set()
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("def f():\n    pass\n", {"m.f"}),
+    ("def f():\n    def g():\n        pass\n    return 1\nf()\n", {"m.g"}),
+    ("class C:\n    def m(self):\n        pass\nC()\n", {"m.C.m"}),
+    ("class C:\n    def __init__(self):\n        self.m()\n    def m(self):\n        pass\nC()\n", set()),
+    ("def f():\n    pass\ng = f\n", set()),
+    ("import m\ndef f():\n    pass\nm.f()\n", set()),
+])
+def test_the_check_sees_every_uncalled_definition(source, expected):
+    assert uncalled({"m": source}) == expected

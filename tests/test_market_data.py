@@ -392,16 +392,13 @@ class TestLogReturns:
 
 class TestWalkForward:
     def test_hand_enumerated_two_folds(self):
-        plan = walk_forward_folds(series_of(np.linspace(1, 2, 900)), 2, 0.1, 0.1)
-        assert len(plan) == 2
-        f1, f2 = plan.folds
+        f1, f2 = walk_forward_folds(series_of(np.linspace(1, 2, 900)), 2, 0.1, 0.1)
         assert (f1.train, f1.eval, f1.test) == ((0, 300), (300, 390), (390, 480))
         assert (f2.train, f2.eval, f2.test) == ((0, 600), (600, 690), (690, 780))
 
     def test_single_fold_uses_half_of_series(self):
         # train = [0, N*k/(n_folds+1)): one fold trains on the first half
-        plan = walk_forward_folds(series_of(np.linspace(1, 2, 1000)), 1, 0.16, 0.20)
-        fold = plan.folds[0]
+        (fold,) = walk_forward_folds(series_of(np.linspace(1, 2, 1000)), 1, 0.16, 0.20)
         assert (fold.train, fold.eval, fold.test) == ((0, 500), (500, 660), (660, 860))
 
     def test_infeasible(self):
@@ -413,8 +410,9 @@ class TestWalkForward:
         for _ in range(10):
             n = int(rng.integers(200, 2000))
             n_folds = int(rng.integers(1, 5))  # 0.1 + 0.1 <= 1/(n_folds+1) keeps plans feasible
-            plan = walk_forward_folds(series_of(np.linspace(1, 2, n)), n_folds, 0.1, 0.1)
-            for a, b in zip(plan.folds, plan.folds[1:]):
-                assert a.train[0] == b.train[0] == 0
+            folds = walk_forward_folds(series_of(np.linspace(1, 2, n)), n_folds, 0.1, 0.1)
+            assert len(folds) == n_folds
+            for fold in folds:
+                assert fold.train[0] == 0 and fold.eval[0] == fold.train[1] and fold.test[0] == fold.eval[1]
+            for a, b in zip(folds, folds[1:]):
                 assert a.train[1] < b.train[1]
-                assert a.eval[0] == a.train[1] and a.test[0] == a.eval[1]

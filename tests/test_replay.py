@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import scalar_reference
+from scalar_reference import replay_rows
 from moqtrader import agent
 from moqtrader.agent import TrainConfig
 from moqtrader.env import EnvState, Mode, Position, StepOutcome, TradingEnv
@@ -39,7 +40,7 @@ def fill(buffer, rewards, weights=(1.0, 0.0, 0.0, 0.0)):
 
 
 def lr_column(buffer):
-    return buffer.rows().reward[:, 0].tolist()
+    return replay_rows(buffer).reward[:, 0].tolist()
 
 
 class TestBuffer:
@@ -49,7 +50,7 @@ class TestBuffer:
         assert len(buf) == 1
         push(buf, (2, 0, 0, 0))
         assert lr_column(buf) == [1.0, 2.0]
-        np.testing.assert_array_equal(buf.rows().reward[:, 0], [1.0, 2.0])
+        np.testing.assert_array_equal(replay_rows(buf).reward[:, 0], [1.0, 2.0])
 
     def test_age_boundary(self):
         buf = make_buffer(max_age=5)
@@ -90,9 +91,9 @@ class TestBuffer:
         buf = fill(make_buffer(max_age=1), [[i, 0, 0, 0] for i in range(6)])
         buf.advance_updates(2)
         fill(buf, [[6, 0, 0, 0], [7, 0, 0, 0]])  # the first six rows are over age
-        assert buf.rows([0, -1]).reward[:, 0].tolist() == [6.0, 7.0]
+        assert replay_rows(buf, [0, -1]).reward[:, 0].tolist() == [6.0, 7.0]
         with pytest.raises(IndexError):
-            buf.rows([2])  # evicted and unwritten rows are out of reach
+            replay_rows(buf, [2])  # evicted and unwritten rows are out of reach
 
     def test_sample_too_small(self):
         buf = fill(make_buffer(max_age=10), np.zeros((3, 4)))
@@ -120,7 +121,7 @@ class TestBuffer:
             buf.advance_updates(1)
             push(buf, (float(i), 1, 0, 0))
         assert len(buf) == 1
-        rows = buf.rows()
+        rows = replay_rows(buf)
         assert [(r[0], r[1]) for r in rows.reward.tolist()] == [(19999.0, 1.0)]
         np.testing.assert_array_equal(rows.reward, [[19999.0, 1.0, 0.0, 0.0]])
 
@@ -238,7 +239,7 @@ def record_episode(mode: Mode, k: int, hindsight_action: str):
         outcome = env.transition(state, action)
         scalar_reference.push_experience(buffer, state, action, 0.9, agent.uniform_weights(), outcome)
         scalar_reference.augment_experiences(env, state, feats, action, net, cfg, streams, buffer)
-        for a in buffer.rows().action[len(expected):]:
+        for a in replay_rows(buffer).action[len(expected):]:
             expected.append((feats, scalar_reference.state_features(env, env.transition(state, int(a)).next_state)))
         state = outcome.next_state
         if outcome.done:
@@ -250,7 +251,7 @@ class TestRebuiltStates:
     @pytest.mark.parametrize("hindsight_action", ["resample", "replay"])
     def test_states_equal_env_features(self, mode, hindsight_action):
         buffer, expected = record_episode(mode, k=3, hindsight_action=hindsight_action)
-        rows = buffer.rows()
+        rows = replay_rows(buffer)
         assert len(rows.action) == len(expected) == 4 * 114
         for i, (state, next_state) in enumerate(expected):
             assert rows.inputs[0, i, :6].tobytes() == state.tobytes()
@@ -259,9 +260,9 @@ class TestRebuiltStates:
         assert rows.terminal.tolist() == [False] * (len(rows.action) - 4) + [True] * 4
         # sampled rows rebuild the same features as the full view
         idx = np.random.default_rng(2).choice(len(buffer), size=32, replace=False)
-        sampled = buffer.rows(idx)
+        sampled = replay_rows(buffer, idx)
         np.testing.assert_array_equal(sampled.inputs, rows.inputs[:, idx])
-        with_gamma = buffer.rows(idx, include_gamma=True)
+        with_gamma = replay_rows(buffer, idx, include_gamma=True)
         np.testing.assert_array_equal(with_gamma.inputs[:, :, :-1], sampled.inputs)
         np.testing.assert_array_equal(with_gamma.inputs[:, :, -1], np.stack((sampled.gamma, sampled.gamma)))
 
@@ -273,7 +274,7 @@ class TestRebuiltStates:
         for w, r in zip(weights, rewards):
             push(buf, r, weights=w)
         expected = [float(w[0] * r[0] + w[1] * r[1] + w[2] * r[2] + w[3] * r[3]) for w, r in zip(weights, rewards)]
-        assert scalar_rewards(buf.rows()).tolist() == expected
+        assert scalar_rewards(replay_rows(buf)).tolist() == expected
 
 
 class TestRunningMoments:
@@ -296,7 +297,7 @@ class TestRunningMoments:
                 buf.advance_updates(1)  # evicts four rows per update once past max_age
             if i % 37 == 36 or i > 9_900:
                 mean, cov = buf.reward_moments()
-                live = buf.rows().reward
+                live = replay_rows(buf).reward
                 ref_cov, ref_mean = np.cov(live, rowvar=False), live.mean(axis=0)
                 worst_cov = max(worst_cov, np.abs(cov - ref_cov).max() / np.abs(ref_cov).max())
                 worst_mean = max(worst_mean, np.abs(mean - ref_mean).max() / np.abs(ref_mean).max())
@@ -318,7 +319,7 @@ class TestRunningMoments:
         buf.advance_updates(1)  # everything summed so far leaves
         fill(buf, rng.normal(size=(50, 4)))
         mean, cov = buf.reward_moments()
-        live = buf.rows().reward
+        live = replay_rows(buf).reward
         np.testing.assert_allclose(cov, np.cov(live, rowvar=False), rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(mean, live.mean(axis=0), rtol=1e-12, atol=1e-15)
 
@@ -343,7 +344,7 @@ class TestWhitening:
         buf = fill(make_buffer(10), [[-2, 0, 0, 0], [0, 0, 0, 0], [2, 0, 0, 0]])
         inv_sqrt = compute_whitening(buf, eigen_floor=1e-8)
         assert inv_sqrt[0, 0] == pytest.approx(0.5, abs=1e-9)
-        rewards = whiten_rewards(fill(make_buffer(10), [[2.0, 0, 0, 0]]).rows(), inv_sqrt)
+        rewards = whiten_rewards(replay_rows(fill(make_buffer(10), [[2.0, 0, 0, 0]])), inv_sqrt)
         assert rewards[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_degenerate_clamp(self):
@@ -358,14 +359,14 @@ class TestWhitening:
 
     def test_whiten_batch_identity_stats_is_noop(self):
         buf = fill(make_buffer(10), [[0.1, 0.2, -0.3, 0.4]])
-        batch = buf.rows()
+        batch = replay_rows(buf)
         rescaled, scalars = scalar_reference.whiten_batch(batch, np.eye(4))
         np.testing.assert_allclose(rescaled, batch.reward, atol=1e-15)
         assert scalars[0] == pytest.approx(scalar_rewards(batch)[0], abs=1e-15)
         rewards = whiten_rewards(batch, np.eye(4))
         assert rewards.tobytes() == scalars.tobytes()
         # the batch and the stored originals untouched
-        assert batch.reward.tolist() == buf.rows().reward.tolist() == [[0.1, 0.2, -0.3, 0.4]]
+        assert batch.reward.tolist() == replay_rows(buf).reward.tolist() == [[0.1, 0.2, -0.3, 0.4]]
 
     def test_weight_direction_determines_output(self):
         rng = np.random.default_rng(21)
@@ -374,7 +375,7 @@ class TestWhitening:
         w = np.array([0.1, 0.2, 0.3, 0.4])
         reward = (0.3, -0.2, 0.5, 0.1)
         for scale in (1.0, 3.7, 0.01):
-            out = whiten_rewards(fill(make_buffer(10), [reward], weights=scale * w).rows(), inv_sqrt)
+            out = whiten_rewards(replay_rows(fill(make_buffer(10), [reward], weights=scale * w)), inv_sqrt)
             if scale == 1.0:
                 base = out[0]
             else:
@@ -386,7 +387,7 @@ class TestWhitening:
         buf = fill(make_buffer(100_000), rng.normal(size=(5000, 4)) @ mix + rng.normal(size=4))
         inv_sqrt = compute_whitening(buf, eigen_floor=1e-8)
         assert np.linalg.eigvalsh(buf.reward_moments()[1]).min() > 100 * 1e-8
-        rewards = buf.rows().reward
+        rewards = replay_rows(buf).reward
         for _ in range(10):
             w = rng.normal(size=4)
             w /= np.linalg.norm(w)
@@ -399,7 +400,7 @@ class TestWhitening:
         raw = rng.normal(size=(2000, 4)) @ mix
         buf = fill(make_buffer(100_000), raw)
         # unit-norm one-hot weights
-        whitened, _ = scalar_reference.whiten_batch(buf.rows(), compute_whitening(buf, EIGEN_FLOOR))
+        whitened, _ = scalar_reference.whiten_batch(replay_rows(buf), compute_whitening(buf, EIGEN_FLOOR))
         buf2 = fill(make_buffer(100_000), whitened)
         inv_sqrt2 = compute_whitening(buf2, EIGEN_FLOOR)
         np.testing.assert_allclose(buf2.reward_moments()[1], np.eye(4), atol=1e-9)
