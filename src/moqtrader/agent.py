@@ -304,42 +304,39 @@ def _frozen_stretch(run: _Learner, range_: IndexRange, episodes: int) -> None:
 
     Chunks of them (at least one episode, at most env.steps_in(range_) rows of
     steps x m) take one `draw_conditioning`, since each draw kind has its own
-    stream, forwards per position and counterfactual slot, one `outcomes` call
-    and one push.  Under fixed conditioning (pinned or single-reward weights,
-    one gamma) a row depends only on (cursor, position): one greedy table over
-    range_, `evaluation.greedy_chooser`'s choices at its every (step, position
-    index) row, built for the first chunk, serves them all.
+    stream, one `outcomes` call and one push.  `evaluation.greedy_chooser`
+    makes the greedy choices: slot 0's at every position of the chunk's steps,
+    a counterfactual's at the position its step starts from.  Under fixed
+    conditioning (pinned or single-reward weights, one gamma) a row depends
+    only on (cursor, position), so one chooser over range_'s rows, built on
+    the first chunk's draw, serves every chunk and slot; under drawn
+    conditioning each chunk builds one over its rows, index t * m + slot.
     """
-    cfg, env, lookback = run.cfg, run.env, run.cfg.lookback
+    cfg, env, lookback, n_actions = run.cfg, run.env, run.cfg.lookback, run.env.mode.n_actions
     fixed = training_weights(cfg) is not None and (not cfg.generalize_gamma or cfg.gamma_range[0] == cfg.gamma_range[1])
     n = cfg.episode_len if cfg.random_access else env.steps_in(range_)  # steps per episode
-    m, table = 1 + (cfg.k if cfg.multi_reward else 0), None
+    m, where = 1 + (cfg.k if cfg.multi_reward else 0), f"train range {list(range_)}"
     per_chunk = max(1, env.steps_in(range_) // max(n * m, 1))  # a range of no step fails at its reset
     for done in range(0, episodes, per_chunk):
         cursors = np.array([_reset(run, range_).cursor for _ in range(min(per_chunk, episodes - done))])
         windows = np.add.outer(cursors - lookback, np.arange(n)).ravel()  # each step's row of env.windows
         weights, gamma, explore = draw_conditioning(cfg, run.streams, len(windows))
-        if fixed and table is None:
-            grid = np.indices((env.steps_in(range_), env.mode.n_actions))
-            table = evaluation.greedy_chooser(run.net, env, range_, weights[0, 0], gamma[0, 0], cfg.generalize_gamma,
-                                              "train")(*grid.reshape(2, -1)).reshape(grid.shape[1:])
-
-        def greedy(t, j, slot):  # the greedy actions of steps t at position indices j under slot's conditioning
-            if table is not None:
-                return table[windows[t] - range_[0], j]
-            return run.net.forward(build_input(env.windows[windows[t]], weights[t, slot], gamma[t, slot],
-                                               cfg.generalize_gamma, env.target_signs[j])).argmax(axis=1)
-
-        steps = np.arange(len(windows))
-        actions = env.greedy_walk(np.stack([greedy(steps, j, 0) for j in range(env.mode.n_actions)], axis=1),
-                                  explore[:, 0].tolist(), n)
+        if not fixed:  # one chooser per chunk, over its (step, slot) rows
+            choose, _ = evaluation.greedy_chooser(run.net, env, np.repeat(windows, m), weights.reshape(-1, 4),
+                                                  gamma.ravel(), cfg.generalize_gamma, where)
+        elif not done:  # one for the stretch, over range_'s rows
+            choose, _ = evaluation.greedy_chooser(run.net, env, range_[0] + np.arange(env.steps_in(range_)),
+                                                  weights[0, 0], gamma[0, 0], cfg.generalize_gamma, where)
+        index = np.repeat(windows[:, None] - range_[0], m, 1) if fixed else np.arange(len(windows) * m).reshape(-1, m)
+        greedy = choose(np.repeat(index[:, 0], n_actions), np.tile(np.arange(n_actions), len(windows)))
+        actions = env.greedy_walk(greedy.reshape(-1, n_actions), explore[:, 0].tolist(), n)
         before = np.roll(actions, 1)  # position index before each step: each episode starts neutral
         before[::n] = env.mode.targets.index(Position.NEUTRAL)
         taken = np.where(explore == REPLAYED, actions[:, None], explore)
         taken[:, 0] = actions
-        for i in range(1, m):
-            t = np.flatnonzero(taken[:, i] == GREEDY)
-            taken[t, i] = greedy(t, before[t], i)
+        for slot in range(1, m):  # per slot, so that a forward holds one slot's rows at most (peak RSS)
+            t = np.flatnonzero(taken[:, slot] == GREEDY)
+            taken[t, slot] = choose(index[t, slot], before[t])
         _, rewards = env.outcomes(cursors, taken.reshape(len(cursors), n, m))
         run.buffer.push({
             "cursor": np.repeat(windows + lookback, m),
@@ -349,9 +346,9 @@ def _frozen_stretch(run: _Learner, range_: IndexRange, episodes: int) -> None:
             "gamma": gamma.ravel(),
             "weights": weights.reshape(-1, 4),
             "reward": rewards.reshape(-1, 4),
-            "terminal": np.repeat(steps % n == n - 1, m),
+            "terminal": np.repeat(np.arange(len(windows)) % n == n - 1, m),
         })
-        run.env_steps += len(steps)
+        run.env_steps += len(windows)
 
 
 class _RunWriter:

@@ -1,14 +1,14 @@
 """Greedy-policy rollouts, metrics, benchmarks and checkpoint selection.
 
-`vectorized_rollout` is the route every evaluation takes, on the caller's
-`TradingEnv`: it finds the greedy walk in Jacobi rounds (`walk_rounds`),
-forwarding only the (step, position) rows the walk can visit through
-`greedy_chooser`, which frozen training tables share, and takes the
-rewards from the environment's array kernel, so its trace equals
-the greedy step loop's (tests/scalar_reference.py) bit for bit.  Buy-and-hold
-has one closed form, `_buy_and_hold_benchmark`, equal to the always-long
-environment rollout bit for bit.
-"""
+`greedy_chooser` is the one route to a frozen network's greedy choices, for
+evaluations and frozen training stretches alike: a memoizing int8 choice
+table whose forwards are padded to whole 4-row tiles, so that a choice does
+not depend on the rows grouped with it.  `vectorized_rollout`, the route
+every evaluation takes on the caller's `TradingEnv`, finds the greedy walk
+over it in Jacobi rounds (`walk_rounds`), forwarding only the rows the walk
+can visit, and takes the rewards from the environment's array kernel, so its
+trace equals the greedy step loop's (tests/scalar_reference.py) bit for bit.
+Buy-and-hold has one closed form, `_buy_and_hold_benchmark`."""
 
 from __future__ import annotations
 
@@ -94,56 +94,57 @@ def _buy_and_hold_benchmark(env: TradingEnv, range_: IndexRange) -> tuple[float,
     return float(np.exp(lr.sum()) - 1.0), _sharpe(lr)
 
 
-def greedy_chooser(net: QNetwork, env: TradingEnv, range_: IndexRange, weights: np.ndarray, gamma: float,
-                   include_gamma: bool, range_id: str):
-    """choose(steps, positions): the int8 greedy actions of net at those (step, position index) rows of range_ on one
-    conditioning, forwarded per position code in `row_blocks` blocks through one block buffer that `build_input`
-    allocates at the builder's width, so a net of another input width fails its forward (ShapeMismatch).  A net
-    without one output per action of env's mode raises ShapeMismatch, and non-finite Q-values raise Diverged."""
-    lo, n = range_[0], env.steps_in(range_)
+def greedy_chooser(net: QNetwork, env: TradingEnv, rows: np.ndarray, weights: np.ndarray, gamma, include_gamma: bool,
+                   where: str):
+    """(choose, table): net's int8 (len(rows), n_actions) greedy choice table at env.windows rows `rows`, -1 where
+    nothing has been chosen, and choose(idx, positions), which forwards the (idx, position index) pairs still at -1,
+    each once, and returns their entries.  weights and gamma are one value for all rows or one per row.  Rows go per
+    position code in `row_blocks` blocks through one buffer that `build_input` allocates at the builder's width (so a
+    net of another input width raises ShapeMismatch), padded to whole 4-row tiles: a row's Q-values do not depend on
+    the rows beside it.  Another output width raises ShapeMismatch, non-finite Q-values Diverged naming `where`."""
     if net.widths[-1] != env.mode.n_actions:
         raise ShapeMismatch(f"network outputs {net.widths[-1]} Q-values vs {env.mode.n_actions} actions of mode "
                             f"{env.mode.value}")
-    conditioning = (weights, gamma, include_gamma)
-    inputs = build_input(env.windows[lo : lo + min(n, BLOCK_ROWS + 1)], *conditioning)
+    table = np.full((len(rows), env.mode.n_actions), -1, dtype=np.int8)
+    weights, gamma = np.broadcast_to(weights, (len(rows), 4)), np.broadcast_to(gamma, len(rows))
+    inputs = build_input(np.broadcast_to(0.0, (-(-min(len(rows), BLOCK_ROWS + 1) // 4) * 4, env.lookback)), 0.0, 0.0,
+                         include_gamma)
 
-    def choose(steps: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        actions = np.empty(len(steps), dtype=np.int8)
+    def choose(idx: np.ndarray, positions: np.ndarray) -> np.ndarray:
         for j, position in enumerate(env.mode.targets):
-            at = np.flatnonzero(positions == j)
+            asked, pick = np.zeros(len(rows), dtype=bool), idx[positions == j]
+            asked[pick[table[pick, j] < 0]] = True
+            at = np.flatnonzero(asked)  # each pair still at -1, once
             for start, stop in row_blocks(len(at)) if len(at) else ():
-                rows = build_input(env.windows[lo + steps[at[start:stop]]], *conditioning, position.value,
-                                   out=inputs[: stop - start])
-                q = net.forward(rows)
+                block, k = at[start:stop], stop - start
+                build_input(env.windows[rows[block]], weights[block], gamma[block], include_gamma, position.value,
+                            out=inputs[:k])
+                q = net.forward(inputs[: k + -k % 4])[:k]  # the tail padded with finite rows left in the buffer
                 if not np.isfinite(q).all():
-                    raise Diverged(f"non-finite Q-values on {range_id} range {list(range_)}")
-                actions[at[start:stop]] = q.argmax(axis=1)
-        return actions
-    return choose
+                    raise Diverged(f"non-finite Q-values on {where}")
+                table[block, j] = q.argmax(axis=1)
+        return table[idx, positions]
+    return choose, table
 
 
-def walk_rounds(env: TradingEnv, n: int, choose) -> tuple[np.ndarray, np.ndarray]:
-    """The int8 (steps, positions) choice table, -1 where no row was chosen at, and the actions of the greedy walk of
-    n steps from neutral; choose(steps, positions) gives those rows' greedy actions.  In Jacobi rounds, every step
-    guesses its position (neutral at first), each guess not yet chosen at is, and a step's next guess is its
-    predecessor's choice at its own guess, until all are confirmed.  Rounds go on while each at least halves the wrong
-    guesses, so there are at most ceil(log2 n) + 2; when one falls short, every row left is chosen at and
-    `TradingEnv.greedy_walk` walks the full table."""
-    choices = np.full((n, env.mode.n_actions), -1, dtype=np.int8)
+def walk_rounds(env: TradingEnv, n: int, choose, table: np.ndarray) -> np.ndarray:
+    """The actions of the greedy walk of n steps from neutral over choose(steps, positions)'s memoizing (steps,
+    positions) choice table.  In Jacobi rounds, every step guesses its position (neutral at first), each guess is
+    chosen at, and a step's next guess is its predecessor's choice at its own guess, until all are confirmed.  Rounds
+    go on while each at least halves the wrong guesses, so there are at most ceil(log2 n) + 2; when one falls short,
+    every row left is chosen at and `TradingEnv.greedy_walk` walks the full table."""
     guess = np.full(n, env.mode.targets.index(Position.NEUTRAL), dtype=np.int8)
     taken = np.empty(n, dtype=np.int8)  # each step's choice at its guess
     moved, wrong = np.arange(n), math.inf  # the steps whose guess changed, and how many were wrong (no bar at first)
     while True:
-        new = moved[choices[moved, guess[moved]] < 0]
-        choices[new, guess[new]] = choose(new, guess[new])
-        taken[moved] = choices[moved, guess[moved]]
+        taken[moved] = choose(moved, guess[moved])
         before = moved[moved < n - 1]
         moved = before[taken[before] != guess[before + 1]] + 1
         if not len(moved):
-            return choices, taken
+            return taken
         if 2 * len(moved) > wrong:
-            choices[choices < 0] = choose(*np.nonzero(choices < 0))
-            return choices, env.greedy_walk(choices, [-1] * n, n)
+            choose(*np.nonzero(table < 0))
+            return env.greedy_walk(table, [-1] * n, n)
         guess[moved], wrong = taken[moved - 1], len(moved)
 
 
@@ -155,10 +156,12 @@ def vectorized_rollout(net: QNetwork, env: TradingEnv, range_: IndexRange, weigh
     (lo, hi), n = range_, env.steps_in(range_)
     if n < 1:
         raise RangeTooShort(f"range length {hi - lo} < lookback + 2 = {env.lookback + 2}")
-    choices, actions = walk_rounds(env, n, greedy_chooser(net, env, range_, weights, gamma, include_gamma, range_id))
+    choose, table = greedy_chooser(net, env, np.arange(lo, lo + n), weights, gamma, include_gamma,
+                                   f"{range_id} range {list(range_)}")
+    actions = walk_rounds(env, n, choose, table)
     lr, rewards = env.outcomes([lo + env.lookback], actions[None, :, None])
     trace = PositionTrace(env.target_signs[actions].astype(np.int8), actions, lr[0], rewards[0, :, 0])
-    return choices, trace, _report_from_trace(trace, env, range_, weights, range_id)
+    return table, trace, _report_from_trace(trace, env, range_, weights, range_id)
 
 
 def evaluate_split(net: QNetwork, env: TradingEnv, split: DataSplit, *, weights: np.ndarray, gamma: float,

@@ -19,6 +19,8 @@ path did.
 and the engine, which only samples, does not.
 `unblocked_forward` runs a batch as one matrix product per layer, the
 forward that `QNetwork.forward`'s row blocks are held to.
+`new_rows` reads a greedy chooser's forwards: the rows each one adds, and
+its tail padding.
 `params_equal` and `format_config` are test helpers that nothing in the
 engine calls.
 """
@@ -194,6 +196,25 @@ def replay_rows(buffer: ReplayBuffer, idx=None, include_gamma: bool = False) -> 
     """The buffer's live rows at positions idx (0 = oldest, -1 = newest), or all of them in order."""
     live = np.arange(buffer._lo, buffer._hi)
     return buffer._gather(live if idx is None else live[idx], include_gamma)
+
+
+def new_rows(forwards: list[np.ndarray]) -> np.ndarray:
+    """The input rows that a greedy chooser's forwards (their inputs, in call order) forwarded for the first time.
+
+    Each forward must take whole 4-row tiles: its new rows first, distinct,
+    then fewer than 4 rows of padding, each one forwarded before or one of the
+    block buffer's initial all-zero rows.  So no row is forwarded twice but
+    as padding.
+    """
+    seen, new = {np.zeros(len(forwards[0][0])).tobytes()} if forwards else set(), []
+    for x in forwards:
+        keys = [row.tobytes() for row in x]
+        k = sum(key not in seen for key in keys)
+        assert len(x) % 4 == 0 and len(x) - k < 4, len(x)
+        assert len(set(keys[:k])) == k and not seen.intersection(keys[:k]) and seen.issuperset(keys[k:])
+        seen.update(keys)
+        new.append(x[:k])
+    return np.concatenate(new) if new else np.empty((0, 0))
 
 
 def params_equal(a: QNetwork, b: QNetwork) -> bool:

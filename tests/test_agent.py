@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import scalar_reference
-from scalar_reference import bellman_targets, explore_action, params_equal, replay_rows
+from scalar_reference import bellman_targets, explore_action, new_rows, params_equal, replay_rows
 from moqtrader import agent, evaluation
 from moqtrader.agent import (
     TrainConfig,
@@ -597,32 +597,39 @@ class TestFrozenEpisode:
         (dict(generalize_gamma=True, episode_len=100), False, [1] * 7),  # 400 rows: a chunk holds one episode
     ])
     def test_chunks_hold_the_rows_of_one_train_range_pass(self, case, table, chunks, monkeypatch):
-        """Chunks hold at most steps_in(train) rows but at least one episode; fixed conditioning forwards one table."""
+        """Chunks hold at most steps_in(train) rows but at least one episode.  Fixed conditioning forwards each (row,
+        position) the episodes visit once in the stretch, on that conditioning; drawn conditioning forwards each
+        chunk's steps once per position, then each counterfactual slot's greedy rows, one forward per position."""
         cfg = small_cfg(**{"episode_len": 60, "k": 3, "tol": 0.3, **case})
         series = generate_synthetic("random-walk", 400, amplitude=0.02, seed=9)
         run, split = learner(cfg, series), make_split(series)
         forward, outcomes, push = QNetwork.forward, TradingEnv.outcomes, ReplayBuffer.push
-        rows, trajectories, pushes = [], [], []
-        conditioning = set()  # the weights and gamma inputs the forwards saw
+        chunk_forwards, starts, pushes = [[]], [], []  # each chunk's forward inputs, and its episodes' first cursors
 
-        def recorded_forward(net, x):
-            rows.append(len(x))
-            conditioning.update(map(tuple, x[:, cfg.lookback + 1 :].tolist()))
-            return forward(net, x)
+        def recorded_outcomes(env, cursors, taken):
+            starts.append(np.array(cursors))
+            chunk_forwards.append([])
+            return outcomes(env, cursors, taken)
 
-        monkeypatch.setattr(QNetwork, "forward", recorded_forward)
-        monkeypatch.setattr(TradingEnv, "outcomes",
-                            lambda env, cursors, taken: trajectories.append(len(cursors)) or outcomes(env, cursors, taken))
+        monkeypatch.setattr(QNetwork, "forward",
+                            lambda net, x: chunk_forwards[-1].append(np.array(x)) or forward(net, x))
+        monkeypatch.setattr(TradingEnv, "outcomes", recorded_outcomes)
         monkeypatch.setattr(ReplayBuffer, "push", lambda buf, columns: pushes.append(1) or push(buf, columns))
         agent._frozen_stretch(run, split.train, 7)
-        assert trajectories == chunks and len(pushes) == len(chunks)
-        if table:  # one forward per position over the train range, every row on the fixed conditioning
-            assert rows == [249] * cfg.n_actions
+        assert [len(c) for c in starts] == chunks and len(pushes) == len(chunks) and chunk_forwards.pop() == []
+        forwarded = [x for forwards in chunk_forwards for x in forwards]
+        rows = new_rows(forwarded)
+        if table:  # one chooser for the stretch: every row on the fixed conditioning, however the episodes overlap
+            visited = np.unique(np.add.outer(np.concatenate(starts) - cfg.lookback, np.arange(cfg.episode_len)))
+            assert len(rows) == len(visited) * cfg.n_actions <= 249 * cfg.n_actions
+            assert sum(map(len, forwarded)) <= 249 * cfg.n_actions + 3 * len(forwarded)
+            assert len(chunk_forwards[0]) == cfg.n_actions and all(len(f) <= cfg.n_actions for f in chunk_forwards)
             fixed = (*agent.training_weights(cfg), cfg.gamma_range[0]) if cfg.generalize_gamma else (1.0, 0.0, 0.0, 0.0)
-            assert conditioning == {fixed}
-        else:  # per chunk, one forward per position over its steps, then one per counterfactual slot
-            assert rows[: cfg.n_actions] == [chunks[0] * cfg.episode_len] * cfg.n_actions
-            assert len(rows) == len(chunks) * (cfg.n_actions + cfg.k)
+            assert set(map(tuple, rows[:, cfg.lookback + 1 :].tolist())) == {fixed}
+        else:  # per chunk, one forward per position over its steps, then per counterfactual slot one per position
+            for episodes, forwards in zip(chunks, chunk_forwards):
+                assert [len(x) for x in forwards[: cfg.n_actions]] == [episodes * cfg.episode_len] * cfg.n_actions
+                assert cfg.k <= len(forwards) - cfg.n_actions <= cfg.k * cfg.n_actions
         assert run.env_steps == 7 * cfg.episode_len
 
 
@@ -764,8 +771,10 @@ TABLE_CASES = {  # training config, and whether its conditioning is fixed
 
 @pytest.mark.parametrize("case", TABLE_CASES)
 def test_a_fixed_conditioning_stretch_builds_one_table(case, monkeypatch):
-    """Each frozen stretch with episodes under fixed conditioning builds one greedy chooser, on its own conditioning,
-    and chooses at every row of the train range once; drawn conditioning builds none."""
+    """Each frozen stretch with episodes under fixed conditioning builds one greedy chooser, over the train range's
+    rows on its own conditioning, and chooses at a row at every position or none; drawn conditioning builds one per
+    chunk, over its (step, slot) rows with their own conditioning, with slot 0's rows chosen at every position and a
+    counterfactual's at one at most."""
     overrides, fixed = TABLE_CASES[case]
     cfg = small_cfg(**{"episodes": 12, "eval_every": 6, "episode_len": 60, "k": 3, **overrides})  # 5 + 5 frozen
     series = generate_synthetic("random-walk", 400, amplitude=0.02, seed=9)
@@ -778,29 +787,53 @@ def test_a_fixed_conditioning_stretch_builds_one_table(case, monkeypatch):
         stretches.append((episodes, choosers[built:]))
 
     def recorded_chooser(*args):
-        choose, calls = chooser(*args), []
-        choosers.append((args[3:5], calls))
-        return lambda steps, positions: calls.append(len(steps)) or choose(steps, positions)
+        choose, table = chooser(*args)
+        choosers.append((*args[2:5], table))
+        return choose, table
 
     monkeypatch.setattr(agent, "_frozen_stretch", recorded_stretch)
     monkeypatch.setattr(evaluation, "greedy_chooser", recorded_chooser)
     train(cfg, series, split, eval_weights=(0.4, 0.3, 0.2, 0.1), eval_gamma=0.8)
-    assert [(episodes, len(built)) for episodes, built in stretches] == [(5, fixed), (5, fixed), (0, 0)]
-    weights, rows = agent.training_weights(cfg), (split.train[1] - split.train[0] - cfg.lookback - 1) * cfg.n_actions
-    for (w, gamma), calls in (built for _, stretch_choosers in stretches for built in stretch_choosers):
-        np.testing.assert_array_equal(w, weights)
-        assert gamma == (cfg.gamma_range[0] if cfg.generalize_gamma else cfg.gamma)
-        assert calls == [rows]
+    m, steps = 1 + cfg.k * cfg.multi_reward, split.train[1] - split.train[0] - cfg.lookback - 1
+    per_stretch = 1 if fixed else 5  # 249 train steps hold one 60-step episode of 4 rows a step
+    assert [(episodes, len(built)) for episodes, built in stretches] == [(5, per_stretch), (5, per_stretch), (0, 0)]
+    for rows, w, gamma, table in (built for _, stretch_choosers in stretches for built in stretch_choosers):
+        chosen = np.count_nonzero(table >= 0, axis=1)
+        if fixed:
+            np.testing.assert_array_equal(rows, np.arange(split.train[0], split.train[0] + steps))
+            np.testing.assert_array_equal(w, agent.training_weights(cfg))
+            assert gamma == (cfg.gamma_range[0] if cfg.generalize_gamma else cfg.gamma)
+            assert set(chosen.tolist()) == {0, cfg.n_actions}
+        else:
+            assert len(rows) == cfg.episode_len * m and w.shape == (len(rows), 4) and np.shape(gamma) == (len(rows),)
+            np.testing.assert_array_equal(rows, np.repeat(np.arange(rows[0], rows[0] + 60), m))  # (step, slot)
+            assert (chosen[::m] == cfg.n_actions).all() and (chosen.reshape(-1, m)[:, 1:] <= 1).all()
+
+
+DIVERGED_ON_TRAIN = r"^non-finite Q-values on train range \[0, 240\]$"
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_a_fixed_conditioning_stretch_of_a_non_finite_net_diverges(bad):
-    """A frozen stretch whose one greedy table meets non-finite Q-values raises Diverged instead of argmaxing them."""
+    """A frozen stretch whose one greedy chooser meets non-finite Q-values raises Diverged instead of argmaxing them."""
     cfg = small_cfg(multi_reward=False, reward="lr", episode_len=60)
     run = learner(cfg, generate_synthetic("random-walk", 400, amplitude=0.02, seed=9))
     run.net.weights[0][0, 0] = bad
-    with pytest.raises(Diverged), np.errstate(invalid="ignore"):
+    with pytest.raises(Diverged, match=DIVERGED_ON_TRAIN), np.errstate(invalid="ignore"):
         agent._frozen_stretch(run, (0, 240), 2)
+    assert len(run.buffer) == 0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_a_drawn_conditioning_stretch_of_a_non_finite_net_diverges(bad):
+    """Drawn conditioning's per-chunk choosers check their Q-values as well: the stretch raises Diverged naming the
+    train range before it pushes a replay row, not at the next fitting update."""
+    cfg = small_cfg(episode_len=60)
+    run = learner(cfg, generate_synthetic("random-walk", 400, amplitude=0.02, seed=9))
+    run.net.weights[0][0, 0] = bad
+    with pytest.raises(Diverged, match=DIVERGED_ON_TRAIN), np.errstate(invalid="ignore"):
+        agent._frozen_stretch(run, (0, 240), 2)
+    assert len(run.buffer) == 0
 
 
 def test_diverged_at_the_poisoned_update(monkeypatch):

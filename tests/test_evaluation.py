@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scalar_reference import buy_and_hold, run_policy, table_walk
+from scalar_reference import buy_and_hold, new_rows, run_policy, table_walk, unblocked_forward
 
 from moqtrader import agent, evaluation
 from moqtrader.agent import TrainConfig, run_walk_forward, uniform_weights
@@ -17,7 +17,7 @@ from moqtrader.evaluation import (
     walk_rounds,
 )
 from moqtrader.market_data import PriceSeries, walk_forward_folds
-from moqtrader.qnet import QNetwork
+from moqtrader.qnet import QNetwork, build_input, row_blocks
 from moqtrader.synthetic import generate_synthetic
 
 
@@ -128,10 +128,12 @@ class TestVectorizedRollout:
         series = generate_synthetic("sine", 120, amplitude=0.05, period=30.0)
         for mode in (Mode.LP, Mode.LSP):
             net, env = QNetwork([11, mode.n_actions], seed=1), env_of(series, mode, lookback=6, reward_window=4)
-            grid = np.indices((env.steps_in((0, 120)), mode.n_actions))
-            choose = greedy_chooser(net, env, (0, 120), uniform_weights(), 0.95, False, "range")
-            table = choose(*grid.reshape(2, -1)).reshape(grid.shape[1:])
-            assert table.dtype == np.int8
+            choose, table = greedy_chooser(net, env, np.arange(env.steps_in((0, 120))), uniform_weights(), 0.95,
+                                           False, "range")
+            assert table.shape == (113, mode.n_actions) and table.dtype == np.int8 and (table == -1).all()
+            chosen = choose(*np.indices(table.shape).reshape(2, -1))
+            assert chosen.dtype == np.int8
+            np.testing.assert_array_equal(chosen, table.ravel())
             assert set(table.ravel().tolist()) <= set(range(mode.n_actions))
             choices, _, _ = vectorized_rollout(net, env, (0, 120), uniform_weights(), 0.95)
             assert choices.shape == table.shape and choices.dtype == np.int8
@@ -160,7 +162,8 @@ class TestVectorizedRollout:
         with pytest.raises(ShapeMismatch):
             vectorized_rollout(QNetwork([11, outputs], seed=1), env, (0, 120), uniform_weights(), 0.95)
         with pytest.raises(ShapeMismatch):
-            greedy_chooser(QNetwork([11, outputs], seed=1), env, (0, 120), uniform_weights(), 0.95, False, "range")
+            greedy_chooser(QNetwork([11, outputs], seed=1), env, np.arange(113), uniform_weights(), 0.95, False,
+                           "range")
 
     def test_series_shorter_than_lookback(self):
         env = env_of(series_of([100.0, 101.0, 102.0, 101.0]), lookback=6, reward_window=4)
@@ -230,12 +233,18 @@ def varied_net(rng, mode, lookback, include_gamma, step_std):
 
 
 def spied_walks(monkeypatch):
-    """Records each walk_rounds call's rounds: the number of rows its choose callback was asked for, per call."""
+    """Records each walk_rounds call's rounds: the number of rows its choose callback forwarded, per call."""
     walks, walk = [], evaluation.walk_rounds
 
-    def counted(env, n, choose):
+    def counted(env, n, choose, table):
         walks.append([])
-        return walk(env, n, lambda steps, positions: walks[-1].append(len(steps)) or choose(steps, positions))
+
+        def counted_choose(steps, positions):
+            chosen = np.count_nonzero(table >= 0)
+            actions = choose(steps, positions)
+            walks[-1].append(np.count_nonzero(table >= 0) - chosen)
+            return actions
+        return walk(env, n, counted_choose, table)
 
     monkeypatch.setattr(evaluation, "walk_rounds", counted)
     return walks
@@ -297,7 +306,8 @@ class TestWalkRounds:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 1000])
     def test_bounds_on_synthetic_tables(self, n):
-        """Every row is asked for at most once, P * n rows in all, in at most ceil(log2 n) + 2 rounds."""
+        """Every row is chosen at most once, P * n rows in all, in at most ceil(log2 n) + 2 rounds; a round asks for
+        no row twice."""
         rng = np.random.default_rng(n)
         env = env_of(series_of(np.linspace(100.0, 110.0, 20)), lookback=6, reward_window=4)  # only its mode is read
         # From neutral, buy on even steps and sell on odd ones; hold any other position: a round confirms one step.
@@ -310,14 +320,18 @@ class TestWalkRounds:
                 table[fixed] = table[fixed, :1]  # a choice that does not depend on the position held
                 tables.append(table)
         for table in tables:
-            asked, rounds = [], []
+            choices, asked, rounds = np.full((n, 3), -1, dtype=np.int8), [], []
 
-            def choose(steps, positions):
-                rounds.append(len(steps))
-                asked.extend(zip(steps.tolist(), positions.tolist()))
-                return table[steps, positions].astype(np.int8)
+            def choose(steps, positions):  # a memo over the synthetic table, as greedy_chooser's is over a net
+                pairs = list(zip(steps.tolist(), positions.tolist()))
+                assert len(set(pairs)) == len(pairs)
+                new = choices[steps, positions] < 0
+                rounds.append(np.count_nonzero(new))
+                asked.extend(zip(steps[new].tolist(), positions[new].tolist()))
+                choices[steps[new], positions[new]] = table[steps[new], positions[new]]
+                return choices[steps, positions]
 
-            choices, actions = walk_rounds(env, n, choose)
+            actions = walk_rounds(env, n, choose, choices)
             assert len(set(asked)) == len(asked) <= 3 * n
             assert sorted(asked) == sorted(zip(*map(np.ndarray.tolist, np.nonzero(choices >= 0))))
             assert len(rounds) <= max_rounds(n)
@@ -337,8 +351,7 @@ class TestWalkRounds:
             forwarded.clear()
             choices, _, _ = vectorized_rollout(net, env, (0, 3000), uniform_weights(), 0.9,
                                                include_gamma=net.input_width == 12)
-            rows = np.concatenate(forwarded)
-            assert len(np.unique(rows, axis=0)) == len(rows) == np.count_nonzero(choices >= 0) <= 3 * len(choices)
+            assert len(new_rows(forwarded)) == np.count_nonzero(choices >= 0) <= 3 * len(choices)
             assert len(walks[-1]) <= max_rounds(len(choices))
 
 
@@ -349,15 +362,145 @@ def test_chooser_holds_one_block_beside_its_table():
     env = env_of(series, lookback=30, reward_window=20)
     net = QNetwork([36, 128, 64, 3], seed=1)
     env.windows  # the series' log-returns are computed once, before tracing
-    steps, positions = np.indices((env.steps_in((0, len(series))), 3)).reshape(2, -1)
+    rows = np.arange(env.steps_in((0, len(series))))
+    steps, positions = np.indices((len(rows), 3)).reshape(2, -1)
     tracemalloc.start()
     try:
-        table = greedy_chooser(net, env, (0, len(series)), uniform_weights(), 0.9, True, "range")(steps, positions)
+        choose, table = greedy_chooser(net, env, rows, uniform_weights(), 0.9, True, "range")
+        chosen = choose(steps, positions)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert table.shape == (20_069 * 3,) and table.dtype == np.int8
-    assert peak < table.nbytes + 5 * 2**19
+    assert table.shape == (20_069, 3) and table.dtype == np.int8 and (table >= 0).all()
+    assert chosen.shape == (20_069 * 3,) and chosen.dtype == np.int8
+    assert peak < table.nbytes + chosen.nbytes + 5 * 2**19
+
+
+def recorded_forwards(monkeypatch):
+    """The inputs and outputs of every QNetwork.forward call from here on, as copies, in call order."""
+    forwarded, forward = [], QNetwork.forward
+
+    def recorded(net, x):
+        q = forward(net, x)
+        forwarded.append((np.array(x), q.copy()))
+        return q
+
+    monkeypatch.setattr(QNetwork, "forward", recorded)
+    return forwarded
+
+
+# Chooser nets of the bench's geometry: (widths, mode, include_gamma), with lookback 30 but for the last one's 31.
+CHOOSER_NETS = {
+    "LSP, gamma input": ((36, 128, 64, 3), Mode.LSP, True),
+    "LP": ((35, 128, 64, 2), Mode.LP, False),
+    "LSP, lookback 31, gamma input": ((37, 64, 64, 3), Mode.LSP, True),
+}
+
+
+class TestGreedyChooser:
+    """The chooser's table is a memo, and a choice does not depend on the rows forwarded beside it."""
+
+    def test_forwards_each_pair_once(self, monkeypatch):
+        """Each (row, position) pair is forwarded once, within a call that repeats it and across calls, in padded
+        4-row tiles; choose returns the table's entries."""
+        series = generate_synthetic("random-walk", 200, amplitude=0.015, seed=5)
+        env, net = env_of(series, lookback=6, reward_window=4), QNetwork([11, 8, 3], seed=2)
+        net.weights[0][:6] /= 0.015
+        choose, table = greedy_chooser(net, env, np.arange(10, 60), uniform_weights(), 0.9, False, "range")
+        forwarded = recorded_forwards(monkeypatch)
+        calls = [([5, 5, 7, 7, 7, 9], [0, 0, 0, 0, 1, 0]), ([9, 5, 11, 11, 11], [0, 0, 0, 2, 2]), ([11, 7], [2, 1])]
+        forwards = [[4, 4], [4, 4], []]  # positions 0 and 1 (3 + 1 and 1 + 3 rows), then 0 and 2, then none
+        for (idx, positions), expected in zip(calls, forwards):
+            before = len(forwarded)
+            chosen = choose(np.array(idx), np.array(positions))
+            assert [len(x) for x, _ in forwarded[before:]] == expected
+            assert chosen.dtype == np.int8
+            np.testing.assert_array_equal(chosen, table[idx, positions])
+        assert len(new_rows([x for x, _ in forwarded])) == np.count_nonzero(table >= 0) == 6
+        for j, position in enumerate(env.mode.targets):
+            at = np.flatnonzero(table[:, j] >= 0)
+            inputs = build_input(env.windows[10 + at], uniform_weights(), 0.9, False, position.value)
+            np.testing.assert_array_equal(table[at, j], unblocked_forward(net, inputs).argmax(axis=1))
+
+    def test_per_row_conditioning(self):
+        """Weights and gamma given per row condition each row as a one-conditioning chooser of that row does."""
+        rng = np.random.default_rng(8)
+        series = generate_synthetic("random-walk", 600, amplitude=0.015, seed=6)
+        env = env_of(series, lookback=6, reward_window=4)
+        net = varied_net(rng, Mode.LSP, 6, True, 0.015)
+        rows, weights, gamma = rng.integers(0, 590, 300), agent.sample_weights(rng, 300), rng.uniform(0.5, 1.0, 300)
+        choose, table = greedy_chooser(net, env, rows, weights, gamma, True, "range")
+        choose(*np.indices(table.shape).reshape(2, -1))
+        for i in range(0, 300, 7):
+            one, _ = greedy_chooser(net, env, rows[i : i + 1], weights[i], gamma[i], True, "range")
+            np.testing.assert_array_equal(one(np.zeros(3, dtype=int), np.arange(3)), table[i])
+        assert len(set(map(tuple, table.tolist()))) > 1
+
+    @pytest.mark.parametrize("widths,mode,include_gamma", CHOOSER_NETS.values(), ids=CHOOSER_NETS)
+    def test_choices_do_not_depend_on_grouping(self, widths, mode, include_gamma, monkeypatch):
+        """On the host BLAS each row's Q-values and choice are the same bytes chosen in one call, in 30 random
+        groupings of calls and one row at a time: every forward pads its block to whole 4-row tiles.  A BLAS whose
+        rounding depends on more than a row's place in its tile fails here, not in a silently flipped argmax."""
+        rng = np.random.default_rng(31)
+        lookback = widths[0] - 5 - include_gamma
+        series = generate_synthetic("random-walk", 3001 + lookback + 1, amplitude=0.01, seed=12)
+        env, net = env_of(series, mode, lookback=lookback, reward_window=20), QNetwork(widths, seed=3)
+        net.weights[0][:lookback] /= 0.01  # returns at unit scale, so that choices vary
+        forwarded = recorded_forwards(monkeypatch)
+        pairs = np.indices((3001, mode.n_actions)).reshape(2, -1)
+
+        def chosen(groups):
+            del forwarded[:]
+            choose, table = greedy_chooser(net, env, np.arange(3001), uniform_weights(), 0.9, include_gamma, "range")
+            for group in groups:
+                choose(*pairs[:, group])
+            rows, out = (np.concatenate(arrays) for arrays in zip(*forwarded))
+            seen = set(zip(*(a.view(f"V{a.itemsize * a.shape[1]}").ravel().tolist() for a in (rows, out))))
+            q = dict(seen)  # each forwarded input row's Q-value bytes, padding rows included, and only one
+            assert len(q) == len(seen)
+            q.pop(np.zeros(widths[0]).tobytes(), None)  # the block buffer's initial rows, padding only
+            assert len(q) == pairs.shape[1]
+            return table.tobytes(), q
+
+        def assert_same(got, want):
+            differ = sum(got[1].get(key) != values for key, values in want[1].items())
+            assert differ == 0, f"{differ} of {len(want[1])} rows' Q-values differ"
+            assert got[0] == want[0]
+
+        whole = chosen([np.arange(pairs.shape[1])])
+        assert_same(chosen(np.arange(pairs.shape[1])[:, None]), whole)
+        for _ in range(30):
+            order = rng.permutation(pairs.shape[1])
+            cuts = np.sort(rng.choice(np.arange(1, len(order)), size=int(rng.integers(1, 40)), replace=False))
+            assert_same(chosen(np.split(order, cuts)), whole)
+        assert len(set(whole[0])) == mode.n_actions
+
+    @pytest.mark.parametrize("widths,mode,include_gamma", CHOOSER_NETS.values(), ids=CHOOSER_NETS)
+    def test_padded_q_values_match_the_unpadded_forward(self, widths, mode, include_gamma, monkeypatch):
+        """The padding is a declared numerical change against forwarding a block's rows alone: there the rows of
+        a last, partial 4-row tile may round apart, within 1e-12 of the output's scale; every other row is the same
+        bytes, and the argmaxes are the same here."""
+        lookback = widths[0] - 5 - include_gamma
+        series = generate_synthetic("random-walk", 3001 + lookback + 1, amplitude=0.01, seed=12)
+        env, net = env_of(series, mode, lookback=lookback, reward_window=20), QNetwork(widths, seed=3)
+        net.weights[0][:lookback] /= 0.01
+        forwarded = recorded_forwards(monkeypatch)
+        choose, table = greedy_chooser(net, env, np.arange(3001), uniform_weights(), 0.9, include_gamma, "range")
+        stop = 3001
+        for n in (1, 2, 3, 5, 6, 900, 1025, 1026):  # tails of every length, a one-row remainder, two blocks
+            j, before = n % mode.n_actions, len(forwarded)
+            choose(np.arange(stop - n, stop), np.full(n, j))
+            blocks = row_blocks(n)
+            assert len(forwarded) == before + len(blocks)
+            for (x, padded), (a, b) in zip(forwarded[before:], blocks):
+                rows = build_input(env.windows[stop - n + a : stop - n + b], uniform_weights(), 0.9, include_gamma,
+                                   mode.targets[j].value)
+                alone, k, head = unblocked_forward(net, rows), b - a, (b - a) // 4 * 4
+                assert len(x) == -(-k // 4) * 4 and x[:k].tobytes() == rows.tobytes()
+                assert padded[:head].tobytes() == alone[:head].tobytes()
+                np.testing.assert_allclose(padded[:k], alone, rtol=1e-12, atol=1e-12 * np.abs(alone).max())
+                np.testing.assert_array_equal(table[stop - n + a : stop - n + b, j], alone.argmax(axis=1))
+            stop -= n
 
 
 def make_checkpoint(episode, sharpe, profit=0.0):

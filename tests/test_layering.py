@@ -3,8 +3,11 @@
 evaluation, env, replay, qnet, rewards and market_data are what agent, config
 and cli build on; an import the other way, even one inside a function, makes
 a cycle.  Every function, class and method the package defines has a caller
-in the package: what only the tests call belongs in the tests.  The checks read
-the syntax trees, so they also see code that the tests never execute.
+in the package: what only the tests call belongs in the tests.  A frozen
+network's greedy choices have one route, `evaluation.greedy_chooser`: only it
+and the fitting step, whose network changes every step, argmax a forward.  The
+checks read the syntax trees, so they also see code that the tests never
+execute.
 """
 
 import ast
@@ -97,3 +100,62 @@ def test_everything_defined_is_called():
 ])
 def test_the_check_sees_every_uncalled_definition(source, expected):
     assert uncalled({"m": source}) == expected
+
+
+# The functions that may argmax a forward: the greedy chooser, and the fitting step's one forward of a step's rows.
+ARGMAX_ROUTES = {"evaluation.greedy_chooser", "agent._fit_episode"}
+
+
+def called(node: ast.Call) -> str | None:
+    """The name a call calls: `f` of `f(...)` and of `x.f(...)`."""
+    return getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+
+
+def is_forward(node: ast.AST, results: set[str]) -> bool:
+    """Whether an expression is a `forward(...)` call, a subscript of one, or a name bound to one of those."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    if isinstance(node, ast.Name):
+        return node.id in results
+    return isinstance(node, ast.Call) and called(node) == "forward"
+
+
+def forward_argmaxes(sources: dict[str, str]) -> set[str]:
+    """`module.function` or `module.Class.method` of every top-level function or method, nested functions included,
+    that calls `.argmax` or `argmax(...)` on a forward's result (see is_forward), with names bound by assignment."""
+    found = set()
+    for module, source in sources.items():
+        body = ast.parse(source).body
+        scopes = [(f"{module}.{node.name}", node) for node in body if isinstance(node, ast.FunctionDef)]
+        scopes += [(f"{module}.{node.name}.{item.name}", item) for node in body if isinstance(node, ast.ClassDef)
+                   for item in node.body if isinstance(item, ast.FunctionDef)]
+        for name, scope in scopes:
+            nodes, results, size = list(ast.walk(scope)), set(), -1
+            while size != len(results):  # names bound to a forward's result, through chains of assignments
+                size = len(results)
+                results.update(target.id for node in nodes
+                               if isinstance(node, ast.Assign) and is_forward(node.value, results)
+                               for tree in node.targets for target in ast.walk(tree) if isinstance(target, ast.Name))
+            for node in nodes:
+                if isinstance(node, ast.Call) and called(node) == "argmax":
+                    operands = [*node.args[:1], *([node.func.value] if isinstance(node.func, ast.Attribute) else [])]
+                    if any(is_forward(operand, results) for operand in operands):
+                        found.add(name)
+    return found
+
+
+def test_one_greedy_route_argmaxes_a_forward():
+    assert forward_argmaxes({path.stem: path.read_text() for path in SRC.glob("*.py")}) == ARGMAX_ROUTES
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("def f(net, x):\n    return net.forward(x).argmax(axis=1)\n", {"m.f"}),
+    ("def f(net, x):\n    q = net.forward(x)\n    return q.argmax()\n", {"m.f"}),
+    ("def f(net, x):\n    q = net.forward(x)[:3]\n    r = q[1:]\n    return r.argmax()\n", {"m.f"}),
+    ("def f(net, x):\n    def g():\n        return np.argmax(net.forward(x))\n    return g\n", {"m.f"}),
+    ("class C:\n    def m(self, x):\n        return self.net.forward(x).argmax()\n", {"m.C.m"}),
+    ("def f(x):\n    return x.argmax()\n", set()),
+    ("def f(net, x):\n    q = net.forward(x)\n    return q.max(), x.argmax()\n", set()),
+])
+def test_the_check_sees_every_forward_argmax(source, expected):
+    assert forward_argmaxes({"m": source}) == expected
