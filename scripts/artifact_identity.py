@@ -18,6 +18,10 @@ call per operation from its run's directory:
   test range is forwarded in several row blocks, which writes report.json
   (its checkpoint path is relative, so its bytes do not name the tree).
 
+One run, full_range_k0, takes its seed from `--seed` instead of its config
+file, and its backtest takes `--weights` and `--metric profit`, so the flags'
+path into the config is compared too.
+
 Every artifact except timing.log (wall-clock times) is compared byte for byte.
 Prints one JSON line and exits 1 when a file differs, is missing on one side or
 a run fails.
@@ -53,6 +57,8 @@ CONFIGS = {
 # The backtest's series: as long as the benchmark's backtest CSV, so that its test range holds 4,969 steps.
 BACKTEST_SERIES = {"synthetic_kind": "random-walk", "synthetic_length": BACKTEST_ROWS,
                    "synthetic_amplitude": BACKTEST_STEP_STD}
+FLAGGED = "full_range_k0"  # the run whose seed, backtest weights and metric come in as CLI flags
+BACKTEST_FLAGS = ["--weights", "0.1,0.2,0.3,0.4", "--metric", "profit"]
 IGNORED = {"timing.log"}
 # A tree's runner: reads [run name, [[command, argv], ...]] pairs as JSON from its argument, calls the tree's
 # cli.main on each argv from the run's directory, stops a run at its first failed command and prints the failures.
@@ -80,31 +86,35 @@ print(json.dumps(failed))
 """
 
 
-def operations(seeds: list[int], episodes: int | None) -> list[tuple[str, dict, dict]]:
-    """(run name, train config, backtest config) of every run."""
+def operations(seeds: list[int], episodes: int | None) -> list[tuple[str, dict, list, dict, list]]:
+    """(run name, train config, train flags, backtest config, backtest flags) of every run."""
     runs = []
     for name, cfg in CONFIGS.items():
         if episodes is not None:
             cfg = {**cfg, "episodes": episodes, "eval_every": min(cfg["eval_every"], episodes)}
         for seed in seeds:
             backtest = {**cfg, **BACKTEST_SERIES, "synthetic_seed": seed}
-            runs.append((f"{name}_seed{seed}", {**cfg, "seed": seed}, backtest))
+            if name == FLAGGED:
+                runs.append((f"{name}_seed{seed}", cfg, ["--seed", str(seed)], backtest, BACKTEST_FLAGS))
+            else:
+                runs.append((f"{name}_seed{seed}", {**cfg, "seed": seed}, [], backtest, []))
     return runs
 
 
-def start_tree(src: Path, root: Path, runs: list[tuple[str, dict, dict]]) -> subprocess.Popen:
+def start_tree(src: Path, root: Path, runs: list[tuple[str, dict, list, dict, list]]) -> subprocess.Popen:
     """Start every run under src, in root/<run name>, in one subprocess."""
     env = {**os.environ, "PYTHONPATH": str(src.resolve())}
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env.setdefault(var, "1")
     operations = []
-    for name, train_cfg, backtest_cfg in runs:
+    for name, train_cfg, train_flags, backtest_cfg, backtest_flags in runs:
         (root / name).mkdir(parents=True)
         write_config(root / f"{name}.train.cfg", train_cfg)
         write_config(root / f"{name}.backtest.cfg", backtest_cfg)
         operations.append((name, [
-            ("train", ["train", "--config", str(root / f"{name}.train.cfg"), "--out", "."]),
-            ("backtest", ["backtest", "--config", str(root / f"{name}.backtest.cfg"), "--out", ".", "--range", "test"]),
+            ("train", ["train", "--config", str(root / f"{name}.train.cfg"), "--out", ".", *train_flags]),
+            ("backtest", ["backtest", "--config", str(root / f"{name}.backtest.cfg"), "--out", ".", "--range", "test",
+                          *backtest_flags]),
         ]))
     return subprocess.Popen([sys.executable, "-c", RUNNER, json.dumps(operations)], cwd=root, env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)

@@ -73,6 +73,11 @@ class TrainConfig:
         return self.mode.n_actions
 
     @property
+    def slots(self) -> int:
+        """Experiences per step: the real one plus, in multi-reward runs, k counterfactuals."""
+        return 1 + (self.k if self.multi_reward else 0)
+
+    @property
     def input_width(self) -> int:
         return self.lookback + 1 + 4 + (1 if self.generalize_gamma else 0)
 
@@ -223,7 +228,7 @@ def draw_conditioning(cfg: TrainConfig, streams: dict, n: int) -> tuple[np.ndarr
     step for explore, whose decisions and random actions interleave.  Slots 1..k,
     its counterfactuals, take one array call per draw kind, each on its own stream.
     """
-    m, n_actions, fixed = 1 + (cfg.k if cfg.multi_reward else 0), cfg.n_actions, training_weights(cfg)
+    m, n_actions, fixed = cfg.slots, cfg.n_actions, training_weights(cfg)
     weights, gamma, explore = np.empty((n, m, 4)), np.full((n, m), cfg.gamma), np.full((n, m), REPLAYED)
     weights[:, 0] = fixed if fixed is not None else sample_weights(streams["weights"], n)
     if cfg.generalize_gamma:
@@ -315,7 +320,7 @@ def _frozen_stretch(run: _Learner, range_: IndexRange, episodes: int) -> None:
     cfg, env, lookback, n_actions = run.cfg, run.env, run.cfg.lookback, run.env.mode.n_actions
     fixed = training_weights(cfg) is not None and (not cfg.generalize_gamma or cfg.gamma_range[0] == cfg.gamma_range[1])
     n = cfg.episode_len if cfg.random_access else env.steps_in(range_)  # steps per episode
-    m, where = 1 + (cfg.k if cfg.multi_reward else 0), f"train range {list(range_)}"
+    m, where = cfg.slots, f"train range {list(range_)}"
     per_chunk = max(1, env.steps_in(range_) // max(n * m, 1))  # a range of no step fails at its reset
     for done in range(0, episodes, per_chunk):
         cursors = np.array([_reset(run, range_).cursor for _ in range(min(per_chunk, episodes - done))])

@@ -5,26 +5,32 @@ comments allowed, bare strings accepted) or a JSON object with the same
 keys: the latter is what `config.resolved.json` contains, so a finished
 run's resolved config can be fed straight back in to reproduce it.
 Unknown keys are rejected; omitted keys take the documented defaults.
+CLI flags are keys too: they replace the file's values before the one
+validation pass, which checks every type and then every rule.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .agent import TrainConfig, validate_weights
 from .env import Mode
 from .errors import InvalidValue, MissingFile, UnknownKey
-from .market_data import PriceSeries, load_csv
+from .evaluation import SELECTION_METRICS
+from .market_data import RANGE_NAMES, PriceSeries, load_csv
 from .synthetic import KINDS, generate_synthetic
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """TrainConfig plus data source, split geometry and reporting knobs."""
+def _one_of(names) -> str:
+    *head, last = names
+    return f"must be {', '.join(head)} or {last}"
 
-    train: TrainConfig = field(default_factory=TrainConfig)
+
+@dataclass(frozen=True)
+class RunConfig(TrainConfig):
+    """A TrainConfig plus data source, split geometry and reporting knobs: one flat key space."""
 
     data_csv: str | None = None
     timestamp_column: str = "timestamp"
@@ -56,6 +62,27 @@ class RunConfig:
     def fractions(self) -> tuple[float, float, float]:
         return (self.train_frac, self.eval_frac, self.test_frac)
 
+    def validate(self) -> None:
+        super().validate()
+        no_synthetic = self.synthetic_kind is None
+        checks = [
+            ((self.data_csv is None) != no_synthetic, "data_csv", "exactly one of data_csv or synthetic_kind must be set"),
+            (no_synthetic or self.synthetic_kind in KINDS, "synthetic_kind", f"must be one of {KINDS}"),
+            (no_synthetic or self.synthetic_length >= self.lookback + 2, "synthetic_length", "must be >= lookback + 2"),
+            (no_synthetic or self.synthetic_seed >= 0, "synthetic_seed", "must be >= 0"),
+            *((getattr(self, key) > 0, key, "must be > 0") for key in ("train_frac", "eval_frac", "test_frac")),
+            (abs(sum(self.fractions) - 1.0) <= 1e-9, "train_frac", "fractions must sum to 1"),
+            (self.n_folds >= 1, "n_folds", "must be >= 1"),
+            (self.report_metric in SELECTION_METRICS, "report_metric", _one_of(SELECTION_METRICS)),
+            (self.eval_range in RANGE_NAMES, "eval_range", _one_of(RANGE_NAMES)),
+            (self.eval_gamma is None or 0.0 < self.eval_gamma < 1.0, "eval_gamma", "must be in (0, 1)"),
+        ]
+        for ok, key, reason in checks:
+            if not ok:
+                raise InvalidValue(key, reason)
+        if self.eval_weights is not None:
+            validate_weights(self.eval_weights, key="eval_weights")
+
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -71,7 +98,7 @@ def _reals(n: int, reason: str):
 
 
 # Field annotation (without "| None") -> (accepts the JSON value, convert, reason).
-# Range and membership rules live in TrainConfig.validate and _validate_run.
+# Range and membership rules live in TrainConfig.validate and RunConfig.validate.
 _TYPES = {
     "bool": (lambda v: isinstance(v, bool), bool, "must be true or false"),
     "int": (_is_int, int, "must be an integer"),
@@ -84,89 +111,47 @@ _TYPES = {
     "tuple[float, float, float, float]": _reals(4, "must be a list of 4 reals"),
 }
 
-# The config keys, in file order: TrainConfig's fields, then RunConfig's own.
-_TRAIN_FIELDS = {f.name: _TYPES[f.type.removesuffix(" | None")] for f in fields(TrainConfig)}
-_RUN_FIELDS = {f.name: _TYPES[f.type.removesuffix(" | None")] for f in fields(RunConfig) if f.name != "train"}
-ALL_KEYS = (*_TRAIN_FIELDS, *_RUN_FIELDS)
+# The config keys, in file order (TrainConfig's fields, then RunConfig's own), and their types.
+_FIELDS = {f.name: _TYPES[f.type.removesuffix(" | None")] for f in fields(RunConfig)}
+ALL_KEYS = tuple(_FIELDS)
 
 
 def _parse_flat_text(text: str) -> dict:
-    values = {}
+    values, decode = {}, json.JSONDecoder().raw_decode
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if not raw.split("#", 1)[0].strip():
             continue
-        if "=" not in line:
+        key, eq, value = raw.partition("=")
+        if not eq or "#" in key:
             raise InvalidValue(f"line {line_no}", f"expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        try:
-            values[key] = json.loads(value)
+        key, value = key.strip(), value.strip()
+        try:  # a JSON value, which may hold a '#', then nothing or a comment
+            values[key], end = decode(value)
+            if value[end:].lstrip()[:1] in ("", "#"):
+                continue
         except json.JSONDecodeError:
-            values[key] = value.strip('"')
+            pass
+        values[key] = value.split("#", 1)[0].strip().strip('"')  # else a bare string, up to any '#'
     return values
 
 
-def _coerce_fields(raw: dict, schema: dict) -> dict:
-    """Type-check and convert the keys of one dataclass; null means unset."""
+def _coerce(raw: dict) -> RunConfig:
+    """Check every key's type, then every rule, and build the config; null means unset."""
+    unknown = [k for k in raw if k not in _FIELDS]
+    if unknown:
+        raise UnknownKey(unknown[0])
     kwargs = {}
-    for key, (accepts, convert, reason) in schema.items():
+    for key, (accepts, convert, reason) in _FIELDS.items():
         if raw.get(key) is None:
             continue
         if not accepts(raw[key]):
             raise InvalidValue(key, reason)
         kwargs[key] = convert(raw[key])
-    return kwargs
-
-
-def _coerce(raw: dict) -> RunConfig:
-    unknown = [k for k in raw if k not in ALL_KEYS]
-    if unknown:
-        raise UnknownKey(unknown[0])
-
-    train_kwargs = _coerce_fields(raw, _TRAIN_FIELDS)
-    if "gamma_range" in train_kwargs and not train_kwargs.get("generalize_gamma", False):
+    if "gamma_range" in kwargs and not kwargs.get("generalize_gamma", False):
         raise InvalidValue("gamma_range", "only valid with generalize_gamma = true")
-    train = TrainConfig(**train_kwargs)
-    train.validate()
-
-    cfg = RunConfig(train=train, **_coerce_fields(raw, _RUN_FIELDS))
-    _validate_run(cfg)
+    cfg = RunConfig(**kwargs)
+    cfg.validate()
     return cfg
-
-
-def _validate_run(cfg: RunConfig) -> None:
-    def _check(cond: bool, key: str, reason: str) -> None:
-        if not cond:
-            raise InvalidValue(key, reason)
-
-    _check(
-        (cfg.data_csv is not None) != (cfg.synthetic_kind is not None),
-        "data_csv", "exactly one of data_csv or synthetic_kind must be set",
-    )
-    if cfg.synthetic_kind is not None:
-        _check(cfg.synthetic_kind in KINDS, "synthetic_kind", f"must be one of {KINDS}")
-        _check(cfg.synthetic_length >= cfg.train.lookback + 2, "synthetic_length", "must be >= lookback + 2")
-        _check(cfg.synthetic_seed >= 0, "synthetic_seed", "must be >= 0")
-    for key in ("train_frac", "eval_frac", "test_frac"):
-        _check(getattr(cfg, key) > 0, key, "must be > 0")
-    _check(abs(sum(cfg.fractions) - 1.0) <= 1e-9, "train_frac", "fractions must sum to 1")
-    _check(cfg.n_folds >= 1, "n_folds", "must be >= 1")
-    _check(cfg.report_metric in ("sharpe", "profit"), "report_metric", "must be sharpe or profit")
-    _check(cfg.eval_range in ("train", "eval", "test"), "eval_range", "must be train, eval or test")
-    if cfg.eval_weights is not None:
-        validate_weights(cfg.eval_weights, key="eval_weights")
-    if cfg.eval_gamma is not None:
-        _check(0.0 < cfg.eval_gamma < 1.0, "eval_gamma", "must be in (0, 1)")
-
-
-def _to_json(value):
-    if isinstance(value, Mode):
-        return value.value
-    if isinstance(value, tuple):
-        return list(value)
-    return value
 
 
 def to_flat_dict(cfg: RunConfig) -> dict:
@@ -175,15 +160,18 @@ def to_flat_dict(cfg: RunConfig) -> dict:
     gamma_range is emitted only in generalize_gamma mode (it has no effect
     otherwise, and emitting it would make the file invalid to re-parse).
     """
-    out = {key: _to_json(getattr(cfg.train, key)) for key in _TRAIN_FIELDS}
-    if not cfg.train.generalize_gamma:
+    out = {key: getattr(cfg, key) for key in _FIELDS}  # json.dumps writes the tuples as lists
+    out["mode"] = cfg.mode.value  # the one field of a type json.dumps does not write
+    if not cfg.generalize_gamma:
         out["gamma_range"] = None
-    out.update((key, _to_json(getattr(cfg, key))) for key in _RUN_FIELDS)
     return out
 
 
-def parse_config(path: str | Path) -> RunConfig:
-    """Load and fully validate a config file (flat dialect or JSON object)."""
+def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
+    """Load a config file (flat dialect or JSON object), replace the keys that `overrides` sets, and validate.
+
+    A value that an override replaces is never checked: the flag wins.
+    """
     path = Path(path)
     if not path.is_file():
         raise MissingFile(str(path))
@@ -200,7 +188,7 @@ def parse_config(path: str | Path) -> RunConfig:
             raise InvalidValue("json", "top level must be an object")
     else:
         raw = _parse_flat_text(text)
-    return _coerce(raw)
+    return _coerce({**raw, **{k: v for k, v in (overrides or {}).items() if v is not None}})
 
 
 def write_resolved(cfg: RunConfig, out_dir: str | Path) -> Path:
@@ -227,25 +215,3 @@ def load_series(cfg: RunConfig) -> PriceSeries:
         seed=cfg.synthetic_seed,
         asset_id=cfg.asset_id,
     )
-
-
-def apply_overrides(
-    cfg: RunConfig,
-    *,
-    seed: int | None = None,
-    weights: tuple[float, float, float, float] | None = None,
-    metric: str | None = None,
-    range_: str | None = None,
-) -> RunConfig:
-    """Apply CLI flag overrides on top of a parsed config."""
-    if seed is not None:
-        cfg = replace(cfg, train=replace(cfg.train, seed=seed))
-        cfg.train.validate()  # before walkforward derives a fold seed from it
-    if weights is not None:
-        validate_weights(weights)
-        cfg = replace(cfg, eval_weights=tuple(float(w) for w in weights))
-    if metric is not None:
-        cfg = replace(cfg, report_metric=metric)
-    if range_ is not None:
-        cfg = replace(cfg, eval_range=range_)
-    return cfg

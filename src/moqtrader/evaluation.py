@@ -44,6 +44,8 @@ class EvaluationReport:
 
 # The metric fields, in report order (every field after range_id and range).
 METRIC_FIELDS = tuple(f.name for f in fields(EvaluationReport))[2:]
+# Checkpoint-selection metric -> the report field it maximizes: what `report_metric` and `--metric` accept.
+SELECTION_METRICS = {"sharpe": "sharpe", "profit": "total_profit"}
 
 
 @dataclass(frozen=True)
@@ -175,5 +177,5 @@ def select_best_checkpoint(checkpoints: Sequence, metric: str = "sharpe", range_
     """Argmax of the metric on the given range; ties go to the earliest episode, as `max` keeps its first maximum."""
     if not checkpoints:
         raise EmptyCheckpointList("no checkpoints to select from")
-    attr = {"sharpe": "sharpe", "profit": "total_profit"}[metric]
+    attr = SELECTION_METRICS[metric]
     return max(checkpoints, key=lambda ck: getattr(ck.reports[range_id], attr))

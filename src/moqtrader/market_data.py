@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from functools import cached_property
 from itertools import islice
@@ -87,10 +87,14 @@ class DataSplit:
             raise ValueError("ranges must be ordered train < eval < test")
 
     def as_dict(self) -> dict[str, IndexRange]:
-        return {"train": self.train, "eval": self.eval, "test": self.test}
+        return {name: getattr(self, name) for name in RANGE_NAMES}
 
     def range_for(self, name: str) -> IndexRange:
         return self.as_dict()[name]
+
+
+# The range names, in split order: what `eval_range`, `--range` and `report` accept.
+RANGE_NAMES = tuple(f.name for f in fields(DataSplit))
 
 
 def _parse_timestamp(text: str | None) -> int:

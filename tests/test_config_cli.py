@@ -41,7 +41,7 @@ def write(tmp_path, text, name="run.cfg"):
 class TestParseConfig:
     def test_defaults(self, tmp_path):
         cfg = config.parse_config(write(tmp_path, "data_csv = prices.csv\n"))
-        train = cfg.train
+        train = cfg
         assert train.mode is Mode.LSP
         assert train.multi_reward is True
         assert train.reward_window == 20
@@ -64,7 +64,7 @@ class TestParseConfig:
     def test_gamma_range_ok_when_generalized(self, tmp_path):
         path = write(tmp_path, "data_csv = x.csv\ngeneralize_gamma = true\ngamma_range = [0.6, 0.9]\n")
         cfg = config.parse_config(path)
-        assert cfg.train.gamma_range == (0.6, 0.9)
+        assert cfg.gamma_range == (0.6, 0.9)
 
     def test_negative_fee(self, tmp_path):
         with pytest.raises(InvalidValue) as err:
@@ -89,8 +89,17 @@ class TestParseConfig:
     def test_comments_and_bare_strings(self, tmp_path):
         text = "# a comment\ndata_csv = prices.csv  # trailing comment\nmode = LP\n\n"
         cfg = config.parse_config(write(tmp_path, text))
-        assert cfg.train.mode is Mode.LP
+        assert cfg.mode is Mode.LP
         assert cfg.data_csv == "prices.csv"
+
+    def test_quoted_values_keep_their_hash(self, tmp_path):
+        text = 'data_csv = "prices#2.csv"\nasset_id = "BTC#USD"  # the pair\nclose_column = last#price  # bare\n'
+        cfg = config.parse_config(write(tmp_path, text))
+        assert (cfg.data_csv, cfg.asset_id, cfg.close_column) == ("prices#2.csv", "BTC#USD", "last")
+        resolved = config.write_resolved(cfg, tmp_path)
+        assert json.loads(resolved.read_text())["asset_id"] == "BTC#USD"
+        assert config.parse_config(resolved) == cfg
+        assert config.parse_config(write(tmp_path, format_config(cfg), name="copy.cfg")) == cfg
 
     def test_round_trip_flat_dialect(self, tmp_path):
         original = config.parse_config(write(tmp_path, FAST_TRAIN))
@@ -210,6 +219,25 @@ class TestErrorPayloads:
         out.mkdir()
         status = cli.main(["backtest", "--config", str(write(tmp_path, "synthetic_kind = sine\n")), "--out", str(out),
                            "--weights", "0.5,0.5,0.5,0.5"])
+        reason = "must lie on the unit 4-simplex"
+        expected = {"error": "InvalidValue", "detail": f"invalid value for weights: {reason}",
+                    "context": {"key": "weights", "reason": reason}}
+        assert capsys.readouterr().out == json.dumps(expected) + "\n"
+        assert status == 1
+
+    def test_type_errors_come_before_rule_errors(self, tmp_path, capsys):
+        status, out = self.run_backtest(tmp_path, capsys, "alpha = 0\neval_frac = x")  # alpha's rule, eval_frac's type
+        reason = "must be a number"
+        expected = {"error": "InvalidValue", "detail": f"invalid value for eval_frac: {reason}",
+                    "context": {"key": "eval_frac", "reason": reason}}
+        assert out == json.dumps(expected) + "\n"
+        assert status == 1
+
+    def test_weights_flag_is_reported_before_a_bad_file_value(self, tmp_path, capsys):
+        out = tmp_path / "empty"
+        out.mkdir()
+        status = cli.main(["backtest", "--config", str(write(tmp_path, "synthetic_kind = sine\nalpha = 0\n")),
+                           "--out", str(out), "--weights", "0.5,0.5,0.5,0.5"])
         reason = "must lie on the unit 4-simplex"
         expected = {"error": "InvalidValue", "detail": f"invalid value for weights: {reason}",
                     "context": {"key": "weights", "reason": reason}}
@@ -441,7 +469,7 @@ class TestCli:
         if "reward_window = 1" in extra:
             text = text.replace("reward_window = 4\n", "")
         cfg = config.parse_config(write(tmp_path, text))
-        train = cfg.train
+        train = cfg
         # A random network whose return inputs are scaled up to unit size, so that it trades.
         net = QNetwork(train.widths, seed=1)
         net.weights[0][: train.lookback] *= 100.0
@@ -591,6 +619,23 @@ class TestCli:
         detail = f"network outputs {outputs} Q-values vs 3 actions of mode LSP"
         assert capsys.readouterr().out == json.dumps({"error": "ShapeMismatch", "detail": detail}) + "\n"
         assert not (out / "report.json").exists()
+
+    def test_flags_override_invalid_file_values(self, tmp_path, capsys):
+        """A file value that a flag replaces is not checked: the run goes ahead with the flag's value."""
+        out, reference = tmp_path / "run", tmp_path / "reference"
+        bad_seed = write(tmp_path, FAST_TRAIN.replace("seed = 3", "seed = -1"), name="bad_seed.cfg")
+        assert self.run_cli("train", "--config", bad_seed, "--out", out, "--seed", 3) == 0
+        assert json.loads((out / "config.resolved.json").read_text())["seed"] == 3
+        assert self.run_cli("train", "--config", write(tmp_path, FAST_TRAIN), "--out", reference) == 0
+        assert (out / "metrics.jsonl").read_bytes() == (reference / "metrics.jsonl").read_bytes()
+
+        bad_eval = write(tmp_path, FAST_TRAIN + 'eval_weights = [0.5, 0.5, 0.5, 0.5]\nreport_metric = "median"\n'
+                                                'eval_range = "all"\n', name="bad_eval.cfg")
+        assert self.run_cli("backtest", "--config", bad_eval, "--out", out,
+                            "--weights", "0.1,0.2,0.3,0.4", "--metric", "profit", "--range", "eval") == 0
+        report = json.loads((out / "report.json").read_text())
+        assert (report["weights"], report["metric"]) == ([0.1, 0.2, 0.3, 0.4], "profit")
+        assert report["report"]["range_id"] == "eval"
 
     def test_seed_override_lands_in_resolved_config(self, tmp_path, capsys):
         cfg_path = write(tmp_path, FAST_TRAIN)
