@@ -13,17 +13,17 @@ import contextlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import evaluation
-from .env import EnvState, Mode, Position, TradingEnv
+from .env import EnvState, Mode, TradingEnv
 from .errors import Diverged, InvalidValue
 from .market_data import DataSplit, IndexRange, PriceSeries
-from .qnet import QNetwork, build_input, save_checkpoint
+from .qnet import QNetwork, build_input, input_width, save_checkpoint
 from .replay import ReplayBuffer, compute_whitening, scalar_rewards, whiten_rewards
 from .rewards import REWARD_COMPONENTS, REWARD_INDEX
 
@@ -34,6 +34,7 @@ HINDSIGHT_RESAMPLE = "resample"
 HINDSIGHT_REPLAY = "replay"
 # Exploration entries of an experience besides a random action: act greedily, replay the real action.
 GREEDY, REPLAYED = -1, -2
+MAX_PARAMS, MAX_K = 10**8, 10**4  # bounds that validation puts on a network's parameters and on k, before allocating
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,7 @@ class TrainConfig:
 
     @property
     def input_width(self) -> int:
-        return self.lookback + 1 + 4 + (1 if self.generalize_gamma else 0)
+        return input_width(self.lookback, self.generalize_gamma)
 
     @property
     def widths(self) -> tuple[int, ...]:
@@ -103,7 +104,7 @@ class TrainConfig:
             (0.0 < self.alpha <= 1.0, "alpha", "must be in (0, 1]"),
             (0.0 < self.tol < 1.0, "tol", "must be in (0, 1)"),
             (self.batchsize >= 1, "batchsize", "must be >= 1"),
-            (self.k >= 0, "k", "must be >= 0"),
+            (0 <= self.k <= MAX_K, "k", f"must be in [0, {MAX_K}]"),
             (self.episodes >= 1, "episodes", "must be >= 1"),
             (self.eval_every >= 1, "eval_every", "must be >= 1"),
             (self.reward_window >= 1, "reward_window", "must be >= 1"),
@@ -112,6 +113,8 @@ class TrainConfig:
             (0.0 <= self.fee < 1.0, "fee", "must be in [0, 1)"),
             (self.max_age >= 0, "max_age", "must be >= 0"),
             (all(h >= 1 for h in self.hidden), "hidden", "hidden widths must be >= 1"),
+            (sum(a * b + b for a, b in zip(self.widths, self.widths[1:])) <= MAX_PARAMS, "hidden",
+             f"the network must have at most {MAX_PARAMS} parameters"),
             (self.learn_rate > 0.0, "learn_rate", "must be > 0"),
             (0.0 <= self.momentum < 1.0, "momentum", "must be in [0, 1)"),
             (self.sync_period >= 1, "sync_period", "must be >= 1"),
@@ -143,12 +146,18 @@ class Checkpoint:
 
 @dataclass
 class TrainResult:
+    """A training run: what the episode runners share and advance, and the checkpoints `train` takes."""
+
+    cfg: TrainConfig
+    streams: dict[str, np.random.Generator]
     net: QNetwork
     target: QNetwork
-    checkpoints: list[Checkpoint]
+    env: TradingEnv
     replay: ReplayBuffer
-    env_steps: int
-    updates: int
+    checkpoints: list[Checkpoint] = field(default_factory=list)
+    env_steps: int = 0
+    updates: int = 0
+    episode: int = 0
 
 
 def rng_streams(seed: int) -> dict[str, np.random.Generator]:
@@ -246,35 +255,20 @@ def draw_conditioning(cfg: TrainConfig, streams: dict, n: int) -> tuple[np.ndarr
     return weights, gamma, explore
 
 
-@dataclass
-class _Learner:
-    """What the episode runners share and advance."""
-
-    cfg: TrainConfig
-    streams: dict[str, np.random.Generator]
-    net: QNetwork
-    target: QNetwork
-    env: TradingEnv
-    buffer: ReplayBuffer
-    env_steps: int = 0
-    updates: int = 0
-    episode: int = 0
-
-
-def _reset(run: _Learner, range_: IndexRange) -> EnvState:
+def _reset(run: TrainResult, range_: IndexRange) -> EnvState:
     """The next training episode over range_, reset on the env stream."""
     episode_len = run.cfg.episode_len if run.cfg.random_access else None
     return run.env.reset(range_, random_access=run.cfg.random_access, episode_len=episode_len, rng=run.streams["env"])
 
 
-def _fit_episode(run: _Learner, state: EnvState) -> None:
+def _fit_episode(run: TrainResult, state: EnvState) -> None:
     """The episode from its start state, one step at a time, fitting the network after every step.
 
     One forward over a step's m rows, built into one buffer, gives the greedy
     choices of its real and counterfactual experiences, made only when one of
     them acts greedily.
     """
-    cfg, env, buffer, net = run.cfg, run.env, run.buffer, run.net
+    cfg, env, buffer, net = run.cfg, run.env, run.replay, run.net
     lo, n = state.cursor - cfg.lookback, state.end - state.cursor - 1  # its first window row and its steps
     weights, gamma, explore = draw_conditioning(cfg, run.streams, n)
     rows = np.empty((weights.shape[1], cfg.input_width))
@@ -304,20 +298,21 @@ def _fit_episode(run: _Learner, state: EnvState) -> None:
         state = outcomes[actions[0]].next_state
 
 
-def _frozen_stretch(run: _Learner, range_: IndexRange, episodes: int) -> None:
+def _frozen_stretch(run: TrainResult, range_: IndexRange, episodes: int) -> None:
     """`episodes` consecutive episodes of the frozen network over range_ in arrays, with the step loop's replay rows.
 
     Chunks of them (at least one episode, at most env.steps_in(range_) rows of
     steps x m) take one `draw_conditioning`, since each draw kind has its own
-    stream, one `outcomes` call and one push.  `evaluation.greedy_chooser`
-    makes the greedy choices: slot 0's at every position of the chunk's steps,
-    a counterfactual's at the position its step starts from.  Under fixed
-    conditioning (pinned or single-reward weights, one gamma) a row depends
-    only on (cursor, position), so one chooser over range_'s rows, built on
-    the first chunk's draw, serves every chunk and slot; under drawn
-    conditioning each chunk builds one over its rows, index t * m + slot.
+    stream, one `outcomes` call and one push.  `evaluation.walk_rounds` walks
+    the real experiences with slot 0's exploration entries forced, and a
+    greedy counterfactual is chosen at the position its step starts from, all
+    through one `evaluation.greedy_chooser`.  Under fixed conditioning (pinned
+    or single-reward weights, one gamma) a row depends only on (cursor,
+    position), so one chooser over range_'s rows, built on the first chunk's
+    draw, serves every chunk and slot; under drawn conditioning each chunk
+    builds one over its rows, index t * m + slot.
     """
-    cfg, env, lookback, n_actions = run.cfg, run.env, run.cfg.lookback, run.env.mode.n_actions
+    cfg, env, lookback = run.cfg, run.env, run.cfg.lookback
     fixed = training_weights(cfg) is not None and (not cfg.generalize_gamma or cfg.gamma_range[0] == cfg.gamma_range[1])
     n = cfg.episode_len if cfg.random_access else env.steps_in(range_)  # steps per episode
     m, where = cfg.slots, f"train range {list(range_)}"
@@ -333,17 +328,14 @@ def _frozen_stretch(run: _Learner, range_: IndexRange, episodes: int) -> None:
             choose, _ = evaluation.greedy_chooser(run.net, env, range_[0] + np.arange(env.steps_in(range_)),
                                                   weights[0, 0], gamma[0, 0], cfg.generalize_gamma, where)
         index = np.repeat(windows[:, None] - range_[0], m, 1) if fixed else np.arange(len(windows) * m).reshape(-1, m)
-        greedy = choose(np.repeat(index[:, 0], n_actions), np.tile(np.arange(n_actions), len(windows)))
-        actions = env.greedy_walk(greedy.reshape(-1, n_actions), explore[:, 0].tolist(), n)
-        before = np.roll(actions, 1)  # position index before each step: each episode starts neutral
-        before[::n] = env.mode.targets.index(Position.NEUTRAL)
+        actions, before = evaluation.walk_rounds(env, n, lambda t, j: choose(index[t, 0], j), explore[:, 0])
         taken = np.where(explore == REPLAYED, actions[:, None], explore)
         taken[:, 0] = actions
         for slot in range(1, m):  # per slot, so that a forward holds one slot's rows at most (peak RSS)
             t = np.flatnonzero(taken[:, slot] == GREEDY)
             taken[t, slot] = choose(index[t, slot], before[t])
         _, rewards = env.outcomes(cursors, taken.reshape(len(cursors), n, m))
-        run.buffer.push({
+        run.replay.push({
             "cursor": np.repeat(windows + lookback, m),
             "position": np.repeat(env.target_signs[before], m),
             "next_position": env.target_signs[taken].ravel(),
@@ -398,9 +390,8 @@ def train(
     streams = rng_streams(cfg.seed)
     net = QNetwork(cfg.widths, seed=streams["init"], momentum=cfg.momentum)
     env = TradingEnv(series, cfg.mode, lookback=cfg.lookback, reward_window=cfg.reward_window, fee=cfg.fee)
-    run = _Learner(cfg, streams, net, net.clone(), env, ReplayBuffer(cfg.max_age, env))
+    run = TrainResult(cfg, streams, net, net.clone(), env, ReplayBuffer(cfg.max_age, env))
     eval_weights, eval_gamma = eval_conditioning(cfg, eval_weights, eval_gamma)
-    checkpoints: list[Checkpoint] = []
 
     with contextlib.ExitStack() as files:
         writer = _RunWriter(out_dir, cfg, files)
@@ -415,9 +406,8 @@ def train(
                                                 include_gamma=cfg.generalize_gamma)
             ck = Checkpoint(episode=episode, net=net.clone(), reports=reports)
             writer.write(ck, run.env_steps, run.updates)
-            checkpoints.append(ck)
-
-    return TrainResult(net, run.target, checkpoints, run.buffer, run.env_steps, run.updates)
+            run.checkpoints.append(ck)
+    return run
 
 
 @dataclass(frozen=True)

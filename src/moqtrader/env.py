@@ -169,20 +169,6 @@ class TradingEnv:
         powc[e, t, a] = before[e, t, 0] * (self.log_close[at[e, t]] - self.log_close[at[e, entered[e, t - 1]]])
         return lr[:, :, 0], reward_matrix(history, lr, powc)
 
-    def greedy_walk(self, choices: np.ndarray, forced: list[int], n: int) -> np.ndarray:
-        """The actions of walks of n steps each from neutral, over choices[t, j]: step t's greedy action at position j
-        of mode.targets (an argmax: ties go to the lowest id).  Step t takes forced[t] or, where that is negative,
-        its choice at the position held, which after action a is position a."""
-        greedy, width, actions = choices.ravel().tolist(), self.mode.n_actions, []  # a flat list: t * width + j
-        for start in range(0, len(forced), n):
-            j = self.mode.targets.index(Position.NEUTRAL)
-            for t, a in enumerate(forced[start : start + n], start):
-                if a < 0:
-                    a = greedy[t * width + j]
-                actions.append(a)
-                j = a
-        return np.array(actions, dtype=np.int8)
-
     def steps_in(self, range_: IndexRange) -> int:
         """Number of steps a full pass over `range_` yields."""
         lo, hi = range_

@@ -2,13 +2,14 @@
 
 `greedy_chooser` is the one route to a frozen network's greedy choices, for
 evaluations and frozen training stretches alike: a memoizing int8 choice
-table whose forwards are padded to whole 4-row tiles, so that a choice does
-not depend on the rows grouped with it.  `vectorized_rollout`, the route
-every evaluation takes on the caller's `TradingEnv`, finds the greedy walk
-over it in Jacobi rounds (`walk_rounds`), forwarding only the rows the walk
-can visit, and takes the rewards from the environment's array kernel, so its
-trace equals the greedy step loop's (tests/scalar_reference.py) bit for bit.
-Buy-and-hold has one closed form, `_buy_and_hold_benchmark`."""
+table whose forwards are padded to whole `TILE_ROWS`-row tiles, so that a
+choice does not depend on the rows grouped with it.  `walk_rounds` is the one
+walk of a frozen policy, in Jacobi rounds that forward only the rows the walk
+can visit.  `vectorized_rollout`, the route every evaluation takes on the
+caller's `TradingEnv`, walks it and takes the rewards from the environment's
+array kernel, so its trace equals the greedy step loop's
+(tests/scalar_reference.py) bit for bit.  Buy-and-hold has one closed form,
+`_buy_and_hold_benchmark`."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import numpy as np
 from .env import Position, TradingEnv
 from .errors import Diverged, EmptyCheckpointList, RangeTooShort, ShapeMismatch
 from .market_data import DataSplit, IndexRange
-from .qnet import BLOCK_ROWS, QNetwork, build_input, row_blocks
+from .qnet import BLOCK_ROWS, TILE_ROWS, QNetwork, build_input, row_blocks
 from .rewards import STD_FLOOR
 
 @dataclass(frozen=True)
@@ -102,15 +103,16 @@ def greedy_chooser(net: QNetwork, env: TradingEnv, rows: np.ndarray, weights: np
     nothing has been chosen, and choose(idx, positions), which forwards the (idx, position index) pairs still at -1,
     each once, and returns their entries.  weights and gamma are one value for all rows or one per row.  Rows go per
     position code in `row_blocks` blocks through one buffer that `build_input` allocates at the builder's width (so a
-    net of another input width raises ShapeMismatch), padded to whole 4-row tiles: a row's Q-values do not depend on
-    the rows beside it.  Another output width raises ShapeMismatch, non-finite Q-values Diverged naming `where`."""
+    net of another input width raises ShapeMismatch), padded to whole TILE_ROWS-row tiles: a row's Q-values do not
+    depend on the rows beside it.  Another output width raises ShapeMismatch, non-finite Q-values Diverged naming
+    `where`."""
     if net.widths[-1] != env.mode.n_actions:
         raise ShapeMismatch(f"network outputs {net.widths[-1]} Q-values vs {env.mode.n_actions} actions of mode "
                             f"{env.mode.value}")
     table = np.full((len(rows), env.mode.n_actions), -1, dtype=np.int8)
     weights, gamma = np.broadcast_to(weights, (len(rows), 4)), np.broadcast_to(gamma, len(rows))
-    inputs = build_input(np.broadcast_to(0.0, (-(-min(len(rows), BLOCK_ROWS + 1) // 4) * 4, env.lookback)), 0.0, 0.0,
-                         include_gamma)
+    inputs = build_input(np.broadcast_to(0.0, (-(-min(len(rows), BLOCK_ROWS + 1) // TILE_ROWS) * TILE_ROWS,
+                                               env.lookback)), 0.0, 0.0, include_gamma)
 
     def choose(idx: np.ndarray, positions: np.ndarray) -> np.ndarray:
         for j, position in enumerate(env.mode.targets):
@@ -121,7 +123,7 @@ def greedy_chooser(net: QNetwork, env: TradingEnv, rows: np.ndarray, weights: np
                 block, k = at[start:stop], stop - start
                 build_input(env.windows[rows[block]], weights[block], gamma[block], include_gamma, position.value,
                             out=inputs[:k])
-                q = net.forward(inputs[: k + -k % 4])[:k]  # the tail padded with finite rows left in the buffer
+                q = net.forward(inputs[: k + -k % TILE_ROWS])[:k]  # the tail padded with finite rows left in the buffer
                 if not np.isfinite(q).all():
                     raise Diverged(f"non-finite Q-values on {where}")
                 table[block, j] = q.argmax(axis=1)
@@ -129,25 +131,37 @@ def greedy_chooser(net: QNetwork, env: TradingEnv, rows: np.ndarray, weights: np
     return choose, table
 
 
-def walk_rounds(env: TradingEnv, n: int, choose, table: np.ndarray) -> np.ndarray:
-    """The actions of the greedy walk of n steps from neutral over choose(steps, positions)'s memoizing (steps,
-    positions) choice table.  In Jacobi rounds, every step guesses its position (neutral at first), each guess is
-    chosen at, and a step's next guess is its predecessor's choice at its own guess, until all are confirmed.  Rounds
+def walk_rounds(env: TradingEnv, n: int, choose, forced: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The int8 actions of len(forced) steps walked as episodes of n steps, each from neutral, and the position index
+    each step starts from.  Step t takes forced[t] when that is >= 0, else choose([t], [j]): its greedy choice at the
+    position index j it holds, which after action a is a.  Only the greedy steps are chosen at, in Jacobi rounds:
+    each guesses its position (a forced predecessor's action, else neutral at first), each guess is chosen at, and a
+    step's next guess is its greedy predecessor's choice at that one's guess, until every guess is confirmed.  Rounds
     go on while each at least halves the wrong guesses, so there are at most ceil(log2 n) + 2; when one falls short,
-    every row left is chosen at and `TradingEnv.greedy_walk` walks the full table."""
-    guess = np.full(n, env.mode.targets.index(Position.NEUTRAL), dtype=np.int8)
-    taken = np.empty(n, dtype=np.int8)  # each step's choice at its guess
-    moved, wrong = np.arange(n), math.inf  # the steps whose guess changed, and how many were wrong (no bar at first)
-    while True:
+    every greedy step is chosen at every position and the walk goes step by step."""
+    neutral, width, forced = env.mode.targets.index(Position.NEUTRAL), env.mode.n_actions, np.asarray(forced)
+    taken = forced.astype(np.int8)  # and each greedy step's choice at its guess
+    guess = np.roll(taken, 1)
+    guess[(guess < 0) | (np.arange(len(taken)) % n == 0)] = neutral
+    moved, wrong = np.flatnonzero(taken < 0), math.inf  # the steps whose guess changed, how many were wrong (no bar)
+    while len(moved):
         taken[moved] = choose(moved, guess[moved])
-        before = moved[moved < n - 1]
-        moved = before[taken[before] != guess[before + 1]] + 1
-        if not len(moved):
-            return taken
+        after = moved[moved < len(taken) - 1] + 1
+        after = after[(after % n != 0) & (forced[after] < 0)]  # the greedy steps that follow in an episode
+        moved = after[taken[after - 1] != guess[after]]
         if 2 * len(moved) > wrong:
-            choose(*np.nonzero(table < 0))
-            return env.greedy_walk(table, [-1] * n, n)
+            steps = np.flatnonzero(forced < 0)
+            table = np.zeros((len(taken), width), dtype=np.int8)
+            table[steps] = choose(np.repeat(steps, width), np.tile(np.arange(width), len(steps))).reshape(-1, width)
+            greedy, actions = table.tolist(), taken.tolist()  # greedy[t][j]: step t's choice at position j
+            for t in steps.tolist():
+                actions[t] = greedy[t][actions[t - 1] if t % n else neutral]
+            taken = np.array(actions, dtype=np.int8)
+            break
         guess[moved], wrong = taken[moved - 1], len(moved)
+    before = np.roll(taken, 1)
+    before[::n] = neutral
+    return taken, before
 
 
 def vectorized_rollout(net: QNetwork, env: TradingEnv, range_: IndexRange, weights: np.ndarray, gamma: float, *,
@@ -160,7 +174,7 @@ def vectorized_rollout(net: QNetwork, env: TradingEnv, range_: IndexRange, weigh
         raise RangeTooShort(f"range length {hi - lo} < lookback + 2 = {env.lookback + 2}")
     choose, table = greedy_chooser(net, env, np.arange(lo, lo + n), weights, gamma, include_gamma,
                                    f"{range_id} range {list(range_)}")
-    actions = walk_rounds(env, n, choose, table)
+    actions, _ = walk_rounds(env, n, choose, np.full(n, -1))
     lr, rewards = env.outcomes([lo + env.lookback], actions[None, :, None])
     trace = PositionTrace(env.target_signs[actions].astype(np.int8), actions, lr[0], rewards[0, :, 0])
     return table, trace, _report_from_trace(trace, env, range_, weights, range_id)

@@ -21,7 +21,8 @@ import numpy as np
 from .errors import InvalidValue, ShapeMismatch
 
 CHECKPOINT_VERSION = 1
-BLOCK_ROWS = 1024  # rows per block of a large forward: a multiple of the matrix product's 4-row tile (see row_blocks)
+TILE_ROWS = 8  # rows per tile of a padded forward: as wide as any tested BLAS kernel's, so rows round independently
+BLOCK_ROWS = 128 * TILE_ROWS  # rows per block of a large forward (see row_blocks)
 
 
 @dataclass(slots=True)
@@ -36,13 +37,18 @@ class Batch:
     terminal: np.ndarray
 
 
+def input_width(lookback: int, include_gamma: bool) -> int:
+    """The width of a network input row (see build_input)."""
+    return lookback + 5 + include_gamma
+
+
 def build_input(returns, weights, gamma, include_gamma: bool, position=0, out: np.ndarray | None = None) -> np.ndarray:
     """Network input rows: the lookback log-returns, the position code, the 4 reward weights, then gamma when
     include_gamma.  Broadcasts over the arguments' leading axes; writes into out, and returns it, when given."""
     lookback = np.shape(returns)[-1]
     if out is None:
         rows = np.broadcast_shapes(np.shape(returns)[:-1], np.shape(position), np.shape(weights)[:-1], np.shape(gamma))
-        out = np.empty((*rows, lookback + 5 + include_gamma))
+        out = np.empty((*rows, input_width(lookback, include_gamma)))
     out[..., :lookback] = returns
     out[..., lookback] = position
     out[..., lookback + 1 : lookback + 5] = weights
@@ -53,7 +59,7 @@ def build_input(returns, weights, gamma, include_gamma: bool, position=0, out: n
 
 def row_blocks(n: int) -> list[tuple[int, int]]:
     """(start, stop) of BLOCK_ROWS-row blocks over n rows, so that a row's bytes do not depend on its block: all
-    but the last span whole 4-row tiles, and a one-row remainder, which numpy hands to gemv, joins the one before."""
+    but the last span whole tiles, and a one-row remainder, which numpy hands to gemv, joins the one before."""
     stops = [*range(BLOCK_ROWS, n - 1, BLOCK_ROWS), n]
     return list(zip([0, *stops], stops))
 

@@ -16,7 +16,7 @@ from numpy.linalg import _umath_linalg
 
 from .env import TradingEnv
 from .errors import BufferTooSmall
-from .qnet import Batch, build_input
+from .qnet import Batch, build_input, input_width
 
 # Column name -> (dtype, shape of one row).
 _COLUMNS = {
@@ -55,11 +55,7 @@ class ReplayBuffer:
             raise ValueError("max_age must be >= 0")
         self.max_age = max_age
         self.update_counter = 0
-        # Row t - lookback is log_returns[t - lookback : t + 1]: the returns of
-        # the state at cursor t, then of the state at t + 1, share all but one.
-        # A series too short for one state keeps no rows (env.reset rejects it).
-        returns = env.log_returns if len(env.log_returns) > env.lookback else np.zeros(env.lookback + 1)
-        self._spans = np.lib.stride_tricks.sliding_window_view(returns, env.lookback + 1)
+        self._env = env  # whose windows the gather reads
         for name, (dtype, shape) in _COLUMNS.items():
             setattr(self, name, np.empty((_MIN_ROOM, *shape), dtype))
         self._lo = self._hi = 0
@@ -152,12 +148,11 @@ class ReplayBuffer:
 
     def _gather(self, rows: np.ndarray, include_gamma: bool) -> Batch:
         """Each row's state and next-state network inputs, built into one (2, rows, input width) array."""
-        lookback = self._spans.shape[1] - 1
-        spans = self._spans[self._cursor[rows] - lookback]  # the state's returns, then the next state's
+        windows, at = self._env.windows, self._cursor[rows] - self._env.lookback  # the state's row, then at + 1
         weights, gamma = self._weights[rows], self._gamma[rows]
-        inputs = np.empty((2, len(rows), lookback + 5 + include_gamma))
-        build_input(spans[:, :-1], weights, gamma, include_gamma, self._position[rows], out=inputs[0])
-        build_input(spans[:, 1:], weights, gamma, include_gamma, self._next_position[rows], out=inputs[1])
+        inputs = np.empty((2, len(rows), input_width(windows.shape[1], include_gamma)))
+        build_input(windows[at], weights, gamma, include_gamma, self._position[rows], out=inputs[0])
+        build_input(windows[at + 1], weights, gamma, include_gamma, self._next_position[rows], out=inputs[1])
         return Batch(inputs, gamma, weights, self._reward[rows], self._action[rows], self._terminal[rows])
 
 

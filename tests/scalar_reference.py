@@ -13,8 +13,8 @@ The step loop fits the network through the update path that
 `fit_batch`, which runs the online forward a second time in `gradients`.
 `batch_of` builds a `qnet.Batch` from state rows with `np.hstack`, as that
 path did.
-`table_walk` walks a rollout's full Q-table, the route that
-`evaluation.walk_rounds` is held to.
+`table_walk` walks a rollout's full Q-table step by step (`walk_table`),
+the route that `evaluation.walk_rounds` is held to.
 `replay_rows` gathers a replay's live rows in order, which the tests read
 and the engine, which only samples, does not.
 `unblocked_forward` runs a batch as one matrix product per layer, the
@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from moqtrader import agent, config
-from moqtrader.env import EnvState, TradingEnv
+from moqtrader.env import EnvState, Position, TradingEnv
 from moqtrader.errors import (
     MissingColumn,
     MissingFile,
@@ -47,7 +47,7 @@ from moqtrader.errors import (
 )
 from moqtrader.evaluation import EvaluationReport, PositionTrace, _report_from_trace
 from moqtrader.market_data import IndexRange, PriceSeries, _parse_timestamp
-from moqtrader.qnet import Batch, QNetwork, build_input
+from moqtrader.qnet import TILE_ROWS, Batch, QNetwork, build_input
 from moqtrader.replay import ReplayBuffer, compute_whitening, scalar_rewards
 
 
@@ -109,11 +109,21 @@ def run_policy(
 def table_walk(net: QNetwork, env: TradingEnv, range_: IndexRange, weights: np.ndarray, gamma: float,
                include_gamma: bool = False) -> np.ndarray:
     """The greedy walk's actions by the full-table route: per position code, one forward of every step's row of
-    range_, then the argmaxes walked from neutral by `TradingEnv.greedy_walk`."""
+    range_, then the argmaxes walked from neutral by `walk_table`."""
     lo, n = range_[0], env.steps_in(range_)
     table = np.stack([net.forward(build_input(env.windows[lo : lo + n], weights, gamma, include_gamma,
                                               position.value)).argmax(axis=1) for position in env.mode.targets], axis=1)
-    return env.greedy_walk(table, [-1] * n, n)
+    return walk_table(env, table, [-1] * n, n)
+
+
+def walk_table(env: TradingEnv, table: np.ndarray, forced, n: int) -> np.ndarray:
+    """Walks of n steps each from neutral over table[t, j], step t's greedy action at position index j: step t takes
+    forced[t], or where that is negative its choice at the position held, which after action a is position a."""
+    actions = []
+    for t, a in enumerate(forced):
+        j = env.mode.targets.index(Position.NEUTRAL) if t % n == 0 else actions[-1]
+        actions.append(int(table[t, j]) if a < 0 else int(a))
+    return np.array(actions, dtype=np.int8)
 
 
 def buy_and_hold(
@@ -201,16 +211,16 @@ def replay_rows(buffer: ReplayBuffer, idx=None, include_gamma: bool = False) -> 
 def new_rows(forwards: list[np.ndarray]) -> np.ndarray:
     """The input rows that a greedy chooser's forwards (their inputs, in call order) forwarded for the first time.
 
-    Each forward must take whole 4-row tiles: its new rows first, distinct,
-    then fewer than 4 rows of padding, each one forwarded before or one of the
-    block buffer's initial all-zero rows.  So no row is forwarded twice but
-    as padding.
+    Each forward must take whole TILE_ROWS-row tiles: its new rows first,
+    distinct, then fewer than TILE_ROWS rows of padding, each one forwarded
+    before or one of the block buffer's initial all-zero rows.  So no row is
+    forwarded twice but as padding.
     """
     seen, new = {np.zeros(len(forwards[0][0])).tobytes()} if forwards else set(), []
     for x in forwards:
         keys = [row.tobytes() for row in x]
         k = sum(key not in seen for key in keys)
-        assert len(x) % 4 == 0 and len(x) - k < 4, len(x)
+        assert len(x) % TILE_ROWS == 0 and len(x) - k < TILE_ROWS, len(x)
         assert len(set(keys[:k])) == k and not seen.intersection(keys[:k]) and seen.issuperset(keys[k:])
         seen.update(keys)
         new.append(x[:k])
@@ -306,14 +316,14 @@ def fit_batch(net: QNetwork, inputs: np.ndarray, targets: np.ndarray, learn_rate
     return loss_
 
 
-def step_loop(run: "agent._Learner", state: EnvState, fit: bool) -> None:
+def step_loop(run: "agent.TrainResult", state: EnvState, fit: bool) -> None:
     """A training episode from state, one step at a time, with per-step draws and one-row forwards.
 
     Per step: draw the weights and gamma, act epsilon-greedily, step the
     environment, push the experience and its k counterfactuals, then, with
     fit, update the network once the replay holds a batch.
     """
-    cfg, env, buffer, net, streams = run.cfg, run.env, run.buffer, run.net, run.streams
+    cfg, env, buffer, net, streams = run.cfg, run.env, run.replay, run.net, run.streams
     include_gamma, fixed = cfg.generalize_gamma, agent.training_weights(cfg)
     min_fit_len = max(cfg.batchsize, 2) if cfg.whiten else cfg.batchsize
     while True:
@@ -348,12 +358,12 @@ def step_loop(run: "agent._Learner", state: EnvState, fit: bool) -> None:
             return
 
 
-def frozen_episode(run: "agent._Learner", state: EnvState) -> None:
+def frozen_episode(run: "agent.TrainResult", state: EnvState) -> None:
     """The step loop of one frozen-network training episode."""
     step_loop(run, state, fit=False)
 
 
-def frozen_stretch(run: "agent._Learner", range_: IndexRange, episodes: int) -> None:
+def frozen_stretch(run: "agent.TrainResult", range_: IndexRange, episodes: int) -> None:
     """`agent._frozen_stretch` as one step-loop episode per episode, each reset as training resets it.
 
     The step loop makes every greedy choice with its own forward.
@@ -362,7 +372,7 @@ def frozen_stretch(run: "agent._Learner", range_: IndexRange, episodes: int) -> 
         frozen_episode(run, agent._reset(run, range_))
 
 
-def fit_episode(run: "agent._Learner", state: EnvState) -> None:
+def fit_episode(run: "agent.TrainResult", state: EnvState) -> None:
     """The step loop of a fitting training episode (`agent._fit_episode`)."""
     step_loop(run, state, fit=True)
 

@@ -293,7 +293,10 @@ class TestErrorPayloads:
         ("learn_rate = Infinity", [], "learn_rate", "must be finite"),  # trained to Diverged, warning on the way
         ("eigen_floor = Infinity", [], "eigen_floor", "must be finite"),  # whitened every reward to 0
         ("", ["--seed", "-1"], "seed", "must be >= 0"),  # a raw SeedSequence error when walkforward derived fold seeds
-    ], ids=["synthetic_seed", "learn_rate", "eigen_floor", "seed_override"])
+        # raw numpy allocation errors from QNetwork.__init__ and draw_conditioning, before any allocation is tried
+        ("hidden = [100000000000]", [], "hidden", "the network must have at most 100000000 parameters"),
+        ("k = 100000000000", [], "k", "must be in [0, 10000]"),
+    ], ids=["synthetic_seed", "learn_rate", "eigen_floor", "seed_override", "huge_hidden", "huge_k"])
     def test_rejected_before_a_run(self, tmp_path, capsys, command, text, flags, key, reason):
         out = tmp_path / "run"
         config_path = str(write(tmp_path, FAST_TRAIN + text + "\n"))

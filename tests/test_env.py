@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scalar_reference import state_features
+from scalar_reference import state_features, walk_table
 
 from moqtrader.env import EnvState, Mode, Position, TradingEnv
 from moqtrader.errors import EpisodeExhausted, InvalidActionForMode, RangeTooShort
+from moqtrader.evaluation import walk_rounds
 from moqtrader.market_data import PriceSeries
 from moqtrader.synthetic import generate_synthetic
 
@@ -280,17 +281,27 @@ class TestTrajectoryProperties:
             assert abs(oracle - total_powc) < 1e-9
 
 
+def no_choice(steps, positions):
+    raise AssertionError(f"an all-forced walk chose at {steps}")
+
+
 @pytest.mark.parametrize("mode", [Mode.LP, Mode.LSP])
 def test_walks_of_n_steps_each_start_neutral(mode):
-    """greedy_walk over E trajectories of n steps equals E walks, each from neutral."""
+    """walk_rounds over E trajectories of n steps equals E walks, each from neutral, and the step-by-step walk."""
     env = TradingEnv(generate_synthetic("sine", 50), mode, lookback=4, reward_window=3)
     rng = np.random.default_rng(4)
-    E, n = 4, 7
+    E, n, neutral = 4, 7, mode.targets.index(Position.NEUTRAL)
     choices = rng.integers(0, mode.n_actions, size=(E * n, mode.n_actions))
-    forced = np.where(rng.random(E * n) < 0.3, rng.integers(0, mode.n_actions, size=E * n), -1).tolist()
-    each = np.concatenate([env.greedy_walk(choices[e * n : (e + 1) * n], forced[e * n : (e + 1) * n], n) for e in range(E)])
-    assert env.greedy_walk(choices, forced, n).tolist() == each.tolist()
-    assert env.greedy_walk(choices, forced, E * n).tolist() != each.tolist()
+    forced = np.where(rng.random(E * n) < 0.3, rng.integers(0, mode.n_actions, size=E * n), -1)
+
+    def walk(steps, start):
+        return walk_rounds(env, steps, lambda t, j: choices[start + t, j], forced[start : start + steps])
+
+    each = np.concatenate([walk(n, e * n)[0] for e in range(E)])
+    actions, before = walk_rounds(env, n, lambda t, j: choices[t, j], forced)
+    assert actions.tolist() == each.tolist() == walk_table(env, choices, forced, n).tolist()
+    assert all(before[t] == (neutral if t % n == 0 else actions[t - 1]) for t in range(E * n))
+    assert walk(E * n, 0)[0].tolist() != each.tolist()
 
 
 class TestOutcomes:
@@ -309,7 +320,7 @@ class TestOutcomes:
         n = env.steps_in((lo, hi))
         # runs of one action, so positions are held and closed at varied ages
         actions = np.repeat(rng.integers(0, mode.n_actions, size=n), rng.integers(1, 6, size=n))[:n].tolist()
-        taken = env.greedy_walk(np.empty((0, mode.n_actions), dtype=int), actions, n)
+        taken, _ = walk_rounds(env, n, no_choice, actions)
         every = np.broadcast_to(np.arange(mode.n_actions), (n, mode.n_actions))
         lr, table = env.outcomes([lo + 4], np.column_stack((taken, every))[None])
         lr, table = lr[0], table[0]

@@ -1,13 +1,18 @@
+import ctypes
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scalar_reference import buy_and_hold, new_rows, run_policy, table_walk, unblocked_forward
+from scalar_reference import buy_and_hold, new_rows, run_policy, table_walk, unblocked_forward, walk_table
 
 from moqtrader import agent, evaluation
 from moqtrader.agent import TrainConfig, run_walk_forward, uniform_weights
-from moqtrader.env import Mode, TradingEnv
+from moqtrader.env import Mode, Position, TradingEnv
 from moqtrader.errors import Diverged, EmptyCheckpointList, RangeTooShort, ShapeMismatch
 from moqtrader.evaluation import (
     EvaluationReport,
@@ -17,7 +22,7 @@ from moqtrader.evaluation import (
     walk_rounds,
 )
 from moqtrader.market_data import PriceSeries, walk_forward_folds
-from moqtrader.qnet import QNetwork, build_input, row_blocks
+from moqtrader.qnet import TILE_ROWS, QNetwork, build_input, row_blocks
 from moqtrader.synthetic import generate_synthetic
 
 
@@ -233,25 +238,49 @@ def varied_net(rng, mode, lookback, include_gamma, step_std):
 
 
 def spied_walks(monkeypatch):
-    """Records each walk_rounds call's rounds: the number of rows its choose callback forwarded, per call."""
-    walks, walk = [], evaluation.walk_rounds
+    """Records each walk_rounds call's rounds: the number of rows its choose callback forwarded, per call, read from
+    the table of the greedy chooser built last."""
+    walks, walk, chooser, tables = [], evaluation.walk_rounds, evaluation.greedy_chooser, []
 
-    def counted(env, n, choose, table):
+    def recorded_chooser(*args):
+        choose, table = chooser(*args)
+        tables.append(table)
+        return choose, table
+
+    def counted(env, n, choose, forced):
         walks.append([])
+        table = tables[-1]
 
         def counted_choose(steps, positions):
             chosen = np.count_nonzero(table >= 0)
             actions = choose(steps, positions)
             walks[-1].append(np.count_nonzero(table >= 0) - chosen)
             return actions
-        return walk(env, n, counted_choose, table)
+        return walk(env, n, counted_choose, forced)
 
+    monkeypatch.setattr(evaluation, "greedy_chooser", recorded_chooser)
     monkeypatch.setattr(evaluation, "walk_rounds", counted)
     return walks
 
 
 def max_rounds(n):
     return math.ceil(math.log2(n)) + 2
+
+
+def memo(table):
+    """choose(steps, positions) over a synthetic choice table, memoizing as greedy_chooser does over a net, with the
+    memo, the (step, position) pairs chosen at in order, and each call's count of new pairs."""
+    choices, asked, rounds = np.full(table.shape, -1, dtype=np.int8), [], []
+
+    def choose(steps, positions):
+        pairs = list(zip(steps.tolist(), positions.tolist()))
+        assert len(set(pairs)) == len(pairs)  # a round asks for no pair twice
+        new = choices[steps, positions] < 0
+        rounds.append(np.count_nonzero(new))
+        asked.extend(zip(steps[new].tolist(), positions[new].tolist()))
+        choices[steps[new], positions[new]] = table[steps[new], positions[new]]
+        return choices[steps, positions]
+    return choose, choices, asked, rounds
 
 
 class TestWalkRounds:
@@ -320,23 +349,57 @@ class TestWalkRounds:
                 table[fixed] = table[fixed, :1]  # a choice that does not depend on the position held
                 tables.append(table)
         for table in tables:
-            choices, asked, rounds = np.full((n, 3), -1, dtype=np.int8), [], []
-
-            def choose(steps, positions):  # a memo over the synthetic table, as greedy_chooser's is over a net
-                pairs = list(zip(steps.tolist(), positions.tolist()))
-                assert len(set(pairs)) == len(pairs)
-                new = choices[steps, positions] < 0
-                rounds.append(np.count_nonzero(new))
-                asked.extend(zip(steps[new].tolist(), positions[new].tolist()))
-                choices[steps[new], positions[new]] = table[steps[new], positions[new]]
-                return choices[steps, positions]
-
-            actions = walk_rounds(env, n, choose, choices)
+            choose, choices, asked, rounds = memo(table)
+            actions, before = walk_rounds(env, n, choose, np.full(n, -1))
             assert len(set(asked)) == len(asked) <= 3 * n
             assert sorted(asked) == sorted(zip(*map(np.ndarray.tolist, np.nonzero(choices >= 0))))
             assert len(rounds) <= max_rounds(n)
             np.testing.assert_array_equal(choices[choices >= 0], table[choices >= 0])
-            np.testing.assert_array_equal(actions, env.greedy_walk(table, [-1] * n, n))
+            np.testing.assert_array_equal(actions, walk_table(env, table, [-1] * n, n))
+            np.testing.assert_array_equal(before, np.concatenate(([2], actions[:-1])))
+
+    @pytest.mark.parametrize("mode", [Mode.LSP, Mode.LP])
+    @pytest.mark.parametrize("n,episodes", [(1, 5), (7, 1), (7, 6), (60, 3)])
+    def test_forced_steps_on_synthetic_tables(self, mode, n, episodes):
+        """Walks of several episodes with forced steps equal the step-by-step walk.  Only greedy steps are chosen at,
+        each episode starts from neutral, and the rounds keep their bound."""
+        rng, P = np.random.default_rng(n * episodes), mode.n_actions
+        neutral = mode.targets.index(Position.NEUTRAL)
+        env = env_of(series_of(np.linspace(100.0, 110.0, 20)), mode, lookback=6, reward_window=4)
+        steps = n * episodes
+        for rate in (0.0, 0.1, 0.3, 0.7, 1.0):
+            for dependent in (0.2, 1.0):
+                table = rng.integers(0, P, (steps, P))
+                fixed = rng.random(steps) >= dependent
+                table[fixed] = table[fixed, :1]
+                forced = np.where(rng.random(steps) < rate, rng.integers(0, P, steps), -1)
+                choose, choices, asked, rounds = memo(table)
+                actions, before = walk_rounds(env, n, choose, forced)
+                np.testing.assert_array_equal(actions, walk_table(env, table, forced, n))
+                assert actions.dtype == before.dtype == np.int8
+                np.testing.assert_array_equal(before, [neutral if t % n == 0 else actions[t - 1] for t in range(steps)])
+                assert all(forced[t] < 0 for t, _ in asked) and len(set(asked)) == len(asked)
+                assert len(rounds) <= max_rounds(steps)
+                assert (rounds == []) == (forced >= 0).all()  # an all-forced walk chooses nothing
+
+    def test_crafted_forced_steps(self):
+        """A greedy step after a forced one is chosen at the forced position in the first round; an episode that
+        follows a non-neutral step starts from neutral; a walk that falls short still walks the forced steps."""
+        env = env_of(series_of(np.linspace(100.0, 110.0, 20)), lookback=6, reward_window=4)  # LSP: L, S, N
+        short_keeps = np.tile([2, 1, 2], (6, 1))  # neutral from long or neutral, short from short
+        choose, _, asked, rounds = memo(short_keeps)
+        actions, before = walk_rounds(env, 3, choose, np.array([1, -1, -1, -1, 0, -1]))
+        assert actions.tolist() == [1, 1, 1, 2, 0, 2] and before.tolist() == [2, 1, 1, 2, 2, 0]
+        # the first round: step 1 at short and step 5 at long, after their forced steps; step 3 at neutral, an
+        # episode's first; step 2 at neutral, its guess, then at short in the second round
+        assert asked == [(1, 1), (2, 2), (3, 2), (5, 0), (2, 1)] and rounds == [4, 1]
+        alternate = np.tile([1, 0, 0], (40, 1))  # short from long or neutral, long from short: a choice per step
+        forced = np.full(40, -1)
+        forced[[5, 17, 18, 30]] = [2, 0, 2, 1]
+        choose, choices, asked, rounds = memo(alternate)
+        actions, _ = walk_rounds(env, 20, choose, forced)
+        np.testing.assert_array_equal(actions, walk_table(env, alternate, forced, 20))
+        assert (choices[forced < 0] >= 0).all() and (choices[forced >= 0] < 0).all()  # the fallback: every position
 
     def test_rollout_forwards_each_row_at_most_once(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -402,14 +465,14 @@ class TestGreedyChooser:
 
     def test_forwards_each_pair_once(self, monkeypatch):
         """Each (row, position) pair is forwarded once, within a call that repeats it and across calls, in padded
-        4-row tiles; choose returns the table's entries."""
+        TILE_ROWS-row tiles; choose returns the table's entries."""
         series = generate_synthetic("random-walk", 200, amplitude=0.015, seed=5)
         env, net = env_of(series, lookback=6, reward_window=4), QNetwork([11, 8, 3], seed=2)
         net.weights[0][:6] /= 0.015
         choose, table = greedy_chooser(net, env, np.arange(10, 60), uniform_weights(), 0.9, False, "range")
         forwarded = recorded_forwards(monkeypatch)
         calls = [([5, 5, 7, 7, 7, 9], [0, 0, 0, 0, 1, 0]), ([9, 5, 11, 11, 11], [0, 0, 0, 2, 2]), ([11, 7], [2, 1])]
-        forwards = [[4, 4], [4, 4], []]  # positions 0 and 1 (3 + 1 and 1 + 3 rows), then 0 and 2, then none
+        forwards = [[TILE_ROWS] * 2, [TILE_ROWS] * 2, []]  # positions 0 and 1 (3 and 1 rows, padded), 0 and 2, none
         for (idx, positions), expected in zip(calls, forwards):
             before = len(forwarded)
             chosen = choose(np.array(idx), np.array(positions))
@@ -439,8 +502,8 @@ class TestGreedyChooser:
     @pytest.mark.parametrize("widths,mode,include_gamma", CHOOSER_NETS.values(), ids=CHOOSER_NETS)
     def test_choices_do_not_depend_on_grouping(self, widths, mode, include_gamma, monkeypatch):
         """On the host BLAS each row's Q-values and choice are the same bytes chosen in one call, in 30 random
-        groupings of calls and one row at a time: every forward pads its block to whole 4-row tiles.  A BLAS whose
-        rounding depends on more than a row's place in its tile fails here, not in a silently flipped argmax."""
+        groupings of calls and one row at a time: every forward pads its block to whole TILE_ROWS-row tiles.  A BLAS
+        whose rounding depends on more than a row's place in its tile fails here, not in a silently flipped argmax."""
         rng = np.random.default_rng(31)
         lookback = widths[0] - 5 - include_gamma
         series = generate_synthetic("random-walk", 3001 + lookback + 1, amplitude=0.01, seed=12)
@@ -478,8 +541,8 @@ class TestGreedyChooser:
     @pytest.mark.parametrize("widths,mode,include_gamma", CHOOSER_NETS.values(), ids=CHOOSER_NETS)
     def test_padded_q_values_match_the_unpadded_forward(self, widths, mode, include_gamma, monkeypatch):
         """The padding is a declared numerical change against forwarding a block's rows alone: there the rows of
-        a last, partial 4-row tile may round apart, within 1e-12 of the output's scale; every other row is the same
-        bytes, and the argmaxes are the same here."""
+        a last, partial TILE_ROWS-row tile may round apart, within 1e-12 of the output's scale; every other row is the
+        same bytes, and the argmaxes are the same here."""
         lookback = widths[0] - 5 - include_gamma
         series = generate_synthetic("random-walk", 3001 + lookback + 1, amplitude=0.01, seed=12)
         env, net = env_of(series, mode, lookback=lookback, reward_window=20), QNetwork(widths, seed=3)
@@ -495,12 +558,80 @@ class TestGreedyChooser:
             for (x, padded), (a, b) in zip(forwarded[before:], blocks):
                 rows = build_input(env.windows[stop - n + a : stop - n + b], uniform_weights(), 0.9, include_gamma,
                                    mode.targets[j].value)
-                alone, k, head = unblocked_forward(net, rows), b - a, (b - a) // 4 * 4
-                assert len(x) == -(-k // 4) * 4 and x[:k].tobytes() == rows.tobytes()
+                alone, k, head = unblocked_forward(net, rows), b - a, (b - a) // TILE_ROWS * TILE_ROWS
+                assert len(x) == -(-k // TILE_ROWS) * TILE_ROWS and x[:k].tobytes() == rows.tobytes()
                 assert padded[:head].tobytes() == alone[:head].tobytes()
                 np.testing.assert_allclose(padded[:k], alone, rtol=1e-12, atol=1e-12 * np.abs(alone).max())
                 np.testing.assert_array_equal(table[stop - n + a : stop - n + b, j], alone.argmax(axis=1))
             stop -= n
+
+
+def blas_kernel() -> str | None:
+    """The runtime kernel of numpy's bundled OpenBLAS, which `np.show_config` does not print (its "Haswell" is the
+    build's label), or None when numpy runs another BLAS."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so"):
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
+            corename = getattr(ctypes.CDLL(str(path)), symbol, None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return None
+
+
+def cpu_flags() -> set[str]:
+    try:
+        return {flag for line in Path("/proc/cpuinfo").read_text().splitlines() if line.startswith("flags")
+                for flag in line.partition(":")[2].split()}
+    except OSError:
+        return set()
+
+
+# OpenBLAS kernels that OPENBLAS_CORETYPE selects for one process, and the /proc/cpuinfo flags each needs.
+KERNELS = {
+    "Prescott": {"pni"},
+    "Nehalem": {"ssse3", "sse4_2"},
+    "Sandybridge": {"avx"},
+    "Haswell": {"avx2", "fma"},
+    "SkylakeX": {"avx512f", "avx512cd", "avx512bw", "avx512dq", "avx512vl"},
+}
+CHILD = """import sys, pytest, test_evaluation as t
+print(t.blas_kernel(), flush=True)
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", t.__file__ + "::TestGreedyChooser", "-k", "grouping or padded"]))
+"""
+
+
+@pytest.fixture(scope="module")
+def kernel_children():
+    """One child process per kernel the CPU can run but this process does not, each rerunning the chooser's
+    invariance tests under it, all started at once."""
+    host, flags, children = blas_kernel(), cpu_flags(), {}
+    path = os.pathsep.join([str(Path(__file__).parent), *sys.path])
+    for kernel, needs in KERNELS.items() if host is not None else ():
+        if kernel != host and needs <= flags:
+            children[kernel] = subprocess.Popen([sys.executable, "-c", CHILD], stdout=subprocess.PIPE,
+                                                stderr=subprocess.STDOUT, text=True,
+                                                env={**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": path})
+    yield host, flags, children
+    for child in children.values():
+        child.kill()
+        child.communicate()
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_chooser_invariance_holds_on_every_kernel_of_the_host(kernel, kernel_children):
+    """TestGreedyChooser's grouping and padding tests pass under each OpenBLAS kernel the CPU's flags allow, each run
+    in a child process whose kernel is not this one's; a kernel the CPU cannot run is skipped and named."""
+    host, flags, children = kernel_children
+    if host is None:
+        pytest.skip("numpy does not run its bundled OpenBLAS")
+    if kernel == host:
+        pytest.skip(f"{kernel} is this process's kernel, which the suite runs the tests on")
+    if kernel not in children:
+        pytest.skip(f"{kernel} needs CPU flags {sorted(KERNELS[kernel] - flags)}")
+    out, _ = children[kernel].communicate(timeout=300)
+    ran, _, report = out.partition("\n")
+    assert children[kernel].returncode == 0, out
+    assert ran != host and "6 passed" in report, out
 
 
 def make_checkpoint(episode, sharpe, profit=0.0):
