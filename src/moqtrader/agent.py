@@ -281,9 +281,9 @@ def _fit_episode(run: TrainResult, state: EnvState) -> None:
             codes = [a if code == GREEDY else code for code, a in zip(codes, greedy)]
         actions = [codes[0] if code == REPLAYED else code for code in codes]
         outcomes = {a: env.transition(state, a) for a in set(actions)}
-        buffer.push({"cursor": state.cursor, "position": state.position, "next_position": env.target_signs[actions],
-                     "action": actions, "gamma": gamma[t], "weights": weights[t],
-                     "reward": [outcomes[a].reward for a in actions], "terminal": outcomes[actions[0]].done})
+        buffer.push({"cursor": state.cursor, "position": state.position, "action": actions, "gamma": gamma[t],
+                     "weights": weights[t], "reward": [outcomes[a].reward for a in actions],
+                     "terminal": outcomes[actions[0]].done})
         run.env_steps += 1
         if len(buffer) >= min_fit_len:
             batch = buffer.sample_batch(cfg.batchsize, run.streams["batch"], cfg.generalize_gamma)
@@ -338,7 +338,6 @@ def _frozen_stretch(run: TrainResult, range_: IndexRange, episodes: int) -> None
         run.replay.push({
             "cursor": np.repeat(windows + lookback, m),
             "position": np.repeat(env.target_signs[before], m),
-            "next_position": env.target_signs[taken].ravel(),
             "action": taken.ravel(),
             "gamma": gamma.ravel(),
             "weights": weights.reshape(-1, 4),

@@ -22,6 +22,8 @@ from .evaluation import SELECTION_METRICS
 from .market_data import RANGE_NAMES, PriceSeries, load_csv
 from .synthetic import KINDS, generate_synthetic
 
+MAX_SYNTHETIC_LENGTH = 10**7  # rows of a synthetic series at most, bounded before generate_synthetic allocates
+
 
 def _one_of(names) -> str:
     *head, last = names
@@ -69,6 +71,8 @@ class RunConfig(TrainConfig):
             ((self.data_csv is None) != no_synthetic, "data_csv", "exactly one of data_csv or synthetic_kind must be set"),
             (no_synthetic or self.synthetic_kind in KINDS, "synthetic_kind", f"must be one of {KINDS}"),
             (no_synthetic or self.synthetic_length >= self.lookback + 2, "synthetic_length", "must be >= lookback + 2"),
+            (no_synthetic or self.synthetic_length <= MAX_SYNTHETIC_LENGTH, "synthetic_length",
+             f"must be <= {MAX_SYNTHETIC_LENGTH}"),
             (no_synthetic or self.synthetic_seed >= 0, "synthetic_seed", "must be >= 0"),
             *((getattr(self, key) > 0, key, "must be > 0") for key in ("train_frac", "eval_frac", "test_frac")),
             (abs(sum(self.fractions) - 1.0) <= 1e-9, "train_frac", "fractions must sum to 1"),

@@ -1,11 +1,12 @@
 """Greedy-policy rollouts, metrics, benchmarks and checkpoint selection.
 
 `greedy_chooser` is the one route to a frozen network's greedy choices, for
-evaluations and frozen training stretches alike: a memoizing int8 choice
-table whose forwards are padded to whole `TILE_ROWS`-row tiles, so that a
-choice does not depend on the rows grouped with it.  `walk_rounds` is the one
-walk of a frozen policy, in Jacobi rounds that forward only the rows the walk
-can visit.  `vectorized_rollout`, the route every evaluation takes on the
+evaluations and frozen training stretches alike, and the one owner of row
+batching: a memoizing int8 choice table whose forwards take at most
+`BLOCK_ROWS` rows, padded to whole `TILE_ROWS`-row tiles, so that a choice
+does not depend on the rows grouped with it.  `walk_rounds` is the one walk
+of a frozen policy, in Jacobi rounds that forward only the rows the walk can
+visit.  `vectorized_rollout`, the route every evaluation takes on the
 caller's `TradingEnv`, walks it and takes the rewards from the environment's
 array kernel, so its trace equals the greedy step loop's
 (tests/scalar_reference.py) bit for bit.  Buy-and-hold has one closed form,
@@ -22,8 +23,12 @@ import numpy as np
 from .env import Position, TradingEnv
 from .errors import Diverged, EmptyCheckpointList, RangeTooShort, ShapeMismatch
 from .market_data import DataSplit, IndexRange
-from .qnet import BLOCK_ROWS, TILE_ROWS, QNetwork, build_input, row_blocks
+from .qnet import QNetwork, build_input
 from .rewards import STD_FLOOR
+
+TILE_ROWS = 8  # rows per tile of a chooser forward: as wide as any tested BLAS kernel's, so rows round independently
+BLOCK_ROWS = 128 * TILE_ROWS  # rows per chooser forward at most: below the output layer's BLAS kernel switch
+
 
 @dataclass(frozen=True)
 class EvaluationReport:
@@ -102,16 +107,16 @@ def greedy_chooser(net: QNetwork, env: TradingEnv, rows: np.ndarray, weights: np
     """(choose, table): net's int8 (len(rows), n_actions) greedy choice table at env.windows rows `rows`, -1 where
     nothing has been chosen, and choose(idx, positions), which forwards the (idx, position index) pairs still at -1,
     each once, and returns their entries.  weights and gamma are one value for all rows or one per row.  Rows go per
-    position code in `row_blocks` blocks through one buffer that `build_input` allocates at the builder's width (so a
-    net of another input width raises ShapeMismatch), padded to whole TILE_ROWS-row tiles: a row's Q-values do not
-    depend on the rows beside it.  Another output width raises ShapeMismatch, non-finite Q-values Diverged naming
-    `where`."""
+    position code in blocks of BLOCK_ROWS rows and one remainder through one buffer that `build_input` allocates at
+    the builder's width (so a net of another input width raises ShapeMismatch), padded to whole TILE_ROWS-row tiles:
+    a row's Q-values do not depend on the rows beside it.  Another output width raises ShapeMismatch, non-finite
+    Q-values Diverged naming `where`."""
     if net.widths[-1] != env.mode.n_actions:
         raise ShapeMismatch(f"network outputs {net.widths[-1]} Q-values vs {env.mode.n_actions} actions of mode "
                             f"{env.mode.value}")
     table = np.full((len(rows), env.mode.n_actions), -1, dtype=np.int8)
     weights, gamma = np.broadcast_to(weights, (len(rows), 4)), np.broadcast_to(gamma, len(rows))
-    inputs = build_input(np.broadcast_to(0.0, (-(-min(len(rows), BLOCK_ROWS + 1) // TILE_ROWS) * TILE_ROWS,
+    inputs = build_input(np.broadcast_to(0.0, (-(-min(len(rows), BLOCK_ROWS) // TILE_ROWS) * TILE_ROWS,
                                                env.lookback)), 0.0, 0.0, include_gamma)
 
     def choose(idx: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -119,8 +124,9 @@ def greedy_chooser(net: QNetwork, env: TradingEnv, rows: np.ndarray, weights: np
             asked, pick = np.zeros(len(rows), dtype=bool), idx[positions == j]
             asked[pick[table[pick, j] < 0]] = True
             at = np.flatnonzero(asked)  # each pair still at -1, once
-            for start, stop in row_blocks(len(at)) if len(at) else ():
-                block, k = at[start:stop], stop - start
+            for start in range(0, len(at), BLOCK_ROWS):
+                block = at[start : start + BLOCK_ROWS]
+                k = len(block)
                 build_input(env.windows[rows[block]], weights[block], gamma[block], include_gamma, position.value,
                             out=inputs[:k])
                 q = net.forward(inputs[: k + -k % TILE_ROWS])[:k]  # the tail padded with finite rows left in the buffer

@@ -21,8 +21,6 @@ import numpy as np
 from .errors import InvalidValue, ShapeMismatch
 
 CHECKPOINT_VERSION = 1
-TILE_ROWS = 8  # rows per tile of a padded forward: as wide as any tested BLAS kernel's, so rows round independently
-BLOCK_ROWS = 128 * TILE_ROWS  # rows per block of a large forward (see row_blocks)
 
 
 @dataclass(slots=True)
@@ -55,13 +53,6 @@ def build_input(returns, weights, gamma, include_gamma: bool, position=0, out: n
     if include_gamma:
         out[..., -1] = gamma
     return out
-
-
-def row_blocks(n: int) -> list[tuple[int, int]]:
-    """(start, stop) of BLOCK_ROWS-row blocks over n rows, so that a row's bytes do not depend on its block: all
-    but the last span whole tiles, and a one-row remainder, which numpy hands to gemv, joins the one before."""
-    stops = [*range(BLOCK_ROWS, n - 1, BLOCK_ROWS), n]
-    return list(zip([0, *stops], stops))
 
 
 class QNetwork:
@@ -104,15 +95,11 @@ class QNetwork:
         return self.widths[0]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Action values for one input vector or a batch of them, computed per `row_blocks` block into one array."""
+        """Action values for one input vector or a batch of them, as one matrix product per layer."""
         x = np.asarray(x, dtype=np.float64)
-        rows = np.atleast_2d(x)
-        out = np.empty((len(rows), self.widths[-1]))
-        for start, stop in row_blocks(len(rows)):  # through _layers, so that a block is no forward call of its own
-            for q in self._layers(rows[start:stop]):
-                pass  # each layer's output is released once the next one is computed
-            out[start:stop] = q
-        return out[0] if x.ndim == 1 else out
+        for q in self._layers(np.atleast_2d(x)):
+            pass  # each layer's output is released once the next one is computed
+        return q[0] if x.ndim == 1 else q
 
     def _layers(self, x: np.ndarray) -> Iterator[np.ndarray]:
         """Yields each layer's output for a batch of input rows, the network's output last.
@@ -217,13 +204,15 @@ def load_checkpoint(path: str | Path) -> tuple[QNetwork, dict]:
         payload = json.loads(str(arrays.get("header", "")))
         if payload.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
-        net = QNetwork(payload["widths"], seed=None, momentum=payload["momentum"])
+        widths = [int(w) for w in payload["widths"]]
+        for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):  # before QNetwork allocates the widths
+            for name, shape in ((f"w{i}", (fan_in, fan_out)), (f"b{i}", (fan_out,))):
+                if arrays.get(name, np.empty(0)).shape != shape:
+                    raise ValueError(f"array {name} is missing or not of shape {shape}")
+        net = QNetwork(widths, seed=None, momentum=payload["momentum"])
         for kind, params in (("w", net.weights), ("b", net.biases)):
             for i, param in enumerate(params):
-                loaded = arrays.get(f"{kind}{i}", np.empty(0))
-                if loaded.shape != param.shape:
-                    raise ValueError(f"array {kind}{i} is missing or not of shape {param.shape}")
-                param[...] = loaded
+                param[...] = arrays[f"{kind}{i}"]
         return net, payload["meta"]
     except (OSError, EOFError, ValueError, KeyError, TypeError, AttributeError, zipfile.BadZipFile) as exc:
         raise InvalidValue("checkpoint", f"{path}: {exc}") from exc

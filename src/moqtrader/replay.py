@@ -22,7 +22,6 @@ from .qnet import Batch, build_input, input_width
 _COLUMNS = {
     "_cursor": (np.int32, ()),
     "_position": (np.int8, ()),
-    "_next_position": (np.int8, ()),
     "_action": (np.int8, ()),
     "_gamma": (np.float64, ()),
     "_weights": (np.float64, (4,)),
@@ -37,11 +36,12 @@ _MIN_ROOM = 1024
 class ReplayBuffer:
     """Insertion-ordered store whose elements never outlive max_age updates.
 
-    A row holds the pre-step cursor and position code, the next position
-    code, action, gamma, weights, raw reward, terminal flag and insertion
-    update: 88 bytes.  Live rows are [lo, hi) of the columns; eviction
-    advances lo, and a push into full columns compacts the live rows into
-    fresh columns with room for a third more (at least 1,024) rows.
+    A row holds the pre-step cursor and position code, action, gamma,
+    weights, raw reward, terminal flag and insertion update: 87 bytes.  The
+    next position code is the action's target, `env.target_signs[action]`.
+    Live rows are [lo, hi) of the columns; eviction advances lo, and a push
+    into full columns compacts the live rows into fresh columns with room
+    for a third more (at least 1,024) rows.
 
     Reward moments are shifted sums S1 = sum(r - c), S2 = sum((r - c)(r - c)^T)
     (Chan, Golub & LeVeque 1979), c being the live mean at the last exact
@@ -149,11 +149,11 @@ class ReplayBuffer:
     def _gather(self, rows: np.ndarray, include_gamma: bool) -> Batch:
         """Each row's state and next-state network inputs, built into one (2, rows, input width) array."""
         windows, at = self._env.windows, self._cursor[rows] - self._env.lookback  # the state's row, then at + 1
-        weights, gamma = self._weights[rows], self._gamma[rows]
+        weights, gamma, action = self._weights[rows], self._gamma[rows], self._action[rows]
         inputs = np.empty((2, len(rows), input_width(windows.shape[1], include_gamma)))
         build_input(windows[at], weights, gamma, include_gamma, self._position[rows], out=inputs[0])
-        build_input(windows[at + 1], weights, gamma, include_gamma, self._next_position[rows], out=inputs[1])
-        return Batch(inputs, gamma, weights, self._reward[rows], self._action[rows], self._terminal[rows])
+        build_input(windows[at + 1], weights, gamma, include_gamma, self._env.target_signs[action], out=inputs[1])
+        return Batch(inputs, gamma, weights, self._reward[rows], action, self._terminal[rows])
 
 
 def scalar_rewards(batch: Batch) -> np.ndarray:

@@ -45,9 +45,9 @@ from moqtrader.errors import (
     SeriesTooShort,
     UnparsableRow,
 )
-from moqtrader.evaluation import EvaluationReport, PositionTrace, _report_from_trace
+from moqtrader.evaluation import TILE_ROWS, EvaluationReport, PositionTrace, _report_from_trace
 from moqtrader.market_data import IndexRange, PriceSeries, _parse_timestamp
-from moqtrader.qnet import TILE_ROWS, Batch, QNetwork, build_input
+from moqtrader.qnet import Batch, QNetwork, build_input
 from moqtrader.replay import ReplayBuffer, compute_whitening, scalar_rewards
 
 
@@ -197,9 +197,8 @@ def augment_experiences(
 
 def push_experience(buffer: ReplayBuffer, state: EnvState, action: int, gamma: float, weights, outcome) -> None:
     """One experience of taking action from state under (weights, gamma), as a one-row push."""
-    buffer.push({"cursor": state.cursor, "position": state.position, "next_position": outcome.next_state.position,
-                 "action": [action], "gamma": gamma, "weights": [weights], "reward": [outcome.reward],
-                 "terminal": outcome.done})
+    buffer.push({"cursor": state.cursor, "position": state.position, "action": [action], "gamma": gamma,
+                 "weights": [weights], "reward": [outcome.reward], "terminal": outcome.done})
 
 
 def replay_rows(buffer: ReplayBuffer, idx=None, include_gamma: bool = False) -> Batch:

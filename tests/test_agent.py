@@ -18,7 +18,7 @@ from moqtrader.agent import (
 from moqtrader.env import Mode, TradingEnv
 from moqtrader.errors import Diverged, InvalidValue, RangeTooShort
 from moqtrader.market_data import make_split
-from moqtrader.qnet import TILE_ROWS, QNetwork, load_checkpoint
+from moqtrader.qnet import QNetwork, load_checkpoint
 from moqtrader.replay import _COLUMNS, ReplayBuffer, compute_whitening, scalar_rewards, whiten_rewards
 from moqtrader.synthetic import generate_synthetic
 
@@ -635,7 +635,7 @@ class TestFrozenEpisode:
             visited = np.unique(np.add.outer(np.concatenate(starts) - cfg.lookback, np.arange(cfg.episode_len)))
             assert {row[: cfg.lookback].tobytes() for row in rows} <= {run.env.windows[v].tobytes() for v in visited}
             assert len(rows) <= len(visited) * cfg.n_actions <= 249 * cfg.n_actions
-            assert sum(map(len, forwarded)) <= 249 * cfg.n_actions + (TILE_ROWS - 1) * len(forwarded)
+            assert sum(map(len, forwarded)) <= 249 * cfg.n_actions + (evaluation.TILE_ROWS - 1) * len(forwarded)
             fixed = (*agent.training_weights(cfg), cfg.gamma_range[0]) if cfg.generalize_gamma else (1.0, 0.0, 0.0, 0.0)
             assert set(map(tuple, rows[:, cfg.lookback + 1 :].tolist())) == {fixed}
         else:  # per chunk, its real steps at one position or more, its counterfactuals at one at most

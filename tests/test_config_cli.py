@@ -296,7 +296,10 @@ class TestErrorPayloads:
         # raw numpy allocation errors from QNetwork.__init__ and draw_conditioning, before any allocation is tried
         ("hidden = [100000000000]", [], "hidden", "the network must have at most 100000000 parameters"),
         ("k = 100000000000", [], "k", "must be in [0, 10000]"),
-    ], ids=["synthetic_seed", "learn_rate", "eigen_floor", "seed_override", "huge_hidden", "huge_k"])
+        # 10**14 rows are beyond any address space, so the check must come before generate_synthetic allocates
+        ("synthetic_length = 100000000000000", [], "synthetic_length", "must be <= 10000000"),
+    ], ids=["synthetic_seed", "learn_rate", "eigen_floor", "seed_override", "huge_hidden", "huge_k",
+            "huge_synthetic_length"])
     def test_rejected_before_a_run(self, tmp_path, capsys, command, text, flags, key, reason):
         out = tmp_path / "run"
         config_path = str(write(tmp_path, FAST_TRAIN + text + "\n"))
@@ -406,6 +409,8 @@ def spoil_checkpoint(path, damage):
             del arrays["w1"]
         elif damage == "w0 transposed":
             arrays["w0"] = arrays["w0"].T
+        elif damage == "oversized widths":  # the header's, while the arrays stay small
+            arrays["header"] = np.array(json.dumps({**json.loads(str(arrays["header"])), "widths": [11, 10**13, 3]}))
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
 
@@ -420,6 +425,7 @@ BAD_CHECKPOINTS = {
     "version 2": "unsupported checkpoint version 2",
     "no w1": "array w1 is missing or not of shape (8, 3)",
     "w0 transposed": "array w0 is missing or not of shape (11, 8)",
+    "oversized widths": "array w0 is missing or not of shape (11, 10000000000000)",  # checked before allocating
 }
 
 

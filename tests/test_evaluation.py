@@ -15,6 +15,8 @@ from moqtrader.agent import TrainConfig, run_walk_forward, uniform_weights
 from moqtrader.env import Mode, Position, TradingEnv
 from moqtrader.errors import Diverged, EmptyCheckpointList, RangeTooShort, ShapeMismatch
 from moqtrader.evaluation import (
+    BLOCK_ROWS,
+    TILE_ROWS,
     EvaluationReport,
     greedy_chooser,
     select_best_checkpoint,
@@ -22,7 +24,7 @@ from moqtrader.evaluation import (
     walk_rounds,
 )
 from moqtrader.market_data import PriceSeries, walk_forward_folds
-from moqtrader.qnet import TILE_ROWS, QNetwork, build_input, row_blocks
+from moqtrader.qnet import QNetwork, build_input
 from moqtrader.synthetic import generate_synthetic
 
 
@@ -502,8 +504,9 @@ class TestGreedyChooser:
     @pytest.mark.parametrize("widths,mode,include_gamma", CHOOSER_NETS.values(), ids=CHOOSER_NETS)
     def test_choices_do_not_depend_on_grouping(self, widths, mode, include_gamma, monkeypatch):
         """On the host BLAS each row's Q-values and choice are the same bytes chosen in one call, in 30 random
-        groupings of calls and one row at a time: every forward pads its block to whole TILE_ROWS-row tiles.  A BLAS
-        whose rounding depends on more than a row's place in its tile fails here, not in a silently flipped argmax."""
+        groupings of calls and with 300 pairs chosen one at a time: every forward pads its block to whole
+        TILE_ROWS-row tiles.  A BLAS whose rounding depends on more than a row's place in its tile fails here, not in
+        a silently flipped argmax."""
         rng = np.random.default_rng(31)
         lookback = widths[0] - 5 - include_gamma
         series = generate_synthetic("random-walk", 3001 + lookback + 1, amplitude=0.01, seed=12)
@@ -531,11 +534,13 @@ class TestGreedyChooser:
             assert got[0] == want[0]
 
         whole = chosen([np.arange(pairs.shape[1])])
-        assert_same(chosen(np.arange(pairs.shape[1])[:, None]), whole)
         for _ in range(30):
             order = rng.permutation(pairs.shape[1])
             cuts = np.sort(rng.choice(np.arange(1, len(order)), size=int(rng.integers(1, 40)), replace=False))
             assert_same(chosen(np.split(order, cuts)), whole)
+        single = rng.choice(pairs.shape[1], 300, replace=False)  # each its own call, then the rest in one
+        assert set(pairs[1, single].tolist()) == set(range(mode.n_actions))
+        assert_same(chosen([*single[:, None], np.setdiff1d(np.arange(pairs.shape[1]), single)]), whole)
         assert len(set(whole[0])) == mode.n_actions
 
     @pytest.mark.parametrize("widths,mode,include_gamma", CHOOSER_NETS.values(), ids=CHOOSER_NETS)
@@ -550,10 +555,10 @@ class TestGreedyChooser:
         forwarded = recorded_forwards(monkeypatch)
         choose, table = greedy_chooser(net, env, np.arange(3001), uniform_weights(), 0.9, include_gamma, "range")
         stop = 3001
-        for n in (1, 2, 3, 5, 6, 900, 1025, 1026):  # tails of every length, a one-row remainder, two blocks
+        for n in (1, 2, 3, 5, 6, 900, 1025, 1026):  # tails of every length, a block and a one- or two-row remainder
             j, before = n % mode.n_actions, len(forwarded)
             choose(np.arange(stop - n, stop), np.full(n, j))
-            blocks = row_blocks(n)
+            blocks = [(a, min(a + BLOCK_ROWS, n)) for a in range(0, n, BLOCK_ROWS)]
             assert len(forwarded) == before + len(blocks)
             for (x, padded), (a, b) in zip(forwarded[before:], blocks):
                 rows = build_input(env.windows[stop - n + a : stop - n + b], uniform_weights(), 0.9, include_gamma,

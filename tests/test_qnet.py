@@ -4,7 +4,8 @@ import scalar_reference
 from scalar_reference import bellman_targets, loss, params_equal
 
 from moqtrader.errors import ShapeMismatch
-from moqtrader.qnet import BLOCK_ROWS, QNetwork, build_input, load_checkpoint, row_blocks, save_checkpoint
+from moqtrader.evaluation import BLOCK_ROWS
+from moqtrader.qnet import Batch, QNetwork, build_input, load_checkpoint, save_checkpoint
 
 
 def finite_difference_grads(net, inputs, targets, step=1e-5):
@@ -130,11 +131,12 @@ BLOCK_WIDTHS = {"LSP": (35, 128, 64, 3), "LSP, gamma input": (36, 128, 64, 3), "
 
 
 class TestBlockedForward:
-    """Forwards of more than BLOCK_ROWS + 1 rows run in row blocks; a row's bytes do not depend on the row count.
+    """`forward` is one matrix product per layer; the greedy chooser's BLOCK_ROWS-row blocks keep a row's bytes.
 
     On the host BLAS a row's rounding depends on its place in the matrix
-    product's 4-row tile and one-row products round apart (gemv), which the
-    blocks respect.  A BLAS that breaks this fails here, not in a silently
+    product's row tile, one-row products round apart (gemv), and the output
+    layer's product switches kernel past a row count that the chooser's
+    blocks stay below.  A BLAS that breaks this fails here, not in a silently
     flipped argmax.
     """
 
@@ -148,25 +150,32 @@ class TestBlockedForward:
 
     @pytest.mark.parametrize("widths", BLOCK_WIDTHS.values(), ids=BLOCK_WIDTHS)
     def test_past_the_output_layers_kernel_switch(self, widths):
-        """From 5,209 rows (LSP) or 7,813 (LP) the output layer's whole-batch product takes another kernel on the
-        host BLAS and rounds apart from the blocks: within 1e-12 of the output's scale, while 64-row chunks (the
-        last taking the one-row remainder) equal the blocks bit for bit."""
+        """From 5,209 rows (LSP) or 7,813 (LP) the output layer's product takes another kernel on the host BLAS and
+        rounds apart from smaller products: a whole forward is within 1e-12 of the output's scale of its BLOCK_ROWS
+        chunks.  A chooser block stays below the switch: its rows are the bytes of any 64-row chunking."""
         net = QNetwork(widths, seed=3)
         rng = np.random.default_rng(5)
         for n in (6145, 12289):
             x = rng.normal(size=(n, widths[0]))
-            blocked, unblocked = net.forward(x), scalar_reference.unblocked_forward(net, x)
-            np.testing.assert_allclose(blocked, unblocked, rtol=1e-12, atol=1e-12 * np.abs(unblocked).max())
-            stops = [*range(64, n - 1, 64), n]
-            chunked = np.concatenate([net.forward(x[a:b]) for a, b in zip([0, *stops], stops)])
-            assert chunked.tobytes() == blocked.tobytes(), n
+            whole = net.forward(x)
+            chunked = np.concatenate([net.forward(x[a : a + BLOCK_ROWS]) for a in range(0, n, BLOCK_ROWS)])
+            np.testing.assert_allclose(whole, chunked, rtol=1e-12, atol=1e-12 * np.abs(chunked).max())
+            small = np.concatenate([net.forward(x[a : a + 64]) for a in range(0, BLOCK_ROWS, 64)])
+            assert small.tobytes() == chunked[:BLOCK_ROWS].tobytes(), n
 
-    def test_row_blocks(self):
-        assert BLOCK_ROWS == 1024
-        assert row_blocks(5) == [(0, 5)]
-        assert row_blocks(1025) == [(0, 1025)]  # a one-row remainder joins the block before it
-        assert row_blocks(2049) == [(0, 1024), (1024, 2049)]
-        assert row_blocks(2050) == [(0, 1024), (1024, 2048), (2048, 2050)]
+    def test_td_update_past_the_kernel_switch(self):
+        """td_update's online and target passes are `forward`'s product at any batch size: on a 6,145-row batch of
+        the bench geometry its loss and step equal the reference path's (bellman_targets, fit_batch) bit for bit."""
+        rng = np.random.default_rng(6)
+        widths, n = (36, 128, 64, 3), 6145
+        net, target = QNetwork(widths, seed=3, momentum=0.5), QNetwork(widths, seed=4)
+        batch = Batch(rng.normal(size=(2, n, widths[0])), rng.uniform(0.5, 0.99, n), rng.dirichlet(np.ones(4), n),
+                      rng.normal(size=(n, 4)), rng.integers(0, 3, n), rng.random(n) < 0.3)
+        rewards, reference = rng.normal(size=n), net.clone()
+        loss = net.td_update(target, batch, rewards, alpha=0.7, learn_rate=0.01)
+        inputs, targets = bellman_targets(batch, rewards, reference, target, 0.7)
+        assert loss.hex() == scalar_reference.fit_batch(reference, inputs, targets, 0.01).hex()
+        assert params_equal(net, reference)
 
 
 class TestGradients:

@@ -134,7 +134,7 @@ class TestBuffer:
         tracemalloc.start()
         try:
             buf = make_buffer(max_age=1000)
-            step = {"cursor": LOOKBACK, "position": 0, "next_position": 1, "action": [0] * 4, "gamma": 0.9,
+            step = {"cursor": LOOKBACK, "position": 0, "action": [0] * 4, "gamma": 0.9,
                     "weights": np.tile([1.0, 0.0, 0.0, 0.0], (4, 1)), "terminal": False}
             for reward in rewards.reshape(-1, 4, 4):  # four experiences a push, as a k = 3 fitting step makes
                 buf.push({**step, "reward": reward})
@@ -154,7 +154,6 @@ def random_columns(rng, n):
     return {
         "cursor": rng.integers(LOOKBACK, len(SERIES) - 1, size=n),
         "position": rng.integers(-1, 2, size=n),
-        "next_position": rng.integers(-1, 2, size=n),
         "action": rng.integers(0, 3, size=n),
         "gamma": rng.uniform(0.5, 0.999, size=n),
         "weights": agent.sample_weights(rng, n),
@@ -168,7 +167,7 @@ def push_rows(buffer, columns):
     for i in range(len(columns["gamma"])):
         cursor = int(columns["cursor"][i])
         state = EnvState(cursor, Position(int(columns["position"][i])), None, (), len(SERIES))
-        after = EnvState(cursor + 1, Position(int(columns["next_position"][i])), None, (), len(SERIES))
+        after = EnvState(cursor + 1, Mode.LSP.targets[int(columns["action"][i])], None, (), len(SERIES))
         outcome = StepOutcome(after, RewardVector(*columns["reward"][i].tolist()), bool(columns["terminal"][i]))
         scalar_reference.push_experience(buffer, state, int(columns["action"][i]), float(columns["gamma"][i]),
                                          columns["weights"][i], outcome)
