@@ -28,6 +28,7 @@ from .rewards import STD_FLOOR
 
 TILE_ROWS = 8  # rows per tile of a chooser forward: as wide as any tested BLAS kernel's, so rows round independently
 BLOCK_ROWS = 128 * TILE_ROWS  # rows per chooser forward at most: below the output layer's BLAS kernel switch
+SWEEP = 8  # passes of a walk's first round, each guessing from the choices of the passes before it
 
 
 @dataclass(frozen=True)
@@ -106,33 +107,32 @@ def greedy_chooser(net: QNetwork, env: TradingEnv, rows: np.ndarray, weights: np
                    where: str):
     """(choose, table): net's int8 (len(rows), n_actions) greedy choice table at env.windows rows `rows`, -1 where
     nothing has been chosen, and choose(idx, positions), which forwards the (idx, position index) pairs still at -1,
-    each once, and returns their entries.  weights and gamma are one value for all rows or one per row.  Rows go per
-    position code in blocks of BLOCK_ROWS rows and one remainder through one buffer that `build_input` allocates at
-    the builder's width (so a net of another input width raises ShapeMismatch), padded to whole TILE_ROWS-row tiles:
-    a row's Q-values do not depend on the rows beside it.  Another output width raises ShapeMismatch, non-finite
-    Q-values Diverged naming `where`."""
+    each once, and returns their entries.  weights and gamma are one value for all rows or one per row.  The pairs go
+    as one stream of blocks of at most BLOCK_ROWS rows, each row with its position's code, through one buffer that
+    `build_input` allocates at the builder's width (so a net of another input width raises ShapeMismatch), padded to
+    whole TILE_ROWS-row tiles: a row's Q-values do not depend on the rows beside it.  Another output width raises
+    ShapeMismatch, non-finite Q-values Diverged naming `where`."""
     if net.widths[-1] != env.mode.n_actions:
         raise ShapeMismatch(f"network outputs {net.widths[-1]} Q-values vs {env.mode.n_actions} actions of mode "
                             f"{env.mode.value}")
     table = np.full((len(rows), env.mode.n_actions), -1, dtype=np.int8)
     weights, gamma = np.broadcast_to(weights, (len(rows), 4)), np.broadcast_to(gamma, len(rows))
-    inputs = build_input(np.broadcast_to(0.0, (-(-min(len(rows), BLOCK_ROWS) // TILE_ROWS) * TILE_ROWS,
+    inputs = build_input(np.broadcast_to(0.0, (-(-min(table.size, BLOCK_ROWS) // TILE_ROWS) * TILE_ROWS,
                                                env.lookback)), 0.0, 0.0, include_gamma)
 
     def choose(idx: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        for j, position in enumerate(env.mode.targets):
-            asked, pick = np.zeros(len(rows), dtype=bool), idx[positions == j]
-            asked[pick[table[pick, j] < 0]] = True
-            at = np.flatnonzero(asked)  # each pair still at -1, once
-            for start in range(0, len(at), BLOCK_ROWS):
-                block = at[start : start + BLOCK_ROWS]
-                k = len(block)
-                build_input(env.windows[rows[block]], weights[block], gamma[block], include_gamma, position.value,
-                            out=inputs[:k])
-                q = net.forward(inputs[: k + -k % TILE_ROWS])[:k]  # the tail padded with finite rows left in the buffer
-                if not np.isfinite(q).all():
-                    raise Diverged(f"non-finite Q-values on {where}")
-                table[block, j] = q.argmax(axis=1)
+        asked = np.zeros(table.shape, dtype=bool)
+        asked[idx, positions] = True
+        at = np.flatnonzero(asked & (table < 0))  # each pair still at -1, once, row by row
+        for start in range(0, len(at), BLOCK_ROWS):
+            block, j = np.divmod(at[start : start + BLOCK_ROWS], table.shape[1])
+            k = len(block)
+            build_input(env.windows[rows[block]], weights[block], gamma[block], include_gamma, env.target_signs[j],
+                        out=inputs[:k])
+            q = net.forward(inputs[: k + -k % TILE_ROWS])[:k]  # the tail padded with finite rows left in the buffer
+            if not np.isfinite(q).all():
+                raise Diverged(f"non-finite Q-values on {where}")
+            table[block, j] = q.argmax(axis=1)
         return table[idx, positions]
     return choose, table
 
@@ -140,21 +140,23 @@ def greedy_chooser(net: QNetwork, env: TradingEnv, rows: np.ndarray, weights: np
 def walk_rounds(env: TradingEnv, n: int, choose, forced: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The int8 actions of len(forced) steps walked as episodes of n steps, each from neutral, and the position index
     each step starts from.  Step t takes forced[t] when that is >= 0, else choose([t], [j]): its greedy choice at the
-    position index j it holds, which after action a is a.  Only the greedy steps are chosen at, in Jacobi rounds:
-    each guesses its position (a forced predecessor's action, else neutral at first), each guess is chosen at, and a
-    step's next guess is its greedy predecessor's choice at that one's guess, until every guess is confirmed.  Rounds
-    go on while each at least halves the wrong guesses, so there are at most ceil(log2 n) + 2; when one falls short,
-    every greedy step is chosen at every position and the walk goes step by step."""
+    position index j it holds, which after action a is a.  Only the greedy steps are chosen at, in Jacobi rounds until
+    every guess is confirmed: the first in SWEEP passes, pass r over the steps t % SWEEP == r, each guessing its
+    predecessor's action once that is forced or chosen, else neutral; then each step whose predecessor's choice moved,
+    at that choice.  Rounds go on while each at least halves the wrong guesses, so choose is called at most SWEEP +
+    ceil(log2 n) + 1 times; when one falls short, every greedy step is chosen at every position, walked step by step."""
     neutral, width, forced = env.mode.targets.index(Position.NEUTRAL), env.mode.n_actions, np.asarray(forced)
     taken = forced.astype(np.int8)  # and each greedy step's choice at its guess
-    guess = np.roll(taken, 1)
-    guess[(guess < 0) | (np.arange(len(taken)) % n == 0)] = neutral
-    moved, wrong = np.flatnonzero(taken < 0), math.inf  # the steps whose guess changed, how many were wrong (no bar)
+    first = np.arange(len(taken)) % n == 0  # an episode's first step, which stands at neutral
+    guess = np.full(len(taken), neutral, dtype=np.int8)
+    moved, wrong, passes = np.flatnonzero(taken < 0), math.inf, SWEEP  # the steps to choose at, wrong guesses (no bar)
     while len(moved):
-        taken[moved] = choose(moved, guess[moved])
+        for now in filter(len, (moved[moved % passes == r] for r in range(passes))):  # no call for an empty pass
+            guess[now] = np.where(first[now] | (taken[now - 1] < 0), guess[now], taken[now - 1])  # once it has one
+            taken[now] = choose(now, guess[now])
         after = moved[moved < len(taken) - 1] + 1
-        after = after[(after % n != 0) & (forced[after] < 0)]  # the greedy steps that follow in an episode
-        moved = after[taken[after - 1] != guess[after]]
+        after = after[~first[after] & (forced[after] < 0)]  # the greedy steps that follow in an episode
+        moved, passes = after[taken[after - 1] != guess[after]], 1
         if 2 * len(moved) > wrong:
             steps = np.flatnonzero(forced < 0)
             table = np.zeros((len(taken), width), dtype=np.int8)
@@ -164,10 +166,8 @@ def walk_rounds(env: TradingEnv, n: int, choose, forced: np.ndarray) -> tuple[np
                 actions[t] = greedy[t][actions[t - 1] if t % n else neutral]
             taken = np.array(actions, dtype=np.int8)
             break
-        guess[moved], wrong = taken[moved - 1], len(moved)
-    before = np.roll(taken, 1)
-    before[::n] = neutral
-    return taken, before
+        wrong = len(moved)
+    return taken, np.where(first, neutral, np.roll(taken, 1))
 
 
 def vectorized_rollout(net: QNetwork, env: TradingEnv, range_: IndexRange, weights: np.ndarray, gamma: float, *,

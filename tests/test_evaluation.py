@@ -16,6 +16,7 @@ from moqtrader.env import Mode, Position, TradingEnv
 from moqtrader.errors import Diverged, EmptyCheckpointList, RangeTooShort, ShapeMismatch
 from moqtrader.evaluation import (
     BLOCK_ROWS,
+    SWEEP,
     TILE_ROWS,
     EvaluationReport,
     greedy_chooser,
@@ -219,14 +220,18 @@ def position_net(slopes, biases):
 
 
 # Crafted policies of LSP (actions Long, Short, Neutral) and LP (Long, Neutral): the walk each makes from neutral,
-# and the rows its rollout forwards and the rounds it takes over n steps.
+# and the rows its rollout forwards and the calls of choose it takes over n steps.  The first round's SWEEP passes
+# guess right but at the steps t % SWEEP == 0 after the first, which guess neutral; a second round rechooses those
+# whose predecessor stands elsewhere.
 CRAFTED = {
-    "LSP constant neutral": (Mode.LSP, position_net([0.0, 0.0, 0.0], [0.0, 0.0, 1.0]), lambda t: 2, lambda n: (n, 1)),
+    "LSP constant neutral": (Mode.LSP, position_net([0.0, 0.0, 0.0], [0.0, 0.0, 1.0]), lambda t: 2,
+                             lambda n: (n, SWEEP)),
     "LSP holding": (Mode.LSP, position_net([1.0, -1.0, 0.0], [0.5, 0.0, -1.0]), lambda t: 0,  # buys, then keeps
-                    lambda n: (2 * n - 1, 2)),  # neutral's rows, then long's: no fallback
+                    lambda n: (n + (n - 1) // SWEEP, SWEEP + 1)),  # the wrong guesses again, at long: no fallback
     "LSP alternating": (Mode.LSP, position_net([-1.0, 1.0, 0.0], [0.5, 0.0, -1.0]), lambda t: t % 2,
-                        lambda n: (3 * n, 3)),  # the second round falls short: every row
-    "LP alternating": (Mode.LP, position_net([-1.0, 0.0], [0.5, 0.0]), lambda t: t % 2, lambda n: (2 * n, 3)),
+                        lambda n: (n + (n - 1) // SWEEP, SWEEP + 1)),  # at short, choosing long again: no fallback
+    "LP alternating": (Mode.LP, position_net([-1.0, 0.0], [0.5, 0.0]), lambda t: t % 2,
+                       lambda n: (n, SWEEP)),  # steps t % SWEEP == 0 follow a neutral step: every guess is right
 }
 
 
@@ -266,7 +271,7 @@ def spied_walks(monkeypatch):
 
 
 def max_rounds(n):
-    return math.ceil(math.log2(n)) + 2
+    return SWEEP + math.ceil(math.log2(n)) + 1
 
 
 def memo(table):
@@ -305,7 +310,7 @@ class TestWalkRounds:
             assert len(walks[-1]) <= max_rounds(env.steps_in((lo, hi)))
             full.append(np.count_nonzero(choices < 0) == 0)
         rounds = [len(r) for r in walks]
-        assert min(rounds) == 1 and max(rounds) >= 3  # draws that need one round, and draws that need more
+        assert min(rounds) == SWEEP and max(rounds) >= SWEEP + 2  # draws that need one round, and draws that need more
         assert any(full) and not all(full)  # draws that forward every row, and draws that do not
 
     @pytest.mark.parametrize("case", CRAFTED)
@@ -337,8 +342,8 @@ class TestWalkRounds:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 1000])
     def test_bounds_on_synthetic_tables(self, n):
-        """Every row is chosen at most once, P * n rows in all, in at most ceil(log2 n) + 2 rounds; a round asks for
-        no row twice."""
+        """Every row is chosen at most once, P * n rows in all, in at most SWEEP + ceil(log2 n) + 1 calls; a call
+        asks for no row twice."""
         rng = np.random.default_rng(n)
         env = env_of(series_of(np.linspace(100.0, 110.0, 20)), lookback=6, reward_window=4)  # only its mode is read
         # From neutral, buy on even steps and sell on odd ones; hold any other position: a round confirms one step.
@@ -359,6 +364,21 @@ class TestWalkRounds:
             np.testing.assert_array_equal(choices[choices >= 0], table[choices >= 0])
             np.testing.assert_array_equal(actions, walk_table(env, table, [-1] * n, n))
             np.testing.assert_array_equal(before, np.concatenate(([2], actions[:-1])))
+
+    @pytest.mark.parametrize("mode", [Mode.LSP, Mode.LP])
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 64, 1000])
+    def test_first_round_guesses_from_fresh_choices(self, mode, n):
+        """A policy that never goes neutral, whatever position it holds, is walked at about n + n / SWEEP pairs: in
+        the first round's passes only the steps t % SWEEP == 0 after the first guess neutral wrongly (a walk whose
+        first round guessed every step neutral chose 2n - 1)."""
+        rng = np.random.default_rng(n)
+        env = env_of(series_of(np.linspace(100.0, 110.0, 20)), mode, lookback=6, reward_window=4)
+        never_neutral = [np.zeros(n, dtype=int), rng.integers(0, mode.n_actions - 1, n)]  # long, or long or short
+        for table in (np.repeat(choices[:, None], mode.n_actions, 1) for choices in never_neutral):
+            choose, _, asked, rounds = memo(table)
+            actions, _ = walk_rounds(env, n, choose, np.full(n, -1))
+            np.testing.assert_array_equal(actions, walk_table(env, table, [-1] * n, n))
+            assert len(asked) <= n + math.ceil(n / SWEEP) and len(rounds) <= SWEEP + 1
 
     @pytest.mark.parametrize("mode", [Mode.LSP, Mode.LP])
     @pytest.mark.parametrize("n,episodes", [(1, 5), (7, 1), (7, 6), (60, 3)])
@@ -385,16 +405,17 @@ class TestWalkRounds:
                 assert (rounds == []) == (forced >= 0).all()  # an all-forced walk chooses nothing
 
     def test_crafted_forced_steps(self):
-        """A greedy step after a forced one is chosen at the forced position in the first round; an episode that
-        follows a non-neutral step starts from neutral; a walk that falls short still walks the forced steps."""
+        """A greedy step after a forced one is chosen at the forced position in the first round, and one after a
+        greedy step chosen in an earlier pass at that step's choice; an episode that follows a non-neutral step
+        starts from neutral; a walk that falls short still walks the forced steps."""
         env = env_of(series_of(np.linspace(100.0, 110.0, 20)), lookback=6, reward_window=4)  # LSP: L, S, N
         short_keeps = np.tile([2, 1, 2], (6, 1))  # neutral from long or neutral, short from short
         choose, _, asked, rounds = memo(short_keeps)
         actions, before = walk_rounds(env, 3, choose, np.array([1, -1, -1, -1, 0, -1]))
         assert actions.tolist() == [1, 1, 1, 2, 0, 2] and before.tolist() == [2, 1, 1, 2, 2, 0]
-        # the first round: step 1 at short and step 5 at long, after their forced steps; step 3 at neutral, an
-        # episode's first; step 2 at neutral, its guess, then at short in the second round
-        assert asked == [(1, 1), (2, 2), (3, 2), (5, 0), (2, 1)] and rounds == [4, 1]
+        # the first round, one pass per step: step 1 at short and step 5 at long, after their forced steps; step 2
+        # at short, step 1's choice in the pass before; step 3 at neutral, an episode's first
+        assert asked == [(1, 1), (2, 1), (3, 2), (5, 0)] and rounds == [1, 1, 1, 1]
         alternate = np.tile([1, 0, 0], (40, 1))  # short from long or neutral, long from short: a choice per step
         forced = np.full(40, -1)
         forced[[5, 17, 18, 30]] = [2, 0, 2, 1]
@@ -421,8 +442,8 @@ class TestWalkRounds:
 
 
 def test_chooser_holds_one_block_beside_its_table():
-    """The chooser's traced peak over a range's every row is its int8 table plus one block's inputs and activations
-    and the rows' indices per position (~2.1 MB here), whatever the range's length."""
+    """The chooser's traced peak over a range's every pair is its int8 table plus one block's inputs and activations
+    and the asked pairs' flat indices (~2.35 MB here), whatever the range's length."""
     series = generate_synthetic("random-walk", 20_100, amplitude=0.01, seed=3)
     env = env_of(series, lookback=30, reward_window=20)
     net = QNetwork([36, 128, 64, 3], seed=1)
@@ -466,15 +487,15 @@ class TestGreedyChooser:
     """The chooser's table is a memo, and a choice does not depend on the rows forwarded beside it."""
 
     def test_forwards_each_pair_once(self, monkeypatch):
-        """Each (row, position) pair is forwarded once, within a call that repeats it and across calls, in padded
-        TILE_ROWS-row tiles; choose returns the table's entries."""
+        """Each (row, position) pair is forwarded once, within a call that repeats it and across calls, in one padded
+        block of TILE_ROWS-row tiles per call whatever its positions; choose returns the table's entries."""
         series = generate_synthetic("random-walk", 200, amplitude=0.015, seed=5)
         env, net = env_of(series, lookback=6, reward_window=4), QNetwork([11, 8, 3], seed=2)
         net.weights[0][:6] /= 0.015
         choose, table = greedy_chooser(net, env, np.arange(10, 60), uniform_weights(), 0.9, False, "range")
         forwarded = recorded_forwards(monkeypatch)
         calls = [([5, 5, 7, 7, 7, 9], [0, 0, 0, 0, 1, 0]), ([9, 5, 11, 11, 11], [0, 0, 0, 2, 2]), ([11, 7], [2, 1])]
-        forwards = [[TILE_ROWS] * 2, [TILE_ROWS] * 2, []]  # positions 0 and 1 (3 and 1 rows, padded), 0 and 2, none
+        forwards = [[TILE_ROWS], [TILE_ROWS], []]  # 4 new rows at positions 0 and 1, padded; 2 at 0 and 2; none
         for (idx, positions), expected in zip(calls, forwards):
             before = len(forwarded)
             chosen = choose(np.array(idx), np.array(positions))
@@ -514,22 +535,25 @@ class TestGreedyChooser:
         net.weights[0][:lookback] /= 0.01  # returns at unit scale, so that choices vary
         forwarded = recorded_forwards(monkeypatch)
         pairs = np.indices((3001, mode.n_actions)).reshape(2, -1)
+        width, mix = widths[0], 2 * np.random.default_rng(0).integers(0, 2**62, widths[0], dtype=np.uint64) + 1
 
         def chosen(groups):
             del forwarded[:]
             choose, table = greedy_chooser(net, env, np.arange(3001), uniform_weights(), 0.9, include_gamma, "range")
             for group in groups:
                 choose(*pairs[:, group])
-            rows, out = (np.concatenate(arrays) for arrays in zip(*forwarded))
-            seen = set(zip(*(a.view(f"V{a.itemsize * a.shape[1]}").ravel().tolist() for a in (rows, out))))
-            q = dict(seen)  # each forwarded input row's Q-value bytes, padding rows included, and only one
-            assert len(q) == len(seen)
-            q.pop(np.zeros(widths[0]).tobytes(), None)  # the block buffer's initial rows, padding only
-            assert len(q) == pairs.shape[1]
-            return table.tobytes(), q
+            words = np.concatenate([np.concatenate(arrays) for arrays in zip(*forwarded)], axis=1).view(np.uint64)
+            words = words[words[:, :width].any(axis=1)]  # less the block buffer's initial rows, all 0 and padding only
+            inputs = words[:, :width]
+            words = words[np.argsort((inputs ^ inputs >> 32) @ mix, kind="stable")]  # by a hash of the input's bytes
+            repeat = (words[1:, :width] == words[:-1, :width]).all(axis=1)  # a padding row that copies an input row
+            assert (words[1:][repeat] == words[:-1][repeat]).all()  # has its Q-value bytes
+            words = words[np.r_[True, ~repeat]]
+            assert len(words) == pairs.shape[1]  # each input row once, in an order that depends only on the inputs
+            return table.tobytes(), words
 
         def assert_same(got, want):
-            differ = sum(got[1].get(key) != values for key, values in want[1].items())
+            differ = np.count_nonzero((got[1] != want[1]).any(axis=1))
             assert differ == 0, f"{differ} of {len(want[1])} rows' Q-values differ"
             assert got[0] == want[0]
 
@@ -542,6 +566,29 @@ class TestGreedyChooser:
         assert set(pairs[1, single].tolist()) == set(range(mode.n_actions))
         assert_same(chosen([*single[:, None], np.setdiff1d(np.arange(pairs.shape[1]), single)]), whole)
         assert len(set(whole[0])) == mode.n_actions
+
+    @pytest.mark.parametrize("widths,mode,include_gamma", CHOOSER_NETS.values(), ids=CHOOSER_NETS)
+    def test_mixed_positions_keep_each_rows_q_values(self, widths, mode, include_gamma, monkeypatch):
+        """A call over rows at mixed positions forwards them in one block, row by row with each row's position code,
+        and each row's Q-values are the same bytes as in a call for its position alone."""
+        rng = np.random.default_rng(17)
+        lookback = widths[0] - 5 - include_gamma
+        series = generate_synthetic("random-walk", 1000 + lookback + 1, amplitude=0.01, seed=12)
+        env, net = env_of(series, mode, lookback=lookback, reward_window=20), QNetwork(widths, seed=3)
+        net.weights[0][:lookback] /= 0.01
+        forwarded = recorded_forwards(monkeypatch)
+        rows, positions = np.arange(1000), rng.integers(0, mode.n_actions, 1000)
+        choose, mixed = greedy_chooser(net, env, rows, uniform_weights(), 0.9, include_gamma, "range")
+        choose(rows, positions)
+        (x, q), = forwarded
+        np.testing.assert_array_equal(x[:, lookback], env.target_signs[positions])
+        for j in range(mode.n_actions):
+            del forwarded[:]
+            choose, alone = greedy_chooser(net, env, rows, uniform_weights(), 0.9, include_gamma, "range")
+            at = np.flatnonzero(positions == j)
+            choose(at, np.full(len(at), j))
+            assert forwarded[0][1][: len(at)].tobytes() == q[at].tobytes()
+            np.testing.assert_array_equal(alone[at, j], mixed[at, j])
 
     @pytest.mark.parametrize("widths,mode,include_gamma", CHOOSER_NETS.values(), ids=CHOOSER_NETS)
     def test_padded_q_values_match_the_unpadded_forward(self, widths, mode, include_gamma, monkeypatch):
@@ -601,7 +648,8 @@ KERNELS = {
 }
 CHILD = """import sys, pytest, test_evaluation as t
 print(t.blas_kernel(), flush=True)
-sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", t.__file__ + "::TestGreedyChooser", "-k", "grouping or padded"]))
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", t.__file__ + "::TestGreedyChooser", "-k",
+                      "grouping or mixed or padded"]))
 """
 
 
@@ -624,8 +672,9 @@ def kernel_children():
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_chooser_invariance_holds_on_every_kernel_of_the_host(kernel, kernel_children):
-    """TestGreedyChooser's grouping and padding tests pass under each OpenBLAS kernel the CPU's flags allow, each run
-    in a child process whose kernel is not this one's; a kernel the CPU cannot run is skipped and named."""
+    """TestGreedyChooser's grouping, mixed-position and padding tests pass under each OpenBLAS kernel the CPU's flags
+    allow, each run in a child process whose kernel is not this one's; a kernel the CPU cannot run is skipped and
+    named."""
     host, flags, children = kernel_children
     if host is None:
         pytest.skip("numpy does not run its bundled OpenBLAS")
@@ -636,7 +685,7 @@ def test_chooser_invariance_holds_on_every_kernel_of_the_host(kernel, kernel_chi
     out, _ = children[kernel].communicate(timeout=300)
     ran, _, report = out.partition("\n")
     assert children[kernel].returncode == 0, out
-    assert ran != host and "6 passed" in report, out
+    assert ran != host and "9 passed" in report, out
 
 
 def make_checkpoint(episode, sharpe, profit=0.0):
