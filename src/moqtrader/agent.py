@@ -34,7 +34,8 @@ HINDSIGHT_RESAMPLE = "resample"
 HINDSIGHT_REPLAY = "replay"
 # Exploration entries of an experience besides a random action: act greedily, replay the real action.
 GREEDY, REPLAYED = -1, -2
-MAX_PARAMS, MAX_K = 10**8, 10**4  # bounds that validation puts on a network's parameters and on k, before allocating
+# Bounds that validation puts on a network's parameters, on k and on lookback and reward_window, before allocating.
+MAX_PARAMS, MAX_K, MAX_WINDOW = 10**8, 10**4, 10**4
 
 
 @dataclass(frozen=True)
@@ -70,21 +71,13 @@ class TrainConfig:
     seed: int = 0
 
     @property
-    def n_actions(self) -> int:
-        return self.mode.n_actions
-
-    @property
     def slots(self) -> int:
         """Experiences per step: the real one plus, in multi-reward runs, k counterfactuals."""
         return 1 + (self.k if self.multi_reward else 0)
 
     @property
-    def input_width(self) -> int:
-        return input_width(self.lookback, self.generalize_gamma)
-
-    @property
     def widths(self) -> tuple[int, ...]:
-        return (self.input_width, *self.hidden, self.n_actions)
+        return (input_width(self.lookback, self.generalize_gamma), *self.hidden, self.mode.n_actions)
 
     @property
     def checkpoint_meta(self) -> dict:
@@ -107,8 +100,8 @@ class TrainConfig:
             (0 <= self.k <= MAX_K, "k", f"must be in [0, {MAX_K}]"),
             (self.episodes >= 1, "episodes", "must be >= 1"),
             (self.eval_every >= 1, "eval_every", "must be >= 1"),
-            (self.reward_window >= 1, "reward_window", "must be >= 1"),
-            (self.lookback >= 1, "lookback", "must be >= 1"),
+            (1 <= self.reward_window <= MAX_WINDOW, "reward_window", f"must be in [1, {MAX_WINDOW}]"),
+            (1 <= self.lookback <= MAX_WINDOW, "lookback", f"must be in [1, {MAX_WINDOW}]"),
             (self.episode_len >= 1, "episode_len", "must be >= 1"),
             (0.0 <= self.fee < 1.0, "fee", "must be in [0, 1)"),
             (self.max_age >= 0, "max_age", "must be >= 0"),
@@ -212,22 +205,18 @@ def training_weights(cfg: TrainConfig) -> np.ndarray | None:
     return None if cfg.multi_reward else one_hot_weights(cfg.reward)
 
 
-def sample_weights(rng: np.random.Generator, n: int | tuple[int, ...] | None = None) -> np.ndarray:
-    """Uniform draw on the 4-simplex via normalized exponential variates (an array of shape n of them when given)."""
-    draws = rng.exponential(1.0, size=4 if n is None else (*np.atleast_1d(n), 4))
+def sample_weights(rng: np.random.Generator, n: int | tuple[int, ...]) -> np.ndarray:
+    """An array of shape n of uniform draws on the 4-simplex, via normalized exponential variates."""
+    draws = rng.exponential(1.0, size=(*np.atleast_1d(n), 4))
     return draws / draws.sum(axis=-1, keepdims=True)
 
 
-def sample_gamma(rng: np.random.Generator, gamma_range: tuple[float, float], n: int | tuple[int, ...] | None = None):
-    """One discount uniform on gamma_range, or an array of shape n of them; a one-point range draws nothing.
-
-    lo + (hi - lo) * u is what rng.uniform(lo, hi) computes, spelled out so
-    that one draw and n draws round alike on any numpy build.
-    """
+def sample_gamma(rng: np.random.Generator, gamma_range: tuple[float, float], n: int | tuple[int, ...]) -> np.ndarray:
+    """An array of shape n of discounts uniform on gamma_range; a one-point range draws nothing."""
     lo, hi = gamma_range
     if lo == hi:
-        return lo if n is None else np.full(n, lo)
-    return lo + (hi - lo) * (rng.random() if n is None else rng.random(n))
+        return np.full(n, lo)
+    return lo + (hi - lo) * rng.random(n)
 
 
 def draw_conditioning(cfg: TrainConfig, streams: dict, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -237,7 +226,7 @@ def draw_conditioning(cfg: TrainConfig, streams: dict, n: int) -> tuple[np.ndarr
     step for explore, whose decisions and random actions interleave.  Slots 1..k,
     its counterfactuals, take one array call per draw kind, each on its own stream.
     """
-    m, n_actions, fixed = cfg.slots, cfg.n_actions, training_weights(cfg)
+    m, n_actions, fixed = cfg.slots, cfg.mode.n_actions, training_weights(cfg)
     weights, gamma, explore = np.empty((n, m, 4)), np.full((n, m), cfg.gamma), np.full((n, m), REPLAYED)
     weights[:, 0] = fixed if fixed is not None else sample_weights(streams["weights"], n)
     if cfg.generalize_gamma:
@@ -258,7 +247,7 @@ def draw_conditioning(cfg: TrainConfig, streams: dict, n: int) -> tuple[np.ndarr
 def _reset(run: TrainResult, range_: IndexRange) -> EnvState:
     """The next training episode over range_, reset on the env stream."""
     episode_len = run.cfg.episode_len if run.cfg.random_access else None
-    return run.env.reset(range_, random_access=run.cfg.random_access, episode_len=episode_len, rng=run.streams["env"])
+    return run.env.reset(range_, episode_len=episode_len, rng=run.streams["env"])
 
 
 def _fit_episode(run: TrainResult, state: EnvState) -> None:
@@ -271,7 +260,7 @@ def _fit_episode(run: TrainResult, state: EnvState) -> None:
     cfg, env, buffer, net = run.cfg, run.env, run.replay, run.net
     lo, n = state.cursor - cfg.lookback, state.end - state.cursor - 1  # its first window row and its steps
     weights, gamma, explore = draw_conditioning(cfg, run.streams, n)
-    rows = np.empty((weights.shape[1], cfg.input_width))
+    rows = np.empty((weights.shape[1], cfg.widths[0]))
     min_fit_len = max(cfg.batchsize, 2) if cfg.whiten else cfg.batchsize
     for t, codes in enumerate(explore.tolist()):
         if GREEDY in codes:
@@ -331,9 +320,8 @@ def _frozen_stretch(run: TrainResult, range_: IndexRange, episodes: int) -> None
         actions, before = evaluation.walk_rounds(env, n, lambda t, j: choose(index[t, 0], j), explore[:, 0])
         taken = np.where(explore == REPLAYED, actions[:, None], explore)
         taken[:, 0] = actions
-        for slot in range(1, m):  # per slot, so that a forward holds one slot's rows at most (peak RSS)
-            t = np.flatnonzero(taken[:, slot] == GREEDY)
-            taken[t, slot] = choose(index[t, slot], before[t])
+        t, slot = np.nonzero(taken == GREEDY)
+        taken[t, slot] = choose(index[t, slot], before[t])
         _, rewards = env.outcomes(cursors, taken.reshape(len(cursors), n, m))
         run.replay.push({
             "cursor": np.repeat(windows + lookback, m),

@@ -93,7 +93,7 @@ def cmd_backtest(cfg: config.RunConfig, out: Path) -> None:
         candidates.append(agent.Checkpoint(episode=meta.get("episode", 0), net=net, reports={"eval": report}, path=path))
 
     best = evaluation.select_best_checkpoint(candidates, metric=cfg.report_metric, range_id="eval")
-    range_ = split.range_for(cfg.eval_range)
+    range_ = split.as_dict()[cfg.eval_range]
     _, _, report = evaluation.vectorized_rollout(best.net, env, range_, weights, gamma,
                                                  include_gamma=cfg.generalize_gamma, range_id=cfg.eval_range)
     payload = {

@@ -99,20 +99,19 @@ class TradingEnv:
         self.log_close = series.log_close
         self.log_returns = series.log_returns
 
-    def reset(self, range_: IndexRange, *, random_access: bool = False, episode_len: int | None = None,
+    def reset(self, range_: IndexRange, *, episode_len: int | None = None,
               rng: np.random.Generator | None = None) -> EnvState:
-        """Start an episode over `range_`, optionally on a random sub-range; returns its start state.
+        """Start an episode over `range_`; returns its start state.
 
-        With random_access, the sub-range start is drawn uniformly from all
-        starts that fit lookback + episode_len steps + 1 terminal price.
+        Given episode_len, the episode takes a random sub-range instead, whose
+        start rng draws uniformly from all starts that fit lookback +
+        episode_len steps + 1 terminal price.
         """
         lo, hi = range_
         span = hi - lo
         if span < self.lookback + 2:
             raise RangeTooShort(f"range length {span} < lookback + 2 = {self.lookback + 2}")
-        if random_access:
-            if episode_len is None or rng is None:
-                raise ValueError("random_access requires episode_len and rng")
+        if episode_len is not None:
             need = self.lookback + episode_len + 1
             if need > span:
                 raise RangeTooShort(f"episode needs {need} rows, range has {span}")

@@ -89,9 +89,6 @@ class DataSplit:
     def as_dict(self) -> dict[str, IndexRange]:
         return {name: getattr(self, name) for name in RANGE_NAMES}
 
-    def range_for(self, name: str) -> IndexRange:
-        return self.as_dict()[name]
-
 
 # The range names, in split order: what `eval_range`, `--range` and `report` accept.
 RANGE_NAMES = tuple(f.name for f in fields(DataSplit))

@@ -80,19 +80,14 @@ class QNetwork:
                 draws.append(np.zeros(n) if rng is None else rng.uniform(-bound, bound, size=n))
         self._adopt(np.concatenate(draws))
 
-    def _adopt(self, params: np.ndarray, velocity: np.ndarray | None = None) -> None:
-        """Hold flat params and velocity (0 by default), each with per-layer views; td_update adds a gradient array."""
-        self._params, self._grad = params, None
-        self._velocity = np.zeros_like(params) if velocity is None else velocity
-        (self.weights, self.biases), (self._vel_w, self._vel_b) = map(self._layer_views, (params, self._velocity))
+    def _adopt(self, params: np.ndarray) -> None:
+        """Hold flat params with per-layer views; the first td_update adds the gradient and velocity arrays."""
+        self._params, self._grad, self._velocity = params, None, None
+        self.weights, self.biases = self._layer_views(params)
 
     def _layer_views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         parts = np.split(flat, np.cumsum([n for a, b in zip(self.widths, self.widths[1:]) for n in (a * b, b)])[:-1])
         return [w.reshape(fan_in, -1) for w, fan_in in zip(parts[0::2], self.widths)], parts[1::2]
-
-    @property
-    def input_width(self) -> int:
-        return self.widths[0]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Action values for one input vector or a batch of them, as one matrix product per layer."""
@@ -107,8 +102,8 @@ class QNetwork:
         The bias and rectifier apply in place: the arithmetic of h @ w + b with
         one temporary per layer instead of three.
         """
-        if x.ndim != 2 or x.shape[1] != self.input_width:
-            raise ShapeMismatch(f"input shape {x.shape} vs expected (*, {self.input_width})")
+        if x.ndim != 2 or x.shape[1] != self.widths[0]:
+            raise ShapeMismatch(f"input shape {x.shape} vs expected (*, {self.widths[0]})")
         for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
             x = x @ w
             x += b
@@ -126,9 +121,10 @@ class QNetwork:
         bootstrap term on terminal rows; the other actions' residuals are exactly 0.
         In-place steps and bare ufunc reductions do the plain expressions' arithmetic.
         """
-        if self._grad is None:  # only a trained network holds a gradient array
-            self._grad = np.empty_like(self._params)
-            self._grad_w, self._grad_b = self._layer_views(self._grad)
+        if self._grad is None:  # only a trained network holds a gradient and a velocity
+            grad, self._velocity = np.empty_like(self._params), np.zeros_like(self._params)
+            self._grad = (grad, *self._layer_views(grad))
+        grad, grad_w, grad_b = self._grad
         now, after = batch.inputs
         *acts, q_now = now, *self._layers(now)  # each layer's input, then the output
         returns = np.where(batch.terminal, 0.0, batch.gamma)
@@ -145,20 +141,21 @@ class QNetwork:
         delta *= 2.0
         delta /= delta.size
         for layer in range(len(self.weights) - 1, -1, -1):
-            np.matmul(acts[layer].T, delta, out=self._grad_w[layer])
-            np.add.reduce(delta, axis=0, out=self._grad_b[layer])
+            np.matmul(acts[layer].T, delta, out=grad_w[layer])
+            np.add.reduce(delta, axis=0, out=grad_b[layer])
             if layer > 0:  # the layer's weights before this step
                 delta = delta @ self.weights[layer].T
                 delta *= acts[layer] > 0.0
         self._velocity *= self.momentum
-        self._grad *= learn_rate
-        self._velocity -= self._grad
+        grad *= learn_rate
+        self._velocity -= grad
         self._params += self._velocity
         return loss
 
     def clone(self) -> "QNetwork":
+        """A copy of the parameters alone, as a target or a checkpoint needs; one that trains starts at 0 velocity."""
         other = copy.copy(self)  # widths and momentum
-        other._adopt(self._params.copy(), self._velocity.copy())
+        other._adopt(self._params.copy())
         return other
 
     def copy_params_from(self, other: "QNetwork") -> None:

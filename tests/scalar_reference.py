@@ -182,12 +182,14 @@ def augment_experiences(
     """
     fixed = agent.training_weights(cfg)
     for _ in range(cfg.k):
-        w = fixed if fixed is not None else agent.sample_weights(streams["augment"])
-        gamma = agent.sample_gamma(streams["augment_gamma"], cfg.gamma_range) if cfg.generalize_gamma else cfg.gamma
+        w = fixed if fixed is not None else agent.sample_weights(streams["augment"], 1)[0]
+        gamma = cfg.gamma
+        if cfg.generalize_gamma:
+            gamma = agent.sample_gamma(streams["augment_gamma"], cfg.gamma_range, 1)[0]
         action = real_action
         if cfg.hindsight_action == agent.HINDSIGHT_RESAMPLE:
             explored = streams["augment_explore"].random() < cfg.tol
-            action = int(streams["augment_action"].integers(cfg.n_actions))
+            action = int(streams["augment_action"].integers(cfg.mode.n_actions))
             if not explored:
                 row = build_input(feats[:-1], w, gamma, cfg.generalize_gamma, feats[-1])
                 action = int(np.argmax(net.forward(row)))
@@ -307,11 +309,14 @@ def gradients(net: QNetwork, inputs: np.ndarray, targets: np.ndarray) -> tuple[f
 def fit_batch(net: QNetwork, inputs: np.ndarray, targets: np.ndarray, learn_rate: float) -> float:
     """One SGD (or momentum) step on the batch; returns the pre-step loss."""
     loss_, grads_w, grads_b = gradients(net, inputs, targets)
+    if net._velocity is None:  # a network's first step, as td_update allocates it
+        net._velocity = np.zeros_like(net._params)
+    vel_w, vel_b = net._layer_views(net._velocity)
     for i in range(len(net.weights)):
-        net._vel_w[i][...] = net.momentum * net._vel_w[i] - learn_rate * grads_w[i]
-        net._vel_b[i][...] = net.momentum * net._vel_b[i] - learn_rate * grads_b[i]
-        net.weights[i] += net._vel_w[i]
-        net.biases[i] += net._vel_b[i]
+        vel_w[i][...] = net.momentum * vel_w[i] - learn_rate * grads_w[i]
+        vel_b[i][...] = net.momentum * vel_b[i] - learn_rate * grads_b[i]
+        net.weights[i] += vel_w[i]
+        net.biases[i] += vel_b[i]
     return loss_
 
 
@@ -326,12 +331,12 @@ def step_loop(run: "agent.TrainResult", state: EnvState, fit: bool) -> None:
     include_gamma, fixed = cfg.generalize_gamma, agent.training_weights(cfg)
     min_fit_len = max(cfg.batchsize, 2) if cfg.whiten else cfg.batchsize
     while True:
-        w = fixed if fixed is not None else agent.sample_weights(streams["weights"])
-        gamma = agent.sample_gamma(streams["gamma"], cfg.gamma_range) if include_gamma else cfg.gamma
+        w = fixed if fixed is not None else agent.sample_weights(streams["weights"], 1)[0]
+        gamma = agent.sample_gamma(streams["gamma"], cfg.gamma_range, 1)[0] if include_gamma else cfg.gamma
         feats = state_features(env, state)
         action = act_epsilon_greedy(
             net, feats, w, gamma, cfg.tol, streams["explore"],
-            n_actions=cfg.n_actions, include_gamma=include_gamma,
+            n_actions=cfg.mode.n_actions, include_gamma=include_gamma,
         )
         outcome = env.transition(state, action)
         run.env_steps += 1

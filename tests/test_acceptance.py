@@ -219,7 +219,7 @@ def test_criterion_06_vectorized_equivalence_and_speedup():
     for trial in range(100):
         mode = Mode.LSP if trial % 2 == 0 else Mode.LP
         net = QNetwork([lookback + 5, 8, mode.n_actions], seed=int(rng.integers(1 << 30)))
-        w = agent.sample_weights(rng)
+        w = agent.sample_weights(rng, 1)[0]
         gamma = float(rng.uniform(0.5, 0.99))
         fee = float(rng.choice([0.0, 0.0005]))
         lo = int(rng.integers(0, 200))

@@ -52,19 +52,19 @@ class TestSampling:
     def test_weights_on_simplex(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            w = sample_weights(rng)
+            w = sample_weights(rng, 1)[0]
             assert w.shape == (4,)
             assert np.all(w >= 0)
             assert abs(w.sum() - 1.0) < 1e-12
 
     def test_weights_symmetric_mean(self):
         rng = np.random.default_rng(1)
-        draws = np.stack([sample_weights(rng) for _ in range(100_000)])
+        draws = sample_weights(rng, 100_000)
         np.testing.assert_allclose(draws.mean(axis=0), 0.25, atol=0.01)
 
     def test_weights_deterministic(self):
-        a = sample_weights(np.random.default_rng(2))
-        b = sample_weights(np.random.default_rng(2))
+        a = sample_weights(np.random.default_rng(2), 1)
+        b = sample_weights(np.random.default_rng(2), 1)
         np.testing.assert_array_equal(a, b)
 
     def test_one_hot_weights(self):
@@ -72,13 +72,13 @@ class TestSampling:
         np.testing.assert_array_equal(one_hot_weights("powc"), [0, 0, 0, 1])
 
     def test_gamma_degenerate_range(self):
-        assert sample_gamma(np.random.default_rng(3), (0.9, 0.9)) == 0.9
+        assert sample_gamma(np.random.default_rng(3), (0.9, 0.9), 1).tolist() == [0.9]
 
     def test_gamma_uniform_mean(self):
         rng = np.random.default_rng(4)
-        draws = [sample_gamma(rng, (0.5, 1.0)) for _ in range(100_000)]
+        draws = sample_gamma(rng, (0.5, 1.0), 100_000)
         assert abs(np.mean(draws) - 0.75) < 0.005
-        assert all(0.5 <= g < 1.0 for g in draws)
+        assert ((0.5 <= draws) & (draws < 1.0)).all()
 
 
 class TestActEpsilonGreedy:
@@ -99,9 +99,9 @@ class TestActEpsilonGreedy:
         explored = slots[slots != agent.GREEDY]
         rate_sigma = math.sqrt(cfg.tol * (1 - cfg.tol) / len(slots))
         assert abs(len(explored) / len(slots) - cfg.tol) < 3 * rate_sigma
-        p = 1 / cfg.n_actions
-        counts = np.bincount(explored, minlength=cfg.n_actions)
-        assert len(counts) == cfg.n_actions
+        p = 1 / cfg.mode.n_actions
+        counts = np.bincount(explored, minlength=cfg.mode.n_actions)
+        assert len(counts) == cfg.mode.n_actions
         np.testing.assert_allclose(counts / len(explored), p, atol=3 * math.sqrt(p * (1 - p) / len(explored)))
 
     def greedy_actions(self, q_values):
@@ -145,14 +145,18 @@ class TestConfig:
         small_cfg(hidden=(h,)).validate()
         with pytest.raises(InvalidValue, match="^invalid value for hidden: the network must have at most 100000000 "):
             small_cfg(hidden=(h + 1,)).validate()
+        small_cfg(lookback=agent.MAX_WINDOW, reward_window=agent.MAX_WINDOW).validate()  # one bound for both windows
+        for key in ("lookback", "reward_window"):
+            with pytest.raises(InvalidValue, match=rf"^invalid value for {key}: must be in \[1, 10000\]$"):
+                small_cfg(**{key: agent.MAX_WINDOW + 1}).validate()
 
     def test_eval_episode_set(self):
         assert small_cfg(episodes=10, eval_every=5).eval_episode_set() == (5, 10)
         assert small_cfg(episodes=3, eval_every=1).eval_episode_set() == (1, 2, 3)
 
     def test_input_width(self):
-        assert small_cfg(lookback=30).input_width == 35
-        assert small_cfg(lookback=30, generalize_gamma=True).input_width == 36
+        assert small_cfg(lookback=30).widths[0] == 35
+        assert small_cfg(lookback=30, generalize_gamma=True).widths[0] == 36
 
     def test_stream_layout(self):
         """The first seven streams keep their names and spawn indices; the counterfactual streams follow."""
@@ -335,11 +339,11 @@ class TestTrainLoop:
         series = sine_series()
         split = make_split(series)
         cfg = small_cfg(generalize_gamma=True, gamma_range=(0.6, 0.99))
-        assert cfg.input_width == 6 + 1 + 4 + 1
+        assert cfg.widths[0] == 6 + 1 + 4 + 1
         a = train(cfg, series, split)
         b = train(cfg, series, split)
         assert params_equal(a.net, b.net)
-        assert a.net.input_width == cfg.input_width
+        assert a.net.widths == list(cfg.widths)
         gammas = set(replay_rows(a.replay).gamma.tolist())
         assert len(gammas) > 1
         assert all(0.6 <= g < 0.99 for g in gammas)
@@ -430,7 +434,7 @@ class TestTargetSync:
 
     def test_forward_equal_after_copy(self):
         _, result = self.run(episodes=3, sync_period=self.EPISODE_LEN)
-        x = np.random.default_rng(9).normal(size=result.net.input_width)
+        x = np.random.default_rng(9).normal(size=result.net.widths[0])
         np.testing.assert_array_equal(result.net.forward(x), result.target.forward(x))
         # a TD update bootstraps from that target: the same step as from the online network
         batch = replay_rows(result.replay, np.arange(8))
@@ -546,7 +550,7 @@ class TestFrozenEpisode:
     def test_conditioning_equals_step_loop_draws(self, case):
         cfg = small_cfg(**{"k": 3, "tol": 0.4, **CONDITIONING_CASES[case]})
         series = sine_series()
-        loop, drawn = learner(cfg, series, Recorder(cfg.n_actions)), learner(cfg, series)
+        loop, drawn = learner(cfg, series, Recorder(cfg.mode.n_actions)), learner(cfg, series)
         state = loop.env.reset((0, 200))
         scalar_reference.frozen_episode(loop, state)
         n = loop.env_steps
@@ -597,7 +601,7 @@ class TestFrozenEpisode:
                 buf.advance_updates(1)  # ages the replay between stretches, as fitting would
             assert live_columns(batched.replay) == live_columns(loop.replay)
             assert moments(batched.replay) == moments(loop.replay)
-        assert len(set(replay_rows(loop.replay).action.tolist())) == cfg.n_actions
+        assert len(set(replay_rows(loop.replay).action.tolist())) == cfg.mode.n_actions
         assert next_draws(loop.streams) == next_draws(batched.streams)
 
     @pytest.mark.parametrize("case, table, chunks", [
@@ -634,14 +638,14 @@ class TestFrozenEpisode:
         if table:  # one chooser for the stretch: only visited rows on the fixed conditioning, however episodes overlap
             visited = np.unique(np.add.outer(np.concatenate(starts) - cfg.lookback, np.arange(cfg.episode_len)))
             assert {row[: cfg.lookback].tobytes() for row in rows} <= {run.env.windows[v].tobytes() for v in visited}
-            assert len(rows) <= len(visited) * cfg.n_actions <= 249 * cfg.n_actions
-            assert sum(map(len, forwarded)) <= 249 * cfg.n_actions + (evaluation.TILE_ROWS - 1) * len(forwarded)
+            assert len(rows) <= len(visited) * cfg.mode.n_actions <= 249 * cfg.mode.n_actions
+            assert sum(map(len, forwarded)) <= 249 * cfg.mode.n_actions + (evaluation.TILE_ROWS - 1) * len(forwarded)
             fixed = (*agent.training_weights(cfg), cfg.gamma_range[0]) if cfg.generalize_gamma else (1.0, 0.0, 0.0, 0.0)
             assert set(map(tuple, rows[:, cfg.lookback + 1 :].tolist())) == {fixed}
         else:  # per chunk, its real steps at one position or more, its counterfactuals at one at most
             for episodes, forwards in zip(chunks, chunk_forwards):
                 steps = episodes * cfg.episode_len
-                assert steps <= len(new_rows(forwards)) <= steps * (cfg.n_actions + cfg.k)
+                assert steps <= len(new_rows(forwards)) <= steps * (cfg.mode.n_actions + cfg.k)
         assert run.env_steps == 7 * cfg.episode_len
 
 
@@ -658,11 +662,7 @@ class TestFitEpisode:
         loop, fitted = learner(cfg, series, net.clone()), learner(cfg, series, net.clone())
         split = make_split(series)
         for episode in range(cfg.episodes):
-            states = [
-                run.env.reset(split.train, random_access=cfg.random_access, episode_len=cfg.episode_len,
-                              rng=run.streams["env"])
-                for run in (loop, fitted)
-            ]
+            states = [agent._reset(run, split.train) for run in (loop, fitted)]
             scalar_reference.fit_episode(loop, states[0])
             agent._fit_episode(fitted, states[1])
             assert (fitted.env_steps, fitted.updates) == (loop.env_steps, loop.updates)
@@ -671,7 +671,7 @@ class TestFitEpisode:
             assert params(fitted.net) == params(loop.net)
             assert params(fitted.target) == params(loop.target)
         assert loop.updates > 0 and params(loop.net) != params(net)
-        assert len(set(replay_rows(loop.replay).action.tolist())) == cfg.n_actions
+        assert len(set(replay_rows(loop.replay).action.tolist())) == cfg.mode.n_actions
         assert next_draws(loop.streams) == next_draws(fitted.streams)
 
 
@@ -690,7 +690,7 @@ TD_CASES = {
 
 
 def velocities(net):
-    return [v.tobytes() for v in net._vel_w + net._vel_b]
+    return [v.tobytes() for views in net._layer_views(net._velocity) for v in views]
 
 
 class TestTdUpdate:

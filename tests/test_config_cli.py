@@ -134,7 +134,7 @@ BAD_VALUES = [
     ("k = 1.5", "k", "must be an integer"),
     ("episodes = 0", "episodes", "must be >= 1"),
     ('eval_every = "2"', "eval_every", "must be an integer"),
-    ("reward_window = 0", "reward_window", "must be >= 1"),
+    ("reward_window = 0", "reward_window", "must be in [1, 10000]"),
     ("lookback = true", "lookback", "must be an integer"),
     ("episode_len = 0", "episode_len", "must be >= 1"),
     ('random_access = "true"', "random_access", "must be true or false"),
@@ -298,8 +298,12 @@ class TestErrorPayloads:
         ("k = 100000000000", [], "k", "must be in [0, 10000]"),
         # 10**14 rows are beyond any address space, so the check must come before generate_synthetic allocates
         ("synthetic_length = 100000000000000", [], "synthetic_length", "must be <= 10000000"),
+        # a raw MemoryError from TradingEnv.reset's zero padding and from the chooser's block buffer; one over the
+        # bound, so that a missing check allocates nothing large
+        ("reward_window = 10001", [], "reward_window", "must be in [1, 10000]"),
+        ("lookback = 10001", [], "lookback", "must be in [1, 10000]"),
     ], ids=["synthetic_seed", "learn_rate", "eigen_floor", "seed_override", "huge_hidden", "huge_k",
-            "huge_synthetic_length"])
+            "huge_synthetic_length", "huge_reward_window", "huge_lookback"])
     def test_rejected_before_a_run(self, tmp_path, capsys, command, text, flags, key, reason):
         out = tmp_path / "run"
         config_path = str(write(tmp_path, FAST_TRAIN + text + "\n"))
@@ -493,7 +497,7 @@ class TestCli:
         series = config.load_series(cfg)
         env = TradingEnv(series, train.mode, lookback=train.lookback, reward_window=train.reward_window, fee=train.fee)
         _, expected = run_policy(
-            net, env, make_split(series, cfg.fractions).range_for(range_), payload["weights"], payload["gamma"],
+            net, env, make_split(series, cfg.fractions).as_dict()[range_], payload["weights"], payload["gamma"],
             include_gamma=train.generalize_gamma, range_id=range_,
         )
         assert expected.trades >= 2

@@ -72,7 +72,7 @@ class TestReset:
     def test_random_access_deterministic(self):
         series = series_of(np.linspace(100, 200, 100))
         env = TradingEnv(series, Mode.LSP, lookback=10, reward_window=5)
-        states = [env.reset((0, 100), random_access=True, episode_len=20, rng=np.random.default_rng(42))
+        states = [env.reset((0, 100), episode_len=20, rng=np.random.default_rng(42))
                   for _ in range(3)]
         assert states[0] == states[1] == states[2]
         assert states[0].end == states[0].cursor + 20 + 1  # episode_len steps and a terminal price
@@ -81,7 +81,7 @@ class TestReset:
         series = series_of(np.linspace(100, 200, 40))
         env = TradingEnv(series, Mode.LSP, lookback=5, reward_window=3)
         rng = np.random.default_rng(0)
-        starts = {env.reset((0, 40), random_access=True, episode_len=10, rng=rng).cursor for _ in range(400)}
+        starts = {env.reset((0, 40), episode_len=10, rng=rng).cursor for _ in range(400)}
         # feasible episode starts are [0, 40 - (5 + 10 + 1)] = [0, 24]; cursor = start + 5
         assert starts == set(range(5, 30))
 
@@ -90,7 +90,7 @@ class TestReset:
         with pytest.raises(RangeTooShort):
             env.reset((0, 5))
         with pytest.raises(RangeTooShort):
-            env.reset((0, 20), random_access=True, episode_len=50, rng=np.random.default_rng(0))
+            env.reset((0, 20), episode_len=50, rng=np.random.default_rng(0))
 
 
 def run_actions(env, state, actions):

@@ -200,7 +200,7 @@ class TestVectorizedRollout:
         env = env_of(series, mode, fee, lookback=6, reward_window=4)
         for trial in range(20):
             net = QNetwork([11, 8, mode.n_actions], seed=int(rng.integers(1 << 30)))
-            w = agent.sample_weights(rng)
+            w = agent.sample_weights(rng, 1)[0]
             lo = int(rng.integers(0, 100))
             hi = int(rng.integers(lo + 20, 400))
             trace_a, rep_a = run_policy(net, env, (lo, hi), w, 0.9)
@@ -304,7 +304,7 @@ class TestWalkRounds:
             net = varied_net(rng, mode, 6, include_gamma, 0.015)
             lo = int(rng.integers(0, 300))
             hi = int(rng.integers(lo + 8, 1501))
-            w, gamma = agent.sample_weights(rng), float(rng.uniform(0.5, 1.0))
+            w, gamma = agent.sample_weights(rng, 1)[0], float(rng.uniform(0.5, 1.0))
             choices, trace, _ = vectorized_rollout(net, env, (lo, hi), w, gamma, include_gamma=include_gamma)
             np.testing.assert_array_equal(trace.actions, table_walk(net, env, (lo, hi), w, gamma, include_gamma))
             assert len(walks[-1]) <= max_rounds(env.steps_in((lo, hi)))
@@ -436,7 +436,7 @@ class TestWalkRounds:
         for net in nets:
             forwarded.clear()
             choices, _, _ = vectorized_rollout(net, env, (0, 3000), uniform_weights(), 0.9,
-                                               include_gamma=net.input_width == 12)
+                                               include_gamma=net.widths[0] == 12)
             assert len(new_rows(forwarded)) == np.count_nonzero(choices >= 0) <= 3 * len(choices)
             assert len(walks[-1]) <= max_rounds(len(choices))
 

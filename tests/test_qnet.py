@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scalar_reference
@@ -362,6 +364,47 @@ class TestCheckpoint:
         loaded, _ = load_checkpoint(path)
         assert params_equal(loaded, old)
         assert [p.name for p in tmp_path.iterdir()] == ["checkpoint_7.bin"]
+
+
+def retained_bytes(f):
+    """f's result and the bytes it allocated and still holds, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        return f(), tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOptimizerState:
+    """Only a trained network holds a gradient and a velocity: a clone, a target or a loaded checkpoint holds one
+    parameter array and a few views of it."""
+
+    WIDTHS = [36, 128, 64, 3]  # the bench's LSP geometry with a gamma input: 105,496 B of parameters
+    ALLOWANCE = 16 * 1024  # the views and attribute dicts beside the arrays
+
+    def fresh(self):
+        net = QNetwork(self.WIDTHS, seed=1, momentum=0.5)
+        batch = random_batch(np.random.default_rng(0), 64, 31, 3, include_gamma=True)
+        return net, net.clone(), batch
+
+    def test_first_update_allocates_gradient_and_velocity(self):
+        step(*self.fresh())  # a first call's caches stay outside the trace
+        net, target, batch = self.fresh()
+        _, first = retained_bytes(lambda: step(net, target, batch))
+        _, second = retained_bytes(lambda: step(net, target, batch))
+        assert 2 * net._params.nbytes <= first <= 2 * net._params.nbytes + self.ALLOWANCE
+        assert second <= self.ALLOWANCE
+        assert net._velocity.any() and net.momentum > 0.0
+
+    def test_clone_and_loaded_checkpoint_hold_one_parameter_copy(self, tmp_path):
+        net, target, batch = self.fresh()
+        step(net, target, batch)
+        save_checkpoint(tmp_path / "checkpoint_1.bin", net)
+        load_checkpoint(tmp_path / "checkpoint_1.bin")  # a first call's imports and caches stay outside the trace
+        for make in (net.clone, lambda: load_checkpoint(tmp_path / "checkpoint_1.bin")[0]):
+            other, size = retained_bytes(make)
+            assert size <= net._params.nbytes + self.ALLOWANCE
+            assert params_equal(other, net) and other._velocity is None
 
 
 class TestToyMdpOracle:

@@ -268,7 +268,7 @@ class TestRebuiltStates:
     def test_scalar_reward_is_weighted_sum_in_component_order(self):
         rng = np.random.default_rng(6)
         buf = make_buffer(max_age=10)
-        weights = [agent.sample_weights(rng) for _ in range(50)]
+        weights = list(agent.sample_weights(rng, 50))
         rewards = rng.normal(size=(50, 4))
         for w, r in zip(weights, rewards):
             push(buf, r, weights=w)
