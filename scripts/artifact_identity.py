@@ -16,7 +16,9 @@ call per operation from its run's directory:
   over full-range episodes with POWC;
 - `backtest` of each run's checkpoints on a long random-walk series, whose
   test range is forwarded in several row blocks, which writes report.json
-  (its checkpoint path is relative, so its bytes do not name the tree).
+  (its checkpoint path is relative, so its bytes do not name the tree);
+- `walkforward` of a short config over two folds at each seed, which writes
+  report.json and config.resolved.json.
 
 One run, full_range_k0, takes its seed from `--seed` instead of its config
 file, and its backtest takes `--weights` and `--metric profit`, so the flags'
@@ -54,6 +56,8 @@ CONFIGS = {
     "replay_unwhitened": {**MO_TRAIN, **SHORT, "hindsight_action": "replay", "whiten": False},
     "powc_lp_full_range": {**SO_TRAIN, **SHORT, "mode": "LP", "reward": "powc", "random_access": False},
 }
+# Two folds of the short series: trains on its first third and two thirds, each with 180 eval and test rows.
+WALKFORWARD = {**MO_TRAIN, **SHORT, "n_folds": 2, "train_frac": 0.7, "eval_frac": 0.15, "test_frac": 0.15}
 # The backtest's series: as long as the benchmark's backtest CSV, so that its test range holds 4,969 steps.
 BACKTEST_SERIES = {"synthetic_kind": "random-walk", "synthetic_length": BACKTEST_ROWS,
                    "synthetic_amplitude": BACKTEST_STEP_STD}
@@ -86,36 +90,44 @@ print(json.dumps(failed))
 """
 
 
-def operations(seeds: list[int], episodes: int | None) -> list[tuple[str, dict, list, dict, list]]:
-    """(run name, train config, train flags, backtest config, backtest flags) of every run."""
+Run = tuple[str, list[tuple[str, dict, list]]]  # run name, then its (command, config, flags) in order
+
+
+def shortened(cfg: dict, episodes: int | None) -> dict:
+    return cfg if episodes is None else {**cfg, "episodes": episodes, "eval_every": min(cfg["eval_every"], episodes)}
+
+
+def operations(seeds: list[int], episodes: int | None) -> list[Run]:
+    """Every run: a train and a backtest per config and seed, then a walkforward per seed."""
     runs = []
     for name, cfg in CONFIGS.items():
-        if episodes is not None:
-            cfg = {**cfg, "episodes": episodes, "eval_every": min(cfg["eval_every"], episodes)}
+        cfg = shortened(cfg, episodes)
         for seed in seeds:
             backtest = {**cfg, **BACKTEST_SERIES, "synthetic_seed": seed}
             if name == FLAGGED:
-                runs.append((f"{name}_seed{seed}", cfg, ["--seed", str(seed)], backtest, BACKTEST_FLAGS))
+                train, train_flags, backtest_flags = cfg, ["--seed", str(seed)], BACKTEST_FLAGS
             else:
-                runs.append((f"{name}_seed{seed}", {**cfg, "seed": seed}, [], backtest, []))
+                train, train_flags, backtest_flags = {**cfg, "seed": seed}, [], []
+            runs.append((f"{name}_seed{seed}", [("train", train, train_flags),
+                                                ("backtest", backtest, ["--range", "test", *backtest_flags])]))
+    runs += [(f"walkforward_seed{seed}", [("walkforward", {**shortened(WALKFORWARD, episodes), "seed": seed}, [])])
+             for seed in seeds]
     return runs
 
 
-def start_tree(src: Path, root: Path, runs: list[tuple[str, dict, list, dict, list]]) -> subprocess.Popen:
+def start_tree(src: Path, root: Path, runs: list[Run]) -> subprocess.Popen:
     """Start every run under src, in root/<run name>, in one subprocess."""
     env = {**os.environ, "PYTHONPATH": str(src.resolve())}
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env.setdefault(var, "1")
     operations = []
-    for name, train_cfg, train_flags, backtest_cfg, backtest_flags in runs:
+    for name, commands in runs:
         (root / name).mkdir(parents=True)
-        write_config(root / f"{name}.train.cfg", train_cfg)
-        write_config(root / f"{name}.backtest.cfg", backtest_cfg)
-        operations.append((name, [
-            ("train", ["train", "--config", str(root / f"{name}.train.cfg"), "--out", ".", *train_flags]),
-            ("backtest", ["backtest", "--config", str(root / f"{name}.backtest.cfg"), "--out", ".", "--range", "test",
-                          *backtest_flags]),
-        ]))
+        argvs = []
+        for command, cfg, flags in commands:
+            write_config(root / f"{name}.{command}.cfg", cfg)
+            argvs.append((command, [command, "--config", str(root / f"{name}.{command}.cfg"), "--out", ".", *flags]))
+        operations.append((name, argvs))
     return subprocess.Popen([sys.executable, "-c", RUNNER, json.dumps(operations)], cwd=root, env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 

@@ -10,6 +10,7 @@ stream's draws: the visited trajectory is invariant to k.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import time
@@ -85,9 +86,9 @@ class TrainConfig:
         return {"mode": self.mode.value, "generalize_gamma": self.generalize_gamma,
                 "lookback": self.lookback, "reward_window": self.reward_window}
 
-    def eval_episode_set(self) -> tuple[int, ...]:
+    def eval_episode_set(self) -> range:
         """Evenly spaced episodes that train the network and get checkpoints."""
-        return tuple(range(self.eval_every, self.episodes + 1, self.eval_every))
+        return range(self.eval_every, self.episodes + 1, self.eval_every)
 
     def validate(self) -> None:
         checks = [
@@ -272,7 +273,7 @@ def _fit_episode(run: TrainResult, state: EnvState) -> None:
         outcomes = {a: env.transition(state, a) for a in set(actions)}
         buffer.push({"cursor": state.cursor, "position": state.position, "action": actions, "gamma": gamma[t],
                      "weights": weights[t], "reward": [outcomes[a].reward for a in actions],
-                     "terminal": outcomes[actions[0]].done})
+                     "terminal": outcomes[actions[0]].done, "birth": run.updates})
         run.env_steps += 1
         if len(buffer) >= min_fit_len:
             batch = buffer.sample_batch(cfg.batchsize, run.streams["batch"], cfg.generalize_gamma)
@@ -281,7 +282,7 @@ def _fit_episode(run: TrainResult, state: EnvState) -> None:
             if not math.isfinite(loss):
                 raise Diverged(f"non-finite loss at update {run.updates + 1}, in episode {run.episode}")
             run.updates += 1
-            buffer.advance_updates(1)
+            buffer.evict(run.updates)
             if run.updates % cfg.sync_period == 0:
                 run.target.copy_params_from(net)
         state = outcomes[actions[0]].next_state
@@ -305,7 +306,7 @@ def _frozen_stretch(run: TrainResult, range_: IndexRange, episodes: int) -> None
     fixed = training_weights(cfg) is not None and (not cfg.generalize_gamma or cfg.gamma_range[0] == cfg.gamma_range[1])
     n = cfg.episode_len if cfg.random_access else env.steps_in(range_)  # steps per episode
     m, where = cfg.slots, f"train range {list(range_)}"
-    per_chunk = max(1, env.steps_in(range_) // max(n * m, 1))  # a range of no step fails at its reset
+    per_chunk = max(1, env.steps_in(range_) // (n * m))
     for done in range(0, episodes, per_chunk):
         cursors = np.array([_reset(run, range_).cursor for _ in range(min(per_chunk, episodes - done))])
         windows = np.add.outer(cursors - lookback, np.arange(n)).ravel()  # each step's row of env.windows
@@ -331,6 +332,7 @@ def _frozen_stretch(run: TrainResult, range_: IndexRange, episodes: int) -> None
             "weights": weights.reshape(-1, 4),
             "reward": rewards.reshape(-1, 4),
             "terminal": np.repeat(np.arange(len(windows)) % n == n - 1, m),
+            "birth": run.updates,
         })
         run.env_steps += len(windows)
 
@@ -355,7 +357,7 @@ class _RunWriter:
             return
         ck.path = self.path / f"checkpoint_{ck.episode}.bin"
         save_checkpoint(ck.path, ck.net, meta={"episode": ck.episode, **self.meta})
-        reports = {name: report.to_dict() for name, report in ck.reports.items()}
+        reports = {name: asdict(report) for name, report in ck.reports.items()}
         self.metrics.write(json.dumps({"episode": ck.episode, "env_steps": env_steps, "updates": updates, **reports}) + "\n")
         self.timing.write(f"episode {ck.episode}: {time.perf_counter() - self.started:.3f}s elapsed\n")
 
@@ -382,9 +384,8 @@ def train(
 
     with contextlib.ExitStack() as files:
         writer = _RunWriter(out_dir, cfg, files)
-        fitted = cfg.eval_episode_set()
-        for last, episode in zip((0, *fitted), (*fitted, cfg.episodes + 1)):
-            _frozen_stretch(run, split.train, episode - last - 1)
+        for episode in itertools.chain(cfg.eval_episode_set(), [cfg.episodes + 1]):
+            _frozen_stretch(run, split.train, episode - run.episode - 1)  # the frozen episodes since the last fitted
             if episode > cfg.episodes:
                 break
             run.episode = episode
@@ -403,9 +404,6 @@ class FoldResult:
     seed: int
     best_episode: int
     reports: dict[str, "evaluation.EvaluationReport"]
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "reports": {name: r.to_dict() for name, r in self.reports.items()}}
 
 
 def run_walk_forward(

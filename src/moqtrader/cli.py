@@ -11,6 +11,7 @@ import csv
 import json
 import re
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import agent, config, evaluation
@@ -102,7 +103,7 @@ def cmd_backtest(cfg: config.RunConfig, out: Path) -> None:
         "metric": cfg.report_metric,
         "weights": [float(w) for w in weights],
         "gamma": gamma,
-        "report": report.to_dict(),
+        "report": asdict(report),
     }
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
@@ -115,7 +116,7 @@ def cmd_walkforward(cfg: config.RunConfig, out: Path) -> None:
     config.write_resolved(cfg, out)
     results = agent.run_walk_forward(cfg, series, folds, eval_weights=cfg.eval_weights, eval_gamma=cfg.eval_gamma,
                                      metric=cfg.report_metric)
-    payload = {"n_folds": len(results), "metric": cfg.report_metric, "folds": [r.to_dict() for r in results]}
+    payload = {"n_folds": len(results), "metric": cfg.report_metric, "folds": [asdict(r) for r in results]}
     (out / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {len(results)} fold reports to {out / 'report.json'}")
 

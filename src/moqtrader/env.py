@@ -89,7 +89,6 @@ class TradingEnv:
             raise ValueError("reward_window must be >= 1")
         if not 0.0 <= fee < 1.0:
             raise ValueError("fee must be in [0, 1)")
-        self.series = series
         self.mode = mode
         self.lookback = lookback
         self.reward_window = reward_window
@@ -109,8 +108,7 @@ class TradingEnv:
         """
         lo, hi = range_
         span = hi - lo
-        if span < self.lookback + 2:
-            raise RangeTooShort(f"range length {span} < lookback + 2 = {self.lookback + 2}")
+        self.steps_in(range_)
         if episode_len is not None:
             need = self.lookback + episode_len + 1
             if need > span:
@@ -169,6 +167,8 @@ class TradingEnv:
         return lr[:, :, 0], reward_matrix(history, lr, powc)
 
     def steps_in(self, range_: IndexRange) -> int:
-        """Number of steps a full pass over `range_` yields."""
+        """Number of steps a full pass over `range_` yields; RangeTooShort when it yields none."""
         lo, hi = range_
+        if hi - lo < self.lookback + 2:
+            raise RangeTooShort(f"range length {hi - lo} < lookback + 2 = {self.lookback + 2}")
         return hi - lo - self.lookback - 1

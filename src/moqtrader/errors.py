@@ -26,7 +26,6 @@ class _RowError(EngineError):
 
     def __init__(self, row: int, message: str = ""):
         super().__init__(message or f"{self.code} at row {row}", row=row)
-        self.row = row
 
 
 class MissingColumn(EngineError):
@@ -86,7 +85,6 @@ class UnknownKey(EngineError):
 
     def __init__(self, key: str, message: str = ""):
         super().__init__(message or f"unknown config key: {key}", key=key)
-        self.key = key
 
 
 class InvalidValue(EngineError):
@@ -94,8 +92,6 @@ class InvalidValue(EngineError):
 
     def __init__(self, key: str, reason: str = ""):
         super().__init__(f"invalid value for {key}: {reason}" if reason else f"invalid value for {key}", key=key, reason=reason)
-        self.key = key
-        self.reason = reason
 
 
 class MissingFile(EngineError):

@@ -15,13 +15,13 @@ array kernel, so its trace equals the greedy step loop's
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from .env import Position, TradingEnv
-from .errors import Diverged, EmptyCheckpointList, RangeTooShort, ShapeMismatch
+from .errors import Diverged, EmptyCheckpointList, ShapeMismatch
 from .market_data import DataSplit, IndexRange
 from .qnet import QNetwork, build_input
 from .rewards import STD_FLOOR
@@ -44,9 +44,6 @@ class EvaluationReport:
     trades: int
     buy_and_hold_profit: float
     buy_and_hold_sharpe: float
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "range": list(self.range)}
 
 
 # The metric fields, in report order (every field after range_id and range).
@@ -175,9 +172,7 @@ def vectorized_rollout(net: QNetwork, env: TradingEnv, range_: IndexRange, weigh
                        range_id: str = "range") -> tuple[np.ndarray, PositionTrace, EvaluationReport]:
     """Greedy rollout over range_ of env's series: its choice table, trace and report.  `walk_rounds` forwards only
     the (step, position) rows its guesses visit, each once; the trace matches the environment's step loop exactly."""
-    (lo, hi), n = range_, env.steps_in(range_)
-    if n < 1:
-        raise RangeTooShort(f"range length {hi - lo} < lookback + 2 = {env.lookback + 2}")
+    lo, n = range_[0], env.steps_in(range_)
     choose, table = greedy_chooser(net, env, np.arange(lo, lo + n), weights, gamma, include_gamma,
                                    f"{range_id} range {list(range_)}")
     actions, _ = walk_rounds(env, n, choose, np.full(n, -1))

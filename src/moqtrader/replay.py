@@ -4,9 +4,9 @@ Experiences are stored as columns of indices and conditioning, not
 features: `qnet.build_input` rebuilds a gathered `qnet.Batch`'s state and
 next-state network inputs from the series.  The stored raw rewards are
 never modified; whitening rescales a sampled batch's scalar rewards.
-Element age is measured in network updates since insertion, and the same
-bound applies to single- and multi-reward runs (multi-reward replays are
-simply longer).
+Element age counts the caller's network updates since insertion (a push
+gives its rows' birth, `evict` the count now), and the same bound applies
+to single- and multi-reward runs (multi-reward replays are simply longer).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ _COLUMNS = {
     "_terminal": (np.bool_, ()),
     "_birth": (np.int64, ()),
 }
-_PUSHED = {name[1:] for name in _COLUMNS} - {"birth"}  # the columns a push gives
+_PUSHED = {name[1:] for name in _COLUMNS}  # the columns a push gives
 _MIN_ROOM = 1024
 
 
@@ -54,7 +54,6 @@ class ReplayBuffer:
         if max_age < 0:
             raise ValueError("max_age must be >= 0")
         self.max_age = max_age
-        self.update_counter = 0
         self._env = env  # whose windows the gather reads
         for name, (dtype, shape) in _COLUMNS.items():
             setattr(self, name, np.empty((_MIN_ROOM, *shape), dtype))
@@ -65,7 +64,7 @@ class ReplayBuffer:
         return self._hi - self._lo
 
     def push(self, columns: dict) -> None:
-        """Append rows born now, as columns keyed by `_COLUMNS` name without the underscore.
+        """Append rows, as columns keyed by `_COLUMNS` name without the underscore; `birth` is the update count now.
 
         `action` holds one entry per row; any other column may be a scalar that stands for every row.
         Slices split where the columns fill up, so compactions (and the reward moments) fall as with one push per row.
@@ -81,16 +80,13 @@ class ReplayBuffer:
                 if size < total and hasattr(values, "__len__"):  # a split block's part of a column
                     values = values[done : done + size]
                 getattr(self, "_" + name)[self._hi : self._hi + size] = values
-            self._birth[self._hi : self._hi + size] = self.update_counter
             self._hi, done = self._hi + size, done + size
 
-    def advance_updates(self, n: int) -> None:
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        self.update_counter += n
+    def evict(self, updates: int) -> None:
+        """Drop the rows born more than max_age updates before `updates`."""
         # Births never decrease, so the over-age rows are a prefix: none while the oldest row is young enough.
-        if self._lo < self._hi and self._birth[self._lo] < self.update_counter - self.max_age:
-            self._lo += int(np.searchsorted(self._birth[self._lo : self._hi], self.update_counter - self.max_age))
+        if self._lo < self._hi and self._birth[self._lo] < updates - self.max_age:
+            self._lo += int(np.searchsorted(self._birth[self._lo : self._hi], updates - self.max_age))
 
     def _compact(self) -> None:
         live = len(self)

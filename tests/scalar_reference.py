@@ -169,8 +169,9 @@ def augment_experiences(
     cfg: "agent.TrainConfig",
     streams: dict[str, np.random.Generator],
     buffer: ReplayBuffer,
+    birth: int,
 ) -> None:
-    """Push k counterfactual experiences from the same pre-step state.
+    """Push k counterfactual experiences from the same pre-step state, born at update `birth`.
 
     Each draws fresh (w', gamma'), picks an action (re-sampled epsilon-greedy
     under the new conditioning, or the real action when configured to
@@ -194,13 +195,14 @@ def augment_experiences(
                 row = build_input(feats[:-1], w, gamma, cfg.generalize_gamma, feats[-1])
                 action = int(np.argmax(net.forward(row)))
         outcome = env.transition(state, action)
-        push_experience(buffer, state, action, gamma, w, outcome)
+        push_experience(buffer, state, action, gamma, w, outcome, birth)
 
 
-def push_experience(buffer: ReplayBuffer, state: EnvState, action: int, gamma: float, weights, outcome) -> None:
-    """One experience of taking action from state under (weights, gamma), as a one-row push."""
+def push_experience(buffer: ReplayBuffer, state: EnvState, action: int, gamma: float, weights, outcome,
+                    birth: int) -> None:
+    """One experience of taking action from state under (weights, gamma), as a one-row push born at update birth."""
     buffer.push({"cursor": state.cursor, "position": state.position, "action": [action], "gamma": gamma,
-                 "weights": [weights], "reward": [outcome.reward], "terminal": outcome.done})
+                 "weights": [weights], "reward": [outcome.reward], "terminal": outcome.done, "birth": birth})
 
 
 def replay_rows(buffer: ReplayBuffer, idx=None, include_gamma: bool = False) -> Batch:
@@ -340,9 +342,9 @@ def step_loop(run: "agent.TrainResult", state: EnvState, fit: bool) -> None:
         )
         outcome = env.transition(state, action)
         run.env_steps += 1
-        push_experience(buffer, state, action, gamma, w, outcome)
+        push_experience(buffer, state, action, gamma, w, outcome, run.updates)
         if cfg.multi_reward and cfg.k > 0:
-            augment_experiences(env, state, feats, action, net, cfg, streams, buffer)
+            augment_experiences(env, state, feats, action, net, cfg, streams, buffer, run.updates)
 
         if fit and len(buffer) >= min_fit_len:
             batch = buffer.sample_batch(cfg.batchsize, streams["batch"], include_gamma)
@@ -353,7 +355,7 @@ def step_loop(run: "agent.TrainResult", state: EnvState, fit: bool) -> None:
             inputs, targets = bellman_targets(batch, rewards, net, run.target, cfg.alpha)
             fit_batch(net, inputs, targets, cfg.learn_rate)
             run.updates += 1
-            buffer.advance_updates(1)
+            buffer.evict(run.updates)
             if run.updates % cfg.sync_period == 0:
                 run.target.copy_params_from(net)
 

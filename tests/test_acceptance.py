@@ -43,7 +43,8 @@ def test_criterion_01_whitening_invariant():
     next_state = env.transition(state, 0).next_state
     w = np.array([1.0, 0, 0, 0])
     for row in rewards:
-        scalar_reference.push_experience(buffer, state, 0, 0.9, w, StepOutcome(next_state, RewardVector(*row), False))
+        outcome = StepOutcome(next_state, RewardVector(*row), False)
+        scalar_reference.push_experience(buffer, state, 0, 0.9, w, outcome, 0)
     inv_sqrt = compute_whitening(buffer, eigen_floor=1e-8)
     assert np.linalg.eigvalsh(buffer.reward_moments()[1]).min() > 100 * 1e-8  # well-conditioned
 
@@ -272,7 +273,7 @@ def test_criterion_07_same_age_replay():
     single, multi = run(False), run(True)
     for result in (single, multi):
         buf = result.replay
-        assert np.all(buf.update_counter - buf._birth[buf._lo : buf._hi] <= max_age)
+        assert np.all(result.updates - buf._birth[buf._lo : buf._hi] <= max_age)
     assert single.env_steps == multi.env_steps
     assert len(multi.replay) == (k + 1) * len(single.replay)
     announce(7, f"age bound holds; multi replay is exactly (k+1)x longer "

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -151,8 +152,8 @@ class TestConfig:
                 small_cfg(**{key: agent.MAX_WINDOW + 1}).validate()
 
     def test_eval_episode_set(self):
-        assert small_cfg(episodes=10, eval_every=5).eval_episode_set() == (5, 10)
-        assert small_cfg(episodes=3, eval_every=1).eval_episode_set() == (1, 2, 3)
+        assert list(small_cfg(episodes=10, eval_every=5).eval_episode_set()) == [5, 10]
+        assert list(small_cfg(episodes=3, eval_every=1).eval_episode_set()) == [1, 2, 3]
 
     def test_input_width(self):
         assert small_cfg(lookback=30).widths[0] == 35
@@ -213,8 +214,8 @@ class TestTrainLoop:
         a = train(small_cfg(), series, split)
         b = train(small_cfg(), series, split)
         assert params_equal(a.net, b.net)
-        assert [ck.reports["eval"].to_dict() for ck in a.checkpoints] == [
-            ck.reports["eval"].to_dict() for ck in b.checkpoints
+        assert [asdict(ck.reports["eval"]) for ck in a.checkpoints] == [
+            asdict(ck.reports["eval"]) for ck in b.checkpoints
         ]
 
     def test_replay_composition_multi_vs_single(self):
@@ -289,8 +290,8 @@ class TestTrainLoop:
             series, split, eval_weights=w_eval,
         )
         assert params_equal(single.net, pinned.net)
-        assert [ck.reports["train"].to_dict() for ck in single.checkpoints] == [
-            ck.reports["train"].to_dict() for ck in pinned.checkpoints
+        assert [asdict(ck.reports["train"]) for ck in single.checkpoints] == [
+            asdict(ck.reports["train"]) for ck in pinned.checkpoints
         ]
 
     def test_one_hot_reduction_bellman_targets(self):
@@ -314,7 +315,7 @@ class TestTrainLoop:
         split = make_split(series)
         result = train(small_cfg(episodes=3, max_age=20), series, split)
         buf = result.replay
-        assert np.all(buf.update_counter - buf._birth[buf._lo : buf._hi] <= buf.max_age)
+        assert np.all(result.updates - buf._birth[buf._lo : buf._hi] <= buf.max_age)
 
     def test_augment_counterfactual_matches_real_when_forced(self):
         # a replayed counterfactual repeats its real row under its own conditioning
@@ -386,6 +387,19 @@ class TestTrainLoop:
         series = sine_series(20)
         with pytest.raises(RangeTooShort):
             train(small_cfg(lookback=30), series, make_split(series))
+
+    def test_a_huge_episode_count_reaches_its_first_episode(self, monkeypatch):
+        # train walks the evaluated episodes as it goes; a schedule built whole would not fit in memory
+        class Reached(Exception):
+            pass
+
+        def first_fit(run, state):
+            raise Reached
+
+        monkeypatch.setattr(agent, "_fit_episode", first_fit)
+        series = sine_series()
+        with pytest.raises(Reached):
+            train(small_cfg(episodes=10**12, eval_every=1), series, make_split(series))
 
     def test_train_range_of_no_step_fails_at_a_frozen_episode(self):
         series = sine_series(20)  # train range (0, 12): lookback 11 leaves no step
@@ -597,8 +611,9 @@ class TestFrozenEpisode:
             scalar_reference.frozen_stretch(loop, split.train, episodes)
             agent._frozen_stretch(batched, split.train, episodes)
             assert batched.env_steps == loop.env_steps
-            for buf in (loop.replay, batched.replay):
-                buf.advance_updates(1)  # ages the replay between stretches, as fitting would
+            for run in (loop, batched):  # ages the replay between stretches, as fitting would
+                run.updates += 1
+                run.replay.evict(run.updates)
             assert live_columns(batched.replay) == live_columns(loop.replay)
             assert moments(batched.replay) == moments(loop.replay)
         assert len(set(replay_rows(loop.replay).action.tolist())) == cfg.mode.n_actions
@@ -725,7 +740,8 @@ class TestTdUpdate:
 
             batches_with_terminal_rows += bool(batch.terminal.any())
             for run in (new, old):
-                run.replay.advance_updates(1)
+                run.updates += 1
+                run.replay.evict(run.updates)
                 if update % cfg.sync_period == 0:
                     run.target.copy_params_from(run.net)
             assert loss.hex() == old_loss.hex()

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -59,7 +60,7 @@ class TestParseConfig:
         path = write(tmp_path, "data_csv = x.csv\ngamma_range = [0.5, 0.999]\n")
         with pytest.raises(InvalidValue) as err:
             config.parse_config(path)
-        assert err.value.key == "gamma_range"
+        assert err.value.context["key"] == "gamma_range"
 
     def test_gamma_range_ok_when_generalized(self, tmp_path):
         path = write(tmp_path, "data_csv = x.csv\ngeneralize_gamma = true\ngamma_range = [0.6, 0.9]\n")
@@ -69,12 +70,12 @@ class TestParseConfig:
     def test_negative_fee(self, tmp_path):
         with pytest.raises(InvalidValue) as err:
             config.parse_config(write(tmp_path, "data_csv = x.csv\nfee = -0.1\n"))
-        assert err.value.key == "fee"
+        assert err.value.context["key"] == "fee"
 
     def test_unknown_key(self, tmp_path):
         with pytest.raises(UnknownKey) as err:
             config.parse_config(write(tmp_path, "data_csv = x.csv\nlr = 3\n"))
-        assert err.value.key == "lr"
+        assert err.value.context["key"] == "lr"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingFile):
@@ -501,7 +502,7 @@ class TestCli:
             include_gamma=train.generalize_gamma, range_id=range_,
         )
         assert expected.trades >= 2
-        assert payload["report"] == json.loads(json.dumps(expected.to_dict()))
+        assert payload["report"] == json.loads(json.dumps(asdict(expected)))
 
     def test_backtest_seed_and_weights_overrides(self, tmp_path, capsys):
         cfg_path = write(tmp_path, FAST_TRAIN)

@@ -187,12 +187,14 @@ class TestStep:
 
 
 class TestTrajectoryProperties:
+    def make_series(self, seed=0, n=300):
+        return generate_synthetic("random-walk", n, amplitude=0.01, seed=seed)
+
     def make_env(self, seed=0, fee=0.0, n=300):
-        series = generate_synthetic("random-walk", n, amplitude=0.01, seed=seed)
-        return TradingEnv(series, Mode.LSP, lookback=8, reward_window=6, fee=fee)
+        return TradingEnv(self.make_series(seed, n), Mode.LSP, lookback=8, reward_window=6, fee=fee)
 
     def run(self, env, actions, range_=None):
-        state = env.reset(range_ or (0, len(env.series)))
+        state = env.reset(range_ or (0, len(env.log_close)))
         rows = []
         for a in actions:
             out = env.transition(state, a)
@@ -206,16 +208,16 @@ class TestTrajectoryProperties:
     def test_bit_identical_replay(self):
         env = self.make_env(seed=1)
         rng = np.random.default_rng(7)
-        actions = [int(a) for a in rng.integers(0, 3, size=env.steps_in((0, len(env.series))))]
+        actions = [int(a) for a in rng.integers(0, 3, size=env.steps_in((0, len(env.log_close))))]
         first = self.run(env, actions)
         second = self.run(env, actions)
         assert first == second  # tuple/float equality, not approx
 
     def test_lookback_consistency(self):
         env = self.make_env(seed=2)
-        state = env.reset((0, len(env.series)))
+        state = env.reset((0, len(env.log_close)))
         rng = np.random.default_rng(8)
-        close = env.series.close
+        close = self.make_series(seed=2).close
         while True:
             feats = state_features(env, state)
             t = state.cursor
@@ -259,7 +261,7 @@ class TestTrajectoryProperties:
         rng = np.random.default_rng(12)
         for trial in range(20):
             env = self.make_env(seed=100 + trial)
-            n_steps = env.steps_in((0, len(env.series)))
+            n_steps = env.steps_in((0, len(env.log_close)))
             actions = [int(a) for a in rng.integers(0, 3, size=n_steps - 1)] + [HOLD]
             rows = self.run(env, actions)
             total_lr = sum(row[1].lr for row in rows)
@@ -267,7 +269,7 @@ class TestTrajectoryProperties:
             assert abs(total_lr - total_powc) < 1e-9
 
             # brute-force oracle: sum the raw log-return of each closed trade
-            log_close = env.series.log_close
+            log_close = env.log_close
             cursor = env.lookback
             pos, anchor, oracle = 0, None, 0.0
             for a, row in zip(actions, rows):

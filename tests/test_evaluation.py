@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -125,7 +126,7 @@ class TestBuyAndHold:
             for lo, hi in ranges:
                 _, forced = run_policy(net, env, (lo, hi), uniform_weights(), 0.95)
                 bnh = buy_and_hold(env, (lo, hi), weights=uniform_weights())
-                assert bnh.to_dict() == forced.to_dict()
+                assert asdict(bnh) == asdict(forced)
                 assert bnh.trades == 1
                 assert bnh.buy_and_hold_profit == bnh.total_profit
                 assert bnh.buy_and_hold_sharpe == bnh.sharpe
@@ -189,7 +190,7 @@ class TestVectorizedRollout:
             _, trace_a, rep_a = vectorized_rollout(net, fresh, range_, uniform_weights(), 0.95)
             _, trace_b, rep_b = vectorized_rollout(net, env, range_, uniform_weights(), 0.95)
             np.testing.assert_array_equal(trace_a.actions, trace_b.actions)
-            assert rep_a.to_dict() == rep_b.to_dict()
+            assert asdict(rep_a) == asdict(rep_b)
         assert env.transition(state, 1) == expected
         assert expected.next_state.end == 60
 
@@ -209,7 +210,7 @@ class TestVectorizedRollout:
             np.testing.assert_array_equal(trace_a.positions, trace_b.positions)
             np.testing.assert_array_equal(trace_a.portfolio_log_returns, trace_b.portfolio_log_returns)
             np.testing.assert_array_equal(trace_a.reward_vectors, trace_b.reward_vectors)
-            assert rep_a.to_dict() == rep_b.to_dict()
+            assert asdict(rep_a) == asdict(rep_b)
 
 
 def position_net(slopes, biases):
@@ -732,7 +733,7 @@ class TestWalkForward:
         results = run_walk_forward(self.cfg(), series, folds)
         again = run_walk_forward(self.cfg(), series, folds)
         assert len(results) == 3
-        assert [r.to_dict() for r in results] == [r.to_dict() for r in again]
+        assert [asdict(r) for r in results] == [asdict(r) for r in again]
         for index, (result, split) in enumerate(zip(results, folds)):
             assert result.fold == index
             assert result.reports["train"].range == split.train
@@ -750,4 +751,4 @@ class TestWalkForward:
         manual = agent.train(replace(self.cfg(), seed=seed), series, folds[0])
         best = select_best_checkpoint(manual.checkpoints, metric="sharpe", range_id="eval")
         assert result.best_episode == best.episode
-        assert result.reports["test"].to_dict() == best.reports["test"].to_dict()
+        assert asdict(result.reports["test"]) == asdict(best.reports["test"])

@@ -3,7 +3,8 @@
 evaluation, env, replay, qnet, rewards and market_data are what agent, config
 and cli build on; an import the other way, even one inside a function, makes
 a cycle.  Every function, class and method the package defines has a caller
-in the package: what only the tests call belongs in the tests.  A frozen
+in the package: what only the tests call belongs in the tests, and every
+attribute the package stores through self is read in it.  A frozen
 network's greedy choices have one route, `evaluation.greedy_chooser`: only it
 and the fitting step, whose network changes every step, argmax a forward.  The
 checks read the syntax trees, so they also see code that the tests never
@@ -100,6 +101,36 @@ def test_everything_defined_is_called():
 ])
 def test_the_check_sees_every_uncalled_definition(source, expected):
     assert uncalled({"m": source}) == expected
+
+
+def unread_attributes(sources: dict[str, str]) -> set[str]:
+    """`module.name` of every `self.<name>` that the sources store but never load as `.<name>` anywhere.
+
+    Dataclass fields are declared, not stored through self, so they are not counted; neither is a setattr."""
+    attributes = {module: [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)]
+                  for module, source in sources.items()}
+    loaded = {node.attr for nodes in attributes.values() for node in nodes if isinstance(node.ctx, ast.Load)}
+    return {f"{module}.{node.attr}" for module, nodes in attributes.items() for node in nodes
+            if isinstance(node.ctx, ast.Store) and getattr(node.value, "id", None) == "self"
+            and node.attr not in loaded}
+
+
+def test_every_attribute_stored_is_read():
+    assert unread_attributes({path.stem: path.read_text() for path in SRC.glob("*.py")}) == set()
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("class C:\n    def __init__(self, x):\n        self.x = x\n", {"m.x"}),
+    ("class C:\n    def __init__(self, x):\n        self.x = x\n    def f(self):\n        return self.x\n", set()),
+    ("class C:\n    def __init__(self):\n        self.a, (self.b, c) = 1, (2, 3)\n", {"m.a", "m.b"}),
+    ("class C:\n    def __init__(self):\n        self.a = self.b = 0\n    def f(self):\n        return self.a\n",
+     {"m.b"}),
+    ("class C:\n    def __init__(self):\n        self.n = 0\n        self.n += 1\n", {"m.n"}),
+    ("def f(c):\n    c.x = 1\n", set()),
+    ("class C:\n    def f(self):\n        setattr(self, 'x', 1)\n", set()),
+])
+def test_the_check_sees_every_unread_attribute(source, expected):
+    assert unread_attributes({"m": source}) == expected
 
 
 # The functions that may argmax a forward: the greedy chooser, and the fitting step's one forward of a step's rows.

@@ -60,13 +60,13 @@ class TestLoadCsv:
         path = write_csv(tmp_path, ["1,100", "2,0", "3,121"])
         with pytest.raises(NonPositivePrice) as err:
             load_csv(path)
-        assert err.value.row == 2
+        assert err.value.context["row"] == 2
 
     def test_non_monotonic_timestamp(self, tmp_path):
         path = write_csv(tmp_path, ["1,100", "3,110", "2,121"])
         with pytest.raises(NonMonotonicTimestamp) as err:
             load_csv(path)
-        assert err.value.row == 3
+        assert err.value.context["row"] == 3
 
     def test_missing_column(self, tmp_path):
         path = write_csv(tmp_path, ["1,100"], header="timestamp,open")
@@ -77,7 +77,7 @@ class TestLoadCsv:
         path = write_csv(tmp_path, ["1,100", "2,oops"])
         with pytest.raises(UnparsableRow) as err:
             load_csv(path)
-        assert err.value.row == 2
+        assert err.value.context["row"] == 2
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingFile):
@@ -365,7 +365,7 @@ class TestPriceSeries:
     def test_non_positive_close_row_number(self, bad):
         with pytest.raises(NonPositivePrice) as err:
             series_of([100.0, 101.0, bad, 102.0])
-        assert err.value.row == 3
+        assert err.value.context["row"] == 3
 
 
 class TestLogReturns:

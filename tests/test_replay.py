@@ -28,14 +28,14 @@ def make_buffer(max_age):
     return ReplayBuffer(max_age, TradingEnv(SERIES, Mode.LSP, lookback=LOOKBACK, reward_window=2))
 
 
-def push(buffer, reward=(0.0, 0.0, 0.0, 0.0), weights=(1.0, 0.0, 0.0, 0.0), action=0, gamma=0.9):
+def push(buffer, reward=(0.0, 0.0, 0.0, 0.0), weights=(1.0, 0.0, 0.0, 0.0), action=0, gamma=0.9, birth=0):
     scalar_reference.push_experience(buffer, STATE, action, gamma, np.asarray(weights, dtype=np.float64),
-                                     StepOutcome(NEXT, RewardVector(*reward), False))
+                                     StepOutcome(NEXT, RewardVector(*reward), False), birth)
 
 
-def fill(buffer, rewards, weights=(1.0, 0.0, 0.0, 0.0)):
+def fill(buffer, rewards, weights=(1.0, 0.0, 0.0, 0.0), birth=0):
     for r in rewards:
-        push(buffer, r, weights)
+        push(buffer, r, weights, birth=birth)
     return buffer
 
 
@@ -54,26 +54,26 @@ class TestBuffer:
 
     def test_age_boundary(self):
         buf = make_buffer(max_age=5)
-        push(buf)
-        buf.advance_updates(5)
+        push(buf, birth=0)
+        buf.evict(5)
         assert len(buf) == 1  # age == max_age is retained
-        buf.advance_updates(1)
+        buf.evict(6)
         assert len(buf) == 0  # age == max_age + 1 evicts
 
     def test_mixed_ages_evict_exact_prefix(self):
-        # births 0..4, counter ends at 6: ages are 6,5,4,3,2 and exactly the
+        # births 0..4, evicted at update 6: ages are 6,5,4,3,2 and exactly the
         # three over-age elements (> max_age 3) leave, oldest first
         buf = make_buffer(max_age=3)
         for i in range(5):
-            push(buf, (float(i), 0, 0, 0))
-            buf.advance_updates(1)
-        buf.advance_updates(1)
+            push(buf, (float(i), 0, 0, 0), birth=i)
+            buf.evict(i + 1)
+        buf.evict(6)
         assert lr_column(buf) == [3.0, 4.0]
-        assert np.all(buf.update_counter - buf._birth[buf._lo : buf._hi] <= 3)
+        assert np.all(6 - buf._birth[buf._lo : buf._hi] <= 3)
 
-    def test_advance_zero_is_identity(self):
-        buf = fill(make_buffer(max_age=2), np.zeros((4, 4)))
-        buf.advance_updates(0)
+    def test_evict_at_the_birth_update_keeps_every_row(self):
+        buf = fill(make_buffer(max_age=0), np.zeros((4, 4)), birth=7)
+        buf.evict(7)
         assert len(buf) == 4
 
     def test_sample_whole_buffer(self):
@@ -89,8 +89,8 @@ class TestBuffer:
 
     def test_rows_by_position(self):
         buf = fill(make_buffer(max_age=1), [[i, 0, 0, 0] for i in range(6)])
-        buf.advance_updates(2)
-        fill(buf, [[6, 0, 0, 0], [7, 0, 0, 0]])  # the first six rows are over age
+        buf.evict(2)
+        fill(buf, [[6, 0, 0, 0], [7, 0, 0, 0]], birth=2)  # the first six rows are over age
         assert replay_rows(buf, [0, -1]).reward[:, 0].tolist() == [6.0, 7.0]
         with pytest.raises(IndexError):
             replay_rows(buf, [2])  # evicted and unwritten rows are out of reach
@@ -113,13 +113,13 @@ class TestBuffer:
         np.testing.assert_allclose(counts / draws, p, atol=3 * sigma)
 
     def test_eviction_survives_compaction(self):
-        # with max_age 0 each advance clears everything older than the step,
+        # with max_age 0 each eviction clears everything older than the step,
         # exercising the column compaction over 20k pushes
         buf = make_buffer(max_age=0)
         for i in range(20000):
-            push(buf, (float(i), 0, 0, 0))
-            buf.advance_updates(1)
-            push(buf, (float(i), 1, 0, 0))
+            push(buf, (float(i), 0, 0, 0), birth=i)
+            buf.evict(i + 1)
+            push(buf, (float(i), 1, 0, 0), birth=i + 1)
         assert len(buf) == 1
         rows = replay_rows(buf)
         assert [(r[0], r[1]) for r in rows.reward.tolist()] == [(19999.0, 1.0)]
@@ -136,9 +136,9 @@ class TestBuffer:
             buf = make_buffer(max_age=1000)
             step = {"cursor": LOOKBACK, "position": 0, "action": [0] * 4, "gamma": 0.9,
                     "weights": np.tile([1.0, 0.0, 0.0, 0.0], (4, 1)), "terminal": False}
-            for reward in rewards.reshape(-1, 4, 4):  # four experiences a push, as a k = 3 fitting step makes
-                buf.push({**step, "reward": reward})
-                buf.advance_updates(1)
+            for update, reward in enumerate(rewards.reshape(-1, 4, 4)):  # four experiences a push, as k = 3 makes
+                buf.push({**step, "reward": reward, "birth": update})
+                buf.evict(update + 1)
                 if len(buf) >= 3 * 1024:
                     worst = max(worst, tracemalloc.get_traced_memory()[0] / len(buf))
         finally:
@@ -147,8 +147,9 @@ class TestBuffer:
         assert 90 < worst <= 128
 
 
-def random_columns(rng, n):
-    """n replay rows as columns: states of SERIES, any actions, rewards with a sparse last component."""
+def random_columns(rng, n, birth=0):
+    """n replay rows born at update birth as columns: states of SERIES, any actions, rewards with a sparse last
+    component."""
     reward = rng.normal(size=(n, 4))
     reward[:, 3] *= rng.uniform(size=n) < 0.05
     return {
@@ -159,6 +160,7 @@ def random_columns(rng, n):
         "weights": agent.sample_weights(rng, n),
         "reward": reward,
         "terminal": rng.uniform(size=n) < 0.01,
+        "birth": np.full(n, birth),
     }
 
 
@@ -170,7 +172,7 @@ def push_rows(buffer, columns):
         after = EnvState(cursor + 1, Mode.LSP.targets[int(columns["action"][i])], None, (), len(SERIES))
         outcome = StepOutcome(after, RewardVector(*columns["reward"][i].tolist()), bool(columns["terminal"][i]))
         scalar_reference.push_experience(buffer, state, int(columns["action"][i]), float(columns["gamma"][i]),
-                                         columns["weights"][i], outcome)
+                                         columns["weights"][i], outcome, int(columns["birth"][i]))
 
 
 class TestPushBlock:
@@ -182,12 +184,12 @@ class TestPushBlock:
     def test_equals_repeated_push(self, blocks):
         rng = np.random.default_rng(sum(blocks))
         one, many = make_buffer(max_age=2), make_buffer(max_age=2)
-        for size in blocks:
-            columns = random_columns(rng, size)
+        for update, size in enumerate(blocks):
+            columns = random_columns(rng, size, birth=update)
             push_rows(one, columns)
             many.push(columns)
             for buf in (one, many):
-                buf.advance_updates(1)  # evicts the block before last
+                buf.evict(update + 1)  # evicts the block before last
             mean_one, cov_one = one.reward_moments()
             mean_many, cov_many = many.reward_moments()
             assert mean_one.tobytes() == mean_many.tobytes() and cov_one.tobytes() == cov_many.tobytes()
@@ -202,7 +204,7 @@ class TestPushBlock:
         first = random_columns(rng, 1022)
         push_rows(one, first)
         many.push(first)
-        scalars = {"cursor": LOOKBACK + 2, "position": -1, "terminal": True}
+        scalars = {"cursor": LOOKBACK + 2, "position": -1, "terminal": True, "birth": 1}
         step = {**random_columns(rng, 4), **scalars}
         push_rows(one, {**step, **{name: np.full(4, value) for name, value in scalars.items()}})
         many.push(step)
@@ -211,9 +213,10 @@ class TestPushBlock:
         for name in _COLUMNS:
             assert getattr(one, name)[: one._hi].tobytes() == getattr(many, name)[: many._hi].tobytes()
 
-    def test_needs_every_column_but_birth(self):
+    @pytest.mark.parametrize("missing", ["gamma", "birth"])
+    def test_needs_every_column(self, missing):
         columns = random_columns(np.random.default_rng(0), 3)
-        del columns["gamma"]
+        del columns[missing]
         with pytest.raises(ValueError):
             make_buffer(max_age=2).push(columns)
 
@@ -236,8 +239,8 @@ def record_episode(mode: Mode, k: int, hindsight_action: str):
         feats = scalar_reference.state_features(env, state)
         action = int(rng.integers(mode.n_actions))
         outcome = env.transition(state, action)
-        scalar_reference.push_experience(buffer, state, action, 0.9, agent.uniform_weights(), outcome)
-        scalar_reference.augment_experiences(env, state, feats, action, net, cfg, streams, buffer)
+        scalar_reference.push_experience(buffer, state, action, 0.9, agent.uniform_weights(), outcome, 0)
+        scalar_reference.augment_experiences(env, state, feats, action, net, cfg, streams, buffer, 0)
         for a in replay_rows(buffer).action[len(expected):]:
             expected.append((feats, scalar_reference.state_features(env, env.transition(state, int(a)).next_state)))
         state = outcome.next_state
@@ -290,10 +293,12 @@ class TestRunningMoments:
         monkeypatch.setattr(ReplayBuffer, "_compact", lambda buf: (compactions.append(len(buf)), compact(buf)))
         buf = make_buffer(max_age=300)
         worst_cov = worst_var = worst_mean = 0.0
+        updates = 0
         for i, row in enumerate(rewards):
-            push(buf, row)
+            push(buf, row, birth=updates)
             if i % 4 == 3:
-                buf.advance_updates(1)  # evicts four rows per update once past max_age
+                updates += 1
+                buf.evict(updates)  # evicts four rows per update once past max_age
             if i % 37 == 36 or i > 9_900:
                 mean, cov = buf.reward_moments()
                 live = replay_rows(buf).reward
@@ -304,7 +309,7 @@ class TestRunningMoments:
                 variances, ref_variances = np.diag(cov), np.diag(ref_cov)
                 spread = ref_variances > 0
                 worst_var = max(worst_var, np.abs(variances[spread] / ref_variances[spread] - 1.0).max())
-        assert len(buf) == 4 * 300 and buf.update_counter == 2500
+        assert len(buf) == 4 * 300 and updates == 2500
         assert len(compactions) >= 3
         print(f"worst relative error: covariance {worst_cov:.1e}, variances {worst_var:.1e}, mean {worst_mean:.1e}")
         assert worst_cov <= 1e-10 and worst_var <= 1e-10 and worst_mean <= 1e-10
@@ -315,8 +320,8 @@ class TestRunningMoments:
         rng = np.random.default_rng(3)
         buf = fill(make_buffer(max_age=0), 1e6 + rng.normal(size=(50, 4)))
         compute_whitening(buf, EIGEN_FLOOR)
-        buf.advance_updates(1)  # everything summed so far leaves
-        fill(buf, rng.normal(size=(50, 4)))
+        buf.evict(1)  # everything summed so far leaves
+        fill(buf, rng.normal(size=(50, 4)), birth=1)
         mean, cov = buf.reward_moments()
         live = replay_rows(buf).reward
         np.testing.assert_allclose(cov, np.cov(live, rowvar=False), rtol=1e-12, atol=1e-15)

@@ -60,7 +60,7 @@ def test_artifact_identity_of_the_tree_with_itself():
                                "--episodes", "2")
     result = json.loads(lines[0])
     assert len(lines) == 1 and status == 0
-    assert (result["runs"], result["files"], result["differ"], result["failed"]) == (6, 24, [], [])
+    assert (result["runs"], result["files"], result["differ"], result["failed"]) == (7, 26, [], [])
     assert result["identical"]
 
 
@@ -76,11 +76,12 @@ def test_artifact_identity_names_the_files_a_change_moved(tmp_path):
     assert len(lines) == 1 and status == 1
     runs = ["full_range_k0", "mo_train", "pinned_lsp_k2", "powc_lp_full_range", "replay_unwhitened", "so_train"]
     assert result["differ"] == [f"{run}_seed1/checkpoint_2.bin" for run in runs]
-    assert (result["files"], result["failed"], result["identical"]) == (24, [], False)
+    assert (result["files"], result["failed"], result["identical"]) == (26, [], False)
 
 
 def test_artifact_identity_names_the_operations_that_failed(tmp_path):
-    # A baseline whose train raises: each of its runs fails at train, skips its backtest and writes nothing.
+    # A baseline whose train raises: each train run fails at train, skips its backtest and writes nothing;
+    # its walkforward run does not go through cmd_train.
     shutil.copytree(REPO_ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     cli = tmp_path / "src" / "moqtrader" / "cli.py"
     head = "def cmd_train(cfg: config.RunConfig, out: Path) -> None:\n"
@@ -93,4 +94,4 @@ def test_artifact_identity_names_the_operations_that_failed(tmp_path):
     assert [failure.partition(": Traceback")[0] for failure in result["failed"]] == [
         f"baseline: {run}_seed1 train: exit 1" for run in runs]
     assert all(failure.endswith("RuntimeError: train is broken") for failure in result["failed"])
-    assert (result["files"], len(result["differ"]), result["identical"]) == (24, 24, False)
+    assert (result["files"], len(result["differ"]), result["identical"]) == (26, 24, False)
